@@ -6,6 +6,16 @@ order and reproducible from the scenario seed alone.  Photon sampling is
 efficiency-thinned at the source (Poisson splitting), which is
 statistically identical to sampling raw photons and thinning at the
 detector.
+
+Events are sampled per click, not per frame.  Each (signal, component,
+batch) stream draws its total ``K ~ Poisson(lam * nb)`` over the ``nb``
+frames of the batch, then ``K`` uniform frame indices, sorted.  This is
+exact: independent Poisson(lam) counts over ``nb`` frames, conditioned on
+their sum ``K``, are multinomial with equal cell probabilities, which is
+what ``K`` uniform picks give.  The work is O(events) rather than
+O(frames), which matters at the ~0.002 events per detector-frame of the
+phase experiments.  Slot, jitter, edge and floor placement then act on the
+``K`` events only.
 """
 from __future__ import annotations
 
@@ -125,6 +135,17 @@ def _signal_slots(
     return rng.generator().integers(0, vcfg.d, size=n_frames, dtype=np.int64)
 
 
+def _poisson_frames(gen, lam: float, nb: int) -> np.ndarray:
+    """Sorted frame indices in ``[0, nb)`` of a Poisson(lam)-per-frame stream.
+
+    One Poisson total, then that many uniform frame picks: the same joint
+    law as ``nb`` per-frame Poisson draws (see the module docstring).
+    """
+    idx = gen.integers(0, nb, size=gen.poisson(lam * nb))
+    idx.sort()
+    return idx
+
+
 def _jitter(gen, n, sigma):
     if sigma <= 0 or n == 0:
         return np.zeros(n, dtype=np.int64)
@@ -163,8 +184,7 @@ def _simulate_timebin_detector(
         for b0 in range(0, n_frames, BATCH):
             nb = min(BATCH, n_frames - b0)
             gen = root.stream(ROLE_PHOTONS, det_idx, sig_pos, b0 // BATCH).generator()
-            counts = gen.poisson(lam_pulse, size=nb)
-            idx = np.repeat(np.arange(nb), counts)
+            idx = _poisson_frames(gen, lam_pulse, nb)
             if len(idx):
                 t = (
                     offset
@@ -175,8 +195,7 @@ def _simulate_timebin_detector(
                 pieces_t.append(t)
                 pieces_f.append(b0 + idx)
                 pieces_o.append(np.full(len(idx), sig_pos, dtype=np.int8))
-            fcounts = gen.poisson(lam_floor, size=nb)
-            fidx = np.repeat(np.arange(nb), fcounts)
+            fidx = _poisson_frames(gen, lam_floor, nb)
             if len(fidx):
                 ft = offset + gen.integers(0, vcfg.frame_window_ps, size=len(fidx))
                 pieces_t.append(ft.astype(np.int64))
@@ -191,23 +210,24 @@ def _simulate_timebin_detector(
 def _finish_detector(name, pieces_t, pieces_f, pieces_o, origins, vcfg, gate, n_frames):
     if pieces_t:
         t = np.concatenate(pieces_t)
-        fr = np.concatenate(pieces_f).astype(np.int64)
+        fr = np.concatenate(pieces_f).astype(np.int64, copy=False)
         orig = np.concatenate(pieces_o)
     else:
         t = np.zeros(0, dtype=np.int64)
         fr = np.zeros(0, dtype=np.int64)
         orig = np.zeros(0, dtype=np.int8)
+    # gate first: the mask reads only t_within, and the stable sort keeps
+    # the survivors' relative order, so sorting fewer events changes nothing
+    keep = gate_mask(t, gate, vcfg.frame_window_ps)
+    t, fr, orig = t[keep], fr[keep], orig[keep]
     t_abs = fr * vcfg.frame_period_ps + t
     order = np.argsort(t_abs, kind="stable")
-    t, fr, orig, t_abs = t[order], fr[order], orig[order], t_abs[order]
-    keep = gate_mask(t, gate, vcfg.frame_window_ps)
-    t, fr, orig, t_abs = t[keep], fr[keep], orig[keep], t_abs[keep]
-    keep = dead_time_mask(t_abs, vcfg.dead_time_ps)
+    order = order[dead_time_mask(t_abs[order], vcfg.dead_time_ps)]
     return DetectorResult(
         name=name,
-        t_within=t[keep],
-        frame_idx=fr[keep],
-        origin=orig[keep],
+        t_within=t[order],
+        frame_idx=fr[order],
+        origin=orig[order],
         origins=origins,
         n_frames=n_frames,
     )
@@ -265,8 +285,7 @@ def _simulate_phase_detector(
             gen = root.stream(
                 ROLE_PHOTONS, run_tag, det_idx, sig_pos, b0 // BATCH
             ).generator()
-            k_int = gen.poisson(lam_int, size=nb)
-            idx = np.repeat(np.arange(nb), k_int)
+            idx = _poisson_frames(gen, lam_int, nb)
             if len(idx):
                 pos = gen.integers(1, d, size=len(idx))  # equal interior weights
                 t = (
@@ -282,8 +301,7 @@ def _simulate_phase_detector(
             for lam_edge, pos_j in ((lam_e0, 0), (lam_ed, d)):
                 if lam_edge <= 0:
                     continue
-                k_e = gen.poisson(lam_edge, size=nb)
-                idx = np.repeat(np.arange(nb), k_e)
+                idx = _poisson_frames(gen, lam_edge, nb)
                 if len(idx):
                     t = (
                         offset
@@ -295,8 +313,7 @@ def _simulate_phase_detector(
                     pieces_t.append(t)
                     pieces_f.append(b0 + idx)
                     pieces_o.append(np.full(len(idx), sig_pos, dtype=np.int8))
-            k_f = gen.poisson(lam_floor, size=nb)
-            idx = np.repeat(np.arange(nb), k_f)
+            idx = _poisson_frames(gen, lam_floor, nb)
             if len(idx):
                 t = offset + gen.integers(0, vcfg.frame_window_ps, size=len(idx))
                 if arm == "none":

@@ -9,6 +9,7 @@ only each photon's self-interference across its own pulse train survives.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -144,21 +145,36 @@ def gate_mask(t_within: np.ndarray, gate: str, frame_window_ps: int) -> np.ndarr
 def dead_time_mask(
     t_abs_sorted: np.ndarray, dead_time_ps: int, paralyzable: bool = False
 ) -> np.ndarray:
-    """Greedy dead-time veto over time-sorted absolute timestamps."""
-    n = len(t_abs_sorted)
+    """Greedy dead-time veto over time-sorted absolute timestamps.
+
+    An event is kept when it is at least ``dead_time_ps`` after the last
+    kept event (non-paralyzable) or after the last raw event (paralyzable).
+
+    A cluster starts at the first event and at every event whose gap to the
+    previous raw event is ``>= dead_time_ps``.  Cluster starts are always
+    kept, since the last kept event is no later than the previous raw one;
+    the paralyzable veto keeps exactly the cluster starts.  A
+    non-paralyzable cluster keeps more only if the first event at least
+    ``dead_time_ps`` after its start still falls inside it; only those
+    clusters are walked, jumping from kept event to kept event by binary
+    search, so vetoed events are never visited.
+    """
+    t = np.asarray(t_abs_sorted)
+    n = len(t)
     keep = np.ones(n, dtype=bool)
     if dead_time_ps <= 0 or n == 0:
         return keep
-    t = np.asarray(t_abs_sorted)
-    blocked_until = -1
-    for i in range(n):
-        ti = int(t[i])
-        if ti < blocked_until:
-            keep[i] = False
-            if paralyzable:
-                blocked_until = ti + dead_time_ps
-        else:
-            blocked_until = ti + dead_time_ps
+    keep[1:] = np.diff(t) >= dead_time_ps
+    if paralyzable:
+        return keep
+    starts = np.flatnonzero(keep)
+    ends = np.append(starts[1:], n)
+    first = np.searchsorted(t, t[starts] + dead_time_ps)
+    walk = first < ends
+    for i, end in zip(first[walk].tolist(), ends[walk].tolist()):
+        while i < end:
+            keep[i] = True
+            i = bisect.bisect_left(t, t[i] + dead_time_ps, i + 1, end)
     return keep
 
 
@@ -337,7 +353,6 @@ def histogram_from_times(
 
 def export_histogram(hist: Histogram, path: str | Path) -> None:
     """Write one row per bin: ``bin_start_ps,count`` (LF line endings)."""
-    lines = ["bin_start_ps,count"]
-    for i, c in enumerate(hist.bins):
-        lines.append(f"{i * hist.hist_res_ps},{int(c)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    res = hist.hist_res_ps
+    rows = [f"{i * res},{c}" for i, c in enumerate(hist.bins.tolist())]
+    Path(path).write_text("\n".join(["bin_start_ps,count", *rows]) + "\n")

@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdmqsim.config import ConfigError, SignalAssignment, SimConfig
+from sdmqsim.config import ConfigError, RandomSource, SignalAssignment, SimConfig
 from sdmqsim.pipeline import (
     DetectorResult,
     _gated_phase_counts,
+    _poisson_frames,
     build_channel,
     expected_collection_rate,
     monitor_input_balance,
@@ -107,6 +108,42 @@ class TestGatedPhaseCounts:
         vcfg = validate_config(SimConfig())
         det = self._det([770, 64 * 1540 + 770])  # the two edge pulses
         assert _gated_phase_counts(det, vcfg, 0) == 0.0
+
+
+def _poisson_cells(lam, n):
+    """Expected frame counts per click number: one cell per k whose
+    expectation is >= 1, both tails lumped into the end cells."""
+    pmf = [math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) for k in range(200)]
+    ks = [k for k, p in enumerate(pmf) if p * n >= 1]
+    lo, hi = ks[0], ks[-1]
+    expect = [p * n for p in pmf[lo : hi + 1]]
+    expect[0] += sum(pmf[:lo]) * n
+    expect[-1] = n * (1.0 - sum(pmf[:hi]))
+    return lo, hi, np.array(expect)
+
+
+class TestSparseSampler:
+    """``_poisson_frames`` has the law of one Poisson draw per frame."""
+
+    @pytest.mark.parametrize(
+        "lam,nb", [(0.002, 1 << 20), (0.5, 1 << 16), (17.0, 1 << 16)]
+    )
+    def test_per_frame_counts_are_poisson(self, lam, nb):
+        # phase_er, reference and saturated regimes
+        gen = RandomSource(5).stream(0, int(lam * 1000)).generator()
+        idx = _poisson_frames(gen, lam, nb)
+        assert np.all(np.diff(idx) >= 0)
+        assert len(idx) == 0 or (idx[0] >= 0 and idx[-1] < nb)
+        per_frame = np.bincount(idx, minlength=nb)
+        assert len(per_frame) == nb
+        lo, hi, expect = _poisson_cells(lam, nb)
+        observed = np.bincount(np.clip(per_frame, lo, hi) - lo, minlength=hi - lo + 1)
+        sigma = np.sqrt(expect * (1.0 - expect / nb))
+        assert np.all(np.abs(observed - expect) <= 5 * sigma), (observed, expect)
+
+    def test_zero_rate_draws_nothing(self):
+        gen = RandomSource(5).generator()
+        assert len(_poisson_frames(gen, 0.0, 1000)) == 0
 
 
 class TestRunnerGuards:

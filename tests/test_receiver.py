@@ -129,6 +129,85 @@ class TestDeadTimeMask:
         assert par.sum() == 1  # continuous stream keeps the detector dead
 
 
+def _greedy_dead_time(t, dead_time_ps, paralyzable):
+    """Reference veto: one pass, one event at a time."""
+    keep = []
+    blocked_until = None
+    for ti in t:
+        ok = dead_time_ps <= 0 or blocked_until is None or ti >= blocked_until
+        keep.append(ok)
+        if ok or paralyzable:
+            blocked_until = ti + dead_time_ps
+    return np.array(keep, dtype=bool)
+
+
+class TestDeadTimeOracle:
+    """``dead_time_mask`` against the plain greedy loop, both modes."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        gaps=st.lists(
+            st.one_of(
+                st.just(0),
+                st.integers(0, 150_000),
+                st.integers(0, 400_000),
+                # on a grid, so some events sit exactly one dead time
+                # after an earlier one
+                st.integers(0, 6).map(lambda k: 25_000 * k),
+            ),
+            max_size=200,
+        ),
+        start=st.integers(0, 10**12),
+        td=st.one_of(st.just(0), st.just(100_000), st.integers(0, 250_000)),
+        paralyzable=st.booleans(),
+    )
+    def test_matches_reference(self, gaps, start, td, paralyzable):
+        t = start + np.cumsum(np.array(gaps, dtype=np.int64))
+        got = dead_time_mask(t, td, paralyzable)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, _greedy_dead_time(t.tolist(), td, paralyzable))
+
+    @pytest.mark.parametrize("paralyzable", [False, True])
+    def test_empty(self, paralyzable):
+        assert len(dead_time_mask(np.zeros(0, dtype=np.int64), 100_000, paralyzable)) == 0
+
+    @pytest.mark.parametrize("paralyzable", [False, True])
+    def test_zero_dead_time_keeps_all(self, paralyzable):
+        t = np.array([5, 5, 5, 7, 100], dtype=np.int64)
+        assert dead_time_mask(t, 0, paralyzable).all()
+
+    @pytest.mark.parametrize("paralyzable", [False, True])
+    def test_ties(self, paralyzable):
+        # exact one-dead-time gaps, inside a cluster and between clusters
+        t = np.array(
+            [0, 0, 60_000, 100_000, 100_000, 160_000, 200_000, 300_000, 300_000],
+            dtype=np.int64,
+        )
+        ref = _greedy_dead_time(t.tolist(), 100_000, paralyzable)
+        np.testing.assert_array_equal(dead_time_mask(t, 100_000, paralyzable), ref)
+
+    @pytest.mark.parametrize("paralyzable", [False, True])
+    def test_one_long_cluster(self, paralyzable):
+        # always-gated saturation: no raw gap ever reaches the dead time, so
+        # the whole stream is one cluster
+        gen = RandomSource(21).generator()
+        t = np.cumsum(gen.integers(1, 8, size=30_000) * 5_000)
+        ref = _greedy_dead_time(t.tolist(), 100_000, paralyzable)
+        got = dead_time_mask(t, 100_000, paralyzable)
+        np.testing.assert_array_equal(got, ref)
+        if paralyzable:
+            assert got.sum() == 1
+
+    def test_many_open_clusters(self):
+        # thousands of short clusters that each keep more than their start,
+        # on a grid so that ties and exact one-dead-time gaps occur
+        gen = RandomSource(22).generator()
+        n = 20_000
+        t = np.sort(gen.integers(0, 3 * n, size=n)) * 20_000
+        ref = _greedy_dead_time(t.tolist(), 100_000, False)
+        np.testing.assert_array_equal(dead_time_mask(t, 100_000), ref)
+
+
 class TestTimeWindowFilter:
     def test_keep_and_drop(self):
         recs = [
@@ -260,3 +339,18 @@ class TestHistogram:
         assert lines[1] == "0,0"
         assert lines[3] == "50,1"
         assert len(lines) == 8001
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 2**40), min_size=0, max_size=300),
+        res=st.integers(1, 100),
+    )
+    def test_export_bytes_match_row_format(self, tmp_path_factory, counts, res):
+        bins = np.array(counts, dtype=np.int64)
+        hist = Histogram(bins=bins, n_frames=1, hist_res_ps=res)
+        path = tmp_path_factory.mktemp("h") / "h.csv"
+        export_histogram(hist, path)
+        rows = ["bin_start_ps,count"] + [
+            f"{i * res},{int(c)}" for i, c in enumerate(bins)
+        ]
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()

@@ -203,3 +203,20 @@ class TestCliSweep:
             "--param", "eta", "--values", "", "--out", str(tmp_path / "x"),
         ])
         assert rc == 2
+
+
+class TestGoldenReports:
+    """Each canned scenario at its pinned seed and frame count reproduces
+    the committed ``out/<name>/report.json`` byte for byte.  Regenerate
+    these files (``sdmqsim run scenarios/<name>.ini`` from the repo root)
+    only on a deliberate change of the random draws."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["capacity", "timebin_b", "timebin_xt", "phase_er", "phase_sweep", "bb84", "bb84_eve"],
+    )
+    def test_report_matches_golden(self, name, tmp_path):
+        rc = main(["run", str(SCENARIOS / f"{name}.ini"), "--out", str(tmp_path)])
+        assert rc == 0
+        golden = REPO / "out" / name / "report.json"
+        assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
