@@ -10,9 +10,8 @@ import math
 from pathlib import Path
 
 from sdmqsim.analysis import write_er_by_group_csv
-from sdmqsim.encoder import make_phase_frame
 from sdmqsim.pipeline import run_scenario
-from sdmqsim.receiver import InterferometerConfig, export_histogram, interfere
+from sdmqsim.receiver import delay_interferometer_rates, export_histogram
 from sdmqsim.scenarios import load_scenario
 
 OUT = Path("out/demos")
@@ -20,19 +19,19 @@ OUT.mkdir(parents=True, exist_ok=True)
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 # --- intensity level -------------------------------------------------------
-train = make_phase_frame(math.pi, mu=64.0, d=64)  # unit intensity per pulse
-for label, arm in (("interfering", "none"), ("one arm blocked", "mean")):
-    icfg = InterferometerConfig(delay_ps=1540, phi_b=0.0, visibility_cap=0.93,
-                                arm_blocked=arm)
-    out = interfere(train, icfg, 1540)
-    interior = out.interior("p")
-    print(f"{label}: edge {out.port_p[0]:.3f}, interior {interior[0]:.3f} "
-          f"(x{len(interior)}), edge {out.port_p[-1]:.3f}")
-
-icfg = InterferometerConfig(delay_ps=1540, phi_b=math.pi, visibility_cap=0.93)
-const = interfere(train, icfg, 1540)
-print(f"constructive interior: {const.interior('p')[0]:.3f} "
-      f"(= I0 (1+V) with I0 = 0.5)")
+# mean clicks per frame on port P for a train of unit-rate pulses, per
+# position: edge 0, each of the d-1 interior positions, edge d
+d = 64
+for label, phi, arm in (
+    ("interfering (phi = pi)", math.pi, "none"),
+    ("constructive (phi = 0)", 0.0, "none"),
+    ("delay arm blocked", math.pi, "delay"),
+    ("direct arm blocked", math.pi, "direct"),
+):
+    r = delay_interferometer_rates(float(d), d, 0.93, phi, arm)
+    print(f"{label}: edge {r.edge_0:.3f}, interior {r.interior_p / (d - 1):.3f} "
+          f"(x{d - 1}), edge {r.edge_d:.3f}")
+print("constructive interior = I0 (1+V) with I0 = 0.5")
 
 # --- photon level: extinction ratios per output group ----------------------
 scenario = load_scenario(SCENARIOS / "phase_er.ini").with_overrides(n_frames=400_000)

@@ -14,30 +14,16 @@ from .config import (
     ValidatedConfig,
     validate_config,
 )
-from .encoder import FrameSchedule, make_phase_frame, make_time_bin_frame, schedule
+from .encoder import make_phase_frame, make_time_bin_frame
 from .channel import (
     AssignmentError,
     ChannelModel,
     CrosstalkMatrix,
-    GroupFlux,
     InsertionLossTable,
-    PhotonEvent,
-    equipartition,
     load_link_tables,
     measure_insertion_loss,
-    propagate,
-    sample_photons,
 )
-from .receiver import (
-    DetectionRecord,
-    DetectorConfig,
-    Histogram,
-    InterferometerConfig,
-    accumulate,
-    detect,
-    interfere,
-    time_window_filter,
-)
+from .receiver import Histogram, InterferometerRates, delay_interferometer_rates
 from .analysis import (
     MetricsReport,
     capacity,
@@ -51,18 +37,7 @@ from .analysis import (
     snr_db,
     tomography,
 )
-from .protocol import (
-    BasisChoice,
-    BobSetting,
-    KeyRateParams,
-    alice_prepare,
-    bob_measure,
-    eve_intercept,
-    frame_mux,
-    key_rate,
-    sift,
-    simulate_bb84,
-)
+from .protocol import KeyRateParams, key_rate, sift, simulate_bb84
 from .scenarios import Scenario, load_scenario
 from .pipeline import RunResult, run_scenario
 

@@ -1,10 +1,10 @@
 """The mode-multiplexed fiber link.
 
-Maps per-signal frames to per-output-group mean photon flux (group-wise
-insertion loss plus a column-stochastic crosstalk matrix), then samples
-photon arrival events.  Crosstalk acts on intensities, not amplitudes:
-random mode coupling over the span destroys inter-signal coherence, so
-contributions from different signals add incoherently.
+Maps each signal's mean photon flux onto the output mode groups (group-wise
+insertion loss plus a column-stochastic crosstalk matrix).  Crosstalk acts
+on intensities, not amplitudes: random mode coupling over the span destroys
+inter-signal coherence, so contributions from different signals add
+incoherently.
 
 The measured tables ship as a plain-text data file so alternative channels
 can be swapped in (see ``data/fmf_link_tables.txt`` for the format).
@@ -17,25 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    FrameAmplitudes,
-    RandomSource,
-    SignalAssignment,
-    ValidatedConfig,
-)
+from .config import SignalAssignment
 
 __all__ = [
     "AssignmentError",
     "InsertionLossTable",
     "CrosstalkMatrix",
     "ChannelModel",
-    "GroupFlux",
-    "ModeFlux",
-    "PhotonEvent",
     "load_link_tables",
-    "propagate",
-    "equipartition",
-    "sample_photons",
     "measure_insertion_loss",
     "db_to_linear",
     "linear_to_db",
@@ -216,177 +205,6 @@ class ChannelModel:
     def collection_fraction(self, in_group: int, groups) -> float:
         frac = self.group_fractions(in_group)
         return float(sum(frac[g - 1] for g in groups))
-
-
-@dataclass(frozen=True)
-class GroupContribution:
-    """One signal's intensity landing in one output group."""
-
-    origin: str
-    out_group: int
-    slot_intensity: np.ndarray
-    floor: float
-    offset_ps: int
-
-    @property
-    def total(self) -> float:
-        return float(self.slot_intensity.sum() + self.floor)
-
-
-@dataclass(frozen=True)
-class GroupFlux:
-    """Per-output-group mean photon flux, offsets preserved per contributor."""
-
-    contributions: tuple
-
-    def total_photons(self) -> float:
-        return sum(c.total for c in self.contributions)
-
-    def group_total(self, group: int) -> float:
-        return sum(c.total for c in self.contributions if c.out_group == group)
-
-
-@dataclass(frozen=True)
-class ModeContribution:
-    origin: str
-    out_group: int
-    out_mode: int
-    slot_intensity: np.ndarray
-    floor: float
-    offset_ps: int
-
-    @property
-    def total(self) -> float:
-        return float(self.slot_intensity.sum() + self.floor)
-
-
-@dataclass(frozen=True)
-class ModeFlux:
-    contributions: tuple
-
-    def total_photons(self) -> float:
-        return sum(c.total for c in self.contributions)
-
-
-@dataclass(frozen=True)
-class PhotonEvent:
-    """A sampled photon arrival at the receiver plane.
-
-    ``t_ps`` is within the frame period; ``origin`` is diagnostic only.
-    """
-
-    t_ps: int
-    out_group: int
-    out_mode: int
-    frame_idx: int
-    origin: str
-
-    def __post_init__(self):
-        if self.t_ps < 0:
-            raise AssignmentError(f"t_ps {self.t_ps} outside the frame period")
-        if self.out_group < 1 or self.out_group > N_GROUPS:
-            raise AssignmentError(f"out_group {self.out_group} invalid")
-        if not 0 <= self.out_mode < self.out_group:
-            raise AssignmentError(
-                f"out_mode {self.out_mode} invalid for group {self.out_group} "
-                f"(group j has j modes)"
-            )
-
-
-def propagate(
-    frames: dict[str, FrameAmplitudes],
-    signals: dict[str, SignalAssignment],
-    channel: ChannelModel,
-) -> GroupFlux:
-    """Propagate one frame per signal through the link.
-
-    Each signal's slot intensities and floor are scaled by its transmission
-    and spread over output groups by the crosstalk column of its input
-    group; contributions from different signals add incoherently.
-    """
-    groups_used = [signals[s].input_group for s in frames]
-    if len(set(groups_used)) != len(groups_used):
-        raise AssignmentError("two signals assigned to the same input group")
-    contribs = []
-    for sid, frame in frames.items():
-        sig = signals[sid]
-        trans = channel.transmission(sig)
-        fractions = channel.group_fractions(sig.input_group)
-        for h in range(1, N_GROUPS + 1):
-            w = trans * fractions[h - 1]
-            if w == 0.0:
-                continue
-            contribs.append(
-                GroupContribution(
-                    origin=sid,
-                    out_group=h,
-                    slot_intensity=frame.slot_intensity * w,
-                    floor=frame.floor_rate * w,
-                    offset_ps=frame.offset_ps,
-                )
-            )
-    return GroupFlux(contributions=tuple(contribs))
-
-
-def equipartition(flux: GroupFlux) -> ModeFlux:
-    """Split each group's flux equally among its modes (group j has j modes)."""
-    contribs = []
-    for c in flux.contributions:
-        n_modes = c.out_group
-        for mode in range(n_modes):
-            contribs.append(
-                ModeContribution(
-                    origin=c.origin,
-                    out_group=c.out_group,
-                    out_mode=mode,
-                    slot_intensity=c.slot_intensity / n_modes,
-                    floor=c.floor / n_modes,
-                    offset_ps=c.offset_ps,
-                )
-            )
-    return ModeFlux(contributions=tuple(contribs))
-
-
-def sample_photons(
-    flux: ModeFlux,
-    frame_idx: int,
-    cfg: ValidatedConfig,
-    rng: RandomSource | np.random.Generator,
-) -> list[PhotonEvent]:
-    """Sample photon arrivals for one frame from per-mode mean intensities.
-
-    Per (mode, slot) the photon count is Poisson with the slot's mean;
-    timestamps are slot center + offset + Gaussian jitter, clamped to the
-    frame period.  Floor photons arrive uniformly over the contributing
-    signal's occupied window.
-    """
-    gen = rng if isinstance(rng, np.random.Generator) else rng.generator()
-    events: list[PhotonEvent] = []
-    period = cfg.frame_period_ps
-    for c in flux.contributions:
-        if np.any(c.slot_intensity < 0) or c.floor < 0:
-            raise ValueError("flux values must be >= 0")
-        counts = gen.poisson(c.slot_intensity)
-        for m in np.nonzero(counts)[0]:
-            for _ in range(int(counts[m])):
-                t = c.offset_ps + int(cfg.slot_centers_ps[m])
-                if cfg.jitter_sigma_ps > 0:
-                    t += int(round(gen.normal(0.0, cfg.jitter_sigma_ps)))
-                t = min(max(t, 0), period - 1)
-                events.append(
-                    PhotonEvent(t, c.out_group, c.out_mode, frame_idx, c.origin)
-                )
-        n_floor = gen.poisson(c.floor)
-        if n_floor:
-            ts = gen.integers(
-                c.offset_ps, c.offset_ps + cfg.frame_window_ps, size=n_floor
-            )
-            for t in ts:
-                events.append(
-                    PhotonEvent(int(t), c.out_group, c.out_mode, frame_idx, c.origin)
-                )
-    events.sort(key=lambda e: e.t_ps)
-    return events
 
 
 def measure_insertion_loss(

@@ -9,7 +9,7 @@ order-independent and reproducible under any batching.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -167,12 +167,9 @@ def validate_config(cfg: SimConfig) -> ValidatedConfig:
 # Stable role identifiers; part of the stream key, never reordered.
 ROLE_SCHEDULE = 0
 ROLE_PHOTONS = 1
-ROLE_DETECT = 2
 ROLE_ALICE = 3
 ROLE_EVE = 4
 ROLE_BOB = 5
-ROLE_DARK = 6
-ROLE_MONITOR = 7
 
 
 @dataclass(frozen=True)
@@ -194,11 +191,6 @@ class RandomSource:
 
     def stream(self, *ids: int) -> "RandomSource":
         return RandomSource(self.seed, self.stream_id[:0] + tuple(ids))
-
-
-def stream_generator(seed: int, *ids: int) -> np.random.Generator:
-    """Shorthand for ``RandomSource(seed, ids).generator()``."""
-    return RandomSource(seed, tuple(ids)).generator()
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +268,3 @@ class SignalAssignment:
     def offset_ps(self, cfg: SimConfig) -> int:
         return cfg.frame_window_ps if self.delayed else 0
 
-
-def default_signals() -> list[SignalAssignment]:
-    """The three-signal arrangement used by the reference link scenarios."""
-    return [
-        SignalAssignment("A", input_mode=(0, 0), input_group=1, delayed=False),
-        SignalAssignment("B", input_mode=(1, 1), input_group=3, delayed=True),
-        SignalAssignment("C", input_mode=(2, 2), input_group=5, delayed=False),
-    ]
-
-
-def with_seed(cfg: SimConfig, seed: int) -> SimConfig:
-    return replace(cfg, seed=seed)

@@ -1,4 +1,4 @@
-"""Transmitter side: attenuated time-bin and phase frames, frame scheduling.
+"""Transmitter side: attenuated time-bin and phase frames.
 
 Frames are generated directly as amplitude vectors; there is no modulator
 transfer-function model.  Leakage from the finite intensity-modulator
@@ -8,26 +8,15 @@ window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (
-    FrameAmplitudes,
-    Phase,
-    RandomSource,
-    ROLE_SCHEDULE,
-    SignalAssignment,
-    TimeBin,
-    ValidatedConfig,
-)
+from .config import FrameAmplitudes, Phase, TimeBin
 
 __all__ = [
     "make_time_bin_frame",
     "make_phase_frame",
     "floor_fraction",
-    "FrameSchedule",
-    "schedule",
 ]
 
 
@@ -99,92 +88,3 @@ def make_phase_frame(
         kind=Phase(phi_a),
     )
 
-
-@dataclass(frozen=True)
-class FrameSchedule:
-    """Per-signal frame plan in compact array form.
-
-    ``tb_flags[i]`` marks frame ``i`` as time-bin; ``slots[i]`` is its pulse
-    slot (-1 for phase frames); ``phi_a[i]`` the differential phase of phase
-    frames (NaN for time-bin frames).  ``offset_ps`` applies to every frame
-    of the signal.
-    """
-
-    signal: SignalAssignment
-    tb_flags: np.ndarray
-    slots: np.ndarray
-    phi_a: np.ndarray
-    offset_ps: int
-    mu: float
-    im_extinction: float
-    phase_floor: float = 0.0
-
-    @property
-    def n_frames(self) -> int:
-        return len(self.tb_flags)
-
-    def frame(self, i: int, d: int) -> FrameAmplitudes:
-        """Materialize frame ``i`` as a FrameAmplitudes value."""
-        if self.tb_flags[i]:
-            return make_time_bin_frame(
-                int(self.slots[i]), self.mu, self.im_extinction, d, self.offset_ps
-            )
-        return make_phase_frame(
-            float(self.phi_a[i]), self.mu, d, self.phase_floor, self.offset_ps
-        )
-
-
-def schedule(
-    signal: SignalAssignment,
-    n_frames: int,
-    cfg: ValidatedConfig,
-    rng: RandomSource,
-    phi_a: float = math.pi,
-    phase_floor: float = 0.0,
-    signal_index: int = 0,
-) -> FrameSchedule:
-    """Draw the frame sequence for one signal.
-
-    Each frame is independently time-bin with probability ``cfg.p_tb``
-    (slot drawn uniformly unless the assignment pins ``fixed_slot``),
-    otherwise a phase frame at differential phase ``phi_a``.  Delayed
-    signals carry ``offset = frame_window`` on every frame.
-    """
-    if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
-    gen = rng.stream(ROLE_SCHEDULE, signal_index).generator()
-    if cfg.p_tb >= 1.0:
-        tb = np.ones(n_frames, dtype=bool)
-    elif cfg.p_tb <= 0.0:
-        tb = np.zeros(n_frames, dtype=bool)
-    else:
-        tb = gen.random(n_frames) < cfg.p_tb
-    if signal.fixed_slot is not None:
-        if not 0 <= signal.fixed_slot < cfg.d:
-            raise ValueError(f"fixed_slot {signal.fixed_slot} out of range")
-        slots = np.full(n_frames, signal.fixed_slot, dtype=np.int64)
-    else:
-        slots = gen.integers(0, cfg.d, size=n_frames, dtype=np.int64)
-    slots[~tb] = -1
-    phases = np.where(tb, np.nan, phi_a)
-    ext = signal.im_extinction if signal.im_extinction is not None else cfg.im_extinction
-    return FrameSchedule(
-        signal=signal,
-        tb_flags=tb,
-        slots=slots,
-        phi_a=phases,
-        offset_ps=signal.offset_ps(cfg),
-        mu=cfg.mu_in,
-        im_extinction=ext,
-        phase_floor=phase_floor,
-    )
-
-
-def assert_balanced(budgets: dict[str, float], margin: float = 0.05) -> None:
-    """Check that per-signal input photon budgets agree within ``margin``."""
-    values = list(budgets.values())
-    lo, hi = min(values), max(values)
-    if lo <= 0 or (hi - lo) / hi > margin:
-        raise ValueError(
-            f"input photon budgets unbalanced beyond {margin:.0%}: {budgets}"
-        )

@@ -16,6 +16,11 @@ what ``K`` uniform picks give.  The work is O(events) rather than
 O(frames), which matters at the ~0.002 events per detector-frame of the
 phase experiments.  Slot, jitter, edge and floor placement then act on the
 ``K`` events only.
+
+Every detector is drawn by the one sampler ``_simulate_detector``; the
+time-bin and phase runners only describe each signal's components: mean
+clicks per frame, taken from the channel and (for phase frames) from
+``receiver.delay_interferometer_rates``, and where those clicks land.
 """
 from __future__ import annotations
 
@@ -38,7 +43,13 @@ from .config import (
 )
 from .encoder import floor_fraction
 from .protocol import KeyRateParams, key_rate, simulate_bb84
-from .receiver import Histogram, dead_time_mask, gate_mask, histogram_from_times
+from .receiver import (
+    Histogram,
+    dead_time_mask,
+    delay_interferometer_rates,
+    gate_mask,
+    histogram_from_times,
+)
 from .scenarios import Scenario
 
 __all__ = [
@@ -64,6 +75,15 @@ def build_channel(scenario: Scenario) -> ChannelModel:
     )
 
 
+def _collected_flux(vcfg, channel: ChannelModel, sig: SignalAssignment, groups) -> float:
+    """Mean photons per frame of one signal reaching a group collection."""
+    return (
+        vcfg.mu_in
+        * channel.transmission(sig)
+        * channel.collection_fraction(sig.input_group, groups)
+    )
+
+
 def expected_collection_rate(
     scenario: Scenario,
     channel: ChannelModel,
@@ -81,9 +101,7 @@ def expected_collection_rate(
     if not include_excess:
         sig = replace(sig, excess_db=0.0)
     cfg = scenario.cfg
-    flux = cfg.mu_in * channel.transmission(sig)
-    frac = channel.collection_fraction(sig.input_group, groups)
-    return flux * frac * cfg.eta * cfg.frame_rate_hz
+    return _collected_flux(cfg, channel, sig, groups) * cfg.eta * cfg.frame_rate_hz
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +170,56 @@ def _jitter(gen, n, sigma):
     return np.rint(gen.normal(0.0, sigma, size=n)).astype(np.int64)
 
 
+def _jittered(gen, t, vcfg) -> np.ndarray:
+    """Pulse click times ``t`` plus detector jitter, clamped to the frame."""
+    t = t + _jitter(gen, len(t), vcfg.jitter_sigma_ps)
+    np.clip(t, 0, vcfg.frame_period_ps - 1, out=t)
+    return t
+
+
+def _simulate_detector(
+    name: str,
+    key: tuple,
+    components: list,
+    origins: tuple,
+    vcfg: ValidatedConfig,
+    gate: str,
+    n_frames: int,
+) -> DetectorResult:
+    """Draw, gate and dead-time veto every click of one detector.
+
+    ``components[s]`` lists signal ``s``'s ``(lam, place)`` pairs: ``lam``
+    mean clicks per frame and ``place(gen, frames)`` the within-frame times
+    of clicks in those frames.  Stream ``(*key, s, batch)`` draws each
+    component's frames, then places them, in list order.
+    """
+    root = RandomSource(vcfg.seed)
+    pieces_t, pieces_f, pieces_o = [], [], []
+    for sig_pos, comps in enumerate(components):
+        for b0 in range(0, n_frames, BATCH):
+            nb = min(BATCH, n_frames - b0)
+            gen = root.stream(*key, sig_pos, b0 // BATCH).generator()
+            for lam, place in comps:
+                frames = b0 + _poisson_frames(gen, lam, nb)
+                if len(frames):
+                    pieces_t.append(place(gen, frames))
+                    pieces_f.append(frames)
+                    pieces_o.append(np.full(len(frames), sig_pos, dtype=np.int8))
+    return _finish_detector(
+        name, pieces_t, pieces_f, pieces_o, origins, vcfg, gate, n_frames
+    )
+
+
+def _timebin_components(vcfg, lam, f, offset, slots) -> tuple:
+    """The slot pulse (jittered) and the floor over the occupied window."""
+    centers = offset + vcfg.slot_center
+    window = vcfg.frame_window_ps
+    return (
+        (lam * (1 - f), lambda gen, fr: _jittered(gen, centers[slots[fr]], vcfg)),
+        (lam * f, lambda gen, fr: offset + gen.integers(0, window, size=len(fr))),
+    )
+
+
 def _simulate_timebin_detector(
     scenario: Scenario,
     vcfg: ValidatedConfig,
@@ -164,46 +232,18 @@ def _simulate_timebin_detector(
     n_frames: int,
 ) -> DetectorResult:
     """All clicks of one gated detector watching a group collection."""
-    origins = tuple(enabled)
-    pieces_t, pieces_f, pieces_o = [], [], []
-    root = RandomSource(vcfg.seed)
-    for sig_pos, sid in enumerate(enabled):
+    components = []
+    for sid in enabled:
         sig = scenario.signal(sid)
         ext = sig.im_extinction if sig.im_extinction is not None else vcfg.im_extinction
-        f = floor_fraction(vcfg.d, ext)
-        lam = (
-            vcfg.mu_in
-            * channel.transmission(sig)
-            * channel.collection_fraction(sig.input_group, groups)
-            * vcfg.eta
-        )
-        lam_pulse, lam_floor = lam * (1 - f), lam * f
-        offset = sig.offset_ps(vcfg)
-        slots = slots_by_signal[sid]
-        centers = vcfg.slot_center
-        for b0 in range(0, n_frames, BATCH):
-            nb = min(BATCH, n_frames - b0)
-            gen = root.stream(ROLE_PHOTONS, det_idx, sig_pos, b0 // BATCH).generator()
-            idx = _poisson_frames(gen, lam_pulse, nb)
-            if len(idx):
-                t = (
-                    offset
-                    + centers[slots[b0 + idx]]
-                    + _jitter(gen, len(idx), vcfg.jitter_sigma_ps)
-                )
-                np.clip(t, 0, vcfg.frame_period_ps - 1, out=t)
-                pieces_t.append(t)
-                pieces_f.append(b0 + idx)
-                pieces_o.append(np.full(len(idx), sig_pos, dtype=np.int8))
-            fidx = _poisson_frames(gen, lam_floor, nb)
-            if len(fidx):
-                ft = offset + gen.integers(0, vcfg.frame_window_ps, size=len(fidx))
-                pieces_t.append(ft.astype(np.int64))
-                pieces_f.append(b0 + fidx)
-                pieces_o.append(np.full(len(fidx), sig_pos, dtype=np.int8))
+        lam = _collected_flux(vcfg, channel, sig, groups) * vcfg.eta
+        components.append(_timebin_components(
+            vcfg, lam, floor_fraction(vcfg.d, ext), sig.offset_ps(vcfg),
+            slots_by_signal[sid],
+        ))
     name = "g" + "+".join(map(str, groups))
-    return _finish_detector(
-        name, pieces_t, pieces_f, pieces_o, origins, vcfg, gate, n_frames
+    return _simulate_detector(
+        name, (ROLE_PHOTONS, det_idx), components, tuple(enabled), vcfg, gate, n_frames
     )
 
 
@@ -233,6 +273,37 @@ def _finish_detector(name, pieces_t, pieces_f, pieces_o, origins, vcfg, gate, n_
     )
 
 
+def _phase_components(vcfg, rates, port, arm, offset) -> tuple:
+    """Interior, edge and floor clicks of one port, in stream order.
+
+    Position ``j`` of the d+1 interferometer outputs is centered at
+    ``offset + j T_p + T_p/2``; interior clicks pick 1..d-1 with equal
+    weights.  The floor covers the occupied window through each open arm,
+    the delay arm shifting it by one pulse period.
+    """
+    d, tp = vcfg.d, vcfg.pulse_period_ps
+    t0 = offset + tp // 2
+    window = vcfg.frame_window_ps
+
+    def floor(gen, fr):
+        t = offset + gen.integers(0, window, size=len(fr))
+        if arm == "none":
+            t = t + tp * (gen.random(len(fr)) < 0.5)
+        elif arm == "direct":
+            t = t + tp  # only the delayed arm is open
+        return np.minimum(t, vcfg.frame_period_ps - 1)
+
+    interior = rates.interior_p if port == "p" else rates.interior_p_prime
+    return (
+        (interior, lambda gen, fr: _jittered(
+            gen, t0 + gen.integers(1, d, size=len(fr)) * tp, vcfg)),
+        (rates.edge_0, lambda gen, fr: _jittered(gen, np.full(len(fr), t0), vcfg)),
+        (rates.edge_d, lambda gen, fr: _jittered(
+            gen, np.full(len(fr), t0 + d * tp), vcfg)),
+        (rates.floor, floor),
+    )
+
+
 def _simulate_phase_detector(
     scenario: Scenario,
     vcfg: ValidatedConfig,
@@ -253,80 +324,19 @@ def _simulate_phase_detector(
     same transmitted differential phase, and each photon self-interferes
     across its own train regardless of which signal it leaked from.
     """
-    v = scenario.experiment.visibility_cap
-    f_ph = scenario.experiment.phase_floor
-    d = vcfg.d
-    tp = vcfg.pulse_period_ps
-    sign = 1.0 if port == "p" else -1.0
-    origins = tuple(enabled)
-    pieces_t, pieces_f, pieces_o = [], [], []
-    root = RandomSource(vcfg.seed)
-    for sig_pos, sid in enumerate(enabled):
+    exp = scenario.experiment
+    components = []
+    for sid in enabled:
         sig = scenario.signal(sid)
-        lam = (
-            vcfg.mu_in
-            * channel.transmission(sig)
-            * channel.collection_fraction(sig.input_group, groups)
-            * vcfg.eta
+        rates = delay_interferometer_rates(
+            _collected_flux(vcfg, channel, sig, groups) * vcfg.eta,
+            vcfg.d, exp.visibility_cap, phi_total, arm, exp.phase_floor,
         )
-        i_in = lam * (1 - f_ph) / d
-        if arm == "none":
-            lam_int = (d - 1) * (i_in / 2.0) * (1.0 + sign * v * math.cos(phi_total))
-            lam_e0 = lam_ed = i_in / 4.0
-            lam_floor = lam * f_ph / 2.0
-        else:
-            lam_int = (d - 1) * i_in / 4.0
-            lam_e0 = i_in / 4.0 if arm == "delay" else 0.0
-            lam_ed = i_in / 4.0 if arm == "direct" else 0.0
-            lam_floor = lam * f_ph / 4.0
-        offset = sig.offset_ps(vcfg)
-        for b0 in range(0, n_frames, BATCH):
-            nb = min(BATCH, n_frames - b0)
-            gen = root.stream(
-                ROLE_PHOTONS, run_tag, det_idx, sig_pos, b0 // BATCH
-            ).generator()
-            idx = _poisson_frames(gen, lam_int, nb)
-            if len(idx):
-                pos = gen.integers(1, d, size=len(idx))  # equal interior weights
-                t = (
-                    offset
-                    + pos * tp
-                    + tp // 2
-                    + _jitter(gen, len(idx), vcfg.jitter_sigma_ps)
-                )
-                np.clip(t, 0, vcfg.frame_period_ps - 1, out=t)
-                pieces_t.append(t)
-                pieces_f.append(b0 + idx)
-                pieces_o.append(np.full(len(idx), sig_pos, dtype=np.int8))
-            for lam_edge, pos_j in ((lam_e0, 0), (lam_ed, d)):
-                if lam_edge <= 0:
-                    continue
-                idx = _poisson_frames(gen, lam_edge, nb)
-                if len(idx):
-                    t = (
-                        offset
-                        + pos_j * tp
-                        + tp // 2
-                        + _jitter(gen, len(idx), vcfg.jitter_sigma_ps)
-                    )
-                    np.clip(t, 0, vcfg.frame_period_ps - 1, out=t)
-                    pieces_t.append(t)
-                    pieces_f.append(b0 + idx)
-                    pieces_o.append(np.full(len(idx), sig_pos, dtype=np.int8))
-            idx = _poisson_frames(gen, lam_floor, nb)
-            if len(idx):
-                t = offset + gen.integers(0, vcfg.frame_window_ps, size=len(idx))
-                if arm == "none":
-                    t = t + tp * (gen.random(len(idx)) < 0.5)
-                elif arm == "direct":
-                    t = t + tp  # only the delayed arm is open
-                t = np.minimum(t.astype(np.int64), vcfg.frame_period_ps - 1)
-                pieces_t.append(t)
-                pieces_f.append(b0 + idx)
-                pieces_o.append(np.full(len(idx), sig_pos, dtype=np.int8))
+        components.append(_phase_components(vcfg, rates, port, arm, sig.offset_ps(vcfg)))
     name = "g" + "+".join(map(str, groups)) + f":{port}"
-    return _finish_detector(
-        name, pieces_t, pieces_f, pieces_o, origins, vcfg, gate, n_frames
+    return _simulate_detector(
+        name, (ROLE_PHOTONS, run_tag, det_idx), components, tuple(enabled),
+        vcfg, gate, n_frames,
     )
 
 
@@ -400,31 +410,12 @@ def _enabled_signals(scenario) -> list[str]:
     return [s.signal_id for s in scenario.signals]
 
 
-def monitor_input_balance(scenario: Scenario, vcfg: ValidatedConfig, n_frames: int) -> dict:
-    """Input-flux monitor: per-signal counts at the multiplexer input.
-
-    An always-gated unit detector samples each signal's pre-multiplexer
-    photon stream; the counts must agree within the 5% balance margin.
-    """
-    from .encoder import assert_balanced
-    from .config import ROLE_MONITOR
-
-    counts = {}
-    for i, sig in enumerate(scenario.signals):
-        gen = RandomSource(vcfg.seed).stream(ROLE_MONITOR, i).generator()
-        counts[sig.signal_id] = float(gen.poisson(vcfg.mu_in * n_frames))
-    assert_balanced(counts, margin=0.05)
-    return counts
-
-
 def _analytic_group_rates(scenario, vcfg, channel) -> dict:
     """Model expectation of each signal's rate into each output group."""
     rates = {}
     for sig in scenario.signals:
-        flux = vcfg.mu_in * channel.transmission(sig)
-        frac = channel.group_fractions(sig.input_group)
         rates[sig.signal_id] = {
-            g: flux * frac[g - 1] * vcfg.eta * vcfg.frame_rate_hz
+            g: _collected_flux(vcfg, channel, sig, (g,)) * vcfg.eta * vcfg.frame_rate_hz
             for g in range(1, 6)
         }
     return rates
@@ -437,7 +428,6 @@ def _run_timebin(scenario: Scenario) -> RunResult:
     n = exp.n_frames
     enabled = _enabled_signals(scenario)
     _require_fixed_slots(scenario, exp.collections.keys())
-    monitor = monitor_input_balance(scenario, vcfg, n)
     slots = {
         sid: _signal_slots(scenario, vcfg, sid, i, n) for i, sid in enumerate(enabled)
     }
@@ -526,7 +516,7 @@ def _run_timebin(scenario: Scenario) -> RunResult:
         rho_diag=rho,
         p_xt=p_xt,
         p_snr=analysis.prob_from_db(snr_mean),
-        extra={**extra, "rho_kk": rho_kk, "input_monitor_counts": monitor},
+        extra={**extra, "rho_kk": rho_kk},
     )
     return RunResult(
         report=report,
@@ -567,7 +557,6 @@ def _run_capacity(scenario: Scenario) -> RunResult:
     )
 
     # Part 2: three signals through the measured tables, reassigned groups.
-    monitor_input_balance(scenario, vcfg, n)
     # Each collection rate is taken with co-windowed companions disconnected
     # (the arrangement the reported rates come from); signals occupying the
     # other half-window stay connected since gating removes them anyway.
@@ -748,11 +737,7 @@ def _run_bb84(scenario: Scenario) -> RunResult:
     sid = _enabled_signals(scenario)[0]
     sig = scenario.signal(sid)
     groups = exp.collections.get(sid, (sig.input_group,))
-    flux = (
-        vcfg.mu_in
-        * channel.transmission(sig)
-        * channel.collection_fraction(sig.input_group, groups)
-    )
+    flux = _collected_flux(vcfg, channel, sig, groups)
     res = simulate_bb84(
         n_frames=exp.n_frames,
         flux=flux,

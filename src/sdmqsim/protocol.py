@@ -20,33 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    FrameAmplitudes,
-    Phase,
-    RandomSource,
-    ROLE_ALICE,
-    ROLE_BOB,
-    ROLE_EVE,
-    ValidatedConfig,
-)
-from .encoder import make_phase_frame
-from .receiver import InterferometerConfig, interfere
+from .config import RandomSource, ROLE_ALICE, ROLE_BOB, ROLE_EVE, ValidatedConfig
+from .receiver import delay_interferometer_rates
 
 __all__ = [
     "BASIS_X",
     "BASIS_Z",
-    "BasisChoice",
-    "BobSetting",
     "SiftOutcome",
     "KeyRateParams",
-    "phase_for",
-    "basis_of_phase",
-    "alice_prepare",
-    "bob_measure",
-    "eve_intercept",
     "sift",
     "key_rate",
-    "frame_mux",
     "Bb84Result",
     "simulate_bb84",
     "write_transcript",
@@ -55,46 +38,6 @@ __all__ = [
 BASIS_X = "X"
 BASIS_Z = "Z"
 NULL_BIT = -1  # array representation of a null outcome
-
-# bit -> differential phase, per basis
-_PHASE_TABLE = {
-    BASIS_X: (0.0, math.pi),
-    BASIS_Z: (math.pi / 2, 3 * math.pi / 2),
-}
-# Bob's interferometer phase per measured basis
-_PHI_B = {BASIS_X: 0.0, BASIS_Z: math.pi / 2}
-# port -> bit, per basis (see module docstring)
-_DECODE = {BASIS_X: {"p": 0, "p_prime": 1}, BASIS_Z: {"p": 1, "p_prime": 0}}
-
-
-def phase_for(basis: str, bit: int) -> float:
-    """Differential phase encoding (basis, bit)."""
-    return _PHASE_TABLE[basis][bit]
-
-
-def basis_of_phase(phi_a: float) -> str:
-    """Recover the encoding basis of a prepared phase (mod 2 pi)."""
-    quarter = round((phi_a % (2 * math.pi)) / (math.pi / 2)) % 4
-    return BASIS_X if quarter % 2 == 0 else BASIS_Z
-
-
-@dataclass(frozen=True)
-class BasisChoice:
-    basis: str
-    bit: int
-
-    @property
-    def phi_a(self) -> float:
-        return phase_for(self.basis, self.bit)
-
-
-@dataclass(frozen=True)
-class BobSetting:
-    basis: str
-
-    @property
-    def phi_b(self) -> float:
-        return _PHI_B[self.basis]
 
 
 @dataclass(frozen=True)
@@ -197,119 +140,6 @@ def key_rate(params: KeyRateParams) -> float:
     return (1.0 - params.eps_rob) * ell / n
 
 
-# ---------------------------------------------------------------------------
-# Protocol steps
-# ---------------------------------------------------------------------------
-
-
-def alice_prepare(
-    n_frames: int,
-    rng: RandomSource,
-    mu: float,
-    d: int = 64,
-    floor_fraction: float = 0.0,
-):
-    """Draw uniform bits/bases and the matching phase-frame parameters.
-
-    Returns ``(bits, bases, phi_a)`` as arrays; frame ``i`` is the phase
-    frame at differential phase ``phi_a[i]``.
-    """
-    gen = rng.stream(ROLE_ALICE).generator()
-    bits = gen.integers(0, 2, size=n_frames, dtype=np.int8)
-    bases = np.where(gen.random(n_frames) < 0.5, BASIS_X, BASIS_Z)
-    phi = np.array(
-        [phase_for(b, int(a)) for b, a in zip(bases, bits)], dtype=float
-    )
-    return bits, bases, phi
-
-
-def eve_intercept(
-    frames: list[FrameAmplitudes], rng: RandomSource
-) -> list[FrameAmplitudes]:
-    """Intercept-resend attack on a sequence of phase frames.
-
-    Eve measures each frame in a random basis and re-prepares it with her
-    inferred differential phase.  When her basis matches Alice's she infers
-    the phase correctly and the frame is unchanged; otherwise her outcome is
-    uniform over her own basis pair, so the re-sent information matches
-    Alice's only with probability 1/2.
-    """
-    gen = rng.stream(ROLE_EVE).generator()
-    out = []
-    for frame in frames:
-        if not isinstance(frame.kind, Phase):
-            out.append(frame)
-            continue
-        alice_basis = basis_of_phase(frame.kind.phi_a)
-        eve_basis = BASIS_X if gen.random() < 0.5 else BASIS_Z
-        if eve_basis == alice_basis:
-            out.append(frame)
-            continue
-        eve_bit = int(gen.integers(0, 2))
-        phi_e = phase_for(eve_basis, eve_bit)
-        d = len(frame.slots)
-        mu = frame.mean_photons
-        fl = frame.floor_rate / mu if mu > 0 else 0.0
-        out.append(make_phase_frame(phi_e, mu, d, fl, frame.offset_ps))
-    return out
-
-
-def bob_measure(
-    frame: FrameAmplitudes,
-    setting: BobSetting,
-    eta: float,
-    cfg: ValidatedConfig,
-    rng: RandomSource | np.random.Generator,
-    visibility_cap: float = 0.93,
-) -> int:
-    """Measure one phase frame; returns 0, 1 or NULL_BIT.
-
-    The frame passes the delay interferometer at Bob's phase; each port's
-    clicks are Poisson-thinned by ``eta``.  Edge-position clicks are
-    discarded (no phase information); with dead time only the earliest
-    click per port survives, and a conclusive outcome needs an interior
-    click on exactly one port.
-    """
-    if not isinstance(frame.kind, Phase):
-        raise ValueError("bob_measure requires a phase frame")
-    gen = rng if isinstance(rng, np.random.Generator) else rng.generator()
-    icfg = InterferometerConfig(
-        delay_ps=cfg.pulse_period_ps,
-        phi_b=setting.phi_b,
-        visibility_cap=visibility_cap,
-    )
-    out = interfere(frame, icfg, cfg.pulse_period_ps)
-    usable = {}
-    for port, inten, floor in (
-        ("p", out.port_p, out.floor_p),
-        ("p_prime", out.port_p_prime, out.floor_p_prime),
-    ):
-        usable[port] = _port_has_usable_click(inten, floor, eta, cfg, gen)
-    if usable["p"] == usable["p_prime"]:
-        return NULL_BIT
-    port = "p" if usable["p"] else "p_prime"
-    return _DECODE[setting.basis][port]
-
-
-def _port_has_usable_click(inten, floor, eta, cfg, gen) -> bool:
-    """True when the port's earliest click falls in an interior position."""
-    d = len(inten) - 1
-    tp = cfg.pulse_period_ps
-    counts = gen.poisson(eta * inten)
-    n_floor = gen.poisson(eta * floor)
-    times = []
-    for j in np.nonzero(counts)[0]:
-        for _ in range(int(counts[j])):
-            times.append((j * tp + tp // 2, 1 <= j <= d - 1))
-    for _ in range(int(n_floor)):
-        t = int(gen.integers(0, cfg.frame_window_ps))
-        times.append((t, tp <= t < d * tp))
-    if not times:
-        return False
-    times.sort()
-    return times[0][1]  # dead time: only the earliest click survives
-
-
 def sift(a, b, b_prime, bob_bits, k_fraction: float = 1.0):
     """Keep basis-matched, conclusive frames; estimate the error rate.
 
@@ -329,39 +159,6 @@ def sift(a, b, b_prime, bob_bits, k_fraction: float = 1.0):
     n_pe = max(1, int(round(k_fraction * len(key_a)))) if len(key_a) else 0
     qber = float(np.mean(key_a[:n_pe] != key_b[:n_pe])) if n_pe else math.nan
     return key_a, key_b, qber
-
-
-def frame_mux(data_frames: list, phase_frames: list, p_tb: float, rng: RandomSource):
-    """Interleave data (time-bin) and security (phase) frames.
-
-    Each emitted slot is a data frame with probability ``p_tb``.  When one
-    pool runs dry the remainder comes from the other.  Returns the
-    interleaved stream plus bookkeeping: the effective data capacity is the
-    time-bin capacity scaled by exactly ``p_tb``.
-    """
-    if not 0.0 <= p_tb <= 1.0:
-        raise ValueError("p_tb must be in [0, 1]")
-    gen = rng.stream(ROLE_ALICE, 1).generator()
-    stream = []
-    di = pi = 0
-    n_total = len(data_frames) + len(phase_frames)
-    flags = gen.random(n_total) < p_tb
-    for want_data in flags:
-        if want_data and di < len(data_frames) or pi >= len(phase_frames):
-            if di >= len(data_frames):
-                break
-            stream.append(("timebin", data_frames[di]))
-            di += 1
-        else:
-            stream.append(("phase", phase_frames[pi]))
-            pi += 1
-    realized = sum(1 for kind, _ in stream if kind == "timebin") / max(1, len(stream))
-    info = {
-        "p_tb": p_tb,
-        "realized_tb_fraction": realized,
-        "capacity_scale": p_tb,
-    }
-    return stream, info
 
 
 # ---------------------------------------------------------------------------
@@ -424,47 +221,33 @@ def simulate_bb84(
 ) -> Bb84Result:
     """Run a full BB84 exchange over phase frames (vectorized).
 
-    ``flux`` is the received mean photons per frame at Bob's input.  The
-    click model matches :func:`bob_measure`: Poisson statistics per port,
-    dead time keeps only the earliest click, edge clicks are discarded.
+    ``flux`` is the received mean photons per frame at Bob's input.  Each
+    port's clicks are Poisson with the rates of
+    :func:`receiver.delay_interferometer_rates`; dead time keeps only the
+    earliest click, and edge clicks are discarded.  An intercept-resend
+    Eve measures in a random basis; where it differs from Alice's she
+    re-sends a uniformly random state of her own basis.
     """
-    d = cfg.d
     gen_a = rng.stream(ROLE_ALICE).generator()
     bits = gen_a.integers(0, 2, size=n_frames, dtype=np.int8)
     bases_x = gen_a.random(n_frames) < 0.5  # True -> X
-    phi_a = np.where(
-        bases_x,
-        np.where(bits == 0, 0.0, math.pi),
-        np.where(bits == 0, math.pi / 2, 3 * math.pi / 2),
-    )
-
-    phi_send = phi_a
+    phi_send = _phase_of(bases_x, bits)
     if eve:
         gen_e = rng.stream(ROLE_EVE).generator()
         eve_x = gen_e.random(n_frames) < 0.5
         eve_bits = gen_e.integers(0, 2, size=n_frames, dtype=np.int8)
-        eve_phi = np.where(
-            eve_x,
-            np.where(eve_bits == 0, 0.0, math.pi),
-            np.where(eve_bits == 0, math.pi / 2, 3 * math.pi / 2),
-        )
-        matched = eve_x == bases_x
-        phi_send = np.where(matched, phi_a, eve_phi)
+        phi_send = np.where(eve_x == bases_x, phi_send, _phase_of(eve_x, eve_bits))
 
     gen_b = rng.stream(ROLE_BOB).generator()
     bob_x = gen_b.random(n_frames) < 0.5
     phi_b = np.where(bob_x, 0.0, math.pi / 2)
 
-    cos_t = np.cos(phi_send + phi_b)
-    pulse = flux * (1.0 - phase_floor)
-    i_in = pulse / d
-    lam_int_p = eta * (d - 1) * (i_in / 2.0) * (1.0 + visibility_cap * cos_t)
-    lam_int_pp = eta * (d - 1) * (i_in / 2.0) * (1.0 - visibility_cap * cos_t)
-    lam_edge = eta * i_in / 2.0  # both edge positions together, per port
-    lam_floor = eta * flux * phase_floor / 2.0
-
-    usable_p = _usable_clicks_vec(lam_int_p, lam_edge, lam_floor, cfg, gen_b)
-    usable_pp = _usable_clicks_vec(lam_int_pp, lam_edge, lam_floor, cfg, gen_b)
+    rates = delay_interferometer_rates(
+        eta * flux, cfg.d, visibility_cap, phi_send + phi_b, "none", phase_floor
+    )
+    lam_edge = rates.edge_0 + rates.edge_d
+    usable_p = _usable_clicks_vec(rates.interior_p, lam_edge, rates.floor, cfg, gen_b)
+    usable_pp = _usable_clicks_vec(rates.interior_p_prime, lam_edge, rates.floor, cfg, gen_b)
 
     conclusive = usable_p ^ usable_pp
     # decode: port P means bit 0 in X and bit 1 in Z
@@ -476,10 +259,7 @@ def simulate_bb84(
     bob_bits[pp_clicked & bob_x] = 1
     bob_bits[pp_clicked & ~bob_x] = 0
 
-    keep = (bob_x == bases_x) & (bob_bits != NULL_BIT)
-    key_a = bits[keep]
-    key_b = bob_bits[keep]
-    qber = float(np.mean(key_a != key_b)) if len(key_a) else math.nan
+    key_a, key_b, qber = sift(bits, bases_x, bob_x, bob_bits)
     return Bb84Result(
         n_frames=n_frames,
         n_detected=int(np.sum(bob_bits != NULL_BIT)),
@@ -491,6 +271,15 @@ def simulate_bb84(
         alice_bases=np.where(bases_x, BASIS_X, BASIS_Z),
         bob_bases=np.where(bob_x, BASIS_X, BASIS_Z),
         bob_bits=bob_bits,
+    )
+
+
+def _phase_of(basis_x: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Differential phase of (basis, bit): X {0, pi}, Z {pi/2, 3pi/2}."""
+    return np.where(
+        basis_x,
+        np.where(bits == 0, 0.0, math.pi),
+        np.where(bits == 0, math.pi / 2, 3 * math.pi / 2),
     )
 
 

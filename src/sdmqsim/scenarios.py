@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .channel import N_GROUPS
 from .config import ConfigError, SimConfig, SignalAssignment, validate_config
 
 __all__ = ["ChannelSpec", "ExperimentSpec", "Scenario", "load_scenario", "EXPERIMENT_KINDS"]
@@ -59,6 +60,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if self.n_frames < 1:
+            raise ConfigError(f"n_frames must be >= 1, got {self.n_frames}")
+        for sid, groups in self.collections.items():
+            _check_group(f"collections {sid}", groups)
         if self.kind == "phase_sweep" and len(self.sweep_phi_b) == 0:
             raise ConfigError("phase_sweep requires a sweep_phi_b list")
         for g in self.gates.values():
@@ -135,6 +140,12 @@ _EXPERIMENT_FIELDS = {
     "theory_il_db": float,
     "transcript": bool,
 }
+
+
+def _check_group(field: str, groups) -> None:
+    bad = [g for g in groups if not 1 <= g <= N_GROUPS]
+    if bad:
+        raise ConfigError(f"{field}: mode group {bad[0]} outside 1..{N_GROUPS}")
 
 
 def _convert(raw: str, typ, key: str):
@@ -222,6 +233,7 @@ def load_scenario(path: str | Path) -> Scenario:
             if key not in _SIGNAL_FIELDS:
                 raise ConfigError(f"unknown [{section}] key {key!r}")
             kwargs[key] = _convert(raw, _SIGNAL_FIELDS[key], key)
+        _check_group(f"[{section}] input_group", (kwargs.get("input_group", 1),))
         signals.append(SignalAssignment(signal_id=sid, **kwargs))
     if not signals:
         raise ConfigError("scenario defines no signals")

@@ -9,16 +9,13 @@ from sdmqsim.channel import (
     ChannelModel,
     CrosstalkMatrix,
     InsertionLossTable,
-    PhotonEvent,
     db_to_linear,
-    equipartition,
     load_link_tables,
     measure_insertion_loss,
-    propagate,
-    sample_photons,
 )
-from sdmqsim.config import RandomSource, SignalAssignment, SimConfig, validate_config
-from sdmqsim.encoder import make_time_bin_frame
+from sdmqsim.config import SignalAssignment, SimConfig, validate_config
+from sdmqsim.pipeline import _collected_flux, _simulate_timebin_detector
+from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario
 
 # raw dB entries, re-stated here as the independent cross-check of the data file
 IL_8KM = [-12.66, -12.42, -12.46, -12.06, -12.67]
@@ -139,6 +136,8 @@ class TestChannelModel:
 
 
 class TestPropagate:
+    """``_collected_flux``: one signal's mean photons into a collection."""
+
     def _setup(self, tables, uniform=None):
         il, xt = tables
         ch = ChannelModel(il=il, xt=xt, uniform_il_db=uniform)
@@ -150,89 +149,68 @@ class TestPropagate:
 
     def test_transparent_roundtrip(self, tables):
         ch, sigs = self._setup(tables, uniform=0.0)
-        fr = make_time_bin_frame(5, 1.0, 100.0, d=64)
-        flux = propagate({"A": fr}, sigs, ch)
-        assert flux.total_photons() == pytest.approx(1.0)
-        assert flux.group_total(1) == pytest.approx(1.0)
+        cfg = SimConfig(mu_in=1.0)
+        assert _collected_flux(cfg, ch, sigs["A"], range(1, 6)) == pytest.approx(1.0)
+        assert _collected_flux(cfg, ch, sigs["A"], (1,)) == pytest.approx(1.0)
 
     def test_energy_bookkeeping_includes_loss(self, tables):
         ch, sigs = self._setup(tables)
-        fr_a = make_time_bin_frame(5, 1.0, 100.0, d=64)
-        fr_c = make_time_bin_frame(7, 2.0, 100.0, d=64)
-        flux = propagate({"A": fr_a, "C": fr_c}, sigs, ch)
-        expect = 1.0 * ch.transmission(sigs["A"]) + 2.0 * ch.transmission(sigs["C"])
-        assert flux.total_photons() == pytest.approx(expect, rel=1e-12)
+        for sid, mu in (("A", 1.0), ("C", 2.0)):
+            cfg = SimConfig(mu_in=mu)
+            per_group = [_collected_flux(cfg, ch, sigs[sid], (g,)) for g in range(1, 6)]
+            expect = mu * ch.transmission(sigs[sid])
+            assert sum(per_group) == pytest.approx(expect, rel=1e-12)
+            assert _collected_flux(cfg, ch, sigs[sid], range(1, 6)) == pytest.approx(
+                expect, rel=1e-12
+            )
 
-    def test_same_input_group_rejected(self, tables):
-        il, xt = tables
-        ch = ChannelModel(il=il, xt=xt)
-        sigs = {
-            "A": SignalAssignment("A", input_group=2),
-            "B": SignalAssignment("B", input_group=2),
-        }
-        fr = make_time_bin_frame(0, 1.0, 100.0, d=64)
-        with pytest.raises(AssignmentError, match="same input group"):
-            propagate({"A": fr, "B": fr}, sigs, ch)
 
-    def test_equipartition_splits_groups(self, tables):
-        ch, sigs = self._setup(tables)
-        fr = make_time_bin_frame(5, 1.0, 100.0, d=64)
-        flux = propagate({"C": fr}, {"C": sigs["C"]}, ch)
-        modes = equipartition(flux)
-        g3 = [c for c in modes.contributions if c.out_group == 3]
-        assert len(g3) == 3
-        g3_total = sum(c.total for c in g3)
-        assert g3_total == pytest.approx(flux.group_total(3), rel=1e-12)
-        assert g3[0].total == pytest.approx(g3_total / 3, rel=1e-12)
-        # single-mode group passes through unchanged
-        g1 = [c for c in modes.contributions if c.out_group == 1]
-        assert len(g1) == 1
-        # conservation over all modes
-        assert modes.total_photons() == pytest.approx(flux.total_photons(), rel=1e-12)
+def _one_signal_detector(tables, n, sig, gate="always", **sim):
+    """Every click of one signal into its own group, through a flat 0 dB link."""
+    scenario = Scenario(
+        name="one",
+        cfg=SimConfig(**sim),
+        signals=(sig,),
+        channel=ChannelSpec(uniform_il_db=0.0),
+        experiment=ExperimentSpec(kind="timebin_xt", n_frames=n),
+    )
+    il, xt = tables
+    ch = ChannelModel(il=il, xt=xt, uniform_il_db=0.0)
+    slots = {sig.signal_id: np.full(n, sig.fixed_slot, dtype=np.int64)}
+    return _simulate_timebin_detector(
+        scenario, scenario.validated(), ch, 0, (sig.input_group,), gate,
+        [sig.signal_id], slots, n,
+    )
 
 
 class TestSamplePhotons:
+    """The time-bin sampler at the photon level."""
+
     def test_zero_flux_empty(self, tables):
-        ch, _ = TestPropagate()._setup(tables, uniform=0.0)
-        cfg = validate_config(SimConfig())
-        fr = make_time_bin_frame(0, 1e-12, 1e9, d=64)
-        flux = propagate(
-            {"A": fr}, {"A": SignalAssignment("A", input_group=1)}, ch
-        )
-        events = sample_photons(equipartition(flux), 0, cfg, RandomSource(1))
-        assert events == []
+        sig = SignalAssignment("A", input_group=1, fixed_slot=0)
+        det = _one_signal_detector(tables, 1000, sig, mu_in=1e-12, im_extinction=1e9)
+        assert len(det.t_within) == 0
 
     def test_poisson_count_small_scale(self, tables):
-        # mean 0.0225/frame over 20k frames: 450 +- 63 (3ated sigma)
-        cfg = validate_config(SimConfig(jitter_sigma_ps=0.0))
-        il, xt = tables
-        ch = ChannelModel(il=il, xt=xt, uniform_il_db=0.0)
-        sigs = {"A": SignalAssignment("A", input_group=1)}
-        fr = make_time_bin_frame(0, 0.0225, math.inf, d=64)
-        modes = equipartition(propagate({"A": fr}, sigs, ch))
-        gen = RandomSource(42).generator()
-        n = sum(
-            len(sample_photons(modes, i, cfg, gen)) for i in range(20_000)
+        # mean 0.0225/frame over 20k frames: 450 +- 63 (3 sigma)
+        sig = SignalAssignment("A", input_group=1, fixed_slot=0)
+        det = _one_signal_detector(
+            tables, 20_000, sig, mu_in=0.15, eta=0.15, im_extinction=math.inf,
+            dead_time_ps=0, jitter_sigma_ps=0.0, seed=42,
         )
-        assert abs(n - 450) <= 3 * math.sqrt(450)
+        assert abs(len(det.t_within) - 450) <= 3 * math.sqrt(450)
 
     def test_timestamp_clustering(self, tables):
-        cfg = validate_config(SimConfig())
-        il, xt = tables
-        ch = ChannelModel(il=il, xt=xt, uniform_il_db=0.0)
-        sigs = {"B": SignalAssignment("B", input_group=1, delayed=True)}
-        fr = make_time_bin_frame(20, 50.0, math.inf, d=64, offset_ps=100_000)
-        modes = equipartition(propagate({"B": fr}, sigs, ch))
-        events = sample_photons(modes, 0, cfg, RandomSource(5))
-        ts = np.array([e.t_ps for e in events])
+        sig = SignalAssignment("B", input_group=1, delayed=True, fixed_slot=20)
+        det = _one_signal_detector(
+            tables, 1, sig, mu_in=50.0, eta=1.0, im_extinction=math.inf,
+            dead_time_ps=0, seed=5,
+        )
+        ts = det.t_within
         center = 100_000 + 20 * 1540 + 770
         assert len(ts) > 10
         assert np.all(np.abs(ts - center) < 800)  # within 8 sigma of jitter
-        assert np.all(np.diff([e.t_ps for e in events]) >= 0)
-
-    def test_event_mode_validity(self):
-        with pytest.raises(AssignmentError, match="out_mode"):
-            PhotonEvent(t_ps=0, out_group=2, out_mode=2, frame_idx=0, origin="A")
+        assert np.all(np.diff(ts) >= 0)
 
 
 class TestInsertionLossMeasurement:

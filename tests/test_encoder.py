@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdmqsim.config import Phase, RandomSource, SignalAssignment, SimConfig, TimeBin, validate_config
-from sdmqsim.encoder import (
-    assert_balanced,
-    floor_fraction,
-    make_phase_frame,
-    make_time_bin_frame,
-    schedule,
-)
+from sdmqsim.config import Phase, SignalAssignment, SimConfig, TimeBin
+from sdmqsim.encoder import floor_fraction, make_phase_frame, make_time_bin_frame
+from sdmqsim.pipeline import _signal_slots, _simulate_timebin_detector, build_channel
+from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario
 
 
 class TestTimeBinFrame:
@@ -75,52 +71,42 @@ class TestPhaseFrame:
 
 
 class TestSchedule:
-    def _cfg(self, **kw):
-        return validate_config(SimConfig(**kw))
+    """Per-frame slots of each signal (``pipeline._signal_slots``)."""
+
+    def _scenario(self, *signals, n=500, **sim):
+        return Scenario(
+            name="sched",
+            cfg=SimConfig(**sim),
+            signals=signals,
+            channel=ChannelSpec(),
+            experiment=ExperimentSpec(kind="timebin_xt", n_frames=n),
+        )
 
     def test_all_timebin_at_ptb_one(self):
-        cfg = self._cfg(p_tb=1.0)
-        sig = SignalAssignment("A", input_group=1)
-        sched = schedule(sig, 500, cfg, RandomSource(1))
-        assert sched.tb_flags.all()
-        assert (sched.slots >= 0).all() and (sched.slots < 64).all()
-
-    def test_timebin_fraction_binomial_bound(self):
-        # 3-sigma binomial bound at p=0.5, n=1e6 is 0.0015 < 0.002
-        cfg = self._cfg(p_tb=0.5)
-        sig = SignalAssignment("A", input_group=1)
-        sched = schedule(sig, 1_000_000, cfg, RandomSource(3))
-        frac = sched.tb_flags.mean()
-        assert abs(frac - 0.5) < 0.002
+        sc = self._scenario(SignalAssignment("A", input_group=1))
+        slots = _signal_slots(sc, sc.validated(), "A", 0, 500)
+        assert len(slots) == 500
+        assert (slots >= 0).all() and (slots < 64).all()
+        assert len(np.unique(slots)) > 32  # uniform over the 64 slots
 
     def test_delayed_signal_offset_on_every_frame(self):
-        cfg = self._cfg()
+        # pulse and floor clicks of a delayed signal all land in the second
+        # half-window, in every frame
         sig = SignalAssignment("B", input_group=3, delayed=True)
-        sched = schedule(sig, 100, cfg, RandomSource(1))
-        assert sched.offset_ps == 100_000
-        for i in (0, 50, 99):
-            assert sched.frame(i, cfg.d).offset_ps == 100_000
+        n = 20_000
+        sc = self._scenario(sig, n=n, mu_in=50.0, im_extinction=20.0, dead_time_ps=0)
+        vcfg = sc.validated()
+        slots = {"B": _signal_slots(sc, vcfg, "B", 0, n)}
+        det = _simulate_timebin_detector(
+            sc, vcfg, build_channel(sc), 0, (3,), "always", ["B"], slots, n
+        )
+        assert len(np.unique(det.frame_idx)) > 1000
+        assert det.t_within.min() >= 100_000
 
     def test_fixed_slot(self):
-        cfg = self._cfg(p_tb=1.0)
-        sig = SignalAssignment("A", input_group=1, fixed_slot=20)
-        sched = schedule(sig, 50, cfg, RandomSource(1))
-        assert (sched.slots == 20).all()
-        fr = sched.frame(0, cfg.d)
-        assert fr.kind == TimeBin(20)
-
-    def test_phase_frames_carry_phi(self):
-        cfg = self._cfg(p_tb=0.0)
-        sig = SignalAssignment("A", input_group=1)
-        sched = schedule(sig, 10, cfg, RandomSource(1), phi_a=math.pi / 2)
-        fr = sched.frame(3, cfg.d)
-        assert isinstance(fr.kind, Phase)
-        assert fr.kind.phi_a == pytest.approx(math.pi / 2)
-
-    def test_balance_check(self):
-        assert_balanced({"A": 100.0, "B": 99.0, "C": 101.0})
-        with pytest.raises(ValueError, match="unbalanced"):
-            assert_balanced({"A": 100.0, "B": 80.0})
+        sc = self._scenario(SignalAssignment("A", input_group=1, fixed_slot=20))
+        slots = _signal_slots(sc, sc.validated(), "A", 0, 50)
+        assert (slots == 20).all()
 
 
 def test_floor_fraction_limits():

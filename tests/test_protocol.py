@@ -4,21 +4,13 @@ import math
 import numpy as np
 import pytest
 from sdmqsim.config import RandomSource, SimConfig, validate_config
-from sdmqsim.encoder import make_phase_frame, make_time_bin_frame
 from sdmqsim.protocol import (
     BASIS_X,
     BASIS_Z,
-    BasisChoice,
-    BobSetting,
     KeyRateParams,
     NULL_BIT,
-    alice_prepare,
-    basis_of_phase,
-    bob_measure,
-    eve_intercept,
-    frame_mux,
+    _phase_of,
     key_rate,
-    phase_for,
     sift,
     simulate_bb84,
 )
@@ -31,122 +23,71 @@ def cfg():
 
 class TestEncodingMaps:
     def test_phase_table(self):
-        assert phase_for(BASIS_X, 0) == 0.0
-        assert phase_for(BASIS_X, 1) == math.pi
-        assert phase_for(BASIS_Z, 0) == math.pi / 2
-        assert phase_for(BASIS_Z, 1) == 3 * math.pi / 2
+        x = np.array([True, True, False, False])
+        bits = np.array([0, 1, 0, 1])
+        assert _phase_of(x, bits).tolist() == [
+            0.0, math.pi, math.pi / 2, 3 * math.pi / 2
+        ]
 
-    def test_basis_choice_wrapper(self):
-        assert BasisChoice(BASIS_Z, 1).phi_a == 3 * math.pi / 2
 
-    def test_bob_setting_phases(self):
-        assert BobSetting(BASIS_X).phi_b == 0.0
-        assert BobSetting(BASIS_Z).phi_b == math.pi / 2
+def _bb84(cfg, seed, v, n=200_000):
+    return simulate_bb84(
+        n_frames=n, flux=0.5, eta=0.15, cfg=cfg, rng=RandomSource(seed),
+        visibility_cap=v,
+    )
 
-    def test_basis_recovery(self):
-        for basis in (BASIS_X, BASIS_Z):
-            for bit in (0, 1):
-                assert basis_of_phase(phase_for(basis, bit)) == basis
+
+def _outcomes(res, alice_basis, bob_basis, bit=None):
+    """Bob's conclusive bits in frames with the given bases (and Alice bit)."""
+    sel = (res.alice_bases == alice_basis) & (res.bob_bases == bob_basis)
+    sel &= res.bob_bits != NULL_BIT
+    if bit is not None:
+        sel &= res.alice_bits == bit
+    return res.bob_bits[sel]
 
 
 class TestAlicePrepare:
-    def test_mapping_and_balance(self):
-        bits, bases, phi = alice_prepare(1_000_000, RandomSource(12), mu=1.0)
+    def test_mapping_and_balance(self, cfg):
+        res = _bb84(cfg, 12, v=1.0, n=1_000_000)
         # uniform basis balance within 3 sigma (0.0015 at n=1e6)
-        assert abs(np.mean(bases == BASIS_X) - 0.5) < 0.0015
-        assert abs(bits.mean() - 0.5) < 0.0015
-        # every frame's phase matches its (basis, bit)
-        expect = np.array([phase_for(b, int(a)) for b, a in zip(bases, bits)])
-        assert np.array_equal(phi, expect)
+        assert abs(np.mean(res.alice_bases == BASIS_X) - 0.5) < 0.0015
+        assert abs(res.alice_bits.mean() - 0.5) < 0.0015
+        # at unit visibility every sifted bit decodes to Alice's bit
+        assert res.n_sifted > 10_000
+        assert np.array_equal(res.key_a, res.key_b)
 
 
 class TestBobMeasure:
-    def test_requires_phase_frame(self, cfg):
-        tb = make_time_bin_frame(0, 1.0, 100.0, d=64)
-        with pytest.raises(ValueError, match="phase frame"):
-            bob_measure(tb, BobSetting(BASIS_X), 1.0, cfg, RandomSource(1))
-
     def test_matched_basis_deterministic_bit(self, cfg):
         # X basis, bit 1: destructive on port P, so conclusive outcomes are
         # always 1 at unit visibility
-        gen = RandomSource(2).generator()
-        outcomes = []
-        for _ in range(400):
-            fr = make_phase_frame(math.pi, 10.0, d=64)
-            b = bob_measure(fr, BobSetting(BASIS_X), 0.5, cfg, gen, visibility_cap=1.0)
-            outcomes.append(b)
-        conclusive = [b for b in outcomes if b != NULL_BIT]
+        conclusive = _outcomes(_bb84(cfg, 2, v=1.0), BASIS_X, BASIS_X, bit=1)
         assert len(conclusive) > 50
-        assert set(conclusive) == {1}
+        assert set(conclusive.tolist()) == {1}
 
     def test_matched_basis_bit0_both_bases(self, cfg):
-        gen = RandomSource(3).generator()
+        res = _bb84(cfg, 3, v=1.0)
         for basis in (BASIS_X, BASIS_Z):
-            outcomes = []
-            for _ in range(300):
-                fr = make_phase_frame(phase_for(basis, 0), 10.0, d=64)
-                outcomes.append(
-                    bob_measure(fr, BobSetting(basis), 0.5, cfg, gen, visibility_cap=1.0)
-                )
-            conclusive = {b for b in outcomes if b != NULL_BIT}
-            assert conclusive == {0}
+            conclusive = _outcomes(res, basis, basis, bit=0)
+            assert len(conclusive) > 50
+            assert set(conclusive.tolist()) == {0}
 
     def test_matched_basis_wrong_port_floor(self, cfg):
         # wrong-port click probability per conclusive outcome is (1 - V)/2
-        gen = RandomSource(5).generator()
         v = 0.93
-        wrong = total = 0
-        for _ in range(6000):
-            fr = make_phase_frame(math.pi, 1.0, d=64)
-            b = bob_measure(fr, BobSetting(BASIS_X), 0.9, cfg, gen, visibility_cap=v)
-            if b != NULL_BIT:
-                total += 1
-                wrong += b == 0  # correct bit is 1
+        conclusive = _outcomes(_bb84(cfg, 5, v=v), BASIS_X, BASIS_X, bit=1)
+        total = len(conclusive)
+        wrong = int(np.sum(conclusive == 0))  # correct bit is 1
         expect = (1 - v) / 2
         assert total > 400
         assert abs(wrong / total - expect) < 3 * math.sqrt(expect * (1 - expect) / total)
 
     def test_mismatched_basis_uniform(self, cfg):
-        gen = RandomSource(4).generator()
-        outcomes = []
-        for _ in range(3000):
-            fr = make_phase_frame(phase_for(BASIS_Z, 0), 5.0, d=64)
-            b = bob_measure(fr, BobSetting(BASIS_X), 0.5, cfg, gen, visibility_cap=1.0)
-            if b != NULL_BIT:
-                outcomes.append(b)
+        res = _bb84(cfg, 4, v=1.0)
+        outcomes = _outcomes(res, BASIS_Z, BASIS_X, bit=0)
         assert len(outcomes) > 500
         frac = np.mean(outcomes)
         assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / len(outcomes))
-
-
-class TestEveIntercept:
-    def _frames(self, n, rng):
-        bits, bases, phi = alice_prepare(n, rng, mu=1.0)
-        frames = [make_phase_frame(p, 1.0, d=64) for p in phi]
-        return bits, bases, phi, frames
-
-    def test_half_of_frames_resent_in_other_basis(self):
-        n = 4000
-        bits, bases, phi, frames = self._frames(n, RandomSource(21))
-        out = eve_intercept(frames, RandomSource(22))
-        changed = 0
-        for fin, fout, basis in zip(frames, out, bases):
-            phi_in = fin.kind.phi_a
-            phi_out = fout.kind.phi_a
-            if phi_out != phi_in:
-                changed += 1
-                # a changed frame is always re-prepared in the other basis
-                assert basis_of_phase(phi_out) != basis
-            else:
-                assert fout is fin or np.allclose(fout.slots, fin.slots)
-        # Eve's basis matches Alice's half the time; only mismatches change
-        # the frame (her outcome is then uniform over the other basis pair)
-        assert abs(changed / n - 0.5) < 3 * math.sqrt(0.25 / n)
-
-    def test_timebin_frames_pass_through(self):
-        tb = make_time_bin_frame(3, 1.0, 100.0, d=64)
-        out = eve_intercept([tb], RandomSource(1))
-        assert out[0] is tb
 
 
 class TestSift:
@@ -230,40 +171,6 @@ class TestKeyRate:
             key_rate(KeyRateParams(eps_sec=0.0))
         with pytest.raises(ValueError):
             key_rate(KeyRateParams(f_ec=0.9))
-
-
-class TestFrameMux:
-    def _frames(self, n, kind):
-        if kind == "tb":
-            return [make_time_bin_frame(0, 1.0, 100.0, d=64) for _ in range(n)]
-        return [make_phase_frame(0.0, 1.0, d=64) for _ in range(n)]
-
-    def test_pure_data(self):
-        stream, info = frame_mux(self._frames(20, "tb"), [], 1.0, RandomSource(1))
-        assert all(kind == "timebin" for kind, _ in stream)
-        assert info["capacity_scale"] == 1.0
-
-    def test_pure_security(self):
-        stream, info = frame_mux([], self._frames(20, "ph"), 0.0, RandomSource(1))
-        assert all(kind == "phase" for kind, _ in stream)
-        assert info["capacity_scale"] == 0.0
-
-    def test_capacity_scales_exactly_with_ptb(self):
-        _, info = frame_mux(
-            self._frames(90, "tb"), self._frames(10, "ph"), 0.9, RandomSource(2)
-        )
-        assert info["capacity_scale"] == 0.9
-
-    def test_interleave_fraction(self):
-        stream, info = frame_mux(
-            self._frames(800, "tb"), self._frames(800, "ph"), 0.5, RandomSource(3)
-        )
-        frac = info["realized_tb_fraction"]
-        assert abs(frac - 0.5) < 0.06
-
-    def test_invalid_ptb(self):
-        with pytest.raises(ValueError):
-            frame_mux([], [], 1.5, RandomSource(1))
 
 
 class TestSimulateBb84:

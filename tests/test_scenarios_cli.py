@@ -11,13 +11,11 @@ from sdmqsim.scenarios import EXPERIMENT_KINDS, load_scenario
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
+CANNED = ["capacity", "timebin_b", "timebin_xt", "phase_er", "phase_sweep", "bb84", "bb84_eve"]
 
 
 class TestScenarioLoading:
-    @pytest.mark.parametrize(
-        "name",
-        ["capacity", "timebin_b", "timebin_xt", "phase_er", "phase_sweep", "bb84", "bb84_eve"],
-    )
+    @pytest.mark.parametrize("name", CANNED)
     def test_canned_scenarios_load(self, name):
         sc = load_scenario(SCENARIOS / f"{name}.ini")
         assert sc.experiment.kind in EXPERIMENT_KINDS
@@ -143,6 +141,37 @@ class TestCliRun:
         assert (tmp_path / "envout" / "bb84" / "report.json").exists()
 
 
+    def test_timebin_short_run_exits_0(self, tmp_path):
+        rc = main(["run", str(SCENARIOS / "timebin_b.ini"), "--frames", "1000",
+                   "--seed", "6", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert "input_monitor_counts" not in report["extra"]
+
+    @pytest.mark.parametrize("name", CANNED)
+    def test_zero_frames_exit_2(self, name, tmp_path, capsys):
+        rc = main(["run", str(SCENARIOS / f"{name}.ini"), "--frames", "0",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "n_frames must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("collections", ["A:0 C:4+5", "A:6 C:4+5", "A:1 C:4+0"])
+    def test_collection_group_out_of_range_exit_2(self, collections, tmp_path, capsys):
+        text = (SCENARIOS / "timebin_xt.ini").read_text()
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace("collections = A:1 C:4+5", f"collections = {collections}"))
+        assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
+        assert "collections" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("group", ["0", "6"])
+    def test_input_group_out_of_range_exit_2(self, group, tmp_path, capsys):
+        text = (SCENARIOS / "timebin_xt.ini").read_text()
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace("input_group = 5", f"input_group = {group}"))
+        assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
+        assert "[signal.C] input_group" in capsys.readouterr().err
+
+
 class TestCliSweep:
     def test_keyrate_sweep_monotone(self, tmp_path):
         out = tmp_path / "kr"
@@ -211,10 +240,7 @@ class TestGoldenReports:
     these files (``sdmqsim run scenarios/<name>.ini`` from the repo root)
     only on a deliberate change of the random draws."""
 
-    @pytest.mark.parametrize(
-        "name",
-        ["capacity", "timebin_b", "timebin_xt", "phase_er", "phase_sweep", "bb84", "bb84_eve"],
-    )
+    @pytest.mark.parametrize("name", CANNED)
     def test_report_matches_golden(self, name, tmp_path):
         rc = main(["run", str(SCENARIOS / f"{name}.ini"), "--out", str(tmp_path)])
         assert rc == 0
