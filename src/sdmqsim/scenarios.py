@@ -79,6 +79,11 @@ class Scenario:
     channel: ChannelSpec
     experiment: ExperimentSpec
 
+    def __post_init__(self):
+        groups = [s.input_group for s in self.signals]
+        if len(set(groups)) != len(groups):
+            raise ConfigError("two signals assigned to the same input group")
+
     def validated(self):
         return validate_config(self.cfg)
 
@@ -237,9 +242,6 @@ def load_scenario(path: str | Path) -> Scenario:
         signals.append(SignalAssignment(signal_id=sid, **kwargs))
     if not signals:
         raise ConfigError("scenario defines no signals")
-    groups = [s.input_group for s in signals]
-    if len(set(groups)) != len(groups):
-        raise ConfigError("two signals assigned to the same input group")
 
     if not parser.has_section("experiment"):
         raise ConfigError("scenario missing [experiment] section")

@@ -13,7 +13,7 @@ from sdmqsim.channel import (
     load_link_tables,
     measure_insertion_loss,
 )
-from sdmqsim.config import SignalAssignment, SimConfig, validate_config
+from sdmqsim.config import ConfigError, SignalAssignment, SimConfig, validate_config
 from sdmqsim.pipeline import _collected_flux, _simulate_timebin_detector
 from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario
 
@@ -162,6 +162,20 @@ class TestPropagate:
             assert sum(per_group) == pytest.approx(expect, rel=1e-12)
             assert _collected_flux(cfg, ch, sigs[sid], range(1, 6)) == pytest.approx(
                 expect, rel=1e-12
+            )
+
+    def test_same_input_group_rejected(self):
+        sigs = (
+            SignalAssignment("A", input_group=2),
+            SignalAssignment("B", input_group=2),
+        )
+        with pytest.raises(ConfigError, match="same input group"):
+            Scenario(
+                name="dup",
+                cfg=SimConfig(),
+                signals=sigs,
+                channel=ChannelSpec(),
+                experiment=ExperimentSpec(kind="timebin_xt"),
             )
 
 

@@ -90,6 +90,24 @@ class TestBobMeasure:
         assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / len(outcomes))
 
 
+class TestEveIntercept:
+    def test_half_of_frames_resent_in_other_basis(self, cfg):
+        # at unit visibility a matched-basis bit is wrong only in a frame Eve
+        # re-sent in the other basis, and then half the time: in each of
+        # Alice's bases, twice the wrong share is the re-sent share, 1/2
+        res = simulate_bb84(
+            n_frames=400_000, flux=0.5, eta=0.15, cfg=cfg,
+            rng=RandomSource(22), visibility_cap=1.0, eve=True,
+        )
+        for basis in (BASIS_X, BASIS_Z):
+            sel = (res.alice_bases == basis) & (res.bob_bases == basis)
+            sel &= res.bob_bits != NULL_BIT
+            n = int(np.sum(sel))
+            assert n > 5000
+            resent = 2 * np.mean(res.bob_bits[sel] != res.alice_bits[sel])
+            assert abs(resent - 0.5) < 2 * 3 * math.sqrt(0.25 * 0.75 / n)
+
+
 class TestSift:
     def test_all_matched_noiseless(self):
         a = np.array([0, 1, 1, 0])

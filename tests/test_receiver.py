@@ -144,29 +144,37 @@ class TestDeadTimeOracle:
         assert got.dtype == bool
         np.testing.assert_array_equal(got, _greedy_dead_time(t.tolist(), td))
 
-    def test_empty(self):
-        assert len(dead_time_mask(np.zeros(0, dtype=np.int64), 100_000)) == 0
+    # ``late``: the same pattern 10^12 ps (5 M frames) into a run, where
+    # absolute times no longer fit 32 bits; the veto must not change
+    LATE_PS = 10**12
 
-    def test_zero_dead_time_keeps_all(self):
-        t = np.array([5, 5, 5, 7, 100], dtype=np.int64)
+    def _at(self, t, late):
+        return np.asarray(t, dtype=np.int64) + (self.LATE_PS if late else 0)
+
+    @pytest.mark.parametrize("late", [False, True])
+    def test_empty(self, late):
+        assert len(dead_time_mask(self._at([], late), 100_000)) == 0
+
+    @pytest.mark.parametrize("late", [False, True])
+    def test_zero_dead_time_keeps_all(self, late):
+        t = self._at([5, 5, 5, 7, 100], late)
         assert dead_time_mask(t, 0).all()
 
-    def test_ties(self):
+    @pytest.mark.parametrize("late", [False, True])
+    def test_ties(self, late):
         # exact one-dead-time gaps, inside a cluster and between clusters
-        t = np.array(
-            [0, 0, 60_000, 100_000, 100_000, 160_000, 200_000, 300_000, 300_000],
-            dtype=np.int64,
-        )
-        ref = _greedy_dead_time(t.tolist(), 100_000)
-        np.testing.assert_array_equal(dead_time_mask(t, 100_000), ref)
+        t0 = [0, 0, 60_000, 100_000, 100_000, 160_000, 200_000, 300_000, 300_000]
+        ref = _greedy_dead_time(t0, 100_000)
+        np.testing.assert_array_equal(dead_time_mask(self._at(t0, late), 100_000), ref)
 
-    def test_one_long_cluster(self):
+    @pytest.mark.parametrize("late", [False, True])
+    def test_one_long_cluster(self, late):
         # always-gated saturation: no raw gap ever reaches the dead time, so
         # the whole stream is one cluster
         gen = RandomSource(21).generator()
-        t = np.cumsum(gen.integers(1, 8, size=30_000) * 5_000)
-        ref = _greedy_dead_time(t.tolist(), 100_000)
-        np.testing.assert_array_equal(dead_time_mask(t, 100_000), ref)
+        t0 = np.cumsum(gen.integers(1, 8, size=30_000) * 5_000)
+        ref = _greedy_dead_time(t0.tolist(), 100_000)
+        np.testing.assert_array_equal(dead_time_mask(self._at(t0, late), 100_000), ref)
 
     def test_many_open_clusters(self):
         # thousands of short clusters that each keep more than their start,
