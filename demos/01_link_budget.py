@@ -59,10 +59,9 @@ scenario = Scenario(
     experiment=ExperimentSpec(kind="timebin_xt", n_frames=n, collections={"A": (1,)}),
 )
 vcfg = scenario.validated()
-slots = {"A": np.full(n, 10, dtype=np.int64)}
 counts = np.array([
     len(_simulate_timebin_detector(scenario, vcfg, channel, g, (g,), "always",
-                                   ["A"], slots, n).t_within)
+                                   ["A"], n).t_within)
     for g in range(1, 6)
 ], dtype=float)
 print("  counted fractions:", np.round(counts / counts.sum(), 4))

@@ -5,16 +5,12 @@ __version__ = "0.1.0"
 
 from .config import (
     ConfigError,
-    FrameAmplitudes,
-    Phase,
     RandomSource,
     SignalAssignment,
     SimConfig,
-    TimeBin,
     ValidatedConfig,
     validate_config,
 )
-from .encoder import make_phase_frame, make_time_bin_frame
 from .channel import (
     AssignmentError,
     ChannelModel,
@@ -37,8 +33,8 @@ from .analysis import (
     snr_db,
     tomography,
 )
-from .protocol import KeyRateParams, key_rate, sift, simulate_bb84
+from .protocol import KeyRateParams, key_rate, sift
 from .scenarios import Scenario, load_scenario
-from .pipeline import RunResult, run_scenario
+from .pipeline import RunResult, run_scenario, simulate_bb84
 
 __all__ = [name for name in dir() if not name.startswith("_")]

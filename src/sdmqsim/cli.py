@@ -37,7 +37,6 @@ SWEEP_SIM_KEYS = (
     "mu_in",
     "eta",
     "dead_time_ps",
-    "p_tb",
     "im_extinction",
     "jitter_sigma_ps",
     "seed",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -20,10 +19,6 @@ __all__ = [
     "ValidatedConfig",
     "validate_config",
     "RandomSource",
-    "TimeBin",
-    "Phase",
-    "FrameKind",
-    "FrameAmplitudes",
     "SignalAssignment",
     "DELTA_T1",
     "DELTA_T2",
@@ -63,7 +58,9 @@ class SimConfig:
     hist_res_ps : int
         Histogram bin width; must divide the frame period.
     p_tb : float
-        Fraction of frames carrying time-bin data (the rest are phase frames).
+        Fraction of frames carrying time-bin data.  Data/security
+        interleaving is not simulated: time-bin kinds require 1 and phase
+        kinds ignore it.
     im_extinction : float
         Intensity-modulator extinction ratio, linear scale (> 1).
     jitter_sigma_ps : float
@@ -165,7 +162,6 @@ def validate_config(cfg: SimConfig) -> ValidatedConfig:
 # ---------------------------------------------------------------------------
 
 # Stable role identifiers; part of the stream key, never reordered.
-ROLE_SCHEDULE = 0
 ROLE_PHOTONS = 1
 ROLE_ALICE = 3
 ROLE_EVE = 4
@@ -193,57 +189,6 @@ class RandomSource:
         return RandomSource(self.seed, self.stream_id[:0] + tuple(ids))
 
 
-# ---------------------------------------------------------------------------
-# Frame representation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TimeBin:
-    """Time-bin frame: a single pulse in slot ``m``."""
-
-    m: int
-
-
-@dataclass(frozen=True)
-class Phase:
-    """Phase frame: a d-pulse train with differential phase ``phi_a``."""
-
-    phi_a: float
-
-
-FrameKind = Union[TimeBin, Phase]
-
-
-@dataclass(frozen=True)
-class FrameAmplitudes:
-    """Complex amplitude per slot for one frame, plus uniform floor.
-
-    ``sum(|slots|^2) + floor_rate`` is the mean photon number of the frame;
-    the normalization is the single source of mu.  ``offset_ps`` is the frame
-    start offset within the frame period (0 for the first half-window,
-    ``frame_window`` for delayed signals).
-    """
-
-    slots: np.ndarray
-    floor_rate: float
-    offset_ps: int
-    kind: FrameKind
-
-    @property
-    def mean_photons(self) -> float:
-        return float(np.sum(np.abs(self.slots) ** 2) + self.floor_rate)
-
-    @property
-    def slot_intensity(self) -> np.ndarray:
-        return np.abs(self.slots) ** 2
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "slots", np.asarray(self.slots, dtype=np.complex128)
-        )
-
-
 @dataclass(frozen=True)
 class SignalAssignment:
     """Mapping of one transmitted signal onto the multiplexed link.
@@ -253,8 +198,9 @@ class SignalAssignment:
     one frame window so they occupy the second half of the frame period.
     ``excess_db`` is a per-signal coupling correction on top of the table
     loss (<= 0 for excess loss); ``im_extinction`` optionally overrides the
-    global modulator extinction for this signal; ``fixed_slot`` pins the
-    time-bin slot used by measurement scenarios (None = uniform random).
+    global modulator extinction for this signal; ``fixed_slot`` is the
+    time-bin slot the signal occupies in every frame (required by the
+    time-bin kinds, unused by the phase kinds).
     """
 
     signal_id: str

@@ -17,9 +17,15 @@ O(frames), which matters at the ~0.002 events per detector-frame of the
 phase experiments.  Slot, jitter, edge and floor placement then act on the
 ``K`` events only.
 
+A component whose rate differs from frame to frame (Bob's ports in BB84,
+where each frame carries its own phase) is thinned from the batch maximum
+(Lewis & Shedler, Naval Res. Logist. Q. 26, 1979): ``K`` picks are drawn at
+``max(lam)`` and each pick in frame ``i`` is kept with probability
+``lam[i] / max(lam)``.
+
 Every detector is drawn by the one sampler ``_simulate_detector``; the
-time-bin and phase runners only describe each signal's components: mean
-clicks per frame, taken from the channel and (for phase frames) from
+time-bin, phase and BB84 runners only describe each signal's components:
+mean clicks per frame, taken from the channel and (for phase frames) from
 ``receiver.delay_interferometer_rates``, and where those clicks land.
 """
 from __future__ import annotations
@@ -34,15 +40,25 @@ from .channel import ChannelModel, load_link_tables
 from .config import (
     DELTA_T1,
     DELTA_T2,
-    ConfigError,
     RandomSource,
+    ROLE_ALICE,
+    ROLE_BOB,
+    ROLE_EVE,
     ROLE_PHOTONS,
-    ROLE_SCHEDULE,
     SignalAssignment,
     ValidatedConfig,
 )
 from .encoder import floor_fraction
-from .protocol import KeyRateParams, key_rate, simulate_bb84
+from .protocol import (
+    BASIS_X,
+    BASIS_Z,
+    NULL_BIT,
+    Bb84Result,
+    KeyRateParams,
+    _phase_of,
+    key_rate,
+    sift,
+)
 from .receiver import (
     Histogram,
     dead_time_mask,
@@ -58,6 +74,7 @@ __all__ = [
     "DetectorResult",
     "RunResult",
     "run_scenario",
+    "simulate_bb84",
 ]
 
 BATCH = 1 << 16
@@ -142,25 +159,20 @@ class RunResult:
     bb84: object = None
 
 
-def _signal_slots(
-    scenario: Scenario, vcfg: ValidatedConfig, sid: str, sig_idx: int, n_frames: int
-) -> np.ndarray:
-    """Per-frame time-bin slot of one signal (shared by all detectors)."""
-    sig = scenario.signal(sid)
-    if sig.fixed_slot is not None:
-        return np.full(n_frames, sig.fixed_slot, dtype=np.int64)
-    rng = RandomSource(vcfg.seed).stream(ROLE_SCHEDULE, sig_idx)
-    return rng.generator().integers(0, vcfg.d, size=n_frames, dtype=np.int64)
-
-
-def _poisson_frames(gen, lam: float, nb: int) -> np.ndarray:
+def _poisson_frames(gen, lam, nb: int) -> np.ndarray:
     """Sorted frame indices in ``[0, nb)`` of a Poisson(lam)-per-frame stream.
 
     One Poisson total, then that many uniform frame picks: the same joint
     law as ``nb`` per-frame Poisson draws (see the module docstring).
+    ``lam`` may be an array of ``nb`` per-frame rates, thinned from its
+    maximum.
     """
-    idx = gen.integers(0, nb, size=gen.poisson(lam * nb))
+    per_frame = isinstance(lam, np.ndarray)
+    lam_max = lam.max() if per_frame else lam
+    idx = gen.integers(0, nb, size=gen.poisson(lam_max * nb))
     idx.sort()
+    if per_frame:
+        idx = idx[gen.random(len(idx)) * lam_max < lam[idx]]
     return idx
 
 
@@ -189,9 +201,10 @@ def _simulate_detector(
     """Draw, gate and dead-time veto every click of one detector.
 
     ``components[s]`` lists signal ``s``'s ``(lam, place)`` pairs: ``lam``
-    mean clicks per frame and ``place(gen, frames)`` the within-frame times
-    of clicks in those frames.  Stream ``(*key, s, batch)`` draws each
-    component's frames, then places them, in list order.
+    mean clicks per frame (a scalar, or an array over all ``n_frames``) and
+    ``place(gen, frames)`` the within-frame times of clicks in those
+    frames.  Stream ``(*key, s, batch)`` draws each component's frames,
+    then places them, in list order.
     """
     root = RandomSource(vcfg.seed)
     pieces_t, pieces_f, pieces_o = [], [], []
@@ -200,6 +213,8 @@ def _simulate_detector(
             nb = min(BATCH, n_frames - b0)
             gen = root.stream(*key, sig_pos, b0 // BATCH).generator()
             for lam, place in comps:
+                if isinstance(lam, np.ndarray):
+                    lam = lam[b0:b0 + nb]
                 frames = b0 + _poisson_frames(gen, lam, nb)
                 if len(frames):
                     pieces_t.append(place(gen, frames))
@@ -210,12 +225,12 @@ def _simulate_detector(
     )
 
 
-def _timebin_components(vcfg, lam, f, offset, slots) -> tuple:
+def _timebin_components(vcfg, lam, f, offset, slot) -> tuple:
     """The slot pulse (jittered) and the floor over the occupied window."""
-    centers = offset + vcfg.slot_center
+    center = offset + vcfg.slot_center[slot]
     window = vcfg.frame_window_ps
     return (
-        (lam * (1 - f), lambda gen, fr: _jittered(gen, centers[slots[fr]], vcfg)),
+        (lam * (1 - f), lambda gen, fr: _jittered(gen, np.full(len(fr), center), vcfg)),
         (lam * f, lambda gen, fr: offset + gen.integers(0, window, size=len(fr))),
     )
 
@@ -228,7 +243,6 @@ def _simulate_timebin_detector(
     groups,
     gate: str,
     enabled: list[str],
-    slots_by_signal: dict,
     n_frames: int,
 ) -> DetectorResult:
     """All clicks of one gated detector watching a group collection."""
@@ -238,8 +252,7 @@ def _simulate_timebin_detector(
         ext = sig.im_extinction if sig.im_extinction is not None else vcfg.im_extinction
         lam = _collected_flux(vcfg, channel, sig, groups) * vcfg.eta
         components.append(_timebin_components(
-            vcfg, lam, floor_fraction(vcfg.d, ext), sig.offset_ps(vcfg),
-            slots_by_signal[sid],
+            vcfg, lam, floor_fraction(vcfg.d, ext), sig.offset_ps(vcfg), sig.fixed_slot,
         ))
     name = "g" + "+".join(map(str, groups))
     return _simulate_detector(
@@ -373,19 +386,6 @@ def _gated_phase_counts(det: DetectorResult, vcfg, offset_ps) -> float:
     return float(n_sig - n_bkg)
 
 
-def _require_fixed_slots(scenario: Scenario, sids) -> None:
-    if scenario.cfg.p_tb != 1.0:
-        raise ConfigError(
-            f"{scenario.experiment.kind} simulates a pure time-bin stream; "
-            f"set p_tb = 1 (data/security interleaving is protocol bookkeeping)"
-        )
-    for sid in sids:
-        if scenario.signal(sid).fixed_slot is None:
-            raise ConfigError(
-                f"{scenario.experiment.kind} requires fixed_slot on signal {sid}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # Runners
 # ---------------------------------------------------------------------------
@@ -427,15 +427,11 @@ def _run_timebin(scenario: Scenario) -> RunResult:
     exp = scenario.experiment
     n = exp.n_frames
     enabled = _enabled_signals(scenario)
-    _require_fixed_slots(scenario, exp.collections.keys())
-    slots = {
-        sid: _signal_slots(scenario, vcfg, sid, i, n) for i, sid in enumerate(enabled)
-    }
     detectors: dict[str, DetectorResult] = {}
     for det_idx, (sid, groups) in enumerate(sorted(exp.collections.items())):
         gate = exp.gates.get(sid, "always")
         detectors[sid] = _simulate_timebin_detector(
-            scenario, vcfg, channel, det_idx, groups, gate, enabled, slots, n
+            scenario, vcfg, channel, det_idx, groups, gate, enabled, n
         )
 
     cps = {}
@@ -527,8 +523,6 @@ def _run_timebin(scenario: Scenario) -> RunResult:
 
 def _run_capacity(scenario: Scenario) -> RunResult:
     vcfg = scenario.validated()
-    if vcfg.p_tb != 1.0:
-        raise ConfigError("capacity scenarios simulate a pure time-bin stream; set p_tb = 1")
     channel = build_channel(scenario)
     exp = scenario.experiment
     n = exp.n_frames
@@ -548,9 +542,8 @@ def _run_capacity(scenario: Scenario) -> RunResult:
     )
     tvcfg = theory_scenario.validated()
     ch1 = build_channel(theory_scenario)
-    slots1 = {"S": _signal_slots(theory_scenario, tvcfg, "S", 0, n)}
     det1 = _simulate_timebin_detector(
-        theory_scenario, tvcfg, ch1, 90, (1,), DELTA_T1, ["S"], slots1, n
+        theory_scenario, tvcfg, ch1, 90, (1,), DELTA_T1, ["S"], n
     )
     mc_theory_cps = analysis.counts_per_second(
         det1.counts_in(0, tvcfg.frame_window_ps), n, tvcfg.frame_rate_hz
@@ -573,12 +566,9 @@ def _run_capacity(scenario: Scenario) -> RunResult:
             ),
         )
         enabled = _enabled_signals(sub)
-        slots = {
-            s: _signal_slots(sub, vcfg, s, i, n) for i, s in enumerate(enabled)
-        }
         gate = exp.gates.get(sid, "always")
         det = _simulate_timebin_detector(
-            sub, vcfg, channel, det_idx, groups, gate, enabled, slots, n
+            sub, vcfg, channel, det_idx, groups, gate, enabled, n
         )
         off = sig.offset_ps(vcfg)
         cps[sid] = analysis.counts_per_second(
@@ -668,7 +658,8 @@ def _run_phase_er(scenario: Scenario) -> RunResult:
         er_by_group[g] = analysis.extinction_ratio_db(c0, counts["none"])
         p_phi_by_group[g] = counts["none"] / (2.0 * c0)
     finite = [v for v in er_by_group.values() if math.isfinite(v)]
-    er_mean = sum(finite) / len(finite)
+    # every ER infinite (ideal interferometer, no floor): extinction is total
+    er_mean = sum(finite) / len(finite) if finite else math.inf
     collected_by = {g: sid for g, sid in plans}
     report = analysis.MetricsReport(
         experiment="phase_er",
@@ -730,6 +721,87 @@ def _run_phase_sweep(scenario: Scenario) -> RunResult:
     return RunResult(report=report, sweep_points=points_out)
 
 
+def _usable_first_clicks(det: DetectorResult, vcfg) -> np.ndarray:
+    """Per frame: does the detector's first click land on an interior position?"""
+    fr, t = det.frame_idx, det.t_within
+    first = np.ones(len(fr), dtype=bool)
+    first[1:] = fr[1:] != fr[:-1]
+    lo, hi = _interior_window(vcfg, 0)
+    usable = np.zeros(det.n_frames, dtype=bool)
+    usable[fr[first & (t >= lo) & (t < hi)]] = True
+    return usable
+
+
+def simulate_bb84(
+    cfg: ValidatedConfig,
+    n_frames: int,
+    flux: float,
+    visibility_cap: float = 0.93,
+    eve: bool = False,
+    phase_floor: float = 0.0,
+) -> Bb84Result:
+    """Run a full BB84 exchange over phase frames.
+
+    ``flux`` is the received mean photons per frame at Bob's input.  Each
+    of Bob's two ports is a detector gated to the first half-window and
+    drawn by ``_simulate_detector`` at the per-frame rates of
+    :func:`receiver.delay_interferometer_rates`.  A port's outcome in a
+    frame is its first click past the gate and the dead time; it is usable
+    when that click lands on an interior position.  An intercept-resend Eve
+    measures in a random basis; where it differs from Alice's she re-sends
+    a uniformly random state of her own basis.
+    """
+    root = RandomSource(cfg.seed)
+    gen_a = root.stream(ROLE_ALICE).generator()
+    bits = gen_a.integers(0, 2, size=n_frames, dtype=np.int8)
+    bases_x = gen_a.random(n_frames) < 0.5  # True -> X
+    phi_send = _phase_of(bases_x, bits)
+    if eve:
+        gen_e = root.stream(ROLE_EVE).generator()
+        eve_x = gen_e.random(n_frames) < 0.5
+        eve_bits = gen_e.integers(0, 2, size=n_frames, dtype=np.int8)
+        phi_send = np.where(eve_x == bases_x, phi_send, _phase_of(eve_x, eve_bits))
+
+    gen_b = root.stream(ROLE_BOB).generator()
+    bob_x = gen_b.random(n_frames) < 0.5
+    phi_send += np.where(bob_x, 0.0, math.pi / 2)  # now phi_a + phi_b
+    rates = delay_interferometer_rates(
+        cfg.eta * flux, cfg.d, visibility_cap, phi_send, "none", phase_floor
+    )
+    del phi_send  # 8 bytes a frame no longer needed while the ports are drawn
+    usable_p, usable_pp = [
+        _usable_first_clicks(_simulate_detector(
+            port, (ROLE_PHOTONS, i), [_phase_components(cfg, rates, port, "none", 0)],
+            ("alice",), cfg, DELTA_T1, n_frames,
+        ), cfg)
+        for i, port in enumerate(("p", "p_prime"))
+    ]
+
+    conclusive = usable_p ^ usable_pp
+    # decode: port P means bit 0 in X and bit 1 in Z
+    bob_bits = np.full(n_frames, NULL_BIT, dtype=np.int8)
+    p_clicked = conclusive & usable_p
+    pp_clicked = conclusive & usable_pp
+    bob_bits[p_clicked & bob_x] = 0
+    bob_bits[p_clicked & ~bob_x] = 1
+    bob_bits[pp_clicked & bob_x] = 1
+    bob_bits[pp_clicked & ~bob_x] = 0
+
+    key_a, key_b, qber = sift(bits, bases_x, bob_x, bob_bits)
+    return Bb84Result(
+        n_frames=n_frames,
+        n_detected=int(np.sum(bob_bits != NULL_BIT)),
+        n_sifted=int(len(key_a)),
+        qber=qber,
+        key_a=key_a,
+        key_b=key_b,
+        alice_bits=bits,
+        alice_bases=np.where(bases_x, BASIS_X, BASIS_Z),
+        bob_bases=np.where(bob_x, BASIS_X, BASIS_Z),
+        bob_bits=bob_bits,
+    )
+
+
 def _run_bb84(scenario: Scenario) -> RunResult:
     vcfg = scenario.validated()
     channel = build_channel(scenario)
@@ -739,27 +811,25 @@ def _run_bb84(scenario: Scenario) -> RunResult:
     groups = exp.collections.get(sid, (sig.input_group,))
     flux = _collected_flux(vcfg, channel, sig, groups)
     res = simulate_bb84(
-        n_frames=exp.n_frames,
-        flux=flux,
-        eta=vcfg.eta,
-        cfg=vcfg,
-        rng=RandomSource(vcfg.seed),
-        visibility_cap=exp.visibility_cap,
-        eve=exp.kind == "bb84_eve",
-        phase_floor=exp.phase_floor,
+        vcfg, exp.n_frames, flux, exp.visibility_cap, exp.kind == "bb84_eve",
+        exp.phase_floor,
     )
-    params = KeyRateParams()
+    # the finite-key bound at the simulated error rate; no key (abort) when
+    # nothing was sifted or the error rate is past the bound's range
+    secret = 0.0
+    if res.n_sifted and res.qber <= 0.5:
+        secret = key_rate(KeyRateParams(n=res.n_sifted, q_tol=res.qber))
     report = analysis.MetricsReport(
         experiment=exp.kind,
         seed=vcfg.seed,
         n_frames=exp.n_frames,
         qber_sifted=res.qber,
-        key_rate=key_rate(params),
+        key_rate=secret,
         extra={
             "n_detected": res.n_detected,
             "n_sifted": res.n_sifted,
             "flux_per_frame": flux,
-            "key_rate_params_n": params.n,
+            "key_rate_params_n": res.n_sifted,
         },
     )
     return RunResult(report=report, bb84=res if exp.transcript else None)

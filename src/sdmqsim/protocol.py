@@ -1,4 +1,4 @@
-"""Differential-phase BB84 over phase frames.
+"""Differential-phase BB84 over phase frames: the protocol layer.
 
 Alice encodes one qubit per frame in the differential phase of the pulse
 train (X basis: {0, pi}; Z basis: {pi/2, 3pi/2}); Bob measures with a
@@ -6,7 +6,9 @@ one-pulse-delay interferometer whose extra phase selects his basis
 (phi_b = 0 measures X, pi/2 measures Z).  A frame-level click on one of the
 two output ports is the measurement outcome; double or missing clicks give
 a null bit.  Clicks in the two edge positions of the train carry no phase
-information and are discarded before the bit decision.
+information and are discarded before the bit decision.  The clicks
+themselves are drawn by ``pipeline.simulate_bb84``; this module holds the
+encoding table, sifting, the finite-key bound and the transcript.
 
 Port convention: port P carries the ``1 + V cos(phi_a + phi_b)`` lobe.  A
 matched-basis bit 0 therefore lights port P in the X basis but port P' in
@@ -20,9 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RandomSource, ROLE_ALICE, ROLE_BOB, ROLE_EVE, ValidatedConfig
-from .receiver import delay_interferometer_rates
-
 __all__ = [
     "BASIS_X",
     "BASIS_Z",
@@ -31,7 +30,6 @@ __all__ = [
     "sift",
     "key_rate",
     "Bb84Result",
-    "simulate_bb84",
     "write_transcript",
 ]
 
@@ -162,7 +160,7 @@ def sift(a, b, b_prime, bob_bits, k_fraction: float = 1.0):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized BB84 session
+# BB84 session record
 # ---------------------------------------------------------------------------
 
 
@@ -209,71 +207,6 @@ def write_transcript(path, result: Bb84Result) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def simulate_bb84(
-    n_frames: int,
-    flux: float,
-    eta: float,
-    cfg: ValidatedConfig,
-    rng: RandomSource,
-    visibility_cap: float = 0.93,
-    eve: bool = False,
-    phase_floor: float = 0.0,
-) -> Bb84Result:
-    """Run a full BB84 exchange over phase frames (vectorized).
-
-    ``flux`` is the received mean photons per frame at Bob's input.  Each
-    port's clicks are Poisson with the rates of
-    :func:`receiver.delay_interferometer_rates`; dead time keeps only the
-    earliest click, and edge clicks are discarded.  An intercept-resend
-    Eve measures in a random basis; where it differs from Alice's she
-    re-sends a uniformly random state of her own basis.
-    """
-    gen_a = rng.stream(ROLE_ALICE).generator()
-    bits = gen_a.integers(0, 2, size=n_frames, dtype=np.int8)
-    bases_x = gen_a.random(n_frames) < 0.5  # True -> X
-    phi_send = _phase_of(bases_x, bits)
-    if eve:
-        gen_e = rng.stream(ROLE_EVE).generator()
-        eve_x = gen_e.random(n_frames) < 0.5
-        eve_bits = gen_e.integers(0, 2, size=n_frames, dtype=np.int8)
-        phi_send = np.where(eve_x == bases_x, phi_send, _phase_of(eve_x, eve_bits))
-
-    gen_b = rng.stream(ROLE_BOB).generator()
-    bob_x = gen_b.random(n_frames) < 0.5
-    phi_b = np.where(bob_x, 0.0, math.pi / 2)
-
-    rates = delay_interferometer_rates(
-        eta * flux, cfg.d, visibility_cap, phi_send + phi_b, "none", phase_floor
-    )
-    lam_edge = rates.edge_0 + rates.edge_d
-    usable_p = _usable_clicks_vec(rates.interior_p, lam_edge, rates.floor, cfg, gen_b)
-    usable_pp = _usable_clicks_vec(rates.interior_p_prime, lam_edge, rates.floor, cfg, gen_b)
-
-    conclusive = usable_p ^ usable_pp
-    # decode: port P means bit 0 in X and bit 1 in Z
-    bob_bits = np.full(n_frames, NULL_BIT, dtype=np.int8)
-    p_clicked = conclusive & usable_p
-    pp_clicked = conclusive & usable_pp
-    bob_bits[p_clicked & bob_x] = 0
-    bob_bits[p_clicked & ~bob_x] = 1
-    bob_bits[pp_clicked & bob_x] = 1
-    bob_bits[pp_clicked & ~bob_x] = 0
-
-    key_a, key_b, qber = sift(bits, bases_x, bob_x, bob_bits)
-    return Bb84Result(
-        n_frames=n_frames,
-        n_detected=int(np.sum(bob_bits != NULL_BIT)),
-        n_sifted=int(len(key_a)),
-        qber=qber,
-        key_a=key_a,
-        key_b=key_b,
-        alice_bits=bits,
-        alice_bases=np.where(bases_x, BASIS_X, BASIS_Z),
-        bob_bases=np.where(bob_x, BASIS_X, BASIS_Z),
-        bob_bits=bob_bits,
-    )
-
-
 def _phase_of(basis_x: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Differential phase of (basis, bit): X {0, pi}, Z {pi/2, 3pi/2}."""
     return np.where(
@@ -281,46 +214,3 @@ def _phase_of(basis_x: np.ndarray, bits: np.ndarray) -> np.ndarray:
         np.where(bits == 0, 0.0, math.pi),
         np.where(bits == 0, math.pi / 2, 3 * math.pi / 2),
     )
-
-
-def _usable_clicks_vec(lam_int, lam_edge, lam_floor, cfg, gen) -> np.ndarray:
-    """Vectorized port model: does the earliest click land interior?
-
-    Fast path for frames with at most one click; the rare multi-click
-    frames are resolved exactly by sampling click times.
-    """
-    n = len(lam_int)
-    k_int = gen.poisson(lam_int)
-    k_edge = gen.poisson(lam_edge, size=n)
-    if lam_floor == 0.0:
-        k_floor = np.zeros(n, dtype=np.int64)
-    else:
-        k_floor = gen.poisson(lam_floor, size=n)
-    total = k_int + k_edge + k_floor
-    usable = np.zeros(n, dtype=bool)
-
-    single = total == 1
-    usable[single & (k_int == 1)] = True
-    # a lone floor click counts as interior when it lands in the interior span
-    lone_floor = single & (k_floor == 1)
-    if np.any(lone_floor):
-        frac = (cfg.d - 1) * cfg.pulse_period_ps / cfg.frame_window_ps
-        usable[lone_floor] = gen.random(int(np.sum(lone_floor))) < frac
-
-    multi = np.nonzero(total >= 2)[0]
-    tp = cfg.pulse_period_ps
-    d = cfg.d
-    for i in multi:
-        times = []
-        for _ in range(int(k_int[i])):
-            j = int(gen.integers(1, d))  # interior positions 1..d-1
-            times.append((j * tp + tp // 2, True))
-        for _ in range(int(k_edge[i])):
-            j = 0 if gen.random() < 0.5 else d
-            times.append((j * tp + tp // 2, False))
-        for _ in range(int(k_floor[i])):
-            t = int(gen.integers(0, cfg.frame_window_ps))
-            times.append((t, tp <= t < d * tp))
-        times.sort()
-        usable[i] = times[0][1]
-    return usable

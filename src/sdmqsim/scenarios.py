@@ -28,6 +28,9 @@ EXPERIMENT_KINDS = (
 
 GATE_VALUES = ("dt1", "dt2", "always")
 
+# kinds that simulate a pure time-bin stream with one slot per signal
+TIMEBIN_KINDS = ("timebin_xt", "timebin_B", "capacity")
+
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -62,8 +65,16 @@ class ExperimentSpec:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.n_frames < 1:
             raise ConfigError(f"n_frames must be >= 1, got {self.n_frames}")
+        collected = set()
         for sid, groups in self.collections.items():
             _check_group(f"collections {sid}", groups)
+            for g in groups:
+                if g in collected:
+                    raise ConfigError(
+                        f"collections {sid}: mode group {g} is already collected; "
+                        f"collections must be disjoint"
+                    )
+                collected.add(g)
         if self.kind == "phase_sweep" and len(self.sweep_phi_b) == 0:
             raise ConfigError("phase_sweep requires a sweep_phi_b list")
         for g in self.gates.values():
@@ -83,6 +94,20 @@ class Scenario:
         groups = [s.input_group for s in self.signals]
         if len(set(groups)) != len(groups):
             raise ConfigError("two signals assigned to the same input group")
+        kind = self.experiment.kind
+        if kind not in TIMEBIN_KINDS:
+            return
+        if self.cfg.p_tb != 1.0:
+            raise ConfigError(
+                f"{kind} simulates a pure time-bin stream: p_tb must be 1, "
+                f"got {self.cfg.p_tb}"
+            )
+        for s in self.signals:
+            if s.fixed_slot is None or not 0 <= s.fixed_slot < self.cfg.d:
+                raise ConfigError(
+                    f"{kind} requires fixed_slot in 0..{self.cfg.d - 1} on signal "
+                    f"{s.signal_id}, got {s.fixed_slot}"
+                )
 
     def validated(self):
         return validate_config(self.cfg)
@@ -239,6 +264,10 @@ def load_scenario(path: str | Path) -> Scenario:
                 raise ConfigError(f"unknown [{section}] key {key!r}")
             kwargs[key] = _convert(raw, _SIGNAL_FIELDS[key], key)
         _check_group(f"[{section}] input_group", (kwargs.get("input_group", 1),))
+        if not kwargs.get("excess_db", 0.0) <= 0.0:
+            raise ConfigError(
+                f"[{section}] excess_db must be <= 0 (a loss), got {kwargs['excess_db']}"
+            )
         signals.append(SignalAssignment(signal_id=sid, **kwargs))
     if not signals:
         raise ConfigError("scenario defines no signals")

@@ -12,12 +12,18 @@ import numpy as np
 import pytest
 
 from sdmqsim.analysis import error_budget, fit_visibility, prob_from_db, tomography
-from sdmqsim.config import RandomSource, SimConfig, validate_config
+from sdmqsim.config import SimConfig, validate_config
 from sdmqsim.channel import CrosstalkMatrix
-from sdmqsim.encoder import make_phase_frame, make_time_bin_frame
-from sdmqsim.pipeline import build_channel, expected_collection_rate, run_scenario
-from sdmqsim.protocol import KeyRateParams, key_rate, simulate_bb84
-from sdmqsim.receiver import dead_time_mask
+from sdmqsim.encoder import floor_fraction
+from sdmqsim.pipeline import (
+    _timebin_components,
+    build_channel,
+    expected_collection_rate,
+    run_scenario,
+    simulate_bb84,
+)
+from sdmqsim.protocol import KeyRateParams, key_rate
+from sdmqsim.receiver import dead_time_mask, delay_interferometer_rates
 from sdmqsim.scenarios import load_scenario
 
 REPO = Path(__file__).resolve().parents[1]
@@ -257,8 +263,7 @@ def test_10_protocol_properties(bb84_run, bb84_eve_run):
     # full oracle with the imperfect interferometer: 0.25 + (1-V)/4
     cfg = validate_config(SimConfig(seed=77))
     res_v = simulate_bb84(
-        n_frames=400_000, flux=0.5, eta=0.15, cfg=cfg,
-        rng=RandomSource(77), visibility_cap=0.93, eve=True,
+        cfg, n_frames=400_000, flux=0.5, visibility_cap=0.93, eve=True,
     )
     expect_v = 0.25 + (1 - 0.93) / 4
     tol_v = 3 * math.sqrt(expect_v * (1 - expect_v) / res_v.n_sifted)
@@ -301,17 +306,26 @@ def test_11_property_suites():
             ok_xt = False
             break
 
-    # photon-number conservation of generated frames
+    # photon-number conservation of the rates the samplers draw: a time-bin
+    # signal's pulse and floor sum to its mean; the two interferometer
+    # ports carry it all, or half of it with one arm blocked
     ok_mu = True
+    vcfg = validate_config(SimConfig())
     for _ in range(n_cases):
         mu = float(gen.uniform(0.01, 5.0))
         if gen.random() < 0.5:
-            fr = make_time_bin_frame(int(gen.integers(0, 64)), mu,
-                                     float(gen.uniform(2, 1e5)), d=64)
+            f = floor_fraction(64, float(gen.uniform(2, 1e5)))
+            comps = _timebin_components(vcfg, mu, f, 0, int(gen.integers(0, 64)))
+            total, expect = sum(lam for lam, _ in comps), mu
         else:
-            fr = make_phase_frame(float(gen.uniform(-7, 7)), mu, d=64,
-                                  floor_fraction=float(gen.uniform(0, 0.9)))
-        if abs(fr.mean_photons - mu) > 1e-9 * mu:
+            arm = ("none", "delay", "direct")[int(gen.integers(0, 3))]
+            r = delay_interferometer_rates(
+                mu, 64, float(gen.uniform(0, 1)), float(gen.uniform(-7, 7)), arm,
+                float(gen.uniform(0, 0.9)),
+            )
+            total = r.interior_p + r.interior_p_prime + 2 * (r.edge_0 + r.edge_d + r.floor)
+            expect = mu if arm == "none" else mu / 2
+        if abs(total - expect) > 1e-9 * mu:
             ok_mu = False
             break
 

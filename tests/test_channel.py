@@ -190,10 +190,9 @@ def _one_signal_detector(tables, n, sig, gate="always", **sim):
     )
     il, xt = tables
     ch = ChannelModel(il=il, xt=xt, uniform_il_db=0.0)
-    slots = {sig.signal_id: np.full(n, sig.fixed_slot, dtype=np.int64)}
     return _simulate_timebin_detector(
         scenario, scenario.validated(), ch, 0, (sig.input_group,), gate,
-        [sig.signal_id], slots, n,
+        [sig.signal_id], n,
     )
 
 
@@ -267,11 +266,10 @@ class TestErgodicity:
         vcfg = scenario.validated()
         il, xt = tables
         ch = ChannelModel(il=il, xt=xt)
-        slots = {"A": np.full(n, 10, dtype=np.int64)}
         counts = []
         for g in range(1, 6):
             det = _simulate_timebin_detector(
-                scenario, vcfg, ch, g, (g,), "always", ["A"], slots, n
+                scenario, vcfg, ch, g, (g,), "always", ["A"], n
             )
             counts.append(len(det.t_within))
         counts = np.array(counts, dtype=float)

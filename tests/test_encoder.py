@@ -4,29 +4,39 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdmqsim.config import Phase, SignalAssignment, SimConfig, TimeBin
-from sdmqsim.encoder import floor_fraction, make_phase_frame, make_time_bin_frame
-from sdmqsim.pipeline import _signal_slots, _simulate_timebin_detector, build_channel
+from sdmqsim.config import ConfigError, SignalAssignment, SimConfig, validate_config
+from sdmqsim.encoder import floor_fraction
+from sdmqsim.pipeline import _simulate_timebin_detector, _timebin_components, build_channel
+from sdmqsim.receiver import delay_interferometer_rates
 from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario
 
 
-class TestTimeBinFrame:
-    def test_perfect_modulator(self):
-        fr = make_time_bin_frame(0, mu=1.0, im_extinction=math.inf, d=64)
-        assert fr.floor_rate == 0.0
-        assert fr.slot_intensity[0] == pytest.approx(1.0)
-        assert np.count_nonzero(fr.slot_intensity) == 1
-        assert fr.kind == TimeBin(0)
+@pytest.fixture(scope="module")
+def vcfg():
+    return validate_config(SimConfig())
 
-    def test_floor_half_at_extinction_63(self):
+
+def _timebin_rates(vcfg, m, mu, r):
+    """(pulse, floor) mean clicks per frame of a time-bin signal in slot m."""
+    (pulse, _), (floor, _) = _timebin_components(vcfg, mu, floor_fraction(64, r), 0, m)
+    return pulse, floor
+
+
+class TestTimeBinFrame:
+    """The pulse and floor components the time-bin sampler draws."""
+
+    def test_perfect_modulator(self, vcfg):
+        assert _timebin_rates(vcfg, 0, 1.0, math.inf) == (1.0, 0.0)
+
+    def test_floor_half_at_extinction_63(self, vcfg):
         # independent hand computation: f = (d-1)/(d-1+r) = 63/126 = 1/2
-        fr = make_time_bin_frame(0, mu=1.0, im_extinction=63.0, d=64)
-        assert fr.floor_rate == pytest.approx(0.5)
-        assert fr.slot_intensity[0] == pytest.approx(0.5)
+        pulse, floor = _timebin_rates(vcfg, 0, 1.0, 63.0)
+        assert floor == pytest.approx(0.5)
+        assert pulse == pytest.approx(0.5)
 
     def test_slot_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            make_time_bin_frame(64, 1.0, 100.0, d=64)
+        with pytest.raises(ConfigError, match="fixed_slot in 0..63"):
+            TestSchedule._scenario(SignalAssignment("A", input_group=1, fixed_slot=64))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -34,46 +44,56 @@ class TestTimeBinFrame:
         mu=st.floats(1e-3, 10.0),
         r=st.floats(1.001, 1e6),
     )
-    def test_photon_number_conservation(self, m, mu, r):
-        fr = make_time_bin_frame(m, mu, r, d=64)
-        assert fr.mean_photons == pytest.approx(mu, rel=1e-12)
+    def test_photon_number_conservation(self, vcfg, m, mu, r):
+        assert sum(_timebin_rates(vcfg, m, mu, r)) == pytest.approx(mu, rel=1e-12)
+
+
+def _ports(mu, phi, d=64, floor=0.0, arm="none"):
+    return delay_interferometer_rates(mu, d, 1.0, phi, arm, floor)
 
 
 class TestPhaseFrame:
+    """A uniform phase train through the interferometer law."""
+
     def test_identity_phase_d4(self):
-        fr = make_phase_frame(0.0, mu=1.0, d=4)
-        assert np.allclose(fr.slots, 0.5)
-        assert fr.kind == Phase(0.0)
+        # phi = 0: every interior click on port P, a quarter pulse per edge
+        r = _ports(1.0, 0.0, d=4)
+        assert r.interior_p == pytest.approx(3 / 4)
+        assert r.interior_p_prime == pytest.approx(0.0)
+        assert r.edge_0 == r.edge_d == pytest.approx(1 / 16)
 
     def test_pi_ramp_d64(self):
-        fr = make_phase_frame(math.pi, mu=1.0, d=64)
-        diffs = np.angle(fr.slots[1:] * np.conj(fr.slots[:-1]))
-        assert np.allclose(np.abs(diffs), math.pi)
-        assert np.allclose(fr.slot_intensity, 1 / 64)
+        r = _ports(1.0, math.pi)
+        assert r.interior_p == pytest.approx(0.0, abs=1e-15)
+        assert r.interior_p_prime == pytest.approx(63 / 64)
 
     def test_half_pi_ramp_mu2(self):
-        fr = make_phase_frame(math.pi / 2, mu=2.0, d=64)
-        diffs = np.angle(fr.slots[1:] * np.conj(fr.slots[:-1]))
-        assert np.allclose(diffs, math.pi / 2)
-        assert np.sum(fr.slot_intensity) == pytest.approx(2.0)
+        r = _ports(2.0, math.pi / 2)
+        assert r.interior_p == pytest.approx(r.interior_p_prime)
+        assert r.interior_p + r.interior_p_prime == pytest.approx(2.0 * 63 / 64)
 
     @settings(max_examples=300, deadline=None)
     @given(
         phi=st.floats(-10.0, 10.0),
         mu=st.floats(1e-3, 10.0),
         fl=st.floats(0.0, 0.9),
+        arm=st.sampled_from(["none", "delay", "direct"]),
     )
-    def test_uniform_intensity_and_conservation(self, phi, mu, fl):
-        fr = make_phase_frame(phi, mu, d=64, floor_fraction=fl)
-        inten = fr.slot_intensity
-        assert inten.max() == pytest.approx(inten.min(), rel=1e-12)
-        assert fr.mean_photons == pytest.approx(mu, rel=1e-12)
+    def test_uniform_intensity_and_conservation(self, phi, mu, fl, arm):
+        # both ports carry the whole train, or half of it with one arm blocked
+        r = _ports(mu, phi, floor=fl, arm=arm)
+        total = r.interior_p + r.interior_p_prime + 2 * (r.edge_0 + r.edge_d + r.floor)
+        assert total == pytest.approx(mu if arm == "none" else mu / 2, rel=1e-12)
+        if arm != "none":
+            # nothing interferes: every open position carries the same rate
+            assert r.interior_p == pytest.approx(63 * max(r.edge_0, r.edge_d), rel=1e-12)
 
 
 class TestSchedule:
-    """Per-frame slots of each signal (``pipeline._signal_slots``)."""
+    """Time-bin signals occupy their fixed slot in every frame."""
 
-    def _scenario(self, *signals, n=500, **sim):
+    @staticmethod
+    def _scenario(*signals, n=500, **sim):
         return Scenario(
             name="sched",
             cfg=SimConfig(**sim),
@@ -82,31 +102,27 @@ class TestSchedule:
             experiment=ExperimentSpec(kind="timebin_xt", n_frames=n),
         )
 
-    def test_all_timebin_at_ptb_one(self):
-        sc = self._scenario(SignalAssignment("A", input_group=1))
-        slots = _signal_slots(sc, sc.validated(), "A", 0, 500)
-        assert len(slots) == 500
-        assert (slots >= 0).all() and (slots < 64).all()
-        assert len(np.unique(slots)) > 32  # uniform over the 64 slots
+    def _clicks(self, sig, n, **sim):
+        sc = self._scenario(sig, n=n, mu_in=50.0, dead_time_ps=0, **sim)
+        return _simulate_timebin_detector(
+            sc, sc.validated(), build_channel(sc), 0, (sig.input_group,), "always",
+            [sig.signal_id], n,
+        )
 
     def test_delayed_signal_offset_on_every_frame(self):
         # pulse and floor clicks of a delayed signal all land in the second
         # half-window, in every frame
-        sig = SignalAssignment("B", input_group=3, delayed=True)
-        n = 20_000
-        sc = self._scenario(sig, n=n, mu_in=50.0, im_extinction=20.0, dead_time_ps=0)
-        vcfg = sc.validated()
-        slots = {"B": _signal_slots(sc, vcfg, "B", 0, n)}
-        det = _simulate_timebin_detector(
-            sc, vcfg, build_channel(sc), 0, (3,), "always", ["B"], slots, n
-        )
+        sig = SignalAssignment("B", input_group=3, delayed=True, fixed_slot=5)
+        det = self._clicks(sig, 20_000, im_extinction=20.0)
         assert len(np.unique(det.frame_idx)) > 1000
         assert det.t_within.min() >= 100_000
 
     def test_fixed_slot(self):
-        sc = self._scenario(SignalAssignment("A", input_group=1, fixed_slot=20))
-        slots = _signal_slots(sc, sc.validated(), "A", 0, 50)
-        assert (slots == 20).all()
+        # without a floor every click is within 8 sigma of jitter of slot 20
+        det = self._clicks(SignalAssignment("A", input_group=1, fixed_slot=20), 500,
+                           im_extinction=math.inf)
+        assert len(det.t_within) > 10
+        assert np.all(np.abs(det.t_within - (20 * 1540 + 770)) < 800)
 
 
 def test_floor_fraction_limits():

@@ -16,6 +16,7 @@ from sdmqsim.pipeline import (
     expected_collection_rate,
     run_scenario,
 )
+from sdmqsim.protocol import KeyRateParams, key_rate
 from sdmqsim.receiver import delay_interferometer_rates
 from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario, load_scenario
 
@@ -126,17 +127,36 @@ class TestSparseSampler:
         sigma = np.sqrt(expect * (1.0 - expect / nb))
         assert np.all(np.abs(observed - expect) <= 5 * sigma), (observed, expect)
 
+    def test_per_frame_rates_thinned_to_each_frames_mean(self):
+        # bb84's ports: every frame has its own rate; frames of each rate
+        # level have that level's Poisson law, and rate 0 draws nothing
+        levels = np.array([0.0, 0.05, 0.5, 4.0])
+        nb = 1 << 16
+        lam = levels[np.arange(nb) % len(levels)]
+        gen = RandomSource(5).stream(1).generator()
+        idx = _poisson_frames(gen, lam, nb)
+        assert np.all(np.diff(idx) >= 0)
+        assert idx[0] >= 0 and idx[-1] < nb
+        per_frame = np.bincount(idx, minlength=nb)
+        assert per_frame[lam == 0].sum() == 0
+        for level in levels[1:]:
+            counts = per_frame[lam == level]
+            lo, hi, expect = _poisson_cells(level, len(counts))
+            observed = np.bincount(np.clip(counts, lo, hi) - lo, minlength=hi - lo + 1)
+            sigma = np.sqrt(expect * (1.0 - expect / len(counts)))
+            assert np.all(np.abs(observed - expect) <= 5 * sigma), (level, observed, expect)
+
     def test_zero_rate_draws_nothing(self):
         gen = RandomSource(5).generator()
         assert len(_poisson_frames(gen, 0.0, 1000)) == 0
 
 
 class TestRunnerGuards:
+    # Scenario itself rejects these, so no time-bin runner sees them
     def test_timebin_requires_pure_timebin_stream(self):
         sc = load_scenario(SCENARIOS / "timebin_b.ini")
-        bad = replace(sc, cfg=replace(sc.cfg, p_tb=0.5))
-        with pytest.raises(ConfigError, match="p_tb"):
-            run_scenario(bad)
+        with pytest.raises(ConfigError, match="p_tb must be 1"):
+            replace(sc, cfg=replace(sc.cfg, p_tb=0.5))
 
     def test_timebin_requires_fixed_slots(self):
         sc = load_scenario(SCENARIOS / "timebin_b.ini")
@@ -144,8 +164,8 @@ class TestRunnerGuards:
             replace(s, fixed_slot=None) if s.signal_id == "A" else s
             for s in sc.signals
         )
-        with pytest.raises(ConfigError, match="fixed_slot"):
-            run_scenario(replace(sc, signals=signals))
+        with pytest.raises(ConfigError, match="fixed_slot .* on signal A"):
+            replace(sc, signals=signals)
 
     def test_phase_sweep_requires_points(self):
         with pytest.raises(ConfigError, match="sweep_phi_b"):
@@ -239,10 +259,7 @@ class TestOnePathCrossCheck:
 
     def test_timebin_pulse_slot_and_floor(self):
         sc, vcfg, ch = self._setup(im_extinction=63.0)  # half the photons in the floor
-        slots = {"A": np.full(self.N, 20, dtype=np.int64)}
-        det = _simulate_timebin_detector(
-            sc, vcfg, ch, 0, (1,), "always", ["A"], slots, self.N
-        )
+        det = _simulate_timebin_detector(sc, vcfg, ch, 0, (1,), "always", ["A"], self.N)
         tp, w = vcfg.pulse_period_ps, vcfg.frame_window_ps
         lam = self.MU * self.ETA
         pulse, floor = lam * 0.5, lam * 0.5
@@ -281,3 +298,19 @@ class TestOnePathCrossCheck:
         ]
         pulses = [law.edge_0, interior, law.edge_d, 0.0]
         self._check(det, edges, [f + x for f, x in zip(floor, pulses)])
+
+
+class TestBb84KeyRate:
+    """The reported key rate is the finite-key bound at the simulated QBER."""
+
+    @pytest.mark.parametrize("name", ["bb84", "bb84_eve"])
+    def test_key_rate_from_simulated_qber(self, name):
+        sc = load_scenario(SCENARIOS / f"{name}.ini").with_overrides(n_frames=400_000)
+        rep = run_scenario(sc).report
+        n = rep.extra["n_sifted"]
+        assert rep.extra["key_rate_params_n"] == n
+        assert rep.key_rate == key_rate(KeyRateParams(n=n, q_tol=rep.qber_sifted))
+        if name == "bb84_eve":
+            assert rep.key_rate == 0.0  # QBER 0.25: the protocol aborts
+        else:
+            assert 0.0 < rep.key_rate < key_rate(KeyRateParams())

@@ -1,9 +1,11 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from sdmqsim.config import RandomSource, SimConfig, validate_config
+from sdmqsim.pipeline import simulate_bb84
 from sdmqsim.protocol import (
     BASIS_X,
     BASIS_Z,
@@ -12,7 +14,6 @@ from sdmqsim.protocol import (
     _phase_of,
     key_rate,
     sift,
-    simulate_bb84,
 )
 
 
@@ -32,8 +33,7 @@ class TestEncodingMaps:
 
 def _bb84(cfg, seed, v, n=200_000):
     return simulate_bb84(
-        n_frames=n, flux=0.5, eta=0.15, cfg=cfg, rng=RandomSource(seed),
-        visibility_cap=v,
+        replace(cfg, seed=seed), n_frames=n, flux=0.5, visibility_cap=v,
     )
 
 
@@ -96,8 +96,7 @@ class TestEveIntercept:
         # re-sent in the other basis, and then half the time: in each of
         # Alice's bases, twice the wrong share is the re-sent share, 1/2
         res = simulate_bb84(
-            n_frames=400_000, flux=0.5, eta=0.15, cfg=cfg,
-            rng=RandomSource(22), visibility_cap=1.0, eve=True,
+            replace(cfg, seed=22), n_frames=400_000, flux=0.5, visibility_cap=1.0, eve=True,
         )
         for basis in (BASIS_X, BASIS_Z):
             sel = (res.alice_bases == basis) & (res.bob_bases == basis)
@@ -194,8 +193,7 @@ class TestKeyRate:
 class TestSimulateBb84:
     def test_no_eve_wrong_port_floor(self, cfg):
         res = simulate_bb84(
-            n_frames=300_000, flux=0.5, eta=0.15, cfg=cfg,
-            rng=RandomSource(41), visibility_cap=0.93,
+            replace(cfg, seed=41), n_frames=300_000, flux=0.5, visibility_cap=0.93,
         )
         assert res.n_sifted > 5000
         expect = (1 - 0.93) / 2
@@ -204,16 +202,14 @@ class TestSimulateBb84:
 
     def test_ideal_matched_noiseless_zero_qber(self, cfg):
         res = simulate_bb84(
-            n_frames=100_000, flux=0.5, eta=0.15, cfg=cfg,
-            rng=RandomSource(42), visibility_cap=1.0,
+            replace(cfg, seed=42), n_frames=100_000, flux=0.5, visibility_cap=1.0,
         )
         assert res.n_sifted > 1000
         assert res.qber == 0.0
 
     def test_intercept_resend_signature(self, cfg):
         res = simulate_bb84(
-            n_frames=400_000, flux=0.5, eta=0.15, cfg=cfg,
-            rng=RandomSource(43), visibility_cap=1.0, eve=True,
+            replace(cfg, seed=43), n_frames=400_000, flux=0.5, visibility_cap=1.0, eve=True,
         )
         assert res.n_sifted >= 10_000
         tol = 3 * math.sqrt(0.25 * 0.75 / res.n_sifted)
@@ -223,8 +219,7 @@ class TestSimulateBb84:
         # full oracle: 1/2 * (1-V)/2 + 1/2 * 1/2
         v = 0.93
         res = simulate_bb84(
-            n_frames=400_000, flux=0.5, eta=0.15, cfg=cfg,
-            rng=RandomSource(44), visibility_cap=v, eve=True,
+            replace(cfg, seed=44), n_frames=400_000, flux=0.5, visibility_cap=v, eve=True,
         )
         expect = 0.5 * (1 - v) / 2 + 0.25
         tol = 3 * math.sqrt(expect * (1 - expect) / res.n_sifted)

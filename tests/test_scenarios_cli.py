@@ -155,7 +155,10 @@ class TestCliRun:
         assert rc == 2
         assert "n_frames must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("collections", ["A:0 C:4+5", "A:6 C:4+5", "A:1 C:4+0"])
+    # the last case overlaps: group 5 would be counted in both collections
+    @pytest.mark.parametrize(
+        "collections", ["A:0 C:4+5", "A:6 C:4+5", "A:1 C:4+0", "A:1+5 C:4+5"]
+    )
     def test_collection_group_out_of_range_exit_2(self, collections, tmp_path, capsys):
         text = (SCENARIOS / "timebin_xt.ini").read_text()
         bad = tmp_path / "bad.ini"
@@ -163,13 +166,36 @@ class TestCliRun:
         assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
         assert "collections" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("group", ["0", "6"])
-    def test_input_group_out_of_range_exit_2(self, group, tmp_path, capsys):
+    # signal C's field, its value in timebin_xt.ini and an invalid value
+    @pytest.mark.parametrize(
+        "field,old,new",
+        [
+            pytest.param("input_group", "5", "0", id="0"),
+            pytest.param("input_group", "5", "6", id="6"),
+            pytest.param("excess_db", "-3.7930", "0.5", id="excess_db"),
+        ],
+    )
+    def test_input_group_out_of_range_exit_2(self, field, old, new, tmp_path, capsys):
         text = (SCENARIOS / "timebin_xt.ini").read_text()
         bad = tmp_path / "bad.ini"
-        bad.write_text(text.replace("input_group = 5", f"input_group = {group}"))
+        bad.write_text(text.replace(f"{field} = {old}", f"{field} = {new}"))
         assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
-        assert "[signal.C] input_group" in capsys.readouterr().err
+        assert f"[signal.C] {field}" in capsys.readouterr().err
+
+    def test_phase_er_every_er_infinite_exits_0(self, tmp_path):
+        # an ideal interferometer with no floor extinguishes every group
+        text = (SCENARIOS / "phase_er.ini").read_text()
+        ideal = tmp_path / "ideal.ini"
+        ideal.write_text(
+            text.replace("visibility_cap = 0.93", "visibility_cap = 1.0")
+            .replace("phase_floor = 0.126550", "phase_floor = 0.0")
+        )
+        rc = main(["run", str(ideal), "--frames", "20000", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert set(report["er_db_per_group"].values()) == {"eliminated"}
+        assert report["er_db_mean"] == "eliminated"
+        assert report["p_phi"] == 0.0
 
 
 class TestCliSweep:
