@@ -18,10 +18,12 @@ phase experiments.  Slot, jitter, edge and floor placement then act on the
 ``K`` events only.
 
 A component whose rate differs from frame to frame (Bob's ports in BB84,
-where each frame carries its own phase) is thinned from the batch maximum
-(Lewis & Shedler, Naval Res. Logist. Q. 26, 1979): ``K`` picks are drawn at
-``max(lam)`` and each pick in frame ``i`` is kept with probability
-``lam[i] / max(lam)``.
+where each frame carries its own phase) is given as a rate table plus a
+per-frame class array; each batch gathers ``table[cls[b0:b0+nb]]`` and is
+thinned from its maximum (Lewis & Shedler, Naval Res. Logist. Q. 26, 1979):
+``K`` picks are drawn at ``max(lam)`` and each pick in frame ``i`` is kept
+with probability ``lam[i] / max(lam)``.  No per-frame float array of the
+whole run is ever built.
 
 Every detector is drawn by the one sampler ``_simulate_detector``; the
 time-bin, phase and BB84 runners only describe each signal's components:
@@ -50,13 +52,12 @@ from .config import (
 )
 from .encoder import floor_fraction
 from .protocol import (
-    BASIS_X,
-    BASIS_Z,
-    NULL_BIT,
+    PHASE_TABLE,
     Bb84Result,
     KeyRateParams,
-    _phase_of,
+    decode,
     key_rate,
+    phase_index,
     sift,
 )
 from .receiver import (
@@ -176,15 +177,12 @@ def _poisson_frames(gen, lam, nb: int) -> np.ndarray:
     return idx
 
 
-def _jitter(gen, n, sigma):
-    if sigma <= 0 or n == 0:
-        return np.zeros(n, dtype=np.int64)
-    return np.rint(gen.normal(0.0, sigma, size=n)).astype(np.int64)
-
-
 def _jittered(gen, t, vcfg) -> np.ndarray:
-    """Pulse click times ``t`` plus detector jitter, clamped to the frame."""
-    t = t + _jitter(gen, len(t), vcfg.jitter_sigma_ps)
+    """Pulse click times ``t`` (a fresh array) plus detector jitter, clamped
+    to the frame."""
+    sigma = vcfg.jitter_sigma_ps
+    if sigma > 0 and len(t):
+        t += np.rint(gen.normal(0.0, sigma, size=len(t))).astype(np.int64)
     np.clip(t, 0, vcfg.frame_period_ps - 1, out=t)
     return t
 
@@ -201,7 +199,8 @@ def _simulate_detector(
     """Draw, gate and dead-time veto every click of one detector.
 
     ``components[s]`` lists signal ``s``'s ``(lam, place)`` pairs: ``lam``
-    mean clicks per frame (a scalar, or an array over all ``n_frames``) and
+    mean clicks per frame (a scalar, or a ``(table, cls)`` pair giving frame
+    ``i`` the rate ``table[cls[i]]``, gathered one batch at a time) and
     ``place(gen, frames)`` the within-frame times of clicks in those
     frames.  Stream ``(*key, s, batch)`` draws each component's frames,
     then places them, in list order.
@@ -213,8 +212,9 @@ def _simulate_detector(
             nb = min(BATCH, n_frames - b0)
             gen = root.stream(*key, sig_pos, b0 // BATCH).generator()
             for lam, place in comps:
-                if isinstance(lam, np.ndarray):
-                    lam = lam[b0:b0 + nb]
+                if isinstance(lam, tuple):
+                    table, cls = lam
+                    lam = table[cls[b0:b0 + nb]]
                 frames = b0 + _poisson_frames(gen, lam, nb)
                 if len(frames):
                     pieces_t.append(place(gen, frames))
@@ -721,85 +721,66 @@ def _run_phase_sweep(scenario: Scenario) -> RunResult:
     return RunResult(report=report, sweep_points=points_out)
 
 
-def _usable_first_clicks(det: DetectorResult, vcfg) -> np.ndarray:
-    """Per frame: does the detector's first click land on an interior position?"""
+def _usable_frames(det: DetectorResult, vcfg) -> np.ndarray:
+    """Sorted frames whose first click lands on an interior position."""
     fr, t = det.frame_idx, det.t_within
-    first = np.ones(len(fr), dtype=bool)
-    first[1:] = fr[1:] != fr[:-1]
     lo, hi = _interior_window(vcfg, 0)
-    usable = np.zeros(det.n_frames, dtype=bool)
-    usable[fr[first & (t >= lo) & (t < hi)]] = True
-    return usable
+    return fr[(np.diff(fr, prepend=-1) != 0) & (t >= lo) & (t < hi)]
 
 
-def simulate_bb84(
-    cfg: ValidatedConfig,
-    n_frames: int,
-    flux: float,
-    visibility_cap: float = 0.93,
-    eve: bool = False,
-    phase_floor: float = 0.0,
-) -> Bb84Result:
+def _coin(gen, n: int) -> np.ndarray:
+    """``gen.random(n) < 0.5``, the same doubles drawn a batch at a time."""
+    coin = np.empty(n, dtype=bool)
+    buf = np.empty(min(n, BATCH))
+    for b0 in range(0, n, BATCH):
+        part = buf[:min(BATCH, n - b0)]
+        gen.random(out=part)
+        np.less(part, 0.5, out=coin[b0:b0 + len(part)])
+    return coin
+
+
+def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
+                  visibility_cap: float = 0.93, eve: bool = False,
+                  phase_floor: float = 0.0) -> Bb84Result:
     """Run a full BB84 exchange over phase frames.
 
     ``flux`` is the received mean photons per frame at Bob's input.  Each
     of Bob's two ports is a detector gated to the first half-window and
-    drawn by ``_simulate_detector`` at the per-frame rates of
-    :func:`receiver.delay_interferometer_rates`.  A port's outcome in a
-    frame is its first click past the gate and the dead time; it is usable
-    when that click lands on an interior position.  An intercept-resend Eve
-    measures in a random basis; where it differs from Alice's she re-sends
-    a uniformly random state of her own basis.
+    drawn by ``_simulate_detector`` at the rates of
+    :func:`receiver.delay_interferometer_rates` over ``PHASE_TABLE``, one
+    per frame class.  A port's outcome in a frame is its first click past
+    the gate and the dead time; it is usable on an interior position.
+    An intercept-resend Eve measures in a random basis; where it differs
+    from Alice's she re-sends a uniformly random state of her own basis.
     """
     root = RandomSource(cfg.seed)
     gen_a = root.stream(ROLE_ALICE).generator()
     bits = gen_a.integers(0, 2, size=n_frames, dtype=np.int8)
-    bases_x = gen_a.random(n_frames) < 0.5  # True -> X
-    phi_send = _phase_of(bases_x, bits)
+    alice_x = _coin(gen_a, n_frames)  # True -> X
+    sent = phase_index(alice_x, bits)
     if eve:
         gen_e = root.stream(ROLE_EVE).generator()
-        eve_x = gen_e.random(n_frames) < 0.5
+        eve_x = _coin(gen_e, n_frames)
         eve_bits = gen_e.integers(0, 2, size=n_frames, dtype=np.int8)
-        phi_send = np.where(eve_x == bases_x, phi_send, _phase_of(eve_x, eve_bits))
+        sent = np.where(eve_x == alice_x, sent, phase_index(eve_x, eve_bits))
+    bob_x = _coin(root.stream(ROLE_BOB).generator(), n_frames)
+    cls = phase_index(bob_x, sent)
 
-    gen_b = root.stream(ROLE_BOB).generator()
-    bob_x = gen_b.random(n_frames) < 0.5
-    phi_send += np.where(bob_x, 0.0, math.pi / 2)  # now phi_a + phi_b
-    rates = delay_interferometer_rates(
-        cfg.eta * flux, cfg.d, visibility_cap, phi_send, "none", phase_floor
-    )
-    del phi_send  # 8 bytes a frame no longer needed while the ports are drawn
+    law = delay_interferometer_rates(
+        cfg.eta * flux, cfg.d, visibility_cap, PHASE_TABLE, "none", phase_floor)
+    rates = law._replace(interior_p=(law.interior_p, cls),
+                         interior_p_prime=(law.interior_p_prime, cls))
     usable_p, usable_pp = [
-        _usable_first_clicks(_simulate_detector(
+        _usable_frames(_simulate_detector(
             port, (ROLE_PHOTONS, i), [_phase_components(cfg, rates, port, "none", 0)],
             ("alice",), cfg, DELTA_T1, n_frames,
         ), cfg)
         for i, port in enumerate(("p", "p_prime"))
     ]
-
-    conclusive = usable_p ^ usable_pp
-    # decode: port P means bit 0 in X and bit 1 in Z
-    bob_bits = np.full(n_frames, NULL_BIT, dtype=np.int8)
-    p_clicked = conclusive & usable_p
-    pp_clicked = conclusive & usable_pp
-    bob_bits[p_clicked & bob_x] = 0
-    bob_bits[p_clicked & ~bob_x] = 1
-    bob_bits[pp_clicked & bob_x] = 1
-    bob_bits[pp_clicked & ~bob_x] = 0
-
-    key_a, key_b, qber = sift(bits, bases_x, bob_x, bob_bits)
-    return Bb84Result(
-        n_frames=n_frames,
-        n_detected=int(np.sum(bob_bits != NULL_BIT)),
-        n_sifted=int(len(key_a)),
-        qber=qber,
-        key_a=key_a,
-        key_b=key_b,
-        alice_bits=bits,
-        alice_bases=np.where(bases_x, BASIS_X, BASIS_Z),
-        bob_bases=np.where(bob_x, BASIS_X, BASIS_Z),
-        bob_bits=bob_bits,
-    )
+    frames, bob_bits = decode(usable_p, usable_pp, bob_x)
+    key_a, key_b, qber = sift(bits[frames], alice_x[frames], bob_x[frames], bob_bits)
+    return Bb84Result(n_frames, len(frames), len(key_a), qber, key_a, key_b,
+                      bits, alice_x, bob_x, frames, bob_bits)
 
 
 def _run_bb84(scenario: Scenario) -> RunResult:
@@ -823,7 +804,7 @@ def _run_bb84(scenario: Scenario) -> RunResult:
         experiment=exp.kind,
         seed=vcfg.seed,
         n_frames=exp.n_frames,
-        qber_sifted=res.qber,
+        qber_sifted=res.qber if res.n_sifted else None,
         key_rate=secret,
         extra={
             "n_detected": res.n_detected,

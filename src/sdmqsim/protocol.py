@@ -8,7 +8,9 @@ two output ports is the measurement outcome; double or missing clicks give
 a null bit.  Clicks in the two edge positions of the train carry no phase
 information and are discarded before the bit decision.  The clicks
 themselves are drawn by ``pipeline.simulate_bb84``; this module holds the
-encoding table, sifting, the finite-key bound and the transcript.
+encoding table, decoding, sifting, the finite-key bound and the transcript.
+Per-frame state is int8 or bool: a frame's class indexes the eight values
+of phi_a + phi_b in ``PHASE_TABLE``, and decoding sees click frames only.
 
 Port convention: port P carries the ``1 + V cos(phi_a + phi_b)`` lobe.  A
 matched-basis bit 0 therefore lights port P in the X basis but port P' in
@@ -25,8 +27,9 @@ import numpy as np
 __all__ = [
     "BASIS_X",
     "BASIS_Z",
-    "SiftOutcome",
     "KeyRateParams",
+    "phase_index",
+    "decode",
     "sift",
     "key_rate",
     "Bb84Result",
@@ -37,13 +40,25 @@ BASIS_X = "X"
 BASIS_Z = "Z"
 NULL_BIT = -1  # array representation of a null outcome
 
+# Alice's phase by phase_index (X0, Z0, X1, Z1); Bob adds 0 (X) or pi/2 (Z)
+PHASES = np.array([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
+PHASE_TABLE = (PHASES[:, None] + np.array([0.0, math.pi / 2])).ravel()
 
-@dataclass(frozen=True)
-class SiftOutcome:
-    alice_bit: int
-    alice_basis: str
-    bob_basis: str
-    bob_bit: int  # NULL_BIT when no conclusive click
+
+def phase_index(basis_x: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """``2*bit + (basis is Z)`` as int8: Alice's index into ``PHASES``, or,
+    from Bob's bases and those indices, the frame class into ``PHASE_TABLE``."""
+    q = np.asarray(bits, dtype=np.int8) * 2
+    q += ~np.asarray(basis_x)
+    return q
+
+
+def decode(frames_p: np.ndarray, frames_pp: np.ndarray, bob_x: np.ndarray):
+    """Conclusive frames (a usable click on exactly one port; each port's
+    frames sorted) and Bob's bits there: port P means 0 in X and 1 in Z."""
+    frames = np.setxor1d(frames_p, frames_pp, assume_unique=True)
+    on_p = np.isin(frames, frames_p, assume_unique=True)
+    return frames, (on_p != bob_x[frames]).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -145,10 +160,7 @@ def sift(a, b, b_prime, bob_bits, k_fraction: float = 1.0):
     fraction over the first ``k_fraction`` share of the sifted positions
     (parameter-estimation sample; 1.0 = use everything).
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    b_prime = np.asarray(b_prime)
-    bob_bits = np.asarray(bob_bits)
+    a, b, b_prime, bob_bits = map(np.asarray, (a, b, b_prime, bob_bits))
     if not (len(a) == len(b) == len(b_prime) == len(bob_bits)):
         raise ValueError("sequence lengths differ")
     keep = (b == b_prime) & (bob_bits != NULL_BIT)
@@ -166,28 +178,36 @@ def sift(a, b, b_prime, bob_bits, k_fraction: float = 1.0):
 
 @dataclass(frozen=True)
 class Bb84Result:
+    """Keys and record of one exchange: basis coins (True -> X), the
+    conclusive ``frames`` and Bob's ``bits`` there; the per-frame string
+    and bit views are built when read."""
+
     n_frames: int
     n_detected: int
     n_sifted: int
     qber: float
     key_a: np.ndarray
     key_b: np.ndarray
-    alice_bits: np.ndarray | None = None
-    alice_bases: np.ndarray | None = None
-    bob_bases: np.ndarray | None = None
-    bob_bits: np.ndarray | None = None
+    alice_bits: np.ndarray
+    alice_x: np.ndarray
+    bob_x: np.ndarray
+    frames: np.ndarray
+    bits: np.ndarray
 
-    def outcomes(self):
-        """Per-frame public-channel view of the exchange."""
-        for a, ba, bb, o in zip(
-            self.alice_bits, self.alice_bases, self.bob_bases, self.bob_bits
-        ):
-            yield SiftOutcome(
-                alice_bit=int(a),
-                alice_basis=str(ba),
-                bob_basis=str(bb),
-                bob_bit=int(o),
-            )
+    @property
+    def alice_bases(self) -> np.ndarray:
+        return np.where(self.alice_x, BASIS_X, BASIS_Z)
+
+    @property
+    def bob_bases(self) -> np.ndarray:
+        return np.where(self.bob_x, BASIS_X, BASIS_Z)
+
+    @property
+    def bob_bits(self) -> np.ndarray:
+        """Bob's bit in every frame, ``NULL_BIT`` where inconclusive."""
+        out = np.full(self.n_frames, NULL_BIT, dtype=np.int8)
+        out[self.frames] = self.bits
+        return out
 
 
 def write_transcript(path, result: Bb84Result) -> None:
@@ -197,20 +217,13 @@ def write_transcript(path, result: Bb84Result) -> None:
     detected ('-' for an inconclusive frame); sifted marks basis-matched
     conclusive positions.
     """
+    bob = result.bob_bits
+    sifted = (result.alice_x == result.bob_x) & (bob != NULL_BIT)
+    rows = zip(result.alice_bases.tolist(), result.alice_bits.tolist(),
+               result.bob_bases.tolist(), bob.tolist(), sifted.tolist())
     lines = ["frame,alice_basis,alice_bit,bob_basis,bob_bit,sifted"]
-    for i, rec in enumerate(result.outcomes()):
-        bob = "-" if rec.bob_bit == NULL_BIT else str(rec.bob_bit)
-        sifted = int(rec.alice_basis == rec.bob_basis and rec.bob_bit != NULL_BIT)
-        lines.append(
-            f"{i},{rec.alice_basis},{rec.alice_bit},{rec.bob_basis},{bob},{sifted}"
-        )
+    lines += [
+        f"{i},{ba},{a},{bb},{'-' if o == NULL_BIT else o},{int(s)}"
+        for i, (ba, a, bb, o, s) in enumerate(rows)
+    ]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _phase_of(basis_x: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Differential phase of (basis, bit): X {0, pi}, Z {pi/2, 3pi/2}."""
-    return np.where(
-        basis_x,
-        np.where(bits == 0, 0.0, math.pi),
-        np.where(bits == 0, math.pi / 2, 3 * math.pi / 2),
-    )

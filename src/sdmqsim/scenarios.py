@@ -95,6 +95,12 @@ class Scenario:
         if len(set(groups)) != len(groups):
             raise ConfigError("two signals assigned to the same input group")
         kind = self.experiment.kind
+        if kind in ("bb84", "bb84_eve"):  # both ports read dt1, the first half-window
+            bad = [f"gates {sid}:{g}" for sid, g in self.experiment.gates.items() if g != "dt1"]
+            bad += [f"delayed = true on signal {s.signal_id}" for s in self.signals if s.delayed]
+            if bad:
+                raise ConfigError(f"{kind} gates its ports dt1 in the first half-window: "
+                                  f"{bad[0]} is not supported")
         if kind not in TIMEBIN_KINDS:
             return
         if self.cfg.p_tb != 1.0:

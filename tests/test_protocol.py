@@ -4,17 +4,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from sdmqsim.config import RandomSource, SimConfig, validate_config
-from sdmqsim.pipeline import simulate_bb84
+from sdmqsim.pipeline import BATCH, _coin, simulate_bb84
 from sdmqsim.protocol import (
     BASIS_X,
     BASIS_Z,
     KeyRateParams,
     NULL_BIT,
-    _phase_of,
+    PHASE_TABLE,
+    PHASES,
+    decode,
     key_rate,
+    phase_index,
     sift,
 )
+from sdmqsim.receiver import delay_interferometer_rates
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +31,97 @@ class TestEncodingMaps:
     def test_phase_table(self):
         x = np.array([True, True, False, False])
         bits = np.array([0, 1, 0, 1])
-        assert _phase_of(x, bits).tolist() == [
-            0.0, math.pi, math.pi / 2, 3 * math.pi / 2
-        ]
+        q = phase_index(x, bits)
+        assert q.dtype == np.int8
+        assert PHASES[q].tolist() == [0.0, math.pi, math.pi / 2, 3 * math.pi / 2]
+        # the frame class adds Bob's basis: 0 to measure X, pi/2 to measure Z
+        for bob_x, phi_b in ((True, 0.0), (False, math.pi / 2)):
+            cls = phase_index(np.full(4, bob_x), q)
+            assert PHASE_TABLE[cls].tolist() == (PHASES[q] + phi_b).tolist()
+
+
+def _old_phase(basis_x, bits):
+    """Per-frame float phase, as the exchange computed it on every frame."""
+    return np.where(
+        basis_x,
+        np.where(bits == 0, 0.0, math.pi),
+        np.where(bits == 0, math.pi / 2, 3 * math.pi / 2),
+    )
+
+
+def _old_decode(usable_p, usable_pp, bob_x):
+    """Per-frame boolean decode over every frame: Bob's bit or NULL_BIT."""
+    conclusive = usable_p ^ usable_pp
+    bob_bits = np.full(len(bob_x), NULL_BIT, dtype=np.int8)
+    p_clicked = conclusive & usable_p
+    pp_clicked = conclusive & usable_pp
+    bob_bits[p_clicked & bob_x] = 0
+    bob_bits[p_clicked & ~bob_x] = 1
+    bob_bits[pp_clicked & bob_x] = 1
+    bob_bits[pp_clicked & ~bob_x] = 0
+    return bob_bits
+
+
+class TestInt8Exchange:
+    """The int8 exchange against the per-frame float and boolean one."""
+
+    @pytest.mark.parametrize("eve", [False, True])
+    @pytest.mark.parametrize("floor", [0.0, 0.05])
+    @pytest.mark.parametrize("v", [0.93, 1.0])
+    def test_rate_table_gathered_by_class(self, v, floor, eve):
+        n = 50_000
+        gen = RandomSource(61).generator()
+        bits = gen.integers(0, 2, size=n, dtype=np.int8)
+        alice_x = gen.random(n) < 0.5
+        eve_x = gen.random(n) < 0.5
+        eve_bits = gen.integers(0, 2, size=n, dtype=np.int8)
+        bob_x = gen.random(n) < 0.5
+
+        phi = _old_phase(alice_x, bits)
+        sent = phase_index(alice_x, bits)
+        if eve:
+            phi = np.where(eve_x == alice_x, phi, _old_phase(eve_x, eve_bits))
+            sent = np.where(eve_x == alice_x, sent, phase_index(eve_x, eve_bits))
+        phi += np.where(bob_x, 0.0, math.pi / 2)
+        cls = phase_index(bob_x, sent)
+        assert cls.dtype == np.int8
+
+        old = delay_interferometer_rates(0.07, 64, v, phi, "none", floor)
+        table = delay_interferometer_rates(0.07, 64, v, PHASE_TABLE, "none", floor)
+        assert np.array_equal(table.interior_p[cls], old.interior_p)
+        assert np.array_equal(table.interior_p_prime[cls], old.interior_p_prime)
+        assert table[2:] == old[2:]  # edges and floor do not depend on phase
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40))
+    def test_decode_on_click_frames_matches_per_frame_decode(self, data, n):
+        frames = st.sets(st.integers(0, n - 1))
+        set_p = data.draw(frames)
+        set_pp = data.draw(st.one_of(frames, st.just(set_p), st.just(set())))
+        bools = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+        bits = data.draw(bools).astype(np.int8)
+        alice_x, bob_x = data.draw(bools), data.draw(bools)
+
+        usable_p, usable_pp = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        usable_p[list(set_p)] = True
+        usable_pp[list(set_pp)] = True
+        old_bits = _old_decode(usable_p, usable_pp, bob_x)
+        old_a, old_b, old_q = sift(bits, alice_x, bob_x, old_bits)
+
+        conc, conc_bits = decode(np.flatnonzero(usable_p), np.flatnonzero(usable_pp), bob_x)
+        key_a, key_b, q = sift(bits[conc], alice_x[conc], bob_x[conc], conc_bits)
+        assert np.array_equal(key_a, old_a)
+        assert np.array_equal(key_b, old_b)
+        assert q == old_q or (math.isnan(q) and math.isnan(old_q))
+        assert len(conc) == int(np.sum(old_bits != NULL_BIT))
+
+    @pytest.mark.parametrize("n", [1, BATCH - 1, BATCH, BATCH + 1, 3 * BATCH + 5])
+    def test_chunked_coin(self, n):
+        gen, ref = RandomSource(8).generator(), RandomSource(8).generator()
+        coin = _coin(gen, n)
+        assert coin.dtype == bool
+        assert np.array_equal(coin, ref.random(n) < 0.5)
+        assert gen.random() == ref.random()  # the stream continues in step
 
 
 def _bb84(cfg, seed, v, n=200_000):

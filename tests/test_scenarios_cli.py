@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -133,6 +134,20 @@ class TestCliRun:
             _, ba, _, bb, bob, sifted = row.split(",")
             assert sifted == ("1" if ba == bb and bob != "-" else "0")
 
+    def test_bb84_eve_transcript_bytes(self, tmp_path):
+        # the transcript's bytes at 2000 frames, pinned when the writer
+        # stopped building one record object per frame
+        derived = tmp_path / "bb84_eve_t.ini"
+        derived.write_text(
+            (SCENARIOS / "bb84_eve.ini").read_text().replace(
+                "kind = bb84_eve", "kind = bb84_eve\ntranscript = true"
+            )
+        )
+        out = tmp_path / "o"
+        assert main(["run", str(derived), "--frames", "2000", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "transcript.csv").read_bytes()).hexdigest()
+        assert digest == "0b8824da66b33fbcb3e1601c0a38ed3484e1da0719740c864fc7541d367d3890"
+
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SDMQSIM_OUT", str(tmp_path / "envout"))
         monkeypatch.chdir(tmp_path)
@@ -181,6 +196,39 @@ class TestCliRun:
         bad.write_text(text.replace(f"{field} = {old}", f"{field} = {new}"))
         assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
         assert f"[signal.C] {field}" in capsys.readouterr().err
+
+    def test_bb84_nothing_sifted_exits_0(self, tmp_path):
+        # one frame sifts no bit: no QBER is reported and no key is made
+        rc = main(["run", str(SCENARIOS / "bb84.ini"), "--frames", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["extra"]["n_sifted"] == 0
+        assert "qber_sifted" not in report
+        assert report["key_rate"] == 0.0
+
+    # both ports are gated dt1 on the first half-window; anything else
+    # would be ignored by the exchange, so the scenario is rejected
+    @pytest.mark.parametrize(
+        "name,old,new,key",
+        [
+            pytest.param("bb84", "gates = S:dt1", "gates = S:dt2", "gates", id="dt2"),
+            pytest.param("bb84_eve", "gates = S:dt1", "gates = S:always", "gates",
+                         id="always"),
+            pytest.param("bb84", "delayed = false", "delayed = true", "delayed",
+                         id="delayed"),
+            pytest.param("bb84_eve", "delayed = false", "delayed = true", "delayed",
+                         id="eve_delayed"),
+        ],
+    )
+    def test_bb84_unsupported_gate_or_delay_exit_2(self, name, old, new, key,
+                                                   tmp_path, capsys):
+        text = (SCENARIOS / f"{name}.ini").read_text()
+        assert old in text
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace(old, new))
+        assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
 
     def test_phase_er_every_er_infinite_exits_0(self, tmp_path):
         # an ideal interferometer with no floor extinguishes every group
