@@ -79,6 +79,8 @@ __all__ = [
 ]
 
 BATCH = 1 << 16
+# gated clicks a frame from which the first-click veto beats the time sort
+FIRST_CLICK_DENSITY = 0.25
 
 
 def build_channel(scenario: Scenario) -> ChannelModel:
@@ -111,9 +113,12 @@ def expected_collection_rate(
 ) -> float:
     """Analytic detected count rate (cps) of one signal into a collection.
 
-    Photon-level expectation (mu * transmission * collection fraction *
-    eta * R_f); detector pile-up within a gate lowers the clicked rate by
-    under ~1.5% at the reference fluxes.
+    Photon-level expectation ``Lambda * R_f``, with ``Lambda`` = mu *
+    transmission * collection fraction * eta clicks per frame.  With the
+    dead time nested in the blank half-frame a gated collection clicks at
+    most once a frame, in a fraction ``1 - exp(-Lambda)`` of frames (Lambda
+    summed over the signals that land in the gate): 0.4-0.8% fewer clicks
+    than this rate at the canned fluxes, 72-85% fewer at mu_in = 1000.
     """
     sig = scenario.signal(sid)
     if not include_excess:
@@ -271,11 +276,21 @@ def _finish_detector(name, pieces_t, pieces_f, pieces_o, origins, vcfg, gate, n_
         orig = np.zeros(0, dtype=np.int8)
     # gate first: the mask reads only t_within, and the stable sort keeps
     # the survivors' relative order, so sorting fewer events changes nothing
-    keep = gate_mask(t, gate, vcfg.frame_window_ps)
+    window, tau = vcfg.frame_window_ps, vcfg.dead_time_ps
+    keep = gate_mask(t, gate, window)
     t, fr, orig = t[keep], fr[keep], orig[keep]
-    t_abs = fr * vcfg.frame_period_ps + t
-    order = np.argsort(t_abs, kind="stable")
-    order = order[dead_time_mask(t_abs[order], vcfg.dead_time_ps)]
+    # a dead time nested in the blank half keeps each frame's first gated
+    # click (see receiver); its per-frame array pays off on dense detectors
+    if gate != "always" and window <= tau <= window + 1 and (
+        len(t) >= FIRST_CLICK_DENSITY * n_frames
+    ):
+        kept = np.flatnonzero(dead_time_mask(t, tau, fr))
+        # to frame order; the stable sort (timsort) merges the pieces' runs
+        order = kept[np.argsort(fr[kept], kind="stable")]
+    else:
+        t_abs = fr * vcfg.frame_period_ps + t
+        order = np.argsort(t_abs, kind="stable")
+        order = order[dead_time_mask(t_abs[order], tau)]
     return DetectorResult(
         name=name,
         t_within=t[order],

@@ -2,10 +2,16 @@
 interferometer and histogram accumulation.
 
 Dead time is non-paralyzable (a photon arriving during the dead interval
-does not extend it), matching gated detector behaviour.  Interference is
-computed at intensity level with a hardware visibility cap: the channel
-randomizes inter-signal phases, so only each photon's self-interference
-across its own pulse train survives.
+does not extend it), matching gated detector behaviour.  Under a ``dt1`` or
+``dt2`` gate, with the dead time nested in the blank half of the frame
+period ``P = 2W`` (``W <= tau <= W + 1``), the veto keeps exactly each
+frame's first gated click: ``tau >= W`` covers the rest of the gate, and
+``tau <= W + 1`` ends before the next frame's gate opens.  The pipeline
+then hands ``dead_time_mask`` the frame indices of dense detectors.
+
+Interference is computed at intensity level with a hardware visibility
+cap: the channel randomizes inter-signal phases, so only each photon's
+self-interference across its own pulse train survives.
 """
 from __future__ import annotations
 
@@ -58,11 +64,13 @@ def gate_mask(t_within: np.ndarray, gate: str, frame_window_ps: int) -> np.ndarr
     return t_within >= frame_window_ps
 
 
-def dead_time_mask(t_abs_sorted: np.ndarray, dead_time_ps: int) -> np.ndarray:
-    """Non-paralyzable dead-time veto over time-sorted absolute timestamps.
+def dead_time_mask(
+    t: np.ndarray, dead_time_ps: int, frame_idx: np.ndarray | None = None
+) -> np.ndarray:
+    """Non-paralyzable dead-time veto: the keep mask over the events ``t``.
 
-    An event is kept when it is at least ``dead_time_ps`` after the last
-    kept event.
+    ``t`` holds time-sorted absolute timestamps.  An event is kept when it
+    is at least ``dead_time_ps`` after the last kept event.
 
     A cluster starts at the first event and at every event whose gap to the
     previous raw event is ``>= dead_time_ps``.  Cluster starts are always
@@ -71,9 +79,25 @@ def dead_time_mask(t_abs_sorted: np.ndarray, dead_time_ps: int) -> np.ndarray:
     after its start still falls inside it; only those clusters are walked,
     jumping from kept event to kept event by binary search, so vetoed
     events are never visited.
+
+    With ``frame_idx``, ``t`` holds within-frame times of clicks gated to
+    one half-frame, in any order, under a dead time nested in the blank half
+    (see the module docstring): each frame's earliest click is kept, the
+    first in input order on equal times, by one segmented minimum of the
+    key ``t * n + position`` over the frames, with no sort.
     """
-    t = np.asarray(t_abs_sorted)
+    t = np.asarray(t)
     n = len(t)
+    if frame_idx is not None:
+        keep = np.zeros(n, dtype=bool)
+        if n:
+            top = np.iinfo(np.int64).max
+            # exact while every key t * n + position fits in 63 bits
+            assert int(t.max()) < top // n, "first-click key overflows int64"
+            best = np.full(int(frame_idx.max()) + 1, top)
+            np.minimum.at(best, frame_idx, t.astype(np.int64, copy=False) * n + np.arange(n))
+            keep[best[best != top] % n] = True
+        return keep
     keep = np.ones(n, dtype=bool)
     if dead_time_ps <= 0 or n == 0:
         return keep

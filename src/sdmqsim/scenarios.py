@@ -98,9 +98,13 @@ class Scenario:
         if kind in ("bb84", "bb84_eve"):  # both ports read dt1, the first half-window
             bad = [f"gates {sid}:{g}" for sid, g in self.experiment.gates.items() if g != "dt1"]
             bad += [f"delayed = true on signal {s.signal_id}" for s in self.signals if s.delayed]
+            bad += [f"a second signal [signal.{s.signal_id}]" for s in self.signals[1:]]
             if bad:
-                raise ConfigError(f"{kind} gates its ports dt1 in the first half-window: "
-                                  f"{bad[0]} is not supported")
+                raise ConfigError(f"{kind} simulates one signal and gates its ports dt1 in "
+                                  f"the first half-window: {bad[0]} is not supported")
+        if kind == "phase_er" and self.experiment.gates:
+            raise ConfigError("phase_er gates each detector by its signal's delay: "
+                              "gates is not supported")
         if kind not in TIMEBIN_KINDS:
             return
         if self.cfg.p_tb != 1.0:

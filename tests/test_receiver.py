@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sdmqsim.config import ConfigError, RandomSource, SimConfig, validate_config
-from sdmqsim.pipeline import _finish_detector, _simulate_detector
+from sdmqsim import pipeline
+from sdmqsim.pipeline import FIRST_CLICK_DENSITY, _finish_detector, _simulate_detector
 from sdmqsim.receiver import (
     Histogram,
     dead_time_mask,
@@ -184,6 +186,117 @@ class TestDeadTimeOracle:
         t = np.sort(gen.integers(0, 3 * n, size=n)) * 20_000
         ref = _greedy_dead_time(t.tolist(), 100_000)
         np.testing.assert_array_equal(dead_time_mask(t, 100_000), ref)
+
+
+W, P = 100_000, 200_000  # the default frame window and period
+
+
+def _pieces(draw_pieces):
+    """Per-piece (times, frames, origin) arrays; piece ``k`` has origin ``k``."""
+    ts, fs, os_ = [], [], []
+    for k, events in enumerate(draw_pieces):
+        events = sorted(events)  # the sampler draws each piece's frames sorted
+        ts.append(np.array([t for _, t in events], dtype=np.int64))
+        fs.append(np.array([f for f, _ in events], dtype=np.int64))
+        os_.append(np.full(len(events), k, dtype=np.int8))
+    return ts, fs, os_
+
+
+# times on the gate and frame edges, and a few mid-gate values shared across
+# pieces so that equal timestamps in one frame are common
+_TIME = st.one_of(
+    st.sampled_from([0, W - 1, W, P - 1, W // 2, W + W // 2]),
+    st.integers(0, P - 1),
+)
+_PIECES = st.lists(
+    st.lists(st.tuples(st.integers(0, 5), _TIME), max_size=12), min_size=1, max_size=5
+)
+
+
+class TestFirstClickVeto:
+    """The first-click branch of ``_finish_detector`` against the stable
+    time sort and the ``dead_time_mask`` walk it replaces."""
+
+    @staticmethod
+    def _run(pieces, cfg, gate, n_frames):
+        """``_finish_detector`` on copies of the pieces, and whether it took
+        the first-click branch."""
+        with mock.patch.object(pipeline, "dead_time_mask", wraps=dead_time_mask) as spy:
+            det = _finish_detector(
+                "D", *[[a.copy() for a in part] for part in pieces], ("o",) * 5,
+                cfg, gate, n_frames,
+            )
+        (call,) = spy.call_args_list
+        return det, len(call.args) == 3
+
+    @staticmethod
+    def _reference(pieces, cfg, gate, walk):
+        """Gate, stable sort by absolute time, then veto with ``walk``."""
+        t, fr, orig = (np.concatenate(part) for part in pieces)
+        keep = gate_mask(t, gate, cfg.frame_window_ps)
+        t, fr, orig = t[keep], fr[keep], orig[keep]
+        t_abs = fr * cfg.frame_period_ps + t
+        order = np.argsort(t_abs, kind="stable")
+        order = order[walk(t_abs[order], cfg.dead_time_ps)]
+        return t[order], fr[order], orig[order]
+
+    def _check(self, det, ref):
+        np.testing.assert_array_equal(det.t_within, ref[0])
+        np.testing.assert_array_equal(det.frame_idx, ref[1])
+        np.testing.assert_array_equal(det.origin, ref[2])
+
+    @pytest.mark.parametrize("gate", ["dt1", "dt2"])
+    @pytest.mark.parametrize("tau", [W, W + 1])
+    @settings(max_examples=200, deadline=None)
+    @given(draw=_PIECES)
+    # equal times in one frame across pieces, in both gates
+    @example(draw=[[(0, 0), (0, W // 2), (1, W - 1), (2, W)],
+                   [(0, 0), (1, W - 1), (2, W), (2, P - 1)],
+                   [(1, W - 1), (2, W)]])
+    def test_first_click_matches_sort_and_walk(self, gate, tau, draw):
+        cfg = validate_config(SimConfig(dead_time_ps=tau))
+        pieces = _pieces(draw)
+        n_frames = 6
+        gated = sum(int(gate_mask(t, gate, W).sum()) for t in pieces[0])
+        assume(gated >= FIRST_CLICK_DENSITY * n_frames)
+        det, first_click = self._run(pieces, cfg, gate, n_frames)
+        assert first_click
+        self._check(det, self._reference(pieces, cfg, gate, dead_time_mask))
+        self._check(det, self._reference(
+            pieces, cfg, gate, lambda t, td: _greedy_dead_time(t.tolist(), td)))
+
+    @pytest.mark.parametrize(
+        "gate,tau",
+        [("dt1", W - 1), ("dt2", W - 1), ("dt1", W + 2), ("dt2", W + 2),
+         ("always", W), ("always", W + 1)],
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(draw=_PIECES)
+    def test_general_path_otherwise(self, gate, tau, draw):
+        # a dead time shorter than the gate, one reaching the next frame's
+        # gate, or an ungated detector: the first-click rule does not hold
+        cfg = validate_config(SimConfig(dead_time_ps=tau))
+        pieces = _pieces(draw)
+        det, first_click = self._run(pieces, cfg, gate, 6)
+        assert not first_click
+        self._check(det, self._reference(
+            pieces, cfg, gate, lambda t, td: _greedy_dead_time(t.tolist(), td)))
+
+    def test_sparse_detector_takes_general_path(self, cfg):
+        # two gated clicks in 16 frames are below the crossover density
+        pieces = _pieces([[(3, 10), (3, 20)]])
+        det, first_click = self._run(pieces, cfg, "dt1", 16)
+        assert not first_click
+        assert det.t_within.tolist() == [10]
+
+    def test_key_exact_at_its_width(self):
+        # two events in one frame at the largest time the key holds for n = 2
+        top = np.iinfo(np.int64).max
+        t = np.array([top // 2 - 1, top // 2 - 1], dtype=np.int64)
+        frames = np.zeros(2, dtype=np.int64)
+        assert dead_time_mask(t, W, frames).tolist() == [True, False]
+        with pytest.raises(AssertionError, match="overflows"):
+            dead_time_mask(t + 1, W, frames)
 
 
 class TestTimeWindowFilter:

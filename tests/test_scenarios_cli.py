@@ -148,6 +148,19 @@ class TestCliRun:
         digest = hashlib.sha256((out / "transcript.csv").read_bytes()).hexdigest()
         assert digest == "0b8824da66b33fbcb3e1601c0a38ed3484e1da0719740c864fc7541d367d3890"
 
+    def test_saturated_timebin_report_bytes(self, tmp_path):
+        # timebin_b at mu_in = 1000 puts 3-7 gated clicks a frame into every
+        # detector, so each takes the first-click veto; the report's bytes
+        # were pinned on the time-sort veto that the branch replaces
+        derived = tmp_path / "timebin_b_saturated.ini"
+        text = (SCENARIOS / "timebin_b.ini").read_text()
+        assert "\nmu_in = 2.5\n" in text
+        derived.write_text(text.replace("\nmu_in = 2.5\n", "\nmu_in = 1000\n"))
+        out = tmp_path / "o"
+        assert main(["run", str(derived), "--frames", "20000", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+        assert digest == "1c00f5f9bfdec994c862f9f692e4c7c03033bfc885bbe1216c76c9e93b3d2577"
+
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SDMQSIM_OUT", str(tmp_path / "envout"))
         monkeypatch.chdir(tmp_path)
@@ -229,6 +242,27 @@ class TestCliRun:
         bad.write_text(text.replace(old, new))
         assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
+
+    # the exchange draws Bob's ports from one signal; a second signal's
+    # crosstalk into the collection would be silently dropped
+    @pytest.mark.parametrize("name", ["bb84", "bb84_eve"])
+    def test_bb84_second_signal_exit_2(self, name, tmp_path, capsys):
+        text = (SCENARIOS / f"{name}.ini").read_text()
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace(
+            "[experiment]", "[signal.T]\ninput_group = 2\n\n[experiment]"))
+        assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
+        assert "[signal.T]" in capsys.readouterr().err
+
+    # phase_er gates each detector by its signal's delay and reads no gates
+    @pytest.mark.parametrize("gates", ["A:always B:always C:always", "A:dt1"])
+    def test_phase_er_gates_exit_2(self, gates, tmp_path, capsys):
+        text = (SCENARIOS / "phase_er.ini").read_text()
+        assert "gates" not in text
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text + f"gates = {gates}\n")
+        assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
+        assert "gates" in capsys.readouterr().err
 
     def test_phase_er_every_er_infinite_exits_0(self, tmp_path):
         # an ideal interferometer with no floor extinguishes every group
