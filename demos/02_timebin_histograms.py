@@ -32,4 +32,4 @@ for name in ("timebin_b", "timebin_xt"):
         path = OUT / f"{name}_{hist_name}.csv"
         export_histogram(hist, path)
         occupied = (hist.bins > 0).sum()
-        print(f"  {path}  ({hist.total} counts in {occupied} of {len(hist.bins)} bins)")
+        print(f"  {path}  ({hist.bins.sum()} counts in {occupied} of {len(hist.bins)} bins)")

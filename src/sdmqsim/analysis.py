@@ -15,9 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ValidatedConfig
-from .receiver import Histogram
-
 __all__ = [
     "counts_per_second",
     "crosstalk_db",
@@ -31,7 +28,6 @@ __all__ = [
     "error_budget",
     "capacity",
     "capacity_from_counts",
-    "SnrResult",
     "MetricsReport",
     "write_counts_vs_phase_csv",
     "write_group_rates_csv",
@@ -41,9 +37,10 @@ __all__ = [
 ELIMINATED = "eliminated"
 
 
-def prob_from_db(x_db: float) -> float:
-    """Linear probability companion of a (positive) dB suppression ratio."""
-    return 10.0 ** (-x_db / 10.0)
+def prob_from_db(x_db: float | None) -> float | None:
+    """Linear probability companion of a dB suppression ratio; None for no
+    ratio or one below 0 dB, which no probability matches."""
+    return 10.0 ** (-x_db / 10.0) if x_db is not None and x_db >= 0 else None
 
 
 def counts_per_second(total_counts: int, n_frames: int, frame_rate_hz: float) -> float:
@@ -67,50 +64,22 @@ def crosstalk_db(counts_dt2: int, counts_dt1: int) -> float:
     return 10.0 * math.log10(counts_dt2 / counts_dt1)
 
 
-@dataclass(frozen=True)
-class SnrResult:
-    snr_db: float
-    pulse_counts: int
-    floor_counts_rescaled: float
+def snr_db(pulse: int, floor: int, floor_width_ps: int, window_ps: int) -> float:
+    """Pulse-slot counts against the floor rescaled to the full window, in dB.
 
-    @property
-    def p_snr(self) -> float:
-        return prob_from_db(self.snr_db)
-
-
-def snr_db(
-    hist: Histogram,
-    pulse_slot: int,
-    cfg: ValidatedConfig,
-    offset_ps: int = 0,
-    exclude_slots: tuple = (),
-) -> SnrResult:
-    """Pulse-slot counts against the floor rescaled to the full window.
-
-    The floor is measured in pulse-absent intervals of the occupied window
-    (optionally excluding other known pulse slots) and rescaled to the full
-    window duration.  Zero floor gives +inf dB.
+    ``pulse`` counts the pulse slot and ``floor`` the pulse-absent rest of
+    the occupied window, ``floor_width_ps`` wide: the window less the pulse
+    slot and any other known pulse slots.  Both are exact half-open windows
+    on the click timestamps.  The floor is rescaled to the ``window_ps``
+    duration.  Zero floor gives +inf dB, zero pulse over a floor -inf dB.
+    The companion error probability is ``p_snr = prob_from_db(snr)``.
     """
-    tp = cfg.pulse_period_ps
-    window = cfg.frame_window_ps
-    pulse = hist.counts_between(offset_ps + pulse_slot * tp, offset_ps + (pulse_slot + 1) * tp)
-    excluded_width = tp
-    excluded = pulse
-    for s in exclude_slots:
-        if s == pulse_slot:
-            continue
-        excluded += hist.counts_between(offset_ps + s * tp, offset_ps + (s + 1) * tp)
-        excluded_width += tp
-    total = hist.counts_between(offset_ps, offset_ps + window)
-    floor_raw = total - excluded
-    if floor_raw < 0:
-        raise ValueError("inconsistent histogram windows")
-    floor = floor_raw * window / (window - excluded_width)
-    if floor == 0:
-        return SnrResult(math.inf, pulse, 0.0)
+    rescaled = floor * window_ps / floor_width_ps
+    if rescaled == 0:
+        return math.inf
     if pulse == 0:
-        return SnrResult(-math.inf, 0, floor)
-    return SnrResult(10.0 * math.log10(pulse / floor), pulse, floor)
+        return -math.inf
+    return 10.0 * math.log10(pulse / rescaled)
 
 
 def extinction_ratio_db(c0: float, ci: float) -> float:
@@ -136,11 +105,13 @@ class VisibilityFit:
     residual: float
 
 
-def fit_visibility(points) -> VisibilityFit:
+def fit_visibility(points) -> VisibilityFit | None:
     """Least-squares fit of ``I(phi) = I0 [1 + V cos(phi)]``.
 
     The model is linear in ``(I0, I0*V)``, so the fit is an exact linear
-    solve on the basis ``(1, cos(phi))``; V is clamped to [0, 1].
+    solve on the basis ``(1, cos(phi))``; V is clamped to [0, 1].  A fit
+    with no positive mean intensity (too few counts to show a fringe) gives
+    None.
 
     Parameters
     ----------
@@ -160,7 +131,7 @@ def fit_visibility(points) -> VisibilityFit:
     coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
     i0, iv = float(coef[0]), float(coef[1])
     if i0 <= 0:
-        raise ValueError("fit produced non-positive mean intensity")
+        return None
     v = min(max(iv / i0, 0.0), 1.0)
     residual = float(np.sqrt(np.mean((basis @ coef - y) ** 2)))
     return VisibilityFit(i0=i0, visibility=v, residual=residual)
@@ -257,7 +228,6 @@ class MetricsReport:
     experiment: str = ""
     seed: int | None = None
     n_frames: int | None = None
-    cps_per_group: dict | None = None
     cps_per_collection: dict | None = None
     xt_db: dict | None = None
     snr_db: float | None = None
@@ -266,7 +236,6 @@ class MetricsReport:
     er_db_mean: float | None = None
     visibility: dict | None = None
     rho_diag: dict | None = None
-    rho_offdiag: dict | None = None
     p_xt: float | None = None
     p_snr: float | None = None
     p_s: float | None = None
@@ -338,10 +307,10 @@ def write_group_rates_csv(path: str | Path, rates: dict) -> None:
 
 
 def write_er_by_group_csv(path: str | Path, er: dict) -> None:
-    """er: {group: (signal, er_db)}."""
+    """er: {group: (signal, er_db)}; an er_db of None is left empty."""
     lines = ["out_group,signal,er_db"]
     for g in sorted(er):
         sig, val = er[g]
-        v = ELIMINATED if math.isinf(val) else f"{val:.6g}"
+        v = "" if val is None else ELIMINATED if math.isinf(val) else f"{val:.6g}"
         lines.append(f"{g},{sig},{v}")
     Path(path).write_text("\n".join(lines) + "\n")

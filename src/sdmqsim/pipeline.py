@@ -33,13 +33,14 @@ mean clicks per frame, taken from the channel and (for phase frames) from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import analysis
 from .channel import ChannelModel, load_link_tables
 from .config import (
+    ConfigError,
     DELTA_T1,
     DELTA_T2,
     RandomSource,
@@ -240,6 +241,19 @@ def _timebin_components(vcfg, lam, f, offset, slot) -> tuple:
     )
 
 
+def _simulate_collection(scenario, vcfg, channel, key, name, groups, gate, enabled,
+                         n_frames, place) -> DetectorResult:
+    """All clicks of one gated detector watching a group collection.
+
+    ``place(sig, lam)`` gives the components of signal ``sig``, which
+    reaches the detector at ``lam`` mean clicks per frame.
+    """
+    components = [place(sig, _collected_flux(vcfg, channel, sig, groups) * vcfg.eta)
+                  for sig in map(scenario.signal, enabled)]
+    return _simulate_detector("g" + "+".join(map(str, groups)) + name, key, components,
+                              tuple(enabled), vcfg, gate, n_frames)
+
+
 def _simulate_timebin_detector(
     scenario: Scenario,
     vcfg: ValidatedConfig,
@@ -250,19 +264,15 @@ def _simulate_timebin_detector(
     enabled: list[str],
     n_frames: int,
 ) -> DetectorResult:
-    """All clicks of one gated detector watching a group collection."""
-    components = []
-    for sid in enabled:
-        sig = scenario.signal(sid)
+    """Clicks of one detector watching the signals' time-bin slots."""
+
+    def place(sig, lam):
         ext = sig.im_extinction if sig.im_extinction is not None else vcfg.im_extinction
-        lam = _collected_flux(vcfg, channel, sig, groups) * vcfg.eta
-        components.append(_timebin_components(
-            vcfg, lam, floor_fraction(vcfg.d, ext), sig.offset_ps(vcfg), sig.fixed_slot,
-        ))
-    name = "g" + "+".join(map(str, groups))
-    return _simulate_detector(
-        name, (ROLE_PHOTONS, det_idx), components, tuple(enabled), vcfg, gate, n_frames
-    )
+        return _timebin_components(vcfg, lam, floor_fraction(vcfg.d, ext),
+                                   sig.offset_ps(vcfg), sig.fixed_slot)
+
+    return _simulate_collection(scenario, vcfg, channel, (ROLE_PHOTONS, det_idx), "",
+                                groups, gate, enabled, n_frames, place)
 
 
 def _finish_detector(name, pieces_t, pieces_f, pieces_o, origins, vcfg, gate, n_frames):
@@ -353,19 +363,14 @@ def _simulate_phase_detector(
     across its own train regardless of which signal it leaked from.
     """
     exp = scenario.experiment
-    components = []
-    for sid in enabled:
-        sig = scenario.signal(sid)
-        rates = delay_interferometer_rates(
-            _collected_flux(vcfg, channel, sig, groups) * vcfg.eta,
-            vcfg.d, exp.visibility_cap, phi_total, arm, exp.phase_floor,
-        )
-        components.append(_phase_components(vcfg, rates, port, arm, sig.offset_ps(vcfg)))
-    name = "g" + "+".join(map(str, groups)) + f":{port}"
-    return _simulate_detector(
-        name, (ROLE_PHOTONS, run_tag, det_idx), components, tuple(enabled),
-        vcfg, gate, n_frames,
-    )
+
+    def place(sig, lam):
+        rates = delay_interferometer_rates(lam, vcfg.d, exp.visibility_cap, phi_total,
+                                           arm, exp.phase_floor)
+        return _phase_components(vcfg, rates, port, arm, sig.offset_ps(vcfg))
+
+    return _simulate_collection(scenario, vcfg, channel, (ROLE_PHOTONS, run_tag, det_idx),
+                                f":{port}", groups, gate, enabled, n_frames, place)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +378,9 @@ def _simulate_phase_detector(
 # ---------------------------------------------------------------------------
 
 
-def _slot_window(vcfg, offset_ps, slot):
-    tp = vcfg.pulse_period_ps
-    return offset_ps + slot * tp, offset_ps + (slot + 1) * tp
+def _slot_counts(det: DetectorResult, vcfg, sig) -> int:
+    lo = sig.offset_ps(vcfg) + sig.fixed_slot * vcfg.pulse_period_ps
+    return det.counts_in(lo, lo + vcfg.pulse_period_ps)
 
 
 def _interior_window(vcfg, offset_ps):
@@ -442,80 +447,77 @@ def _run_timebin(scenario: Scenario) -> RunResult:
     exp = scenario.experiment
     n = exp.n_frames
     enabled = _enabled_signals(scenario)
-    detectors: dict[str, DetectorResult] = {}
-    for det_idx, (sid, groups) in enumerate(sorted(exp.collections.items())):
-        gate = exp.gates.get(sid, "always")
-        detectors[sid] = _simulate_timebin_detector(
-            scenario, vcfg, channel, det_idx, groups, gate, enabled, n
-        )
+    # timebin_B reads crosstalk on its one delayed signal's collection, and
+    # timebin_xt compares one delayed signal's slot with one undelayed one's
+    delayed = [s for s in scenario.signals if s.delayed]
+    early = [s for s in scenario.signals if not s.delayed]
+    if exp.kind == "timebin_B" and (
+            len(delayed) != 1 or delayed[0].signal_id not in exp.collections):
+        raise ConfigError("timebin_B needs exactly one collected signal with delayed = "
+                          f"true, got {len(delayed)} delayed")
+    if exp.kind == "timebin_xt" and (len(delayed), len(early)) != (1, 1):
+        raise ConfigError("timebin_xt needs one signal with delayed = true and one with "
+                          f"delayed = false, got {len(delayed)} and {len(early)}")
+    (late,) = delayed
+    window, tp = vcfg.frame_window_ps, vcfg.pulse_period_ps
+
+    # the delayed signal's dt2 slot against the others' dt1 slots; with
+    # both empty there is no estimate
+    def crosstalk(det):
+        c2 = _slot_counts(det, vcfg, late)
+        c1 = sum(_slot_counts(det, vcfg, o) for o in early)
+        return analysis.crosstalk_db(c2, c1) if c2 + c1 else None
 
     cps = {}
     snr_by_signal = {}
     rho = {}
     rho_kk = {}
-    xt_db: dict[str, float] = {}
+    xt_db: dict[str, float | None] = {}
     extra: dict = {}
     histograms = {}
-    for sid, det in detectors.items():
+    for det_idx, (sid, groups) in enumerate(sorted(exp.collections.items())):
+        gate = exp.gates.get(sid, "always")
+        det = _simulate_timebin_detector(
+            scenario, vcfg, channel, det_idx, groups, gate, enabled, n
+        )
         sig = scenario.signal(sid)
         offset = sig.offset_ps(vcfg)
-        cps[sid] = analysis.counts_per_second(
-            det.counts_in(offset, offset + vcfg.frame_window_ps), n, vcfg.frame_rate_hz
-        )
-        hist = det.histogram(vcfg)
-        histograms[f"{sid}_{det.name}"] = hist
         # other signals' pulses sharing this half-window are known spikes,
-        # not floor: exclude their slots from the floor estimate
-        exclude = tuple(
-            scenario.signal(o).fixed_slot
-            for o in enabled
-            if o != sid and scenario.signal(o).offset_ps(vcfg) == offset
-        )
-        res = analysis.snr_db(
-            hist, sig.fixed_slot, vcfg, offset_ps=offset, exclude_slots=exclude
-        )
-        snr_by_signal[sid] = res.snr_db
-        lo, hi = _slot_window(vcfg, offset, sig.fixed_slot)
-        c_j = det.counts_in(lo, hi)
-        cf_j = det.counts_in(offset, offset + vcfg.d * vcfg.pulse_period_ps) - c_j
-        for s_ex in exclude:
-            lo_e, hi_e = _slot_window(vcfg, offset, s_ex)
-            cf_j -= det.counts_in(lo_e, hi_e)
-        tomo = analysis.tomography(c_j, cf_j, vcfg.d)
-        rho[sid] = tomo.rho_jj
-        rho_kk[sid] = tomo.rho_kk
-
-    if exp.kind == "timebin_B" and "B" in detectors:
-        det_b = detectors["B"]
-        sig_b = scenario.signal("B")
-        lo2, hi2 = _slot_window(vcfg, sig_b.offset_ps(vcfg), sig_b.fixed_slot)
-        c2 = det_b.counts_in(lo2, hi2)
-        c1 = 0
-        for other in enabled:
-            if other == "B":
-                continue
-            so = scenario.signal(other)
-            lo1, hi1 = _slot_window(vcfg, so.offset_ps(vcfg), so.fixed_slot)
-            c1 += det_b.counts_in(lo1, hi1)
-        xt_db["AC_to_B"] = math.inf if c1 == 0 else analysis.crosstalk_db(c2, c1)
-        extra["ac_counts_in_dt2_on_B"] = sum(
-            det_b.counts_in(vcfg.frame_window_ps, vcfg.frame_period_ps, origin=o)
-            for o in enabled
-            if o != "B"
-        )
-    if exp.kind == "timebin_xt" and {"A", "C"} <= set(detectors):
-        sig_a, sig_c = scenario.signal("A"), scenario.signal("C")
-        for sid in ("A", "C"):
-            det = detectors[sid]
-            lo2, hi2 = _slot_window(vcfg, sig_a.offset_ps(vcfg), sig_a.fixed_slot)
-            lo1, hi1 = _slot_window(vcfg, sig_c.offset_ps(vcfg), sig_c.fixed_slot)
-            xt_db[f"at_{sid}_collection"] = analysis.crosstalk_db(
-                det.counts_in(lo2, hi2), det.counts_in(lo1, hi1)
+        # not floor: their slots are left out of the floor
+        foreign = [
+            o for o in scenario.signals
+            if o.offset_ps(vcfg) == offset and o.fixed_slot != sig.fixed_slot
+        ]
+        pulse = _slot_counts(det, vcfg, sig)
+        known = pulse + sum(_slot_counts(det, vcfg, o) for o in foreign)
+        half = det.counts_in(offset, offset + window)
+        train = det.counts_in(offset, offset + vcfg.d * tp)
+        cps[sid] = analysis.counts_per_second(half, n, vcfg.frame_rate_hz)
+        histograms[f"{sid}_{det.name}"] = det.histogram(vcfg)
+        # a collection with no counts in a ratio's windows gives no estimate
+        floor, background = half - known, train - known
+        snr_by_signal[sid] = analysis.snr_db(
+            pulse, floor, window - (1 + len(foreign)) * tp, window
+        ) if pulse + floor else None
+        tomo = (analysis.tomography(pulse, background, vcfg.d)
+                if pulse + background else None)
+        rho[sid], rho_kk[sid] = (None, None) if tomo is None else (tomo.rho_jj, tomo.rho_kk)
+        if exp.kind == "timebin_xt":
+            xt_db[f"at_{sid}_collection"] = crosstalk(det)
+        elif sig is late:
+            ids = "".join(o.signal_id for o in early)
+            xt_db[f"{ids}_to_{sid}"] = crosstalk(det)
+            extra[f"{ids.lower()}_counts_in_dt2_on_{sid}"] = sum(
+                det.counts_in(window, vcfg.frame_period_ps, o.signal_id) for o in early
             )
 
-    snr_mean = sum(snr_by_signal.values()) / len(snr_by_signal)
-    finite_xt = [abs(v) for v in xt_db.values() if math.isfinite(v)]
-    p_xt = analysis.prob_from_db(min(finite_xt)) if finite_xt else None
+    # +inf and -inf signals average to no estimate
+    snrs = [v for v in snr_by_signal.values() if v is not None]
+    snr_mean = (
+        sum(snrs) / len(snrs) if snrs and not {math.inf, -math.inf} <= set(snrs) else None
+    )
+    finite_xt = [abs(v) for v in xt_db.values() if v is not None and math.isfinite(v)]
+    p_xt = analysis.prob_from_db(min(finite_xt, default=None))
     report = analysis.MetricsReport(
         experiment=exp.kind,
         seed=vcfg.seed,
@@ -620,12 +622,13 @@ def _run_capacity(scenario: Scenario) -> RunResult:
 def _run_phase_er(scenario: Scenario) -> RunResult:
     """Extinction ratios per output group.
 
-    The delayed signal is measured on its groups in the second half-window
-    (main arrangement).  For the other two signals the first one is delayed
-    and the middle one disconnected, so their groups are measured without
-    co-windowed crosstalk: the collected signal in its own window, the
-    other gated out.  Each group is evaluated interfering and with either
-    arm blocked; the non-interfering reference is the arm average.
+    A delayed signal is measured alone on its groups in the second
+    half-window (main arrangement).  Every other signal is measured with
+    the delayed ones disconnected and the first remaining signal delayed,
+    so its groups are measured without co-windowed crosstalk: the collected
+    signal in its own window, the others gated out.  Each group is
+    evaluated interfering and with either arm blocked; the non-interfering
+    reference is the arm average.
     """
     vcfg = scenario.validated()
     channel = build_channel(scenario)
@@ -641,20 +644,14 @@ def _run_phase_er(scenario: Scenario) -> RunResult:
     p_phi_by_group = {}
     histograms = {}
     run_tag = 0
+    rest = [s for s in scenario.signals if not s.delayed]
+    alt = replace(
+        scenario, signals=tuple(replace(s, delayed=i == 0) for i, s in enumerate(rest))
+    )
     for g, sid in plans:
-        if sid == "B":
-            enabled = ["B"]
-            sub = scenario
-        else:
-            sub = replace(
-                scenario,
-                signals=tuple(
-                    replace(s, delayed=(s.signal_id == "A"))
-                    for s in scenario.signals
-                    if s.signal_id != "B"
-                ),
-            )
-            enabled = [s.signal_id for s in sub.signals]
+        sig = scenario.signal(sid)
+        sub = replace(scenario, signals=(sig,)) if sig.delayed else alt
+        enabled = _enabled_signals(sub)
         sub_sig = sub.signal(sid)
         gate = DELTA_T2 if sub_sig.delayed else DELTA_T1
         offset = sub_sig.offset_ps(vcfg)
@@ -670,12 +667,13 @@ def _run_phase_er(scenario: Scenario) -> RunResult:
                 histograms[f"g{g}_{sid}_{label}"] = det.histogram(vcfg)
             run_tag += 1
         c0 = 0.5 * (counts["delay"] + counts["direct"])
-        er_by_group[g] = analysis.extinction_ratio_db(c0, counts["none"])
-        p_phi_by_group[g] = counts["none"] / (2.0 * c0)
-    finite = [v for v in er_by_group.values() if math.isfinite(v)]
+        # no blocked-arm counts: no reference, so no estimate
+        er_by_group[g] = analysis.extinction_ratio_db(c0, counts["none"]) if c0 else None
+        p_phi_by_group[g] = counts["none"] / (2.0 * c0) if c0 else None
+    ers = [v for v in er_by_group.values() if v is not None]
+    finite = [v for v in ers if math.isfinite(v)]
     # every ER infinite (ideal interferometer, no floor): extinction is total
-    er_mean = sum(finite) / len(finite) if finite else math.inf
-    collected_by = {g: sid for g, sid in plans}
+    er_mean = sum(finite) / len(finite) if finite else math.inf if ers else None
     report = analysis.MetricsReport(
         experiment="phase_er",
         seed=vcfg.seed,
@@ -688,7 +686,7 @@ def _run_phase_er(scenario: Scenario) -> RunResult:
     return RunResult(
         report=report,
         histograms=histograms,
-        er_by_group={g: (collected_by[g], er_by_group[g]) for g in sorted(er_by_group)},
+        er_by_group={g: (sid, er_by_group[g]) for g, sid in sorted(plans)},
     )
 
 
@@ -722,11 +720,7 @@ def _run_phase_sweep(scenario: Scenario) -> RunResult:
             pts.append((exp.phi_a + phi_b, c))
             points_out.append((sid, exp.phi_a + phi_b, c))
         fit = analysis.fit_visibility(pts)
-        fits[sid] = {
-            "i0": fit.i0,
-            "visibility": fit.visibility,
-            "residual": fit.residual,
-        }
+        fits[sid] = None if fit is None else asdict(fit)
     report = analysis.MetricsReport(
         experiment="phase_sweep",
         seed=vcfg.seed,

@@ -16,7 +16,6 @@ self-interference across its own pulse train survives.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -38,21 +37,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Histogram:
-    """Binned detection counts over one frame period."""
+    """Binned detection counts over one frame period, for export; every
+    window count is taken on the exact timestamps instead."""
 
     bins: np.ndarray
     n_frames: int
     hist_res_ps: int
-
-    @property
-    def total(self) -> int:
-        return int(self.bins.sum())
-
-    def counts_between(self, lo_ps: int, hi_ps: int) -> int:
-        """Counts with bin start in [lo_ps, hi_ps)."""
-        lo = math.ceil(lo_ps / self.hist_res_ps)
-        hi = math.ceil(hi_ps / self.hist_res_ps)
-        return int(self.bins[lo:hi].sum())
 
 
 def gate_mask(t_within: np.ndarray, gate: str, frame_window_ps: int) -> np.ndarray:

@@ -1,7 +1,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,20 +18,6 @@ from sdmqsim.analysis import (
     snr_db,
     tomography,
 )
-from sdmqsim.config import SimConfig, validate_config
-from sdmqsim.receiver import Histogram
-
-
-@pytest.fixture(scope="module")
-def cfg():
-    return validate_config(SimConfig())
-
-
-def _hist(cfg, fill):
-    bins = np.zeros(cfg.n_bins, dtype=np.int64)
-    for lo_ps, hi_ps, per_bin in fill:
-        bins[lo_ps // 25 : hi_ps // 25] = per_bin
-    return Histogram(bins=bins, n_frames=1, hist_res_ps=25)
 
 
 class TestCountsPerSecond:
@@ -78,40 +63,28 @@ class TestCrosstalkDb:
 
 
 class TestSnrDb:
-    def test_floor_equals_signal_zero_db(self, cfg):
+    W, TP = 100_000, 1540
+
+    def test_floor_equals_signal_zero_db(self):
         # slot 0 holds 10000 counts; the remaining 98460 ps hold 9846 counts,
         # i.e. exactly 10000 when rescaled to the full 100 ns window
-        bins = np.zeros(cfg.n_bins, dtype=np.int64)
-        slot_bins = 1540 // 25  # bins fully inside slot 0 (ceil boundary excluded)
-        bins[:slot_bins] = 10_000 // slot_bins  # not exact; use direct fill
-        bins[:] = 0
-        bins[0] = 10_000
-        floor_bins = np.arange(math.ceil(1540 / 25), 100_000 // 25)
-        per = 9846 // len(floor_bins)
-        rem = 9846 - per * len(floor_bins)
-        bins[floor_bins] = per
-        bins[floor_bins[:rem]] += 1
-        hist = Histogram(bins=bins, n_frames=1, hist_res_ps=25)
-        res = snr_db(hist, 0, cfg)
-        assert res.snr_db == pytest.approx(0.0, abs=0.01)
+        assert snr_db(10_000, 9846, self.W - self.TP, self.W) == pytest.approx(0.0, abs=1e-12)
 
-    def test_infinite_when_no_floor(self, cfg):
-        bins = np.zeros(cfg.n_bins, dtype=np.int64)
-        bins[62] = 100  # inside slot 1
-        hist = Histogram(bins=bins, n_frames=1, hist_res_ps=25)
-        res = snr_db(hist, 1, cfg)
-        assert res.snr_db == math.inf
-        assert res.p_snr == 0.0
+    def test_infinite_when_no_floor(self):
+        snr = snr_db(100, 0, self.W - self.TP, self.W)
+        assert snr == math.inf
+        assert prob_from_db(snr) == 0.0
 
-    def test_exclude_slots_removes_foreign_pulse(self, cfg):
-        bins = np.zeros(cfg.n_bins, dtype=np.int64)
-        bins[62] = 1000  # slot 1 signal
-        bins[1232] = 500  # foreign pulse at slot 20
-        hist = Histogram(bins=bins, n_frames=1, hist_res_ps=25)
-        with_foreign = snr_db(hist, 1, cfg)
-        cleaned = snr_db(hist, 1, cfg, exclude_slots=(20,))
-        assert with_foreign.snr_db < math.inf
-        assert cleaned.snr_db == math.inf
+    def test_exclude_slots_removes_foreign_pulse(self):
+        # 1000 counts in the pulse slot and a foreign pulse of 500 in
+        # another slot: left in the floor it caps the SNR, excluded with its
+        # slot's width the floor is empty
+        with_foreign = snr_db(1000, 500, self.W - self.TP, self.W)
+        cleaned = snr_db(1000, 0, self.W - 2 * self.TP, self.W)
+        assert with_foreign == pytest.approx(
+            10 * math.log10(1000 / (500 * self.W / (self.W - self.TP)))
+        )
+        assert cleaned == math.inf
 
 
 class TestExtinctionRatio:
@@ -153,6 +126,11 @@ class TestFitVisibility:
         phases = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
         fit = fit_visibility(self._points(10.0, 1.5, phases))
         assert fit.visibility == 1.0
+
+    def test_no_positive_mean_gives_none(self):
+        # background-subtracted counts of a few frames can average below 0
+        phases = [k * math.pi / 4 for k in range(8)]
+        assert fit_visibility([(p, -1.0 if p < 1 else 0.0) for p in phases]) is None
 
     def test_degenerate_phases_rejected(self):
         with pytest.raises(ValueError, match="distinct"):

@@ -300,6 +300,36 @@ class TestOnePathCrossCheck:
         self._check(det, edges, [f + x for f, x in zip(floor, pulses)])
 
 
+class TestExactWindows:
+    def test_snr_from_exact_timestamp_windows(self):
+        # at mu_in = 1000 slot edges at k * 1540 ps, off the 25 ps histogram
+        # grid, hold enough clicks that a binned count would differ
+        sc = load_scenario(SCENARIOS / "timebin_b.ini").with_overrides(n_frames=20_000)
+        sc = replace(sc, cfg=replace(sc.cfg, mu_in=1000.0))
+        vcfg, ch, exp = sc.validated(), build_channel(sc), sc.experiment
+        report = run_scenario(sc).report
+        tp, w = vcfg.pulse_period_ps, vcfg.frame_window_ps
+        enabled = [s.signal_id for s in sc.signals]
+        for det_idx, (sid, groups) in enumerate(sorted(exp.collections.items())):
+            det = _simulate_timebin_detector(
+                sc, vcfg, ch, det_idx, groups, exp.gates[sid], enabled, exp.n_frames
+            )
+            t = det.t_within
+            sig = sc.signal(sid)
+            off = sig.offset_ps(vcfg)
+            slots = [sig.fixed_slot] + [
+                o.fixed_slot for o in sc.signals
+                if o is not sig and o.offset_ps(vcfg) == off
+            ]
+            in_slot = [np.count_nonzero((t >= off + k * tp) & (t < off + (k + 1) * tp))
+                       for k in slots]
+            half = np.count_nonzero((t >= off) & (t < off + w))
+            floor = (half - sum(in_slot)) * w / (w - len(slots) * tp)
+            assert report.snr_db_per_signal[sid] == pytest.approx(
+                10 * math.log10(in_slot[0] / floor), rel=1e-12, abs=0
+            ), sid
+
+
 class TestBb84KeyRate:
     """The reported key rate is the finite-key bound at the simulated QBER."""
 

@@ -397,18 +397,18 @@ class TestInterfere:
 class TestHistogram:
     def test_empty_records(self, cfg):
         hist = histogram_from_times(np.zeros(0, dtype=np.int64), cfg, n_frames=10)
-        assert hist.total == 0
+        assert hist.bins.sum() == 0
         assert len(hist.bins) == 8000
 
     def test_bin_index(self, cfg):
         hist = histogram_from_times(np.array([38_500]), cfg, 1)
         assert hist.bins[1540] == 1
-        assert hist.total == 1
+        assert hist.bins.sum() == 1
 
     def test_count_conservation(self, cfg):
         gen = RandomSource(3).generator()
         hist = histogram_from_times(gen.integers(0, 200_000, size=5000), cfg, 1)
-        assert hist.total == 5000
+        assert hist.bins.sum() == 5000
         assert len(hist.bins) == 8000
 
     def test_export_format(self, cfg, tmp_path):

@@ -151,7 +151,8 @@ class TestCliRun:
     def test_saturated_timebin_report_bytes(self, tmp_path):
         # timebin_b at mu_in = 1000 puts 3-7 gated clicks a frame into every
         # detector, so each takes the first-click veto; the report's bytes
-        # were pinned on the time-sort veto that the branch replaces
+        # are those of the time-sort veto that the branch replaces, with the
+        # SNR counted on exact timestamp windows
         derived = tmp_path / "timebin_b_saturated.ini"
         text = (SCENARIOS / "timebin_b.ini").read_text()
         assert "\nmu_in = 2.5\n" in text
@@ -159,7 +160,7 @@ class TestCliRun:
         out = tmp_path / "o"
         assert main(["run", str(derived), "--frames", "20000", "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
-        assert digest == "1c00f5f9bfdec994c862f9f692e4c7c03033bfc885bbe1216c76c9e93b3d2577"
+        assert digest == "2ad4d3c2aada9e9c82efc94f9087ae310c79d74b14de08171d6afc8ba087c2b7"
 
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SDMQSIM_OUT", str(tmp_path / "envout"))
@@ -264,6 +265,47 @@ class TestCliRun:
         assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
         assert "gates" in capsys.readouterr().err
 
+    # the runners take each signal's role from `delayed`, so an id is only
+    # a name: renaming one changes nothing but the keys built from it
+    @pytest.mark.parametrize(
+        "name,old,new",
+        [("timebin_b", "B", "B2"), ("phase_er", "B", "B2"), ("timebin_xt", "A", "A2")],
+    )
+    def test_signal_rename_keeps_report(self, name, old, new, tmp_path):
+        text = (SCENARIOS / f"{name}.ini").read_text()
+        renamed = text.replace(f"[signal.{old}]", f"[signal.{new}]").replace(
+            f" {old}:", f" {new}:")
+        assert renamed.count(new) == text.count(f" {old}:") + 1 >= 2
+        derived = tmp_path / f"{name}.ini"
+        derived.write_text(renamed)
+        assert main(["run", str(derived), "--out", str(tmp_path / "o")]) == 0
+        report = (tmp_path / "o" / "report.json").read_text()
+        golden = (REPO / "out" / name / "report.json").read_text()
+        assert report.replace(new, old) == golden
+
+    # timebin_B reads crosstalk on its one delayed signal's collection, and
+    # timebin_xt compares one delayed signal with one undelayed signal
+    @pytest.mark.parametrize(
+        "name,old,new",
+        [
+            pytest.param("timebin_b", "delayed = true", "delayed = false", id="b-none"),
+            pytest.param("timebin_b", "delayed = false", "delayed = true", id="b-two"),
+            pytest.param("timebin_b", "B:2+3 ", "", id="b-uncollected"),
+            pytest.param("timebin_xt", "delayed = true ", "delayed = false", id="xt-none"),
+            pytest.param("timebin_xt", "delayed = false", "delayed = true", id="xt-two"),
+            pytest.param("timebin_xt", "[experiment]",
+                         "[signal.B]\ninput_group = 3\nfixed_slot = 1\n\n[experiment]",
+                         id="xt-third"),
+        ],
+    )
+    def test_ambiguous_delay_roles_exit_2(self, name, old, new, tmp_path, capsys):
+        text = (SCENARIOS / f"{name}.ini").read_text()
+        assert old in text
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace(old, new, 1))
+        assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
+        assert "delayed" in capsys.readouterr().err
+
     def test_phase_er_every_er_infinite_exits_0(self, tmp_path):
         # an ideal interferometer with no floor extinguishes every group
         text = (SCENARIOS / "phase_er.ini").read_text()
@@ -278,6 +320,26 @@ class TestCliRun:
         assert set(report["er_db_per_group"].values()) == {"eliminated"}
         assert report["er_db_mean"] == "eliminated"
         assert report["p_phi"] == 0.0
+
+
+class TestPoissonNoise:
+    """A short run estimates what its counts allow and reports null for the
+    rest: a ratio whose windows are empty, a fit with no fringe, a mean of
+    +inf and -inf.  Poisson noise alone never makes a run exit 3."""
+
+    # seeds 4 (at 10 frames) and 26 (at 200) once averaged +inf and -inf
+    # per-signal SNRs into NaN
+    SEEDS = [*range(8), 26]
+
+    @pytest.mark.parametrize("frames", [1, 10, 200])
+    @pytest.mark.parametrize("name", CANNED)
+    def test_short_run_exits_0_without_nan(self, name, frames, tmp_path):
+        for seed in self.SEEDS:
+            out = tmp_path / str(seed)
+            rc = main(["run", str(SCENARIOS / f"{name}.ini"), "--frames", str(frames),
+                       "--seed", str(seed), "--out", str(out)])
+            assert rc == 0, seed
+            assert '"nan"' not in (out / "report.json").read_text(), seed
 
 
 class TestCliSweep:
