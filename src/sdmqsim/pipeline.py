@@ -29,6 +29,11 @@ Every detector is drawn by the one sampler ``_simulate_detector``; the
 time-bin, phase and BB84 runners only describe each signal's components:
 mean clicks per frame, taken from the channel and (for phase frames) from
 ``receiver.delay_interferometer_rates``, and where those clicks land.
+A ``dt1``/``dt2`` detector with the dead time nested in the blank half
+keeps each frame's first gated click (see receiver).  From
+``FIRST_CLICK_DENSITY`` expected clicks a frame, each piece is gated and
+folded into a per-batch minimum over frames as it is drawn, so no event
+array outlives its piece; other detectors are sorted and walked.
 """
 from __future__ import annotations
 
@@ -193,6 +198,36 @@ def _jittered(gen, t, vcfg) -> np.ndarray:
     return t
 
 
+def _batch_pieces(root, key, components, b0, nb):
+    """Yield ``(sig_pos, frames, t)`` for each piece of frames ``b0 .. b0+nb``:
+    stream ``(*key, s, batch)`` draws signal ``s``'s components in list
+    order, the frames (sorted) and then their within-frame times."""
+    for sig_pos, comps in enumerate(components):
+        gen = root.stream(*key, sig_pos, b0 // BATCH).generator()
+        for lam, place in comps:
+            if isinstance(lam, tuple):
+                table, cls = lam
+                lam = table[cls[b0:b0 + nb]]
+            frames = b0 + _poisson_frames(gen, lam, nb)
+            if len(frames):
+                yield sig_pos, frames, place(gen, frames)
+
+
+def _first_gated_clicks(pieces, b0, nb, n_sig, gate, vcfg):
+    """``(frames, t, origin)`` of each of frames ``b0 .. b0+nb``'s first gated
+    click over the ``(sig_pos, frames, t)`` pieces, in frame order: a minimum
+    of ``t * n_sig + sig_pos`` per frame, so equal times keep the lower
+    signal, as the stable time sort over pieces in signal order does."""
+    top = vcfg.frame_period_ps * n_sig  # above every key, since t < P
+    best = np.full(nb, top)
+    for sig_pos, frames, t in pieces:
+        keep = gate_mask(t, gate, vcfg.frame_window_ps)
+        np.minimum.at(best, frames[keep] - b0, t[keep] * n_sig + sig_pos)
+    frames = np.flatnonzero(best < top)
+    t, origin = np.divmod(best[frames], n_sig)
+    return b0 + frames, t, origin.astype(np.int8)
+
+
 def _simulate_detector(
     name: str,
     key: tuple,
@@ -208,27 +243,43 @@ def _simulate_detector(
     mean clicks per frame (a scalar, or a ``(table, cls)`` pair giving frame
     ``i`` the rate ``table[cls[i]]``, gathered one batch at a time) and
     ``place(gen, frames)`` the within-frame times of clicks in those
-    frames.  Stream ``(*key, s, batch)`` draws each component's frames,
-    then places them, in list order.
+    frames.  Each batch of ``_batch_pieces`` is folded to its first gated
+    clicks (see the module docstring) or held for ``_finish_detector``.
     """
     root = RandomSource(vcfg.seed)
-    pieces_t, pieces_f, pieces_o = [], [], []
-    for sig_pos, comps in enumerate(components):
-        for b0 in range(0, n_frames, BATCH):
-            nb = min(BATCH, n_frames - b0)
-            gen = root.stream(*key, sig_pos, b0 // BATCH).generator()
-            for lam, place in comps:
-                if isinstance(lam, tuple):
-                    table, cls = lam
-                    lam = table[cls[b0:b0 + nb]]
-                frames = b0 + _poisson_frames(gen, lam, nb)
-                if len(frames):
-                    pieces_t.append(place(gen, frames))
-                    pieces_f.append(frames)
-                    pieces_o.append(np.full(len(frames), sig_pos, dtype=np.int8))
-    return _finish_detector(
-        name, pieces_t, pieces_f, pieces_o, origins, vcfg, gate, n_frames
-    )
+    window, tau = vcfg.frame_window_ps, vcfg.dead_time_ps
+    expected = sum(lam[0].max() if isinstance(lam, tuple) else lam
+                   for comps in components for lam, _ in comps)
+    fold = (gate != "always" and window <= tau <= window + 1
+            and expected >= FIRST_CLICK_DENSITY)
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+              np.zeros(0, dtype=np.int8))]
+    for b0 in range(0, n_frames, BATCH):
+        nb = min(BATCH, n_frames - b0)
+        pieces = _batch_pieces(root, key, components, b0, nb)
+        if fold:
+            parts.append(_first_gated_clicks(pieces, b0, nb, len(components), gate, vcfg))
+        else:
+            parts += [(fr, t, np.full(len(fr), s, dtype=np.int8)) for s, fr, t in pieces]
+    fr, t, origin = (np.concatenate(column) for column in zip(*parts))
+    del parts  # the sort below holds each event once, not twice
+    if not fold:
+        fr, t, origin = _finish_detector(fr, t, origin, vcfg, gate)
+    return DetectorResult(name=name, t_within=t, frame_idx=fr, origin=origin,
+                          origins=origins, n_frames=n_frames)
+
+
+def _finish_detector(fr, t, origin, vcfg, gate) -> tuple:
+    """Gate, stable time sort and dead-time walk of a detector's events:
+    the ``(frames, t, origin)`` of its clicks, in time order."""
+    # gate first: the mask reads only t_within, and the stable sort keeps
+    # the survivors' relative order, so sorting fewer events changes nothing
+    keep = gate_mask(t, gate, vcfg.frame_window_ps)
+    fr, t, origin = fr[keep], t[keep], origin[keep]
+    t_abs = fr * vcfg.frame_period_ps + t
+    order = np.argsort(t_abs, kind="stable")
+    order = order[dead_time_mask(t_abs[order], vcfg.dead_time_ps)]
+    return fr[order], t[order], origin[order]
 
 
 def _timebin_components(vcfg, lam, f, offset, slot) -> tuple:
@@ -273,42 +324,6 @@ def _simulate_timebin_detector(
 
     return _simulate_collection(scenario, vcfg, channel, (ROLE_PHOTONS, det_idx), "",
                                 groups, gate, enabled, n_frames, place)
-
-
-def _finish_detector(name, pieces_t, pieces_f, pieces_o, origins, vcfg, gate, n_frames):
-    if pieces_t:
-        t = np.concatenate(pieces_t)
-        fr = np.concatenate(pieces_f).astype(np.int64, copy=False)
-        orig = np.concatenate(pieces_o)
-    else:
-        t = np.zeros(0, dtype=np.int64)
-        fr = np.zeros(0, dtype=np.int64)
-        orig = np.zeros(0, dtype=np.int8)
-    # gate first: the mask reads only t_within, and the stable sort keeps
-    # the survivors' relative order, so sorting fewer events changes nothing
-    window, tau = vcfg.frame_window_ps, vcfg.dead_time_ps
-    keep = gate_mask(t, gate, window)
-    t, fr, orig = t[keep], fr[keep], orig[keep]
-    # a dead time nested in the blank half keeps each frame's first gated
-    # click (see receiver); its per-frame array pays off on dense detectors
-    if gate != "always" and window <= tau <= window + 1 and (
-        len(t) >= FIRST_CLICK_DENSITY * n_frames
-    ):
-        kept = np.flatnonzero(dead_time_mask(t, tau, fr))
-        # to frame order; the stable sort (timsort) merges the pieces' runs
-        order = kept[np.argsort(fr[kept], kind="stable")]
-    else:
-        t_abs = fr * vcfg.frame_period_ps + t
-        order = np.argsort(t_abs, kind="stable")
-        order = order[dead_time_mask(t_abs[order], tau)]
-    return DetectorResult(
-        name=name,
-        t_within=t[order],
-        frame_idx=fr[order],
-        origin=orig[order],
-        origins=origins,
-        n_frames=n_frames,
-    )
 
 
 def _phase_components(vcfg, rates, port, arm, offset) -> tuple:
@@ -441,6 +456,16 @@ def _analytic_group_rates(scenario, vcfg, channel) -> dict:
     return rates
 
 
+def _mean_db(values) -> float | None:
+    """Mean of the finite dB estimates among ``values``.  With none finite,
+    +inf when every estimate is +inf (total suppression), else None."""
+    est = [v for v in values if v is not None]
+    finite = [v for v in est if math.isfinite(v)]
+    if finite:
+        return sum(finite) / len(finite)
+    return math.inf if est and all(v == math.inf for v in est) else None
+
+
 def _run_timebin(scenario: Scenario) -> RunResult:
     vcfg = scenario.validated()
     channel = build_channel(scenario)
@@ -511,11 +536,7 @@ def _run_timebin(scenario: Scenario) -> RunResult:
                 det.counts_in(window, vcfg.frame_period_ps, o.signal_id) for o in early
             )
 
-    # +inf and -inf signals average to no estimate
-    snrs = [v for v in snr_by_signal.values() if v is not None]
-    snr_mean = (
-        sum(snrs) / len(snrs) if snrs and not {math.inf, -math.inf} <= set(snrs) else None
-    )
+    snr_mean = _mean_db(snr_by_signal.values())
     finite_xt = [abs(v) for v in xt_db.values() if v is not None and math.isfinite(v)]
     p_xt = analysis.prob_from_db(min(finite_xt, default=None))
     report = analysis.MetricsReport(
@@ -636,10 +657,7 @@ def _run_phase_er(scenario: Scenario) -> RunResult:
     n = exp.n_frames
     phi_total = exp.phi_a + exp.phi_b
 
-    plans = []
-    for sid, groups in sorted(exp.collections.items()):
-        for g in groups:
-            plans.append((g, sid))
+    plans = [(g, sid) for sid, groups in sorted(exp.collections.items()) for g in groups]
     er_by_group = {}
     p_phi_by_group = {}
     histograms = {}
@@ -669,11 +687,10 @@ def _run_phase_er(scenario: Scenario) -> RunResult:
         c0 = 0.5 * (counts["delay"] + counts["direct"])
         # no blocked-arm counts: no reference, so no estimate
         er_by_group[g] = analysis.extinction_ratio_db(c0, counts["none"]) if c0 else None
-        p_phi_by_group[g] = counts["none"] / (2.0 * c0) if c0 else None
-    ers = [v for v in er_by_group.values() if v is not None]
-    finite = [v for v in ers if math.isfinite(v)]
-    # every ER infinite (ideal interferometer, no floor): extinction is total
-    er_mean = sum(finite) / len(finite) if finite else math.inf if ers else None
+        # an ER below 0 dB has no probability, as in prob_from_db
+        p_phi_by_group[g] = (counts["none"] / (2.0 * c0)
+                             if c0 and counts["none"] <= 2.0 * c0 else None)
+    er_mean = _mean_db(er_by_group.values())
     report = analysis.MetricsReport(
         experiment="phase_er",
         seed=vcfg.seed,

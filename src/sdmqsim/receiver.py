@@ -7,7 +7,8 @@ does not extend it), matching gated detector behaviour.  Under a ``dt1`` or
 period ``P = 2W`` (``W <= tau <= W + 1``), the veto keeps exactly each
 frame's first gated click: ``tau >= W`` covers the rest of the gate, and
 ``tau <= W + 1`` ends before the next frame's gate opens.  The pipeline
-then hands ``dead_time_mask`` the frame indices of dense detectors.
+folds a dense detector's clicks to that first click one batch at a time,
+as they are drawn, and never calls ``dead_time_mask`` for it.
 
 Interference is computed at intensity level with a hardware visibility
 cap: the channel randomizes inter-signal phases, so only each photon's
@@ -54,9 +55,7 @@ def gate_mask(t_within: np.ndarray, gate: str, frame_window_ps: int) -> np.ndarr
     return t_within >= frame_window_ps
 
 
-def dead_time_mask(
-    t: np.ndarray, dead_time_ps: int, frame_idx: np.ndarray | None = None
-) -> np.ndarray:
+def dead_time_mask(t: np.ndarray, dead_time_ps: int) -> np.ndarray:
     """Non-paralyzable dead-time veto: the keep mask over the events ``t``.
 
     ``t`` holds time-sorted absolute timestamps.  An event is kept when it
@@ -69,25 +68,9 @@ def dead_time_mask(
     after its start still falls inside it; only those clusters are walked,
     jumping from kept event to kept event by binary search, so vetoed
     events are never visited.
-
-    With ``frame_idx``, ``t`` holds within-frame times of clicks gated to
-    one half-frame, in any order, under a dead time nested in the blank half
-    (see the module docstring): each frame's earliest click is kept, the
-    first in input order on equal times, by one segmented minimum of the
-    key ``t * n + position`` over the frames, with no sort.
     """
     t = np.asarray(t)
     n = len(t)
-    if frame_idx is not None:
-        keep = np.zeros(n, dtype=bool)
-        if n:
-            top = np.iinfo(np.int64).max
-            # exact while every key t * n + position fits in 63 bits
-            assert int(t.max()) < top // n, "first-click key overflows int64"
-            best = np.full(int(frame_idx.max()) + 1, top)
-            np.minimum.at(best, frame_idx, t.astype(np.int64, copy=False) * n + np.arange(n))
-            keep[best[best != top] % n] = True
-        return keep
     keep = np.ones(n, dtype=bool)
     if dead_time_ps <= 0 or n == 0:
         return keep

@@ -5,10 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sdmqsim import pipeline
 from sdmqsim.config import ConfigError, RandomSource, SignalAssignment, SimConfig
 from sdmqsim.pipeline import (
+    BATCH,
     DetectorResult,
     _gated_phase_counts,
+    _mean_db,
     _poisson_frames,
     _simulate_phase_detector,
     _simulate_timebin_detector,
@@ -328,6 +331,67 @@ class TestExactWindows:
             assert report.snr_db_per_signal[sid] == pytest.approx(
                 10 * math.log10(in_slot[0] / floor), rel=1e-12, abs=0
             ), sid
+
+
+class TestMeanDb:
+    @pytest.mark.parametrize("values,mean", [
+        ([1.0, math.inf, 3.0, None, -math.inf], 2.0),  # finite estimates only
+        ([math.inf, None, math.inf], math.inf),  # total suppression
+        ([math.inf, -math.inf], None),
+        ([-math.inf], None),
+        ([None], None),
+        ([], None),
+    ])
+    def test_rule(self, values, mean):
+        assert _mean_db(values) == mean
+
+
+class TestFoldAcrossBatches:
+    """The folded first-click veto gives the sort-and-walk veto's clicks on
+    every batch, the partial last one included."""
+
+    N = 2 * BATCH + 123
+
+    @staticmethod
+    def _detectors(monkeypatch, sc, density):
+        """Every detector that running ``sc`` draws, with the fold switch at
+        ``density``, and the number of batches folded."""
+        sim, fold = pipeline._simulate_detector, pipeline._first_gated_clicks
+        dets, folded = [], []
+        monkeypatch.setattr(pipeline, "FIRST_CLICK_DENSITY", density)
+        monkeypatch.setattr(pipeline, "_simulate_detector",
+                            lambda *a: dets.append(sim(*a)) or dets[-1])
+        monkeypatch.setattr(pipeline, "_first_gated_clicks",
+                            lambda *a: folded.append(1) or fold(*a))
+        run_scenario(sc)
+        monkeypatch.undo()
+        return dets, len(folded)
+
+    def _check(self, monkeypatch, sc, density):
+        got, folded = self._detectors(monkeypatch, sc, density)
+        ref, unfolded = self._detectors(monkeypatch, sc, math.inf)
+        assert unfolded == 0 and folded == 3 * len(got)
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert np.unique(a.frame_idx // BATCH).tolist() == [0, 1, 2]
+            for field in ("t_within", "frame_idx", "origin"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+            assert a.t_within.dtype == b.t_within.dtype
+            assert a.frame_idx.dtype == b.frame_idx.dtype
+            assert a.origin.dtype == b.origin.dtype
+
+    def test_saturated_timebin(self, monkeypatch):
+        # mu_in = 1000 is dense enough that the default switch folds
+        sc = load_scenario(SCENARIOS / "timebin_b.ini").with_overrides(n_frames=self.N)
+        sc = replace(sc, cfg=replace(sc.cfg, mu_in=1000.0))
+        self._check(monkeypatch, sc, pipeline.FIRST_CLICK_DENSITY)
+
+    def test_bb84_ports_forced_dense(self, monkeypatch):
+        # Bob's ports take per-frame (table, cls) rates; at mu_in = 10 each
+        # expects ~0.21 clicks a frame, below the switch, so the fold is forced
+        sc = load_scenario(SCENARIOS / "bb84.ini").with_overrides(n_frames=self.N)
+        sc = replace(sc, cfg=replace(sc.cfg, mu_in=10.0))
+        self._check(monkeypatch, sc, 0.0)
 
 
 class TestBb84KeyRate:

@@ -7,7 +7,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from sdmqsim.config import ConfigError, RandomSource, SimConfig, validate_config
 from sdmqsim import pipeline
-from sdmqsim.pipeline import FIRST_CLICK_DENSITY, _finish_detector, _simulate_detector
+from sdmqsim.pipeline import (
+    FIRST_CLICK_DENSITY,
+    DetectorResult,
+    _finish_detector,
+    _first_gated_clicks,
+    _simulate_detector,
+)
 from sdmqsim.receiver import (
     Histogram,
     dead_time_mask,
@@ -28,9 +34,8 @@ def _detect(times, cfg, gate="always"):
     """Gate and dead-time veto one detector's photons, all in frame 0."""
     t = np.asarray(times, dtype=np.int64)
     zeros = np.zeros(len(t), dtype=np.int64)
-    return _finish_detector(
-        "D_T", [t], [zeros], [zeros.astype(np.int8)], ("A",), cfg, gate, 1
-    )
+    fr, t, origin = _finish_detector(zeros, t, zeros.astype(np.int8), cfg, gate)
+    return DetectorResult("D_T", t, fr, origin, ("A",), 1)
 
 
 def _uniform_in_gate(lam, cfg):
@@ -214,20 +219,26 @@ _PIECES = st.lists(
 
 
 class TestFirstClickVeto:
-    """The first-click branch of ``_finish_detector`` against the stable
-    time sort and the ``dead_time_mask`` walk it replaces."""
+    """``_first_gated_clicks``, the fold of dense ``dt1``/``dt2`` detectors,
+    against the stable time sort and the ``dead_time_mask`` walk that
+    ``_finish_detector`` runs on the others."""
 
     @staticmethod
-    def _run(pieces, cfg, gate, n_frames):
-        """``_finish_detector`` on copies of the pieces, and whether it took
-        the first-click branch."""
-        with mock.patch.object(pipeline, "dead_time_mask", wraps=dead_time_mask) as spy:
-            det = _finish_detector(
-                "D", *[[a.copy() for a in part] for part in pieces], ("o",) * 5,
-                cfg, gate, n_frames,
-            )
-        (call,) = spy.call_args_list
-        return det, len(call.args) == 3
+    def _fold(pieces, cfg, gate, n_frames):
+        """Fold copies of the pieces, in signal order as the sampler emits
+        them (piece ``k`` is signal ``k``), to ``(t, frames, origin)``."""
+        ts, fs, _ = pieces
+        frames, t, origin = _first_gated_clicks(
+            ((k, f.copy(), t.copy()) for k, (t, f) in enumerate(zip(ts, fs))),
+            0, n_frames, len(ts), gate, cfg,
+        )
+        return t, frames, origin
+
+    @staticmethod
+    def _sort_and_walk(pieces, cfg, gate):
+        t, fr, orig = (np.concatenate(part) for part in pieces)
+        fr, t, orig = _finish_detector(fr, t, orig, cfg, gate)
+        return t, fr, orig
 
     @staticmethod
     def _reference(pieces, cfg, gate, walk):
@@ -240,10 +251,19 @@ class TestFirstClickVeto:
         order = order[walk(t_abs[order], cfg.dead_time_ps)]
         return t[order], fr[order], orig[order]
 
-    def _check(self, det, ref):
-        np.testing.assert_array_equal(det.t_within, ref[0])
-        np.testing.assert_array_equal(det.frame_idx, ref[1])
-        np.testing.assert_array_equal(det.origin, ref[2])
+    @staticmethod
+    def _folds(cfg, gate, lam):
+        """Whether ``_simulate_detector`` folds a detector expecting ``lam``
+        clicks a frame, uniform over the first half-frame."""
+        with mock.patch.object(
+            pipeline, "_first_gated_clicks", wraps=pipeline._first_gated_clicks
+        ) as spy:
+            _simulate_detector("D", (2,), _uniform_in_gate(lam, cfg), ("o",), cfg, gate, 8)
+        return spy.called
+
+    def _check(self, got, ref):
+        for a, b in zip(got, ref, strict=True):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("gate", ["dt1", "dt2"])
     @pytest.mark.parametrize("tau", [W, W + 1])
@@ -255,14 +275,11 @@ class TestFirstClickVeto:
                    [(1, W - 1), (2, W)]])
     def test_first_click_matches_sort_and_walk(self, gate, tau, draw):
         cfg = validate_config(SimConfig(dead_time_ps=tau))
+        assert self._folds(cfg, gate, 1.0)
         pieces = _pieces(draw)
-        n_frames = 6
-        gated = sum(int(gate_mask(t, gate, W).sum()) for t in pieces[0])
-        assume(gated >= FIRST_CLICK_DENSITY * n_frames)
-        det, first_click = self._run(pieces, cfg, gate, n_frames)
-        assert first_click
-        self._check(det, self._reference(pieces, cfg, gate, dead_time_mask))
-        self._check(det, self._reference(
+        got = self._fold(pieces, cfg, gate, 6)
+        self._check(got, self._reference(pieces, cfg, gate, dead_time_mask))
+        self._check(got, self._reference(
             pieces, cfg, gate, lambda t, td: _greedy_dead_time(t.tolist(), td)))
 
     @pytest.mark.parametrize(
@@ -274,29 +291,28 @@ class TestFirstClickVeto:
     @given(draw=_PIECES)
     def test_general_path_otherwise(self, gate, tau, draw):
         # a dead time shorter than the gate, one reaching the next frame's
-        # gate, or an ungated detector: the first-click rule does not hold
+        # gate, or an ungated detector: the first-click rule does not hold,
+        # so even a dense detector is not folded
         cfg = validate_config(SimConfig(dead_time_ps=tau))
+        assert not self._folds(cfg, gate, 1.0)
         pieces = _pieces(draw)
-        det, first_click = self._run(pieces, cfg, gate, 6)
-        assert not first_click
-        self._check(det, self._reference(
+        self._check(self._sort_and_walk(pieces, cfg, gate), self._reference(
             pieces, cfg, gate, lambda t, td: _greedy_dead_time(t.tolist(), td)))
 
     def test_sparse_detector_takes_general_path(self, cfg):
-        # two gated clicks in 16 frames are below the crossover density
+        # the switch reads the expected clicks a frame, before any draw
+        assert not self._folds(cfg, "dt1", FIRST_CLICK_DENSITY / 2)
+        assert self._folds(cfg, "dt1", FIRST_CLICK_DENSITY)
         pieces = _pieces([[(3, 10), (3, 20)]])
-        det, first_click = self._run(pieces, cfg, "dt1", 16)
-        assert not first_click
-        assert det.t_within.tolist() == [10]
+        assert self._sort_and_walk(pieces, cfg, "dt1")[0].tolist() == [10]
 
-    def test_key_exact_at_its_width(self):
-        # two events in one frame at the largest time the key holds for n = 2
-        top = np.iinfo(np.int64).max
-        t = np.array([top // 2 - 1, top // 2 - 1], dtype=np.int64)
-        frames = np.zeros(2, dtype=np.int64)
-        assert dead_time_mask(t, W, frames).tolist() == [True, False]
-        with pytest.raises(AssertionError, match="overflows"):
-            dead_time_mask(t + 1, W, frames)
+    def test_equal_times_keep_lower_signal(self, cfg):
+        # frame 0: signals 1 and 2 tie at 500 ps ahead of signal 0; frame 1:
+        # signals 0 and 2 tie on the gate's last picosecond
+        pieces = _pieces([[(0, 900), (1, W - 1)], [(0, 500)], [(0, 500), (1, W - 1)]])
+        got = self._fold(pieces, cfg, "dt1", 2)
+        assert [a.tolist() for a in got] == [[500, W - 1], [0, 1], [1, 0]]
+        self._check(got, self._sort_and_walk(pieces, cfg, "dt1"))
 
 
 class TestTimeWindowFilter:

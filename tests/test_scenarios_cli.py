@@ -341,6 +341,28 @@ class TestPoissonNoise:
             assert rc == 0, seed
             assert '"nan"' not in (out / "report.json").read_text(), seed
 
+    def _report(self, name, frames, seed, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", str(SCENARIOS / f"{name}.ini"), "--frames", str(frames),
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        return json.loads((out / "report.json").read_text())
+
+    def test_snr_mean_over_finite_signals(self, tmp_path):
+        # C's floor is empty; A and B still give the mean and p_snr
+        report = self._report("timebin_b", 1000, 1, tmp_path)
+        per = report["snr_db_per_signal"]
+        assert per["C"] == "eliminated"
+        assert report["snr_db"] == pytest.approx((per["A"] + per["B"]) / 2, rel=1e-12)
+        assert report["p_snr"] == pytest.approx(10 ** (-report["snr_db"] / 10), rel=1e-12)
+
+    def test_p_phi_null_below_0_db(self, tmp_path):
+        # group 3 reads more interfering than reference counts (ER < 0 dB)
+        report = self._report("phase_er", 200, 6, tmp_path)
+        assert report["er_db_per_group"]["3"] < 0
+        assert report["extra"]["p_phi_by_group"]["3"] is None
+        assert report["er_db_per_group"]["4"] == "eliminated"
+        assert report["extra"]["p_phi_by_group"]["4"] == 0.0
+
 
 class TestCliSweep:
     def test_keyrate_sweep_monotone(self, tmp_path):
