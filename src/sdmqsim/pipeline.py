@@ -261,17 +261,17 @@ def _simulate_detector(
             parts.append(_first_gated_clicks(pieces, b0, nb, len(components), gate, vcfg))
         else:
             parts += [(fr, t, np.full(len(fr), s, dtype=np.int8)) for s, fr, t in pieces]
-    fr, t, origin = (np.concatenate(column) for column in zip(*parts))
-    del parts  # the sort below holds each event once, not twice
-    if not fold:
-        fr, t, origin = _finish_detector(fr, t, origin, vcfg, gate)
+    if fold:
+        fr, t, origin = (np.concatenate(column) for column in zip(*parts))
+    else:
+        fr, t, origin = _finish_detector(parts, vcfg, gate)
     return DetectorResult(name=name, t_within=t, frame_idx=fr, origin=origin,
                           origins=origins, n_frames=n_frames)
 
 
-def _finish_detector(fr, t, origin, vcfg, gate) -> tuple:
-    """Gate, stable time sort and dead-time walk of a detector's events:
-    the ``(frames, t, origin)`` of its clicks, in time order."""
+def _finish_detector(parts, vcfg, gate) -> tuple:
+    """Gate, time-sort and dead-time walk held ``(frames, t, origin)`` pieces to clicks."""
+    fr, t, origin = (np.concatenate(column) for column in zip(*parts))
     # gate first: the mask reads only t_within, and the stable sort keeps
     # the survivors' relative order, so sorting fewer events changes nothing
     keep = gate_mask(t, gate, vcfg.frame_window_ps)

@@ -34,7 +34,7 @@ def _detect(times, cfg, gate="always"):
     """Gate and dead-time veto one detector's photons, all in frame 0."""
     t = np.asarray(times, dtype=np.int64)
     zeros = np.zeros(len(t), dtype=np.int64)
-    fr, t, origin = _finish_detector(zeros, t, zeros.astype(np.int8), cfg, gate)
+    fr, t, origin = _finish_detector([(zeros, t, zeros.astype(np.int8))], cfg, gate)
     return DetectorResult("D_T", t, fr, origin, ("A",), 1)
 
 
@@ -236,8 +236,7 @@ class TestFirstClickVeto:
 
     @staticmethod
     def _sort_and_walk(pieces, cfg, gate):
-        t, fr, orig = (np.concatenate(part) for part in pieces)
-        fr, t, orig = _finish_detector(fr, t, orig, cfg, gate)
+        fr, t, orig = _finish_detector(list(zip(pieces[1], pieces[0], pieces[2])), cfg, gate)
         return t, fr, orig
 
     @staticmethod
