@@ -214,10 +214,10 @@ def _batch_pieces(root, key, components, b0, nb):
 
 
 def _first_gated_clicks(pieces, b0, nb, n_sig, gate, vcfg):
-    """``(frames, t, origin)`` of each of frames ``b0 .. b0+nb``'s first gated
-    click over the ``(sig_pos, frames, t)`` pieces, in frame order: a minimum
-    of ``t * n_sig + sig_pos`` per frame, so equal times keep the lower
-    signal, as the stable time sort over pieces in signal order does."""
+    """Each frame's first gated click over the ``(sig_pos, frames, t)`` pieces
+    of frames ``b0 .. b0+nb``, as ``(frames, t, origin)`` in frame order: the
+    minimum of ``t * n_sig + sig_pos`` per frame, so equal times keep the
+    lower signal, as the stable time sort over pieces in signal order does."""
     top = vcfg.frame_period_ps * n_sig  # above every key, since t < P
     best = np.full(nb, top)
     for sig_pos, frames, t in pieces:

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sdmqsim.config import ConfigError, RandomSource, SimConfig, validate_config
 from sdmqsim import pipeline

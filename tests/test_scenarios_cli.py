@@ -356,7 +356,7 @@ class TestPoissonNoise:
         assert report["p_snr"] == pytest.approx(10 ** (-report["snr_db"] / 10), rel=1e-12)
 
     def test_p_phi_null_below_0_db(self, tmp_path):
-        # group 3 reads more interfering than reference counts (ER < 0 dB)
+        # group 3's interfering counts exceed twice its blocked-arm reference
         report = self._report("phase_er", 200, 6, tmp_path)
         assert report["er_db_per_group"]["3"] < 0
         assert report["extra"]["p_phi_by_group"]["3"] is None
