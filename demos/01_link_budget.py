@@ -9,7 +9,7 @@ power-level crosstalk measurement.
 import numpy as np
 
 from sdmqsim.channel import ChannelModel, load_link_tables, measure_insertion_loss
-from sdmqsim.config import SignalAssignment, SimConfig
+from sdmqsim.config import ROLE_PHOTONS, SignalAssignment, SimConfig
 
 il, xt = load_link_tables()
 
@@ -58,10 +58,9 @@ scenario = Scenario(
     channel=ChannelSpec(),
     experiment=ExperimentSpec(kind="timebin_xt", n_frames=n, collections={"A": (1,)}),
 )
-vcfg = scenario.validated()
 counts = np.array([
-    len(_simulate_timebin_detector(scenario, vcfg, channel, g, (g,), "always",
-                                   ["A"], n).t_within)
+    len(_simulate_timebin_detector(scenario, channel, (ROLE_PHOTONS, g), (g,),
+                                   "always").t_within)
     for g in range(1, 6)
 ], dtype=float)
 print("  counted fractions:", np.round(counts / counts.sum(), 4))

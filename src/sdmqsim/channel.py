@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SignalAssignment
+from .config import ConfigError, SignalAssignment
 
 __all__ = [
     "AssignmentError",
@@ -34,8 +34,8 @@ N_GROUPS = 5
 DISTANCES = ("40m", "8km")
 
 
-class AssignmentError(ValueError):
-    """Raised when signal-to-group assignments are inconsistent."""
+class AssignmentError(ConfigError):
+    """Raised when the link tables or the channel settings are inconsistent."""
 
 
 def db_to_linear(db):
@@ -71,9 +71,6 @@ class InsertionLossTable:
 
     def db(self, group: int, distance: str) -> float:
         return self.loss_db[distance][group - 1]
-
-    def linear(self, group: int, distance: str) -> float:
-        return float(db_to_linear(self.db(group, distance)))
 
 
 @dataclass(frozen=True)
@@ -183,6 +180,10 @@ class ChannelModel:
             )
         if self.mu_reference not in ("mux_input", "fmf_input"):
             raise AssignmentError("mu_reference must be 'mux_input' or 'fmf_input'")
+        if self.uniform_il_db is not None and not self.uniform_il_db <= 0.0:
+            raise AssignmentError(
+                f"uniform_il_db must be <= 0 (a loss), got {self.uniform_il_db}"
+            )
 
     def transmission(self, signal: SignalAssignment) -> float:
         """Linear end-to-end transmission for one signal (loss factors only)."""

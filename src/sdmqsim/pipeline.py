@@ -67,7 +67,6 @@ from .protocol import (
     sift,
 )
 from .receiver import (
-    Histogram,
     dead_time_mask,
     delay_interferometer_rates,
     gate_mask,
@@ -142,20 +141,14 @@ def expected_collection_rate(
 class DetectorResult:
     """Accepted clicks of one detector over the whole run."""
 
-    name: str
     t_within: np.ndarray
     frame_idx: np.ndarray
-    origin: np.ndarray  # index into origins
-    origins: tuple
-    n_frames: int
+    origin: np.ndarray  # the signal's position in the scenario
 
-    def histogram(self, vcfg: ValidatedConfig) -> Histogram:
-        return histogram_from_times(self.t_within, vcfg, self.n_frames)
-
-    def counts_in(self, lo_ps: int, hi_ps: int, origin: str | None = None) -> int:
+    def counts_in(self, lo_ps: int, hi_ps: int, origin: int | None = None) -> int:
         mask = (self.t_within >= lo_ps) & (self.t_within < hi_ps)
         if origin is not None:
-            mask &= self.origin == self.origins.index(origin)
+            mask &= self.origin == origin
         return int(np.sum(mask))
 
 
@@ -229,10 +222,8 @@ def _first_gated_clicks(pieces, b0, nb, n_sig, gate, vcfg):
 
 
 def _simulate_detector(
-    name: str,
     key: tuple,
     components: list,
-    origins: tuple,
     vcfg: ValidatedConfig,
     gate: str,
     n_frames: int,
@@ -265,8 +256,7 @@ def _simulate_detector(
         fr, t, origin = (np.concatenate(column) for column in zip(*parts))
     else:
         fr, t, origin = _finish_detector(parts, vcfg, gate)
-    return DetectorResult(name=name, t_within=t, frame_idx=fr, origin=origin,
-                          origins=origins, n_frames=n_frames)
+    return DetectorResult(t_within=t, frame_idx=fr, origin=origin)
 
 
 def _finish_detector(parts, vcfg, gate) -> tuple:
@@ -292,38 +282,34 @@ def _timebin_components(vcfg, lam, f, offset, slot) -> tuple:
     )
 
 
-def _simulate_collection(scenario, vcfg, channel, key, name, groups, gate, enabled,
-                         n_frames, place) -> DetectorResult:
-    """All clicks of one gated detector watching a group collection.
+def _simulate_collection(scenario, channel, key, groups, gate, place) -> DetectorResult:
+    """All clicks of one gated detector watching a group collection, drawn
+    from every signal of ``scenario`` in its order over its frames.
 
-    ``place(sig, lam)`` gives the components of signal ``sig``, which
+    ``place(vcfg, sig, lam)`` gives the components of signal ``sig``, which
     reaches the detector at ``lam`` mean clicks per frame.
     """
-    components = [place(sig, _collected_flux(vcfg, channel, sig, groups) * vcfg.eta)
-                  for sig in map(scenario.signal, enabled)]
-    return _simulate_detector("g" + "+".join(map(str, groups)) + name, key, components,
-                              tuple(enabled), vcfg, gate, n_frames)
+    vcfg = scenario.validated()
+    components = [place(vcfg, sig, _collected_flux(vcfg, channel, sig, groups) * vcfg.eta)
+                  for sig in scenario.signals]
+    return _simulate_detector(key, components, vcfg, gate, scenario.experiment.n_frames)
 
 
 def _simulate_timebin_detector(
     scenario: Scenario,
-    vcfg: ValidatedConfig,
     channel: ChannelModel,
-    det_idx: int,
+    key: tuple,
     groups,
     gate: str,
-    enabled: list[str],
-    n_frames: int,
 ) -> DetectorResult:
     """Clicks of one detector watching the signals' time-bin slots."""
 
-    def place(sig, lam):
+    def place(vcfg, sig, lam):
         ext = sig.im_extinction if sig.im_extinction is not None else vcfg.im_extinction
         return _timebin_components(vcfg, lam, floor_fraction(vcfg.d, ext),
                                    sig.offset_ps(vcfg), sig.fixed_slot)
 
-    return _simulate_collection(scenario, vcfg, channel, (ROLE_PHOTONS, det_idx), "",
-                                groups, gate, enabled, n_frames, place)
+    return _simulate_collection(scenario, channel, key, groups, gate, place)
 
 
 def _phase_components(vcfg, rates, port, arm, offset) -> tuple:
@@ -359,19 +345,14 @@ def _phase_components(vcfg, rates, port, arm, offset) -> tuple:
 
 def _simulate_phase_detector(
     scenario: Scenario,
-    vcfg: ValidatedConfig,
     channel: ChannelModel,
-    det_idx: int,
+    key: tuple,
     groups,
     gate: str,
-    enabled: list[str],
-    n_frames: int,
     phi_total: float,
-    port: str,
     arm: str,
-    run_tag: int,
 ) -> DetectorResult:
-    """Clicks of one detector behind the delay interferometer.
+    """Clicks of one detector on port P behind the delay interferometer.
 
     ``phi_total`` is phi_a + phi_b; every contributing train carries the
     same transmitted differential phase, and each photon self-interferes
@@ -379,13 +360,12 @@ def _simulate_phase_detector(
     """
     exp = scenario.experiment
 
-    def place(sig, lam):
+    def place(vcfg, sig, lam):
         rates = delay_interferometer_rates(lam, vcfg.d, exp.visibility_cap, phi_total,
                                            arm, exp.phase_floor)
-        return _phase_components(vcfg, rates, port, arm, sig.offset_ps(vcfg))
+        return _phase_components(vcfg, rates, "p", arm, sig.offset_ps(vcfg))
 
-    return _simulate_collection(scenario, vcfg, channel, (ROLE_PHOTONS, run_tag, det_idx),
-                                f":{port}", groups, gate, enabled, n_frames, place)
+    return _simulate_collection(scenario, channel, key, groups, gate, place)
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +421,13 @@ def run_scenario(scenario: Scenario) -> RunResult:
     return runner(scenario)
 
 
-def _enabled_signals(scenario) -> list[str]:
-    return [s.signal_id for s in scenario.signals]
-
-
-def _analytic_group_rates(scenario, vcfg, channel) -> dict:
+def _analytic_group_rates(scenario, channel) -> dict:
     """Model expectation of each signal's rate into each output group."""
-    rates = {}
-    for sig in scenario.signals:
-        rates[sig.signal_id] = {
-            g: _collected_flux(vcfg, channel, sig, (g,)) * vcfg.eta * vcfg.frame_rate_hz
-            for g in range(1, 6)
-        }
-    return rates
+    return {
+        sig.signal_id: {g: expected_collection_rate(scenario, channel, sig.signal_id, (g,))
+                        for g in range(1, 6)}
+        for sig in scenario.signals
+    }
 
 
 def _mean_db(values) -> float | None:
@@ -471,7 +445,6 @@ def _run_timebin(scenario: Scenario) -> RunResult:
     channel = build_channel(scenario)
     exp = scenario.experiment
     n = exp.n_frames
-    enabled = _enabled_signals(scenario)
     # timebin_B reads crosstalk on its one delayed signal's collection, and
     # timebin_xt compares one delayed signal's slot with one undelayed one's
     delayed = [s for s in scenario.signals if s.delayed]
@@ -502,9 +475,8 @@ def _run_timebin(scenario: Scenario) -> RunResult:
     histograms = {}
     for det_idx, (sid, groups) in enumerate(sorted(exp.collections.items())):
         gate = exp.gates.get(sid, "always")
-        det = _simulate_timebin_detector(
-            scenario, vcfg, channel, det_idx, groups, gate, enabled, n
-        )
+        det = _simulate_timebin_detector(scenario, channel, (ROLE_PHOTONS, det_idx),
+                                         groups, gate)
         sig = scenario.signal(sid)
         offset = sig.offset_ps(vcfg)
         # other signals' pulses sharing this half-window are known spikes,
@@ -518,7 +490,8 @@ def _run_timebin(scenario: Scenario) -> RunResult:
         half = det.counts_in(offset, offset + window)
         train = det.counts_in(offset, offset + vcfg.d * tp)
         cps[sid] = analysis.counts_per_second(half, n, vcfg.frame_rate_hz)
-        histograms[f"{sid}_{det.name}"] = det.histogram(vcfg)
+        histograms[f"{sid}_g" + "+".join(map(str, groups))] = histogram_from_times(
+            det.t_within, vcfg)
         # a collection with no counts in a ratio's windows gives no estimate
         floor, background = half - known, train - known
         snr_by_signal[sid] = analysis.snr_db(
@@ -533,7 +506,8 @@ def _run_timebin(scenario: Scenario) -> RunResult:
             ids = "".join(o.signal_id for o in early)
             xt_db[f"{ids}_to_{sid}"] = crosstalk(det)
             extra[f"{ids.lower()}_counts_in_dt2_on_{sid}"] = sum(
-                det.counts_in(window, vcfg.frame_period_ps, o.signal_id) for o in early
+                det.counts_in(window, vcfg.frame_period_ps, scenario.signals.index(o))
+                for o in early
             )
 
     snr_mean = _mean_db(snr_by_signal.values())
@@ -555,7 +529,7 @@ def _run_timebin(scenario: Scenario) -> RunResult:
     return RunResult(
         report=report,
         histograms=histograms,
-        group_rates=_analytic_group_rates(scenario, vcfg, channel),
+        group_rates=_analytic_group_rates(scenario, channel),
     )
 
 
@@ -578,13 +552,10 @@ def _run_capacity(scenario: Scenario) -> RunResult:
         signals=(SignalAssignment("S", input_group=1, delayed=False, fixed_slot=20),),
         channel=replace(scenario.channel, uniform_il_db=exp.theory_il_db),
     )
-    tvcfg = theory_scenario.validated()
-    ch1 = build_channel(theory_scenario)
-    det1 = _simulate_timebin_detector(
-        theory_scenario, tvcfg, ch1, 90, (1,), DELTA_T1, ["S"], n
-    )
+    det1 = _simulate_timebin_detector(theory_scenario, build_channel(theory_scenario),
+                                      (ROLE_PHOTONS, 90), (1,), DELTA_T1)
     mc_theory_cps = analysis.counts_per_second(
-        det1.counts_in(0, tvcfg.frame_window_ps), n, tvcfg.frame_rate_hz
+        det1.counts_in(0, vcfg.frame_window_ps), n, vcfg.frame_rate_hz
     )
 
     # Part 2: three signals through the measured tables, reassigned groups.
@@ -603,16 +574,14 @@ def _run_capacity(scenario: Scenario) -> RunResult:
                 if s.signal_id == sid or s.delayed != sig.delayed
             ),
         )
-        enabled = _enabled_signals(sub)
         gate = exp.gates.get(sid, "always")
-        det = _simulate_timebin_detector(
-            sub, vcfg, channel, det_idx, groups, gate, enabled, n
-        )
+        det = _simulate_timebin_detector(sub, channel, (ROLE_PHOTONS, det_idx), groups, gate)
         off = sig.offset_ps(vcfg)
         cps[sid] = analysis.counts_per_second(
             det.counts_in(off, off + vcfg.frame_window_ps), n, vcfg.frame_rate_hz
         )
-        histograms[f"{sid}_{det.name}"] = det.histogram(vcfg)
+        histograms[f"{sid}_g" + "+".join(map(str, groups))] = histogram_from_times(
+            det.t_within, vcfg)
     total = sum(cps.values())
     cap = analysis.capacity_from_counts(total, vcfg.d)
     analytic = {
@@ -636,7 +605,7 @@ def _run_capacity(scenario: Scenario) -> RunResult:
     return RunResult(
         report=report,
         histograms=histograms,
-        group_rates=_analytic_group_rates(scenario, vcfg, channel),
+        group_rates=_analytic_group_rates(scenario, channel),
     )
 
 
@@ -669,20 +638,17 @@ def _run_phase_er(scenario: Scenario) -> RunResult:
     for g, sid in plans:
         sig = scenario.signal(sid)
         sub = replace(scenario, signals=(sig,)) if sig.delayed else alt
-        enabled = _enabled_signals(sub)
         sub_sig = sub.signal(sid)
         gate = DELTA_T2 if sub_sig.delayed else DELTA_T1
         offset = sub_sig.offset_ps(vcfg)
         counts = {}
         for arm in ("none", "delay", "direct"):
-            det = _simulate_phase_detector(
-                sub, vcfg, channel, g, (g,), gate, enabled, n,
-                phi_total, "p", arm, run_tag,
-            )
+            det = _simulate_phase_detector(sub, channel, (ROLE_PHOTONS, run_tag, g), (g,),
+                                           gate, phi_total, arm)
             counts[arm] = det.counts_in(*_interior_window(vcfg, offset))
             if arm in ("none", "delay"):
                 label = "interfering" if arm == "none" else "blocked"
-                histograms[f"g{g}_{sid}_{label}"] = det.histogram(vcfg)
+                histograms[f"g{g}_{sid}_{label}"] = histogram_from_times(det.t_within, vcfg)
             run_tag += 1
         c0 = 0.5 * (counts["delay"] + counts["direct"])
         # no blocked-arm counts: no reference, so no estimate
@@ -718,7 +684,6 @@ def _run_phase_sweep(scenario: Scenario) -> RunResult:
     channel = build_channel(scenario)
     exp = scenario.experiment
     n = exp.n_frames
-    enabled = _enabled_signals(scenario)
     fits = {}
     points_out = []
     run_tag = 0
@@ -728,10 +693,8 @@ def _run_phase_sweep(scenario: Scenario) -> RunResult:
         offset = sig.offset_ps(vcfg)
         pts = []
         for phi_b in exp.sweep_phi_b:
-            det = _simulate_phase_detector(
-                scenario, vcfg, channel, det_idx, groups, gate,
-                enabled, n, exp.phi_a + phi_b, "p", "none", run_tag,
-            )
+            det = _simulate_phase_detector(scenario, channel, (ROLE_PHOTONS, run_tag, det_idx),
+                                           groups, gate, exp.phi_a + phi_b, "none")
             run_tag += 1
             c = _gated_phase_counts(det, vcfg, offset)
             pts.append((exp.phi_a + phi_b, c))
@@ -798,8 +761,8 @@ def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
                          interior_p_prime=(law.interior_p_prime, cls))
     usable_p, usable_pp = [
         _usable_frames(_simulate_detector(
-            port, (ROLE_PHOTONS, i), [_phase_components(cfg, rates, port, "none", 0)],
-            ("alice",), cfg, DELTA_T1, n_frames,
+            (ROLE_PHOTONS, i), [_phase_components(cfg, rates, port, "none", 0)],
+            cfg, DELTA_T1, n_frames,
         ), cfg)
         for i, port in enumerate(("p", "p_prime"))
     ]
@@ -813,9 +776,8 @@ def _run_bb84(scenario: Scenario) -> RunResult:
     vcfg = scenario.validated()
     channel = build_channel(scenario)
     exp = scenario.experiment
-    sid = _enabled_signals(scenario)[0]
-    sig = scenario.signal(sid)
-    groups = exp.collections.get(sid, (sig.input_group,))
+    sig = scenario.signals[0]
+    groups = exp.collections.get(sig.signal_id, (sig.input_group,))
     flux = _collected_flux(vcfg, channel, sig, groups)
     res = simulate_bb84(
         vcfg, exp.n_frames, flux, exp.visibility_cap, exp.kind == "bb84_eve",

@@ -153,12 +153,11 @@ def key_rate(params: KeyRateParams) -> float:
     return (1.0 - params.eps_rob) * ell / n
 
 
-def sift(a, b, b_prime, bob_bits, k_fraction: float = 1.0):
+def sift(a, b, b_prime, bob_bits):
     """Keep basis-matched, conclusive frames; estimate the error rate.
 
     Returns ``(key_a, key_b, qber_est)``.  ``qber_est`` is the mismatch
-    fraction over the first ``k_fraction`` share of the sifted positions
-    (parameter-estimation sample; 1.0 = use everything).
+    fraction over every sifted position (NaN with none).
     """
     a, b, b_prime, bob_bits = map(np.asarray, (a, b, b_prime, bob_bits))
     if not (len(a) == len(b) == len(b_prime) == len(bob_bits)):
@@ -166,8 +165,7 @@ def sift(a, b, b_prime, bob_bits, k_fraction: float = 1.0):
     keep = (b == b_prime) & (bob_bits != NULL_BIT)
     key_a = a[keep].astype(np.int8)
     key_b = bob_bits[keep].astype(np.int8)
-    n_pe = max(1, int(round(k_fraction * len(key_a)))) if len(key_a) else 0
-    qber = float(np.mean(key_a[:n_pe] != key_b[:n_pe])) if n_pe else math.nan
+    qber = float(np.mean(key_a != key_b)) if len(key_a) else math.nan
     return key_a, key_b, qber
 
 

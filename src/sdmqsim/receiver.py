@@ -42,7 +42,6 @@ class Histogram:
     window count is taken on the exact timestamps instead."""
 
     bins: np.ndarray
-    n_frames: int
     hist_res_ps: int
 
 
@@ -142,13 +141,11 @@ def delay_interferometer_rates(
     )
 
 
-def histogram_from_times(
-    t_within: np.ndarray, cfg: ValidatedConfig, n_frames: int
-) -> Histogram:
+def histogram_from_times(t_within: np.ndarray, cfg: ValidatedConfig) -> Histogram:
     """Histogram directly from an array of within-frame timestamps."""
     idx = np.asarray(t_within, dtype=np.int64) // cfg.hist_res_ps
     bins = np.bincount(idx, minlength=cfg.n_bins).astype(np.int64)
-    return Histogram(bins=bins, n_frames=n_frames, hist_res_ps=cfg.hist_res_ps)
+    return Histogram(bins=bins, hist_res_ps=cfg.hist_res_ps)
 
 
 def export_histogram(hist: Histogram, path: str | Path) -> None:

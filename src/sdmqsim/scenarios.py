@@ -241,8 +241,12 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read(path)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
+    try:
+        parser.read(str(path))
+    except configparser.Error as exc:  # its message names the file and the line
+        raise ConfigError(" ".join(str(exc).split())) from exc
 
     sim_kwargs = {}
     if parser.has_section("sim"):
@@ -268,7 +272,8 @@ def load_scenario(path: str | Path) -> Scenario:
         kwargs = {}
         for key, raw in parser.items(section):
             if key == "input_mode":
-                kwargs["input_mode"] = tuple(int(x) for x in raw.split(","))
+                kwargs["input_mode"] = tuple(
+                    _convert(x, int, f"[{section}] input_mode") for x in raw.split(","))
                 continue
             if key not in _SIGNAL_FIELDS:
                 raise ConfigError(f"unknown [{section}] key {key!r}")

@@ -13,7 +13,13 @@ from sdmqsim.channel import (
     load_link_tables,
     measure_insertion_loss,
 )
-from sdmqsim.config import ConfigError, SignalAssignment, SimConfig, validate_config
+from sdmqsim.config import (
+    ROLE_PHOTONS,
+    ConfigError,
+    SignalAssignment,
+    SimConfig,
+    validate_config,
+)
 from sdmqsim.pipeline import _collected_flux, _simulate_timebin_detector
 from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario
 
@@ -123,6 +129,19 @@ class TestChannelModel:
         with pytest.raises(AssignmentError, match="distance"):
             ChannelModel(il=il, xt=xt, distance="4km")
 
+    @pytest.mark.parametrize("uniform", [3.0, 1e-9, math.nan])
+    def test_uniform_gain_rejected(self, tables, uniform):
+        # a flat loss above 0 dB would amplify the light, as excess_db > 0 would
+        il, xt = tables
+        with pytest.raises(AssignmentError, match="uniform_il_db must be <= 0"):
+            ChannelModel(il=il, xt=xt, uniform_il_db=uniform)
+
+    def test_assignment_error_is_a_config_error(self):
+        # the CLI exits 2 on a bad channel setting, and callers catching
+        # ValueError still catch it
+        assert issubclass(AssignmentError, ConfigError)
+        assert issubclass(AssignmentError, ValueError)
+
     def test_mean_received_photons_near_015(self, tables):
         # mu = 2.5 at the multiplexer input -> about 0.15 photons/frame out
         il, xt = tables
@@ -191,8 +210,7 @@ def _one_signal_detector(tables, n, sig, gate="always", **sim):
     il, xt = tables
     ch = ChannelModel(il=il, xt=xt, uniform_il_db=0.0)
     return _simulate_timebin_detector(
-        scenario, scenario.validated(), ch, 0, (sig.input_group,), gate,
-        [sig.signal_id], n,
+        scenario, ch, (ROLE_PHOTONS, 0), (sig.input_group,), gate
     )
 
 
@@ -263,14 +281,11 @@ class TestErgodicity:
             experiment=ExperimentSpec(kind="timebin_xt", n_frames=n,
                                       collections={"A": (1,)}),
         )
-        vcfg = scenario.validated()
         il, xt = tables
         ch = ChannelModel(il=il, xt=xt)
         counts = []
         for g in range(1, 6):
-            det = _simulate_timebin_detector(
-                scenario, vcfg, ch, g, (g,), "always", ["A"], n
-            )
+            det = _simulate_timebin_detector(scenario, ch, (ROLE_PHOTONS, g), (g,), "always")
             counts.append(len(det.t_within))
         counts = np.array(counts, dtype=float)
         expect_frac = xt.column(1)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdmqsim.config import ConfigError, SignalAssignment, SimConfig, validate_config
+from sdmqsim.config import (
+    ROLE_PHOTONS,
+    ConfigError,
+    SignalAssignment,
+    SimConfig,
+    validate_config,
+)
 from sdmqsim.encoder import floor_fraction
 from sdmqsim.pipeline import _simulate_timebin_detector, _timebin_components, build_channel
 from sdmqsim.receiver import delay_interferometer_rates
@@ -105,8 +111,7 @@ class TestSchedule:
     def _clicks(self, sig, n, **sim):
         sc = self._scenario(sig, n=n, mu_in=50.0, dead_time_ps=0, **sim)
         return _simulate_timebin_detector(
-            sc, sc.validated(), build_channel(sc), 0, (sig.input_group,), "always",
-            [sig.signal_id], n,
+            sc, build_channel(sc), (ROLE_PHOTONS, 0), (sig.input_group,), "always"
         )
 
     def test_delayed_signal_offset_on_every_frame(self):

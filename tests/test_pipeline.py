@@ -6,13 +6,21 @@ import numpy as np
 import pytest
 
 from sdmqsim import pipeline
-from sdmqsim.config import ConfigError, RandomSource, SignalAssignment, SimConfig
+from sdmqsim.config import (
+    ROLE_PHOTONS,
+    ConfigError,
+    RandomSource,
+    SignalAssignment,
+    SimConfig,
+)
 from sdmqsim.pipeline import (
     BATCH,
     DetectorResult,
     _gated_phase_counts,
     _mean_db,
+    _phase_components,
     _poisson_frames,
+    _simulate_detector,
     _simulate_phase_detector,
     _simulate_timebin_detector,
     build_channel,
@@ -58,15 +66,12 @@ class TestExpectedRates:
 
 
 class TestGatedPhaseCounts:
-    def _det(self, times, n_frames=1):
+    def _det(self, times):
         t = np.asarray(sorted(times), dtype=np.int64)
         return DetectorResult(
-            name="g1:p",
             t_within=t,
             frame_idx=np.zeros(len(t), dtype=np.int64),
             origin=np.zeros(len(t), dtype=np.int8),
-            origins=("A",),
-            n_frames=n_frames,
         )
 
     def test_pulse_centered_clicks_counted(self):
@@ -262,7 +267,7 @@ class TestOnePathCrossCheck:
 
     def test_timebin_pulse_slot_and_floor(self):
         sc, vcfg, ch = self._setup(im_extinction=63.0)  # half the photons in the floor
-        det = _simulate_timebin_detector(sc, vcfg, ch, 0, (1,), "always", ["A"], self.N)
+        det = _simulate_timebin_detector(sc, ch, (ROLE_PHOTONS, 0), (1,), "always")
         tp, w = vcfg.pulse_period_ps, vcfg.frame_window_ps
         lam = self.MU * self.ETA
         pulse, floor = lam * 0.5, lam * 0.5
@@ -285,12 +290,15 @@ class TestOnePathCrossCheck:
     def test_phase_positions_and_floor(self, arm, port, shifts):
         sc, vcfg, ch = self._setup()
         phi = 1.0
-        det = _simulate_phase_detector(
-            sc, vcfg, ch, 0, (1,), "always", ["A"], self.N, phi, port, arm, 0
-        )
         law = delay_interferometer_rates(
             self.MU * self.ETA, vcfg.d, self.V, phi, arm, self.FLOOR
         )
+        key = (ROLE_PHOTONS, 0, 0)
+        if port == "p":
+            det = _simulate_phase_detector(sc, ch, key, (1,), "always", phi, arm)
+        else:  # the builder reads port P only; port P' is drawn from its components
+            comps = [_phase_components(vcfg, law, port, arm, 0)]
+            det = _simulate_detector(key, comps, vcfg, "always", self.N)
         d, tp, w = vcfg.d, vcfg.pulse_period_ps, vcfg.frame_window_ps
         interior = law.interior_p if port == "p" else law.interior_p_prime
         # edge 0, interior, edge d, floor only
@@ -312,10 +320,9 @@ class TestExactWindows:
         vcfg, ch, exp = sc.validated(), build_channel(sc), sc.experiment
         report = run_scenario(sc).report
         tp, w = vcfg.pulse_period_ps, vcfg.frame_window_ps
-        enabled = [s.signal_id for s in sc.signals]
         for det_idx, (sid, groups) in enumerate(sorted(exp.collections.items())):
             det = _simulate_timebin_detector(
-                sc, vcfg, ch, det_idx, groups, exp.gates[sid], enabled, exp.n_frames
+                sc, ch, (ROLE_PHOTONS, det_idx), groups, exp.gates[sid]
             )
             t = det.t_within
             sig = sc.signal(sid)

@@ -35,7 +35,7 @@ def _detect(times, cfg, gate="always"):
     t = np.asarray(times, dtype=np.int64)
     zeros = np.zeros(len(t), dtype=np.int64)
     fr, t, origin = _finish_detector([(zeros, t, zeros.astype(np.int8))], cfg, gate)
-    return DetectorResult("D_T", t, fr, origin, ("A",), 1)
+    return DetectorResult(t, fr, origin)
 
 
 def _uniform_in_gate(lam, cfg):
@@ -64,9 +64,7 @@ class TestDetect:
         # mean 0.15 photons/frame, eta 0.15: per-frame click probability
         # 1 - exp(-0.0225) ~= 0.02225, checked within 3 sigma over 3e5 frames
         n = 300_000
-        det = _simulate_detector(
-            "D_T", (0,), _uniform_in_gate(0.15 * 0.15, cfg), ("A",), cfg, "dt1", n
-        )
+        det = _simulate_detector((0,), _uniform_in_gate(0.15 * 0.15, cfg), cfg, "dt1", n)
         p = 1 - math.exp(-0.0225)
         expect = n * p
         assert abs(len(det.t_within) - expect) <= 3 * math.sqrt(expect)
@@ -88,10 +86,9 @@ class TestDetect:
         # per frame, and exactly in the frames with >= 1 photon
         n = 50_000
         comps = _uniform_in_gate(0.3, cfg)
-        det = _simulate_detector("D_T", (1,), comps, ("A",), cfg, "dt1", n)
+        det = _simulate_detector((1,), comps, cfg, "dt1", n)
         photons = _simulate_detector(
-            "D_T", (1,), comps, ("A",), validate_config(SimConfig(dead_time_ps=0)),
-            "dt1", n,
+            (1,), comps, validate_config(SimConfig(dead_time_ps=0)), "dt1", n
         )
         assert len(photons.t_within) > len(det.t_within)
         np.testing.assert_array_equal(det.frame_idx, np.unique(photons.frame_idx))
@@ -257,7 +254,7 @@ class TestFirstClickVeto:
         with mock.patch.object(
             pipeline, "_first_gated_clicks", wraps=pipeline._first_gated_clicks
         ) as spy:
-            _simulate_detector("D", (2,), _uniform_in_gate(lam, cfg), ("o",), cfg, gate, 8)
+            _simulate_detector((2,), _uniform_in_gate(lam, cfg), cfg, gate, 8)
         return spy.called
 
     def _check(self, got, ref):
@@ -411,23 +408,23 @@ class TestInterfere:
 
 class TestHistogram:
     def test_empty_records(self, cfg):
-        hist = histogram_from_times(np.zeros(0, dtype=np.int64), cfg, n_frames=10)
+        hist = histogram_from_times(np.zeros(0, dtype=np.int64), cfg)
         assert hist.bins.sum() == 0
         assert len(hist.bins) == 8000
 
     def test_bin_index(self, cfg):
-        hist = histogram_from_times(np.array([38_500]), cfg, 1)
+        hist = histogram_from_times(np.array([38_500]), cfg)
         assert hist.bins[1540] == 1
         assert hist.bins.sum() == 1
 
     def test_count_conservation(self, cfg):
         gen = RandomSource(3).generator()
-        hist = histogram_from_times(gen.integers(0, 200_000, size=5000), cfg, 1)
+        hist = histogram_from_times(gen.integers(0, 200_000, size=5000), cfg)
         assert hist.bins.sum() == 5000
         assert len(hist.bins) == 8000
 
     def test_export_format(self, cfg, tmp_path):
-        hist = histogram_from_times(np.array([50]), cfg, 1)
+        hist = histogram_from_times(np.array([50]), cfg)
         path = tmp_path / "h.csv"
         export_histogram(hist, path)
         lines = path.read_text().splitlines()
@@ -443,7 +440,7 @@ class TestHistogram:
     )
     def test_export_bytes_match_row_format(self, tmp_path_factory, counts, res):
         bins = np.array(counts, dtype=np.int64)
-        hist = Histogram(bins=bins, n_frames=1, hist_res_ps=res)
+        hist = Histogram(bins=bins, hist_res_ps=res)
         path = tmp_path_factory.mktemp("h") / "h.csv"
         export_histogram(hist, path)
         rows = ["bin_start_ps,count"] + [

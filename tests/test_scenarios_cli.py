@@ -14,6 +14,44 @@ REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
 CANNED = ["capacity", "timebin_b", "timebin_xt", "phase_er", "phase_sweep", "bb84", "bb84_eve"]
 
+# sha256 of each CSV that a canned scenario writes at its pinned seed and
+# frame count; bb84 and bb84_eve write none
+GOLDEN_CSVS = {
+    "capacity": {
+        "group_rates.csv": "bdffb009292dd6b470315cb4bc602b4ed3f15667b044945d9af968828f9d6948",
+        "hist_A_g1.csv": "a2809e509b247112b43f5ff25216df01d6c1470c3f665ada9c0cf0b7d33ff744",
+        "hist_B_g2+3.csv": "b086fe9eeea56932b88ce81258565d64b945089a9e934292d03b066503db79fe",
+        "hist_C_g4+5.csv": "c4c27509a440db4ff51aa9a20d18ac13e6b0284b6721a9c70d80e3d7161a8221",
+    },
+    "timebin_b": {
+        "group_rates.csv": "bdffb009292dd6b470315cb4bc602b4ed3f15667b044945d9af968828f9d6948",
+        "hist_A_g1.csv": "351e521e889b97bc0082caa21557b9e74161a3f2c09d4fcb8e20fc869138991e",
+        "hist_B_g2+3.csv": "9f674c05c7a13950a84568ae74009e416b1e57e49472ef983337094e53e8b43d",
+        "hist_C_g4+5.csv": "de1fe1466dc7fa9b6b338c4b95ca974b50395926047c1949b7682f13376a4c7d",
+    },
+    "timebin_xt": {
+        "group_rates.csv": "3dbb9fbe7a46350c927feda866cd77954c1a7ffe685f86e3a6d5a1ebbb6ec133",
+        "hist_A_g1.csv": "21aa8abb7f561b9dac96d351e21f5e0a215279d88420ed79a01c57b73f853bd3",
+        "hist_C_g4+5.csv": "9884971f630481e822e0c3c3681a678cbed332328ae077984e25e9505e494762",
+    },
+    "phase_er": {
+        "er_by_group.csv": "977dc94b8a202e6da4bc1030aeb681915e93b7aaa7756c9b93fe6867af21c3e7",
+        "hist_g1_A_blocked.csv": "eef9e06d5ebfe1a2589b2e17192de59fc8a3ae47b7ed467b7dd998b8477c5b26",
+        "hist_g1_A_interfering.csv": "5298e3d70c2881dff01783b8433f359a1aed33d83dfcd8704bb9eea820dc09ca",
+        "hist_g2_B_blocked.csv": "496ac5d8ca4f71d21051c06eaec402a93b64265f5091ff71068bd3ce5f3443b5",
+        "hist_g2_B_interfering.csv": "fe14b41bad8cf94706b4d962cdba6e715dc690585aa9041476abf5e996938bbb",
+        "hist_g3_B_blocked.csv": "c427dd726fb74f00d278e6080e7139cbedaf2f8b645ef9c26e58dd85cd257463",
+        "hist_g3_B_interfering.csv": "a25dc23a606f6cc5e1f94b1475c8c0de7757c977331254d003ba6c1a5a05f972",
+        "hist_g4_C_blocked.csv": "a54e6a5e1ef97f6cafa2285ccba042e04ab095e69310f19a4a1d820d67cd0de3",
+        "hist_g4_C_interfering.csv": "9c2f5669f0bf03c2b817f46b25e07f6cb96b10fbb449b7a68f6ad1c98a10a6d5",
+        "hist_g5_C_blocked.csv": "d5b7b8a9af0ee351c4ae9404dac9617f056ff1f6d1b128d27ed02fcd7ddec2b3",
+        "hist_g5_C_interfering.csv": "430aaf67f7ca04b497d25cc01f7ed00d13ee979a7fa474089df6d9d0ae3d8754",
+    },
+    "phase_sweep": {
+        "counts_vs_phase.csv": "c86dc5732843aeedf7b41ffbd83ee52e6401137f6c05f09a50b1cd8569988cd3",
+    },
+}
+
 
 class TestScenarioLoading:
     @pytest.mark.parametrize("name", CANNED)
@@ -210,6 +248,58 @@ class TestCliRun:
         bad.write_text(text.replace(f"{field} = {old}", f"{field} = {new}"))
         assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
         assert f"[signal.C] {field}" in capsys.readouterr().err
+
+    # files configparser cannot read: its message names the file and the line
+    @pytest.mark.parametrize(
+        "old,new,says",
+        [
+            pytest.param("eta = 0.15\n", "eta = 0.15\neta = 0.2\n", "[line 14]: option 'eta'",
+                         id="duplicate_key"),
+            pytest.param("[channel]\n", "[sim]\nseed = 3\n[channel]\n",
+                         "[line 21]: section 'sim'", id="duplicate_section"),
+            pytest.param("[sim]\n", "eta = 0.2\n[sim]\n", "no section headers",
+                         id="key_before_section"),
+            pytest.param("eta = 0.15\n", "eta = 15%\n", "bad value for eta: '15%'",
+                         id="percent_in_value"),
+        ],
+    )
+    def test_malformed_file_exit_2(self, old, new, says, tmp_path, capsys):
+        text = (SCENARIOS / "bb84.ini").read_text()
+        assert text.count(old) == 1
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace(old, new))
+        assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert says in err and "Traceback" not in err
+        if "line" in says:
+            assert "bad.ini" in err
+
+    # channel and signal values the loader passes on: each names its key
+    @pytest.mark.parametrize(
+        "name,old,new,says",
+        [
+            pytest.param("bb84", "distance = 8km", "distance = 4km", "distance must be",
+                         id="distance"),
+            pytest.param("bb84", "mu_reference = fmf_input", "mu_reference = fiber",
+                         "mu_reference must be", id="mu_reference"),
+            pytest.param("bb84", "input_mode = 0,0", "input_mode = a,b",
+                         "[signal.S] input_mode", id="input_mode"),
+            pytest.param("bb84", "uniform_il_db = -8.3", "uniform_il_db = 3.0",
+                         "uniform_il_db must be <= 0", id="uniform_il_db"),
+            # capacity's flat single-signal budget is built through the same check
+            pytest.param("capacity", "theory_il_db = -8.3", "theory_il_db = 3.0",
+                         "uniform_il_db must be <= 0", id="theory_il_db"),
+        ],
+    )
+    def test_bad_channel_or_signal_value_exit_2(self, name, old, new, says,
+                                                tmp_path, capsys):
+        text = (SCENARIOS / f"{name}.ini").read_text()
+        assert text.count(old) == 1
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace(old, new))
+        assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert says in err and "Traceback" not in err
 
     def test_bb84_nothing_sifted_exits_0(self, tmp_path):
         # one frame sifts no bit: no QBER is reported and no key is made
@@ -428,9 +518,11 @@ class TestCliSweep:
 
 class TestGoldenReports:
     """Each canned scenario at its pinned seed and frame count reproduces
-    the committed ``out/<name>/report.json`` byte for byte.  Regenerate
-    these files (``sdmqsim run scenarios/<name>.ini`` from the repo root)
-    only on a deliberate change of the random draws."""
+    the committed ``out/<name>/report.json`` byte for byte, writes exactly
+    the files of ``GOLDEN_CSVS`` beside it and the manifest, and each CSV
+    hashes as pinned there.  Regenerate the reports (``sdmqsim run
+    scenarios/<name>.ini`` from the repo root) and the digests only on a
+    deliberate change of the random draws."""
 
     @pytest.mark.parametrize("name", CANNED)
     def test_report_matches_golden(self, name, tmp_path):
@@ -438,3 +530,8 @@ class TestGoldenReports:
         assert rc == 0
         golden = REPO / "out" / name / "report.json"
         assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
+        csvs = GOLDEN_CSVS.get(name, {})
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == sorted(["manifest.json", "report.json", *csvs])
+        for fname, digest in csvs.items():
+            assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
