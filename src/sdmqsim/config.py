@@ -20,6 +20,7 @@ __all__ = [
     "validate_config",
     "RandomSource",
     "SignalAssignment",
+    "BATCH",
     "DELTA_T1",
     "DELTA_T2",
 ]
@@ -27,6 +28,9 @@ __all__ = [
 # Time-window labels for the two halves of the frame period.
 DELTA_T1 = "dt1"
 DELTA_T2 = "dt2"
+
+# frames per batch: the last element of every per-batch stream key
+BATCH = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -140,12 +144,15 @@ def validate_config(cfg: SimConfig) -> ValidatedConfig:
             f"hist_res_ps ({cfg.hist_res_ps}) must divide "
             f"frame_period ({cfg.frame_period_ps})"
         )
-    if cfg.mu_in <= 0:
-        raise ConfigError("mu_in must be positive")
-    if cfg.im_extinction <= 1.0 and not math.isinf(cfg.im_extinction):
-        raise ConfigError("im_extinction must be > 1 (linear ratio)")
-    if cfg.jitter_sigma_ps < 0:
-        raise ConfigError("jitter_sigma_ps must be non-negative")
+    # written so that NaN fails every range check
+    if not 0 < cfg.mu_in < math.inf:
+        raise ConfigError(f"mu_in must be positive and finite, got {cfg.mu_in}")
+    if not cfg.im_extinction > 1.0:  # +inf (a perfect modulator) passes
+        raise ConfigError(
+            f"im_extinction must be > 1 (linear ratio), got {cfg.im_extinction}")
+    if not 0 <= cfg.jitter_sigma_ps < math.inf:
+        raise ConfigError(
+            f"jitter_sigma_ps must be non-negative and finite, got {cfg.jitter_sigma_ps}")
 
     centers = tuple(
         m * cfg.pulse_period_ps + cfg.pulse_period_ps // 2 for m in range(cfg.d)

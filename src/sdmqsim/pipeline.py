@@ -19,11 +19,10 @@ phase experiments.  Slot, jitter, edge and floor placement then act on the
 
 A component whose rate differs from frame to frame (Bob's ports in BB84,
 where each frame carries its own phase) is given as a rate table plus a
-per-frame class array; each batch gathers ``table[cls[b0:b0+nb]]`` and is
-thinned from its maximum (Lewis & Shedler, Naval Res. Logist. Q. 26, 1979):
-``K`` picks are drawn at ``max(lam)`` and each pick in frame ``i`` is kept
-with probability ``lam[i] / max(lam)``.  No per-frame float array of the
-whole run is ever built.
+per-frame class array; each batch gathers its frames' rates from the table
+and is thinned from their maximum (Lewis & Shedler, Naval Res. Logist. Q.
+26, 1979): ``K`` picks are drawn at ``max(lam)`` and each pick in frame
+``i`` is kept with probability ``lam[i] / max(lam)``.
 
 Every detector is drawn by the one sampler ``_simulate_detector``; the
 time-bin, phase and BB84 runners only describe each signal's components:
@@ -34,6 +33,13 @@ keeps each frame's first gated click (see receiver).  From
 ``FIRST_CLICK_DENSITY`` expected clicks a frame, each piece is gated and
 folded into a per-batch minimum over frames as it is drawn, so no event
 array outlives its piece; other detectors are sorted and walked.
+
+The time-bin and phase runners draw each detector once over the whole run.
+The BB84 exchange runs batch-outer: each batch draws its per-frame state
+(``protocol.exchange_batches``), draws both of Bob's ports over its frames,
+carrying each port's blocked-until time into the next batch, then decodes
+and sifts.  Only the conclusive frames outlive a batch, so no per-frame
+array of the whole run is built.
 """
 from __future__ import annotations
 
@@ -45,13 +51,11 @@ import numpy as np
 from . import analysis
 from .channel import ChannelModel, load_link_tables
 from .config import (
+    BATCH,
     ConfigError,
     DELTA_T1,
     DELTA_T2,
     RandomSource,
-    ROLE_ALICE,
-    ROLE_BOB,
-    ROLE_EVE,
     ROLE_PHOTONS,
     SignalAssignment,
     ValidatedConfig,
@@ -62,8 +66,9 @@ from .protocol import (
     Bb84Result,
     KeyRateParams,
     decode,
+    error_rate,
+    exchange_batches,
     key_rate,
-    phase_index,
     sift,
 )
 from .receiver import (
@@ -83,7 +88,6 @@ __all__ = [
     "simulate_bb84",
 ]
 
-BATCH = 1 << 16
 # gated clicks a frame from which the first-click veto beats the time sort
 FIRST_CLICK_DENSITY = 0.25
 
@@ -139,7 +143,8 @@ def expected_collection_rate(
 
 @dataclass
 class DetectorResult:
-    """Accepted clicks of one detector over the whole run."""
+    """Accepted clicks of one detector in the frames it was drawn over,
+    in time order."""
 
     t_within: np.ndarray
     frame_idx: np.ndarray
@@ -191,16 +196,17 @@ def _jittered(gen, t, vcfg) -> np.ndarray:
     return t
 
 
-def _batch_pieces(root, key, components, b0, nb):
+def _batch_pieces(root, key, components, b0, nb, i0):
     """Yield ``(sig_pos, frames, t)`` for each piece of frames ``b0 .. b0+nb``:
     stream ``(*key, s, batch)`` draws signal ``s``'s components in list
-    order, the frames (sorted) and then their within-frame times."""
+    order, the frames (sorted) and then their within-frame times.  Per-frame
+    classes of frame ``b0`` start at ``cls[i0]``."""
     for sig_pos, comps in enumerate(components):
         gen = root.stream(*key, sig_pos, b0 // BATCH).generator()
         for lam, place in comps:
             if isinstance(lam, tuple):
                 table, cls = lam
-                lam = table[cls[b0:b0 + nb]]
+                lam = table[cls[i0:i0 + nb]]
             frames = b0 + _poisson_frames(gen, lam, nb)
             if len(frames):
                 yield sig_pos, frames, place(gen, frames)
@@ -226,16 +232,21 @@ def _simulate_detector(
     components: list,
     vcfg: ValidatedConfig,
     gate: str,
-    n_frames: int,
+    frames: range,
+    blocked_ps: int = 0,
 ) -> DetectorResult:
-    """Draw, gate and dead-time veto every click of one detector.
+    """Draw, gate and dead-time veto every click of one detector in
+    ``frames``, a range that starts on a batch boundary.
 
     ``components[s]`` lists signal ``s``'s ``(lam, place)`` pairs: ``lam``
     mean clicks per frame (a scalar, or a ``(table, cls)`` pair giving frame
-    ``i`` the rate ``table[cls[i]]``, gathered one batch at a time) and
-    ``place(gen, frames)`` the within-frame times of clicks in those
-    frames.  Each batch of ``_batch_pieces`` is folded to its first gated
-    clicks (see the module docstring) or held for ``_finish_detector``.
+    ``frames.start + i`` the rate ``table[cls[i]]``, gathered one batch at a
+    time) and ``place(gen, frames)`` the within-frame times of clicks in
+    those frames.  Each batch of ``_batch_pieces`` is folded to its first
+    gated clicks (see the module docstring) or held for
+    ``_finish_detector``.  The detector is dead until the absolute time
+    ``blocked_ps`` from clicks before ``frames``; a folded detector's dead
+    time ends before its next gate opens, so it needs none.
     """
     root = RandomSource(vcfg.seed)
     window, tau = vcfg.frame_window_ps, vcfg.dead_time_ps
@@ -245,9 +256,9 @@ def _simulate_detector(
             and expected >= FIRST_CLICK_DENSITY)
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
               np.zeros(0, dtype=np.int8))]
-    for b0 in range(0, n_frames, BATCH):
-        nb = min(BATCH, n_frames - b0)
-        pieces = _batch_pieces(root, key, components, b0, nb)
+    for b0 in range(frames.start, frames.stop, BATCH):
+        nb = min(BATCH, frames.stop - b0)
+        pieces = _batch_pieces(root, key, components, b0, nb, b0 - frames.start)
         if fold:
             parts.append(_first_gated_clicks(pieces, b0, nb, len(components), gate, vcfg))
         else:
@@ -255,12 +266,22 @@ def _simulate_detector(
     if fold:
         fr, t, origin = (np.concatenate(column) for column in zip(*parts))
     else:
-        fr, t, origin = _finish_detector(parts, vcfg, gate)
+        fr, t, origin = _finish_detector(parts, vcfg, gate, blocked_ps)
     return DetectorResult(t_within=t, frame_idx=fr, origin=origin)
 
 
-def _finish_detector(parts, vcfg, gate) -> tuple:
-    """Gate, time-sort and dead-time walk held ``(frames, t, origin)`` pieces to clicks."""
+def _blocked_until(det: DetectorResult, vcfg, blocked_ps: int) -> int:
+    """The absolute time until which ``det``'s detector stays dead: its last
+    click plus the dead time, or ``blocked_ps`` when it kept no click."""
+    if not len(det.frame_idx):
+        return blocked_ps
+    return (int(det.frame_idx[-1]) * vcfg.frame_period_ps + int(det.t_within[-1])
+            + vcfg.dead_time_ps)
+
+
+def _finish_detector(parts, vcfg, gate, blocked_ps=0) -> tuple:
+    """Gate, time-sort and dead-time walk held ``(frames, t, origin)`` pieces
+    to clicks, none before the absolute time ``blocked_ps``."""
     fr, t, origin = (np.concatenate(column) for column in zip(*parts))
     # gate first: the mask reads only t_within, and the stable sort keeps
     # the survivors' relative order, so sorting fewer events changes nothing
@@ -268,7 +289,11 @@ def _finish_detector(parts, vcfg, gate) -> tuple:
     fr, t, origin = fr[keep], t[keep], origin[keep]
     t_abs = fr * vcfg.frame_period_ps + t
     order = np.argsort(t_abs, kind="stable")
-    order = order[dead_time_mask(t_abs[order], vcfg.dead_time_ps)]
+    t_abs = t_abs[order]
+    # vetoed events do not extend the dead time (non-paralyzable), so the
+    # walk starts at the first event past it
+    first = np.searchsorted(t_abs, blocked_ps)
+    order = order[first:][dead_time_mask(t_abs[first:], vcfg.dead_time_ps)]
     return fr[order], t[order], origin[order]
 
 
@@ -292,7 +317,7 @@ def _simulate_collection(scenario, channel, key, groups, gate, place) -> Detecto
     vcfg = scenario.validated()
     components = [place(vcfg, sig, _collected_flux(vcfg, channel, sig, groups) * vcfg.eta)
                   for sig in scenario.signals]
-    return _simulate_detector(key, components, vcfg, gate, scenario.experiment.n_frames)
+    return _simulate_detector(key, components, vcfg, gate, range(scenario.experiment.n_frames))
 
 
 def _simulate_timebin_detector(
@@ -509,6 +534,7 @@ def _run_timebin(scenario: Scenario) -> RunResult:
                 det.counts_in(window, vcfg.frame_period_ps, scenario.signals.index(o))
                 for o in early
             )
+        del det  # released before the next detector is drawn
 
     snr_mean = _mean_db(snr_by_signal.values())
     finite_xt = [abs(v) for v in xt_db.values() if v is not None and math.isfinite(v)]
@@ -557,6 +583,7 @@ def _run_capacity(scenario: Scenario) -> RunResult:
     mc_theory_cps = analysis.counts_per_second(
         det1.counts_in(0, vcfg.frame_window_ps), n, vcfg.frame_rate_hz
     )
+    del det1
 
     # Part 2: three signals through the measured tables, reassigned groups.
     # Each collection rate is taken with co-windowed companions disconnected
@@ -582,6 +609,7 @@ def _run_capacity(scenario: Scenario) -> RunResult:
         )
         histograms[f"{sid}_g" + "+".join(map(str, groups))] = histogram_from_times(
             det.t_within, vcfg)
+        del det  # released before the next detector is drawn
     total = sum(cps.values())
     cap = analysis.capacity_from_counts(total, vcfg.d)
     analytic = {
@@ -717,21 +745,10 @@ def _usable_frames(det: DetectorResult, vcfg) -> np.ndarray:
     return fr[(np.diff(fr, prepend=-1) != 0) & (t >= lo) & (t < hi)]
 
 
-def _coin(gen, n: int) -> np.ndarray:
-    """``gen.random(n) < 0.5``, the same doubles drawn a batch at a time."""
-    coin = np.empty(n, dtype=bool)
-    buf = np.empty(min(n, BATCH))
-    for b0 in range(0, n, BATCH):
-        part = buf[:min(BATCH, n - b0)]
-        gen.random(out=part)
-        np.less(part, 0.5, out=coin[b0:b0 + len(part)])
-    return coin
-
-
 def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
                   visibility_cap: float = 0.93, eve: bool = False,
                   phase_floor: float = 0.0) -> Bb84Result:
-    """Run a full BB84 exchange over phase frames.
+    """Run a full BB84 exchange over phase frames, one batch at a time.
 
     ``flux`` is the received mean photons per frame at Bob's input.  Each
     of Bob's two ports is a detector gated to the first half-window and
@@ -739,37 +756,33 @@ def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
     :func:`receiver.delay_interferometer_rates` over ``PHASE_TABLE``, one
     per frame class.  A port's outcome in a frame is its first click past
     the gate and the dead time; it is usable on an interior position.
-    An intercept-resend Eve measures in a random basis; where it differs
-    from Alice's she re-sends a uniformly random state of her own basis.
+    Each batch of ``protocol.exchange_batches`` is reduced to its
+    conclusive frames, Bob's bits there and its sifted key bits; each
+    port's dead time carries into the next batch.
     """
-    root = RandomSource(cfg.seed)
-    gen_a = root.stream(ROLE_ALICE).generator()
-    bits = gen_a.integers(0, 2, size=n_frames, dtype=np.int8)
-    alice_x = _coin(gen_a, n_frames)  # True -> X
-    sent = phase_index(alice_x, bits)
-    if eve:
-        gen_e = root.stream(ROLE_EVE).generator()
-        eve_x = _coin(gen_e, n_frames)
-        eve_bits = gen_e.integers(0, 2, size=n_frames, dtype=np.int8)
-        sent = np.where(eve_x == alice_x, sent, phase_index(eve_x, eve_bits))
-    bob_x = _coin(root.stream(ROLE_BOB).generator(), n_frames)
-    cls = phase_index(bob_x, sent)
-
     law = delay_interferometer_rates(
         cfg.eta * flux, cfg.d, visibility_cap, PHASE_TABLE, "none", phase_floor)
-    rates = law._replace(interior_p=(law.interior_p, cls),
-                         interior_p_prime=(law.interior_p_prime, cls))
-    usable_p, usable_pp = [
-        _usable_frames(_simulate_detector(
-            (ROLE_PHOTONS, i), [_phase_components(cfg, rates, port, "none", 0)],
-            cfg, DELTA_T1, n_frames,
-        ), cfg)
-        for i, port in enumerate(("p", "p_prime"))
-    ]
-    frames, bob_bits = decode(usable_p, usable_pp, bob_x)
-    key_a, key_b, qber = sift(bits[frames], alice_x[frames], bob_x[frames], bob_bits)
-    return Bb84Result(n_frames, len(frames), len(key_a), qber, key_a, key_b,
-                      bits, alice_x, bob_x, frames, bob_bits)
+    blocked = [0, 0]
+    record = []
+    for batch in exchange_batches(cfg.seed, n_frames, eve):
+        b0, cls = batch.start, batch.cls
+        rates = law._replace(interior_p=(law.interior_p, cls),
+                             interior_p_prime=(law.interior_p_prime, cls))
+        usable = []
+        for i, port in enumerate(("p", "p_prime")):
+            det = _simulate_detector(
+                (ROLE_PHOTONS, i), [_phase_components(cfg, rates, port, "none", 0)],
+                cfg, DELTA_T1, range(b0, b0 + len(cls)), blocked[i],
+            )
+            blocked[i] = _blocked_until(det, cfg, blocked[i])
+            usable.append(_usable_frames(det, cfg) - b0)
+        frames, bob_bits = decode(*usable, batch.bob_x)
+        key_a, key_b, _ = sift(batch.bits[frames], batch.alice_x[frames],
+                               batch.bob_x[frames], bob_bits)
+        record.append((b0 + frames, bob_bits, key_a, key_b))
+    frames, bob_bits, key_a, key_b = (np.concatenate(c) for c in zip(*record))
+    return Bb84Result(n_frames, len(frames), len(key_a), error_rate(key_a, key_b),
+                      key_a, key_b, cfg.seed, eve, frames, bob_bits)
 
 
 def _run_bb84(scenario: Scenario) -> RunResult:

@@ -8,9 +8,15 @@ two output ports is the measurement outcome; double or missing clicks give
 a null bit.  Clicks in the two edge positions of the train carry no phase
 information and are discarded before the bit decision.  The clicks
 themselves are drawn by ``pipeline.simulate_bb84``; this module holds the
-encoding table, decoding, sifting, the finite-key bound and the transcript.
-Per-frame state is int8 or bool: a frame's class indexes the eight values
-of phi_a + phi_b in ``PHASE_TABLE``, and decoding sees click frames only.
+per-frame state, the encoding table, decoding, sifting, the finite-key
+bound and the transcript.
+
+Per-frame state (bits, basis coins and the frame class, which indexes the
+eight values of phi_a + phi_b in ``PHASE_TABLE``) is int8 or bool and
+lives one batch at a time: ``exchange_batches`` draws it, the exchange
+reduces each batch to its conclusive frames, and the result's per-frame
+views and the transcript draw it again the same way.  Decoding sees
+click frames only.
 
 Port convention: port P carries the ``1 + V cos(phi_a + phi_b)`` lobe.  A
 matched-basis bit 0 therefore lights port P in the X basis but port P' in
@@ -20,17 +26,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
+
+from .config import BATCH, ROLE_ALICE, ROLE_BOB, ROLE_EVE, RandomSource
 
 __all__ = [
     "BASIS_X",
     "BASIS_Z",
     "KeyRateParams",
     "phase_index",
+    "FrameBatch",
+    "exchange_batches",
     "decode",
     "sift",
+    "error_rate",
     "key_rate",
     "Bb84Result",
     "write_transcript",
@@ -51,6 +62,56 @@ def phase_index(basis_x: np.ndarray, bits: np.ndarray) -> np.ndarray:
     q = np.asarray(bits, dtype=np.int8) * 2
     q += ~np.asarray(basis_x)
     return q
+
+
+class FrameBatch(NamedTuple):
+    """Per-frame state of frames ``start .. start + len(bits)``."""
+
+    start: int
+    bits: np.ndarray  # Alice's bits, int8
+    alice_x: np.ndarray  # basis coins, True -> X
+    bob_x: np.ndarray
+    cls: np.ndarray  # class into PHASE_TABLE of the state Bob receives
+
+
+def _generator_at(source: RandomSource, k: int) -> np.random.Generator:
+    """``source``'s generator after ``k`` raw 64-bit draws (a Philox counter
+    step makes four)."""
+    gen = source.generator()
+    gen.bit_generator.advance(k // 4)
+    gen.bit_generator.random_raw(k % 4)
+    return gen
+
+
+def exchange_batches(seed: int, n_frames: int, eve: bool) -> Iterator[FrameBatch]:
+    """Draw the exchange's per-frame state one ``BATCH`` of frames at a time.
+
+    The draws are those of whole-run streams: Alice's stream yields every
+    bit and then her basis coins, Eve's stream her coins and then her bits,
+    Bob's stream his coins.  A second generator on Alice's and Eve's key
+    starts at the later part: ``n`` int8 bits take ``ceil(n / 8)`` raw
+    draws (four to a 32-bit word, two words to a draw), ``n`` coins ``n``
+    (a double each).  An intercept-resend Eve measures in a random
+    basis; where it differs from Alice's she re-sends a uniformly random
+    state of her own basis.
+    """
+    root = RandomSource(seed)
+    alice, eve_src = root.stream(ROLE_ALICE), root.stream(ROLE_EVE)
+    gen_bits = alice.generator()
+    gen_alice_x = _generator_at(alice, -(-n_frames // 8))
+    gen_eve_x, gen_eve_bits = eve_src.generator(), _generator_at(eve_src, n_frames)
+    gen_bob_x = root.stream(ROLE_BOB).generator()
+    for b0 in range(0, n_frames, BATCH):
+        nb = min(BATCH, n_frames - b0)
+        bits = gen_bits.integers(0, 2, size=nb, dtype=np.int8)
+        alice_x = gen_alice_x.random(nb) < 0.5
+        sent = phase_index(alice_x, bits)
+        if eve:
+            eve_x = gen_eve_x.random(nb) < 0.5
+            eve_bits = gen_eve_bits.integers(0, 2, size=nb, dtype=np.int8)
+            sent = np.where(eve_x == alice_x, sent, phase_index(eve_x, eve_bits))
+        bob_x = gen_bob_x.random(nb) < 0.5
+        yield FrameBatch(b0, bits, alice_x, bob_x, phase_index(bob_x, sent))
 
 
 def decode(frames_p: np.ndarray, frames_pp: np.ndarray, bob_x: np.ndarray):
@@ -165,8 +226,12 @@ def sift(a, b, b_prime, bob_bits):
     keep = (b == b_prime) & (bob_bits != NULL_BIT)
     key_a = a[keep].astype(np.int8)
     key_b = bob_bits[keep].astype(np.int8)
-    qber = float(np.mean(key_a != key_b)) if len(key_a) else math.nan
-    return key_a, key_b, qber
+    return key_a, key_b, error_rate(key_a, key_b)
+
+
+def error_rate(key_a, key_b) -> float:
+    """Mismatch fraction of two sifted keys (NaN with none)."""
+    return float(np.mean(key_a != key_b)) if len(key_a) else math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +241,9 @@ def sift(a, b, b_prime, bob_bits):
 
 @dataclass(frozen=True)
 class Bb84Result:
-    """Keys and record of one exchange: basis coins (True -> X), the
-    conclusive ``frames`` and Bob's ``bits`` there; the per-frame string
-    and bit views are built when read."""
+    """Keys and record of one exchange: the conclusive ``frames`` and Bob's
+    ``bits`` there.  The per-frame views draw the exchange of ``seed``
+    (with an intercept-resend Eve if ``eve``) again when read."""
 
     n_frames: int
     n_detected: int
@@ -186,11 +251,28 @@ class Bb84Result:
     qber: float
     key_a: np.ndarray
     key_b: np.ndarray
-    alice_bits: np.ndarray
-    alice_x: np.ndarray
-    bob_x: np.ndarray
+    seed: int
+    eve: bool
     frames: np.ndarray
     bits: np.ndarray
+
+    def batches(self) -> Iterator[FrameBatch]:
+        return exchange_batches(self.seed, self.n_frames, self.eve)
+
+    def _per_frame(self, column: str) -> np.ndarray:
+        return np.concatenate([getattr(b, column) for b in self.batches()])
+
+    @property
+    def alice_bits(self) -> np.ndarray:
+        return self._per_frame("bits")
+
+    @property
+    def alice_x(self) -> np.ndarray:
+        return self._per_frame("alice_x")
+
+    @property
+    def bob_x(self) -> np.ndarray:
+        return self._per_frame("bob_x")
 
     @property
     def alice_bases(self) -> np.ndarray:
@@ -200,28 +282,36 @@ class Bb84Result:
     def bob_bases(self) -> np.ndarray:
         return np.where(self.bob_x, BASIS_X, BASIS_Z)
 
+    def bob_bits_in(self, start: int, stop: int) -> np.ndarray:
+        """Bob's bit in frames ``start .. stop``, ``NULL_BIT`` where
+        inconclusive."""
+        lo, hi = np.searchsorted(self.frames, (start, stop))
+        out = np.full(stop - start, NULL_BIT, dtype=np.int8)
+        out[self.frames[lo:hi] - start] = self.bits[lo:hi]
+        return out
+
     @property
     def bob_bits(self) -> np.ndarray:
         """Bob's bit in every frame, ``NULL_BIT`` where inconclusive."""
-        out = np.full(self.n_frames, NULL_BIT, dtype=np.int8)
-        out[self.frames] = self.bits
-        return out
+        return self.bob_bits_in(0, self.n_frames)
 
 
 def write_transcript(path, result: Bb84Result) -> None:
     """Dump the announced bases and detection outcomes (audit log).
 
-    One row per frame: the bit column is what Bob would announce having
-    detected ('-' for an inconclusive frame); sifted marks basis-matched
-    conclusive positions.
+    One row per frame, written one batch at a time: the bit column is what
+    Bob would announce having detected ('-' for an inconclusive frame);
+    sifted marks basis-matched conclusive positions.
     """
-    bob = result.bob_bits
-    sifted = (result.alice_x == result.bob_x) & (bob != NULL_BIT)
-    rows = zip(result.alice_bases.tolist(), result.alice_bits.tolist(),
-               result.bob_bases.tolist(), bob.tolist(), sifted.tolist())
-    lines = ["frame,alice_basis,alice_bit,bob_basis,bob_bit,sifted"]
-    lines += [
-        f"{i},{ba},{a},{bb},{'-' if o == NULL_BIT else o},{int(s)}"
-        for i, (ba, a, bb, o, s) in enumerate(rows)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as out:
+        out.write("frame,alice_basis,alice_bit,bob_basis,bob_bit,sifted\n")
+        for b in result.batches():
+            bob = result.bob_bits_in(b.start, b.start + len(b.bits))
+            sifted = (b.alice_x == b.bob_x) & (bob != NULL_BIT)
+            rows = zip(np.where(b.alice_x, BASIS_X, BASIS_Z).tolist(), b.bits.tolist(),
+                       np.where(b.bob_x, BASIS_X, BASIS_Z).tolist(), bob.tolist(),
+                       sifted.tolist())
+            out.writelines(
+                f"{i},{ba},{a},{bb},{'-' if o == NULL_BIT else o},{int(s)}\n"
+                for i, (ba, a, bb, o, s) in enumerate(rows, b.start)
+            )

@@ -65,6 +65,15 @@ class ExperimentSpec:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.n_frames < 1:
             raise ConfigError(f"n_frames must be >= 1, got {self.n_frames}")
+        # written so that NaN fails the checks
+        for name in ("visibility_cap", "phase_floor"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        for name in ("phi_a", "phi_b", "theory_mu", "theory_il_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not all(map(math.isfinite, self.sweep_phi_b)):
+            raise ConfigError(f"sweep_phi_b must be finite, got {self.sweep_phi_b}")
         collected = set()
         for sid, groups in self.collections.items():
             _check_group(f"collections {sid}", groups)
@@ -283,6 +292,9 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ConfigError(
                 f"[{section}] excess_db must be <= 0 (a loss), got {kwargs['excess_db']}"
             )
+        if not kwargs.get("im_extinction", math.inf) > 1.0:
+            raise ConfigError(f"[{section}] im_extinction must be > 1 (linear ratio), "
+                              f"got {kwargs['im_extinction']}")
         signals.append(SignalAssignment(signal_id=sid, **kwargs))
     if not signals:
         raise ConfigError("scenario defines no signals")

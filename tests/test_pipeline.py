@@ -298,7 +298,7 @@ class TestOnePathCrossCheck:
             det = _simulate_phase_detector(sc, ch, key, (1,), "always", phi, arm)
         else:  # the builder reads port P only; port P' is drawn from its components
             comps = [_phase_components(vcfg, law, port, arm, 0)]
-            det = _simulate_detector(key, comps, vcfg, "always", self.N)
+            det = _simulate_detector(key, comps, vcfg, "always", range(self.N))
         d, tp, w = vcfg.d, vcfg.pulse_period_ps, vcfg.frame_window_ps
         interior = law.interior_p if port == "p" else law.interior_p_prime
         # edge 0, interior, edge d, floor only
@@ -361,26 +361,34 @@ class TestFoldAcrossBatches:
 
     @staticmethod
     def _detectors(monkeypatch, sc, density):
-        """Every detector that running ``sc`` draws, with the fold switch at
-        ``density``, and the number of batches folded."""
+        """Every detector result that running ``sc`` draws, with the fold
+        switch at ``density``, and the numbers of batches drawn and folded."""
         sim, fold = pipeline._simulate_detector, pipeline._first_gated_clicks
-        dets, folded = [], []
+        dets, drawn, folded = [], [], []
+
+        def traced(key, components, vcfg, gate, frames, *blocked):
+            drawn.append(len(range(frames.start, frames.stop, BATCH)))
+            dets.append(sim(key, components, vcfg, gate, frames, *blocked))
+            return dets[-1]
+
         monkeypatch.setattr(pipeline, "FIRST_CLICK_DENSITY", density)
-        monkeypatch.setattr(pipeline, "_simulate_detector",
-                            lambda *a: dets.append(sim(*a)) or dets[-1])
+        monkeypatch.setattr(pipeline, "_simulate_detector", traced)
         monkeypatch.setattr(pipeline, "_first_gated_clicks",
                             lambda *a: folded.append(1) or fold(*a))
         run_scenario(sc)
         monkeypatch.undo()
-        return dets, len(folded)
+        return dets, sum(drawn), len(folded)
 
     def _check(self, monkeypatch, sc, density):
-        got, folded = self._detectors(monkeypatch, sc, density)
-        ref, unfolded = self._detectors(monkeypatch, sc, math.inf)
-        assert unfolded == 0 and folded == 3 * len(got)
+        # the time-bin runner draws each detector over the whole run, the
+        # BB84 exchange each port once a batch
+        got, drawn, folded = self._detectors(monkeypatch, sc, density)
+        ref, _, unfolded = self._detectors(monkeypatch, sc, math.inf)
+        assert unfolded == 0 and folded == drawn
         assert len(got) == len(ref)
+        frames = np.concatenate([a.frame_idx for a in got])
+        assert np.unique(frames // BATCH).tolist() == [0, 1, 2]
         for a, b in zip(got, ref):
-            assert np.unique(a.frame_idx // BATCH).tolist() == [0, 1, 2]
             for field in ("t_within", "frame_idx", "origin"):
                 np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
             assert a.t_within.dtype == b.t_within.dtype

@@ -5,8 +5,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from sdmqsim.config import RandomSource, SimConfig, validate_config
-from sdmqsim.pipeline import BATCH, _coin, simulate_bb84
+from sdmqsim import pipeline
+from sdmqsim.config import (
+    DELTA_T1,
+    ROLE_ALICE,
+    ROLE_BOB,
+    ROLE_EVE,
+    ROLE_PHOTONS,
+    RandomSource,
+    SimConfig,
+    validate_config,
+)
+from sdmqsim.pipeline import (
+    BATCH,
+    _blocked_until,
+    _phase_components,
+    _simulate_detector,
+    _usable_frames,
+    simulate_bb84,
+)
 from sdmqsim.protocol import (
     BASIS_X,
     BASIS_Z,
@@ -15,9 +32,11 @@ from sdmqsim.protocol import (
     PHASE_TABLE,
     PHASES,
     decode,
+    exchange_batches,
     key_rate,
     phase_index,
     sift,
+    write_transcript,
 )
 from sdmqsim.receiver import delay_interferometer_rates
 
@@ -115,13 +134,140 @@ class TestInt8Exchange:
         assert q == old_q or (math.isnan(q) and math.isnan(old_q))
         assert len(conc) == int(np.sum(old_bits != NULL_BIT))
 
-    @pytest.mark.parametrize("n", [1, BATCH - 1, BATCH, BATCH + 1, 3 * BATCH + 5])
-    def test_chunked_coin(self, n):
-        gen, ref = RandomSource(8).generator(), RandomSource(8).generator()
-        coin = _coin(gen, n)
-        assert coin.dtype == bool
-        assert np.array_equal(coin, ref.random(n) < 0.5)
-        assert gen.random() == ref.random()  # the stream continues in step
+
+def _whole_run_state(seed, n, eve):
+    """Alice's bits and coins, Bob's coins and the frame classes, each
+    stream drawn whole: Alice's bits then coins, Eve's coins then bits."""
+    root = RandomSource(seed)
+    gen_a = root.stream(ROLE_ALICE).generator()
+    bits = gen_a.integers(0, 2, size=n, dtype=np.int8)
+    alice_x = gen_a.random(n) < 0.5
+    sent = phase_index(alice_x, bits)
+    if eve:
+        gen_e = root.stream(ROLE_EVE).generator()
+        eve_x = gen_e.random(n) < 0.5
+        eve_bits = gen_e.integers(0, 2, size=n, dtype=np.int8)
+        sent = np.where(eve_x == alice_x, sent, phase_index(eve_x, eve_bits))
+    bob_x = root.stream(ROLE_BOB).generator().random(n) < 0.5
+    return bits, alice_x, bob_x, phase_index(bob_x, sent)
+
+
+def _whole_run_bb84(cfg, n, flux, v, eve):
+    """The exchange with every per-frame array of the run built at once and
+    each port drawn, gated and vetoed over the whole run: the conclusive
+    frames, Bob's bits there, the keys and the QBER."""
+    bits, alice_x, bob_x, cls = _whole_run_state(cfg.seed, n, eve)
+    law = delay_interferometer_rates(cfg.eta * flux, cfg.d, v, PHASE_TABLE, "none", 0.0)
+    rates = law._replace(interior_p=(law.interior_p, cls),
+                         interior_p_prime=(law.interior_p_prime, cls))
+    usable = [
+        _usable_frames(_simulate_detector(
+            (ROLE_PHOTONS, i), [_phase_components(cfg, rates, port, "none", 0)],
+            cfg, DELTA_T1, range(n)), cfg)
+        for i, port in enumerate(("p", "p_prime"))
+    ]
+    frames, bob_bits = decode(*usable, bob_x)
+    return (frames, bob_bits, *sift(bits[frames], alice_x[frames], bob_x[frames], bob_bits))
+
+
+def _whole_run_transcript(seed, n, eve, frames, bob_bits):
+    """The transcript's text from whole-run per-frame arrays."""
+    bits, alice_x, bob_x, _ = _whole_run_state(seed, n, eve)
+    bob = np.full(n, NULL_BIT, dtype=np.int8)
+    bob[frames] = bob_bits
+    sifted = (alice_x == bob_x) & (bob != NULL_BIT)
+    basis = {True: BASIS_X, False: BASIS_Z}
+    lines = ["frame,alice_basis,alice_bit,bob_basis,bob_bit,sifted"]
+    lines += [
+        f"{i},{basis[ax]},{a},{basis[bx]},{'-' if o == NULL_BIT else o},{int(s)}"
+        for i, (ax, a, bx, o, s) in enumerate(zip(
+            alice_x.tolist(), bits.tolist(), bob_x.tolist(), bob.tolist(), sifted.tolist()))
+    ]
+    return "\n".join(lines) + "\n"
+
+
+class TestStreamSplit:
+    """The exchange drawn one batch at a time against the same draws made
+    over the whole run at once."""
+
+    @pytest.mark.parametrize("eve", [False, True])
+    @pytest.mark.parametrize("n", [1, 7, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 5])
+    def test_per_frame_state_matches_whole_run(self, n, eve):
+        batches = list(exchange_batches(9, n, eve))
+        assert [b.start for b in batches] == list(range(0, n, BATCH))
+        columns = [np.concatenate(c) for c in list(zip(*batches))[1:]]
+        for got, ref in zip(columns, _whole_run_state(9, n, eve), strict=True):
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("eve", [False, True])
+    @pytest.mark.parametrize("n", [1, 7, BATCH - 1, BATCH + 1, 2 * BATCH + 5])
+    def test_result_and_transcript_match_whole_run(self, cfg, n, eve, tmp_path):
+        cfg = replace(cfg, seed=10)
+        res = simulate_bb84(cfg, n_frames=n, flux=2.0, visibility_cap=0.93, eve=eve)
+        frames, bob_bits, key_a, key_b, qber = _whole_run_bb84(cfg, n, 2.0, 0.93, eve)
+        if n > 2 * BATCH:  # conclusive frames on both sides of a batch boundary
+            assert frames[0] < BATCH <= frames[-1]
+        np.testing.assert_array_equal(res.frames, frames)
+        np.testing.assert_array_equal(res.bits, bob_bits)
+        np.testing.assert_array_equal(res.key_a, key_a)
+        np.testing.assert_array_equal(res.key_b, key_b)
+        assert (res.n_frames, res.n_detected, res.n_sifted) == (n, len(frames), len(key_a))
+        assert res.qber == qber or (math.isnan(res.qber) and math.isnan(qber))
+        bits, alice_x, bob_x, _ = _whole_run_state(cfg.seed, n, eve)
+        for got, ref in ((res.alice_bits, bits), (res.alice_x, alice_x), (res.bob_x, bob_x)):
+            np.testing.assert_array_equal(got, ref)
+        write_transcript(tmp_path / "t.csv", res)
+        assert (tmp_path / "t.csv").read_bytes() == _whole_run_transcript(
+            cfg.seed, n, eve, frames, bob_bits).encode()
+
+    def test_long_dead_time_matches_whole_run(self, cfg, monkeypatch):
+        # a 150 ns dead time outlasts the 100 ns blank half, so each port's
+        # dead time carries across batch boundaries
+        n = 2 * BATCH + 5
+        cfg = replace(cfg, seed=11, dead_time_ps=150_000)
+        calls, sim = [], pipeline._simulate_detector
+
+        def traced(key, components, vcfg, gate, frames, blocked_ps):
+            calls.append((key, blocked_ps, sim(key, components, vcfg, gate, frames, blocked_ps)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(pipeline, "_simulate_detector", traced)
+        res = simulate_bb84(cfg, n_frames=n, flux=10.0, visibility_cap=0.93, eve=True)
+        monkeypatch.undo()
+        for port in ((ROLE_PHOTONS, 0), (ROLE_PHOTONS, 1)):  # each batch gets the carry
+            blocked = [b for key, b, _ in calls if key == port]
+            dets = [det for key, _, det in calls if key == port]
+            assert len(blocked) == 3 and blocked[0] == 0
+            for i in (1, 2):
+                assert blocked[i] == _blocked_until(dets[i - 1], cfg, blocked[i - 1]) > 0
+        frames, bob_bits, key_a, key_b, qber = _whole_run_bb84(cfg, n, 10.0, 0.93, True)
+        np.testing.assert_array_equal(res.frames, frames)
+        np.testing.assert_array_equal(res.bits, bob_bits)
+        np.testing.assert_array_equal(res.key_a, key_a)
+        np.testing.assert_array_equal(res.key_b, key_b)
+        assert res.qber == qber
+
+    def test_dead_time_carried_across_batches(self, cfg):
+        # a click late in each batch's last frame blocks the first 49 ns of
+        # the next batch, where every other frame's clicks land at 10 ns
+        n = 2 * BATCH + 5
+        cfg = replace(cfg, dead_time_ps=150_000)
+        comps = [[(20.0, lambda gen, fr: np.where(fr % BATCH == BATCH - 1, 99_000, 10_000))]]
+        whole = _simulate_detector((ROLE_PHOTONS, 0), comps, cfg, DELTA_T1, range(n))
+        carried, fresh, blocked = [], [], 0
+        for b0 in range(0, n, BATCH):
+            frames = range(b0, min(b0 + BATCH, n))
+            carried.append(_simulate_detector((ROLE_PHOTONS, 0), comps, cfg, DELTA_T1,
+                                              frames, blocked))
+            blocked = _blocked_until(carried[-1], cfg, blocked)
+            fresh.append(_simulate_detector((ROLE_PHOTONS, 0), comps, cfg, DELTA_T1, frames))
+        for field in ("frame_idx", "t_within"):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(d, field) for d in carried]), getattr(whole, field))
+        # the first frame of each later batch is vetoed only with the carry
+        assert not np.isin([BATCH, 2 * BATCH], whole.frame_idx).any()
+        assert np.isin([BATCH, 2 * BATCH], np.concatenate([d.frame_idx for d in fresh])).all()
 
 
 def _bb84(cfg, seed, v, n=200_000):

@@ -240,6 +240,7 @@ class TestCliRun:
             pytest.param("input_group", "5", "0", id="0"),
             pytest.param("input_group", "5", "6", id="6"),
             pytest.param("excess_db", "-3.7930", "0.5", id="excess_db"),
+            pytest.param("im_extinction", "1393.3", "nan", id="im_extinction"),
         ],
     )
     def test_input_group_out_of_range_exit_2(self, field, old, new, tmp_path, capsys):
@@ -262,6 +263,11 @@ class TestCliRun:
                          ("no section headers", "bad.ini', line: 6"), id="key_before_section"),
             pytest.param("eta = 0.15\n", "eta = 15%\n", ("bad value for eta: '15%'",),
                          id="percent_in_value"),
+            # a fringe contrast above 1 would make the wrong port's rate negative
+            pytest.param("visibility_cap = 0.93\n", "visibility_cap = 1.5\n",
+                         ("visibility_cap must be in [0, 1], got 1.5",), id="visibility_cap"),
+            pytest.param("phase_floor = 0.0\n", "phase_floor = -0.5\n",
+                         ("phase_floor must be in [0, 1], got -0.5",), id="phase_floor"),
         ],
     )
     def test_malformed_file_exit_2(self, old, new, says, tmp_path, capsys):
@@ -301,6 +307,33 @@ class TestCliRun:
         assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert says in err and "Traceback" not in err
+
+    # NaN passes a plain `x < 0` check; each key is rejected by name instead
+    @pytest.mark.parametrize(
+        "name,key,values",
+        [pytest.param(name, key, values, id=key) for name, key, values in [
+            ("bb84", "mu_in", ("nan", "inf", "-inf")),
+            ("bb84", "jitter_sigma_ps", ("nan", "inf", "-inf")),
+            ("bb84", "visibility_cap", ("nan", "inf", "-inf")),
+            ("bb84", "phase_floor", ("nan", "inf", "-inf")),
+            ("phase_er", "phi_a", ("nan", "inf", "-inf")),
+            ("phase_er", "phi_b", ("nan", "inf", "-inf")),
+            ("capacity", "theory_mu", ("nan", "inf", "-inf")),
+            ("capacity", "theory_il_db", ("nan", "inf", "-inf")),
+            ("bb84", "im_extinction", ("nan", "-inf")),  # +inf: a perfect modulator
+        ]],
+    )
+    def test_non_finite_float_exit_2(self, name, key, values, tmp_path, capsys):
+        lines = (SCENARIOS / f"{name}.ini").read_text().splitlines(keepends=True)
+        (at,) = [i for i, line in enumerate(lines) if line.startswith(f"{key} = ")]
+        bad = tmp_path / "bad.ini"
+        for value in values:
+            lines[at] = f"{key} = {value}\n"
+            bad.write_text("".join(lines))
+            rc = main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert rc == 2, (value, err)
+            assert f"{key} must be" in err and "Traceback" not in err, value
 
     def test_bb84_nothing_sifted_exits_0(self, tmp_path):
         # one frame sifts no bit: no QBER is reported and no key is made
