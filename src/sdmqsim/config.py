@@ -96,12 +96,6 @@ class ValidatedConfig(SimConfig):
     """
 
     n_bins: int = 0
-    slot_centers_ps: tuple = ()
-
-    @property
-    def slot_center(self):
-        """Slot-center offsets (ps) within the occupied window, index 0..d-1."""
-        return np.asarray(self.slot_centers_ps, dtype=np.int64)
 
 
 def validate_config(cfg: SimConfig) -> ValidatedConfig:
@@ -154,13 +148,9 @@ def validate_config(cfg: SimConfig) -> ValidatedConfig:
         raise ConfigError(
             f"jitter_sigma_ps must be non-negative and finite, got {cfg.jitter_sigma_ps}")
 
-    centers = tuple(
-        m * cfg.pulse_period_ps + cfg.pulse_period_ps // 2 for m in range(cfg.d)
-    )
     return ValidatedConfig(
         **{f: getattr(cfg, f) for f in SimConfig.__dataclass_fields__},
         n_bins=cfg.frame_period_ps // cfg.hist_res_ps,
-        slot_centers_ps=centers,
     )
 
 

@@ -14,8 +14,7 @@ exact: independent Poisson(lam) counts over ``nb`` frames, conditioned on
 their sum ``K``, are multinomial with equal cell probabilities, which is
 what ``K`` uniform picks give.  The work is O(events) rather than
 O(frames), which matters at the ~0.002 events per detector-frame of the
-phase experiments.  Slot, jitter, edge and floor placement then act on the
-``K`` events only.
+phase experiments.  Placement then acts on the ``K`` events only.
 
 A component whose rate differs from frame to frame (Bob's ports in BB84,
 where each frame carries its own phase) is given as a rate table plus a
@@ -27,7 +26,8 @@ and is thinned from their maximum (Lewis & Shedler, Naval Res. Logist. Q.
 Every detector is drawn by the one sampler ``_simulate_detector``; the
 time-bin, phase and BB84 runners only describe each signal's components:
 mean clicks per frame, taken from the channel and (for phase frames) from
-``receiver.delay_interferometer_rates``, and where those clicks land.
+``receiver.delay_interferometer_rates``, and where those clicks land, as
+data: a jittered ``Pulse`` on a slot or a train, or a uniform ``Floor``.
 A ``dt1``/``dt2`` detector with the dead time nested in the blank half
 keeps each frame's first gated click (see receiver).  From
 ``FIRST_CLICK_DENSITY`` expected clicks a frame, each piece is gated and
@@ -186,30 +186,57 @@ def _poisson_frames(gen, lam, nb: int) -> np.ndarray:
     return idx
 
 
-def _jittered(gen, t, vcfg) -> np.ndarray:
-    """Pulse click times ``t`` (a fresh array) plus detector jitter, clamped
-    to the frame."""
-    sigma = vcfg.jitter_sigma_ps
-    if sigma > 0 and len(t):
-        t += np.rint(gen.normal(0.0, sigma, size=len(t))).astype(np.int64)
-    np.clip(t, 0, vcfg.frame_period_ps - 1, out=t)
-    return t
+@dataclass(frozen=True)
+class Pulse:
+    """Jittered clicks at ``first + k * spacing``, ``k`` uniform in ``0 .. n-1``."""
+
+    first: int
+    n: int = 1
+    spacing: int = 0
+
+    def times(self, gen, size: int, vcfg) -> np.ndarray:
+        t = np.full(size, self.first)
+        if self.n > 1:
+            t += gen.integers(0, self.n, size=size) * self.spacing
+        if vcfg.jitter_sigma_ps > 0:
+            t += np.rint(gen.normal(0.0, vcfg.jitter_sigma_ps, size=size)).astype(np.int64)
+        return np.clip(t, 0, vcfg.frame_period_ps - 1, out=t)
 
 
-def _batch_pieces(root, key, components, b0, nb, i0):
+@dataclass(frozen=True)
+class Floor:
+    """Clicks at ``lo + U[0, frame_window_ps)``; with ``split``, each one is
+    ``split`` ps later with probability 1/2."""
+
+    lo: int
+    split: int = 0
+
+    def times(self, gen, size: int, vcfg) -> np.ndarray:
+        t = self.lo + gen.integers(0, vcfg.frame_window_ps, size=size)
+        if self.split:
+            t += self.split * (gen.random(size) < 0.5)
+        return np.minimum(t, vcfg.frame_period_ps - 1, out=t)
+
+
+def _pulse_center(vcfg, offset, slot):
+    """Center (ps) of pulse slot ``slot`` of a train starting at ``offset``."""
+    return offset + slot * vcfg.pulse_period_ps + vcfg.pulse_period_ps // 2
+
+
+def _batch_pieces(root, key, components, vcfg, b0, nb, i0):
     """Yield ``(sig_pos, frames, t)`` for each piece of frames ``b0 .. b0+nb``:
     stream ``(*key, s, batch)`` draws signal ``s``'s components in list
     order, the frames (sorted) and then their within-frame times.  Per-frame
     classes of frame ``b0`` start at ``cls[i0]``."""
     for sig_pos, comps in enumerate(components):
         gen = root.stream(*key, sig_pos, b0 // BATCH).generator()
-        for lam, place in comps:
+        for lam, placement in comps:
             if isinstance(lam, tuple):
                 table, cls = lam
                 lam = table[cls[i0:i0 + nb]]
             frames = b0 + _poisson_frames(gen, lam, nb)
             if len(frames):
-                yield sig_pos, frames, place(gen, frames)
+                yield sig_pos, frames, placement.times(gen, len(frames), vcfg)
 
 
 def _first_gated_clicks(pieces, b0, nb, n_sig, gate, vcfg):
@@ -238,12 +265,12 @@ def _simulate_detector(
     """Draw, gate and dead-time veto every click of one detector in
     ``frames``, a range that starts on a batch boundary.
 
-    ``components[s]`` lists signal ``s``'s ``(lam, place)`` pairs: ``lam``
-    mean clicks per frame (a scalar, or a ``(table, cls)`` pair giving frame
-    ``frames.start + i`` the rate ``table[cls[i]]``, gathered one batch at a
-    time) and ``place(gen, frames)`` the within-frame times of clicks in
-    those frames.  Each batch of ``_batch_pieces`` is folded to its first
-    gated clicks (see the module docstring) or held for
+    ``components[s]`` lists signal ``s``'s ``(lam, placement)`` pairs:
+    ``lam`` mean clicks per frame (a scalar, or a ``(table, cls)`` pair
+    giving frame ``frames.start + i`` the rate ``table[cls[i]]``, gathered
+    one batch at a time) and ``placement`` a ``Pulse`` or ``Floor``, where
+    in the frame those clicks land.  Each batch of ``_batch_pieces`` is
+    folded to its first gated clicks (see the module docstring) or held for
     ``_finish_detector``.  The detector is dead until the absolute time
     ``blocked_ps`` from clicks before ``frames``; a folded detector's dead
     time ends before its next gate opens, so it needs none.
@@ -258,7 +285,7 @@ def _simulate_detector(
               np.zeros(0, dtype=np.int8))]
     for b0 in range(frames.start, frames.stop, BATCH):
         nb = min(BATCH, frames.stop - b0)
-        pieces = _batch_pieces(root, key, components, b0, nb, b0 - frames.start)
+        pieces = _batch_pieces(root, key, components, vcfg, b0, nb, b0 - frames.start)
         if fold:
             parts.append(_first_gated_clicks(pieces, b0, nb, len(components), gate, vcfg))
         else:
@@ -298,24 +325,19 @@ def _finish_detector(parts, vcfg, gate, blocked_ps=0) -> tuple:
 
 
 def _timebin_components(vcfg, lam, f, offset, slot) -> tuple:
-    """The slot pulse (jittered) and the floor over the occupied window."""
-    center = offset + vcfg.slot_center[slot]
-    window = vcfg.frame_window_ps
-    return (
-        (lam * (1 - f), lambda gen, fr: _jittered(gen, np.full(len(fr), center), vcfg)),
-        (lam * f, lambda gen, fr: offset + gen.integers(0, window, size=len(fr))),
-    )
+    """The slot pulse and the floor over the occupied window."""
+    return (lam * (1 - f), Pulse(_pulse_center(vcfg, offset, slot))), (lam * f, Floor(offset))
 
 
-def _simulate_collection(scenario, channel, key, groups, gate, place) -> DetectorResult:
+def _simulate_collection(scenario, channel, key, groups, gate, build) -> DetectorResult:
     """All clicks of one gated detector watching a group collection, drawn
     from every signal of ``scenario`` in its order over its frames.
 
-    ``place(vcfg, sig, lam)`` gives the components of signal ``sig``, which
+    ``build(vcfg, sig, lam)`` gives the components of signal ``sig``, which
     reaches the detector at ``lam`` mean clicks per frame.
     """
     vcfg = scenario.validated()
-    components = [place(vcfg, sig, _collected_flux(vcfg, channel, sig, groups) * vcfg.eta)
+    components = [build(vcfg, sig, _collected_flux(vcfg, channel, sig, groups) * vcfg.eta)
                   for sig in scenario.signals]
     return _simulate_detector(key, components, vcfg, gate, range(scenario.experiment.n_frames))
 
@@ -329,42 +351,30 @@ def _simulate_timebin_detector(
 ) -> DetectorResult:
     """Clicks of one detector watching the signals' time-bin slots."""
 
-    def place(vcfg, sig, lam):
+    def build(vcfg, sig, lam):
         ext = sig.im_extinction if sig.im_extinction is not None else vcfg.im_extinction
         return _timebin_components(vcfg, lam, floor_fraction(vcfg.d, ext),
                                    sig.offset_ps(vcfg), sig.fixed_slot)
 
-    return _simulate_collection(scenario, channel, key, groups, gate, place)
+    return _simulate_collection(scenario, channel, key, groups, gate, build)
 
 
 def _phase_components(vcfg, rates, port, arm, offset) -> tuple:
     """Interior, edge and floor clicks of one port, in stream order.
 
-    Position ``j`` of the d+1 interferometer outputs is centered at
-    ``offset + j T_p + T_p/2``; interior clicks pick 1..d-1 with equal
-    weights.  The floor covers the occupied window through each open arm,
-    the delay arm shifting it by one pulse period.
+    Position ``j`` of the d+1 interferometer outputs is centered on pulse
+    slot ``j``; interior clicks pick 1..d-1 with equal weights.  The floor
+    covers the occupied window through each open arm, the delay arm
+    shifting it by one pulse period.
     """
     d, tp = vcfg.d, vcfg.pulse_period_ps
-    t0 = offset + tp // 2
-    window = vcfg.frame_window_ps
-
-    def floor(gen, fr):
-        t = offset + gen.integers(0, window, size=len(fr))
-        if arm == "none":
-            t = t + tp * (gen.random(len(fr)) < 0.5)
-        elif arm == "direct":
-            t = t + tp  # only the delayed arm is open
-        return np.minimum(t, vcfg.frame_period_ps - 1)
-
+    t0 = _pulse_center(vcfg, offset, 0)
     interior = rates.interior_p if port == "p" else rates.interior_p_prime
     return (
-        (interior, lambda gen, fr: _jittered(
-            gen, t0 + gen.integers(1, d, size=len(fr)) * tp, vcfg)),
-        (rates.edge_0, lambda gen, fr: _jittered(gen, np.full(len(fr), t0), vcfg)),
-        (rates.edge_d, lambda gen, fr: _jittered(
-            gen, np.full(len(fr), t0 + d * tp), vcfg)),
-        (rates.floor, floor),
+        (interior, Pulse(t0 + tp, d - 1, tp)),
+        (rates.edge_0, Pulse(t0)),
+        (rates.edge_d, Pulse(t0 + d * tp)),
+        (rates.floor, Floor(offset + tp * (arm == "direct"), tp * (arm == "none"))),
     )
 
 
@@ -385,12 +395,12 @@ def _simulate_phase_detector(
     """
     exp = scenario.experiment
 
-    def place(vcfg, sig, lam):
+    def build(vcfg, sig, lam):
         rates = delay_interferometer_rates(lam, vcfg.d, exp.visibility_cap, phi_total,
                                            arm, exp.phase_floor)
         return _phase_components(vcfg, rates, "p", arm, sig.offset_ps(vcfg))
 
-    return _simulate_collection(scenario, channel, key, groups, gate, place)
+    return _simulate_collection(scenario, channel, key, groups, gate, build)
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +426,9 @@ def _gated_phase_counts(det: DetectorResult, vcfg, offset_ps) -> float:
     subtracted.
     """
     tp = vcfg.pulse_period_ps
-    rel = det.t_within.astype(np.int64) - offset_ps
-    j = rel // tp
+    j = (det.t_within - offset_ps) // tp
     interior = (j >= 1) & (j <= vcfg.d - 1)
-    within = rel - j * tp
-    dist = np.abs(within - tp // 2)
+    dist = np.abs(det.t_within - _pulse_center(vcfg, offset_ps, j))
     n_sig = int(np.sum(interior & (dist <= 375)))
     n_bkg = int(np.sum(interior & (dist > tp // 2 - 375)))
     return float(n_sig - n_bkg)

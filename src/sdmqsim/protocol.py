@@ -14,9 +14,8 @@ bound and the transcript.
 Per-frame state (bits, basis coins and the frame class, which indexes the
 eight values of phi_a + phi_b in ``PHASE_TABLE``) is int8 or bool and
 lives one batch at a time: ``exchange_batches`` draws it, the exchange
-reduces each batch to its conclusive frames, and the result's per-frame
-views and the transcript draw it again the same way.  Decoding sees
-click frames only.
+reduces each batch to its conclusive frames, and the transcript draws it
+again the same way.  Decoding sees click frames only.
 
 Port convention: port P carries the ``1 + V cos(phi_a + phi_b)`` lobe.  A
 matched-basis bit 0 therefore lights port P in the X basis but port P' in
@@ -242,8 +241,8 @@ def error_rate(key_a, key_b) -> float:
 @dataclass(frozen=True)
 class Bb84Result:
     """Keys and record of one exchange: the conclusive ``frames`` and Bob's
-    ``bits`` there.  The per-frame views draw the exchange of ``seed``
-    (with an intercept-resend Eve if ``eve``) again when read."""
+    ``bits`` there.  ``batches`` draws the per-frame state of ``seed``'s
+    exchange (with an intercept-resend Eve if ``eve``) again."""
 
     n_frames: int
     n_detected: int
@@ -259,29 +258,6 @@ class Bb84Result:
     def batches(self) -> Iterator[FrameBatch]:
         return exchange_batches(self.seed, self.n_frames, self.eve)
 
-    def _per_frame(self, column: str) -> np.ndarray:
-        return np.concatenate([getattr(b, column) for b in self.batches()])
-
-    @property
-    def alice_bits(self) -> np.ndarray:
-        return self._per_frame("bits")
-
-    @property
-    def alice_x(self) -> np.ndarray:
-        return self._per_frame("alice_x")
-
-    @property
-    def bob_x(self) -> np.ndarray:
-        return self._per_frame("bob_x")
-
-    @property
-    def alice_bases(self) -> np.ndarray:
-        return np.where(self.alice_x, BASIS_X, BASIS_Z)
-
-    @property
-    def bob_bases(self) -> np.ndarray:
-        return np.where(self.bob_x, BASIS_X, BASIS_Z)
-
     def bob_bits_in(self, start: int, stop: int) -> np.ndarray:
         """Bob's bit in frames ``start .. stop``, ``NULL_BIT`` where
         inconclusive."""
@@ -289,11 +265,6 @@ class Bb84Result:
         out = np.full(stop - start, NULL_BIT, dtype=np.int8)
         out[self.frames[lo:hi] - start] = self.bits[lo:hi]
         return out
-
-    @property
-    def bob_bits(self) -> np.ndarray:
-        """Bob's bit in every frame, ``NULL_BIT`` where inconclusive."""
-        return self.bob_bits_in(0, self.n_frames)
 
 
 def write_transcript(path, result: Bb84Result) -> None:

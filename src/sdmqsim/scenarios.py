@@ -31,6 +31,11 @@ GATE_VALUES = ("dt1", "dt2", "always")
 # kinds that simulate a pure time-bin stream with one slot per signal
 TIMEBIN_KINDS = ("timebin_xt", "timebin_B", "capacity")
 
+# [experiment] keys only these kinds read; a file setting one for another
+# kind is rejected rather than silently ignored
+KIND_ONLY_KEYS = {"transcript": ("bb84", "bb84_eve"), "theory_mu": ("capacity",),
+                  "theory_il_db": ("capacity",)}
+
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -69,9 +74,11 @@ class ExperimentSpec:
         for name in ("visibility_cap", "phase_floor"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
-        for name in ("phi_a", "phi_b", "theory_mu", "theory_il_db"):
+        for name in ("phi_a", "phi_b", "theory_il_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.theory_mu < math.inf:
+            raise ConfigError(f"theory_mu must be positive and finite, got {self.theory_mu}")
         if not all(map(math.isfinite, self.sweep_phi_b)):
             raise ConfigError(f"sweep_phi_b must be finite, got {self.sweep_phi_b}")
         collected = set()
@@ -318,6 +325,10 @@ def load_scenario(path: str | Path) -> Scenario:
         else:
             raise ConfigError(f"unknown [experiment] key {key!r}")
     experiment = ExperimentSpec(**exp_kwargs)
+    for key, kinds in KIND_ONLY_KEYS.items():
+        if key in exp_kwargs and experiment.kind not in kinds:
+            raise ConfigError(f"{key} is read only by kind {' or '.join(kinds)}, "
+                              f"not by {experiment.kind}")
 
     # experiment kinds that read per-collection counts need the mapping
     if experiment.kind in ("timebin_xt", "timebin_B", "capacity", "phase_er") and not experiment.collections:

@@ -8,6 +8,7 @@ from sdmqsim.config import (
     SimConfig,
     validate_config,
 )
+from sdmqsim.pipeline import Pulse, _timebin_components
 
 
 class TestValidateConfig:
@@ -15,8 +16,9 @@ class TestValidateConfig:
         v = validate_config(SimConfig())
         assert v.n_bins == 8000
         assert v.d == 64
-        assert v.slot_center[0] == 770
-        assert v.slot_center[20] == 20 * 1540 + 770
+        for slot, center in ((0, 770), (20, 20 * 1540 + 770)):
+            (_, pulse), _ = _timebin_components(v, 1.0, 0.0, 0, slot)
+            assert pulse == Pulse(center)
 
     def test_pulse_train_must_fit_window(self):
         # 64 * 1540 = 98560 > 90000

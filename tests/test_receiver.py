@@ -10,6 +10,7 @@ from sdmqsim import pipeline
 from sdmqsim.pipeline import (
     FIRST_CLICK_DENSITY,
     DetectorResult,
+    Floor,
     _finish_detector,
     _first_gated_clicks,
     _simulate_detector,
@@ -38,10 +39,9 @@ def _detect(times, cfg, gate="always"):
     return DetectorResult(t, fr, origin)
 
 
-def _uniform_in_gate(lam, cfg):
+def _uniform_in_gate(lam):
     """One component: ``lam`` clicks per frame, uniform over the first half."""
-    window = cfg.frame_window_ps
-    return [[(lam, lambda gen, fr: gen.integers(0, window, size=len(fr)))]]
+    return [[(lam, Floor(0))]]
 
 
 class TestDetect:
@@ -64,7 +64,7 @@ class TestDetect:
         # mean 0.15 photons/frame, eta 0.15: per-frame click probability
         # 1 - exp(-0.0225) ~= 0.02225, checked within 3 sigma over 3e5 frames
         n = 300_000
-        det = _simulate_detector((0,), _uniform_in_gate(0.15 * 0.15, cfg), cfg, "dt1", range(n))
+        det = _simulate_detector((0,), _uniform_in_gate(0.15 * 0.15), cfg, "dt1", range(n))
         p = 1 - math.exp(-0.0225)
         expect = n * p
         assert abs(len(det.t_within) - expect) <= 3 * math.sqrt(expect)
@@ -85,7 +85,7 @@ class TestDetect:
         # suppresses in-gate signal: a gated collection clicks at most once
         # per frame, and exactly in the frames with >= 1 photon
         n = 50_000
-        comps = _uniform_in_gate(0.3, cfg)
+        comps = _uniform_in_gate(0.3)
         det = _simulate_detector((1,), comps, cfg, "dt1", range(n))
         photons = _simulate_detector(
             (1,), comps, validate_config(SimConfig(dead_time_ps=0)), "dt1", range(n)
@@ -254,7 +254,7 @@ class TestFirstClickVeto:
         with mock.patch.object(
             pipeline, "_first_gated_clicks", wraps=pipeline._first_gated_clicks
         ) as spy:
-            _simulate_detector((2,), _uniform_in_gate(lam, cfg), cfg, gate, range(8))
+            _simulate_detector((2,), _uniform_in_gate(lam), cfg, gate, range(8))
         return spy.called
 
     def _check(self, got, ref):

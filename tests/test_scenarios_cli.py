@@ -296,6 +296,8 @@ class TestCliRun:
             # capacity's flat single-signal budget is built through the same check
             pytest.param("capacity", "theory_il_db = -8.3", "theory_il_db = 3.0",
                          "uniform_il_db must be <= 0", id="theory_il_db"),
+            pytest.param("capacity", "theory_mu = 1.0", "theory_mu = -1.0",
+                         "theory_mu must be", id="theory_mu"),
         ],
     )
     def test_bad_channel_or_signal_value_exit_2(self, name, old, new, says,
@@ -378,6 +380,29 @@ class TestCliRun:
             "[experiment]", "[signal.T]\ninput_group = 2\n\n[experiment]"))
         assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
         assert "[signal.T]" in capsys.readouterr().err
+
+    # a key that the file's kind would ignore names itself
+    @pytest.mark.parametrize(
+        "name,line",
+        [
+            ("timebin_b", "transcript = true"),
+            ("phase_er", "transcript = false"),
+            ("capacity", "transcript = true"),
+            ("bb84", "theory_mu = 1.0"),
+            ("bb84_eve", "theory_il_db = -8.3"),
+            ("phase_sweep", "theory_mu = 2.0"),
+            ("timebin_xt", "theory_il_db = -3.0"),
+        ],
+    )
+    def test_key_other_kind_ignores_exit_2(self, name, line, tmp_path, capsys):
+        text = (SCENARIOS / f"{name}.ini").read_text()
+        key = line.split(" = ")[0]
+        assert key not in text
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text + f"{line}\n")  # [experiment] is the last section
+        assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} is read only by kind" in err and "Traceback" not in err
 
     # phase_er gates each detector by its signal's delay and reads no gates
     @pytest.mark.parametrize("gates", ["A:always B:always C:always", "A:dt1"])
