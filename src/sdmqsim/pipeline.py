@@ -7,39 +7,29 @@ efficiency-thinned at the source (Poisson splitting), which is
 statistically identical to sampling raw photons and thinning at the
 detector.
 
-Events are sampled per click, not per frame.  Each (signal, component,
-batch) stream draws its total ``K ~ Poisson(lam * nb)`` over the ``nb``
-frames of the batch, then ``K`` uniform frame indices, sorted.  This is
-exact: independent Poisson(lam) counts over ``nb`` frames, conditioned on
-their sum ``K``, are multinomial with equal cell probabilities, which is
-what ``K`` uniform picks give.  The work is O(events) rather than
-O(frames), which matters at the ~0.002 events per detector-frame of the
-phase experiments.  Placement then acts on the ``K`` events only.
+Every detector is drawn by ``_simulate_detector``; the runners only
+describe each signal's components: mean clicks per frame, from the channel
+and (for phase frames) ``receiver.delay_interferometer_rates``, and where
+they land, as data: a jittered ``Pulse`` or a uniform ``Floor``, each with
+its per-ps law (``mass``).  A rate that differs from frame to frame (Bob's
+ports in BB84) is a rate table plus a per-frame class array.
 
-A component whose rate differs from frame to frame (Bob's ports in BB84,
-where each frame carries its own phase) is given as a rate table plus a
-per-frame class array; each batch gathers its frames' rates from the table
-and is thinned from their maximum (Lewis & Shedler, Naval Res. Logist. Q.
-26, 1979): ``K`` picks are drawn at ``max(lam)`` and each pick in frame
-``i`` is kept with probability ``lam[i] / max(lam)``.
-
-Every detector is drawn by the one sampler ``_simulate_detector``; the
-time-bin, phase and BB84 runners only describe each signal's components:
-mean clicks per frame, taken from the channel and (for phase frames) from
-``receiver.delay_interferometer_rates``, and where those clicks land, as
-data: a jittered ``Pulse`` on a slot or a train, or a uniform ``Floor``.
 A ``dt1``/``dt2`` detector with the dead time nested in the blank half
 keeps each frame's first gated click (see receiver).  From
-``FIRST_CLICK_DENSITY`` expected clicks a frame, each piece is gated and
-folded into a per-batch minimum over frames as it is drawn, so no event
-array outlives its piece; other detectors are sorted and walked.
+``FIRST_CLICK_DENSITY`` expected clicks a frame, that click is drawn from
+its law, one uniform a frame: the frame clicks with probability ``1 -
+e^{-C}``, ``C`` its mean gated clicks, and the click's ps inverts the
+cumulative intensity (the time change of an inhomogeneous Poisson
+process: E. Cinlar, Introduction to Stochastic Processes, 1975).  Other
+detectors draw every click, O(events) at the ~0.002 events per
+detector-frame of the phase experiments (``_poisson_frames``), then gate,
+sort and walk them.
 
 The time-bin and phase runners draw each detector once over the whole run.
 The BB84 exchange runs batch-outer: each batch draws its per-frame state
-(``protocol.exchange_batches``), draws both of Bob's ports over its frames,
-carrying each port's blocked-until time into the next batch, then decodes
-and sifts.  Only the conclusive frames outlive a batch, so no per-frame
-array of the whole run is built.
+(``protocol.exchange_batches``) and Bob's ports, whose blocked-until times
+carry into the next batch, then decodes and sifts; only the conclusive
+frames outlive a batch.
 """
 from __future__ import annotations
 
@@ -88,8 +78,10 @@ __all__ = [
     "simulate_bb84",
 ]
 
-# gated clicks a frame from which the first-click veto beats the time sort
+# gated clicks a frame from which drawing only each frame's first click
+# beats drawing every click, and the cells of that draw's guide table
 FIRST_CLICK_DENSITY = 0.25
+GUIDE_CELLS = 1 << 17
 
 
 def build_channel(scenario: Scenario) -> ChannelModel:
@@ -172,10 +164,10 @@ class RunResult:
 def _poisson_frames(gen, lam, nb: int) -> np.ndarray:
     """Sorted frame indices in ``[0, nb)`` of a Poisson(lam)-per-frame stream.
 
-    One Poisson total, then that many uniform frame picks: the same joint
-    law as ``nb`` per-frame Poisson draws (see the module docstring).
-    ``lam`` may be an array of ``nb`` per-frame rates, thinned from its
-    maximum.
+    One Poisson total, then that many uniform frame picks: given the total,
+    independent Poisson counts are multinomial with equal cells.  ``lam``
+    may be an array of ``nb`` per-frame rates, thinned from its maximum
+    (Lewis & Shedler, Naval Res. Logist. Q. 26, 1979).
     """
     per_frame = isinstance(lam, np.ndarray)
     lam_max = lam.max() if per_frame else lam
@@ -186,8 +178,26 @@ def _poisson_frames(gen, lam, nb: int) -> np.ndarray:
     return idx
 
 
+class _Placement:
+    """Where in the frame a component's clicks land."""
+
+    def mass(self, vcfg) -> np.ndarray:
+        """Per-ps probability of ``times`` over the frame."""
+        return _add_runs(np.zeros(vcfg.frame_period_ps), self.runs(vcfg), 1.0, 0)
+
+
+def _add_runs(row, runs, lam, g0) -> np.ndarray:
+    """Add ``lam`` times the ``(lo, hi, p)`` runs of a per-ps law (``p`` one
+    value for the run or one a ps) to ``row``, which holds ps ``g0 ..``."""
+    for lo, hi, p in runs:
+        a, b = max(lo, g0), min(hi, g0 + len(row))
+        if a < b:
+            row[a - g0:b - g0] += lam * (p if np.isscalar(p) else p[a - lo:b - lo])
+    return row
+
+
 @dataclass(frozen=True)
-class Pulse:
+class Pulse(_Placement):
     """Jittered clicks at ``first + k * spacing``, ``k`` uniform in ``0 .. n-1``."""
 
     first: int
@@ -202,9 +212,22 @@ class Pulse:
             t += np.rint(gen.normal(0.0, vcfg.jitter_sigma_ps, size=size)).astype(np.int64)
         return np.clip(t, 0, vcfg.frame_period_ps - 1, out=t)
 
+    def runs(self, vcfg) -> list:
+        """The law of ``times``: the rounded jitter (erf differences at +-0.5
+        ps, out to 8 sigma) around each slot, clamped."""
+        sigma, w = vcfg.jitter_sigma_ps, np.ones(1)
+        if sigma > 0:
+            edges = [math.erf((k + 0.5) / (sigma * math.sqrt(2)))
+                     for k in range(math.ceil(8 * sigma) + 1)]
+            w = np.concatenate([np.diff(edges)[::-1] / 2, edges[:1], np.diff(edges) / 2])
+        slots = self.first + self.spacing * np.arange(self.n)[:, None]
+        t = np.clip(slots + np.arange(len(w)) - len(w) // 2, 0, vcfg.frame_period_ps - 1)
+        p = np.bincount(t.ravel() - t[0, 0], np.tile(w / self.n, self.n))
+        return [(t[0, 0], t[-1, -1] + 1, p)]
+
 
 @dataclass(frozen=True)
-class Floor:
+class Floor(_Placement):
     """Clicks at ``lo + U[0, frame_window_ps)``; with ``split``, each one is
     ``split`` ps later with probability 1/2."""
 
@@ -216,6 +239,15 @@ class Floor:
         if self.split:
             t += self.split * (gen.random(size) < 0.5)
         return np.minimum(t, vcfg.frame_period_ps - 1, out=t)
+
+    def runs(self, vcfg) -> list:
+        """The law of ``times``: uniform over each arm, clamped."""
+        w, last = vcfg.frame_window_ps, vcfg.frame_period_ps - 1
+        p, runs = 1 / (w * (2 if self.split else 1)), []
+        for lo in {self.lo, self.lo + self.split}:
+            hi = min(lo + w, last)  # the ps from hi on clamp to the last
+            runs += [(lo, hi, p), (last, last + 1, p * (lo + w - hi))]
+        return runs
 
 
 def _pulse_center(vcfg, offset, slot):
@@ -239,19 +271,77 @@ def _batch_pieces(root, key, components, vcfg, b0, nb, i0):
                 yield sig_pos, frames, placement.times(gen, len(frames), vcfg)
 
 
-def _first_gated_clicks(pieces, b0, nb, n_sig, gate, vcfg):
-    """Each frame's first gated click over the ``(sig_pos, frames, t)`` pieces
-    of frames ``b0 .. b0+nb``, as ``(frames, t, origin)`` in frame order: the
-    minimum of ``t * n_sig + sig_pos`` per frame, so equal times keep the
-    lower signal, as the stable time sort over pieces in signal order does."""
-    top = vcfg.frame_period_ps * n_sig  # above every key, since t < P
-    best = np.full(nb, top)
-    for sig_pos, frames, t in pieces:
-        keep = gate_mask(t, gate, vcfg.frame_window_ps)
-        np.minimum.at(best, frames[keep] - b0, t[keep] * n_sig + sig_pos)
-    frames = np.flatnonzero(best < top)
-    t, origin = np.divmod(best[frames], n_sig)
-    return b0 + frames, t, origin.astype(np.int8)
+def _arrival_tables(components, vcfg, gate) -> list:
+    """``(total, cdf, guide, scale, cuts)`` over a detector's gated half, per
+    frame class of its ``(table, cls)`` rates.  ``cdf`` is the law of the
+    first gated click, which exists with probability ``total``; only ps
+    ``guide[j] .. guide[j+1]`` have ``cdf`` in cell ``j = floor(u * scale)``
+    (Chen & Asau, 1974).  A click at ``t`` is from a signal ``<= s`` with
+    probability ``cuts[s][t] = (1 - e^{-L_s}) / (1 - e^{-L})``, ``L_s`` the
+    clicks of signals ``0 .. s`` at ``t``: the lowest signal wins ties."""
+    window = vcfg.frame_window_ps
+    g0 = window if gate == DELTA_T2 else 0
+    laws = [[(lam, placement.runs(vcfg)) for lam, placement in comps] for comps in components]
+    tables = []
+    for c in range(max([len(rate[0]) for comps in components for rate, _ in comps
+                        if isinstance(rate, tuple)], default=1)):
+        # written before it is read, so each page faults in once, not twice
+        lam = np.full((len(components), window), 0.0)
+        for row, comps in zip(lam, laws):
+            for rate, runs in comps:
+                _add_runs(row, runs, rate[0][c] if isinstance(rate, tuple) else rate, g0)
+        for s in range(1, len(lam)):
+            lam[s] += lam[s - 1]
+        cdf = np.cumsum(lam[-1])
+        np.negative(np.expm1(np.negative(cdf, out=cdf), out=cdf), out=cdf)
+        scale = GUIDE_CELLS / cdf[-1] if cdf[-1] else 0.0
+        np.expm1(np.negative(lam, out=lam), out=lam)  # cuts, in place of lam[:-1]
+        np.divide(lam[:-1], lam[-1], out=lam[:-1], where=lam[-1] < 0)
+        k = lam[-1].view(np.int64)  # the last row is free once the cuts are divided
+        np.multiply(cdf, scale, out=k, casting="unsafe")
+        k += 1
+        guide = np.bincount(k, minlength=GUIDE_CELLS + 2)
+        np.cumsum(guide, out=guide)
+        tables.append((cdf[-1], cdf, guide, scale, lam[:-1]))
+    return tables
+
+
+def _first_arrivals(root, key, components, vcfg, gate, frames, memo) -> tuple:
+    """Each frame's first gated click in ``frames``: one uniform a frame from
+    stream ``(*key, batch)`` inverts the ``cdf`` of the frame's class (see
+    ``_arrival_tables``, kept in ``memo``), and one more a click picks its
+    origin."""
+    if "tables" not in memo:
+        memo["tables"] = _arrival_tables(components, vcfg, gate)
+    tables = memo["tables"]
+    totals = np.array([tab[0] for tab in tables])
+    classes = [lam[1] for comps in components for lam, _ in comps if isinstance(lam, tuple)]
+    # at most one click a frame, written in place: pages past the last click
+    # are never touched
+    fr, t, origin = (np.empty(len(frames), dtype=dt) for dt in (np.int64, np.int64, np.int8))
+    n = 0
+    for b0 in range(frames.start, frames.stop, BATCH):
+        gen = root.stream(*key, b0 // BATCH).generator()
+        u = gen.random(min(BATCH, frames.stop - b0))
+        cls = classes[0][b0 - frames.start:][:len(u)] if classes else np.zeros(len(u), np.intp)
+        hit = np.flatnonzero(u < totals[cls])
+        u, cls, v = u[hit], cls[hit], gen.random(len(hit))
+        m = n + len(hit)
+        fr[n:m], origin[n:m] = b0 + hit, 0
+        for c, (_, cdf, guide, scale, cuts) in enumerate(tables):
+            sel = np.flatnonzero(cls == c) if len(tables) > 1 else slice(None)
+            uc = u[sel]
+            j = (uc * scale).astype(np.intp)
+            lo, hi = guide[j], guide[j + 1]
+            tc = lo + (cdf[lo] <= uc)  # exact where cell j holds at most one ps
+            wide = np.flatnonzero(hi - lo > 1)
+            tc[wide] = np.searchsorted(cdf, uc[wide], side="right")
+            t[n:m][sel] = tc
+            for cut in cuts:
+                origin[n:m][sel] += v[sel] >= cut[tc]
+        n = m
+    t[:n] += vcfg.frame_window_ps if gate == DELTA_T2 else 0
+    return fr[:n], t[:n], origin[:n]
 
 
 def _simulate_detector(
@@ -261,38 +351,33 @@ def _simulate_detector(
     gate: str,
     frames: range,
     blocked_ps: int = 0,
+    memo: dict | None = None,
 ) -> DetectorResult:
     """Draw, gate and dead-time veto every click of one detector in
-    ``frames``, a range that starts on a batch boundary.
-
-    ``components[s]`` lists signal ``s``'s ``(lam, placement)`` pairs:
-    ``lam`` mean clicks per frame (a scalar, or a ``(table, cls)`` pair
-    giving frame ``frames.start + i`` the rate ``table[cls[i]]``, gathered
-    one batch at a time) and ``placement`` a ``Pulse`` or ``Floor``, where
-    in the frame those clicks land.  Each batch of ``_batch_pieces`` is
-    folded to its first gated clicks (see the module docstring) or held for
-    ``_finish_detector``.  The detector is dead until the absolute time
-    ``blocked_ps`` from clicks before ``frames``; a folded detector's dead
-    time ends before its next gate opens, so it needs none.
-    """
+    ``frames``, a range that starts on a batch boundary, from none before
+    the absolute time ``blocked_ps``.  ``components[s]`` lists signal
+    ``s``'s ``(lam, placement)`` pairs: ``lam`` mean clicks per frame (a
+    scalar, or a ``(table, cls)`` pair giving frame ``frames.start + i``
+    the rate ``table[cls[i]]``; all pairs share one ``cls``) and
+    ``placement`` a ``Pulse`` or ``Floor`` (see the module docstring).  A
+    caller drawing one detector batch by batch keeps one ``memo`` dict for
+    it, so its first-arrival tables, which ``cls`` does not enter, are built
+    once."""
     root = RandomSource(vcfg.seed)
     window, tau = vcfg.frame_window_ps, vcfg.dead_time_ps
     expected = sum(lam[0].max() if isinstance(lam, tuple) else lam
                    for comps in components for lam, _ in comps)
-    fold = (gate != "always" and window <= tau <= window + 1
-            and expected >= FIRST_CLICK_DENSITY)
-    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-              np.zeros(0, dtype=np.int8))]
-    for b0 in range(frames.start, frames.stop, BATCH):
-        nb = min(BATCH, frames.stop - b0)
-        pieces = _batch_pieces(root, key, components, vcfg, b0, nb, b0 - frames.start)
-        if fold:
-            parts.append(_first_gated_clicks(pieces, b0, nb, len(components), gate, vcfg))
-        else:
-            parts += [(fr, t, np.full(len(fr), s, dtype=np.int8)) for s, fr, t in pieces]
-    if fold:
-        fr, t, origin = (np.concatenate(column) for column in zip(*parts))
+    if (gate != "always" and window <= tau <= window + 1
+            and expected >= FIRST_CLICK_DENSITY):
+        fr, t, origin = _first_arrivals(root, key, components, vcfg, gate, frames,
+                                        {} if memo is None else memo)
     else:
+        parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                  np.zeros(0, dtype=np.int8))]
+        for b0 in range(frames.start, frames.stop, BATCH):
+            pieces = _batch_pieces(root, key, components, vcfg, b0,
+                                   min(BATCH, frames.stop - b0), b0 - frames.start)
+            parts += [(fr, t, np.full(len(fr), s, dtype=np.int8)) for s, fr, t in pieces]
         fr, t, origin = _finish_detector(parts, vcfg, gate, blocked_ps)
     return DetectorResult(t_within=t, frame_idx=fr, origin=origin)
 
@@ -766,11 +851,11 @@ def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
     the gate and the dead time; it is usable on an interior position.
     Each batch of ``protocol.exchange_batches`` is reduced to its
     conclusive frames, Bob's bits there and its sifted key bits; each
-    port's dead time carries into the next batch.
+    port's dead time and first-arrival tables carry into the next batch.
     """
     law = delay_interferometer_rates(
         cfg.eta * flux, cfg.d, visibility_cap, PHASE_TABLE, "none", phase_floor)
-    blocked = [0, 0]
+    blocked, memos = [0, 0], [{}, {}]
     record = []
     for batch in exchange_batches(cfg.seed, n_frames, eve):
         b0, cls = batch.start, batch.cls
@@ -780,7 +865,7 @@ def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
         for i, port in enumerate(("p", "p_prime")):
             det = _simulate_detector(
                 (ROLE_PHOTONS, i), [_phase_components(cfg, rates, port, "none", 0)],
-                cfg, DELTA_T1, range(b0, b0 + len(cls)), blocked[i],
+                cfg, DELTA_T1, range(b0, b0 + len(cls)), blocked[i], memos[i],
             )
             blocked[i] = _blocked_until(det, cfg, blocked[i])
             usable.append(_usable_frames(det, cfg) - b0)

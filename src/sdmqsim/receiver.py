@@ -7,8 +7,8 @@ does not extend it), matching gated detector behaviour.  Under a ``dt1`` or
 period ``P = 2W`` (``W <= tau <= W + 1``), the veto keeps exactly each
 frame's first gated click: ``tau >= W`` covers the rest of the gate, and
 ``tau <= W + 1`` ends before the next frame's gate opens.  The pipeline
-folds a dense detector's clicks to that first click one batch at a time,
-as they are drawn, and never calls ``dead_time_mask`` for it.
+draws a dense detector's first gated click straight from its law, so it
+never calls ``dead_time_mask`` for it.
 
 Interference is computed at intensity level with a hardware visibility
 cap: the channel randomizes inter-signal phases, so only each photon's

@@ -33,8 +33,11 @@ TIMEBIN_KINDS = ("timebin_xt", "timebin_B", "capacity")
 
 # [experiment] keys only these kinds read; a file setting one for another
 # kind is rejected rather than silently ignored
+_PHASE_KINDS = ("phase_er", "phase_sweep", "bb84", "bb84_eve")
 KIND_ONLY_KEYS = {"transcript": ("bb84", "bb84_eve"), "theory_mu": ("capacity",),
-                  "theory_il_db": ("capacity",)}
+                  "theory_il_db": ("capacity",), "phi_a": ("phase_er", "phase_sweep"),
+                  "phi_b": ("phase_er",), "sweep_phi_b": ("phase_sweep",),
+                  "visibility_cap": _PHASE_KINDS, "phase_floor": _PHASE_KINDS}
 
 
 @dataclass(frozen=True)

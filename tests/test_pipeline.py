@@ -12,10 +12,13 @@ from sdmqsim.config import (
     RandomSource,
     SignalAssignment,
     SimConfig,
+    validate_config,
 )
 from sdmqsim.pipeline import (
     BATCH,
     DetectorResult,
+    Floor,
+    Pulse,
     _gated_phase_counts,
     _mean_db,
     _phase_components,
@@ -353,57 +356,117 @@ class TestMeanDb:
         assert _mean_db(values) == mean
 
 
+class TestPlacementLaw:
+    """``mass`` is the per-ps law that ``times`` draws: it sums to 1, and
+    draws agree with it within 5 sigma over cells of consecutive ps that
+    each expect >= 25 draws (the last cell may expect fewer)."""
+
+    N = 400_000
+
+    @pytest.mark.parametrize("placement,sigma", [
+        (Pulse(120), 100.0),  # clamped at ps 0
+        (Pulse(199_950), 100.0),  # clamped at ps P - 1
+        (Pulse(2310, 63, 1540), 100.0),  # a phase port's interior train
+        (Pulse(31_570), 0.0),  # no jitter: one ps
+        (Floor(0), 100.0),
+        (Floor(100_000), 100.0),  # up to P - 1
+        (Floor(100_000, 1540), 100.0),  # split, clamped at P - 1
+    ])
+    def test_mass_matches_times(self, placement, sigma):
+        vcfg = validate_config(SimConfig(jitter_sigma_ps=sigma))
+        mass = placement.mass(vcfg)
+        assert mass.shape == (vcfg.frame_period_ps,) and (mass >= 0).all()
+        assert mass.sum() == pytest.approx(1.0, abs=1e-12)
+        t = placement.times(RandomSource(31).generator(), self.N, vcfg)
+        seen = np.bincount(t, minlength=vcfg.frame_period_ps)
+        assert not seen[mass == 0].any()
+        expect = self.N * mass
+        cell = (np.cumsum(expect) // 25).astype(np.int64)
+        obs, exp = np.bincount(cell, seen), np.bincount(cell, expect)
+        z = (obs - exp)[exp > 0] / np.sqrt(exp[exp > 0])
+        assert np.abs(z).max() <= 5
+
+
 class TestFoldAcrossBatches:
-    """The folded first-click veto gives the sort-and-walk veto's clicks on
-    every batch, the partial last one included."""
+    """Detectors that draw each frame's first gated click from its law give,
+    on every batch, the partial last one included, the clicks of the
+    Poisson path that draws every click and sorts and walks them: per
+    window and per origin, pooled over held-out seeds, within 5 sigma."""
 
     N = 2 * BATCH + 123
+    SEEDS = range(101, 106)  # held out: no sampler or bound was tuned on them
 
     @staticmethod
     def _detectors(monkeypatch, sc, density):
-        """Every detector result that running ``sc`` draws, with the fold
-        switch at ``density``, and the numbers of batches drawn and folded."""
-        sim, fold = pipeline._simulate_detector, pipeline._first_gated_clicks
-        dets, drawn, folded = [], [], []
+        """Every ``(key, result)`` that running ``sc`` draws with the switch
+        at ``density``, the numbers of batches drawn in all and drawn as
+        first arrivals, and the number of first-arrival table builds."""
+        sim, first = pipeline._simulate_detector, pipeline._first_arrivals
+        build = pipeline._arrival_tables
+        dets, drawn, firsts, builds = [], [], [], []
 
         def traced(key, components, vcfg, gate, frames, *blocked):
             drawn.append(len(range(frames.start, frames.stop, BATCH)))
-            dets.append(sim(key, components, vcfg, gate, frames, *blocked))
-            return dets[-1]
+            dets.append((key, sim(key, components, vcfg, gate, frames, *blocked)))
+            return dets[-1][1]
+
+        def traced_first(root, key, components, vcfg, gate, frames, memo):
+            firsts.append(len(range(frames.start, frames.stop, BATCH)))
+            return first(root, key, components, vcfg, gate, frames, memo)
 
         monkeypatch.setattr(pipeline, "FIRST_CLICK_DENSITY", density)
         monkeypatch.setattr(pipeline, "_simulate_detector", traced)
-        monkeypatch.setattr(pipeline, "_first_gated_clicks",
-                            lambda *a: folded.append(1) or fold(*a))
+        monkeypatch.setattr(pipeline, "_first_arrivals", traced_first)
+        monkeypatch.setattr(pipeline, "_arrival_tables",
+                            lambda *args: builds.append(1) or build(*args))
         run_scenario(sc)
         monkeypatch.undo()
-        return dets, sum(drawn), len(folded)
+        return dets, sum(drawn), sum(firsts), len(builds)
 
     def _check(self, monkeypatch, sc, density):
         # the time-bin runner draws each detector over the whole run, the
-        # BB84 exchange each port once a batch
-        got, drawn, folded = self._detectors(monkeypatch, sc, density)
-        ref, _, unfolded = self._detectors(monkeypatch, sc, math.inf)
-        assert unfolded == 0 and folded == drawn
-        assert len(got) == len(ref)
-        frames = np.concatenate([a.frame_idx for a in got])
-        assert np.unique(frames // BATCH).tolist() == [0, 1, 2]
-        for a, b in zip(got, ref):
-            for field in ("t_within", "frame_idx", "origin"):
-                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
-            assert a.t_within.dtype == b.t_within.dtype
-            assert a.frame_idx.dtype == b.frame_idx.dtype
-            assert a.origin.dtype == b.origin.dtype
+        # BB84 exchange each port once a batch; windows are the pulse slots
+        # of both halves
+        vcfg = sc.validated()
+        slots = np.arange(vcfg.d + 1) * vcfg.pulse_period_ps
+        edges = np.concatenate([slots, vcfg.frame_window_ps + slots, [vcfg.frame_period_ps]])
+        counts = {}
+        for seed in self.SEEDS:
+            seeded = replace(sc, cfg=replace(sc.cfg, seed=seed))
+            got, drawn, first, builds = self._detectors(monkeypatch, seeded, density)
+            ref, _, none, _ = self._detectors(monkeypatch, seeded, math.inf)
+            assert first == drawn and none == 0
+            assert builds == len({key for key, _ in got})  # once a detector a run
+            frames = np.concatenate([det.frame_idx for _, det in got])
+            assert np.unique(frames // BATCH).tolist() == [0, 1, 2]
+            for (key, a), (key_ref, b) in zip(got, ref, strict=True):
+                assert key == key_ref
+                assert (np.diff(a.frame_idx) > 0).all()  # one click a frame at most
+                for field in ("t_within", "frame_idx", "origin"):
+                    assert getattr(a, field).dtype == getattr(b, field).dtype
+                for side, det in enumerate((a, b)):
+                    k = np.searchsorted(edges, det.t_within, side="right") - 1
+                    cell = counts.setdefault((key, side),
+                                             np.zeros((len(edges) - 1, 3), np.int64))
+                    np.add.at(cell, (k, det.origin), 1)
+        for key, side in counts:
+            if side == 0:
+                got, ref = counts[key, 0], counts[key, 1]
+                assert got.sum() > 0
+                z = (got - ref) / np.sqrt(np.maximum(got + ref, 1))
+                assert np.abs(z).max() <= 5, (key, z[np.abs(z) > 5])
 
     def test_saturated_timebin(self, monkeypatch):
-        # mu_in = 1000 is dense enough that the default switch folds
+        # mu_in = 1000 is dense enough that the default switch draws first
+        # arrivals
         sc = load_scenario(SCENARIOS / "timebin_b.ini").with_overrides(n_frames=self.N)
         sc = replace(sc, cfg=replace(sc.cfg, mu_in=1000.0))
         self._check(monkeypatch, sc, pipeline.FIRST_CLICK_DENSITY)
 
     def test_bb84_ports_forced_dense(self, monkeypatch):
-        # Bob's ports take per-frame (table, cls) rates; at mu_in = 10 each
-        # expects ~0.21 clicks a frame, below the switch, so the fold is forced
+        # Bob's ports take per-frame (table, cls) rates, one table per class;
+        # at mu_in = 10 each expects ~0.21 clicks a frame, below the switch,
+        # so the first-arrival draw is forced
         sc = load_scenario(SCENARIOS / "bb84.ini").with_overrides(n_frames=self.N)
         sc = replace(sc, cfg=replace(sc.cfg, mu_in=10.0))
         self._check(monkeypatch, sc, 0.0)

@@ -226,8 +226,9 @@ class TestStreamSplit:
         cfg = replace(cfg, seed=11, dead_time_ps=150_000)
         calls, sim = [], pipeline._simulate_detector
 
-        def traced(key, components, vcfg, gate, frames, blocked_ps):
-            calls.append((key, blocked_ps, sim(key, components, vcfg, gate, frames, blocked_ps)))
+        def traced(key, components, vcfg, gate, frames, blocked_ps, memo):
+            calls.append((key, blocked_ps,
+                          sim(key, components, vcfg, gate, frames, blocked_ps, memo)))
             return calls[-1][2]
 
         monkeypatch.setattr(pipeline, "_simulate_detector", traced)

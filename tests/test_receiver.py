@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sdmqsim.config import ConfigError, RandomSource, SimConfig, validate_config
 from sdmqsim import pipeline
@@ -11,8 +12,8 @@ from sdmqsim.pipeline import (
     FIRST_CLICK_DENSITY,
     DetectorResult,
     Floor,
+    Pulse,
     _finish_detector,
-    _first_gated_clicks,
     _simulate_detector,
 )
 from sdmqsim.receiver import (
@@ -42,6 +43,38 @@ def _detect(times, cfg, gate="always"):
 def _uniform_in_gate(lam):
     """One component: ``lam`` clicks per frame, uniform over the first half."""
     return [[(lam, Floor(0))]]
+
+
+SEEDS = range(101, 106)  # held out: no sampler or bound was tuned on them
+
+
+def _both_paths(monkeypatch, draw):
+    """``draw(seed)`` over ``SEEDS``, first with each frame's first gated
+    click drawn from its law, then with every click drawn (the Poisson
+    path, ``FIRST_CLICK_DENSITY = inf``) and sorted and walked."""
+    with mock.patch.object(pipeline, "_first_arrivals",
+                           wraps=pipeline._first_arrivals) as spy:
+        first = [draw(seed) for seed in SEEDS]
+        assert spy.call_count == len(SEEDS)
+    monkeypatch.setattr(pipeline, "FIRST_CLICK_DENSITY", math.inf)
+    return first, [draw(seed) for seed in SEEDS]
+
+
+def _law_counts(dets, edges, n_sig):
+    """Clicks pooled over ``dets`` per window ``[edges[k], edges[k+1])`` and
+    origin; every click falls in a window."""
+    counts = np.zeros((len(edges) - 1, n_sig), dtype=np.int64)
+    for det in dets:
+        k = np.searchsorted(edges, det.t_within, side="right") - 1
+        assert ((k >= 0) & (k < len(edges) - 1)).all()
+        np.add.at(counts, (k, det.origin), 1)
+    return counts
+
+
+def _assert_same_law(got, ref):
+    """Two samplers' pooled counts agree in every cell within 5 sigma."""
+    z = (got - ref) / np.sqrt(np.maximum(got + ref, 1))
+    assert np.abs(z).max() <= 5, z
 
 
 class TestDetect:
@@ -80,18 +113,27 @@ class TestDetect:
         dev = np.abs(basis @ coef - clicks) / clicks.max()
         assert dev.max() < 0.01
 
-    def test_dead_time_nested_in_blank_interval(self, cfg):
+    def test_dead_time_nested_in_blank_interval(self, cfg, monkeypatch):
         # with one frame per period and a half-period gate, dead time never
         # suppresses in-gate signal: a gated collection clicks at most once
-        # per frame, and exactly in the frames with >= 1 photon
+        # per frame, and exactly in the frames with >= 1 photon, as the
+        # Poisson path's sort and walk finds them
         n = 50_000
         comps = _uniform_in_gate(0.3)
-        det = _simulate_detector((1,), comps, cfg, "dt1", range(n))
-        photons = _simulate_detector(
-            (1,), comps, validate_config(SimConfig(dead_time_ps=0)), "dt1", range(n)
-        )
-        assert len(photons.t_within) > len(det.t_within)
-        np.testing.assert_array_equal(det.frame_idx, np.unique(photons.frame_idx))
+
+        def draw(seed):
+            return _simulate_detector((1,), comps, replace(cfg, seed=seed), "dt1", range(n))
+
+        first, walked = _both_paths(monkeypatch, draw)
+        photons = [_simulate_detector((1,), comps, replace(cfg, seed=seed, dead_time_ps=0),
+                                      "dt1", range(n)) for seed in SEEDS]
+        for det, ph in zip(first, photons):
+            assert (np.diff(det.frame_idx) > 0).all()
+            assert len(ph.t_within) > len(det.t_within)
+        for det, ph in zip(walked, photons):
+            np.testing.assert_array_equal(det.frame_idx, np.unique(ph.frame_idx))
+        edges = np.linspace(0, W, 11).astype(np.int64)
+        _assert_same_law(_law_counts(first, edges, 1), _law_counts(walked, edges, 1))
 
 
 class TestDeadTimeMask:
@@ -216,20 +258,10 @@ _PIECES = st.lists(
 
 
 class TestFirstClickVeto:
-    """``_first_gated_clicks``, the fold of dense ``dt1``/``dt2`` detectors,
-    against the stable time sort and the ``dead_time_mask`` walk that
-    ``_finish_detector`` runs on the others."""
-
-    @staticmethod
-    def _fold(pieces, cfg, gate, n_frames):
-        """Fold copies of the pieces, in signal order as the sampler emits
-        them (piece ``k`` is signal ``k``), to ``(t, frames, origin)``."""
-        ts, fs, _ = pieces
-        frames, t, origin = _first_gated_clicks(
-            ((k, f.copy(), t.copy()) for k, (t, f) in enumerate(zip(ts, fs))),
-            0, n_frames, len(ts), gate, cfg,
-        )
-        return t, frames, origin
+    """A dense ``dt1``/``dt2`` detector with the dead time nested in the
+    blank half draws each frame's first gated click from its law; the
+    Poisson path, which draws every click and then sorts and walks them
+    (checked here against the greedy loop), is the reference."""
 
     @staticmethod
     def _sort_and_walk(pieces, cfg, gate):
@@ -248,11 +280,12 @@ class TestFirstClickVeto:
         return t[order], fr[order], orig[order]
 
     @staticmethod
-    def _folds(cfg, gate, lam):
-        """Whether ``_simulate_detector`` folds a detector expecting ``lam``
-        clicks a frame, uniform over the first half-frame."""
+    def _draws_first_arrival(cfg, gate, lam):
+        """Whether ``_simulate_detector`` draws only first arrivals for a
+        detector expecting ``lam`` clicks a frame, uniform over the first
+        half-frame."""
         with mock.patch.object(
-            pipeline, "_first_gated_clicks", wraps=pipeline._first_gated_clicks
+            pipeline, "_first_arrivals", wraps=pipeline._first_arrivals
         ) as spy:
             _simulate_detector((2,), _uniform_in_gate(lam), cfg, gate, range(8))
         return spy.called
@@ -261,22 +294,32 @@ class TestFirstClickVeto:
         for a, b in zip(got, ref, strict=True):
             np.testing.assert_array_equal(a, b)
 
+    # three signals, pulses and floors in both halves: signals 0 and 1 pulse
+    # on the same ps in the first half, 1 and 2 in the second
+    COMPONENTS = [
+        [(2.0, Pulse(W // 2)), (0.5, Floor(0))],
+        [(1.0, Pulse(W // 2)), (1.0, Pulse(W + W // 2)), (0.3, Floor(W))],
+        [(0.5, Pulse(W + W // 2, 3, 1540)), (0.4, Floor(0, 1540))],
+    ]
+
     @pytest.mark.parametrize("gate", ["dt1", "dt2"])
     @pytest.mark.parametrize("tau", [W, W + 1])
-    @settings(max_examples=200, deadline=None)
-    @given(draw=_PIECES)
-    # equal times in one frame across pieces, in both gates
-    @example(draw=[[(0, 0), (0, W // 2), (1, W - 1), (2, W)],
-                   [(0, 0), (1, W - 1), (2, W), (2, P - 1)],
-                   [(1, W - 1), (2, W)]])
-    def test_first_click_matches_sort_and_walk(self, gate, tau, draw):
+    def test_first_click_matches_sort_and_walk(self, gate, tau, monkeypatch):
         cfg = validate_config(SimConfig(dead_time_ps=tau))
-        assert self._folds(cfg, gate, 1.0)
-        pieces = _pieces(draw)
-        got = self._fold(pieces, cfg, gate, 6)
-        self._check(got, self._reference(pieces, cfg, gate, dead_time_mask))
-        self._check(got, self._reference(
-            pieces, cfg, gate, lambda t, td: _greedy_dead_time(t.tolist(), td)))
+
+        def draw(seed):
+            return _simulate_detector((4,), self.COMPONENTS, replace(cfg, seed=seed), gate,
+                                      range(20_000))
+
+        first, walked = _both_paths(monkeypatch, draw)
+        for det in first:
+            assert (np.diff(det.frame_idx) > 0).all()
+            assert gate_mask(det.t_within, gate, W).all()
+        centers = (W // 2, W + W // 2, W + W // 2 + 1540)
+        edges = np.unique(np.concatenate(
+            [np.linspace(0, P, 17).astype(np.int64)]
+            + [c + np.arange(-400, 401, 100) for c in centers]))
+        _assert_same_law(_law_counts(first, edges, 3), _law_counts(walked, edges, 3))
 
     @pytest.mark.parametrize(
         "gate,tau",
@@ -288,27 +331,39 @@ class TestFirstClickVeto:
     def test_general_path_otherwise(self, gate, tau, draw):
         # a dead time shorter than the gate, one reaching the next frame's
         # gate, or an ungated detector: the first-click rule does not hold,
-        # so even a dense detector is not folded
+        # so even a dense detector draws every click
         cfg = validate_config(SimConfig(dead_time_ps=tau))
-        assert not self._folds(cfg, gate, 1.0)
+        assert not self._draws_first_arrival(cfg, gate, 1.0)
         pieces = _pieces(draw)
         self._check(self._sort_and_walk(pieces, cfg, gate), self._reference(
             pieces, cfg, gate, lambda t, td: _greedy_dead_time(t.tolist(), td)))
 
     def test_sparse_detector_takes_general_path(self, cfg):
         # the switch reads the expected clicks a frame, before any draw
-        assert not self._folds(cfg, "dt1", FIRST_CLICK_DENSITY / 2)
-        assert self._folds(cfg, "dt1", FIRST_CLICK_DENSITY)
+        assert not self._draws_first_arrival(cfg, "dt1", FIRST_CLICK_DENSITY / 2)
+        assert self._draws_first_arrival(cfg, "dt1", FIRST_CLICK_DENSITY)
         pieces = _pieces([[(3, 10), (3, 20)]])
         assert self._sort_and_walk(pieces, cfg, "dt1")[0].tolist() == [10]
 
-    def test_equal_times_keep_lower_signal(self, cfg):
-        # frame 0: signals 1 and 2 tie at 500 ps ahead of signal 0; frame 1:
-        # signals 0 and 2 tie on the gate's last picosecond
-        pieces = _pieces([[(0, 900), (1, W - 1)], [(0, 500)], [(0, 500), (1, W - 1)]])
-        got = self._fold(pieces, cfg, "dt1", 2)
-        assert [a.tolist() for a in got] == [[500, W - 1], [0, 1], [1, 0]]
-        self._check(got, self._sort_and_walk(pieces, cfg, "dt1"))
+    def test_equal_times_keep_lower_signal(self, monkeypatch):
+        # jitter-free pulses of three signals on one ps: a frame clicks there
+        # with probability 1 - e^{-L}, and the click is signal s's with
+        # probability (1 - e^{-lam_s}) e^{-(lam_0 + .. + lam_{s-1})}: the
+        # lowest signal clicking at the ps wins, on both paths
+        cfg = validate_config(SimConfig(jitter_sigma_ps=0))
+        lams, n = (0.2, 0.5, 0.3), 100_000
+        below = np.cumsum((0.0,) + lams[:-1])
+        p = (1 - np.exp(-np.array(lams))) * np.exp(-below)
+
+        def draw(seed):
+            return _simulate_detector((5,), [[(lam, Pulse(500))] for lam in lams],
+                                      replace(cfg, seed=seed), "dt1", range(n))
+
+        for dets in _both_paths(monkeypatch, draw):
+            for det in dets:
+                assert (det.t_within == 500).all()
+                counts = np.bincount(det.origin, minlength=3)
+                assert (np.abs(counts - n * p) <= 5 * np.sqrt(n * p * (1 - p))).all(), counts
 
 
 class TestTimeWindowFilter:

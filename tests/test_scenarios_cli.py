@@ -188,9 +188,10 @@ class TestCliRun:
 
     def test_saturated_timebin_report_bytes(self, tmp_path):
         # timebin_b at mu_in = 1000 puts 3-7 gated clicks a frame into every
-        # detector, so each takes the first-click veto; the report's bytes
-        # are those of the time-sort veto that the branch replaces, with the
-        # SNR counted on exact timestamp windows
+        # detector, so each draws only its first gated click a frame, from
+        # that click's law; the bytes are pinned from that draw, which
+        # TestFoldAcrossBatches and TestFirstClickVeto check in law against
+        # drawing, sorting and walking every click
         derived = tmp_path / "timebin_b_saturated.ini"
         text = (SCENARIOS / "timebin_b.ini").read_text()
         assert "\nmu_in = 2.5\n" in text
@@ -198,7 +199,7 @@ class TestCliRun:
         out = tmp_path / "o"
         assert main(["run", str(derived), "--frames", "20000", "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
-        assert digest == "2ad4d3c2aada9e9c82efc94f9087ae310c79d74b14de08171d6afc8ba087c2b7"
+        assert digest == "376abde94e56bfa875b2fd5e2206828689cbb4f5438d1cc68a8dc81f97328f87"
 
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SDMQSIM_OUT", str(tmp_path / "envout"))
@@ -392,6 +393,14 @@ class TestCliRun:
             ("bb84_eve", "theory_il_db = -8.3"),
             ("phase_sweep", "theory_mu = 2.0"),
             ("timebin_xt", "theory_il_db = -3.0"),
+            ("timebin_b", "visibility_cap = 0.5"),
+            ("timebin_b", "phi_b = 1.0"),
+            ("timebin_b", "sweep_phi_b = 0,1"),
+            ("bb84", "phi_a = pi"),
+            ("bb84_eve", "phi_b = 1.0"),
+            ("phase_er", "sweep_phi_b = 0,1"),
+            ("timebin_xt", "visibility_cap = 0.9"),
+            ("capacity", "phase_floor = 0.1"),
         ],
     )
     def test_key_other_kind_ignores_exit_2(self, name, line, tmp_path, capsys):
