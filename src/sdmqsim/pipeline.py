@@ -300,9 +300,9 @@ def _arrival_tables(components, vcfg, gate) -> list:
         k = lam[-1].view(np.int64)  # the last row is free once the cuts are divided
         np.multiply(cdf, scale, out=k, casting="unsafe")
         k += 1
-        guide = np.bincount(k, minlength=GUIDE_CELLS + 2)
-        np.cumsum(guide, out=guide)
-        tables.append((cdf[-1], cdf, guide, scale, lam[:-1]))
+        guide = np.bincount(k, minlength=GUIDE_CELLS + 2).cumsum(dtype=np.int32)
+        # one signal needs no cuts, and its row is not kept
+        tables.append((cdf[-1], cdf, guide, scale, lam[:-1] if len(lam) > 1 else ()))
     return tables
 
 
