@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, SignalAssignment
+from .config import N_GROUPS, ConfigError, SignalAssignment
 
 __all__ = [
     "AssignmentError",
@@ -30,7 +30,6 @@ __all__ = [
     "linear_to_db",
 ]
 
-N_GROUPS = 5
 DISTANCES = ("40m", "8km")
 
 

@@ -2,15 +2,18 @@
 
 ``run`` loads a scenario file, simulates it end to end and writes the
 metrics report, per-figure CSVs and a run manifest.  ``sweep`` repeats a
-scenario over a list of values for one recognized parameter and merges the
-headline metrics into one CSV.  Logs go to stderr; data only to files.
+scenario over a list of values for one of ``SWEEP_SIM_KEYS``,
+``SWEEP_EXP_KEYS`` or ``SWEEP_SPECIAL`` and merges the headline metrics
+into one CSV.  ``--seed``, ``--frames`` and each swept value go through
+``Scenario.with_overrides``, so they pass the checks a file's value passes:
+a key the scenario's kind does not read exits 2.  Logs go to stderr; data
+only to files.
 
 Exit codes: 0 ok, 2 configuration error, 3 runtime/IO error.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import platform
@@ -90,13 +93,9 @@ def _write_artifacts(out_dir: Path, result: RunResult) -> None:
 
 def cmd_run(args) -> int:
     scenario_path = Path(args.scenario)
-    scenario = load_scenario(scenario_path)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.frames is not None:
-        overrides["n_frames"] = args.frames
-    scenario = scenario.with_overrides(seed=args.seed, n_frames=args.frames)
+    overrides = {key: value for key, value in (("seed", args.seed), ("n_frames", args.frames))
+                 if value is not None}
+    scenario = load_scenario(scenario_path).with_overrides(**overrides)
     out_dir = Path(args.out) if args.out else _default_out(scenario.name)
     _log(f"running scenario {scenario.name} ({scenario.experiment.kind}), "
          f"seed={scenario.cfg.seed}, frames={scenario.experiment.n_frames}")
@@ -112,21 +111,6 @@ def _sweep_values(raw: str) -> list[float]:
     if not vals:
         raise ConfigError("empty sweep value list")
     return vals
-
-
-def _apply_sweep(scenario: Scenario, param: str, value: float) -> Scenario:
-    if param in SWEEP_SIM_KEYS:
-        typ = int if param in ("dead_time_ps", "seed") else float
-        return dataclasses.replace(
-            scenario, cfg=dataclasses.replace(scenario.cfg, **{param: typ(value)})
-        )
-    if param in SWEEP_EXP_KEYS:
-        typ = int if param == "n_frames" else float
-        return dataclasses.replace(
-            scenario,
-            experiment=dataclasses.replace(scenario.experiment, **{param: typ(value)}),
-        )
-    raise ConfigError(f"unknown sweep parameter {param!r}")
 
 
 def _scalar_metrics(result: RunResult) -> dict:
@@ -157,8 +141,9 @@ def cmd_sweep(args) -> int:
             r = key_rate(KeyRateParams(n=n))
             rows.append({"keyrate_n": n, "key_rate": r})
     else:
-        for v in values:
-            sub = _apply_sweep(scenario, param, v)
+        # every value passes the scenario's checks before the first run
+        subs = [scenario.with_overrides(**{param: v}) for v in values]
+        for v, sub in zip(values, subs):
             _log(f"sweep {param}={v:g}")
             result = run_scenario(sub)
             rows.append({param: v, **_scalar_metrics(result)})

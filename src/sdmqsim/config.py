@@ -21,6 +21,7 @@ __all__ = [
     "RandomSource",
     "SignalAssignment",
     "BATCH",
+    "N_GROUPS",
     "DELTA_T1",
     "DELTA_T2",
 ]
@@ -31,6 +32,9 @@ DELTA_T2 = "dt2"
 
 # frames per batch: the last element of every per-batch stream key
 BATCH = 1 << 16
+
+# quasi-degenerate mode groups of the few-mode fiber
+N_GROUPS = 5
 
 
 class ConfigError(ValueError):
@@ -190,24 +194,40 @@ class RandomSource:
 class SignalAssignment:
     """Mapping of one transmitted signal onto the multiplexed link.
 
-    ``input_mode`` is the Hermite-Gaussian index (n, p); ``input_group`` the
-    quasi-degenerate mode group (1..Q).  ``delayed`` signals are shifted by
-    one frame window so they occupy the second half of the frame period.
-    ``excess_db`` is a per-signal coupling correction on top of the table
-    loss (<= 0 for excess loss); ``im_extinction`` optionally overrides the
-    global modulator extinction for this signal; ``fixed_slot`` is the
-    time-bin slot the signal occupies in every frame (required by the
-    time-bin kinds, unused by the phase kinds).
+    ``input_group`` is the quasi-degenerate mode group (1..Q) and
+    ``input_mode``, when set, the Hermite-Gaussian index (n, p) in it:
+    group g holds the modes with n + p = g - 1.  ``delayed`` signals are
+    shifted by one frame window so they occupy the second half of the
+    frame period.  ``excess_db`` is a per-signal coupling correction on top
+    of the table loss (<= 0 for excess loss); ``im_extinction`` optionally
+    overrides the global modulator extinction for this signal;
+    ``fixed_slot`` is the time-bin slot the signal occupies in every frame
+    (required by the time-bin kinds, unused by the phase kinds).
     """
 
     signal_id: str
-    input_mode: tuple = (0, 0)
+    input_mode: tuple | None = None
     input_group: int = 1
     delayed: bool = False
     excess_db: float = 0.0
     im_extinction: float | None = None
     fixed_slot: int | None = None
 
+    def __post_init__(self):
+        where = f"[signal.{self.signal_id}]"
+        if not 1 <= self.input_group <= N_GROUPS:
+            raise ConfigError(f"{where} input_group: mode group {self.input_group} "
+                              f"outside 1..{N_GROUPS}")
+        mode = self.input_mode
+        if mode is not None and not (len(mode) == 2 and min(mode) >= 0
+                                     and sum(mode) + 1 == self.input_group):
+            raise ConfigError(f"{where} input_mode must be two ints n,p >= 0 with "
+                              f"n + p + 1 = input_group ({self.input_group}), got {mode}")
+        if not self.excess_db <= 0.0:  # written so that NaN fails
+            raise ConfigError(f"{where} excess_db must be <= 0 (a loss), got {self.excess_db}")
+        if self.im_extinction is not None and not self.im_extinction > 1.0:
+            raise ConfigError(f"{where} im_extinction must be > 1 (linear ratio), "
+                              f"got {self.im_extinction}")
+
     def offset_ps(self, cfg: SimConfig) -> int:
         return cfg.frame_window_ps if self.delayed else 0
-

@@ -271,10 +271,11 @@ def _batch_pieces(root, key, components, vcfg, b0, nb, i0):
                 yield sig_pos, frames, placement.times(gen, len(frames), vcfg)
 
 
-def _arrival_tables(components, vcfg, gate) -> list:
-    """``(total, cdf, guide, scale, cuts)`` over a detector's gated half, per
-    frame class of its ``(table, cls)`` rates.  ``cdf`` is the law of the
-    first gated click, which exists with probability ``total``; only ps
+def _arrival_tables(components, vcfg, gate) -> tuple:
+    """``(total, cdf, guide, scale, cuts)`` over a detector's gated half, one
+    per distinct row of its ``(table, cls)`` rates, and the map from a frame
+    class to its table (classes of equal rates share one).  ``cdf`` is the
+    law of the first gated click, which exists with probability ``total``; only ps
     ``guide[j] .. guide[j+1]`` have ``cdf`` in cell ``j = floor(u * scale)``
     (Chen & Asau, 1974).  A click at ``t`` is from a signal ``<= s`` with
     probability ``cuts[s][t] = (1 - e^{-L_s}) / (1 - e^{-L})``, ``L_s`` the
@@ -282,14 +283,16 @@ def _arrival_tables(components, vcfg, gate) -> list:
     window = vcfg.frame_window_ps
     g0 = window if gate == DELTA_T2 else 0
     laws = [[(lam, placement.runs(vcfg)) for lam, placement in comps] for comps in components]
+    rates = [rate[0] for comps in components for rate, _ in comps if isinstance(rate, tuple)]
+    rows, inverse = np.unique(np.column_stack(rates) if rates else np.zeros((1, 0)), axis=0,
+                              return_inverse=True)
     tables = []
-    for c in range(max([len(rate[0]) for comps in components for rate, _ in comps
-                        if isinstance(rate, tuple)], default=1)):
+    for class_rates in map(iter, rows):
         # written before it is read, so each page faults in once, not twice
         lam = np.full((len(components), window), 0.0)
         for row, comps in zip(lam, laws):
             for rate, runs in comps:
-                _add_runs(row, runs, rate[0][c] if isinstance(rate, tuple) else rate, g0)
+                _add_runs(row, runs, next(class_rates) if isinstance(rate, tuple) else rate, g0)
         for s in range(1, len(lam)):
             lam[s] += lam[s - 1]
         cdf = np.cumsum(lam[-1])
@@ -303,7 +306,7 @@ def _arrival_tables(components, vcfg, gate) -> list:
         guide = np.bincount(k, minlength=GUIDE_CELLS + 2).cumsum(dtype=np.int32)
         # one signal needs no cuts, and its row is not kept
         tables.append((cdf[-1], cdf, guide, scale, lam[:-1] if len(lam) > 1 else ()))
-    return tables
+    return tables, inverse
 
 
 def _first_arrivals(root, key, components, vcfg, gate, frames, memo) -> tuple:
@@ -313,7 +316,7 @@ def _first_arrivals(root, key, components, vcfg, gate, frames, memo) -> tuple:
     origin."""
     if "tables" not in memo:
         memo["tables"] = _arrival_tables(components, vcfg, gate)
-    tables = memo["tables"]
+    tables, inverse = memo["tables"]
     totals = np.array([tab[0] for tab in tables])
     classes = [lam[1] for comps in components for lam, _ in comps if isinstance(lam, tuple)]
     # at most one click a frame, written in place: pages past the last click
@@ -323,7 +326,8 @@ def _first_arrivals(root, key, components, vcfg, gate, frames, memo) -> tuple:
     for b0 in range(frames.start, frames.stop, BATCH):
         gen = root.stream(*key, b0 // BATCH).generator()
         u = gen.random(min(BATCH, frames.stop - b0))
-        cls = classes[0][b0 - frames.start:][:len(u)] if classes else np.zeros(len(u), np.intp)
+        cls = (inverse[classes[0][b0 - frames.start:][:len(u)]] if classes
+               else np.zeros(len(u), np.intp))
         hit = np.flatnonzero(u < totals[cls])
         u, cls, v = u[hit], cls[hit], gen.random(len(hit))
         m = n + len(hit)

@@ -1,20 +1,28 @@
 """Scenario files: a single INI-style key/value config per experiment.
 
 A scenario bundles the simulation parameters, the signal assignments, the
-channel conventions and one experiment kind.  See ``scenarios/SCHEMA.md``
-in the repository for the documented field list.
+channel conventions and one experiment kind.  Each section fills one
+dataclass: ``[sim]`` a ``SimConfig``, ``[channel]`` a ``ChannelSpec``,
+``[signal.<ID>]`` a ``SignalAssignment`` and ``[experiment]`` an
+``ExperimentSpec``.  Its keys are the dataclass's fields, each read as the
+field's type (see ``key_types``), so the dataclasses are the schema;
+``scenarios/SCHEMA.md`` in the repository documents it.  A value that does
+not convert is a ``ConfigError`` naming its key.  ``Scenario.with_overrides``
+converts and checks a run's or a sweep's values the same way.
 """
 from __future__ import annotations
 
 import configparser
+import functools
 import math
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .channel import N_GROUPS
-from .config import ConfigError, SimConfig, SignalAssignment, validate_config
+from .config import N_GROUPS, ConfigError, SimConfig, SignalAssignment, validate_config
 
-__all__ = ["ChannelSpec", "ExperimentSpec", "Scenario", "load_scenario", "EXPERIMENT_KINDS"]
+__all__ = ["ChannelSpec", "ExperimentSpec", "Scenario", "load_scenario", "key_types",
+           "EXPERIMENT_KINDS"]
 
 EXPERIMENT_KINDS = (
     "timebin_xt",
@@ -31,8 +39,8 @@ GATE_VALUES = ("dt1", "dt2", "always")
 # kinds that simulate a pure time-bin stream with one slot per signal
 TIMEBIN_KINDS = ("timebin_xt", "timebin_B", "capacity")
 
-# [experiment] keys only these kinds read; a file setting one for another
-# kind is rejected rather than silently ignored
+# [experiment] keys only these kinds read; a file or an override setting one
+# for another kind is rejected rather than silently ignored
 _PHASE_KINDS = ("phase_er", "phase_sweep", "bb84", "bb84_eve")
 KIND_ONLY_KEYS = {"transcript": ("bb84", "bb84_eve"), "theory_mu": ("capacity",),
                   "theory_il_db": ("capacity",), "phi_a": ("phase_er", "phase_sweep"),
@@ -86,8 +94,9 @@ class ExperimentSpec:
             raise ConfigError(f"sweep_phi_b must be finite, got {self.sweep_phi_b}")
         collected = set()
         for sid, groups in self.collections.items():
-            _check_group(f"collections {sid}", groups)
             for g in groups:
+                if not 1 <= g <= N_GROUPS:
+                    raise ConfigError(f"collections {sid}: mode group {g} outside 1..{N_GROUPS}")
                 if g in collected:
                     raise ConfigError(
                         f"collections {sid}: mode group {g} is already collected; "
@@ -147,80 +156,37 @@ class Scenario:
                 return s
         raise ConfigError(f"no signal {sid!r} in scenario {self.name}")
 
-    def with_overrides(self, seed=None, n_frames=None) -> "Scenario":
-        out = self
-        if seed is not None:
-            out = replace(out, cfg=replace(out.cfg, seed=seed))
-        if n_frames is not None:
-            out = replace(out, experiment=replace(out.experiment, n_frames=n_frames))
+    def with_overrides(self, **values) -> "Scenario":
+        """This scenario with the ``[sim]`` and ``[experiment]`` keys of
+        ``values`` replaced, each converted to its field's type and checked
+        as a file's keys are, ``KIND_ONLY_KEYS`` included."""
+        sim = {key: v for key, v in values.items() if key in key_types(SimConfig)}
+        exp = _fields({key: v for key, v in values.items() if key not in sim},
+                      ExperimentSpec, "[sim] or [experiment]")
+        out = replace(self, cfg=replace(self.cfg, **_fields(sim, SimConfig, "[sim]")),
+                      experiment=replace(self.experiment, **exp))
+        _check_read_by(out.experiment.kind, exp)
+        out.validated()
         return out
 
 
-_SIM_FIELDS = {
-    "d": int,
-    "pulse_period_ps": int,
-    "frame_window_ps": int,
-    "frame_period_ps": int,
-    "frame_rate_hz": float,
-    "mu_in": float,
-    "eta": float,
-    "dead_time_ps": int,
-    "hist_res_ps": int,
-    "p_tb": float,
-    "im_extinction": float,
-    "jitter_sigma_ps": float,
-    "seed": int,
-}
-
-_CHANNEL_FIELDS = {
-    "distance": str,
-    "mu_reference": str,
-    "input_mdm_exclusion_db": float,
-    "uniform_il_db": float,
-    "tables_path": str,
-}
-
-_SIGNAL_FIELDS = {
-    "input_group": int,
-    "delayed": bool,
-    "excess_db": float,
-    "im_extinction": float,
-    "fixed_slot": int,
-}
-
-_EXPERIMENT_FIELDS = {
-    "kind": str,
-    "n_frames": int,
-    "phi_a": float,
-    "phi_b": float,
-    "visibility_cap": float,
-    "phase_floor": float,
-    "theory_mu": float,
-    "theory_il_db": float,
-    "transcript": bool,
-}
+@functools.cache
+def key_types(cls) -> dict:
+    """Each key of the section that fills ``cls`` and the type its value is
+    read as: the field's type, ``X | None`` read as ``X``.  A signal's id
+    is its section's name, not a key."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+            for f in fields(cls) if f.name != "signal_id"}
 
 
-def _check_group(field: str, groups) -> None:
-    bad = [g for g in groups if not 1 <= g <= N_GROUPS]
-    if bad:
-        raise ConfigError(f"{field}: mode group {bad[0]} outside 1..{N_GROUPS}")
-
-
-def _convert(raw: str, typ, key: str):
-    raw = raw.strip()
-    try:
-        if typ is bool:
-            if raw.lower() in ("true", "yes", "1", "on"):
-                return True
-            if raw.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        if typ is float and raw.lower() == "pi":
-            return math.pi
-        return typ(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+def _check_read_by(kind: str, keys) -> None:
+    """Reject the first of ``keys`` that ``kind`` does not read."""
+    for key in keys:
+        kinds = KIND_ONLY_KEYS.get(key, (kind,))
+        if kind not in kinds:
+            raise ConfigError(f"{key} is read only by kind {' or '.join(kinds)}, "
+                              f"not by {kind}")
 
 
 def _parse_phase(raw: str) -> float:
@@ -234,25 +200,56 @@ def _parse_phase(raw: str) -> float:
     return float(raw)
 
 
-def _parse_collections(raw: str) -> dict:
-    """e.g. 'A:1 B:2+3 C:4+5' -> {'A': (1,), 'B': (2, 3), 'C': (4, 5)}."""
-    out = {}
-    for part in raw.split():
-        sid, _, groups = part.partition(":")
-        if not groups:
-            raise ConfigError(f"bad collections entry {part!r}")
-        out[sid] = tuple(int(g) for g in groups.split("+"))
-    return out
+def _pairs(raw: str) -> dict:
+    """e.g. 'A:dt1 B:dt2' -> {'A': 'dt1', 'B': 'dt2'}."""
+    return dict(part.split(":") for part in raw.split())
 
 
-def _parse_gates(raw: str) -> dict:
-    out = {}
-    for part in raw.split():
-        sid, _, gate = part.partition(":")
-        if not gate:
-            raise ConfigError(f"bad gates entry {part!r}")
-        out[sid] = gate
-    return out
+# keys read by a parser of their own; every other key is read as its type
+_PARSERS = {
+    "phi_a": _parse_phase,
+    "phi_b": _parse_phase,
+    "sweep_phi_b": lambda raw: tuple(map(_parse_phase, raw.split(","))),
+    # e.g. 'A:1 B:2+3 C:4+5' -> {'A': (1,), 'B': (2, 3), 'C': (4, 5)}
+    "collections": lambda raw: {sid: tuple(map(int, groups.split("+")))
+                                for sid, groups in _pairs(raw).items()},
+    "gates": _pairs,
+    "input_mode": lambda raw: tuple(map(int, raw.split(","))),
+}
+
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
+          "false": False, "no": False, "0": False, "off": False}
+
+
+def _convert(value, typ, key: str, name: str):
+    """``value`` for key ``key`` of type ``typ``: a file's text through the
+    key's parser, any other value through ``typ``.  A value that does not
+    convert is a ``ConfigError`` naming the key as ``name``."""
+    try:
+        if not isinstance(value, str):
+            if typ is int and value != int(value):  # a sweep's 1.5 is no seed
+                raise ValueError(value)
+            return typ(value)
+        raw = value.strip()
+        if key in _PARSERS:
+            return _PARSERS[key](raw)
+        if typ is bool:
+            return _BOOLS[raw.lower()]
+        if typ is float and raw.lower() == "pi":
+            return math.pi
+        return typ(raw)
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {name}: {value!r}") from exc
+
+
+def _fields(values: dict, cls, where: str, label: str = "") -> dict:
+    """``values`` as fields of ``cls``; a key outside them is unknown in
+    ``where``, and a bad value names its key as ``label`` + key."""
+    types = key_types(cls)
+    for key in values:
+        if key not in types:
+            raise ConfigError(f"unknown {where} key {key!r}")
+    return {key: _convert(v, types[key], key, label + key) for key, v in values.items()}
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -267,82 +264,30 @@ def load_scenario(path: str | Path) -> Scenario:
     except configparser.Error as exc:  # its message names the file and the line
         raise ConfigError(" ".join(str(exc).split())) from exc
 
-    sim_kwargs = {}
-    if parser.has_section("sim"):
-        for key, raw in parser.items("sim"):
-            if key not in _SIM_FIELDS:
-                raise ConfigError(f"unknown [sim] key {key!r}")
-            sim_kwargs[key] = _convert(raw, _SIM_FIELDS[key], key)
-    cfg = SimConfig(**sim_kwargs)
+    def read(section, cls, label=""):
+        items = dict(parser.items(section)) if parser.has_section(section) else {}
+        return _fields(items, cls, f"[{section}]", label)
 
-    ch_kwargs = {}
-    if parser.has_section("channel"):
-        for key, raw in parser.items("channel"):
-            if key not in _CHANNEL_FIELDS:
-                raise ConfigError(f"unknown [channel] key {key!r}")
-            ch_kwargs[key] = _convert(raw, _CHANNEL_FIELDS[key], key)
-    channel = ChannelSpec(**ch_kwargs)
-
-    signals = []
-    for section in parser.sections():
-        if not section.startswith("signal."):
-            continue
-        sid = section.split(".", 1)[1]
-        kwargs = {}
-        for key, raw in parser.items(section):
-            if key == "input_mode":
-                kwargs["input_mode"] = tuple(
-                    _convert(x, int, f"[{section}] input_mode") for x in raw.split(","))
-                continue
-            if key not in _SIGNAL_FIELDS:
-                raise ConfigError(f"unknown [{section}] key {key!r}")
-            kwargs[key] = _convert(raw, _SIGNAL_FIELDS[key], key)
-        _check_group(f"[{section}] input_group", (kwargs.get("input_group", 1),))
-        if not kwargs.get("excess_db", 0.0) <= 0.0:
-            raise ConfigError(
-                f"[{section}] excess_db must be <= 0 (a loss), got {kwargs['excess_db']}"
-            )
-        if not kwargs.get("im_extinction", math.inf) > 1.0:
-            raise ConfigError(f"[{section}] im_extinction must be > 1 (linear ratio), "
-                              f"got {kwargs['im_extinction']}")
-        signals.append(SignalAssignment(signal_id=sid, **kwargs))
+    cfg = SimConfig(**read("sim", SimConfig))
+    channel = ChannelSpec(**read("channel", ChannelSpec))
+    signals = tuple(SignalAssignment(signal_id=section.split(".", 1)[1],
+                                     **read(section, SignalAssignment, f"[{section}] "))
+                    for section in parser.sections() if section.startswith("signal."))
     if not signals:
         raise ConfigError("scenario defines no signals")
 
     if not parser.has_section("experiment"):
         raise ConfigError("scenario missing [experiment] section")
-    exp_kwargs = {}
-    for key, raw in parser.items("experiment"):
-        if key == "collections":
-            exp_kwargs["collections"] = _parse_collections(raw)
-        elif key == "gates":
-            exp_kwargs["gates"] = _parse_gates(raw)
-        elif key == "sweep_phi_b":
-            exp_kwargs["sweep_phi_b"] = tuple(
-                _parse_phase(x) for x in raw.split(",")
-            )
-        elif key in ("phi_a", "phi_b"):
-            exp_kwargs[key] = _parse_phase(raw)
-        elif key in _EXPERIMENT_FIELDS:
-            exp_kwargs[key] = _convert(raw, _EXPERIMENT_FIELDS[key], key)
-        else:
-            raise ConfigError(f"unknown [experiment] key {key!r}")
+    exp_kwargs = read("experiment", ExperimentSpec)
+    if "kind" not in exp_kwargs:
+        raise ConfigError("[experiment] sets no kind")
     experiment = ExperimentSpec(**exp_kwargs)
-    for key, kinds in KIND_ONLY_KEYS.items():
-        if key in exp_kwargs and experiment.kind not in kinds:
-            raise ConfigError(f"{key} is read only by kind {' or '.join(kinds)}, "
-                              f"not by {experiment.kind}")
+    _check_read_by(experiment.kind, exp_kwargs)
 
     # experiment kinds that read per-collection counts need the mapping
     if experiment.kind in ("timebin_xt", "timebin_B", "capacity", "phase_er") and not experiment.collections:
         raise ConfigError(f"{experiment.kind} scenario requires a collections map")
 
-    scenario = Scenario(
-        name=path.stem,
-        cfg=cfg,
-        signals=tuple(signals),
-        channel=channel,
-        experiment=experiment,
-    )
+    scenario = Scenario(path.stem, cfg, signals, channel, experiment)
     scenario.validated()  # raise early on bad sim config
     return scenario

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from sdmqsim.config import (
     ConfigError,
     RandomSource,
+    SignalAssignment,
     SimConfig,
     validate_config,
 )
@@ -51,6 +52,36 @@ class TestValidateConfig:
     def test_invariant_violations(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
             validate_config(SimConfig(**kwargs))
+
+
+class TestSignalAssignment:
+    """A signal built in code is checked as a scenario file's is."""
+
+    @pytest.mark.parametrize(
+        "kwargs,says",
+        [
+            (dict(input_group=0), "[signal.S] input_group: mode group 0 outside 1..5"),
+            (dict(input_group=6), "[signal.S] input_group: mode group 6 outside 1..5"),
+            (dict(excess_db=0.5), "[signal.S] excess_db must be <= 0 (a loss), got 0.5"),
+            (dict(excess_db=float("nan")), "[signal.S] excess_db must be <= 0"),
+            (dict(im_extinction=1.0), "[signal.S] im_extinction must be > 1 (linear ratio)"),
+            (dict(input_mode=(0, 0, 0)), "[signal.S] input_mode"),
+            (dict(input_mode=(0,)), "[signal.S] input_mode"),
+            (dict(input_mode=(-1, 1)), "[signal.S] input_mode"),
+            (dict(input_mode=(1, 0)), "[signal.S] input_mode"),
+            (dict(input_group=3, input_mode=(2, 1)), "[signal.S] input_mode"),
+        ],
+    )
+    def test_bad_signal_rejected(self, kwargs, says):
+        with pytest.raises(ConfigError) as exc:
+            SignalAssignment("S", **kwargs)
+        assert says in str(exc.value)
+
+    # group g holds the Hermite-Gaussian modes with n + p = g - 1
+    @pytest.mark.parametrize("group,mode", [(1, (0, 0)), (2, (1, 0)), (3, (1, 1)),
+                                            (4, (0, 3)), (5, (2, 2)), (5, None)])
+    def test_mode_in_its_group_accepted(self, group, mode):
+        assert SignalAssignment("S", input_mode=mode, input_group=group).input_mode == mode
 
 
 class TestRandomSource:

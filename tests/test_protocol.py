@@ -469,6 +469,44 @@ class TestSimulateBb84:
         tol = 3 * math.sqrt(0.25 * 0.75 / res.n_sifted)
         assert abs(res.qber - 0.25) < tol
 
+    # PHASE_TABLE's eight classes give four distinct pairs of port rates;
+    # each class draws from its own rates' table
+    @pytest.mark.parametrize("v,floor", [(0.93, 0.0), (1.0, 0.05)])
+    def test_dense_port_builds_one_table_per_rate(self, cfg, v, floor, monkeypatch):
+        built, clicks = [], {}
+        arrival_tables, sim = pipeline._arrival_tables, pipeline._simulate_detector
+
+        def traced_tables(components, vcfg, gate):
+            built.append((components, arrival_tables(components, vcfg, gate)))
+            return built[-1][1]
+
+        def traced_sim(key, *args):
+            det = sim(key, *args)
+            clicks.setdefault(key, []).append(det.frame_idx)
+            return det
+
+        monkeypatch.setattr(pipeline, "_arrival_tables", traced_tables)
+        monkeypatch.setattr(pipeline, "_simulate_detector", traced_sim)
+        n = 2 * BATCH + 5
+        simulate_bb84(replace(cfg, seed=45), n_frames=n, flux=2.0, visibility_cap=v,
+                      phase_floor=floor, eve=True)
+        cls = np.concatenate([batch.cls for batch in exchange_batches(45, n, True)])
+        frames_of = np.bincount(cls, minlength=len(PHASE_TABLE))
+        assert len(built) == 2  # once a port, reused by every batch
+        for port, (components, (tables, inverse)) in enumerate(built):
+            assert len(tables) == 4 and sorted(set(inverse)) == [0, 1, 2, 3]
+            clicked = np.bincount(cls[np.concatenate(clicks[ROLE_PHOTONS, port])],
+                                  minlength=len(PHASE_TABLE))
+            for c in range(len(PHASE_TABLE)):
+                alone = [[(lam[0][c] if isinstance(lam, tuple) else lam, placement)
+                          for lam, placement in components[0]]]
+                (ref,), _ = arrival_tables(alone, cfg, DELTA_T1)
+                assert tables[inverse[c]][0] == ref[0]
+                np.testing.assert_array_equal(tables[inverse[c]][1], ref[1])
+                p = ref[0]
+                sd = math.sqrt(frames_of[c] * p * (1 - p))
+                assert abs(clicked[c] - frames_of[c] * p) <= 5 * sd + 1, (port, c)
+
     def test_eve_with_imperfect_visibility(self, cfg):
         # full oracle: 1/2 * (1-V)/2 + 1/2 * 1/2
         v = 0.93

@@ -2,13 +2,20 @@ import hashlib
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import pytest
 
 from sdmqsim.cli import main
-from sdmqsim.config import ConfigError
-from sdmqsim.scenarios import EXPERIMENT_KINDS, load_scenario
+from sdmqsim.config import ConfigError, SignalAssignment, SimConfig
+from sdmqsim.scenarios import (
+    EXPERIMENT_KINDS,
+    ChannelSpec,
+    ExperimentSpec,
+    key_types,
+    load_scenario,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -82,13 +89,19 @@ class TestScenarioLoading:
         with pytest.raises(ConfigError, match="same input group"):
             load_scenario(bad)
 
-    def test_phase_parsing(self):
+    def test_phase_parsing(self, tmp_path):
         sc = load_scenario(SCENARIOS / "phase_sweep.ini")
         phis = sc.experiment.sweep_phi_b
         assert len(phis) == 8
         assert phis[0] == 0.0
         assert phis[4] == pytest.approx(math.pi)
         assert phis[7] == pytest.approx(7 * math.pi / 4)
+        # phi_a and phi_b take the same pi expressions
+        derived = tmp_path / "phase_er.ini"
+        derived.write_text((SCENARIOS / "phase_er.ini").read_text().replace(
+            "phi_a = pi\n", "phi_a = pi/2\n").replace("phi_b = 0\n", "phi_b = -3pi/4\n"))
+        exp = load_scenario(derived).experiment
+        assert (exp.phi_a, exp.phi_b) == (math.pi / 2, -3 * math.pi / 4)
 
     def test_overrides(self):
         sc = load_scenario(SCENARIOS / "bb84.ini")
@@ -97,6 +110,48 @@ class TestScenarioLoading:
         assert sc2.experiment.n_frames == 1234
         # original untouched
         assert sc.cfg.seed != 99 or sc.experiment.n_frames != 1234
+
+    def test_overrides_convert_to_field_type(self):
+        sc = load_scenario(SCENARIOS / "bb84.ini").with_overrides(
+            seed=5.0, n_frames="1234", eta=0.3, phase_floor="0.25")
+        assert (sc.cfg.seed, sc.experiment.n_frames) == (5, 1234)
+        assert type(sc.cfg.seed) is int and type(sc.experiment.n_frames) is int
+        assert (sc.cfg.eta, sc.experiment.phase_floor) == (0.3, 0.25)
+
+    # an override passes every check a file's value passes, and names its key
+    @pytest.mark.parametrize(
+        "name,values,says",
+        [
+            ("timebin_b", dict(visibility_cap=0.5),
+             "visibility_cap is read only by kind phase_er or phase_sweep or bb84 or bb84_eve"),
+            ("bb84", dict(phi_b=1.0), "phi_b is read only by kind phase_er, not by bb84"),
+            ("bb84", dict(wavelength_nm=1550), "unknown [sim] or [experiment] key"),
+            ("bb84", dict(n_frames=0), "n_frames must be >= 1"),
+            ("bb84", dict(eta=2.0), "eta must be in [0, 1]"),
+            ("bb84", dict(seed=math.inf), "bad value for seed: inf"),
+            ("bb84", dict(seed=1.5), "bad value for seed: 1.5"),
+            ("bb84", dict(mu_in="lots"), "bad value for mu_in: 'lots'"),
+        ],
+    )
+    def test_bad_override_rejected(self, name, values, says):
+        sc = load_scenario(SCENARIOS / f"{name}.ini")
+        with pytest.raises(ConfigError) as exc:
+            sc.with_overrides(**values)
+        assert says in str(exc.value)
+
+    # SCHEMA.md's key table of each section lists exactly the keys read there
+    @pytest.mark.parametrize(
+        "section,cls",
+        [("[sim]", SimConfig), ("[channel]", ChannelSpec),
+         ("[signal.<ID>]", SignalAssignment), ("[experiment]", ExperimentSpec)],
+    )
+    def test_schema_doc_lists_every_key(self, section, cls):
+        doc = (SCENARIOS / "SCHEMA.md").read_text()
+        (part,) = [p for p in doc.split("\n## ") if p.startswith(f"`{section}`")]
+        documented = re.findall(r"^\| `(\w+)` \|", part, flags=re.M)
+        assert len(documented) == len(set(documented))
+        assert set(documented) == set(key_types(cls))
+
 
 
 class TestCliRun:
@@ -282,7 +337,8 @@ class TestCliRun:
         for fragment in says:
             assert fragment in err
 
-    # channel and signal values the loader passes on: each names its key
+    # channel and signal values the loader passes on, and values that do
+    # not convert to their key's type: each names its key
     @pytest.mark.parametrize(
         "name,old,new,says",
         [
@@ -292,6 +348,25 @@ class TestCliRun:
                          "mu_reference must be", id="mu_reference"),
             pytest.param("bb84", "input_mode = 0,0", "input_mode = a,b",
                          "[signal.S] input_mode", id="input_mode"),
+            # group 1 holds only the Hermite-Gaussian mode (0, 0)
+            *[pytest.param("bb84", "input_mode = 0,0", f"input_mode = {mode}",
+                           "[signal.S] input_mode", id=f"input_mode={mode}")
+              for mode in ("0,0,0", "0", "-1,1", "1,0")],
+            pytest.param("phase_er", "phi_a = pi\n", "phi_a = abc\n",
+                         "bad value for phi_a: 'abc'", id="phi_a"),
+            pytest.param("phase_er", "phi_b = 0\n", "phi_b = 3pi/x\n",
+                         "bad value for phi_b: '3pi/x'", id="phi_b"),
+            pytest.param("phase_er", "phi_b = 0\n", "phi_b = pi/0\n",
+                         "bad value for phi_b: 'pi/0'", id="phi_b_over_0"),
+            pytest.param("phase_sweep", "sweep_phi_b = 0, pi/4,", "sweep_phi_b = zz, pi/4,",
+                         "bad value for sweep_phi_b: 'zz, pi/4,", id="sweep_phi_b"),
+            pytest.param("timebin_b", "collections = A:1 B:2+3 C:4+5",
+                         "collections = A:1 B:x C:4+5",
+                         "bad value for collections: 'A:1 B:x C:4+5'", id="collections"),
+            pytest.param("timebin_b", "gates = A:dt1 B:dt2 C:dt1", "gates = A:dt1 B C:dt1",
+                         "bad value for gates: 'A:dt1 B C:dt1'", id="gates"),
+            pytest.param("bb84", "kind = bb84\n", "", "[experiment] sets no kind",
+                         id="no_kind"),
             pytest.param("bb84", "uniform_il_db = -8.3", "uniform_il_db = 3.0",
                          "uniform_il_db must be <= 0", id="uniform_il_db"),
             # capacity's flat single-signal budget is built through the same check
@@ -568,6 +643,17 @@ class TestCliSweep:
         assert lines[1].split(",")[0] == "0.05"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["overrides"]["sweep_param"] == "eta"
+
+    # timebin_B reads no phi_b: each value would give the same row
+    def test_param_kind_does_not_read_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "phi"
+        rc = main([
+            "sweep", str(SCENARIOS / "timebin_b.ini"),
+            "--param", "phi_b", "--values", "0,1,2", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "phi_b is read only by kind phase_er, not by timebin_B" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
     def test_unknown_param_exit_2(self, tmp_path):
         rc = main([
