@@ -166,15 +166,22 @@ def _poisson_frames(gen, lam, nb: int) -> np.ndarray:
 
     One Poisson total, then that many uniform frame picks: given the total,
     independent Poisson counts are multinomial with equal cells.  ``lam``
-    may be an array of ``nb`` per-frame rates, thinned from its maximum
-    (Lewis & Shedler, Naval Res. Logist. Q. 26, 1979).
+    may be a ``(table, cls)`` pair giving frame ``i`` the rate
+    ``table[cls[i]]``, thinned from the largest rate of a class present
+    (Lewis & Shedler, Naval Res. Logist. Q. 26, 1979); the rates are looked
+    up at the candidate frames only.
     """
-    per_frame = isinstance(lam, np.ndarray)
-    lam_max = lam.max() if per_frame else lam
+    per_frame = isinstance(lam, tuple)
+    if per_frame:
+        table, cls = lam
+        # table[cls].max() without the gather: the top rate of a class present
+        lam_max = next(table[c] for c in np.argsort(table)[::-1] if (cls == c).any())
+    else:
+        lam_max = lam
     idx = gen.integers(0, nb, size=gen.poisson(lam_max * nb))
     idx.sort()
     if per_frame:
-        idx = idx[gen.random(len(idx)) * lam_max < lam[idx]]
+        idx = idx[gen.random(len(idx)) * lam_max < table[cls[idx]]]
     return idx
 
 
@@ -264,8 +271,7 @@ def _batch_pieces(root, key, components, vcfg, b0, nb, i0):
         gen = root.stream(*key, sig_pos, b0 // BATCH).generator()
         for lam, placement in comps:
             if isinstance(lam, tuple):
-                table, cls = lam
-                lam = table[cls[i0:i0 + nb]]
+                lam = (lam[0], lam[1][i0:i0 + nb])
             frames = b0 + _poisson_frames(gen, lam, nb)
             if len(frames):
                 yield sig_pos, frames, placement.times(gen, len(frames), vcfg)
@@ -669,8 +675,12 @@ def _run_capacity(scenario: Scenario) -> RunResult:
         * vcfg.frame_rate_hz
         * float(10 ** (exp.theory_il_db / 10.0))
     )
+    # sub-scenarios drop signals, so they carry no gates: each detector below
+    # is given its gate
+    ungated = replace(exp, gates={})
     theory_scenario = replace(
         scenario,
+        experiment=ungated,
         cfg=replace(scenario.cfg, mu_in=exp.theory_mu),
         signals=(SignalAssignment("S", input_group=1, delayed=False, fixed_slot=20),),
         channel=replace(scenario.channel, uniform_il_db=exp.theory_il_db),
@@ -692,6 +702,7 @@ def _run_capacity(scenario: Scenario) -> RunResult:
         sig = scenario.signal(sid)
         sub = replace(
             scenario,
+            experiment=ungated,
             signals=tuple(
                 s
                 for s in scenario.signals

@@ -15,7 +15,10 @@ Per-frame state (bits, basis coins and the frame class, which indexes the
 eight values of phi_a + phi_b in ``PHASE_TABLE``) is int8 or bool and
 lives one batch at a time: ``exchange_batches`` draws it, the exchange
 reduces each batch to its conclusive frames, and the transcript draws it
-again the same way.  Decoding sees click frames only.
+again the same way.  Decoding sees click frames only.  The state is read
+from raw 64-bit Philox words: ``n`` coins take ``n`` words, ``n`` bits
+``ceil(n / 8)``, exactly the values of numpy's ``random`` and int8
+``integers`` draws (``_coins``, ``_bits``).
 
 Port convention: port P carries the ``1 + V cos(phi_a + phi_b)`` lobe.  A
 matched-basis bit 0 therefore lights port P in the X basis but port P' in
@@ -73,9 +76,25 @@ class FrameBatch(NamedTuple):
     cls: np.ndarray  # class into PHASE_TABLE of the state Bob receives
 
 
+def _coins(gen: np.random.Generator, n: int) -> np.ndarray:
+    """``gen.random(n) < 0.5`` from ``n`` raw words: a double is its word's
+    top 53 bits times 2^-53, so it is below 1/2 exactly when the word is
+    below 2^63."""
+    return gen.bit_generator.random_raw(n) < np.uint64(1 << 63)
+
+
+def _bits(gen: np.random.Generator, n: int) -> np.ndarray:
+    """``gen.integers(0, 2, size=n, dtype=np.int8)`` from ``ceil(n / 8)`` raw
+    words: numpy's bounded 8-bit draw (Lemire's method, which never rejects
+    for two values) is the top bit of each byte, read from each word's low
+    32-bit half first and from each half's low byte first."""
+    raw = gen.bit_generator.random_raw(-(-n // 8)).astype("<u8", copy=False)
+    return (raw.view(np.uint8)[:n] >> 7).view(np.int8)
+
+
 def _generator_at(source: RandomSource, k: int) -> np.random.Generator:
-    """``source``'s generator after ``k`` raw 64-bit draws (a Philox counter
-    step makes four)."""
+    """``source``'s generator after ``k`` raw 64-bit words (a Philox counter
+    step makes four): ``k`` coins, or ``8 k`` bits."""
     gen = source.generator()
     gen.bit_generator.advance(k // 4)
     gen.bit_generator.random_raw(k % 4)
@@ -88,11 +107,10 @@ def exchange_batches(seed: int, n_frames: int, eve: bool) -> Iterator[FrameBatch
     The draws are those of whole-run streams: Alice's stream yields every
     bit and then her basis coins, Eve's stream her coins and then her bits,
     Bob's stream his coins.  A second generator on Alice's and Eve's key
-    starts at the later part: ``n`` int8 bits take ``ceil(n / 8)`` raw
-    draws (four to a 32-bit word, two words to a draw), ``n`` coins ``n``
-    (a double each).  An intercept-resend Eve measures in a random
-    basis; where it differs from Alice's she re-sends a uniformly random
-    state of her own basis.
+    starts at the later part: ``n`` bits take ``ceil(n / 8)`` raw words
+    (``_bits``), ``n`` coins ``n`` (``_coins``).  An intercept-resend Eve
+    measures in a random basis; where it differs from Alice's she re-sends
+    a uniformly random state of her own basis.
     """
     root = RandomSource(seed)
     alice, eve_src = root.stream(ROLE_ALICE), root.stream(ROLE_EVE)
@@ -102,14 +120,14 @@ def exchange_batches(seed: int, n_frames: int, eve: bool) -> Iterator[FrameBatch
     gen_bob_x = root.stream(ROLE_BOB).generator()
     for b0 in range(0, n_frames, BATCH):
         nb = min(BATCH, n_frames - b0)
-        bits = gen_bits.integers(0, 2, size=nb, dtype=np.int8)
-        alice_x = gen_alice_x.random(nb) < 0.5
+        bits = _bits(gen_bits, nb)
+        alice_x = _coins(gen_alice_x, nb)
         sent = phase_index(alice_x, bits)
         if eve:
-            eve_x = gen_eve_x.random(nb) < 0.5
-            eve_bits = gen_eve_bits.integers(0, 2, size=nb, dtype=np.int8)
+            eve_x = _coins(gen_eve_x, nb)
+            eve_bits = _bits(gen_eve_bits, nb)
             sent = np.where(eve_x == alice_x, sent, phase_index(eve_x, eve_bits))
-        bob_x = gen_bob_x.random(nb) < 0.5
+        bob_x = _coins(gen_bob_x, nb)
         yield FrameBatch(b0, bits, alice_x, bob_x, phase_index(bob_x, sent))
 
 

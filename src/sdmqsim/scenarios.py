@@ -123,6 +123,10 @@ class Scenario:
         if len(set(groups)) != len(groups):
             raise ConfigError("two signals assigned to the same input group")
         kind = self.experiment.kind
+        ids = {s.signal_id for s in self.signals}
+        for sid in self.experiment.gates:
+            if sid not in ids:
+                raise ConfigError(f"gates {sid}: no signal {sid!r}")
         if kind in ("bb84", "bb84_eve"):  # both ports read dt1, the first half-window
             bad = [f"gates {sid}:{g}" for sid, g in self.experiment.gates.items() if g != "dt1"]
             bad += [f"delayed = true on signal {s.signal_id}" for s in self.signals if s.delayed]

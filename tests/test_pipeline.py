@@ -143,9 +143,10 @@ class TestSparseSampler:
         # level have that level's Poisson law, and rate 0 draws nothing
         levels = np.array([0.0, 0.05, 0.5, 4.0])
         nb = 1 << 16
-        lam = levels[np.arange(nb) % len(levels)]
+        cls = (np.arange(nb) % len(levels)).astype(np.int8)
+        lam = levels[cls]
         gen = RandomSource(5).stream(1).generator()
-        idx = _poisson_frames(gen, lam, nb)
+        idx = _poisson_frames(gen, (levels, cls), nb)
         assert np.all(np.diff(idx) >= 0)
         assert idx[0] >= 0 and idx[-1] < nb
         per_frame = np.bincount(idx, minlength=nb)
@@ -156,6 +157,31 @@ class TestSparseSampler:
             observed = np.bincount(np.clip(counts, lo, hi) - lo, minlength=hi - lo + 1)
             sigma = np.sqrt(expect * (1.0 - expect / len(counts)))
             assert np.all(np.abs(observed - expect) <= 5 * sigma), (level, observed, expect)
+
+    @pytest.mark.parametrize("table", [
+        np.array([0.3, 2.0, 0.7, 2.0]),  # a tie at the top rate
+        np.array([2.0, 2.0, 2.0, 2.0]),
+        np.array([0.0, 0.05, 0.5, 4.0]),
+        np.array([0.0, 0.0, 0.0, 0.0]),
+    ])
+    @pytest.mark.parametrize("nb", [*range(1, 11), BATCH])
+    def test_rate_table_lookup_matches_full_gather(self, table, nb):
+        def gathered(gen, lam):  # every frame's rate gathered, thinned from their max
+            lam_max = lam.max()
+            idx = gen.integers(0, nb, size=gen.poisson(lam_max * nb))
+            idx.sort()
+            return idx[gen.random(len(idx)) * lam_max < lam[idx]]
+
+        classes = np.random.default_rng(nb).integers(0, len(table), size=nb).astype(np.int8)
+        top = np.flatnonzero(table == table.max())
+        # every class, the top rate's classes missing, and one class alone
+        for cls in (classes, np.where(np.isin(classes, top), (top[-1] + 1) % len(table),
+                                      classes).astype(np.int8), np.full(nb, 2, np.int8)):
+            for seed in range(3):
+                ref, got = (RandomSource(seed).stream(2, nb).generator() for _ in range(2))
+                np.testing.assert_array_equal(_poisson_frames(got, (table, cls), nb),
+                                              gathered(ref, table[cls]))
+                assert got.random() == ref.random()  # draw for draw
 
     def test_zero_rate_draws_nothing(self):
         gen = RandomSource(5).generator()

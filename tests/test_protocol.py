@@ -32,6 +32,8 @@ from sdmqsim.protocol import (
     NULL_BIT,
     PHASE_TABLE,
     PHASES,
+    _bits,
+    _coins,
     decode,
     exchange_batches,
     key_rate,
@@ -134,6 +136,23 @@ class TestInt8Exchange:
         assert np.array_equal(key_b, old_b)
         assert q == old_q or (math.isnan(q) and math.isnan(old_q))
         assert len(conc) == int(np.sum(old_bits != NULL_BIT))
+
+
+class TestRawDraws:
+    """The raw-word coins and bits are numpy's ``random`` and int8
+    ``integers`` draws, value for value."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, BATCH - 1, BATCH, BATCH + 1])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_coins_and_bits_match_numpy(self, seed, n):
+        for helper, draw in ((_coins, lambda gen: gen.random(n) < 0.5),
+                             (_bits, lambda gen: gen.integers(0, 2, size=n, dtype=np.int8))):
+            ref, raw = (RandomSource(seed).stream(ROLE_ALICE).generator() for _ in range(2))
+            want, got = draw(ref), helper(raw, n)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            if n % 8 == 0:  # both took the same raw words
+                assert raw.random() == ref.random()
 
 
 def _whole_run_state(seed, n, eve):

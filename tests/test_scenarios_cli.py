@@ -365,6 +365,9 @@ class TestCliRun:
                          "bad value for collections: 'A:1 B:x C:4+5'", id="collections"),
             pytest.param("timebin_b", "gates = A:dt1 B:dt2 C:dt1", "gates = A:dt1 B C:dt1",
                          "bad value for gates: 'A:dt1 B C:dt1'", id="gates"),
+            pytest.param("timebin_b", "gates = A:dt1 B:dt2 C:dt1",
+                         "gates = A:dt1 B:dt2 C:dt1 Z:dt2", "gates Z: no signal 'Z'",
+                         id="gates_unknown_signal"),
             pytest.param("bb84", "kind = bb84\n", "", "[experiment] sets no kind",
                          id="no_kind"),
             pytest.param("bb84", "uniform_il_db = -8.3", "uniform_il_db = 3.0",
