@@ -853,6 +853,17 @@ def _usable_frames(det: DetectorResult, vcfg) -> np.ndarray:
     return fr[(np.diff(fr, prepend=-1) != 0) & (t >= lo) & (t < hi)]
 
 
+def _lazy_record(n: int, dtype) -> np.ndarray:
+    """A zeroed ``n``-long array on a private anonymous mapping: each page
+    is committed when first written, a small page at a time, where numpy
+    advises huge pages for arrays of 4 MB or more and a first write there
+    can commit 2 MB."""
+    import mmap  # here, so that runs with no BB84 exchange do not load it
+
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, n * dtype.itemsize, flags=mmap.MAP_PRIVATE), dtype)
+
+
 def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
                   visibility_cap: float = 0.93, eve: bool = False,
                   phase_floor: float = 0.0) -> Bb84Result:
@@ -865,13 +876,16 @@ def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
     per frame class.  A port's outcome in a frame is its first click past
     the gate and the dead time; it is usable on an interior position.
     Each batch of ``protocol.exchange_batches`` is reduced to its
-    conclusive frames, Bob's bits there and its sifted key bits; each
-    port's dead time and first-arrival tables carry into the next batch.
+    conclusive frames, Bob's bits there and its sifted key bits, written in
+    place after the previous batch's; each port's dead time and
+    first-arrival tables carry into the next batch.
     """
     law = delay_interferometer_rates(
         cfg.eta * flux, cfg.d, visibility_cap, PHASE_TABLE, "none", phase_floor)
     blocked, memos = [0, 0], [{}, {}]
-    record = []
+    frames_all = _lazy_record(n_frames, np.int64)
+    bits_all, key_a_all, key_b_all = (_lazy_record(n_frames, np.int8) for _ in range(3))
+    n_det = n_sift = 0
     for batch in exchange_batches(cfg.seed, n_frames, eve):
         b0, cls = batch.start, batch.cls
         rates = law._replace(interior_p=(law.interior_p, cls),
@@ -887,10 +901,13 @@ def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
         frames, bob_bits = decode(*usable, batch.bob_x)
         key_a, key_b, _ = sift(batch.bits[frames], batch.alice_x[frames],
                                batch.bob_x[frames], bob_bits)
-        record.append((b0 + frames, bob_bits, key_a, key_b))
-    frames, bob_bits, key_a, key_b = (np.concatenate(c) for c in zip(*record))
-    return Bb84Result(n_frames, len(frames), len(key_a), error_rate(key_a, key_b),
-                      key_a, key_b, cfg.seed, eve, frames, bob_bits)
+        det, sifted = slice(n_det, n_det + len(frames)), slice(n_sift, n_sift + len(key_a))
+        frames_all[det], bits_all[det] = b0 + frames, bob_bits
+        key_a_all[sifted], key_b_all[sifted] = key_a, key_b
+        n_det, n_sift = det.stop, sifted.stop
+    key_a, key_b = key_a_all[:n_sift], key_b_all[:n_sift]
+    return Bb84Result(n_frames, n_det, n_sift, error_rate(key_a, key_b),
+                      key_a, key_b, cfg.seed, eve, frames_all[:n_det], bits_all[:n_det])
 
 
 def _run_bb84(scenario: Scenario) -> RunResult:

@@ -16,9 +16,9 @@ eight values of phi_a + phi_b in ``PHASE_TABLE``) is int8 or bool and
 lives one batch at a time: ``exchange_batches`` draws it, the exchange
 reduces each batch to its conclusive frames, and the transcript draws it
 again the same way.  Decoding sees click frames only.  The state is read
-from raw 64-bit Philox words: ``n`` coins take ``n`` words, ``n`` bits
-``ceil(n / 8)``, exactly the values of numpy's ``random`` and int8
-``integers`` draws (``_coins``, ``_bits``).
+from raw 64-bit Philox words, 64 draws to a word: ``n`` coins or bits take
+``ceil(n / 64)`` words, and draw ``i`` of a stream is bit ``i % 64`` of
+word ``i // 64``, least significant first (``_coins``, ``_bits``).
 
 Port convention: port P carries the ``1 + V cos(phi_a + phi_b)`` lobe.  A
 matched-basis bit 0 therefore lights port P in the X basis but port P' in
@@ -77,24 +77,21 @@ class FrameBatch(NamedTuple):
 
 
 def _coins(gen: np.random.Generator, n: int) -> np.ndarray:
-    """``gen.random(n) < 0.5`` from ``n`` raw words: a double is its word's
-    top 53 bits times 2^-53, so it is below 1/2 exactly when the word is
-    below 2^63."""
-    return gen.bit_generator.random_raw(n) < np.uint64(1 << 63)
+    """``n`` fair coins (True -> X basis) from ``ceil(n / 64)`` raw words:
+    coin ``i`` is bit ``i % 64`` of word ``i // 64``, read through a
+    little-endian view from the least significant bit up."""
+    raw = gen.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
+    return np.unpackbits(raw.view(np.uint8), count=n, bitorder="little").view(bool)
 
 
 def _bits(gen: np.random.Generator, n: int) -> np.ndarray:
-    """``gen.integers(0, 2, size=n, dtype=np.int8)`` from ``ceil(n / 8)`` raw
-    words: numpy's bounded 8-bit draw (Lemire's method, which never rejects
-    for two values) is the top bit of each byte, read from each word's low
-    32-bit half first and from each half's low byte first."""
-    raw = gen.bit_generator.random_raw(-(-n // 8)).astype("<u8", copy=False)
-    return (raw.view(np.uint8)[:n] >> 7).view(np.int8)
+    """``n`` uniform bits as int8: the draw of ``_coins``."""
+    return _coins(gen, n).view(np.int8)
 
 
 def _generator_at(source: RandomSource, k: int) -> np.random.Generator:
     """``source``'s generator after ``k`` raw 64-bit words (a Philox counter
-    step makes four): ``k`` coins, or ``8 k`` bits."""
+    step makes four): the words of ``64 k`` coins or bits."""
     gen = source.generator()
     gen.bit_generator.advance(k // 4)
     gen.bit_generator.random_raw(k % 4)
@@ -106,17 +103,18 @@ def exchange_batches(seed: int, n_frames: int, eve: bool) -> Iterator[FrameBatch
 
     The draws are those of whole-run streams: Alice's stream yields every
     bit and then her basis coins, Eve's stream her coins and then her bits,
-    Bob's stream his coins.  A second generator on Alice's and Eve's key
-    starts at the later part: ``n`` bits take ``ceil(n / 8)`` raw words
-    (``_bits``), ``n`` coins ``n`` (``_coins``).  An intercept-resend Eve
-    measures in a random basis; where it differs from Alice's she re-sends
-    a uniformly random state of her own basis.
+    Bob's stream his coins.  ``n`` coins or bits take ``ceil(n / 64)`` raw
+    words, so a second generator on Alice's and Eve's key starts
+    ``ceil(n_frames / 64)`` words in, at the later part; every batch but the
+    last is a multiple of 64 frames and takes whole words.  An
+    intercept-resend Eve measures in a random basis; where it differs from
+    Alice's she re-sends a uniformly random state of her own basis.
     """
     root = RandomSource(seed)
     alice, eve_src = root.stream(ROLE_ALICE), root.stream(ROLE_EVE)
-    gen_bits = alice.generator()
-    gen_alice_x = _generator_at(alice, -(-n_frames // 8))
-    gen_eve_x, gen_eve_bits = eve_src.generator(), _generator_at(eve_src, n_frames)
+    words = -(-n_frames // 64)
+    gen_bits, gen_alice_x = alice.generator(), _generator_at(alice, words)
+    gen_eve_x, gen_eve_bits = eve_src.generator(), _generator_at(eve_src, words)
     gen_bob_x = root.stream(ROLE_BOB).generator()
     for b0 in range(0, n_frames, BATCH):
         nb = min(BATCH, n_frames - b0)

@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from sdmqsim.pipeline import (
     _phase_components,
     _simulate_detector,
     _usable_frames,
+    run_scenario,
     simulate_bb84,
 )
 from sdmqsim.protocol import (
@@ -42,6 +44,7 @@ from sdmqsim.protocol import (
     write_transcript,
 )
 from sdmqsim.receiver import delay_interferometer_rates
+from sdmqsim.scenarios import load_scenario
 
 
 @pytest.fixture(scope="module")
@@ -138,38 +141,72 @@ class TestInt8Exchange:
         assert len(conc) == int(np.sum(old_bits != NULL_BIT))
 
 
-class TestRawDraws:
-    """The raw-word coins and bits are numpy's ``random`` and int8
-    ``integers`` draws, value for value."""
+def _ref_draw(words, n):
+    """Draw ``i`` of ``n`` as bit ``i % 64`` of ``words[i // 64]``, by shift
+    and mask."""
+    i = np.arange(n)
+    return (words[i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)
 
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, BATCH - 1, BATCH, BATCH + 1])
+
+class TestRawDraws:
+    """The coins and bits are the bits of numpy's raw Philox words, 64 to
+    a word from the least significant bit up."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, BATCH - 1, BATCH, BATCH + 1])
     @pytest.mark.parametrize("seed", range(5))
     def test_coins_and_bits_match_numpy(self, seed, n):
-        for helper, draw in ((_coins, lambda gen: gen.random(n) < 0.5),
-                             (_bits, lambda gen: gen.integers(0, 2, size=n, dtype=np.int8))):
-            ref, raw = (RandomSource(seed).stream(ROLE_ALICE).generator() for _ in range(2))
-            want, got = draw(ref), helper(raw, n)
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
-            if n % 8 == 0:  # both took the same raw words
-                assert raw.random() == ref.random()
+        assert BATCH % 64 == 0  # a full batch takes whole words
+        words = -(-n // 64)
+        for helper, dtype in ((_coins, bool), (_bits, np.int8)):
+            ref, gen = (RandomSource(seed).stream(ROLE_ALICE).generator() for _ in range(2))
+            raw = ref.bit_generator.random_raw(words + 1)
+            got = helper(gen, n)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, _ref_draw(raw, n).astype(dtype))
+            # the draw took exactly ceil(n / 64) words
+            assert gen.bit_generator.random_raw() == raw[words]
+
+
+def _whole_run_draws(seed, n):
+    """Alice's bits and coins, Eve's coins and bits and Bob's coins, each
+    stream's words drawn at once: Alice's bits then coins, Eve's coins then
+    bits, ``ceil(n / 64)`` words each."""
+    root = RandomSource(seed)
+    words = -(-n // 64)
+    alice, eve, bob = (root.stream(role).generator().bit_generator.random_raw(2 * words)
+                       for role in (ROLE_ALICE, ROLE_EVE, ROLE_BOB))
+    return (_ref_draw(alice, n).astype(np.int8), _ref_draw(alice[words:], n).astype(bool),
+            _ref_draw(eve, n).astype(bool), _ref_draw(eve[words:], n).astype(np.int8),
+            _ref_draw(bob, n).astype(bool))
 
 
 def _whole_run_state(seed, n, eve):
-    """Alice's bits and coins, Bob's coins and the frame classes, each
-    stream drawn whole: Alice's bits then coins, Eve's coins then bits."""
-    root = RandomSource(seed)
-    gen_a = root.stream(ROLE_ALICE).generator()
-    bits = gen_a.integers(0, 2, size=n, dtype=np.int8)
-    alice_x = gen_a.random(n) < 0.5
+    """Alice's bits and coins, Bob's coins and the frame classes from the
+    whole-run draws."""
+    bits, alice_x, eve_x, eve_bits, bob_x = _whole_run_draws(seed, n)
     sent = phase_index(alice_x, bits)
     if eve:
-        gen_e = root.stream(ROLE_EVE).generator()
-        eve_x = gen_e.random(n) < 0.5
-        eve_bits = gen_e.integers(0, 2, size=n, dtype=np.int8)
         sent = np.where(eve_x == alice_x, sent, phase_index(eve_x, eve_bits))
-    bob_x = root.stream(ROLE_BOB).generator().random(n) < 0.5
     return bits, alice_x, bob_x, phase_index(bob_x, sent)
+
+
+class TestDrawBalance:
+    """The five draws of an exchange are fair and independent."""
+
+    N = 1 << 20
+
+    @pytest.mark.parametrize("seed", range(2001, 2006))
+    def test_joint_table_and_bit_positions(self, seed):
+        draws = _whole_run_draws(seed, self.N)
+        # (Alice bit, Alice basis, Eve basis, Eve bit, Bob basis): 32 cells
+        cell = sum(d.astype(np.int64) << k for k, d in enumerate(draws))
+        counts = np.bincount(cell, minlength=32)
+        p = 1 / 32
+        assert np.all(np.abs(counts - self.N * p) <= 5 * math.sqrt(self.N * p * (1 - p)))
+        # each of a word's 64 bit positions, over every word of the five draws
+        ones = np.concatenate(draws).view(np.uint8).reshape(-1, 64).sum(axis=0, dtype=np.int64)
+        m = 5 * self.N // 64
+        assert np.all(np.abs(ones - m / 2) <= 5 * math.sqrt(m / 4))
 
 
 def _whole_run_bb84(cfg, n, flux, v, eve):
@@ -535,3 +572,25 @@ class TestSimulateBb84:
         expect = 0.5 * (1 - v) / 2 + 0.25
         tol = 3 * math.sqrt(expect * (1 - expect) / res.n_sifted)
         assert abs(res.qber - expect) < tol
+
+
+class TestCannedBias:
+    """The canned exchanges over 12 held-out seeds at their 1.2 M frames:
+    the pooled sifted QBER against its law and the sift ratio against 1/2."""
+
+    # bb84 at V = 0.93 errs on the wrong port, (1 - V)/2; bb84_eve at V = 1
+    # errs in half of the frames Eve re-sends in the other basis
+    @pytest.mark.parametrize("name", ["bb84", "bb84_eve"])
+    def test_pooled_qber_and_sift_ratio(self, name):
+        expect = {"bb84": (1 - 0.93) / 2, "bb84_eve": 0.25}[name]
+        scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.ini")
+        errors = sifted = detected = 0
+        for seed in range(3001, 3013):
+            rep = run_scenario(scenario.with_overrides(seed=seed)).report
+            n = rep.extra["n_sifted"]
+            errors += round(rep.qber_sifted * n)
+            sifted += n
+            detected += rep.extra["n_detected"]
+        assert sifted > 100_000
+        assert abs(errors / sifted - expect) <= 4 * math.sqrt(expect * (1 - expect) / sifted)
+        assert abs(sifted / detected - 0.5) <= 4 * math.sqrt(0.25 / detected)

@@ -228,8 +228,8 @@ class TestCliRun:
             assert sifted == ("1" if ba == bb and bob != "-" else "0")
 
     def test_bb84_eve_transcript_bytes(self, tmp_path):
-        # the transcript's bytes at 2000 frames, pinned when the writer
-        # stopped building one record object per frame
+        # the transcript's bytes at 2000 frames, pinned when the exchange
+        # began reading its coins and bits 64 to a raw Philox word
         derived = tmp_path / "bb84_eve_t.ini"
         derived.write_text(
             (SCENARIOS / "bb84_eve.ini").read_text().replace(
@@ -239,7 +239,7 @@ class TestCliRun:
         out = tmp_path / "o"
         assert main(["run", str(derived), "--frames", "2000", "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "transcript.csv").read_bytes()).hexdigest()
-        assert digest == "0b8824da66b33fbcb3e1601c0a38ed3484e1da0719740c864fc7541d367d3890"
+        assert digest == "b5bd3c3eb22873f55c40a59098723c2aca3cca0b4870ace938b87c2ed7fd96ff"
 
     def test_saturated_timebin_report_bytes(self, tmp_path):
         # timebin_b at mu_in = 1000 puts 3-7 gated clicks a frame into every
