@@ -29,6 +29,8 @@ __all__ = [
     "capacity",
     "capacity_from_counts",
     "MetricsReport",
+    "ascii_digits",
+    "csv_bytes",
     "write_counts_vs_phase_csv",
     "write_group_rates_csv",
     "write_er_by_group_csv",
@@ -287,6 +289,46 @@ def _sanitize(value):
 # ---------------------------------------------------------------------------
 # Per-figure CSV emitters
 # ---------------------------------------------------------------------------
+
+
+def ascii_digits(values: np.ndarray) -> np.ndarray:
+    """Decimal digits of non-negative integers, one row each, right-aligned
+    in a ``uint8`` matrix as wide as the longest; NUL pads where a leading
+    zero would be, and 0 writes ``0``.  Built a digit at a time down the
+    columns of its transpose, with division by the constant 10."""
+    q = np.asarray(values, dtype=np.int64)
+    width = len(str(q.max())) if len(q) else 1
+    m = np.empty((width, len(q)), dtype=np.uint8)
+    for k in range(width - 1, -1, -1):
+        d = q // 10
+        m[k] = q - d * 10
+        m[k] += 48
+        if k < width - 1:
+            m[k] *= q > 0
+        q = d
+    return m.T
+
+
+def csv_bytes(*columns) -> bytes:
+    """The bytes of rows laid out column by column.
+
+    A ``bytes`` value (a comma, a newline) repeats on every row.  A
+    ``uint8`` array holds one character a row, or, two-dimensional, a
+    NUL-padded row of them a row, as ``ascii_digits`` gives; the arrays
+    share one row count.  The columns are laid side by side in one byte
+    matrix, filled through its transpose, and its NUL bytes dropped.
+    """
+    mats = [np.frombuffer(c, np.uint8)[:, None] if isinstance(c, bytes)
+            else c[None, :] if c.ndim == 1 else c.T for c in columns]
+    n = max(len(c) for c in columns if not isinstance(c, bytes))
+    mt = np.empty((sum(len(c) for c in mats), n), dtype=np.uint8)
+    at = 0
+    for c in mats:
+        mt[at:at + len(c)] = c
+        at += len(c)
+    m = mt.T.copy()
+    del mt  # freed before the mask and the kept bytes are made
+    return m[m != 0].tobytes()
 
 
 def write_counts_vs_phase_csv(path: str | Path, rows) -> None:

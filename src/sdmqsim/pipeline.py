@@ -217,7 +217,8 @@ class Pulse(_Placement):
             t += gen.integers(0, self.n, size=size) * self.spacing
         if vcfg.jitter_sigma_ps > 0:
             t += np.rint(gen.normal(0.0, vcfg.jitter_sigma_ps, size=size)).astype(np.int64)
-        return np.clip(t, 0, vcfg.frame_period_ps - 1, out=t)
+        np.maximum(t, 0, out=t)
+        return np.minimum(t, vcfg.frame_period_ps - 1, out=t)
 
     def runs(self, vcfg) -> list:
         """The law of ``times``: the rounded jitter (erf differences at +-0.5

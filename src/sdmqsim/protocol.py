@@ -32,6 +32,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .analysis import ascii_digits, csv_bytes
 from .config import BATCH, ROLE_ALICE, ROLE_BOB, ROLE_EVE, RandomSource
 
 __all__ = [
@@ -283,6 +284,15 @@ class Bb84Result:
         return out
 
 
+def _basis_chars(basis_x: np.ndarray) -> np.ndarray:
+    return np.where(basis_x, np.uint8(ord(BASIS_X)), np.uint8(ord(BASIS_Z)))
+
+
+def _bit_chars(bits: np.ndarray) -> np.ndarray:
+    """``0``/``1`` for int8 bits, ``-`` for ``NULL_BIT``."""
+    return np.where(bits == NULL_BIT, np.uint8(ord("-")), bits.view(np.uint8) + np.uint8(48))
+
+
 def write_transcript(path, result: Bb84Result) -> None:
     """Dump the announced bases and detection outcomes (audit log).
 
@@ -290,15 +300,14 @@ def write_transcript(path, result: Bb84Result) -> None:
     Bob would announce having detected ('-' for an inconclusive frame);
     sifted marks basis-matched conclusive positions.
     """
-    with open(path, "w") as out:
-        out.write("frame,alice_basis,alice_bit,bob_basis,bob_bit,sifted\n")
+    with open(path, "wb") as out:
+        out.write(b"frame,alice_basis,alice_bit,bob_basis,bob_bit,sifted\n")
         for b in result.batches():
-            bob = result.bob_bits_in(b.start, b.start + len(b.bits))
+            stop = b.start + len(b.bits)
+            bob = result.bob_bits_in(b.start, stop)
             sifted = (b.alice_x == b.bob_x) & (bob != NULL_BIT)
-            rows = zip(np.where(b.alice_x, BASIS_X, BASIS_Z).tolist(), b.bits.tolist(),
-                       np.where(b.bob_x, BASIS_X, BASIS_Z).tolist(), bob.tolist(),
-                       sifted.tolist())
-            out.writelines(
-                f"{i},{ba},{a},{bb},{'-' if o == NULL_BIT else o},{int(s)}\n"
-                for i, (ba, a, bb, o, s) in enumerate(rows, b.start)
-            )
+            out.write(csv_bytes(
+                ascii_digits(np.arange(b.start, stop)), b",", _basis_chars(b.alice_x), b",",
+                _bit_chars(b.bits), b",", _basis_chars(b.bob_x), b",", _bit_chars(bob),
+                b",", _bit_chars(sifted.view(np.int8)), b"\n",
+            ))

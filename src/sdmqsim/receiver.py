@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from .analysis import ascii_digits, csv_bytes
 from .config import DELTA_T1, ValidatedConfig
 
 __all__ = [
@@ -148,8 +150,17 @@ def histogram_from_times(t_within: np.ndarray, cfg: ValidatedConfig) -> Histogra
     return Histogram(bins=bins, hist_res_ps=cfg.hist_res_ps)
 
 
+@lru_cache(maxsize=1)
+def _bin_starts(n_bins: int, hist_res_ps: int) -> np.ndarray:
+    """The digits of every bin start, shared by a run's histograms."""
+    m = ascii_digits(np.arange(n_bins, dtype=np.int64) * hist_res_ps)
+    m.flags.writeable = False
+    return m
+
+
 def export_histogram(hist: Histogram, path: str | Path) -> None:
     """Write one row per bin: ``bin_start_ps,count`` (LF line endings)."""
-    res = hist.hist_res_ps
-    rows = [f"{i * res},{c}" for i, c in enumerate(hist.bins.tolist())]
-    Path(path).write_text("\n".join(["bin_start_ps,count", *rows]) + "\n")
+    starts = _bin_starts(len(hist.bins), hist.hist_res_ps)
+    with open(path, "wb") as out:
+        out.write(b"bin_start_ps,count\n")
+        out.write(csv_bytes(starts, b",", ascii_digits(hist.bins), b"\n"))

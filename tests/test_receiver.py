@@ -495,10 +495,31 @@ class TestHistogram:
     )
     def test_export_bytes_match_row_format(self, tmp_path_factory, counts, res):
         bins = np.array(counts, dtype=np.int64)
-        hist = Histogram(bins=bins, hist_res_ps=res)
         path = tmp_path_factory.mktemp("h") / "h.csv"
-        export_histogram(hist, path)
-        rows = ["bin_start_ps,count"] + [
-            f"{i * res},{int(c)}" for i, c in enumerate(bins)
-        ]
-        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+        export_histogram(Histogram(bins=bins, hist_res_ps=res), path)
+        assert path.read_bytes() == _row_format(bins, res)
+
+    @pytest.mark.parametrize("counts, res", [
+        (np.arange(12) * 7, 100_000),  # bin starts cross 10^5 and 10^6
+        ([0, 9, 10, 99, 100, 2**63 - 1], 3),  # each digit width, and int64's top
+        (np.zeros(8000, dtype=np.int64), 25),  # every count 0
+    ])
+    def test_export_digit_widths(self, tmp_path, counts, res):
+        bins = np.array(counts, dtype=np.int64)
+        export_histogram(Histogram(bins=bins, hist_res_ps=res), tmp_path / "h.csv")
+        assert (tmp_path / "h.csv").read_bytes() == _row_format(bins, res)
+
+    def test_export_rekeys_bin_starts(self, tmp_path):
+        # the bin-start digits are shared between exports of one (n, res): A,
+        # then B, then A again must each match their own rows
+        gen = RandomSource(4).generator()
+        for i, (n, res) in enumerate([(300, 25), (300, 100_000), (300, 25)]):
+            bins = gen.integers(0, 1000, size=n)
+            export_histogram(Histogram(bins=bins, hist_res_ps=res), tmp_path / f"{i}.csv")
+            assert (tmp_path / f"{i}.csv").read_bytes() == _row_format(bins, res)
+
+
+def _row_format(bins, res) -> bytes:
+    """The export's bytes, formatted one row at a time."""
+    rows = ["bin_start_ps,count"] + [f"{i * res},{int(c)}" for i, c in enumerate(bins)]
+    return ("\n".join(rows) + "\n").encode()
