@@ -12,7 +12,9 @@ describe each signal's components: mean clicks per frame, from the channel
 and (for phase frames) ``receiver.delay_interferometer_rates``, and where
 they land, as data: a jittered ``Pulse`` or a uniform ``Floor``, each with
 its per-ps law (``mass``).  A rate that differs from frame to frame (Bob's
-ports in BB84) is a rate table plus a per-frame class array.
+ports in BB84) is a rate table plus the frames' classes, an int array or
+``protocol.Planes``: the sampler reads the classes present and the classes
+at its candidate frames, and only the first-arrival draw unpacks them.
 
 A ``dt1``/``dt2`` detector with the dead time nested in the blank half
 keeps each frame's first gated click (see receiver).  From
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +58,7 @@ from .protocol import (
     PHASE_TABLE,
     Bb84Result,
     KeyRateParams,
+    Planes,
     decode,
     error_rate,
     exchange_batches,
@@ -168,14 +172,17 @@ def _poisson_frames(gen, lam, nb: int) -> np.ndarray:
     independent Poisson counts are multinomial with equal cells.  ``lam``
     may be a ``(table, cls)`` pair giving frame ``i`` the rate
     ``table[cls[i]]``, thinned from the largest rate of a class present
-    (Lewis & Shedler, Naval Res. Logist. Q. 26, 1979); the rates are looked
-    up at the candidate frames only.
+    (Lewis & Shedler, Naval Res. Logist. Q. 26, 1979).  ``cls`` is an int
+    array or ``Planes``; the classes are looked up at the candidate frames
+    only, and from ``Planes`` a class's presence is an OR over its plane
+    mask.
     """
     per_frame = isinstance(lam, tuple)
     if per_frame:
         table, cls = lam
+        has = cls.has if isinstance(cls, Planes) else (lambda c: (cls == c).any())
         # table[cls].max() without the gather: the top rate of a class present
-        lam_max = next(table[c] for c in np.argsort(table)[::-1] if (cls == c).any())
+        lam_max = next(table[c] for c in np.argsort(table)[::-1] if has(c))
     else:
         lam_max = lam
     idx = gen.integers(0, nb, size=gen.poisson(lam_max * nb))
@@ -221,13 +228,9 @@ class Pulse(_Placement):
         return np.minimum(t, vcfg.frame_period_ps - 1, out=t)
 
     def runs(self, vcfg) -> list:
-        """The law of ``times``: the rounded jitter (erf differences at +-0.5
-        ps, out to 8 sigma) around each slot, clamped."""
-        sigma, w = vcfg.jitter_sigma_ps, np.ones(1)
-        if sigma > 0:
-            edges = [math.erf((k + 0.5) / (sigma * math.sqrt(2)))
-                     for k in range(math.ceil(8 * sigma) + 1)]
-            w = np.concatenate([np.diff(edges)[::-1] / 2, edges[:1], np.diff(edges) / 2])
+        """The law of ``times``: the rounded jitter around each slot,
+        clamped."""
+        w = _jitter_kernel(vcfg.jitter_sigma_ps)
         slots = self.first + self.spacing * np.arange(self.n)[:, None]
         t = np.clip(slots + np.arange(len(w)) - len(w) // 2, 0, vcfg.frame_period_ps - 1)
         p = np.bincount(t.ravel() - t[0, 0], np.tile(w / self.n, self.n))
@@ -256,6 +259,19 @@ class Floor(_Placement):
             hi = min(lo + w, last)  # the ps from hi on clamp to the last
             runs += [(lo, hi, p), (last, last + 1, p * (lo + w - hi))]
         return runs
+
+
+@lru_cache(maxsize=1)
+def _jitter_kernel(sigma: float) -> np.ndarray:
+    """Per-ps law of the rounded jitter, centered: erf differences at +-0.5
+    ps out to 8 sigma, shared read-only by a run's pulses."""
+    w = np.ones(1)
+    if sigma > 0:
+        edges = [math.erf((k + 0.5) / (sigma * math.sqrt(2)))
+                 for k in range(math.ceil(8 * sigma) + 1)]
+        w = np.concatenate([np.diff(edges)[::-1] / 2, edges[:1], np.diff(edges) / 2])
+    w.flags.writeable = False
+    return w
 
 
 def _pulse_center(vcfg, offset, slot):
@@ -333,8 +349,11 @@ def _first_arrivals(root, key, components, vcfg, gate, frames, memo) -> tuple:
     for b0 in range(frames.start, frames.stop, BATCH):
         gen = root.stream(*key, b0 // BATCH).generator()
         u = gen.random(min(BATCH, frames.stop - b0))
-        cls = (inverse[classes[0][b0 - frames.start:][:len(u)]] if classes
-               else np.zeros(len(u), np.intp))
+        if classes:
+            cls = classes[0][b0 - frames.start:b0 - frames.start + len(u)]
+            cls = inverse[cls.unpack() if isinstance(cls, Planes) else cls]
+        else:
+            cls = np.zeros(len(u), np.intp)
         hit = np.flatnonzero(u < totals[cls])
         u, cls, v = u[hit], cls[hit], gen.random(len(hit))
         m = n + len(hit)
@@ -369,7 +388,8 @@ def _simulate_detector(
     the absolute time ``blocked_ps``.  ``components[s]`` lists signal
     ``s``'s ``(lam, placement)`` pairs: ``lam`` mean clicks per frame (a
     scalar, or a ``(table, cls)`` pair giving frame ``frames.start + i``
-    the rate ``table[cls[i]]``; all pairs share one ``cls``) and
+    the rate ``table[cls[i]]``, ``cls`` an int array or ``Planes``; all
+    pairs share one ``cls``) and
     ``placement`` a ``Pulse`` or ``Floor`` (see the module docstring).  A
     caller drawing one detector batch by batch keeps one ``memo`` dict for
     it, so its first-arrival tables, which ``cls`` does not enter, are built
@@ -861,8 +881,9 @@ def _lazy_record(n: int, dtype) -> np.ndarray:
     can commit 2 MB."""
     import mmap  # here, so that runs with no BB84 exchange do not load it
 
-    dtype = np.dtype(dtype)
-    return np.frombuffer(mmap.mmap(-1, n * dtype.itemsize, flags=mmap.MAP_PRIVATE), dtype)
+    dtype = np.dtype(dtype)  # a mapping is never empty
+    buf = mmap.mmap(-1, max(n, 1) * dtype.itemsize, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype, count=n)
 
 
 def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
@@ -879,7 +900,9 @@ def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
     Each batch of ``protocol.exchange_batches`` is reduced to its
     conclusive frames, Bob's bits there and its sifted key bits, written in
     place after the previous batch's; each port's dead time and
-    first-arrival tables carry into the next batch.
+    first-arrival tables carry into the next batch.  The batch's class
+    planes go to the ports as they are, and Alice's bits and bases and
+    Bob's bases are read at the conclusive frames only.
     """
     law = delay_interferometer_rates(
         cfg.eta * flux, cfg.d, visibility_cap, PHASE_TABLE, "none", phase_floor)

@@ -11,14 +11,18 @@ themselves are drawn by ``pipeline.simulate_bb84``; this module holds the
 per-frame state, the encoding table, decoding, sifting, the finite-key
 bound and the transcript.
 
-Per-frame state (bits, basis coins and the frame class, which indexes the
-eight values of phi_a + phi_b in ``PHASE_TABLE``) is int8 or bool and
-lives one batch at a time: ``exchange_batches`` draws it, the exchange
-reduces each batch to its conclusive frames, and the transcript draws it
-again the same way.  Decoding sees click frames only.  The state is read
-from raw 64-bit Philox words, 64 draws to a word: ``n`` coins or bits take
-``ceil(n / 64)`` words, and draw ``i`` of a stream is bit ``i % 64`` of
-word ``i // 64``, least significant first (``_coins``, ``_bits``).
+Per-frame state lives one batch at a time as bit planes: ``exchange_batches``
+draws each stream's raw 64-bit Philox words, 64 draws to a word (draw
+``i`` of a stream is bit ``i % 64`` of word ``i // 64``, least significant
+first), and builds the frame class, which indexes the eight values of
+phi_a + phi_b in ``PHASE_TABLE``, as three more planes of words with
+``&``, ``^`` and ``~``.  No per-frame array is built: the port sampler
+asks the class planes which classes are present and reads classes at its
+candidate frames, decoding and sifting read bits and bases at the
+conclusive frames, and only the dense first-arrival path and the
+transcript unpack a batch (``Planes.unpack``).  The exchange reduces each
+batch to its conclusive frames, and the transcript draws the state again
+the same way.
 
 Port convention: port P carries the ``1 + V cos(phi_a + phi_b)`` lobe.  A
 matched-basis bit 0 therefore lights port P in the X basis but port P' in
@@ -40,6 +44,7 @@ __all__ = [
     "BASIS_Z",
     "KeyRateParams",
     "phase_index",
+    "Planes",
     "FrameBatch",
     "exchange_batches",
     "decode",
@@ -67,22 +72,84 @@ def phase_index(basis_x: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return q
 
 
+class Planes:
+    """``n`` frames' small unsigned values held as bit planes of raw words:
+    bit ``k`` of frame ``i``'s value is bit ``i % 64`` of ``words[k, i //
+    64]``, least significant first.  It reads like a uint8 array:
+    ``planes[idx]`` looks the values up at frame indices, and a slice from a
+    multiple of 64 frames is a ``Planes`` again.  The bits past ``n`` in the
+    last word never count."""
+
+    __slots__ = ("words", "n")
+
+    def __init__(self, words: np.ndarray, n: int):
+        self.words, self.n = words, n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            start, stop, _ = idx.indices(self.n)
+            if start % 64:
+                raise ValueError("a slice of bit planes must start on a word")
+            return Planes(self.words[:, start // 64:-(-stop // 64)], max(stop - start, 0))
+        idx = np.asarray(idx)
+        byte, shift = idx >> 3, idx.astype(np.uint8) & 7
+        planes = self.words.view(np.uint8)
+        v = planes[-1].take(byte) >> shift & 1
+        for plane in planes[-2::-1]:
+            v += v
+            v |= plane.take(byte) >> shift & 1
+        return v
+
+    def has(self, value: int) -> bool:
+        """Whether a frame holds ``value``: the AND of the planes, each
+        inverted where ``value``'s bit is 0, over the first ``n`` bits."""
+        hit = np.full(self.words.shape[1], ~np.uint64(0))
+        hit[-1:] >>= np.uint64(-self.n % 64)
+        for k, plane in enumerate(self.words):
+            hit &= plane if value >> k & 1 else ~plane
+        return bool(hit.any())
+
+    def unpack(self) -> np.ndarray:
+        """Every frame's value as uint8."""
+        planes = _unpack(self.words, self.n).view(np.uint8)
+        v = planes[-1]
+        for plane in planes[-2::-1]:
+            v += v
+            v |= plane
+        return v
+
+
 class FrameBatch(NamedTuple):
-    """Per-frame state of frames ``start .. start + len(bits)``."""
+    """The state of frames ``start .. start + len(cls)``, each stream's raw
+    words as one plane; Eve's are None without her."""
 
     start: int
-    bits: np.ndarray  # Alice's bits, int8
-    alice_x: np.ndarray  # basis coins, True -> X
-    bob_x: np.ndarray
-    cls: np.ndarray  # class into PHASE_TABLE of the state Bob receives
+    bits: Planes  # Alice's bits
+    alice_x: Planes  # basis coins, 1 -> X
+    eve_x: Planes | None
+    eve_bits: Planes | None
+    bob_x: Planes
+    cls: Planes  # class into PHASE_TABLE of the state Bob receives
+
+
+def _words(gen: np.random.Generator, n: int) -> np.ndarray:
+    """The ``ceil(n / 64)`` raw words of ``n`` coins or bits, little-endian."""
+    return gen.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
+
+
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """Draws ``0 .. n`` of each plane of ``words`` as bool: draw ``i`` is bit
+    ``i % 64`` of word ``i // 64``, read through a little-endian view from
+    the least significant bit up."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
 
 
 def _coins(gen: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` fair coins (True -> X basis) from ``ceil(n / 64)`` raw words:
-    coin ``i`` is bit ``i % 64`` of word ``i // 64``, read through a
-    little-endian view from the least significant bit up."""
-    raw = gen.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
-    return np.unpackbits(raw.view(np.uint8), count=n, bitorder="little").view(bool)
+    """``n`` fair coins (True -> X basis): the unpacked ``_words``."""
+    return _unpack(_words(gen, n), n)
 
 
 def _bits(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -100,7 +167,7 @@ def _generator_at(source: RandomSource, k: int) -> np.random.Generator:
 
 
 def exchange_batches(seed: int, n_frames: int, eve: bool) -> Iterator[FrameBatch]:
-    """Draw the exchange's per-frame state one ``BATCH`` of frames at a time.
+    """Draw the exchange's state one ``BATCH`` of frames at a time.
 
     The draws are those of whole-run streams: Alice's stream yields every
     bit and then her basis coins, Eve's stream her coins and then her bits,
@@ -109,7 +176,9 @@ def exchange_batches(seed: int, n_frames: int, eve: bool) -> Iterator[FrameBatch
     ``ceil(n_frames / 64)`` words in, at the later part; every batch but the
     last is a multiple of 64 frames and takes whole words.  An
     intercept-resend Eve measures in a random basis; where it differs from
-    Alice's she re-sends a uniformly random state of her own basis.
+    Alice's she re-sends a uniformly random state of her own basis.  The
+    class planes are Bob's Z, the sent Z and the sent bit: ``4 * sent bit +
+    2 * (sent basis Z) + (Bob measures Z)``.
     """
     root = RandomSource(seed)
     alice, eve_src = root.stream(ROLE_ALICE), root.stream(ROLE_EVE)
@@ -119,15 +188,22 @@ def exchange_batches(seed: int, n_frames: int, eve: bool) -> Iterator[FrameBatch
     gen_bob_x = root.stream(ROLE_BOB).generator()
     for b0 in range(0, n_frames, BATCH):
         nb = min(BATCH, n_frames - b0)
-        bits = _bits(gen_bits, nb)
-        alice_x = _coins(gen_alice_x, nb)
-        sent = phase_index(alice_x, bits)
+        bits, alice_x, bob_x = (_words(gen, nb) for gen in (gen_bits, gen_alice_x, gen_bob_x))
+        eve_x = eve_bits = None
+        cls = np.empty((3, len(bits)), np.uint64)
+        np.invert(bob_x, out=cls[0])
         if eve:
-            eve_x = _coins(gen_eve_x, nb)
-            eve_bits = _bits(gen_eve_bits, nb)
-            sent = np.where(eve_x == alice_x, sent, phase_index(eve_x, eve_bits))
-        bob_x = _coins(gen_bob_x, nb)
-        yield FrameBatch(b0, bits, alice_x, bob_x, phase_index(bob_x, sent))
+            eve_x, eve_bits = _words(gen_eve_x, nb), _words(gen_eve_bits, nb)
+            # where the bases agree Eve re-sends Alice's state, so the sent
+            # basis is Eve's everywhere and the sent bit hers where they differ
+            np.invert(eve_x, out=cls[1])
+            np.bitwise_xor(bits, (bits ^ eve_bits) & (eve_x ^ alice_x), out=cls[2])
+        else:
+            np.invert(alice_x, out=cls[1])
+            cls[2] = bits
+        yield FrameBatch(b0, *(None if w is None else Planes(w[None], nb)
+                               for w in (bits, alice_x, eve_x, eve_bits, bob_x)),
+                         Planes(cls, nb))
 
 
 def decode(frames_p: np.ndarray, frames_pp: np.ndarray, bob_x: np.ndarray):
@@ -303,11 +379,12 @@ def write_transcript(path, result: Bb84Result) -> None:
     with open(path, "wb") as out:
         out.write(b"frame,alice_basis,alice_bit,bob_basis,bob_bit,sifted\n")
         for b in result.batches():
-            stop = b.start + len(b.bits)
+            stop = b.start + len(b.cls)
+            bits, alice_x, bob_x = (p.unpack() for p in (b.bits, b.alice_x, b.bob_x))
             bob = result.bob_bits_in(b.start, stop)
-            sifted = (b.alice_x == b.bob_x) & (bob != NULL_BIT)
+            sifted = (alice_x == bob_x) & (bob != NULL_BIT)
             out.write(csv_bytes(
-                ascii_digits(np.arange(b.start, stop)), b",", _basis_chars(b.alice_x), b",",
-                _bit_chars(b.bits), b",", _basis_chars(b.bob_x), b",", _bit_chars(bob),
-                b",", _bit_chars(sifted.view(np.int8)), b"\n",
+                ascii_digits(np.arange(b.start, stop)), b",", _basis_chars(alice_x), b",",
+                _bit_chars(bits.view(np.int8)), b",", _basis_chars(bob_x), b",",
+                _bit_chars(bob), b",", _bit_chars(sifted.view(np.int8)), b"\n",
             ))

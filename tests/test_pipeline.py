@@ -30,7 +30,7 @@ from sdmqsim.pipeline import (
     expected_collection_rate,
     run_scenario,
 )
-from sdmqsim.protocol import KeyRateParams, key_rate
+from sdmqsim.protocol import KeyRateParams, Planes, key_rate
 from sdmqsim.receiver import delay_interferometer_rates
 from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario, load_scenario
 
@@ -181,6 +181,26 @@ class TestSparseSampler:
                 ref, got = (RandomSource(seed).stream(2, nb).generator() for _ in range(2))
                 np.testing.assert_array_equal(_poisson_frames(got, (table, cls), nb),
                                               gathered(ref, table[cls]))
+                assert got.random() == ref.random()  # draw for draw
+
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("table", [
+        np.array([0.3, 2.0, 0.7, 2.0]),
+        np.array([0.0, 0.05, 0.5, 4.0]),
+    ])
+    @pytest.mark.parametrize("nb", [1, 7, 63, 64, 65, BATCH])
+    def test_planes_draw_as_their_class_array(self, table, nb, pad):
+        # the classes as two bit planes whose padding bits are all ``pad``:
+        # with pad 1 the padding holds class 3, the top of the second table
+        classes = np.random.default_rng(nb).integers(0, 3, size=nb).astype(np.int8)
+        for cls in (classes, np.full(nb, 2, np.int8)):
+            bits = (cls >> np.arange(2)[:, None]) & 1
+            bits = np.concatenate([bits, np.full((2, -nb % 64), pad)], axis=1).astype(np.uint8)
+            planes = Planes(np.packbits(bits, axis=1, bitorder="little").view("<u8"), nb)
+            for seed in range(3):
+                ref, got = (RandomSource(seed).stream(3, nb).generator() for _ in range(2))
+                np.testing.assert_array_equal(_poisson_frames(got, (table, planes), nb),
+                                              _poisson_frames(ref, (table, cls), nb))
                 assert got.random() == ref.random()  # draw for draw
 
     def test_zero_rate_draws_nothing(self):
@@ -411,6 +431,33 @@ class TestPlacementLaw:
         obs, exp = np.bincount(cell, seen), np.bincount(cell, expect)
         z = (obs - exp)[exp > 0] / np.sqrt(exp[exp > 0])
         assert np.abs(z).max() <= 5
+
+
+def _uncached_runs(pulse, vcfg):
+    """``Pulse.runs`` with its jitter kernel computed on every call."""
+    sigma, w = vcfg.jitter_sigma_ps, np.ones(1)
+    if sigma > 0:
+        edges = [math.erf((k + 0.5) / (sigma * math.sqrt(2)))
+                 for k in range(math.ceil(8 * sigma) + 1)]
+        w = np.concatenate([np.diff(edges)[::-1] / 2, edges[:1], np.diff(edges) / 2])
+    slots = pulse.first + pulse.spacing * np.arange(pulse.n)[:, None]
+    t = np.clip(slots + np.arange(len(w)) - len(w) // 2, 0, vcfg.frame_period_ps - 1)
+    p = np.bincount(t.ravel() - t[0, 0], np.tile(w / pulse.n, pulse.n))
+    return [(t[0, 0], t[-1, -1] + 1, p)]
+
+
+class TestJitterKernel:
+    def test_runs_match_uncached_formula(self):
+        pulses = (Pulse(120), Pulse(2310, 63, 1540), Pulse(199_950))
+        for sigma in (0, 0.3, 100, 250, 0.3, 100):  # each sigma evicts the last
+            vcfg = validate_config(SimConfig(jitter_sigma_ps=sigma))
+            for pulse in pulses:
+                for _ in range(2):  # computed, then read from the cache
+                    ((lo, hi, p),) = pulse.runs(vcfg)
+                    ((ref_lo, ref_hi, ref_p),) = _uncached_runs(pulse, vcfg)
+                    assert (lo, hi) == (ref_lo, ref_hi)
+                    np.testing.assert_array_equal(p, ref_p)
+            assert not pipeline._jitter_kernel(vcfg.jitter_sigma_ps).flags.writeable
 
 
 class TestFoldAcrossBatches:

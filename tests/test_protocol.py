@@ -34,6 +34,7 @@ from sdmqsim.protocol import (
     NULL_BIT,
     PHASE_TABLE,
     PHASES,
+    Planes,
     _bits,
     _coins,
     decode,
@@ -190,6 +191,66 @@ def _whole_run_state(seed, n, eve):
     return bits, alice_x, bob_x, phase_index(bob_x, sent)
 
 
+class TestPlanes:
+    """A batch holds its state as bit planes: each stream's raw words as
+    drawn and three class planes, read only through ``Planes``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_reads_match_unpacked_reference(self, data):
+        k, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 200))
+        words = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=k * -(-n // 64),
+                                   max_size=k * -(-n // 64)))
+        words = np.array(words, dtype=np.uint64).reshape(k, -1)
+        ref = np.zeros(n, np.uint8)
+        for bit, row in enumerate(words):
+            ref |= _ref_draw(row, n).astype(np.uint8) << bit
+        planes = Planes(words, n)
+        assert planes.unpack().dtype == np.uint8
+        np.testing.assert_array_equal(planes.unpack(), ref)
+        idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=50)), dtype=np.intp)
+        np.testing.assert_array_equal(planes[idx], ref[idx])
+        # the bits past n, random here, never count
+        assert {v for v in range(1 << k) if planes.has(v)} == set(ref.tolist())
+        start = data.draw(st.sampled_from(range(0, n, 64)))
+        stop = data.draw(st.integers(start + 1, n))
+        part = planes[start:stop]
+        assert len(part) == stop - start
+        np.testing.assert_array_equal(part.unpack(), ref[start:stop])
+        assert {v for v in range(1 << k) if part.has(v)} == set(ref[start:stop].tolist())
+        with pytest.raises(ValueError, match="word"):
+            planes[1:]
+
+    @pytest.mark.parametrize("eve", [False, True])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 37])
+    def test_batches_match_whole_run(self, n, eve):
+        batches = list(exchange_batches(9, n, eve))
+        assert [b.start for b in batches] == list(range(0, n, BATCH))
+        streams = ("bits", "alice_x", "eve_x", "eve_bits", "bob_x")
+        draws = _whole_run_draws(9, n)
+        for name, ref in zip(streams, draws, strict=True):
+            planes = [getattr(b, name) for b in batches]
+            if not eve and name.startswith("eve"):
+                assert planes == [None] * len(batches)
+                continue
+            # one plane of ceil(nb / 64) words a batch, its draws as drawn
+            assert [p.words.shape for p in planes] == [(1, -(-len(b.cls) // 64))
+                                                        for b in batches]
+            np.testing.assert_array_equal(np.concatenate([p.unpack() for p in planes]), ref)
+        cls = _whole_run_state(9, n, eve)[3]
+        np.testing.assert_array_equal(np.concatenate([b.cls.unpack() for b in batches]), cls)
+        idx = np.random.default_rng(n).integers(0, n, size=min(n, 3000))
+        for b in batches:
+            want = cls[b.start:b.start + len(b.cls)]
+            present = {c for c in range(len(PHASE_TABLE)) if b.cls.has(c)}
+            assert present == set(want.tolist())
+            at = idx[(idx >= b.start) & (idx < b.start + len(want))] - b.start
+            np.testing.assert_array_equal(b.cls[at], want[at])
+            np.testing.assert_array_equal(b.bob_x[at], draws[4][b.start + at])
+        if n == 1:  # one frame, and 63 padding bits in each plane's word
+            assert len(present) == 1
+
+
 class TestDrawBalance:
     """The five draws of an exchange are fair and independent."""
 
@@ -252,10 +313,11 @@ class TestStreamSplit:
     def test_per_frame_state_matches_whole_run(self, n, eve):
         batches = list(exchange_batches(9, n, eve))
         assert [b.start for b in batches] == list(range(0, n, BATCH))
-        columns = [np.concatenate(c) for c in list(zip(*batches))[1:]]
+        columns = [np.concatenate([p.unpack() for p in c])
+                   for c in zip(*((b.bits, b.alice_x, b.bob_x, b.cls) for b in batches))]
         for got, ref in zip(columns, _whole_run_state(9, n, eve), strict=True):
-            assert got.dtype == ref.dtype
-            np.testing.assert_array_equal(got, ref)
+            assert got.dtype == np.uint8 and ref.itemsize == 1
+            np.testing.assert_array_equal(got.view(ref.dtype), ref)
 
     @pytest.mark.parametrize("eve", [False, True])
     @pytest.mark.parametrize("n", [1, 7, BATCH - 1, BATCH + 1, 2 * BATCH + 5])
@@ -341,7 +403,8 @@ def _bb84(cfg, seed, v, n=200_000):
 def _per_frame(res):
     """Alice's bits and basis coins, Bob's coins and his bits (``NULL_BIT``
     where inconclusive) in every frame of ``res``."""
-    bits, alice_x, bob_x = (np.concatenate(c) for c in list(zip(*res.batches()))[1:4])
+    bits, alice_x, bob_x = (np.concatenate([p.unpack() for p in c]) for c in
+                            zip(*((b.bits, b.alice_x, b.bob_x) for b in res.batches())))
     return bits, alice_x, bob_x, res.bob_bits_in(0, res.n_frames)
 
 
@@ -546,7 +609,7 @@ class TestSimulateBb84:
         n = 2 * BATCH + 5
         simulate_bb84(replace(cfg, seed=45), n_frames=n, flux=2.0, visibility_cap=v,
                       phase_floor=floor, eve=True)
-        cls = np.concatenate([batch.cls for batch in exchange_batches(45, n, True)])
+        cls = np.concatenate([batch.cls.unpack() for batch in exchange_batches(45, n, True)])
         frames_of = np.bincount(cls, minlength=len(PHASE_TABLE))
         assert len(built) == 2  # once a port, reused by every batch
         for port, (components, (tables, inverse)) in enumerate(built):
@@ -562,6 +625,16 @@ class TestSimulateBb84:
                 p = ref[0]
                 sd = math.sqrt(frames_of[c] * p * (1 - p))
                 assert abs(clicked[c] - frames_of[c] * p) <= 5 * sd + 1, (port, c)
+
+    def test_zero_frames_give_an_empty_exchange(self, cfg, tmp_path):
+        res = simulate_bb84(cfg, 0, 2.0, eve=True)
+        assert (res.n_frames, res.n_detected, res.n_sifted) == (0, 0, 0)
+        assert math.isnan(res.qber)
+        for arr in (res.key_a, res.key_b, res.frames, res.bits):
+            assert len(arr) == 0
+        write_transcript(tmp_path / "t.csv", res)
+        assert (tmp_path / "t.csv").read_bytes() == _whole_run_transcript(
+            cfg.seed, 0, True, res.frames, res.bits).encode()
 
     def test_eve_with_imperfect_visibility(self, cfg):
         # full oracle: 1/2 * (1-V)/2 + 1/2 * 1/2
