@@ -11,10 +11,11 @@ Every detector is drawn by ``_simulate_detector``; the runners only
 describe each signal's components: mean clicks per frame, from the channel
 and (for phase frames) ``receiver.delay_interferometer_rates``, and where
 they land, as data: a jittered ``Pulse`` or a uniform ``Floor``, each with
-its per-ps law (``mass``).  A rate that differs from frame to frame (Bob's
-ports in BB84) is a rate table plus the frames' classes, an int array or
-``protocol.Planes``: the sampler reads the classes present and the classes
-at its candidate frames, and only the first-arrival draw unpacks them.
+its per-ps law (``runs``).  A rate that differs from frame to frame (Bob's
+ports in BB84) is a rate table indexed by the frame class, and the frames'
+classes, an int array or ``protocol.Planes``, go to the detector once: the
+sampler thins from the table's top rate and reads the classes at its
+candidate frames, and only the first-arrival draw unpacks them.
 
 A ``dt1``/``dt2`` detector with the dead time nested in the blank half
 keeps each frame's first gated click (see receiver).  From
@@ -29,9 +30,9 @@ sort and walk them.
 
 The time-bin and phase runners draw each detector once over the whole run.
 The BB84 exchange runs batch-outer: each batch draws its per-frame state
-(``protocol.exchange_batches``) and Bob's ports, whose blocked-until times
-carry into the next batch, then decodes and sifts; only the conclusive
-frames outlive a batch.
+(``protocol.exchange_batches``) and Bob's ports, each with one carry (its
+blocked-until time and first-arrival tables) into the next batch, then
+decodes and sifts; only the conclusive frames outlive a batch.
 """
 from __future__ import annotations
 
@@ -165,39 +166,23 @@ class RunResult:
     bb84: object = None
 
 
-def _poisson_frames(gen, lam, nb: int) -> np.ndarray:
+def _poisson_frames(gen, lam, nb: int, cls=None) -> np.ndarray:
     """Sorted frame indices in ``[0, nb)`` of a Poisson(lam)-per-frame stream.
 
     One Poisson total, then that many uniform frame picks: given the total,
     independent Poisson counts are multinomial with equal cells.  ``lam``
-    may be a ``(table, cls)`` pair giving frame ``i`` the rate
-    ``table[cls[i]]``, thinned from the largest rate of a class present
-    (Lewis & Shedler, Naval Res. Logist. Q. 26, 1979).  ``cls`` is an int
-    array or ``Planes``; the classes are looked up at the candidate frames
-    only, and from ``Planes`` a class's presence is an OR over its plane
-    mask.
+    may be a rate table giving frame ``i`` the rate ``lam[cls[i]]``, thinned
+    from the table's top rate, which is exact for any bound at or above the
+    rates (Lewis & Shedler, Naval Res. Logist. Q. 26, 1979).  ``cls`` is an
+    int array or ``Planes``, looked up at the candidate frames only.
     """
-    per_frame = isinstance(lam, tuple)
-    if per_frame:
-        table, cls = lam
-        has = cls.has if isinstance(cls, Planes) else (lambda c: (cls == c).any())
-        # table[cls].max() without the gather: the top rate of a class present
-        lam_max = next(table[c] for c in np.argsort(table)[::-1] if has(c))
-    else:
-        lam_max = lam
+    table = isinstance(lam, np.ndarray)
+    lam_max = lam.max() if table else lam
     idx = gen.integers(0, nb, size=gen.poisson(lam_max * nb))
     idx.sort()
-    if per_frame:
-        idx = idx[gen.random(len(idx)) * lam_max < table[cls[idx]]]
+    if table:
+        idx = idx[gen.random(len(idx)) * lam_max < lam[cls[idx]]]
     return idx
-
-
-class _Placement:
-    """Where in the frame a component's clicks land."""
-
-    def mass(self, vcfg) -> np.ndarray:
-        """Per-ps probability of ``times`` over the frame."""
-        return _add_runs(np.zeros(vcfg.frame_period_ps), self.runs(vcfg), 1.0, 0)
 
 
 def _add_runs(row, runs, lam, g0) -> np.ndarray:
@@ -211,7 +196,7 @@ def _add_runs(row, runs, lam, g0) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Pulse(_Placement):
+class Pulse:
     """Jittered clicks at ``first + k * spacing``, ``k`` uniform in ``0 .. n-1``."""
 
     first: int
@@ -238,7 +223,7 @@ class Pulse(_Placement):
 
 
 @dataclass(frozen=True)
-class Floor(_Placement):
+class Floor:
     """Clicks at ``lo + U[0, frame_window_ps)``; with ``split``, each one is
     ``split`` ps later with probability 1/2."""
 
@@ -279,25 +264,23 @@ def _pulse_center(vcfg, offset, slot):
     return offset + slot * vcfg.pulse_period_ps + vcfg.pulse_period_ps // 2
 
 
-def _batch_pieces(root, key, components, vcfg, b0, nb, i0):
-    """Yield ``(sig_pos, frames, t)`` for each piece of frames ``b0 .. b0+nb``:
-    stream ``(*key, s, batch)`` draws signal ``s``'s components in list
-    order, the frames (sorted) and then their within-frame times.  Per-frame
-    classes of frame ``b0`` start at ``cls[i0]``."""
+def _batch_pieces(root, key, components, vcfg, b0, nb, cls):
+    """Yield ``(sig_pos, frames, t)`` for each piece of frames ``b0 .. b0+nb``,
+    of classes ``cls``: stream ``(*key, s, batch)`` draws signal ``s``'s
+    components in list order, the frames (sorted) and then their
+    within-frame times."""
     for sig_pos, comps in enumerate(components):
         gen = root.stream(*key, sig_pos, b0 // BATCH).generator()
         for lam, placement in comps:
-            if isinstance(lam, tuple):
-                lam = (lam[0], lam[1][i0:i0 + nb])
-            frames = b0 + _poisson_frames(gen, lam, nb)
+            frames = b0 + _poisson_frames(gen, lam, nb, cls)
             if len(frames):
                 yield sig_pos, frames, placement.times(gen, len(frames), vcfg)
 
 
 def _arrival_tables(components, vcfg, gate) -> tuple:
     """``(total, cdf, guide, scale, cuts)`` over a detector's gated half, one
-    per distinct row of its ``(table, cls)`` rates, and the map from a frame
-    class to its table (classes of equal rates share one).  ``cdf`` is the
+    per distinct row of its rate tables, and the map from a frame class to
+    its table (classes of equal rates share one).  ``cdf`` is the
     law of the first gated click, which exists with probability ``total``; only ps
     ``guide[j] .. guide[j+1]`` have ``cdf`` in cell ``j = floor(u * scale)``
     (Chen & Asau, 1974).  A click at ``t`` is from a signal ``<= s`` with
@@ -306,7 +289,7 @@ def _arrival_tables(components, vcfg, gate) -> tuple:
     window = vcfg.frame_window_ps
     g0 = window if gate == DELTA_T2 else 0
     laws = [[(lam, placement.runs(vcfg)) for lam, placement in comps] for comps in components]
-    rates = [rate[0] for comps in components for rate, _ in comps if isinstance(rate, tuple)]
+    rates = [rate for comps in components for rate, _ in comps if isinstance(rate, np.ndarray)]
     rows, inverse = np.unique(np.column_stack(rates) if rates else np.zeros((1, 0)), axis=0,
                               return_inverse=True)
     tables = []
@@ -315,7 +298,8 @@ def _arrival_tables(components, vcfg, gate) -> tuple:
         lam = np.full((len(components), window), 0.0)
         for row, comps in zip(lam, laws):
             for rate, runs in comps:
-                _add_runs(row, runs, next(class_rates) if isinstance(rate, tuple) else rate, g0)
+                rate = next(class_rates) if isinstance(rate, np.ndarray) else rate
+                _add_runs(row, runs, rate, g0)
         for s in range(1, len(lam)):
             lam[s] += lam[s - 1]
         cdf = np.cumsum(lam[-1])
@@ -332,16 +316,15 @@ def _arrival_tables(components, vcfg, gate) -> tuple:
     return tables, inverse
 
 
-def _first_arrivals(root, key, components, vcfg, gate, frames, memo) -> tuple:
-    """Each frame's first gated click in ``frames``: one uniform a frame from
-    stream ``(*key, batch)`` inverts the ``cdf`` of the frame's class (see
-    ``_arrival_tables``, kept in ``memo``), and one more a click picks its
-    origin."""
-    if "tables" not in memo:
-        memo["tables"] = _arrival_tables(components, vcfg, gate)
-    tables, inverse = memo["tables"]
+def _first_arrivals(root, key, components, vcfg, gate, frames, cls, carry) -> tuple:
+    """Each frame's first gated click in ``frames``, of classes ``cls``: one
+    uniform a frame from stream ``(*key, batch)`` inverts the ``cdf`` of the
+    frame's class (see ``_arrival_tables``, kept in ``carry``), and one more
+    a click picks its origin."""
+    if "tables" not in carry:
+        carry["tables"] = _arrival_tables(components, vcfg, gate)
+    tables, inverse = carry["tables"]
     totals = np.array([tab[0] for tab in tables])
-    classes = [lam[1] for comps in components for lam, _ in comps if isinstance(lam, tuple)]
     # at most one click a frame, written in place: pages past the last click
     # are never touched
     fr, t, origin = (np.empty(len(frames), dtype=dt) for dt in (np.int64, np.int64, np.int8))
@@ -349,17 +332,17 @@ def _first_arrivals(root, key, components, vcfg, gate, frames, memo) -> tuple:
     for b0 in range(frames.start, frames.stop, BATCH):
         gen = root.stream(*key, b0 // BATCH).generator()
         u = gen.random(min(BATCH, frames.stop - b0))
-        if classes:
-            cls = classes[0][b0 - frames.start:b0 - frames.start + len(u)]
-            cls = inverse[cls.unpack() if isinstance(cls, Planes) else cls]
+        if len(tables) > 1:  # the table of each frame's class
+            row = cls[b0 - frames.start:b0 - frames.start + len(u)]
+            row = inverse[row.unpack() if isinstance(row, Planes) else row]
         else:
-            cls = np.zeros(len(u), np.intp)
-        hit = np.flatnonzero(u < totals[cls])
-        u, cls, v = u[hit], cls[hit], gen.random(len(hit))
+            row = np.zeros(len(u), np.intp)
+        hit = np.flatnonzero(u < totals[row])
+        u, row, v = u[hit], row[hit], gen.random(len(hit))
         m = n + len(hit)
         fr[n:m], origin[n:m] = b0 + hit, 0
         for c, (_, cdf, guide, scale, cuts) in enumerate(tables):
-            sel = np.flatnonzero(cls == c) if len(tables) > 1 else slice(None)
+            sel = np.flatnonzero(row == c) if len(tables) > 1 else slice(None)
             uc = u[sel]
             j = (uc * scale).astype(np.intp)
             lo, hi = guide[j], guide[j + 1]
@@ -380,51 +363,44 @@ def _simulate_detector(
     vcfg: ValidatedConfig,
     gate: str,
     frames: range,
-    blocked_ps: int = 0,
-    memo: dict | None = None,
+    cls=None,
+    carry: dict | None = None,
 ) -> DetectorResult:
     """Draw, gate and dead-time veto every click of one detector in
-    ``frames``, a range that starts on a batch boundary, from none before
-    the absolute time ``blocked_ps``.  ``components[s]`` lists signal
-    ``s``'s ``(lam, placement)`` pairs: ``lam`` mean clicks per frame (a
-    scalar, or a ``(table, cls)`` pair giving frame ``frames.start + i``
-    the rate ``table[cls[i]]``, ``cls`` an int array or ``Planes``; all
-    pairs share one ``cls``) and
+    ``frames``, a range that starts on a batch boundary.  ``components[s]``
+    lists signal ``s``'s ``(lam, placement)`` pairs: ``lam`` mean clicks per
+    frame, a float or a rate table giving frame ``frames.start + i`` the
+    rate ``lam[cls[i]]`` (``cls`` an int array or ``Planes``), and
     ``placement`` a ``Pulse`` or ``Floor`` (see the module docstring).  A
-    caller drawing one detector batch by batch keeps one ``memo`` dict for
-    it, so its first-arrival tables, which ``cls`` does not enter, are built
-    once."""
+    caller drawing one detector batch by batch keeps one ``carry`` dict for
+    it, which this call updates: the first-arrival tables, which ``cls``
+    does not enter, are built once, and no click is kept before the absolute
+    time ``carry["blocked"]``, the last kept click plus the dead time."""
+    carry = {} if carry is None else carry
     root = RandomSource(vcfg.seed)
     window, tau = vcfg.frame_window_ps, vcfg.dead_time_ps
-    expected = sum(lam[0].max() if isinstance(lam, tuple) else lam
+    expected = sum(lam.max() if isinstance(lam, np.ndarray) else lam
                    for comps in components for lam, _ in comps)
     if (gate != "always" and window <= tau <= window + 1
             and expected >= FIRST_CLICK_DENSITY):
-        fr, t, origin = _first_arrivals(root, key, components, vcfg, gate, frames,
-                                        {} if memo is None else memo)
+        fr, t, origin = _first_arrivals(root, key, components, vcfg, gate, frames, cls, carry)
     else:
         parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                   np.zeros(0, dtype=np.int8))]
         for b0 in range(frames.start, frames.stop, BATCH):
-            pieces = _batch_pieces(root, key, components, vcfg, b0,
-                                   min(BATCH, frames.stop - b0), b0 - frames.start)
+            i0, nb = b0 - frames.start, min(BATCH, frames.stop - b0)
+            pieces = _batch_pieces(root, key, components, vcfg, b0, nb,
+                                   None if cls is None else cls[i0:i0 + nb])
             parts += [(fr, t, np.full(len(fr), s, dtype=np.int8)) for s, fr, t in pieces]
-        fr, t, origin = _finish_detector(parts, vcfg, gate, blocked_ps)
+        fr, t, origin = _finish_detector(parts, vcfg, gate, carry.get("blocked", 0))
+    if len(fr):
+        carry["blocked"] = int(fr[-1]) * vcfg.frame_period_ps + int(t[-1]) + tau
     return DetectorResult(t_within=t, frame_idx=fr, origin=origin)
 
 
-def _blocked_until(det: DetectorResult, vcfg, blocked_ps: int) -> int:
-    """The absolute time until which ``det``'s detector stays dead: its last
-    click plus the dead time, or ``blocked_ps`` when it kept no click."""
-    if not len(det.frame_idx):
-        return blocked_ps
-    return (int(det.frame_idx[-1]) * vcfg.frame_period_ps + int(det.t_within[-1])
-            + vcfg.dead_time_ps)
-
-
-def _finish_detector(parts, vcfg, gate, blocked_ps=0) -> tuple:
+def _finish_detector(parts, vcfg, gate, blocked=0) -> tuple:
     """Gate, time-sort and dead-time walk held ``(frames, t, origin)`` pieces
-    to clicks, none before the absolute time ``blocked_ps``."""
+    to clicks, none before the absolute time ``blocked``."""
     fr, t, origin = (np.concatenate(column) for column in zip(*parts))
     # gate first: the mask reads only t_within, and the stable sort keeps
     # the survivors' relative order, so sorting fewer events changes nothing
@@ -435,7 +411,7 @@ def _finish_detector(parts, vcfg, gate, blocked_ps=0) -> tuple:
     t_abs = t_abs[order]
     # vetoed events do not extend the dead time (non-paralyzable), so the
     # walk starts at the first event past it
-    first = np.searchsorted(t_abs, blocked_ps)
+    first = np.searchsorted(t_abs, blocked)
     order = order[first:][dead_time_mask(t_abs[first:], vcfg.dead_time_ps)]
     return fr[order], t[order], origin[order]
 
@@ -756,7 +732,8 @@ def _run_capacity(scenario: Scenario) -> RunResult:
             "mc_single_signal_cps": mc_theory_cps,
             "total_cps": total,
             "analytic_collection_cps": analytic,
-            "capacity_eta1_qubits_per_s": cap / vcfg.eta,
+            # at eta 0 there is no efficiency to scale by
+            "capacity_eta1_qubits_per_s": cap / vcfg.eta if vcfg.eta else None,
         },
     )
     return RunResult(
@@ -897,34 +874,28 @@ def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
     :func:`receiver.delay_interferometer_rates` over ``PHASE_TABLE``, one
     per frame class.  A port's outcome in a frame is its first click past
     the gate and the dead time; it is usable on an interior position.
-    Each batch of ``protocol.exchange_batches`` is reduced to its
-    conclusive frames, Bob's bits there and its sifted key bits, written in
-    place after the previous batch's; each port's dead time and
-    first-arrival tables carry into the next batch.  The batch's class
-    planes go to the ports as they are, and Alice's bits and bases and
-    Bob's bases are read at the conclusive frames only.
+    Each port's components are built once a run.  Each batch of
+    ``protocol.exchange_batches`` is reduced to its conclusive frames,
+    Bob's bits there and its sifted key bits, written in place after the
+    previous batch's; each port's carry (its dead time and first-arrival
+    tables) goes into the next batch.  The batch's class planes go to the
+    ports as they are, and Alice's bits and bases and Bob's bases are read
+    at the conclusive frames only, each once.
     """
     law = delay_interferometer_rates(
         cfg.eta * flux, cfg.d, visibility_cap, PHASE_TABLE, "none", phase_floor)
-    blocked, memos = [0, 0], [{}, {}]
+    ports = [((ROLE_PHOTONS, i), [_phase_components(cfg, law, port, "none", 0)], {})
+             for i, port in enumerate(("p", "p_prime"))]
     frames_all = _lazy_record(n_frames, np.int64)
     bits_all, key_a_all, key_b_all = (_lazy_record(n_frames, np.int8) for _ in range(3))
     n_det = n_sift = 0
     for batch in exchange_batches(cfg.seed, n_frames, eve):
-        b0, cls = batch.start, batch.cls
-        rates = law._replace(interior_p=(law.interior_p, cls),
-                             interior_p_prime=(law.interior_p_prime, cls))
-        usable = []
-        for i, port in enumerate(("p", "p_prime")):
-            det = _simulate_detector(
-                (ROLE_PHOTONS, i), [_phase_components(cfg, rates, port, "none", 0)],
-                cfg, DELTA_T1, range(b0, b0 + len(cls)), blocked[i], memos[i],
-            )
-            blocked[i] = _blocked_until(det, cfg, blocked[i])
-            usable.append(_usable_frames(det, cfg) - b0)
-        frames, bob_bits = decode(*usable, batch.bob_x)
-        key_a, key_b, _ = sift(batch.bits[frames], batch.alice_x[frames],
-                               batch.bob_x[frames], bob_bits)
+        b0, span = batch.start, range(batch.start, batch.start + len(batch.cls))
+        usable = [_usable_frames(_simulate_detector(key, comps, cfg, DELTA_T1, span,
+                                                    batch.cls, carry), cfg) - b0
+                  for key, comps, carry in ports]
+        frames, bob_bits, bob_x = decode(*usable, batch.bob_x)
+        key_a, key_b, _ = sift(batch.bits[frames], batch.alice_x[frames], bob_x, bob_bits)
         det, sifted = slice(n_det, n_det + len(frames)), slice(n_sift, n_sift + len(key_a))
         frames_all[det], bits_all[det] = b0 + frames, bob_bits
         key_a_all[sifted], key_b_all[sifted] = key_a, key_b

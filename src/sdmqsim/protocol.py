@@ -17,10 +17,9 @@ draws each stream's raw 64-bit Philox words, 64 draws to a word (draw
 first), and builds the frame class, which indexes the eight values of
 phi_a + phi_b in ``PHASE_TABLE``, as three more planes of words with
 ``&``, ``^`` and ``~``.  No per-frame array is built: the port sampler
-asks the class planes which classes are present and reads classes at its
-candidate frames, decoding and sifting read bits and bases at the
-conclusive frames, and only the dense first-arrival path and the
-transcript unpack a batch (``Planes.unpack``).  The exchange reduces each
+reads classes at its candidate frames, decoding and sifting read bits and
+bases at the conclusive frames, and only the dense first-arrival path and
+the transcript unpack a batch (``Planes.unpack``).  The exchange reduces each
 batch to its conclusive frames, and the transcript draws the state again
 the same way.
 
@@ -43,7 +42,6 @@ __all__ = [
     "BASIS_X",
     "BASIS_Z",
     "KeyRateParams",
-    "phase_index",
     "Planes",
     "FrameBatch",
     "exchange_batches",
@@ -59,17 +57,10 @@ BASIS_X = "X"
 BASIS_Z = "Z"
 NULL_BIT = -1  # array representation of a null outcome
 
-# Alice's phase by phase_index (X0, Z0, X1, Z1); Bob adds 0 (X) or pi/2 (Z)
+# Alice's phase by 2*bit + (basis is Z) (X0, Z0, X1, Z1); Bob adds 0 (X) or
+# pi/2 (Z), so 2*that + (Bob measures Z) is the frame class
 PHASES = np.array([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
 PHASE_TABLE = (PHASES[:, None] + np.array([0.0, math.pi / 2])).ravel()
-
-
-def phase_index(basis_x: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """``2*bit + (basis is Z)`` as int8: Alice's index into ``PHASES``, or,
-    from Bob's bases and those indices, the frame class into ``PHASE_TABLE``."""
-    q = np.asarray(bits, dtype=np.int8) * 2
-    q += ~np.asarray(basis_x)
-    return q
 
 
 class Planes:
@@ -78,7 +69,7 @@ class Planes:
     64]``, least significant first.  It reads like a uint8 array:
     ``planes[idx]`` looks the values up at frame indices, and a slice from a
     multiple of 64 frames is a ``Planes`` again.  The bits past ``n`` in the
-    last word never count."""
+    last word are never read."""
 
     __slots__ = ("words", "n")
 
@@ -102,15 +93,6 @@ class Planes:
             v += v
             v |= plane.take(byte) >> shift & 1
         return v
-
-    def has(self, value: int) -> bool:
-        """Whether a frame holds ``value``: the AND of the planes, each
-        inverted where ``value``'s bit is 0, over the first ``n`` bits."""
-        hit = np.full(self.words.shape[1], ~np.uint64(0))
-        hit[-1:] >>= np.uint64(-self.n % 64)
-        for k, plane in enumerate(self.words):
-            hit &= plane if value >> k & 1 else ~plane
-        return bool(hit.any())
 
     def unpack(self) -> np.ndarray:
         """Every frame's value as uint8."""
@@ -145,16 +127,6 @@ def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     ``i % 64`` of word ``i // 64``, read through a little-endian view from
     the least significant bit up."""
     return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
-
-
-def _coins(gen: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` fair coins (True -> X basis): the unpacked ``_words``."""
-    return _unpack(_words(gen, n), n)
-
-
-def _bits(gen: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` uniform bits as int8: the draw of ``_coins``."""
-    return _coins(gen, n).view(np.int8)
 
 
 def _generator_at(source: RandomSource, k: int) -> np.random.Generator:
@@ -208,10 +180,12 @@ def exchange_batches(seed: int, n_frames: int, eve: bool) -> Iterator[FrameBatch
 
 def decode(frames_p: np.ndarray, frames_pp: np.ndarray, bob_x: np.ndarray):
     """Conclusive frames (a usable click on exactly one port; each port's
-    frames sorted) and Bob's bits there: port P means 0 in X and 1 in Z."""
+    frames sorted), Bob's bits there and his bases there, read once: port P
+    means 0 in X and 1 in Z."""
     frames = np.setxor1d(frames_p, frames_pp, assume_unique=True)
     on_p = np.isin(frames, frames_p, assume_unique=True)
-    return frames, (on_p != bob_x[frames]).astype(np.int8)
+    bob_x = bob_x[frames]
+    return frames, (on_p != bob_x).astype(np.int8), bob_x
 
 
 @dataclass(frozen=True)

@@ -146,7 +146,7 @@ class TestSparseSampler:
         cls = (np.arange(nb) % len(levels)).astype(np.int8)
         lam = levels[cls]
         gen = RandomSource(5).stream(1).generator()
-        idx = _poisson_frames(gen, (levels, cls), nb)
+        idx = _poisson_frames(gen, levels, nb, cls)
         assert np.all(np.diff(idx) >= 0)
         assert idx[0] >= 0 and idx[-1] < nb
         per_frame = np.bincount(idx, minlength=nb)
@@ -166,8 +166,8 @@ class TestSparseSampler:
     ])
     @pytest.mark.parametrize("nb", [*range(1, 11), BATCH])
     def test_rate_table_lookup_matches_full_gather(self, table, nb):
-        def gathered(gen, lam):  # every frame's rate gathered, thinned from their max
-            lam_max = lam.max()
+        def gathered(gen, lam):  # every frame's rate gathered, thinned from the table's max
+            lam_max = table.max()
             idx = gen.integers(0, nb, size=gen.poisson(lam_max * nb))
             idx.sort()
             return idx[gen.random(len(idx)) * lam_max < lam[idx]]
@@ -179,7 +179,7 @@ class TestSparseSampler:
                                       classes).astype(np.int8), np.full(nb, 2, np.int8)):
             for seed in range(3):
                 ref, got = (RandomSource(seed).stream(2, nb).generator() for _ in range(2))
-                np.testing.assert_array_equal(_poisson_frames(got, (table, cls), nb),
+                np.testing.assert_array_equal(_poisson_frames(got, table, nb, cls),
                                               gathered(ref, table[cls]))
                 assert got.random() == ref.random()  # draw for draw
 
@@ -199,8 +199,8 @@ class TestSparseSampler:
             planes = Planes(np.packbits(bits, axis=1, bitorder="little").view("<u8"), nb)
             for seed in range(3):
                 ref, got = (RandomSource(seed).stream(3, nb).generator() for _ in range(2))
-                np.testing.assert_array_equal(_poisson_frames(got, (table, planes), nb),
-                                              _poisson_frames(ref, (table, cls), nb))
+                np.testing.assert_array_equal(_poisson_frames(got, table, nb, planes),
+                                              _poisson_frames(ref, table, nb, cls))
                 assert got.random() == ref.random()  # draw for draw
 
     def test_zero_rate_draws_nothing(self):
@@ -402,8 +402,14 @@ class TestMeanDb:
         assert _mean_db(values) == mean
 
 
+def _mass(placement, vcfg) -> np.ndarray:
+    """Per-ps probability of ``placement.times`` over the frame, from its
+    ``runs``."""
+    return pipeline._add_runs(np.zeros(vcfg.frame_period_ps), placement.runs(vcfg), 1.0, 0)
+
+
 class TestPlacementLaw:
-    """``mass`` is the per-ps law that ``times`` draws: it sums to 1, and
+    """``runs`` is the per-ps law that ``times`` draws: it sums to 1, and
     draws agree with it within 5 sigma over cells of consecutive ps that
     each expect >= 25 draws (the last cell may expect fewer)."""
 
@@ -420,7 +426,7 @@ class TestPlacementLaw:
     ])
     def test_mass_matches_times(self, placement, sigma):
         vcfg = validate_config(SimConfig(jitter_sigma_ps=sigma))
-        mass = placement.mass(vcfg)
+        mass = _mass(placement, vcfg)
         assert mass.shape == (vcfg.frame_period_ps,) and (mass >= 0).all()
         assert mass.sum() == pytest.approx(1.0, abs=1e-12)
         t = placement.times(RandomSource(31).generator(), self.N, vcfg)
@@ -478,14 +484,14 @@ class TestFoldAcrossBatches:
         build = pipeline._arrival_tables
         dets, drawn, firsts, builds = [], [], [], []
 
-        def traced(key, components, vcfg, gate, frames, *blocked):
+        def traced(key, components, vcfg, gate, frames, *rest):
             drawn.append(len(range(frames.start, frames.stop, BATCH)))
-            dets.append((key, sim(key, components, vcfg, gate, frames, *blocked)))
+            dets.append((key, sim(key, components, vcfg, gate, frames, *rest)))
             return dets[-1][1]
 
-        def traced_first(root, key, components, vcfg, gate, frames, memo):
+        def traced_first(root, key, components, vcfg, gate, frames, cls, carry):
             firsts.append(len(range(frames.start, frames.stop, BATCH)))
-            return first(root, key, components, vcfg, gate, frames, memo)
+            return first(root, key, components, vcfg, gate, frames, cls, carry)
 
         monkeypatch.setattr(pipeline, "FIRST_CLICK_DENSITY", density)
         monkeypatch.setattr(pipeline, "_simulate_detector", traced)
@@ -537,9 +543,10 @@ class TestFoldAcrossBatches:
         self._check(monkeypatch, sc, pipeline.FIRST_CLICK_DENSITY)
 
     def test_bb84_ports_forced_dense(self, monkeypatch):
-        # Bob's ports take per-frame (table, cls) rates, one table per class;
-        # at mu_in = 10 each expects ~0.21 clicks a frame, below the switch,
-        # so the first-arrival draw is forced
+        # Bob's ports take rate tables indexed by the frame class, one
+        # first-arrival table per class; at mu_in = 10 each expects ~0.21
+        # clicks a frame, below the switch, so the first-arrival draw is
+        # forced
         sc = load_scenario(SCENARIOS / "bb84.ini").with_overrides(n_frames=self.N)
         sc = replace(sc, cfg=replace(sc.cfg, mu_in=10.0))
         self._check(monkeypatch, sc, 0.0)

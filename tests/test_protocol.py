@@ -20,7 +20,6 @@ from sdmqsim.config import (
 from sdmqsim.pipeline import (
     BATCH,
     Pulse,
-    _blocked_until,
     _phase_components,
     _simulate_detector,
     _usable_frames,
@@ -35,12 +34,11 @@ from sdmqsim.protocol import (
     PHASE_TABLE,
     PHASES,
     Planes,
-    _bits,
-    _coins,
+    _unpack,
+    _words,
     decode,
     exchange_batches,
     key_rate,
-    phase_index,
     sift,
     write_transcript,
 )
@@ -51,6 +49,14 @@ from sdmqsim.scenarios import load_scenario
 @pytest.fixture(scope="module")
 def cfg():
     return validate_config(SimConfig())
+
+
+def phase_index(basis_x: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """``2*bit + (basis is Z)`` as int8: Alice's index into ``PHASES``, or,
+    from Bob's bases and those indices, the frame class into ``PHASE_TABLE``."""
+    q = np.asarray(bits, dtype=np.int8) * 2
+    q += ~np.asarray(basis_x)
+    return q
 
 
 class TestEncodingMaps:
@@ -134,8 +140,10 @@ class TestInt8Exchange:
         old_bits = _old_decode(usable_p, usable_pp, bob_x)
         old_a, old_b, old_q = sift(bits, alice_x, bob_x, old_bits)
 
-        conc, conc_bits = decode(np.flatnonzero(usable_p), np.flatnonzero(usable_pp), bob_x)
-        key_a, key_b, q = sift(bits[conc], alice_x[conc], bob_x[conc], conc_bits)
+        conc, conc_bits, conc_x = decode(np.flatnonzero(usable_p), np.flatnonzero(usable_pp),
+                                         bob_x)
+        np.testing.assert_array_equal(conc_x, bob_x[conc])
+        key_a, key_b, q = sift(bits[conc], alice_x[conc], conc_x, conc_bits)
         assert np.array_equal(key_a, old_a)
         assert np.array_equal(key_b, old_b)
         assert q == old_q or (math.isnan(q) and math.isnan(old_q))
@@ -158,10 +166,10 @@ class TestRawDraws:
     def test_coins_and_bits_match_numpy(self, seed, n):
         assert BATCH % 64 == 0  # a full batch takes whole words
         words = -(-n // 64)
-        for helper, dtype in ((_coins, bool), (_bits, np.int8)):
+        for dtype in (bool, np.int8):  # coins, and bits as int8
             ref, gen = (RandomSource(seed).stream(ROLE_ALICE).generator() for _ in range(2))
             raw = ref.bit_generator.random_raw(words + 1)
-            got = helper(gen, n)
+            got = _unpack(_words(gen, n), n).view(dtype)
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, _ref_draw(raw, n).astype(dtype))
             # the draw took exactly ceil(n / 64) words
@@ -210,14 +218,11 @@ class TestPlanes:
         np.testing.assert_array_equal(planes.unpack(), ref)
         idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=50)), dtype=np.intp)
         np.testing.assert_array_equal(planes[idx], ref[idx])
-        # the bits past n, random here, never count
-        assert {v for v in range(1 << k) if planes.has(v)} == set(ref.tolist())
         start = data.draw(st.sampled_from(range(0, n, 64)))
         stop = data.draw(st.integers(start + 1, n))
         part = planes[start:stop]
         assert len(part) == stop - start
         np.testing.assert_array_equal(part.unpack(), ref[start:stop])
-        assert {v for v in range(1 << k) if part.has(v)} == set(ref[start:stop].tolist())
         with pytest.raises(ValueError, match="word"):
             planes[1:]
 
@@ -242,13 +247,9 @@ class TestPlanes:
         idx = np.random.default_rng(n).integers(0, n, size=min(n, 3000))
         for b in batches:
             want = cls[b.start:b.start + len(b.cls)]
-            present = {c for c in range(len(PHASE_TABLE)) if b.cls.has(c)}
-            assert present == set(want.tolist())
             at = idx[(idx >= b.start) & (idx < b.start + len(want))] - b.start
             np.testing.assert_array_equal(b.cls[at], want[at])
             np.testing.assert_array_equal(b.bob_x[at], draws[4][b.start + at])
-        if n == 1:  # one frame, and 63 padding bits in each plane's word
-            assert len(present) == 1
 
 
 class TestDrawBalance:
@@ -276,15 +277,13 @@ def _whole_run_bb84(cfg, n, flux, v, eve):
     frames, Bob's bits there, the keys and the QBER."""
     bits, alice_x, bob_x, cls = _whole_run_state(cfg.seed, n, eve)
     law = delay_interferometer_rates(cfg.eta * flux, cfg.d, v, PHASE_TABLE, "none", 0.0)
-    rates = law._replace(interior_p=(law.interior_p, cls),
-                         interior_p_prime=(law.interior_p_prime, cls))
     usable = [
         _usable_frames(_simulate_detector(
-            (ROLE_PHOTONS, i), [_phase_components(cfg, rates, port, "none", 0)],
-            cfg, DELTA_T1, range(n)), cfg)
+            (ROLE_PHOTONS, i), [_phase_components(cfg, law, port, "none", 0)],
+            cfg, DELTA_T1, range(n), cls), cfg)
         for i, port in enumerate(("p", "p_prime"))
     ]
-    frames, bob_bits = decode(*usable, bob_x)
+    frames, bob_bits, _ = decode(*usable, bob_x)
     return (frames, bob_bits, *sift(bits[frames], alice_x[frames], bob_x[frames], bob_bits))
 
 
@@ -302,6 +301,15 @@ def _whole_run_transcript(seed, n, eve, frames, bob_bits):
             alice_x.tolist(), bits.tolist(), bob_x.tolist(), bob.tolist(), sifted.tolist()))
     ]
     return "\n".join(lines) + "\n"
+
+
+def _blocked_until(det, vcfg, blocked):
+    """The absolute time until which ``det``'s detector stays dead: its last
+    click plus the dead time, or ``blocked`` when it kept no click."""
+    if not len(det.frame_idx):
+        return blocked
+    return (int(det.frame_idx[-1]) * vcfg.frame_period_ps + int(det.t_within[-1])
+            + vcfg.dead_time_ps)
 
 
 class TestStreamSplit:
@@ -344,9 +352,9 @@ class TestStreamSplit:
         cfg = replace(cfg, seed=11, dead_time_ps=150_000)
         calls, sim = [], pipeline._simulate_detector
 
-        def traced(key, components, vcfg, gate, frames, blocked_ps, memo):
-            calls.append((key, blocked_ps,
-                          sim(key, components, vcfg, gate, frames, blocked_ps, memo)))
+        def traced(key, components, vcfg, gate, frames, cls, carry):
+            blocked = carry.get("blocked", 0)  # before the call updates it
+            calls.append((key, blocked, sim(key, components, vcfg, gate, frames, cls, carry)))
             return calls[-1][2]
 
         monkeypatch.setattr(pipeline, "_simulate_detector", traced)
@@ -372,20 +380,19 @@ class TestStreamSplit:
         cfg = replace(cfg, dead_time_ps=150_000)
         late = (np.arange(n) % BATCH == BATCH - 1).astype(np.int8)
 
-        def comps(frames):  # frame class 1 clicks at 99 ns, class 0 at 10 ns
-            cls = late[frames.start:frames.stop]
-            return [[((np.array([20.0, 0.0]), cls), Pulse(10_000)),
-                     ((np.array([0.0, 20.0]), cls), Pulse(99_000))]]
+        # frame class 1 clicks at 99 ns, class 0 at 10 ns
+        comps = [[(np.array([20.0, 0.0]), Pulse(10_000)),
+                  (np.array([0.0, 20.0]), Pulse(99_000))]]
 
-        whole = _simulate_detector((ROLE_PHOTONS, 0), comps(range(n)), cfg, DELTA_T1, range(n))
-        carried, fresh, blocked = [], [], 0
+        whole = _simulate_detector((ROLE_PHOTONS, 0), comps, cfg, DELTA_T1, range(n), late)
+        carried, fresh, carry = [], [], {}
         for b0 in range(0, n, BATCH):
             frames = range(b0, min(b0 + BATCH, n))
-            carried.append(_simulate_detector((ROLE_PHOTONS, 0), comps(frames), cfg, DELTA_T1,
-                                              frames, blocked))
-            blocked = _blocked_until(carried[-1], cfg, blocked)
-            fresh.append(_simulate_detector((ROLE_PHOTONS, 0), comps(frames), cfg, DELTA_T1,
-                                            frames))
+            cls = late[frames.start:frames.stop]
+            carried.append(_simulate_detector((ROLE_PHOTONS, 0), comps, cfg, DELTA_T1,
+                                              frames, cls, carry))
+            fresh.append(_simulate_detector((ROLE_PHOTONS, 0), comps, cfg, DELTA_T1,
+                                            frames, cls))
         for field in ("frame_idx", "t_within"):
             np.testing.assert_array_equal(
                 np.concatenate([getattr(d, field) for d in carried]), getattr(whole, field))
@@ -617,7 +624,7 @@ class TestSimulateBb84:
             clicked = np.bincount(cls[np.concatenate(clicks[ROLE_PHOTONS, port])],
                                   minlength=len(PHASE_TABLE))
             for c in range(len(PHASE_TABLE)):
-                alone = [[(lam[0][c] if isinstance(lam, tuple) else lam, placement)
+                alone = [[(lam[c] if isinstance(lam, np.ndarray) else lam, placement)
                           for lam, placement in components[0]]]
                 (ref,), _ = arrival_tables(alone, cfg, DELTA_T1)
                 assert tables[inverse[c]][0] == ref[0]

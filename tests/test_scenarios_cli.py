@@ -647,6 +647,24 @@ class TestCliSweep:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["overrides"]["sweep_param"] == "eta"
 
+    # at eta 0 no efficiency scales the capacity up to eta 1: that key is
+    # null, and the run and the sweep exit 0
+    def test_capacity_at_zero_eta_exits_0(self, tmp_path):
+        rc = main([
+            "sweep", str(SCENARIOS / "capacity.ini"),
+            "--param", "eta", "--values", "0", "--out", str(tmp_path / "eta"),
+        ])
+        assert rc == 0
+        text = (SCENARIOS / "capacity.ini").read_text()
+        assert "\neta = 0.15\n" in text
+        derived = tmp_path / "capacity.ini"
+        derived.write_text(text.replace("\neta = 0.15\n", "\neta = 0\n"))
+        out = tmp_path / "o"
+        assert main(["run", str(derived), "--frames", "2000", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["capacity_qubits_per_s"] == 0.0
+        assert report["extra"]["capacity_eta1_qubits_per_s"] is None
+
     # timebin_B reads no phi_b: each value would give the same row
     def test_param_kind_does_not_read_exit_2(self, tmp_path, capsys):
         out = tmp_path / "phi"
