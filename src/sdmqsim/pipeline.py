@@ -264,13 +264,13 @@ def _pulse_center(vcfg, offset, slot):
     return offset + slot * vcfg.pulse_period_ps + vcfg.pulse_period_ps // 2
 
 
-def _batch_pieces(root, key, components, vcfg, b0, nb, cls):
+def _batch_pieces(root, key, components, vcfg, b0, nb, cls, carry):
     """Yield ``(sig_pos, frames, t)`` for each piece of frames ``b0 .. b0+nb``,
-    of classes ``cls``: stream ``(*key, s, batch)`` draws signal ``s``'s
-    components in list order, the frames (sorted) and then their
-    within-frame times."""
+    of classes ``cls``: stream ``(*key, s, batch)``, on ``carry``'s
+    Generator, draws signal ``s``'s components in list order, the frames
+    (sorted) and then their within-frame times."""
     for sig_pos, comps in enumerate(components):
-        gen = root.stream(*key, sig_pos, b0 // BATCH).generator()
+        gen = carry["gen"] = root.stream(*key, sig_pos, b0 // BATCH).generator(carry.get("gen"))
         for lam, placement in comps:
             frames = b0 + _poisson_frames(gen, lam, nb, cls)
             if len(frames):
@@ -318,31 +318,33 @@ def _arrival_tables(components, vcfg, gate) -> tuple:
 
 def _first_arrivals(root, key, components, vcfg, gate, frames, cls, carry) -> tuple:
     """Each frame's first gated click in ``frames``, of classes ``cls``: one
-    uniform a frame from stream ``(*key, batch)`` inverts the ``cdf`` of the
-    frame's class (see ``_arrival_tables``, kept in ``carry``), and one more
-    a click picks its origin."""
+    uniform a frame from stream ``(*key, batch)``, on ``carry``'s Generator,
+    inverts the ``cdf`` of the frame's class (see ``_arrival_tables``, kept
+    in ``carry``), and one more a click picks its origin."""
     if "tables" not in carry:
         carry["tables"] = _arrival_tables(components, vcfg, gate)
     tables, inverse = carry["tables"]
+    multi = len(tables) > 1
     totals = np.array([tab[0] for tab in tables])
     # at most one click a frame, written in place: pages past the last click
     # are never touched
     fr, t, origin = (np.empty(len(frames), dtype=dt) for dt in (np.int64, np.int64, np.int8))
     n = 0
     for b0 in range(frames.start, frames.stop, BATCH):
-        gen = root.stream(*key, b0 // BATCH).generator()
+        gen = carry["gen"] = root.stream(*key, b0 // BATCH).generator(carry.get("gen"))
         u = gen.random(min(BATCH, frames.stop - b0))
-        if len(tables) > 1:  # the table of each frame's class
+        if multi:  # the table of each frame's class
             row = cls[b0 - frames.start:b0 - frames.start + len(u)]
             row = inverse[row.unpack() if isinstance(row, Planes) else row]
+            hit = np.flatnonzero(u < totals[row])
+            row = row[hit]
         else:
-            row = np.zeros(len(u), np.intp)
-        hit = np.flatnonzero(u < totals[row])
-        u, row, v = u[hit], row[hit], gen.random(len(hit))
+            hit = np.flatnonzero(u < totals[0])
+        u, v = u[hit], gen.random(len(hit))
         m = n + len(hit)
         fr[n:m], origin[n:m] = b0 + hit, 0
         for c, (_, cdf, guide, scale, cuts) in enumerate(tables):
-            sel = np.flatnonzero(row == c) if len(tables) > 1 else slice(None)
+            sel = np.flatnonzero(row == c) if multi else slice(None)
             uc = u[sel]
             j = (uc * scale).astype(np.intp)
             lo, hi = guide[j], guide[j + 1]
@@ -374,8 +376,10 @@ def _simulate_detector(
     ``placement`` a ``Pulse`` or ``Floor`` (see the module docstring).  A
     caller drawing one detector batch by batch keeps one ``carry`` dict for
     it, which this call updates: the first-arrival tables, which ``cls``
-    does not enter, are built once, and no click is kept before the absolute
-    time ``carry["blocked"]``, the last kept click plus the dead time."""
+    does not enter, are built once, every stream is drawn on one Generator,
+    ``carry["gen"]``, made at the first and re-keyed for each later one,
+    and no click is kept before the absolute time ``carry["blocked"]``, the
+    last kept click plus the dead time."""
     carry = {} if carry is None else carry
     root = RandomSource(vcfg.seed)
     window, tau = vcfg.frame_window_ps, vcfg.dead_time_ps
@@ -390,7 +394,7 @@ def _simulate_detector(
         for b0 in range(frames.start, frames.stop, BATCH):
             i0, nb = b0 - frames.start, min(BATCH, frames.stop - b0)
             pieces = _batch_pieces(root, key, components, vcfg, b0, nb,
-                                   None if cls is None else cls[i0:i0 + nb])
+                                   None if cls is None else cls[i0:i0 + nb], carry)
             parts += [(fr, t, np.full(len(fr), s, dtype=np.int8)) for s, fr, t in pieces]
         fr, t, origin = _finish_detector(parts, vcfg, gate, carry.get("blocked", 0))
     if len(fr):

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,6 +68,21 @@ class TestScenarioLoading:
         sc = load_scenario(SCENARIOS / f"{name}.ini")
         assert sc.experiment.kind in EXPERIMENT_KINDS
         sc.validated()
+
+    def test_setup_leaves_numpy_random_unimported(self):
+        # importing numpy.random costs ~11 ms: set-up (the CLI's import, the
+        # scenario and its channel) leaves it to the first random draw
+        code = ("import sys\n"
+                "from sdmqsim.cli import load_scenario\n"
+                "from sdmqsim.pipeline import build_channel\n"
+                "for path in sys.argv[1:]:\n"
+                "    build_channel(load_scenario(path))\n"
+                "assert 'numpy.random' not in sys.modules\n")
+        paths = [str(p) for p in sorted(SCENARIOS.glob("*.ini"))]
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run([sys.executable, "-c", code, *paths], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -270,6 +287,14 @@ class TestCliRun:
         assert rc == 0
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert "input_monitor_counts" not in report["extra"]
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(re.sub(r"(?m)^seed = .*$", "seed = -3",
+                              (SCENARIOS / "bb84.ini").read_text()))
+        for argv in (["run", str(SCENARIOS / "bb84.ini"), "--seed", "-3"], ["run", str(bad)]):
+            assert main(argv + ["--frames", "1000", "--out", str(tmp_path / "o")]) == 2
+            assert "seed must be non-negative, got -3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", CANNED)
     def test_zero_frames_exit_2(self, name, tmp_path, capsys):
