@@ -9,7 +9,7 @@ power-level crosstalk measurement.
 import numpy as np
 
 from sdmqsim.channel import ChannelModel, load_link_tables, measure_insertion_loss
-from sdmqsim.config import ROLE_PHOTONS, SignalAssignment, SimConfig
+from sdmqsim.config import ROLE_PHOTONS, SignalAssignment, SimConfig, validate_config
 
 il, xt = load_link_tables()
 
@@ -47,20 +47,13 @@ print(f"  fiber-input reference, group 1: "
 # photon-counting crosstalk at the single-photon level matches the
 # power-level table (random mode coupling is ergodic)
 print("\n== single-photon crosstalk check, input group 1 ==")
-from sdmqsim.pipeline import _simulate_timebin_detector
-from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario
+from sdmqsim.pipeline import _timebin_detector
 
 n = 100_000
-scenario = Scenario(
-    name="ergodicity",
-    cfg=SimConfig(mu_in=2.5, dead_time_ps=0, seed=7),
-    signals=(SignalAssignment("A", input_group=1, fixed_slot=10),),
-    channel=ChannelSpec(),
-    experiment=ExperimentSpec(kind="timebin_xt", n_frames=n, collections={"A": (1,)}),
-)
+vcfg = validate_config(SimConfig(mu_in=2.5, dead_time_ps=0, seed=7))
+sig = SignalAssignment("A", input_group=1, fixed_slot=10)
 counts = np.array([
-    len(_simulate_timebin_detector(scenario, channel, (ROLE_PHOTONS, g), (g,),
-                                   "always").t_within)
+    len(_timebin_detector(vcfg, channel, [sig], (ROLE_PHOTONS, g), (g,), "always", n).t_within)
     for g in range(1, 6)
 ], dtype=float)
 print("  counted fractions:", np.round(counts / counts.sum(), 4))

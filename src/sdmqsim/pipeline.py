@@ -28,6 +28,13 @@ detectors draw every click, O(events) at the ~0.002 events per
 detector-frame of the phase experiments (``_poisson_frames``), then gate,
 sort and walk them.
 
+``run_scenario`` checks the configuration and builds the channel once a
+run.  A runner names the signals that reach each detector as a plain list
+(a subset, or capacity's single flat-loss signal) and draws it through
+``_timebin_detector`` or ``_phase_detector``, which turn each signal's
+collected flux into its components in list order; a click's origin is its
+signal's position in the list.
+
 The time-bin and phase runners draw each detector once over the whole run.
 The BB84 exchange runs batch-outer: each batch draws its per-frame state
 (``protocol.exchange_batches``) and Bob's ports, each with one carry (its
@@ -46,7 +53,6 @@ from . import analysis
 from .channel import ChannelModel, load_link_tables
 from .config import (
     BATCH,
-    ConfigError,
     DELTA_T1,
     DELTA_T2,
     RandomSource,
@@ -145,7 +151,7 @@ class DetectorResult:
 
     t_within: np.ndarray
     frame_idx: np.ndarray
-    origin: np.ndarray  # the signal's position in the scenario
+    origin: np.ndarray  # the signal's position in the detector's signal list
 
     def counts_in(self, lo_ps: int, hi_ps: int, origin: int | None = None) -> int:
         mask = (self.t_within >= lo_ps) & (self.t_within < hi_ps)
@@ -425,34 +431,16 @@ def _timebin_components(vcfg, lam, f, offset, slot) -> tuple:
     return (lam * (1 - f), Pulse(_pulse_center(vcfg, offset, slot))), (lam * f, Floor(offset))
 
 
-def _simulate_collection(scenario, channel, key, groups, gate, build) -> DetectorResult:
-    """All clicks of one gated detector watching a group collection, drawn
-    from every signal of ``scenario`` in its order over its frames.
-
-    ``build(vcfg, sig, lam)`` gives the components of signal ``sig``, which
-    reaches the detector at ``lam`` mean clicks per frame.
-    """
-    vcfg = scenario.validated()
-    components = [build(vcfg, sig, _collected_flux(vcfg, channel, sig, groups) * vcfg.eta)
-                  for sig in scenario.signals]
-    return _simulate_detector(key, components, vcfg, gate, range(scenario.experiment.n_frames))
-
-
-def _simulate_timebin_detector(
-    scenario: Scenario,
-    channel: ChannelModel,
-    key: tuple,
-    groups,
-    gate: str,
-) -> DetectorResult:
-    """Clicks of one detector watching the signals' time-bin slots."""
-
-    def build(vcfg, sig, lam):
+def _timebin_detector(vcfg, channel, signals, key, groups, gate, n) -> DetectorResult:
+    """Clicks over ``n`` frames of one detector watching ``groups``, drawn
+    from the time-bin slot of each of ``signals``, in their order."""
+    components = []
+    for sig in signals:
         ext = sig.im_extinction if sig.im_extinction is not None else vcfg.im_extinction
-        return _timebin_components(vcfg, lam, floor_fraction(vcfg.d, ext),
-                                   sig.offset_ps(vcfg), sig.fixed_slot)
-
-    return _simulate_collection(scenario, channel, key, groups, gate, build)
+        lam = _collected_flux(vcfg, channel, sig, groups) * vcfg.eta
+        components.append(_timebin_components(vcfg, lam, floor_fraction(vcfg.d, ext),
+                                               sig.offset_ps(vcfg), sig.fixed_slot))
+    return _simulate_detector(key, components, vcfg, gate, range(n))
 
 
 def _phase_components(vcfg, rates, port, arm, offset) -> tuple:
@@ -474,29 +462,23 @@ def _phase_components(vcfg, rates, port, arm, offset) -> tuple:
     )
 
 
-def _simulate_phase_detector(
-    scenario: Scenario,
-    channel: ChannelModel,
-    key: tuple,
-    groups,
-    gate: str,
-    phi_total: float,
-    arm: str,
-) -> DetectorResult:
-    """Clicks of one detector on port P behind the delay interferometer.
+def _phase_detector(vcfg, channel, signals, key, groups, gate, n, exp, phi_total,
+                    arm) -> DetectorResult:
+    """Clicks over ``n`` frames of one detector on port P behind the delay
+    interferometer, watching ``groups``, drawn from ``signals`` in their
+    order, at ``exp``'s visibility cap and phase floor.
 
     ``phi_total`` is phi_a + phi_b; every contributing train carries the
     same transmitted differential phase, and each photon self-interferes
     across its own train regardless of which signal it leaked from.
     """
-    exp = scenario.experiment
-
-    def build(vcfg, sig, lam):
-        rates = delay_interferometer_rates(lam, vcfg.d, exp.visibility_cap, phi_total,
-                                           arm, exp.phase_floor)
-        return _phase_components(vcfg, rates, "p", arm, sig.offset_ps(vcfg))
-
-    return _simulate_collection(scenario, channel, key, groups, gate, build)
+    components = []
+    for sig in signals:
+        lam = _collected_flux(vcfg, channel, sig, groups) * vcfg.eta
+        rates = delay_interferometer_rates(lam, vcfg.d, exp.visibility_cap, phi_total, arm,
+                                           exp.phase_floor)
+        components.append(_phase_components(vcfg, rates, "p", arm, sig.offset_ps(vcfg)))
+    return _simulate_detector(key, components, vcfg, gate, range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +518,8 @@ def _gated_phase_counts(det: DetectorResult, vcfg, offset_ps) -> float:
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
-    """Dispatch to the experiment-specific runner."""
-    kind = scenario.experiment.kind
+    """Dispatch to the experiment-specific runner, with the scenario's
+    checked configuration and its channel, each made once a run."""
     runner = {
         "timebin_B": _run_timebin,
         "timebin_xt": _run_timebin,
@@ -546,8 +528,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
         "phase_sweep": _run_phase_sweep,
         "bb84": _run_bb84,
         "bb84_eve": _run_bb84,
-    }[kind]
-    return runner(scenario)
+    }[scenario.experiment.kind]
+    return runner(scenario, scenario.validated(), build_channel(scenario))
 
 
 def _analytic_group_rates(scenario, channel) -> dict:
@@ -569,23 +551,13 @@ def _mean_db(values) -> float | None:
     return math.inf if est and all(v == math.inf for v in est) else None
 
 
-def _run_timebin(scenario: Scenario) -> RunResult:
-    vcfg = scenario.validated()
-    channel = build_channel(scenario)
+def _run_timebin(scenario: Scenario, vcfg, channel) -> RunResult:
     exp = scenario.experiment
     n = exp.n_frames
-    # timebin_B reads crosstalk on its one delayed signal's collection, and
-    # timebin_xt compares one delayed signal's slot with one undelayed one's
-    delayed = [s for s in scenario.signals if s.delayed]
+    # one delayed signal, as Scenario checks: timebin_B reads crosstalk on
+    # its collection, and timebin_xt compares its slot with the undelayed one's
+    (late,) = [s for s in scenario.signals if s.delayed]
     early = [s for s in scenario.signals if not s.delayed]
-    if exp.kind == "timebin_B" and (
-            len(delayed) != 1 or delayed[0].signal_id not in exp.collections):
-        raise ConfigError("timebin_B needs exactly one collected signal with delayed = "
-                          f"true, got {len(delayed)} delayed")
-    if exp.kind == "timebin_xt" and (len(delayed), len(early)) != (1, 1):
-        raise ConfigError("timebin_xt needs one signal with delayed = true and one with "
-                          f"delayed = false, got {len(delayed)} and {len(early)}")
-    (late,) = delayed
     window, tp = vcfg.frame_window_ps, vcfg.pulse_period_ps
 
     # the delayed signal's dt2 slot against the others' dt1 slots; with
@@ -604,8 +576,8 @@ def _run_timebin(scenario: Scenario) -> RunResult:
     histograms = {}
     for det_idx, (sid, groups) in enumerate(sorted(exp.collections.items())):
         gate = exp.gates.get(sid, "always")
-        det = _simulate_timebin_detector(scenario, channel, (ROLE_PHOTONS, det_idx),
-                                         groups, gate)
+        det = _timebin_detector(vcfg, channel, scenario.signals, (ROLE_PHOTONS, det_idx),
+                                groups, gate, n)
         sig = scenario.signal(sid)
         offset = sig.offset_ps(vcfg)
         # other signals' pulses sharing this half-window are known spikes,
@@ -663,9 +635,7 @@ def _run_timebin(scenario: Scenario) -> RunResult:
     )
 
 
-def _run_capacity(scenario: Scenario) -> RunResult:
-    vcfg = scenario.validated()
-    channel = build_channel(scenario)
+def _run_capacity(scenario: Scenario, vcfg, channel) -> RunResult:
     exp = scenario.experiment
     n = exp.n_frames
 
@@ -676,18 +646,10 @@ def _run_capacity(scenario: Scenario) -> RunResult:
         * vcfg.frame_rate_hz
         * float(10 ** (exp.theory_il_db / 10.0))
     )
-    # sub-scenarios drop signals, so they carry no gates: each detector below
-    # is given its gate
-    ungated = replace(exp, gates={})
-    theory_scenario = replace(
-        scenario,
-        experiment=ungated,
-        cfg=replace(scenario.cfg, mu_in=exp.theory_mu),
-        signals=(SignalAssignment("S", input_group=1, delayed=False, fixed_slot=20),),
-        channel=replace(scenario.channel, uniform_il_db=exp.theory_il_db),
-    )
-    det1 = _simulate_timebin_detector(theory_scenario, build_channel(theory_scenario),
-                                      (ROLE_PHOTONS, 90), (1,), DELTA_T1)
+    det1 = _timebin_detector(replace(vcfg, mu_in=exp.theory_mu),
+                             replace(channel, uniform_il_db=exp.theory_il_db),
+                             [SignalAssignment("S", fixed_slot=20)], (ROLE_PHOTONS, 90), (1,),
+                             DELTA_T1, n)
     mc_theory_cps = analysis.counts_per_second(
         det1.counts_in(0, vcfg.frame_window_ps), n, vcfg.frame_rate_hz
     )
@@ -701,17 +663,9 @@ def _run_capacity(scenario: Scenario) -> RunResult:
     histograms = {}
     for det_idx, (sid, groups) in enumerate(sorted(exp.collections.items())):
         sig = scenario.signal(sid)
-        sub = replace(
-            scenario,
-            experiment=ungated,
-            signals=tuple(
-                s
-                for s in scenario.signals
-                if s.signal_id == sid or s.delayed != sig.delayed
-            ),
-        )
+        signals = [s for s in scenario.signals if s is sig or s.delayed != sig.delayed]
         gate = exp.gates.get(sid, "always")
-        det = _simulate_timebin_detector(sub, channel, (ROLE_PHOTONS, det_idx), groups, gate)
+        det = _timebin_detector(vcfg, channel, signals, (ROLE_PHOTONS, det_idx), groups, gate, n)
         off = sig.offset_ps(vcfg)
         cps[sid] = analysis.counts_per_second(
             det.counts_in(off, off + vcfg.frame_window_ps), n, vcfg.frame_rate_hz
@@ -747,7 +701,7 @@ def _run_capacity(scenario: Scenario) -> RunResult:
     )
 
 
-def _run_phase_er(scenario: Scenario) -> RunResult:
+def _run_phase_er(scenario: Scenario, vcfg, channel) -> RunResult:
     """Extinction ratios per output group.
 
     A delayed signal is measured alone on its groups in the second
@@ -758,8 +712,6 @@ def _run_phase_er(scenario: Scenario) -> RunResult:
     evaluated interfering and with either arm blocked; the non-interfering
     reference is the arm average.
     """
-    vcfg = scenario.validated()
-    channel = build_channel(scenario)
     exp = scenario.experiment
     n = exp.n_frames
     phi_total = exp.phi_a + exp.phi_b
@@ -769,20 +721,18 @@ def _run_phase_er(scenario: Scenario) -> RunResult:
     p_phi_by_group = {}
     histograms = {}
     run_tag = 0
-    rest = [s for s in scenario.signals if not s.delayed]
-    alt = replace(
-        scenario, signals=tuple(replace(s, delayed=i == 0) for i, s in enumerate(rest))
-    )
+    rest = [replace(s, delayed=i == 0)
+            for i, s in enumerate(s for s in scenario.signals if not s.delayed)]
     for g, sid in plans:
         sig = scenario.signal(sid)
-        sub = replace(scenario, signals=(sig,)) if sig.delayed else alt
-        sub_sig = sub.signal(sid)
-        gate = DELTA_T2 if sub_sig.delayed else DELTA_T1
-        offset = sub_sig.offset_ps(vcfg)
+        signals = [sig] if sig.delayed else rest
+        sig = next(s for s in signals if s.signal_id == sid)
+        gate = DELTA_T2 if sig.delayed else DELTA_T1
+        offset = sig.offset_ps(vcfg)
         counts = {}
         for arm in ("none", "delay", "direct"):
-            det = _simulate_phase_detector(sub, channel, (ROLE_PHOTONS, run_tag, g), (g,),
-                                           gate, phi_total, arm)
+            det = _phase_detector(vcfg, channel, signals, (ROLE_PHOTONS, run_tag, g), (g,),
+                                  gate, n, exp, phi_total, arm)
             counts[arm] = det.counts_in(*_interior_window(vcfg, offset))
             if arm in ("none", "delay"):
                 label = "interfering" if arm == "none" else "blocked"
@@ -811,15 +761,13 @@ def _run_phase_er(scenario: Scenario) -> RunResult:
     )
 
 
-def _run_phase_sweep(scenario: Scenario) -> RunResult:
+def _run_phase_sweep(scenario: Scenario, vcfg, channel) -> RunResult:
     """Counts vs total phase on the interfering port, with the sinusoid fit.
 
     Per phase point, counts are pulse-gated and background-subtracted over
     the interior positions, so the fitted visibility reflects the fringe
     contrast rather than the uniform floor.
     """
-    vcfg = scenario.validated()
-    channel = build_channel(scenario)
     exp = scenario.experiment
     n = exp.n_frames
     fits = {}
@@ -831,8 +779,9 @@ def _run_phase_sweep(scenario: Scenario) -> RunResult:
         offset = sig.offset_ps(vcfg)
         pts = []
         for phi_b in exp.sweep_phi_b:
-            det = _simulate_phase_detector(scenario, channel, (ROLE_PHOTONS, run_tag, det_idx),
-                                           groups, gate, exp.phi_a + phi_b, "none")
+            det = _phase_detector(vcfg, channel, scenario.signals,
+                                  (ROLE_PHOTONS, run_tag, det_idx), groups, gate, n, exp,
+                                  exp.phi_a + phi_b, "none")
             run_tag += 1
             c = _gated_phase_counts(det, vcfg, offset)
             pts.append((exp.phi_a + phi_b, c))
@@ -909,9 +858,7 @@ def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
                       key_a, key_b, cfg.seed, eve, frames_all[:n_det], bits_all[:n_det])
 
 
-def _run_bb84(scenario: Scenario) -> RunResult:
-    vcfg = scenario.validated()
-    channel = build_channel(scenario)
+def _run_bb84(scenario: Scenario, vcfg, channel) -> RunResult:
     exp = scenario.experiment
     sig = scenario.signals[0]
     groups = exp.collections.get(sig.signal_id, (sig.input_group,))

@@ -122,21 +122,34 @@ class Scenario:
         groups = [s.input_group for s in self.signals]
         if len(set(groups)) != len(groups):
             raise ConfigError("two signals assigned to the same input group")
-        kind = self.experiment.kind
+        exp, kind = self.experiment, self.experiment.kind
         ids = {s.signal_id for s in self.signals}
-        for sid in self.experiment.gates:
-            if sid not in ids:
-                raise ConfigError(f"gates {sid}: no signal {sid!r}")
+        for key in ("collections", "gates"):
+            for sid in getattr(exp, key):
+                if sid not in ids:
+                    raise ConfigError(f"{key} {sid}: no signal {sid!r}")
         if kind in ("bb84", "bb84_eve"):  # both ports read dt1, the first half-window
-            bad = [f"gates {sid}:{g}" for sid, g in self.experiment.gates.items() if g != "dt1"]
+            bad = [f"gates {sid}:{g}" for sid, g in exp.gates.items() if g != "dt1"]
             bad += [f"delayed = true on signal {s.signal_id}" for s in self.signals if s.delayed]
             bad += [f"a second signal [signal.{s.signal_id}]" for s in self.signals[1:]]
             if bad:
                 raise ConfigError(f"{kind} simulates one signal and gates its ports dt1 in "
                                   f"the first half-window: {bad[0]} is not supported")
-        if kind == "phase_er" and self.experiment.gates:
+        elif not exp.collections:  # every other kind counts per collection
+            raise ConfigError(f"{kind} scenario requires a collections map")
+        if kind == "phase_er" and exp.gates:
             raise ConfigError("phase_er gates each detector by its signal's delay: "
                               "gates is not supported")
+        # timebin_B reads crosstalk on its one delayed signal's collection, and
+        # timebin_xt compares one delayed signal's slot with one undelayed one's
+        delayed = [s.signal_id for s in self.signals if s.delayed]
+        early = len(self.signals) - len(delayed)
+        if kind == "timebin_B" and (len(delayed) != 1 or delayed[0] not in exp.collections):
+            raise ConfigError("timebin_B needs exactly one collected signal with delayed = "
+                              f"true, got {len(delayed)} delayed")
+        if kind == "timebin_xt" and (len(delayed), early) != (1, 1):
+            raise ConfigError("timebin_xt needs one signal with delayed = true and one with "
+                              f"delayed = false, got {len(delayed)} and {early}")
         if kind not in TIMEBIN_KINDS:
             return
         if self.cfg.p_tb != 1.0:
@@ -287,10 +300,6 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConfigError("[experiment] sets no kind")
     experiment = ExperimentSpec(**exp_kwargs)
     _check_read_by(experiment.kind, exp_kwargs)
-
-    # experiment kinds that read per-collection counts need the mapping
-    if experiment.kind in ("timebin_xt", "timebin_B", "capacity", "phase_er") and not experiment.collections:
-        raise ConfigError(f"{experiment.kind} scenario requires a collections map")
 
     scenario = Scenario(path.stem, cfg, signals, channel, experiment)
     scenario.validated()  # raise early on bad sim config

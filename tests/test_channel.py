@@ -20,7 +20,7 @@ from sdmqsim.config import (
     SimConfig,
     validate_config,
 )
-from sdmqsim.pipeline import _collected_flux, _simulate_timebin_detector
+from sdmqsim.pipeline import _collected_flux, _timebin_detector
 from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario
 
 # raw dB entries, re-stated here as the independent cross-check of the data file
@@ -200,18 +200,10 @@ class TestPropagate:
 
 def _one_signal_detector(tables, n, sig, gate="always", **sim):
     """Every click of one signal into its own group, through a flat 0 dB link."""
-    scenario = Scenario(
-        name="one",
-        cfg=SimConfig(**sim),
-        signals=(sig,),
-        channel=ChannelSpec(uniform_il_db=0.0),
-        experiment=ExperimentSpec(kind="timebin_xt", n_frames=n),
-    )
     il, xt = tables
     ch = ChannelModel(il=il, xt=xt, uniform_il_db=0.0)
-    return _simulate_timebin_detector(
-        scenario, ch, (ROLE_PHOTONS, 0), (sig.input_group,), gate
-    )
+    return _timebin_detector(validate_config(SimConfig(**sim)), ch, [sig], (ROLE_PHOTONS, 0),
+                             (sig.input_group,), gate, n)
 
 
 class TestSamplePhotons:
@@ -268,28 +260,18 @@ class TestErgodicity:
     def test_mc_group_ratios_match_table(self, tables):
         # photon-counting crosstalk measurement reproduces the power-level
         # table within Poisson bounds
-        from sdmqsim.pipeline import _simulate_timebin_detector
-        from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario
-
         n = 200_000
-        cfg = SimConfig(mu_in=2.5, dead_time_ps=0, seed=99)
-        scenario = Scenario(
-            name="erg",
-            cfg=cfg,
-            signals=(SignalAssignment("A", input_group=1, fixed_slot=10),),
-            channel=ChannelSpec(),
-            experiment=ExperimentSpec(kind="timebin_xt", n_frames=n,
-                                      collections={"A": (1,)}),
-        )
+        vcfg = validate_config(SimConfig(mu_in=2.5, dead_time_ps=0, seed=99))
+        sig = SignalAssignment("A", input_group=1, fixed_slot=10)
         il, xt = tables
         ch = ChannelModel(il=il, xt=xt)
         counts = []
         for g in range(1, 6):
-            det = _simulate_timebin_detector(scenario, ch, (ROLE_PHOTONS, g), (g,), "always")
+            det = _timebin_detector(vcfg, ch, [sig], (ROLE_PHOTONS, g), (g,), "always", n)
             counts.append(len(det.t_within))
         counts = np.array(counts, dtype=float)
         expect_frac = xt.column(1)
-        total_exp = n * 2.5 * ch.transmission(scenario.signals[0]) * 0.15
+        total_exp = n * 2.5 * ch.transmission(sig) * 0.15
         for g in range(5):
             expect = total_exp * expect_frac[g]
             assert abs(counts[g] - expect) <= 3 * math.sqrt(expect) + 1

@@ -12,7 +12,8 @@ from sdmqsim.config import (
     validate_config,
 )
 from sdmqsim.encoder import floor_fraction
-from sdmqsim.pipeline import _simulate_timebin_detector, _timebin_components, build_channel
+from sdmqsim.channel import ChannelModel, load_link_tables
+from sdmqsim.pipeline import _timebin_components, _timebin_detector
 from sdmqsim.receiver import delay_interferometer_rates
 from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario
 
@@ -42,7 +43,10 @@ class TestTimeBinFrame:
 
     def test_slot_out_of_range(self):
         with pytest.raises(ConfigError, match="fixed_slot in 0..63"):
-            TestSchedule._scenario(SignalAssignment("A", input_group=1, fixed_slot=64))
+            Scenario(name="slot", cfg=SimConfig(),
+                     signals=(SignalAssignment("A", input_group=1, fixed_slot=64),),
+                     channel=ChannelSpec(),
+                     experiment=ExperimentSpec(kind="capacity", collections={"A": (1,)}))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -99,20 +103,10 @@ class TestSchedule:
     """Time-bin signals occupy their fixed slot in every frame."""
 
     @staticmethod
-    def _scenario(*signals, n=500, **sim):
-        return Scenario(
-            name="sched",
-            cfg=SimConfig(**sim),
-            signals=signals,
-            channel=ChannelSpec(),
-            experiment=ExperimentSpec(kind="timebin_xt", n_frames=n),
-        )
-
-    def _clicks(self, sig, n, **sim):
-        sc = self._scenario(sig, n=n, mu_in=50.0, dead_time_ps=0, **sim)
-        return _simulate_timebin_detector(
-            sc, build_channel(sc), (ROLE_PHOTONS, 0), (sig.input_group,), "always"
-        )
+    def _clicks(sig, n, **sim):
+        vcfg = validate_config(SimConfig(mu_in=50.0, dead_time_ps=0, **sim))
+        return _timebin_detector(vcfg, ChannelModel(*load_link_tables()), [sig],
+                                 (ROLE_PHOTONS, 0), (sig.input_group,), "always", n)
 
     def test_delayed_signal_offset_on_every_frame(self):
         # pulse and floor clicks of a delayed signal all land in the second

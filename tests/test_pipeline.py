@@ -23,9 +23,9 @@ from sdmqsim.pipeline import (
     _mean_db,
     _phase_components,
     _poisson_frames,
+    _phase_detector,
     _simulate_detector,
-    _simulate_phase_detector,
-    _simulate_timebin_detector,
+    _timebin_detector,
     build_channel,
     expected_collection_rate,
     run_scenario,
@@ -247,6 +247,16 @@ class TestCapacityTheoryPart:
         got = extra["mc_single_signal_cps"] * n / 5e6
         assert abs(got - expect) <= 4 * math.sqrt(expect)
 
+    def test_link_tables_read_once(self, monkeypatch):
+        # the flat single-signal budget is the run's channel with a flat
+        # loss, not a second channel built from the table file
+        reads = []
+        load = pipeline.load_link_tables
+        monkeypatch.setattr(pipeline, "load_link_tables",
+                            lambda *args: reads.append(args) or load(*args))
+        run_scenario(load_scenario(SCENARIOS / "capacity.ini").with_overrides(n_frames=1000))
+        assert len(reads) == 1
+
     def test_eta_ceiling_reported(self):
         sc = load_scenario(SCENARIOS / "capacity.ini").with_overrides(n_frames=20_000)
         rep = run_scenario(sc).report
@@ -316,7 +326,7 @@ class TestOnePathCrossCheck:
 
     def test_timebin_pulse_slot_and_floor(self):
         sc, vcfg, ch = self._setup(im_extinction=63.0)  # half the photons in the floor
-        det = _simulate_timebin_detector(sc, ch, (ROLE_PHOTONS, 0), (1,), "always")
+        det = _timebin_detector(vcfg, ch, sc.signals, (ROLE_PHOTONS, 0), (1,), "always", self.N)
         tp, w = vcfg.pulse_period_ps, vcfg.frame_window_ps
         lam = self.MU * self.ETA
         pulse, floor = lam * 0.5, lam * 0.5
@@ -344,7 +354,8 @@ class TestOnePathCrossCheck:
         )
         key = (ROLE_PHOTONS, 0, 0)
         if port == "p":
-            det = _simulate_phase_detector(sc, ch, key, (1,), "always", phi, arm)
+            det = _phase_detector(vcfg, ch, sc.signals, key, (1,), "always", self.N,
+                                  sc.experiment, phi, arm)
         else:  # the builder reads port P only; port P' is drawn from its components
             comps = [_phase_components(vcfg, law, port, arm, 0)]
             det = _simulate_detector(key, comps, vcfg, "always", range(self.N))
@@ -370,9 +381,8 @@ class TestExactWindows:
         report = run_scenario(sc).report
         tp, w = vcfg.pulse_period_ps, vcfg.frame_window_ps
         for det_idx, (sid, groups) in enumerate(sorted(exp.collections.items())):
-            det = _simulate_timebin_detector(
-                sc, ch, (ROLE_PHOTONS, det_idx), groups, exp.gates[sid]
-            )
+            det = _timebin_detector(vcfg, ch, sc.signals, (ROLE_PHOTONS, det_idx), groups,
+                                    exp.gates[sid], exp.n_frames)
             t = det.t_within
             sig = sc.signal(sid)
             off = sig.offset_ps(vcfg)

@@ -62,6 +62,20 @@ GOLDEN_CSVS = {
 }
 
 
+# timebin_B reads crosstalk on its one delayed signal's collection, and
+# timebin_xt compares one delayed signal with one undelayed signal
+AMBIGUOUS_DELAY_ROLES = [
+    pytest.param("timebin_b", "delayed = true", "delayed = false", id="b-none"),
+    pytest.param("timebin_b", "delayed = false", "delayed = true", id="b-two"),
+    pytest.param("timebin_b", "B:2+3 ", "", id="b-uncollected"),
+    pytest.param("timebin_xt", "delayed = true ", "delayed = false", id="xt-none"),
+    pytest.param("timebin_xt", "delayed = false", "delayed = true", id="xt-two"),
+    pytest.param("timebin_xt", "[experiment]",
+                 "[signal.B]\ninput_group = 3\nfixed_slot = 1\n\n[experiment]",
+                 id="xt-third"),
+]
+
+
 class TestScenarioLoading:
     @pytest.mark.parametrize("name", CANNED)
     def test_canned_scenarios_load(self, name):
@@ -87,6 +101,16 @@ class TestScenarioLoading:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_scenario(SCENARIOS / "nope.ini")
+
+    # the delay roles are kind rules, checked where a file is loaded
+    @pytest.mark.parametrize("name,old,new", AMBIGUOUS_DELAY_ROLES)
+    def test_ambiguous_delay_roles_rejected_at_load(self, name, old, new, tmp_path):
+        text = (SCENARIOS / f"{name}.ini").read_text()
+        assert old in text
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace(old, new, 1))
+        with pytest.raises(ConfigError, match="delayed"):
+            load_scenario(bad)
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -544,21 +568,7 @@ class TestCliRun:
         golden = (REPO / "out" / name / "report.json").read_text()
         assert report.replace(new, old) == golden
 
-    # timebin_B reads crosstalk on its one delayed signal's collection, and
-    # timebin_xt compares one delayed signal with one undelayed signal
-    @pytest.mark.parametrize(
-        "name,old,new",
-        [
-            pytest.param("timebin_b", "delayed = true", "delayed = false", id="b-none"),
-            pytest.param("timebin_b", "delayed = false", "delayed = true", id="b-two"),
-            pytest.param("timebin_b", "B:2+3 ", "", id="b-uncollected"),
-            pytest.param("timebin_xt", "delayed = true ", "delayed = false", id="xt-none"),
-            pytest.param("timebin_xt", "delayed = false", "delayed = true", id="xt-two"),
-            pytest.param("timebin_xt", "[experiment]",
-                         "[signal.B]\ninput_group = 3\nfixed_slot = 1\n\n[experiment]",
-                         id="xt-third"),
-        ],
-    )
+    @pytest.mark.parametrize("name,old,new", AMBIGUOUS_DELAY_ROLES)
     def test_ambiguous_delay_roles_exit_2(self, name, old, new, tmp_path, capsys):
         text = (SCENARIOS / f"{name}.ini").read_text()
         assert old in text
@@ -566,6 +576,25 @@ class TestCliRun:
         bad.write_text(text.replace(old, new, 1))
         assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
         assert "delayed" in capsys.readouterr().err
+
+    # every kind but the BB84 ones counts per collection
+    @pytest.mark.parametrize("name", [n for n in CANNED if not n.startswith("bb84")])
+    def test_missing_collections_exit_2(self, name, tmp_path, capsys):
+        text = (SCENARIOS / f"{name}.ini").read_text()
+        bad = tmp_path / "bad.ini"
+        bad.write_text(re.sub(r"^collections = .*\n", "", text, flags=re.M))
+        assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "requires a collections map" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", CANNED)
+    def test_collection_of_unknown_signal_exit_2(self, name, tmp_path, capsys):
+        text = (SCENARIOS / f"{name}.ini").read_text()
+        bad = tmp_path / "bad.ini"
+        bad.write_text(re.sub(r"^collections = \w+:", "collections = X:", text, flags=re.M))
+        assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "collections X: no signal 'X'" in err and "Traceback" not in err
 
     def test_phase_er_every_er_infinite_exits_0(self, tmp_path):
         # an ideal interferometer with no floor extinguishes every group
