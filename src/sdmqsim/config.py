@@ -34,8 +34,9 @@ __all__ = [
 DELTA_T1 = "dt1"
 DELTA_T2 = "dt2"
 
-# frames per batch: the last element of every per-batch stream key; a
-# multiple of 64, so a batch's BB84 coins and bits fill whole raw words
+# frames per batch: a detector's spans are whole batches, and the last
+# element of every stream key is its span's first batch; a multiple of 64,
+# so a batch's BB84 coins and bits fill whole raw words
 BATCH = 1 << 16
 
 # quasi-degenerate mode groups of the few-mode fiber

@@ -1,7 +1,11 @@
 """End-to-end scenario runners.
 
-Each runner simulates frames in fixed-size batches with per-(detector,
-signal, batch) random streams, so results are independent of execution
+Each detector draws its frames in spans of whole batches, one random
+stream a (detector, signal, span), keyed by the span's first batch: a span
+is one batch on the first-arrival path and in the BB84 exchange, and on
+the Poisson path the most batches that expect at most ``SPAN_CLICKS``
+clicks, so a sparse detector draws its whole run as one span.  A span
+depends on the scenario alone, so results are independent of execution
 order and reproducible from the scenario seed alone.  Photon sampling is
 efficiency-thinned at the source (Poisson splitting), which is
 statistically identical to sampling raw photons and thinning at the
@@ -93,6 +97,10 @@ __all__ = [
 # beats drawing every click, and the cells of that draw's guide table
 FIRST_CLICK_DENSITY = 0.25
 GUIDE_CELLS = 1 << 17
+# expected clicks of one Poisson-path span: a span is the most whole
+# batches that expect at most this many, at least one, and 2^16 batches
+# for a detector that expects under a click a batch
+SPAN_CLICKS = 1 << 16
 
 
 def build_channel(scenario: Scenario) -> ChannelModel:
@@ -270,11 +278,11 @@ def _pulse_center(vcfg, offset, slot):
     return offset + slot * vcfg.pulse_period_ps + vcfg.pulse_period_ps // 2
 
 
-def _batch_pieces(root, key, components, vcfg, b0, nb, cls, carry):
-    """Yield ``(sig_pos, frames, t)`` for each piece of frames ``b0 .. b0+nb``,
-    of classes ``cls``: stream ``(*key, s, batch)``, on ``carry``'s
-    Generator, draws signal ``s``'s components in list order, the frames
-    (sorted) and then their within-frame times."""
+def _span_pieces(root, key, components, vcfg, b0, nb, cls, carry):
+    """Yield ``(sig_pos, frames, t)`` for each piece of the span of frames
+    ``b0 .. b0+nb``, of classes ``cls``: stream ``(*key, s, b0 // BATCH)``,
+    on ``carry``'s Generator, draws signal ``s``'s components in list
+    order, the frames (sorted) and then their within-frame times."""
     for sig_pos, comps in enumerate(components):
         gen = carry["gen"] = root.stream(*key, sig_pos, b0 // BATCH).generator(carry.get("gen"))
         for lam, placement in comps:
@@ -375,7 +383,9 @@ def _simulate_detector(
     carry: dict | None = None,
 ) -> DetectorResult:
     """Draw, gate and dead-time veto every click of one detector in
-    ``frames``, a range that starts on a batch boundary.  ``components[s]``
+    ``frames``, a range that starts on a batch boundary, in spans of whole
+    batches: one batch when drawing first arrivals, else as many as expect
+    at most ``SPAN_CLICKS`` clicks at the top rates.  ``components[s]``
     lists signal ``s``'s ``(lam, placement)`` pairs: ``lam`` mean clicks per
     frame, a float or a rate table giving frame ``frames.start + i`` the
     rate ``lam[cls[i]]`` (``cls`` an int array or ``Planes``), and
@@ -397,9 +407,10 @@ def _simulate_detector(
     else:
         parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                   np.zeros(0, dtype=np.int8))]
-        for b0 in range(frames.start, frames.stop, BATCH):
-            i0, nb = b0 - frames.start, min(BATCH, frames.stop - b0)
-            pieces = _batch_pieces(root, key, components, vcfg, b0, nb,
+        span = BATCH * max(1, int(SPAN_CLICKS // max(expected * BATCH, 1)))
+        for b0 in range(frames.start, frames.stop, span):
+            i0, nb = b0 - frames.start, min(span, frames.stop - b0)
+            pieces = _span_pieces(root, key, components, vcfg, b0, nb,
                                    None if cls is None else cls[i0:i0 + nb], carry)
             parts += [(fr, t, np.full(len(fr), s, dtype=np.int8)) for s, fr, t in pieces]
         fr, t, origin = _finish_detector(parts, vcfg, gate, carry.get("blocked", 0))

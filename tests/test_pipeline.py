@@ -562,6 +562,92 @@ class TestFoldAcrossBatches:
         self._check(monkeypatch, sc, 0.0)
 
 
+def _opened_streams(monkeypatch) -> list:
+    """The stream ids of every Generator opened or re-keyed from now on."""
+    opened, generator = [], RandomSource.generator
+
+    def traced(self, gen=None):
+        opened.append(self.stream_id)
+        return generator(self, gen)
+
+    monkeypatch.setattr(RandomSource, "generator", traced)
+    return opened
+
+
+class TestPoissonSpans:
+    """The Poisson path draws a detector in spans of whole batches that
+    expect at most ``SPAN_CLICKS`` clicks, each span one stream a signal
+    keyed by its first batch: no frame is drawn twice or skipped at a span
+    edge, and a detector dense enough for one-batch spans draws as batch by
+    batch.  Gated ``always`` with no dead time, so every drawn click is
+    kept."""
+
+    N = 5 * BATCH + 123
+    KEY = (ROLE_PHOTONS, 7)
+    # ~295 clicks over N: 2/3 from signal 0 (a pulse and a floor), 1/3 from
+    # signal 1 (a four-slot train in the second half)
+    SPARSE = [[(4e-4, Pulse(20_000)), (2e-4, Floor(0))],
+              [(3e-4, Pulse(150_000, 4, 1540))]]
+
+    @staticmethod
+    def _vcfg(seed):
+        return validate_config(SimConfig(dead_time_ps=0, seed=seed))
+
+    # the default spans the whole run; 150 clicks span two batches, so
+    # spans start at batches 0, 2 and 4 and the last is partial
+    @pytest.mark.parametrize("span_clicks,firsts", [(pipeline.SPAN_CLICKS, [0]),
+                                                    (150, [0, 2, 4])])
+    @pytest.mark.parametrize("seed", [301, 302, 303])
+    def test_sparse_detector_spans(self, monkeypatch, span_clicks, firsts, seed):
+        monkeypatch.setattr(pipeline, "SPAN_CLICKS", span_clicks)
+        opened = _opened_streams(monkeypatch)
+        det = _simulate_detector(self.KEY, self.SPARSE, self._vcfg(seed), "always",
+                                 range(self.N))
+        assert sorted(opened) == [(*self.KEY, s, b) for s in (0, 1) for b in firsts]
+        fr = det.frame_idx
+        assert len(fr) and fr.min() >= 0 and fr.max() < self.N
+        rates = [sum(lam for lam, _ in comps) for comps in self.SPARSE]
+        # per batch block, the partial last one included
+        block = np.bincount(fr // BATCH, minlength=6)
+        assert len(block) == 6
+        lengths = np.minimum(BATCH, self.N - BATCH * np.arange(6))
+        mean = sum(rates) * lengths
+        assert np.all(np.abs(block - mean) <= 5 * np.sqrt(mean)), (block, mean)
+        # per origin, given the total
+        share = np.array(rates) / sum(rates)
+        got = np.bincount(det.origin, minlength=2)
+        sigma = np.sqrt(len(fr) * share * (1 - share))
+        assert np.all(np.abs(got - len(fr) * share) <= 5 * sigma), (got, share)
+
+    def test_dense_detector_draws_batch_by_batch(self):
+        # 1.4 expected clicks a frame: one batch expects more than
+        # SPAN_CLICKS, so each span is one batch
+        components = [[(0.9, Pulse(20_000)), (0.3, Floor(0))],
+                      [(0.2, Floor(100_000, 1540))]]
+        n, vcfg = 2 * BATCH + 123, self._vcfg(304)
+        assert 1.4 * BATCH > pipeline.SPAN_CLICKS
+        root, parts = RandomSource(vcfg.seed), []
+        for b0 in range(0, n, BATCH):
+            for s, comps in enumerate(components):
+                gen = root.stream(*self.KEY, s, b0 // BATCH).generator()
+                for lam, placement in comps:
+                    fr = b0 + _poisson_frames(gen, lam, min(BATCH, n - b0))
+                    parts.append((fr, placement.times(gen, len(fr), vcfg), np.full(len(fr), s)))
+        fr, t, origin = map(np.concatenate, zip(*parts))
+        order = np.argsort(fr * vcfg.frame_period_ps + t, kind="stable")
+        det = _simulate_detector(self.KEY, components, vcfg, "always", range(n))
+        np.testing.assert_array_equal(det.frame_idx, fr[order])
+        np.testing.assert_array_equal(det.t_within, t[order])
+        np.testing.assert_array_equal(det.origin, origin[order])
+
+    def test_phase_er_opens_few_streams(self, monkeypatch):
+        # 15 sparse detectors, each drawn as one span: one stream a signal,
+        # 24 in all, where one a batch opened 744
+        opened = _opened_streams(monkeypatch)
+        run_scenario(load_scenario(SCENARIOS / "phase_er.ini"))
+        assert len(opened) <= 32
+
+
 class TestBb84KeyRate:
     """The reported key rate is the finite-key bound at the simulated QBER."""
 

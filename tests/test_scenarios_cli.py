@@ -28,36 +28,36 @@ CANNED = ["capacity", "timebin_b", "timebin_xt", "phase_er", "phase_sweep", "bb8
 GOLDEN_CSVS = {
     "capacity": {
         "group_rates.csv": "bdffb009292dd6b470315cb4bc602b4ed3f15667b044945d9af968828f9d6948",
-        "hist_A_g1.csv": "a2809e509b247112b43f5ff25216df01d6c1470c3f665ada9c0cf0b7d33ff744",
-        "hist_B_g2+3.csv": "b086fe9eeea56932b88ce81258565d64b945089a9e934292d03b066503db79fe",
-        "hist_C_g4+5.csv": "c4c27509a440db4ff51aa9a20d18ac13e6b0284b6721a9c70d80e3d7161a8221",
+        "hist_A_g1.csv": "5eb8abe6900b6799be9d75e32dfeac4b3906b6bc6e60b6679d6059cdc83e3fc9",
+        "hist_B_g2+3.csv": "dd90059111168090e642f311b330b1f7e545cadc3943503cb38c1028358e847b",
+        "hist_C_g4+5.csv": "829a5dd928961f898458b1a119a89b4590eda0d313b89a18b884d9e125f9f4c1",
     },
     "timebin_b": {
         "group_rates.csv": "bdffb009292dd6b470315cb4bc602b4ed3f15667b044945d9af968828f9d6948",
-        "hist_A_g1.csv": "351e521e889b97bc0082caa21557b9e74161a3f2c09d4fcb8e20fc869138991e",
-        "hist_B_g2+3.csv": "9f674c05c7a13950a84568ae74009e416b1e57e49472ef983337094e53e8b43d",
-        "hist_C_g4+5.csv": "de1fe1466dc7fa9b6b338c4b95ca974b50395926047c1949b7682f13376a4c7d",
+        "hist_A_g1.csv": "b9a87db900ffc236a81c3cc7293fd4e1041fce1043bf0c21ab50eb1e8e7eb71b",
+        "hist_B_g2+3.csv": "219bc942a6d4ffe925252bc605c8f92fbad5ba63b58590b419464e19d5fffac3",
+        "hist_C_g4+5.csv": "779eeaa3c34176602c5c0a7ddb41dca85a021d6dd1da652eaf401ca98523950a",
     },
     "timebin_xt": {
         "group_rates.csv": "3dbb9fbe7a46350c927feda866cd77954c1a7ffe685f86e3a6d5a1ebbb6ec133",
-        "hist_A_g1.csv": "21aa8abb7f561b9dac96d351e21f5e0a215279d88420ed79a01c57b73f853bd3",
-        "hist_C_g4+5.csv": "9884971f630481e822e0c3c3681a678cbed332328ae077984e25e9505e494762",
+        "hist_A_g1.csv": "b84c0b51b53845c4cfcb18d8eefd4fadad864709cdd4d91b526269130a8975ab",
+        "hist_C_g4+5.csv": "654284719a58a40e25056b66f02ff2b858d4d4c9869304f24d8fd56676863f27",
     },
     "phase_er": {
-        "er_by_group.csv": "977dc94b8a202e6da4bc1030aeb681915e93b7aaa7756c9b93fe6867af21c3e7",
-        "hist_g1_A_blocked.csv": "eef9e06d5ebfe1a2589b2e17192de59fc8a3ae47b7ed467b7dd998b8477c5b26",
-        "hist_g1_A_interfering.csv": "5298e3d70c2881dff01783b8433f359a1aed33d83dfcd8704bb9eea820dc09ca",
-        "hist_g2_B_blocked.csv": "496ac5d8ca4f71d21051c06eaec402a93b64265f5091ff71068bd3ce5f3443b5",
-        "hist_g2_B_interfering.csv": "fe14b41bad8cf94706b4d962cdba6e715dc690585aa9041476abf5e996938bbb",
-        "hist_g3_B_blocked.csv": "c427dd726fb74f00d278e6080e7139cbedaf2f8b645ef9c26e58dd85cd257463",
-        "hist_g3_B_interfering.csv": "a25dc23a606f6cc5e1f94b1475c8c0de7757c977331254d003ba6c1a5a05f972",
-        "hist_g4_C_blocked.csv": "a54e6a5e1ef97f6cafa2285ccba042e04ab095e69310f19a4a1d820d67cd0de3",
-        "hist_g4_C_interfering.csv": "9c2f5669f0bf03c2b817f46b25e07f6cb96b10fbb449b7a68f6ad1c98a10a6d5",
-        "hist_g5_C_blocked.csv": "d5b7b8a9af0ee351c4ae9404dac9617f056ff1f6d1b128d27ed02fcd7ddec2b3",
-        "hist_g5_C_interfering.csv": "430aaf67f7ca04b497d25cc01f7ed00d13ee979a7fa474089df6d9d0ae3d8754",
+        "er_by_group.csv": "5407ae8be9211d0d82e1552c470ca7f746500c20fe5c3d6727af3cbbe8aff731",
+        "hist_g1_A_blocked.csv": "19e1b437c79e9dd3966c4025e9d9bc42648e32ff95870ba8cb322966feb007f2",
+        "hist_g1_A_interfering.csv": "cfa7b771d878caa0d4657e5fbc0390cdd0eebea01ffb0e6580938728cdbb0964",
+        "hist_g2_B_blocked.csv": "1419cee979e3c711041275b86a59d175a5e7c4516182d7d5afd532e4b0761556",
+        "hist_g2_B_interfering.csv": "f27e880f30eaa7aa29d3051b9b680ee0d175099540086196e3e8b412c1e825fb",
+        "hist_g3_B_blocked.csv": "56b6d7f453179cc89d8fbc8280adfba058629184decc441d51beb8f5ad155c03",
+        "hist_g3_B_interfering.csv": "e7ccf7fe51def6626744d050054bb900d0e09b875bd9479d759420aa82cc0bd8",
+        "hist_g4_C_blocked.csv": "ee6d8f8f6ab3aa0eada65b6050f53eb7f053e370e55406c3f3984409cf1d4e52",
+        "hist_g4_C_interfering.csv": "90b6d92fcf960c085d7a7ee2e515151218a192f7d8f30b9b6144b1366839ad06",
+        "hist_g5_C_blocked.csv": "214ddb4f47a06fa57586f897a4d1d679eee4a7eac0b192899f585456f5c4e425",
+        "hist_g5_C_interfering.csv": "3aa707cabaa0c2a132675d944a9b875b68932fcb15bff44a1134ef2ded70c328",
     },
     "phase_sweep": {
-        "counts_vs_phase.csv": "c86dc5732843aeedf7b41ffbd83ee52e6401137f6c05f09a50b1cd8569988cd3",
+        "counts_vs_phase.csv": "6c293888d355aba217f6b317900401c2de0c0c20ff734ee544c35c31aa97f47e",
     },
 }
 
