@@ -2,14 +2,13 @@
 
 Each detector draws its frames in spans of whole batches, one random
 stream a (detector, signal, span), keyed by the span's first batch: a span
-is one batch on the first-arrival path and in the BB84 exchange, and on
-the Poisson path the most batches that expect at most ``SPAN_CLICKS``
-clicks, so a sparse detector draws its whole run as one span.  A span
-depends on the scenario alone, so results are independent of execution
-order and reproducible from the scenario seed alone.  Photon sampling is
-efficiency-thinned at the source (Poisson splitting), which is
-statistically identical to sampling raw photons and thinning at the
-detector.
+is one batch on the first-arrival path, and on the Poisson path the most
+batches that expect at most ``SPAN_CLICKS`` clicks (``_span``), so a sparse
+detector draws its whole run as one span.  A span depends on the scenario
+alone, so results are independent of execution order and reproducible from
+the scenario seed alone.  Photon sampling is efficiency-thinned at the
+source (Poisson splitting), which is statistically identical to sampling
+raw photons and thinning at the detector.
 
 Every detector is drawn by ``_simulate_detector``; the runners only
 describe each signal's components: mean clicks per frame, from the channel
@@ -40,10 +39,11 @@ collected flux into its components in list order; a click's origin is its
 signal's position in the list.
 
 The time-bin and phase runners draw each detector once over the whole run.
-The BB84 exchange runs batch-outer: each batch draws its per-frame state
+The BB84 exchange runs span-outer, its ports' rule capped at
+``EXCHANGE_SPAN_BATCHES``: each span draws its per-frame state
 (``protocol.exchange_batches``) and Bob's ports, each with one carry (its
-blocked-until time and first-arrival tables) into the next batch, then
-decodes and sifts; only the conclusive frames outlive a batch.
+blocked-until time and first-arrival tables) into the next span, then
+decodes and sifts; only the conclusive frames outlive a span.
 """
 from __future__ import annotations
 
@@ -101,6 +101,9 @@ GUIDE_CELLS = 1 << 17
 # batches that expect at most this many, at least one, and 2^16 batches
 # for a detector that expects under a click a batch
 SPAN_CLICKS = 1 << 16
+# most batches in a BB84 exchange span, whose state holds ~1.4 bytes of
+# bit planes a frame and each port ~0.9 bytes of candidate clicks
+EXCHANGE_SPAN_BATCHES = 4
 
 
 def build_channel(scenario: Scenario) -> ChannelModel:
@@ -373,6 +376,18 @@ def _first_arrivals(root, key, components, vcfg, gate, frames, cls, carry) -> tu
     return fr[:n], t[:n], origin[:n]
 
 
+def _span(components, vcfg, gate) -> tuple[bool, int]:
+    """Whether a detector draws first arrivals, and its span in frames: one
+    batch when it does, else the most whole batches that expect at most
+    ``SPAN_CLICKS`` clicks at the top rates."""
+    window, tau = vcfg.frame_window_ps, vcfg.dead_time_ps
+    expected = sum(lam.max() if isinstance(lam, np.ndarray) else lam
+                   for comps in components for lam, _ in comps)
+    if gate != "always" and window <= tau <= window + 1 and expected >= FIRST_CLICK_DENSITY:
+        return True, BATCH
+    return False, BATCH * max(1, int(SPAN_CLICKS // max(expected * BATCH, 1)))
+
+
 def _simulate_detector(
     key: tuple,
     components: list,
@@ -384,30 +399,25 @@ def _simulate_detector(
 ) -> DetectorResult:
     """Draw, gate and dead-time veto every click of one detector in
     ``frames``, a range that starts on a batch boundary, in spans of whole
-    batches: one batch when drawing first arrivals, else as many as expect
-    at most ``SPAN_CLICKS`` clicks at the top rates.  ``components[s]``
-    lists signal ``s``'s ``(lam, placement)`` pairs: ``lam`` mean clicks per
-    frame, a float or a rate table giving frame ``frames.start + i`` the
-    rate ``lam[cls[i]]`` (``cls`` an int array or ``Planes``), and
-    ``placement`` a ``Pulse`` or ``Floor`` (see the module docstring).  A
-    caller drawing one detector batch by batch keeps one ``carry`` dict for
-    it, which this call updates: the first-arrival tables, which ``cls``
-    does not enter, are built once, every stream is drawn on one Generator,
-    ``carry["gen"]``, made at the first and re-keyed for each later one,
-    and no click is kept before the absolute time ``carry["blocked"]``, the
-    last kept click plus the dead time."""
+    batches (see ``_span``).  ``components[s]`` lists signal ``s``'s
+    ``(lam, placement)`` pairs: ``lam`` mean clicks per frame, a float or a
+    rate table giving frame ``frames.start + i`` the rate ``lam[cls[i]]``
+    (``cls`` an int array or ``Planes``), and ``placement`` a ``Pulse`` or
+    ``Floor`` (see the module docstring).  A caller drawing one detector
+    span by span keeps one ``carry`` dict for it, which this call updates:
+    the first-arrival tables, which ``cls`` does not enter, are built once,
+    every stream is drawn on one Generator, ``carry["gen"]``, made at the
+    first and re-keyed for each later one, and no click is kept before the
+    absolute time ``carry["blocked"]``, the last kept click plus the dead
+    time."""
     carry = {} if carry is None else carry
     root = RandomSource(vcfg.seed)
-    window, tau = vcfg.frame_window_ps, vcfg.dead_time_ps
-    expected = sum(lam.max() if isinstance(lam, np.ndarray) else lam
-                   for comps in components for lam, _ in comps)
-    if (gate != "always" and window <= tau <= window + 1
-            and expected >= FIRST_CLICK_DENSITY):
+    first, span = _span(components, vcfg, gate)
+    if first:
         fr, t, origin = _first_arrivals(root, key, components, vcfg, gate, frames, cls, carry)
     else:
         parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                   np.zeros(0, dtype=np.int8))]
-        span = BATCH * max(1, int(SPAN_CLICKS // max(expected * BATCH, 1)))
         for b0 in range(frames.start, frames.stop, span):
             i0, nb = b0 - frames.start, min(span, frames.stop - b0)
             pieces = _span_pieces(root, key, components, vcfg, b0, nb,
@@ -415,7 +425,7 @@ def _simulate_detector(
             parts += [(fr, t, np.full(len(fr), s, dtype=np.int8)) for s, fr, t in pieces]
         fr, t, origin = _finish_detector(parts, vcfg, gate, carry.get("blocked", 0))
     if len(fr):
-        carry["blocked"] = int(fr[-1]) * vcfg.frame_period_ps + int(t[-1]) + tau
+        carry["blocked"] = int(fr[-1]) * vcfg.frame_period_ps + int(t[-1]) + vcfg.dead_time_ps
     return DetectorResult(t_within=t, frame_idx=fr, origin=origin)
 
 
@@ -830,7 +840,7 @@ def _lazy_record(n: int, dtype) -> np.ndarray:
 def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
                   visibility_cap: float = 0.93, eve: bool = False,
                   phase_floor: float = 0.0) -> Bb84Result:
-    """Run a full BB84 exchange over phase frames, one batch at a time.
+    """Run a full BB84 exchange over phase frames, one span at a time.
 
     ``flux`` is the received mean photons per frame at Bob's input.  Each
     of Bob's two ports is a detector gated to the first half-window and
@@ -838,24 +848,27 @@ def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
     :func:`receiver.delay_interferometer_rates` over ``PHASE_TABLE``, one
     per frame class.  A port's outcome in a frame is its first click past
     the gate and the dead time; it is usable on an interior position.
-    Each port's components are built once a run.  Each batch of
-    ``protocol.exchange_batches`` is reduced to its conclusive frames,
-    Bob's bits there and its sifted key bits, written in place after the
-    previous batch's; each port's carry (its dead time and first-arrival
-    tables) goes into the next batch.  The batch's class planes go to the
-    ports as they are, and Alice's bits and bases and Bob's bases are read
-    at the conclusive frames only, each once.
+    Each port's components are built once a run.  Each span of
+    ``protocol.exchange_batches``, the ports' (``_span``) capped at
+    ``EXCHANGE_SPAN_BATCHES`` batches, is one call a port and is reduced to
+    its conclusive frames, Bob's bits there and its sifted key bits, written
+    in place after the previous span's; each port's carry (its dead time
+    and first-arrival tables) goes into the next span.  The span's class
+    planes go to the ports as they are, and Alice's bits and bases and
+    Bob's bases are read at the conclusive frames only, each once.
     """
     law = delay_interferometer_rates(
         cfg.eta * flux, cfg.d, visibility_cap, PHASE_TABLE, "none", phase_floor)
     ports = [((ROLE_PHOTONS, i), [_phase_components(cfg, law, port, "none", 0)], {})
              for i, port in enumerate(("p", "p_prime"))]
+    span = min(EXCHANGE_SPAN_BATCHES * BATCH,
+               *(_span(comps, cfg, DELTA_T1)[1] for _, comps, _ in ports))
     frames_all = _lazy_record(n_frames, np.int64)
     bits_all, key_a_all, key_b_all = (_lazy_record(n_frames, np.int8) for _ in range(3))
     n_det = n_sift = 0
-    for batch in exchange_batches(cfg.seed, n_frames, eve):
-        b0, span = batch.start, range(batch.start, batch.start + len(batch.cls))
-        usable = [_usable_frames(_simulate_detector(key, comps, cfg, DELTA_T1, span,
+    for batch in exchange_batches(cfg.seed, n_frames, eve, span):
+        b0, chunk = batch.start, range(batch.start, batch.start + len(batch.cls))
+        usable = [_usable_frames(_simulate_detector(key, comps, cfg, DELTA_T1, chunk,
                                                     batch.cls, carry), cfg) - b0
                   for key, comps, carry in ports]
         frames, bob_bits, bob_x = decode(*usable, batch.bob_x)

@@ -11,7 +11,7 @@ themselves are drawn by ``pipeline.simulate_bb84``; this module holds the
 per-frame state, the encoding table, decoding, sifting, the finite-key
 bound and the transcript.
 
-Per-frame state lives one batch at a time as bit planes: ``exchange_batches``
+Per-frame state lives one span at a time as bit planes: ``exchange_batches``
 draws each stream's raw 64-bit Philox words, 64 draws to a word (draw
 ``i`` of a stream is bit ``i % 64`` of word ``i // 64``, least significant
 first), and builds the frame class, which indexes the eight values of
@@ -20,8 +20,7 @@ phi_a + phi_b in ``PHASE_TABLE``, as three more planes of words with
 reads classes at its candidate frames, decoding and sifting read bits and
 bases at the conclusive frames, and only the dense first-arrival path and
 the transcript unpack a batch (``Planes.unpack``).  The exchange reduces each
-batch to its conclusive frames, and the transcript draws the state again
-the same way.
+span to its conclusive frames, and the transcript draws the state again.
 
 Port convention: port P carries the ``1 + V cos(phi_a + phi_b)`` lobe.  A
 matched-basis bit 0 therefore lights port P in the X basis but port P' in
@@ -138,28 +137,31 @@ def _generator_at(source: RandomSource, k: int) -> np.random.Generator:
     return gen
 
 
-def exchange_batches(seed: int, n_frames: int, eve: bool) -> Iterator[FrameBatch]:
-    """Draw the exchange's state one ``BATCH`` of frames at a time.
+def exchange_batches(seed: int, n_frames: int, eve: bool,
+                     span: int = BATCH) -> Iterator[FrameBatch]:
+    """Draw the exchange's state ``span`` frames at a time.
 
-    The draws are those of whole-run streams: Alice's stream yields every
-    bit and then her basis coins, Eve's stream her coins and then her bits,
-    Bob's stream his coins.  ``n`` coins or bits take ``ceil(n / 64)`` raw
-    words, so a second generator on Alice's and Eve's key starts
-    ``ceil(n_frames / 64)`` words in, at the later part; every batch but the
-    last is a multiple of 64 frames and takes whole words.  An
-    intercept-resend Eve measures in a random basis; where it differs from
-    Alice's she re-sends a uniformly random state of her own basis.  The
-    class planes are Bob's Z, the sent Z and the sent bit: ``4 * sent bit +
-    2 * (sent basis Z) + (Bob measures Z)``.
+    The draws are those of whole-run streams, the same whatever the span:
+    Alice's stream yields every bit and then her basis coins, Eve's stream
+    her coins and then her bits, Bob's stream his coins.  ``n`` coins or
+    bits take ``ceil(n / 64)`` raw words, so a second generator on Alice's
+    and Eve's key starts ``ceil(n_frames / 64)`` words in, at the later
+    part; ``span`` is a multiple of 64, so every chunk but the last takes
+    whole words.  An intercept-resend Eve measures in a random basis; where
+    it differs from Alice's she re-sends a uniformly random state of her
+    own basis.  The class planes are Bob's Z, the sent Z and the sent bit:
+    ``4 * sent bit + 2 * (sent basis Z) + (Bob measures Z)``.
     """
+    if span <= 0 or span % 64:
+        raise ValueError(f"span must be a positive multiple of 64 frames, not {span}")
     root = RandomSource(seed)
     alice, eve_src = root.stream(ROLE_ALICE), root.stream(ROLE_EVE)
     words = -(-n_frames // 64)
     gen_bits, gen_alice_x = alice.generator(), _generator_at(alice, words)
     gen_eve_x, gen_eve_bits = eve_src.generator(), _generator_at(eve_src, words)
     gen_bob_x = root.stream(ROLE_BOB).generator()
-    for b0 in range(0, n_frames, BATCH):
-        nb = min(BATCH, n_frames - b0)
+    for b0 in range(0, n_frames, span):
+        nb = min(span, n_frames - b0)
         bits, alice_x, bob_x = (_words(gen, nb) for gen in (gen_bits, gen_alice_x, gen_bob_x))
         eve_x = eve_bits = None
         cls = np.empty((3, len(bits)), np.uint64)

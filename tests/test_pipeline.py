@@ -513,9 +513,11 @@ class TestFoldAcrossBatches:
         return dets, sum(drawn), sum(firsts), len(builds)
 
     def _check(self, monkeypatch, sc, density):
-        # the time-bin runner draws each detector over the whole run, the
-        # BB84 exchange each port once a batch; windows are the pulse slots
-        # of both halves
+        # the time-bin runner draws each detector over the whole run; the
+        # BB84 exchange draws a first-arrival port once a batch and a
+        # Poisson-path port once a span of several, so each detector's
+        # clicks are pooled by key on both sides; windows are the pulse
+        # slots of both halves
         vcfg = sc.validated()
         slots = np.arange(vcfg.d + 1) * vcfg.pulse_period_ps
         edges = np.concatenate([slots, vcfg.frame_window_ps + slots, [vcfg.frame_period_ps]])
@@ -528,12 +530,15 @@ class TestFoldAcrossBatches:
             assert builds == len({key for key, _ in got})  # once a detector a run
             frames = np.concatenate([det.frame_idx for _, det in got])
             assert np.unique(frames // BATCH).tolist() == [0, 1, 2]
-            for (key, a), (key_ref, b) in zip(got, ref, strict=True):
-                assert key == key_ref
-                assert (np.diff(a.frame_idx) > 0).all()  # one click a frame at most
-                for field in ("t_within", "frame_idx", "origin"):
-                    assert getattr(a, field).dtype == getattr(b, field).dtype
-                for side, det in enumerate((a, b)):
+            keys = list(dict.fromkeys(key for key, _ in got))
+            assert keys == list(dict.fromkeys(key for key, _ in ref))
+            for key in keys:  # one click a frame at most
+                pooled = np.concatenate([det.frame_idx for k, det in got if k == key])
+                assert (np.diff(pooled) > 0).all()
+            for field in ("t_within", "frame_idx", "origin"):
+                assert len({getattr(det, field).dtype for _, det in got + ref}) == 1
+            for side, dets in enumerate((got, ref)):
+                for key, det in dets:
                     k = np.searchsorted(edges, det.t_within, side="right") - 1
                     cell = counts.setdefault((key, side),
                                              np.zeros((len(edges) - 1, 3), np.int64))
@@ -646,6 +651,45 @@ class TestPoissonSpans:
         opened = _opened_streams(monkeypatch)
         run_scenario(load_scenario(SCENARIOS / "phase_er.ini"))
         assert len(opened) <= 32
+
+
+class TestExchangeSpans:
+    """The BB84 exchange draws Bob's ports with one call a port a span: one
+    batch for a first-arrival port, and on the Poisson path the ports' rule
+    capped at four batches, where a port's stream is keyed by the span's
+    first batch."""
+
+    N = 5 * BATCH + 37
+
+    # a canned port expects ~0.02 clicks a frame, so its rule alone would
+    # span ~45 batches and the cap binds
+    @pytest.mark.parametrize("density,batches", [(0.0, 1), (math.inf, 4)])
+    def test_calls_per_port(self, monkeypatch, density, batches):
+        calls, sim = [], pipeline._simulate_detector
+
+        def traced(key, components, vcfg, gate, frames, *rest):
+            calls.append((key, frames))
+            return sim(key, components, vcfg, gate, frames, *rest)
+
+        monkeypatch.setattr(pipeline, "FIRST_CLICK_DENSITY", density)
+        monkeypatch.setattr(pipeline, "_simulate_detector", traced)
+        opened = _opened_streams(monkeypatch)
+        run_scenario(load_scenario(SCENARIOS / "bb84.ini").with_overrides(n_frames=self.N))
+        span = batches * BATCH
+        want = [range(b0, min(b0 + span, self.N)) for b0 in range(0, self.N, span)]
+        for port in ((ROLE_PHOTONS, 0), (ROLE_PHOTONS, 1)):
+            assert [frames for key, frames in calls if key == port] == want
+            if batches > 1:  # one stream a span, keyed by its first batch
+                assert [sid[2:] for sid in opened if sid[:2] == port] == [
+                    (0, b0 // BATCH) for b0 in range(0, self.N, span)]
+
+    def test_bb84_eve_opens_few_streams(self, monkeypatch):
+        # the exchange's five streams and one a port a span of four
+        # batches: 43 at 4.8 M frames, where one a port a batch opened 153
+        opened = _opened_streams(monkeypatch)
+        run_scenario(load_scenario(SCENARIOS / "bb84_eve.ini").with_overrides(
+            n_frames=4_800_000))
+        assert len(opened) <= 48
 
 
 class TestBb84KeyRate:

@@ -373,6 +373,28 @@ class TestStreamSplit:
         np.testing.assert_array_equal(res.key_b, key_b)
         assert res.qber == qber
 
+    @pytest.mark.parametrize("eve", [False, True])
+    @pytest.mark.parametrize("n", [1, 64, BATCH + 1, 5 * BATCH + 37])
+    def test_spans_give_the_same_state(self, n, eve):
+        # whole-run streams: the state is the same whatever the span
+        def planes(span, name):
+            chunks = list(exchange_batches(9, n, eve, span))
+            assert [b.start for b in chunks] == list(range(0, n, span))
+            got = [getattr(b, name) for b in chunks]
+            return None if got[0] is None else np.concatenate([p.unpack() for p in got])
+
+        for name in ("bits", "alice_x", "eve_x", "eve_bits", "bob_x", "cls"):
+            one, four = planes(BATCH, name), planes(4 * BATCH, name)
+            if not eve and name.startswith("eve"):
+                assert one is four is None
+            else:
+                np.testing.assert_array_equal(one, four)
+
+    @pytest.mark.parametrize("span", [0, 1, 63, 100, BATCH + 32])
+    def test_span_off_whole_words_raises(self, span):
+        with pytest.raises(ValueError, match="multiple of 64"):
+            next(exchange_batches(9, BATCH, False, span))
+
     def test_dead_time_carried_across_batches(self, cfg):
         # a click late in each batch's last frame blocks the first 49 ns of
         # the next batch, where every other frame's clicks land at 10 ns
