@@ -106,8 +106,19 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_values(raw: str) -> list[float]:
-    vals = [float(v) for v in raw.split(",") if v.strip() != ""]
+def _sweep_values(raw: str, param: str) -> list[float]:
+    """The comma-separated ``raw`` as floats, each checked before the first
+    row is computed: text that is not a number, or a ``keyrate_n`` that is
+    not a whole block size, is a configuration error naming ``param``."""
+    vals = []
+    for text in filter(str.strip, raw.split(",")):
+        try:
+            v = float(text)
+        except ValueError:
+            raise ConfigError(f"{param} values must be numbers, got {text.strip()!r}") from None
+        if param == "keyrate_n" and not (v.is_integer() and v >= 1):  # NaN and inf fail
+            raise ConfigError(f"keyrate_n must be an integer >= 1, got {v:g}")
+        vals.append(v)
     if not vals:
         raise ConfigError("empty sweep value list")
     return vals
@@ -129,7 +140,7 @@ def cmd_sweep(args) -> int:
     param = args.param
     if param not in SWEEP_SIM_KEYS + SWEEP_EXP_KEYS + SWEEP_SPECIAL:
         raise ConfigError(f"unknown sweep parameter {param!r}")
-    values = _sweep_values(args.values)
+    values = _sweep_values(args.values, param)
     out_dir = Path(args.out) if args.out else _default_out(scenario.name, "sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -4,16 +4,13 @@ All times are carried as integer picoseconds.  The 25 ps histogram bins and
 1540 ps pulse periods are exactly representable, so histogram binning never
 accumulates float drift.  Random numbers come from counter-based Philox
 streams keyed by (seed, role, signal, batch) so that per-frame work is
-order-independent and reproducible under any batching.  Each key is numpy's
-``SeedSequence`` key, written out here and checked against numpy by the
-tests, so a detector opens each stream by re-keying one Generator.
+order-independent and reproducible under any batching.  Each stream is
+numpy's ``SeedSequence(entropy=seed, spawn_key=ids)`` keying a Philox.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
@@ -177,67 +174,6 @@ ROLE_EVE = 4
 ROLE_BOB = 5
 
 
-# numpy's SeedSequence at its pool of four 32-bit words, written out
-_MASK = 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _uint32_words(n: int) -> list:
-    """``n``'s 32-bit words, least significant first (0 is one word)."""
-    if n < 0:  # numpy raises here too; the words would build a wrong key
-        raise ValueError(f"stream keys take non-negative ints, got {n}")
-    return [n >> i & _MASK for i in range(0, max(n.bit_length(), 1), 32)]
-
-
-def _hashmix(value: int, h: int) -> tuple:
-    value = (value ^ h) * (h := h * _MULT_A & _MASK) & _MASK
-    return value ^ value >> 16, h
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_L * x - _MIX_R * y) & _MASK
-    return r ^ r >> 16
-
-
-def _mixed(pool, h: int, words) -> tuple:
-    """The pool and hash constant after each of ``words`` is mixed into every
-    pool word."""
-    pool = list(pool)
-    for w in words:
-        for d in range(4):
-            x, h = _hashmix(w, h)
-            pool[d] = _mix(pool[d], x)
-    return tuple(pool), h
-
-
-@lru_cache(maxsize=1024)
-def _pool(seed: int, ids: tuple) -> tuple:
-    """The mixed pool and hash constant of ``SeedSequence(entropy=seed,
-    spawn_key=ids)``, each id's words mixed in after the seed's."""
-    if ids:
-        return _mixed(*_pool(seed, ids[:-1]), _uint32_words(ids[-1]))
-    words, pool, h = _uint32_words(seed), [], _INIT_A
-    for w in (words + [0] * 3)[:4]:  # the first four words, zeros past the end
-        w, h = _hashmix(w, h)
-        pool.append(w)
-    for s, d in permutations(range(4), 2):  # each pool word into every other
-        x, h = _hashmix(pool[s], h)
-        pool[d] = _mix(pool[d], x)
-    return _mixed(pool, h, words[4:])
-
-
-def _philox_key(seed: int, ids: tuple) -> tuple:
-    """``SeedSequence(entropy=seed, spawn_key=ids).generate_state(2,
-    np.uint64)`` as two ints; only the last id is mixed per call."""
-    pool, _ = _pool.__wrapped__(seed, ids)  # uncached: the cache holds the prefixes
-    h, key = _INIT_B, 0
-    for i, w in enumerate(pool):
-        w = (w ^ h) * (h := h * _MULT_B & _MASK) & _MASK
-        key |= (w ^ w >> 16) << 32 * i
-    return key & (1 << 64) - 1, key >> 64
-
-
 @dataclass(frozen=True)
 class RandomSource:
     """Counter-based random stream factory.
@@ -245,27 +181,22 @@ class RandomSource:
     Identical ``(seed, stream_id)`` pairs always produce identical draw
     sequences; distinct stream ids give statistically independent streams.
     Stream ids are tuples of small ints, conventionally
-    ``(role, signal_index, batch_index)``.  Re-keying a Generator to a
-    stream takes ~8 us, where a new SeedSequence, Philox and Generator take
-    ~19 us (best of nine timings on one Xeon core).
+    ``(role, signal_index, batch_index)``.  A stream is numpy's
+    ``SeedSequence(entropy=seed, spawn_key=stream_id)`` keying a Philox.
+    Opening one takes ~27 us (best of nine timings on one Xeon core), and a
+    canned run opens 12 to 43.
     """
 
     seed: int
     stream_id: tuple = (0,)
 
-    def generator(self, gen: np.random.Generator | None = None) -> np.random.Generator:
-        """A new Generator at the start of this stream or, given ``gen``,
-        ``gen`` with its Philox reset there in place, no half-word buffered."""
-        key = _philox_key(self.seed, self.stream_id)
-        if gen is None:  # a uint64 array: Python ints would round through float
-            return np.random.Generator(np.random.Philox(key=np.array(key, np.uint64)))
-        gen.bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        return gen
+    def generator(self) -> np.random.Generator:
+        """A new Generator at the start of this stream."""
+        seq = np.random.SeedSequence(self.seed, spawn_key=self.stream_id)
+        return np.random.Generator(np.random.Philox(seq))
 
     def stream(self, *ids: int) -> "RandomSource":
-        return RandomSource(self.seed, self.stream_id[:0] + tuple(ids))
+        return RandomSource(self.seed, tuple(ids))
 
 
 @dataclass(frozen=True)

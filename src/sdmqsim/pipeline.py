@@ -281,13 +281,13 @@ def _pulse_center(vcfg, offset, slot):
     return offset + slot * vcfg.pulse_period_ps + vcfg.pulse_period_ps // 2
 
 
-def _span_pieces(root, key, components, vcfg, b0, nb, cls, carry):
+def _span_pieces(root, key, components, vcfg, b0, nb, cls):
     """Yield ``(sig_pos, frames, t)`` for each piece of the span of frames
-    ``b0 .. b0+nb``, of classes ``cls``: stream ``(*key, s, b0 // BATCH)``,
-    on ``carry``'s Generator, draws signal ``s``'s components in list
-    order, the frames (sorted) and then their within-frame times."""
+    ``b0 .. b0+nb``, of classes ``cls``: stream ``(*key, s, b0 // BATCH)``
+    draws signal ``s``'s components in list order, the frames (sorted) and
+    then their within-frame times."""
     for sig_pos, comps in enumerate(components):
-        gen = carry["gen"] = root.stream(*key, sig_pos, b0 // BATCH).generator(carry.get("gen"))
+        gen = root.stream(*key, sig_pos, b0 // BATCH).generator()
         for lam, placement in comps:
             frames = b0 + _poisson_frames(gen, lam, nb, cls)
             if len(frames):
@@ -335,9 +335,9 @@ def _arrival_tables(components, vcfg, gate) -> tuple:
 
 def _first_arrivals(root, key, components, vcfg, gate, frames, cls, carry) -> tuple:
     """Each frame's first gated click in ``frames``, of classes ``cls``: one
-    uniform a frame from stream ``(*key, batch)``, on ``carry``'s Generator,
-    inverts the ``cdf`` of the frame's class (see ``_arrival_tables``, kept
-    in ``carry``), and one more a click picks its origin."""
+    uniform a frame from stream ``(*key, batch)`` inverts the ``cdf`` of the
+    frame's class (see ``_arrival_tables``, kept in ``carry``), and one more
+    a click picks its origin."""
     if "tables" not in carry:
         carry["tables"] = _arrival_tables(components, vcfg, gate)
     tables, inverse = carry["tables"]
@@ -348,7 +348,7 @@ def _first_arrivals(root, key, components, vcfg, gate, frames, cls, carry) -> tu
     fr, t, origin = (np.empty(len(frames), dtype=dt) for dt in (np.int64, np.int64, np.int8))
     n = 0
     for b0 in range(frames.start, frames.stop, BATCH):
-        gen = carry["gen"] = root.stream(*key, b0 // BATCH).generator(carry.get("gen"))
+        gen = root.stream(*key, b0 // BATCH).generator()
         u = gen.random(min(BATCH, frames.stop - b0))
         if multi:  # the table of each frame's class
             row = cls[b0 - frames.start:b0 - frames.start + len(u)]
@@ -406,10 +406,8 @@ def _simulate_detector(
     ``Floor`` (see the module docstring).  A caller drawing one detector
     span by span keeps one ``carry`` dict for it, which this call updates:
     the first-arrival tables, which ``cls`` does not enter, are built once,
-    every stream is drawn on one Generator, ``carry["gen"]``, made at the
-    first and re-keyed for each later one, and no click is kept before the
-    absolute time ``carry["blocked"]``, the last kept click plus the dead
-    time."""
+    and no click is kept before the absolute time ``carry["blocked"]``, the
+    last kept click plus the dead time."""
     carry = {} if carry is None else carry
     root = RandomSource(vcfg.seed)
     first, span = _span(components, vcfg, gate)
@@ -421,7 +419,7 @@ def _simulate_detector(
         for b0 in range(frames.start, frames.stop, span):
             i0, nb = b0 - frames.start, min(span, frames.stop - b0)
             pieces = _span_pieces(root, key, components, vcfg, b0, nb,
-                                   None if cls is None else cls[i0:i0 + nb], carry)
+                                   None if cls is None else cls[i0:i0 + nb])
             parts += [(fr, t, np.full(len(fr), s, dtype=np.int8)) for s, fr, t in pieces]
         fr, t, origin = _finish_detector(parts, vcfg, gate, carry.get("blocked", 0))
     if len(fr):

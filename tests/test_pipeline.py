@@ -568,12 +568,12 @@ class TestFoldAcrossBatches:
 
 
 def _opened_streams(monkeypatch) -> list:
-    """The stream ids of every Generator opened or re-keyed from now on."""
+    """The stream ids of every Generator opened from now on."""
     opened, generator = [], RandomSource.generator
 
-    def traced(self, gen=None):
+    def traced(self):
         opened.append(self.stream_id)
-        return generator(self, gen)
+        return generator(self)
 
     monkeypatch.setattr(RandomSource, "generator", traced)
     return opened

@@ -744,6 +744,24 @@ class TestCliSweep:
         ])
         assert rc == 2
 
+    # every value is checked before the first row: a block size must be a
+    # whole number >= 1, and any value a number
+    @pytest.mark.parametrize("param,values,message", [
+        ("keyrate_n", "inf", "keyrate_n must be an integer >= 1, got inf"),
+        ("keyrate_n", "0", "keyrate_n must be an integer >= 1, got 0"),
+        ("keyrate_n", "nan", "keyrate_n must be an integer >= 1, got nan"),
+        ("keyrate_n", "1e3,1.5", "keyrate_n must be an integer >= 1, got 1.5"),
+        ("keyrate_n", "abc", "keyrate_n values must be numbers, got 'abc'"),
+        ("eta", "0.1,abc", "eta values must be numbers, got 'abc'"),
+    ])
+    def test_bad_value_exit_2(self, tmp_path, capsys, param, values, message):
+        out = tmp_path / "x"
+        rc = main(["sweep", str(SCENARIOS / "bb84.ini"), "--param", param,
+                   "--values", values, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
 
 class TestGoldenReports:
     """Each canned scenario at its pinned seed and frame count reproduces
