@@ -47,13 +47,14 @@ print(f"  fiber-input reference, group 1: "
 # photon-counting crosstalk at the single-photon level matches the
 # power-level table (random mode coupling is ergodic)
 print("\n== single-photon crosstalk check, input group 1 ==")
-from sdmqsim.pipeline import _timebin_detector
+from sdmqsim.pipeline import _cell_edges, _detector_cells, _timebin_law
 
 n = 100_000
 vcfg = validate_config(SimConfig(mu_in=2.5, dead_time_ps=0, seed=7))
 sig = SignalAssignment("A", input_group=1, fixed_slot=10)
 counts = np.array([
-    len(_timebin_detector(vcfg, channel, [sig], (ROLE_PHOTONS, g), (g,), "always", n).t_within)
+    _detector_cells((ROLE_PHOTONS, g), _timebin_law(vcfg, channel, [sig], (g,)), vcfg, "always",
+                    n, _cell_edges(vcfg, [])).count(0, vcfg.frame_period_ps)
     for g in range(1, 6)
 ], dtype=float)
 print("  counted fractions:", np.round(counts / counts.sum(), 4))

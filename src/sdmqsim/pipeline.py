@@ -1,45 +1,38 @@
 """End-to-end scenario runners.
 
-Each detector draws its frames in spans of whole batches, one random
-stream a (detector, signal, span), keyed by the span's first batch: a span
-is one batch on the first-arrival path, and on the Poisson path the most
-batches that expect at most ``SPAN_CLICKS`` clicks (``_span``), so a sparse
-detector draws its whole run as one span.  A span depends on the scenario
-alone, so results are independent of execution order and reproducible from
-the scenario seed alone.  Photon sampling is efficiency-thinned at the
-source (Poisson splitting), which is statistically identical to sampling
-raw photons and thinning at the detector.
-
-Every detector is drawn by ``_simulate_detector``; the runners only
-describe each signal's components: mean clicks per frame, from the channel
-and (for phase frames) ``receiver.delay_interferometer_rates``, and where
-they land, as data: a jittered ``Pulse`` or a uniform ``Floor``, each with
-its per-ps law (``runs``).  A rate that differs from frame to frame (Bob's
-ports in BB84) is a rate table indexed by the frame class, and the frames'
-classes, an int array or ``protocol.Planes``, go to the detector once: the
-sampler thins from the table's top rate and reads the classes at its
-candidate frames, and only the first-arrival draw unpacks them.
+The runners describe each signal that reaches a detector as components:
+mean clicks per frame, from the channel and (for phase frames)
+``receiver.delay_interferometer_rates``, and where they land, as data: a
+jittered ``Pulse`` or a uniform ``Floor``, each with its per-ps law
+(``runs``).  A rate that differs from frame to frame (Bob's ports in BB84)
+is a rate table indexed by the frame class, and the frames' classes, an
+int array or ``protocol.Planes``, go to the detector once: the sampler
+thins from the table's top rate and reads the classes at its candidate
+frames, and only the first-arrival draw unpacks them.  A click's origin is
+its signal's position in the detector's list.
 
 A ``dt1``/``dt2`` detector with the dead time nested in the blank half
-keeps each frame's first gated click (see receiver).  From
-``FIRST_CLICK_DENSITY`` expected clicks a frame, that click is drawn from
-its law, one uniform a frame: the frame clicks with probability ``1 -
-e^{-C}``, ``C`` its mean gated clicks, and the click's ps inverts the
-cumulative intensity (the time change of an inhomogeneous Poisson
-process: E. Cinlar, Introduction to Stochastic Processes, 1975).  Other
-detectors draw every click, O(events) at the ~0.002 events per
-detector-frame of the phase experiments (``_poisson_frames``), then gate,
-sort and walk them.
+keeps each frame's first gated click (see receiver), so its frames are
+i.i.d.: a frame clicks with probability ``1 - e^{-C}``, ``C`` its mean
+gated clicks.  From ``FIRST_CLICK_DENSITY`` expected clicks a frame such a
+detector is drawn from that law.  Other detectors draw every click,
+O(events) at the ~0.002 events per detector-frame of the phase experiments
+(``_poisson_frames``), then gate, sort and walk them, in spans of the most
+whole batches that expect at most ``SPAN_CLICKS`` clicks (``_span``), one
+random stream a (detector, signal, span).  Photon sampling is
+efficiency-thinned at the source (Poisson splitting), which is
+statistically identical to sampling raw photons and thinning at the
+detector.  Streams depend on the scenario alone, so results are
+reproducible from its seed.
 
-``run_scenario`` checks the configuration and builds the channel once a
-run.  A runner names the signals that reach each detector as a plain list
-(a subset, or capacity's single flat-loss signal) and draws it through
-``_timebin_detector`` or ``_phase_detector``, which turn each signal's
-collected flux into its components in list order; a click's origin is its
-signal's position in the list.
-
-The time-bin and phase runners draw each detector once over the whole run.
-The BB84 exchange runs span-outer, its ports' rule capped at
+The time-bin and phase runners declare the ps edges of every window they
+read (``_cell_edges``) and draw each detector once over the whole run into
+``Cells``: per-origin counts between those edges, and histogram bins where
+read (``_detector_cells``).  A first-arrival detector's counts are one draw
+from stream ``(*key, 0)``, with no per-click array
+(``_first_click_counts``).  Only BB84's ports draw each frame's first
+arrival (``_first_arrivals``), since the exchange needs frame identity.
+The exchange runs span-outer, its ports' rule capped at
 ``EXCHANGE_SPAN_BATCHES``: each span draws its per-frame state
 (``protocol.exchange_batches``) and Bob's ports, each with one carry (its
 blocked-until time and first-arrival tables) into the next span, then
@@ -77,6 +70,7 @@ from .protocol import (
     sift,
 )
 from .receiver import (
+    Histogram,
     dead_time_mask,
     delay_interferometer_rates,
     gate_mask,
@@ -164,11 +158,27 @@ class DetectorResult:
     frame_idx: np.ndarray
     origin: np.ndarray  # the signal's position in the detector's signal list
 
-    def counts_in(self, lo_ps: int, hi_ps: int, origin: int | None = None) -> int:
-        mask = (self.t_within >= lo_ps) & (self.t_within < hi_ps)
-        if origin is not None:
-            mask &= self.origin == origin
-        return int(np.sum(mask))
+
+@dataclass
+class Cells:
+    """Accepted clicks of one detector over its run: ``before[s, i]`` of
+    signal ``s`` before ``edges[i]``, the sorted distinct ps edges of the
+    windows its runner reads, and all of them in ``histogram``'s bins where
+    the runner reads those."""
+
+    edges: np.ndarray
+    before: np.ndarray
+    histogram: Histogram | None = None
+
+    def count(self, lo, hi, origin: int | None = None) -> int:
+        """Clicks of ``origin`` (of every signal if None) in the windows
+        ``[lo, hi)``, ps or arrays of ps, summed.  Every bound must be a
+        cell edge, and no window may be reversed."""
+        ij = np.searchsorted(self.edges, (lo, hi))
+        if (self.edges.take(ij, mode="clip") != (lo, hi)).any() or (ij[1] < ij[0]).any():
+            raise ValueError(f"windows [{lo}, {hi}) ps do not lie on cell edges")
+        before = self.before.sum(axis=0) if origin is None else self.before[origin]
+        return int((before[ij[1]] - before[ij[0]]).sum())
 
 
 @dataclass
@@ -294,6 +304,27 @@ def _span_pieces(root, key, components, vcfg, b0, nb, cls):
                 yield sig_pos, frames, placement.times(gen, len(frames), vcfg)
 
 
+def _prefix_law(laws, g0, out) -> np.ndarray:
+    """Fill ``out``, one row a signal over the ps ``g0 ..``, with the mean
+    clicks at each ps of signals ``0 .. s`` (row ``s``); ``laws[s]`` lists
+    signal ``s``'s components as ``(rate, runs)``, ``runs`` the per-ps law.
+    Written before it is read, so each page faults in once, not twice."""
+    out.fill(0.0)
+    for row, comps in zip(out, laws):
+        for rate, runs in comps:
+            _add_runs(row, runs, rate, g0)
+    for s in range(1, len(out)):
+        out[s] += out[s - 1]
+    return out
+
+
+@lru_cache(maxsize=1)
+def _work(shape: tuple) -> np.ndarray:
+    """A float buffer that a run's first-click laws are built in one after
+    another, so that its pages fault in once, not once a detector."""
+    return np.empty(shape)
+
+
 def _arrival_tables(components, vcfg, gate) -> tuple:
     """``(total, cdf, guide, scale, cuts)`` over a detector's gated half, one
     per distinct row of its rate tables, and the map from a frame class to
@@ -311,14 +342,10 @@ def _arrival_tables(components, vcfg, gate) -> tuple:
                               return_inverse=True)
     tables = []
     for class_rates in map(iter, rows):
-        # written before it is read, so each page faults in once, not twice
-        lam = np.full((len(components), window), 0.0)
-        for row, comps in zip(lam, laws):
-            for rate, runs in comps:
-                rate = next(class_rates) if isinstance(rate, np.ndarray) else rate
-                _add_runs(row, runs, rate, g0)
-        for s in range(1, len(lam)):
-            lam[s] += lam[s - 1]
+        # each table keeps its rows, so none is built in the shared buffer
+        lam = _prefix_law([[(next(class_rates) if isinstance(rate, np.ndarray) else rate, runs)
+                            for rate, runs in comps] for comps in laws],
+                          g0, np.empty((len(components), window)))
         cdf = np.cumsum(lam[-1])
         np.negative(np.expm1(np.negative(cdf, out=cdf), out=cdf), out=cdf)
         scale = GUIDE_CELLS / cdf[-1] if cdf[-1] else 0.0
@@ -376,6 +403,40 @@ def _first_arrivals(root, key, components, vcfg, gate, frames, cls, carry) -> tu
     return fr[:n], t[:n], origin[:n]
 
 
+def _first_click_counts(root, key, components, vcfg, gate, n, edges) -> np.ndarray:
+    """Counts of the first gated clicks of ``n`` i.i.d. frames per origin
+    and cell between ``edges``, one draw from stream ``(*key, 0)``:
+    Binomial(n, 1 - e^{-C}) frames click, and a multinomial splits them by
+    the exact mass ``sum_{t in cell} e^{-C(<t)} (1 - e^{-L_s(t)})``,
+    differenced over ``s`` (``L_s`` as in ``_arrival_tables``)."""
+    window, signals = vcfg.frame_window_ps, len(components)
+    g0 = window if gate == DELTA_T2 else 0
+    work = _work((signals + 1, window))
+    lam, surv = work[:signals], work[signals]
+    _prefix_law([[(rate, placement.runs(vcfg)) for rate, placement in comps]
+                 for comps in components], g0, lam)
+    surv[0] = 0.0
+    np.cumsum(lam[-1, :-1], out=surv[1:])  # C(<t)
+    p_click = -math.expm1(-(surv[-1] + lam[-1, -1]))
+    np.exp(np.negative(surv, out=surv), out=surv)
+    np.expm1(np.negative(lam, out=lam), out=lam)  # -(1 - e^{-L_s})
+    for s in range(signals - 1, 0, -1):
+        lam[s] -= lam[s - 1]
+    lam *= surv  # minus each origin's mass a ps
+    # the cells the gated half overlaps are contiguous: each sum runs to
+    # the next one's start
+    pos = np.clip(edges - g0, 0, window)
+    inside = np.flatnonzero(pos[1:] > pos[:-1])
+    mass = np.zeros((signals, len(edges) - 1))
+    mass[:, inside] = np.add.reduceat(lam, pos[inside], axis=1)
+    np.maximum(np.negative(mass, out=mass), 0.0, out=mass)
+    gen = root.stream(*key, 0).generator()
+    clicks = gen.binomial(n, p_click)
+    if not clicks:
+        return np.zeros(mass.shape, dtype=np.int64)
+    return gen.multinomial(clicks, mass.ravel() / mass.sum()).reshape(mass.shape)
+
+
 def _span(components, vcfg, gate) -> tuple[bool, int]:
     """Whether a detector draws first arrivals, and its span in frames: one
     batch when it does, else the most whole batches that expect at most
@@ -427,6 +488,30 @@ def _simulate_detector(
     return DetectorResult(t_within=t, frame_idx=fr, origin=origin)
 
 
+def _detector_cells(key, components, vcfg, gate, n, edges, histogram=False) -> Cells:
+    """One detector's accepted clicks over ``n`` frames as ``Cells`` between
+    ``edges`` (see ``_cell_edges``), with a histogram if asked.  On the
+    first-arrival path they are drawn as counts between both kinds of edge;
+    on the Poisson path the clicks of ``_simulate_detector`` are sorted by
+    origin, then ps, and each origin's edges found in them."""
+    signals, period = len(components), vcfg.frame_period_ps
+    if not _span(components, vcfg, gate)[0]:
+        det = _simulate_detector(key, components, vcfg, gate, range(n))
+        click = np.multiply(det.origin, period, dtype=np.int64) + det.t_within
+        click.sort()
+        at = np.searchsorted(click, np.add.outer(np.arange(signals) * period, edges).ravel())
+        at = at.reshape(signals, -1)
+        return Cells(edges, at - at[:, :1],
+                     histogram_from_times(det.t_within, vcfg) if histogram else None)
+    fine = (_cell_edges(vcfg, [edges, np.arange(0, period, vcfg.hist_res_ps)])
+            if histogram else edges)
+    counts = _first_click_counts(RandomSource(vcfg.seed), key, components, vcfg, gate, n, fine)
+    before = np.zeros((signals, len(fine)), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=before[:, 1:])
+    return Cells(edges, before[:, np.searchsorted(fine, edges)],
+                 histogram_from_times(fine[:-1], vcfg, counts.sum(axis=0)) if histogram else None)
+
+
 def _finish_detector(parts, vcfg, gate, blocked=0) -> tuple:
     """Gate, time-sort and dead-time walk held ``(frames, t, origin)`` pieces
     to clicks, none before the absolute time ``blocked``."""
@@ -450,16 +535,16 @@ def _timebin_components(vcfg, lam, f, offset, slot) -> tuple:
     return (lam * (1 - f), Pulse(_pulse_center(vcfg, offset, slot))), (lam * f, Floor(offset))
 
 
-def _timebin_detector(vcfg, channel, signals, key, groups, gate, n) -> DetectorResult:
-    """Clicks over ``n`` frames of one detector watching ``groups``, drawn
-    from the time-bin slot of each of ``signals``, in their order."""
+def _timebin_law(vcfg, channel, signals, groups) -> list:
+    """The components of one detector watching ``groups``: the time-bin slot
+    of each of ``signals``, in their order."""
     components = []
     for sig in signals:
         ext = sig.im_extinction if sig.im_extinction is not None else vcfg.im_extinction
         lam = _collected_flux(vcfg, channel, sig, groups) * vcfg.eta
         components.append(_timebin_components(vcfg, lam, floor_fraction(vcfg.d, ext),
                                                sig.offset_ps(vcfg), sig.fixed_slot))
-    return _simulate_detector(key, components, vcfg, gate, range(n))
+    return components
 
 
 def _phase_components(vcfg, rates, port, arm, offset) -> tuple:
@@ -481,11 +566,10 @@ def _phase_components(vcfg, rates, port, arm, offset) -> tuple:
     )
 
 
-def _phase_detector(vcfg, channel, signals, key, groups, gate, n, exp, phi_total,
-                    arm) -> DetectorResult:
-    """Clicks over ``n`` frames of one detector on port P behind the delay
-    interferometer, watching ``groups``, drawn from ``signals`` in their
-    order, at ``exp``'s visibility cap and phase floor.
+def _phase_law(vcfg, channel, signals, groups, exp, phi_total, arm) -> list:
+    """The components of one detector on port P behind the delay
+    interferometer, watching ``groups``: ``signals`` in their order, at
+    ``exp``'s visibility cap and phase floor.
 
     ``phi_total`` is phi_a + phi_b; every contributing train carries the
     same transmitted differential phase, and each photon self-interferes
@@ -497,7 +581,7 @@ def _phase_detector(vcfg, channel, signals, key, groups, gate, n, exp, phi_total
         rates = delay_interferometer_rates(lam, vcfg.d, exp.visibility_cap, phi_total, arm,
                                            exp.phase_floor)
         components.append(_phase_components(vcfg, rates, "p", arm, sig.offset_ps(vcfg)))
-    return _simulate_detector(key, components, vcfg, gate, range(n))
+    return components
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +589,13 @@ def _phase_detector(vcfg, channel, signals, key, groups, gate, n, exp, phi_total
 # ---------------------------------------------------------------------------
 
 
-def _slot_counts(det: DetectorResult, vcfg, sig) -> int:
-    lo = sig.offset_ps(vcfg) + sig.fixed_slot * vcfg.pulse_period_ps
-    return det.counts_in(lo, lo + vcfg.pulse_period_ps)
+def _cell_edges(vcfg, windows) -> np.ndarray:
+    """Sorted distinct ps edges of ``windows``, ``(lo, hi)`` pairs of ps or
+    of arrays of ps, with 0 and the frame period: the cells a run's
+    detectors are counted in."""
+    edges = np.concatenate([[0, vcfg.frame_period_ps], *map(np.ravel, windows)])
+    edges.sort()
+    return edges[np.diff(edges, prepend=-1) > 0]
 
 
 def _interior_window(vcfg, offset_ps):
@@ -515,20 +603,20 @@ def _interior_window(vcfg, offset_ps):
     return offset_ps + tp, offset_ps + vcfg.d * tp
 
 
-def _gated_phase_counts(det: DetectorResult, vcfg, offset_ps) -> float:
-    """Pulse-gated, background-subtracted counts over interior positions.
-
-    On-gates are +-375 ps around each interior position center; equal-width
-    off-gates between positions estimate the uniform floor, which is
-    subtracted.
-    """
+def _phase_gates(vcfg, offset_ps) -> tuple:
+    """On- and off-gates over the interior positions, each ``(lo, hi)``
+    arrays of windows cut to their position: pulse-gated counts are the
+    on-gates' less the off-gates'.  On-gates are +-375 ps around each center;
+    off-gates, farther than ``tp // 2 - 375`` ps from it and not overlapping,
+    estimate the uniform floor."""
     tp = vcfg.pulse_period_ps
-    j = (det.t_within - offset_ps) // tp
-    interior = (j >= 1) & (j <= vcfg.d - 1)
-    dist = np.abs(det.t_within - _pulse_center(vcfg, offset_ps, j))
-    n_sig = int(np.sum(interior & (dist <= 375)))
-    n_bkg = int(np.sum(interior & (dist > tp // 2 - 375)))
-    return float(n_sig - n_bkg)
+    lo = offset_ps + tp * np.arange(1, vcfg.d)
+    hi = lo + tp
+    center, far = lo + tp // 2, tp // 2 - 375
+    left = np.clip(center - far, lo, hi)
+    right = np.maximum(left, np.clip(center + far + 1, lo, hi))
+    on = np.clip(center - 375, lo, hi), np.clip(center + 376, lo, hi)
+    return on, (np.concatenate([lo, right]), np.concatenate([left, hi]))
 
 
 # ---------------------------------------------------------------------------
@@ -578,12 +666,23 @@ def _run_timebin(scenario: Scenario, vcfg, channel) -> RunResult:
     (late,) = [s for s in scenario.signals if s.delayed]
     early = [s for s in scenario.signals if not s.delayed]
     window, tp = vcfg.frame_window_ps, vcfg.pulse_period_ps
+    # the windows read: each signal's slot, and in each half its train
+    win = {}
+    for s in scenario.signals:
+        lo = s.offset_ps(vcfg) + s.fixed_slot * tp
+        win["slot", s.signal_id] = lo, lo + tp
+    for off in (0, window):
+        win["half", off] = off, off + window
+        win["train", off] = off, off + vcfg.d * tp
+    edges = _cell_edges(vcfg, win.values())
+
+    def slots(det, signals):
+        return sum(det.count(*win["slot", o.signal_id]) for o in signals)
 
     # the delayed signal's dt2 slot against the others' dt1 slots; with
     # both empty there is no estimate
     def crosstalk(det):
-        c2 = _slot_counts(det, vcfg, late)
-        c1 = sum(_slot_counts(det, vcfg, o) for o in early)
+        c2, c1 = slots(det, [late]), slots(det, early)
         return analysis.crosstalk_db(c2, c1) if c2 + c1 else None
 
     cps = {}
@@ -595,8 +694,9 @@ def _run_timebin(scenario: Scenario, vcfg, channel) -> RunResult:
     histograms = {}
     for det_idx, (sid, groups) in enumerate(sorted(exp.collections.items())):
         gate = exp.gates.get(sid, "always")
-        det = _timebin_detector(vcfg, channel, scenario.signals, (ROLE_PHOTONS, det_idx),
-                                groups, gate, n)
+        det = _detector_cells((ROLE_PHOTONS, det_idx),
+                              _timebin_law(vcfg, channel, scenario.signals, groups), vcfg,
+                              gate, n, edges, histogram=True)
         sig = scenario.signal(sid)
         offset = sig.offset_ps(vcfg)
         # other signals' pulses sharing this half-window are known spikes,
@@ -605,13 +705,12 @@ def _run_timebin(scenario: Scenario, vcfg, channel) -> RunResult:
             o for o in scenario.signals
             if o.offset_ps(vcfg) == offset and o.fixed_slot != sig.fixed_slot
         ]
-        pulse = _slot_counts(det, vcfg, sig)
-        known = pulse + sum(_slot_counts(det, vcfg, o) for o in foreign)
-        half = det.counts_in(offset, offset + window)
-        train = det.counts_in(offset, offset + vcfg.d * tp)
+        pulse = slots(det, [sig])
+        known = pulse + slots(det, foreign)
+        half = det.count(*win["half", offset])
+        train = det.count(*win["train", offset])
         cps[sid] = analysis.counts_per_second(half, n, vcfg.frame_rate_hz)
-        histograms[f"{sid}_g" + "+".join(map(str, groups))] = histogram_from_times(
-            det.t_within, vcfg)
+        histograms[f"{sid}_g" + "+".join(map(str, groups))] = det.histogram
         # a collection with no counts in a ratio's windows gives no estimate
         floor, background = half - known, train - known
         snr_by_signal[sid] = analysis.snr_db(
@@ -626,8 +725,7 @@ def _run_timebin(scenario: Scenario, vcfg, channel) -> RunResult:
             ids = "".join(o.signal_id for o in early)
             xt_db[f"{ids}_to_{sid}"] = crosstalk(det)
             extra[f"{ids.lower()}_counts_in_dt2_on_{sid}"] = sum(
-                det.counts_in(window, vcfg.frame_period_ps, scenario.signals.index(o))
-                for o in early
+                det.count(*win["half", window], scenario.signals.index(o)) for o in early
             )
         del det  # released before the next detector is drawn
 
@@ -665,13 +763,14 @@ def _run_capacity(scenario: Scenario, vcfg, channel) -> RunResult:
         * vcfg.frame_rate_hz
         * float(10 ** (exp.theory_il_db / 10.0))
     )
-    det1 = _timebin_detector(replace(vcfg, mu_in=exp.theory_mu),
-                             replace(channel, uniform_il_db=exp.theory_il_db),
-                             [SignalAssignment("S", fixed_slot=20)], (ROLE_PHOTONS, 90), (1,),
-                             DELTA_T1, n)
-    mc_theory_cps = analysis.counts_per_second(
-        det1.counts_in(0, vcfg.frame_window_ps), n, vcfg.frame_rate_hz
-    )
+    halves = {off: (off, off + vcfg.frame_window_ps) for off in (0, vcfg.frame_window_ps)}
+    edges = _cell_edges(vcfg, halves.values())
+    theory = replace(vcfg, mu_in=exp.theory_mu)
+    det1 = _detector_cells((ROLE_PHOTONS, 90),
+                           _timebin_law(theory, replace(channel, uniform_il_db=exp.theory_il_db),
+                                        [SignalAssignment("S", fixed_slot=20)], (1,)),
+                           theory, DELTA_T1, n, edges)
+    mc_theory_cps = analysis.counts_per_second(det1.count(*halves[0]), n, vcfg.frame_rate_hz)
     del det1
 
     # Part 2: three signals through the measured tables, reassigned groups.
@@ -684,13 +783,13 @@ def _run_capacity(scenario: Scenario, vcfg, channel) -> RunResult:
         sig = scenario.signal(sid)
         signals = [s for s in scenario.signals if s is sig or s.delayed != sig.delayed]
         gate = exp.gates.get(sid, "always")
-        det = _timebin_detector(vcfg, channel, signals, (ROLE_PHOTONS, det_idx), groups, gate, n)
-        off = sig.offset_ps(vcfg)
+        det = _detector_cells((ROLE_PHOTONS, det_idx),
+                              _timebin_law(vcfg, channel, signals, groups), vcfg, gate, n, edges,
+                              histogram=True)
         cps[sid] = analysis.counts_per_second(
-            det.counts_in(off, off + vcfg.frame_window_ps), n, vcfg.frame_rate_hz
+            det.count(*halves[sig.offset_ps(vcfg)]), n, vcfg.frame_rate_hz
         )
-        histograms[f"{sid}_g" + "+".join(map(str, groups))] = histogram_from_times(
-            det.t_within, vcfg)
+        histograms[f"{sid}_g" + "+".join(map(str, groups))] = det.histogram
         del det  # released before the next detector is drawn
     total = sum(cps.values())
     cap = analysis.capacity_from_counts(total, vcfg.d)
@@ -742,6 +841,8 @@ def _run_phase_er(scenario: Scenario, vcfg, channel) -> RunResult:
     run_tag = 0
     rest = [replace(s, delayed=i == 0)
             for i, s in enumerate(s for s in scenario.signals if not s.delayed)]
+    interior = {off: _interior_window(vcfg, off) for off in (0, vcfg.frame_window_ps)}
+    edges = _cell_edges(vcfg, interior.values())
     for g, sid in plans:
         sig = scenario.signal(sid)
         signals = [sig] if sig.delayed else rest
@@ -750,12 +851,13 @@ def _run_phase_er(scenario: Scenario, vcfg, channel) -> RunResult:
         offset = sig.offset_ps(vcfg)
         counts = {}
         for arm in ("none", "delay", "direct"):
-            det = _phase_detector(vcfg, channel, signals, (ROLE_PHOTONS, run_tag, g), (g,),
-                                  gate, n, exp, phi_total, arm)
-            counts[arm] = det.counts_in(*_interior_window(vcfg, offset))
-            if arm in ("none", "delay"):
+            det = _detector_cells((ROLE_PHOTONS, run_tag, g),
+                                  _phase_law(vcfg, channel, signals, (g,), exp, phi_total, arm),
+                                  vcfg, gate, n, edges, histogram=arm != "direct")
+            counts[arm] = det.count(*interior[offset])
+            if det.histogram:
                 label = "interfering" if arm == "none" else "blocked"
-                histograms[f"g{g}_{sid}_{label}"] = histogram_from_times(det.t_within, vcfg)
+                histograms[f"g{g}_{sid}_{label}"] = det.histogram
             run_tag += 1
         c0 = 0.5 * (counts["delay"] + counts["direct"])
         # no blocked-arm counts: no reference, so no estimate
@@ -792,17 +894,21 @@ def _run_phase_sweep(scenario: Scenario, vcfg, channel) -> RunResult:
     fits = {}
     points_out = []
     run_tag = 0
+    gates = {sid: _phase_gates(vcfg, scenario.signal(sid).offset_ps(vcfg))
+             for sid in exp.collections}
+    edges = _cell_edges(vcfg, [w for on_off in gates.values() for w in on_off])
     for det_idx, (sid, groups) in enumerate(sorted(exp.collections.items())):
         sig = scenario.signal(sid)
         gate = exp.gates.get(sid, DELTA_T2 if sig.delayed else DELTA_T1)
-        offset = sig.offset_ps(vcfg)
+        on, off = gates[sid]
         pts = []
         for phi_b in exp.sweep_phi_b:
-            det = _phase_detector(vcfg, channel, scenario.signals,
-                                  (ROLE_PHOTONS, run_tag, det_idx), groups, gate, n, exp,
-                                  exp.phi_a + phi_b, "none")
+            det = _detector_cells((ROLE_PHOTONS, run_tag, det_idx),
+                                  _phase_law(vcfg, channel, scenario.signals, groups, exp,
+                                             exp.phi_a + phi_b, "none"),
+                                  vcfg, gate, n, edges)
             run_tag += 1
-            c = _gated_phase_counts(det, vcfg, offset)
+            c = float(det.count(*on) - det.count(*off))
             pts.append((exp.phi_a + phi_b, c))
             points_out.append((sid, exp.phi_a + phi_b, c))
         fit = analysis.fit_visibility(pts)

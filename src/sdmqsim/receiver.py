@@ -7,8 +7,9 @@ does not extend it), matching gated detector behaviour.  Under a ``dt1`` or
 period ``P = 2W`` (``W <= tau <= W + 1``), the veto keeps exactly each
 frame's first gated click: ``tau >= W`` covers the rest of the gate, and
 ``tau <= W + 1`` ends before the next frame's gate opens.  The pipeline
-draws a dense detector's first gated click straight from its law, so it
-never calls ``dead_time_mask`` for it.
+draws a dense detector's counts (a BB84 port's first click a frame)
+straight from that click's law, so it never calls ``dead_time_mask`` for
+it.
 
 Interference is computed at intensity level with a hardware visibility
 cap: the channel randomizes inter-signal phases, so only each photon's
@@ -40,8 +41,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Histogram:
-    """Binned detection counts over one frame period, for export; every
-    window count is taken on the exact timestamps instead."""
+    """Binned detection counts over one frame period, for export.  A run's
+    window counts are read from exact ps cells between the windows' own
+    edges, so no window is rounded to the bins."""
 
     bins: np.ndarray
     hist_res_ps: int
@@ -143,10 +145,13 @@ def delay_interferometer_rates(
     )
 
 
-def histogram_from_times(t_within: np.ndarray, cfg: ValidatedConfig) -> Histogram:
-    """Histogram directly from an array of within-frame timestamps."""
+def histogram_from_times(t_within: np.ndarray, cfg: ValidatedConfig,
+                         counts: np.ndarray | None = None) -> Histogram:
+    """Histogram of within-frame timestamps, each counted ``counts`` times
+    if given (the starts of cells that each lie in one bin, and their
+    counts)."""
     idx = np.asarray(t_within, dtype=np.int64) // cfg.hist_res_ps
-    bins = np.bincount(idx, minlength=cfg.n_bins).astype(np.int64)
+    bins = np.bincount(idx, counts, minlength=cfg.n_bins).astype(np.int64)
     return Histogram(bins=bins, hist_res_ps=cfg.hist_res_ps)
 
 

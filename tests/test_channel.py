@@ -20,7 +20,7 @@ from sdmqsim.config import (
     SimConfig,
     validate_config,
 )
-from sdmqsim.pipeline import _collected_flux, _timebin_detector
+from sdmqsim.pipeline import _collected_flux, _simulate_detector, _timebin_law
 from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario
 
 # raw dB entries, re-stated here as the independent cross-check of the data file
@@ -202,8 +202,9 @@ def _one_signal_detector(tables, n, sig, gate="always", **sim):
     """Every click of one signal into its own group, through a flat 0 dB link."""
     il, xt = tables
     ch = ChannelModel(il=il, xt=xt, uniform_il_db=0.0)
-    return _timebin_detector(validate_config(SimConfig(**sim)), ch, [sig], (ROLE_PHOTONS, 0),
-                             (sig.input_group,), gate, n)
+    vcfg = validate_config(SimConfig(**sim))
+    law = _timebin_law(vcfg, ch, [sig], (sig.input_group,))
+    return _simulate_detector((ROLE_PHOTONS, 0), law, vcfg, gate, range(n))
 
 
 class TestSamplePhotons:
@@ -267,7 +268,8 @@ class TestErgodicity:
         ch = ChannelModel(il=il, xt=xt)
         counts = []
         for g in range(1, 6):
-            det = _timebin_detector(vcfg, ch, [sig], (ROLE_PHOTONS, g), (g,), "always", n)
+            det = _simulate_detector((ROLE_PHOTONS, g), _timebin_law(vcfg, ch, [sig], (g,)), vcfg,
+                                     "always", range(n))
             counts.append(len(det.t_within))
         counts = np.array(counts, dtype=float)
         expect_frac = xt.column(1)

@@ -13,7 +13,7 @@ from sdmqsim.config import (
 )
 from sdmqsim.encoder import floor_fraction
 from sdmqsim.channel import ChannelModel, load_link_tables
-from sdmqsim.pipeline import _timebin_components, _timebin_detector
+from sdmqsim.pipeline import _simulate_detector, _timebin_components, _timebin_law
 from sdmqsim.receiver import delay_interferometer_rates
 from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario
 
@@ -105,8 +105,8 @@ class TestSchedule:
     @staticmethod
     def _clicks(sig, n, **sim):
         vcfg = validate_config(SimConfig(mu_in=50.0, dead_time_ps=0, **sim))
-        return _timebin_detector(vcfg, ChannelModel(*load_link_tables()), [sig],
-                                 (ROLE_PHOTONS, 0), (sig.input_group,), "always", n)
+        law = _timebin_law(vcfg, ChannelModel(*load_link_tables()), [sig], (sig.input_group,))
+        return _simulate_detector((ROLE_PHOTONS, 0), law, vcfg, "always", range(n))
 
     def test_delayed_signal_offset_on_every_frame(self):
         # pulse and floor clicks of a delayed signal all land in the second

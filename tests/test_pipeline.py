@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -6,7 +7,10 @@ import numpy as np
 import pytest
 
 from sdmqsim import pipeline
+from sdmqsim.cli import main
 from sdmqsim.config import (
+    DELTA_T1,
+    DELTA_T2,
     ROLE_PHOTONS,
     ConfigError,
     RandomSource,
@@ -16,16 +20,20 @@ from sdmqsim.config import (
 )
 from sdmqsim.pipeline import (
     BATCH,
-    DetectorResult,
+    Cells,
     Floor,
     Pulse,
-    _gated_phase_counts,
+    _cell_edges,
+    _detector_cells,
+    _first_arrivals,
+    _first_click_counts,
     _mean_db,
     _phase_components,
+    _phase_gates,
+    _phase_law,
     _poisson_frames,
-    _phase_detector,
     _simulate_detector,
-    _timebin_detector,
+    _timebin_law,
     build_channel,
     expected_collection_rate,
     run_scenario,
@@ -68,43 +76,50 @@ class TestExpectedRates:
         assert ratio == pytest.approx(10 ** (sc.signal("C").excess_db / 10), rel=1e-12)
 
 
+def _gated_counts(times, vcfg, offset=0) -> float:
+    """phase_sweep's gated count of clicks at ``times``, read from cells
+    that hold its gates."""
+    on, off = _phase_gates(vcfg, offset)
+    edges = _cell_edges(vcfg, (on, off))
+    cells = Cells(edges, np.searchsorted(np.sort(times), edges)[None, :])
+    return float(cells.count(*on) - cells.count(*off))
+
+
 class TestGatedPhaseCounts:
-    def _det(self, times):
-        t = np.asarray(sorted(times), dtype=np.int64)
-        return DetectorResult(
-            t_within=t,
-            frame_idx=np.zeros(len(t), dtype=np.int64),
-            origin=np.zeros(len(t), dtype=np.int8),
-        )
-
     def test_pulse_centered_clicks_counted(self):
-        cfg = SimConfig()
-        from sdmqsim.config import validate_config
-
-        vcfg = validate_config(cfg)
+        vcfg = validate_config(SimConfig())
         # clicks exactly on interior position centers
         times = [j * 1540 + 770 for j in range(1, 64)]
-        det = self._det(times)
-        assert _gated_phase_counts(det, vcfg, 0) == 63.0
+        assert _gated_counts(times, vcfg) == 63.0
 
     def test_uniform_floor_subtracts_to_zero_mean(self):
-        from sdmqsim.config import validate_config
-
         vcfg = validate_config(SimConfig())
         gen = np.random.default_rng(5)
         times = gen.integers(0, 100_000, size=40_000)
-        det = self._det(times)
-        net = _gated_phase_counts(det, vcfg, 0)
+        net = _gated_counts(times, vcfg)
         # uniform background cancels up to Poisson noise of the two gates
         in_span = np.sum((times >= 1540) & (times < 64 * 1540))
         assert abs(net) <= 4 * math.sqrt(in_span)
 
     def test_edge_positions_ignored(self):
-        from sdmqsim.config import validate_config
-
         vcfg = validate_config(SimConfig())
-        det = self._det([770, 64 * 1540 + 770])  # the two edge pulses
-        assert _gated_phase_counts(det, vcfg, 0) == 0.0
+        # the two edge pulses
+        assert _gated_counts([770, 64 * 1540 + 770], vcfg) == 0.0
+
+    @pytest.mark.parametrize("tp,d,offset", [(1540, 64, 0), (1540, 64, 100_000),
+                                             (1541, 64, 100_000), (1000, 9, 0),
+                                             (751, 4, 0), (700, 4, 100_000), (97, 5, 0)])
+    def test_gates_match_per_click_rule(self, tp, d, offset):
+        # the gates as windows count what the per-click rule counts, where
+        # a position is narrower than the gates too: on within 375 ps of
+        # the position's center, off farther than tp // 2 - 375 ps from it
+        vcfg = validate_config(SimConfig(pulse_period_ps=tp, d=d))
+        t = np.random.default_rng(tp).integers(0, vcfg.frame_period_ps, size=50_000)
+        j = (t - offset) // tp
+        interior = (j >= 1) & (j <= d - 1)
+        dist = np.abs(t - (offset + j * tp + tp // 2))
+        want = np.sum(interior & (dist <= 375)) - np.sum(interior & (dist > tp // 2 - 375))
+        assert _gated_counts(t, vcfg, offset) == float(want)
 
 
 def _poisson_cells(lam, n):
@@ -310,9 +325,16 @@ class TestOnePathCrossCheck:
         )
         return sc, sc.validated(), build_channel(sc)
 
-    def _check(self, det, edges, rates):
-        counts = np.histogram(det.t_within, bins=edges)[0]
-        assert counts.sum() == len(det.t_within)
+    def _draw(self, key, components, vcfg, edges):
+        """The one detector's cells over ``N`` frames, holding ``edges``."""
+        windows = (edges[:-1], edges[1:])
+        return _detector_cells(key, components, vcfg, "always", self.N,
+                               _cell_edges(vcfg, [windows])), windows
+
+    def _check(self, drawn, rates):
+        det, windows = drawn
+        counts = [det.count(lo, hi) for lo, hi in zip(*windows)]
+        assert sum(counts) == det.before[:, -1].sum()
         for got, rate in zip(counts, rates):
             expect = rate * self.N
             assert abs(got - expect) <= 4 * math.sqrt(expect), (counts, rates)
@@ -326,7 +348,6 @@ class TestOnePathCrossCheck:
 
     def test_timebin_pulse_slot_and_floor(self):
         sc, vcfg, ch = self._setup(im_extinction=63.0)  # half the photons in the floor
-        det = _timebin_detector(vcfg, ch, sc.signals, (ROLE_PHOTONS, 0), (1,), "always", self.N)
         tp, w = vcfg.pulse_period_ps, vcfg.frame_window_ps
         lam = self.MU * self.ETA
         pulse, floor = lam * 0.5, lam * 0.5
@@ -335,7 +356,8 @@ class TestOnePathCrossCheck:
         rates = [floor * x for x in share]
         rates[1] += pulse
         assert rates[3] == 0.0
-        self._check(det, edges, rates)
+        self._check(self._draw((ROLE_PHOTONS, 0), _timebin_law(vcfg, ch, sc.signals, (1,)), vcfg,
+                               np.array(edges)), rates)
 
     @pytest.mark.parametrize(
         "arm,port,shifts",
@@ -352,13 +374,10 @@ class TestOnePathCrossCheck:
         law = delay_interferometer_rates(
             self.MU * self.ETA, vcfg.d, self.V, phi, arm, self.FLOOR
         )
-        key = (ROLE_PHOTONS, 0, 0)
         if port == "p":
-            det = _phase_detector(vcfg, ch, sc.signals, key, (1,), "always", self.N,
-                                  sc.experiment, phi, arm)
+            comps = _phase_law(vcfg, ch, sc.signals, (1,), sc.experiment, phi, arm)
         else:  # the builder reads port P only; port P' is drawn from its components
             comps = [_phase_components(vcfg, law, port, arm, 0)]
-            det = _simulate_detector(key, comps, vcfg, "always", range(self.N))
         d, tp, w = vcfg.d, vcfg.pulse_period_ps, vcfg.frame_window_ps
         interior = law.interior_p if port == "p" else law.interior_p_prime
         # edge 0, interior, edge d, floor only
@@ -368,31 +387,183 @@ class TestOnePathCrossCheck:
             for a, b in zip(edges, edges[1:])
         ]
         pulses = [law.edge_0, interior, law.edge_d, 0.0]
-        self._check(det, edges, [f + x for f, x in zip(floor, pulses)])
+        self._check(self._draw((ROLE_PHOTONS, 0, 0), comps, vcfg, np.array(edges)),
+                    [f + x for f, x in zip(floor, pulses)])
+
+
+def _traced_cells(monkeypatch) -> list:
+    """The ``(key, cells)`` of every detector drawn into cells from now on."""
+    drawn, draw = [], pipeline._detector_cells
+
+    def traced(key, *rest, **kwargs):
+        drawn.append((key, draw(key, *rest, **kwargs)))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(pipeline, "_detector_cells", traced)
+    return drawn
+
+
+def _first_click_mass(components, vcfg, gate, edges) -> np.ndarray:
+    """Exact (origin, cell) mass of a frame's first gated click, from each
+    component's ``runs`` by a plain cumulative product over the ps: the click
+    is at ps ``t`` from signal ``s`` when no signal clicked before ``t``, no
+    signal below ``s`` clicks at ``t``, and ``s`` does."""
+    period, w = vcfg.frame_period_ps, vcfg.frame_window_ps
+    g0 = w if gate == DELTA_T2 else 0
+    lam = np.zeros((len(components), period))
+    for row, comps in zip(lam, components):
+        for rate, placement in comps:
+            for lo, hi, p in placement.runs(vcfg):
+                row[lo:hi] += rate * np.asarray(p)
+    lam[:, :g0], lam[:, g0 + w:] = 0.0, 0.0
+    quiet = np.exp(-lam)  # no click of signal s at ps t
+    before = np.concatenate([[1.0], np.cumprod(quiet.prod(axis=0))[:-1]])
+    below = np.cumprod(np.vstack([np.ones(period), quiet[:-1]]), axis=0)
+    per_ps = before * below * (1.0 - quiet)
+    k = np.searchsorted(edges, np.arange(period), side="right") - 1
+    return np.stack([np.bincount(k, row, minlength=len(edges) - 1) for row in per_ps])
+
+
+def _saturated_detectors():
+    """timebin_b at mu_in = 1000 (the benchmark's timebin_saturated): each
+    collection's ``(components, gate)``."""
+    sc = load_scenario(SCENARIOS / "timebin_b.ini")
+    sc = replace(sc, cfg=replace(sc.cfg, mu_in=1000.0))
+    vcfg, ch, exp = sc.validated(), build_channel(sc), sc.experiment
+    return vcfg, [(_timebin_law(vcfg, ch, sc.signals, groups), exp.gates[sid])
+                  for sid, groups in sorted(exp.collections.items())]
+
+
+class TestFirstClickCounts:
+    """A first-arrival detector's counts, drawn as one binomial and one
+    multinomial, follow the exact first-click law in every (origin, cell),
+    pooled over fixed seeds, and agree with the per-frame first arrivals
+    BB84 draws: within 5 sigma.  Cells are the pulse slots of both halves."""
+
+    N = 50_000
+    SEEDS = range(401, 405)
+    # three signals over both halves: a pulse and a floor, a four-slot
+    # train and a split floor, and a lone pulse
+    MIXED = [[(2.0, Pulse(30_000)), (0.5, Floor(0))],
+             [(1.0, Pulse(130_000, 4, 1540)), (0.3, Floor(100_000, 1540))],
+             [(0.8, Pulse(31_000))]]
+
+    @staticmethod
+    def _edges(vcfg) -> np.ndarray:
+        slots = np.arange(vcfg.d + 1) * vcfg.pulse_period_ps
+        return np.concatenate([slots, vcfg.frame_window_ps + slots, [vcfg.frame_period_ps]])
+
+    def _check(self, components, vcfg, gate):
+        edges, key = self._edges(vcfg), (ROLE_PHOTONS, 3)
+        counts, arrivals = 0, 0
+        for seed in self.SEEDS:
+            root = RandomSource(seed)
+            drawn = _first_click_counts(root, key, components, vcfg, gate, self.N, edges)
+            assert drawn.shape == (len(components), len(edges) - 1)
+            assert (drawn >= 0).all() and drawn.sum() <= self.N
+            counts = counts + drawn
+            _, t, origin = _first_arrivals(root, key, components, vcfg, gate, range(self.N),
+                                           None, {})
+            k = origin.astype(np.int64) * (len(edges) - 1) + np.searchsorted(edges, t, "right") - 1
+            arrivals = arrivals + np.bincount(k, minlength=drawn.size).reshape(drawn.shape)
+        mass = _first_click_mass(components, vcfg, gate, edges)
+        n = self.N * len(self.SEEDS)
+        assert not counts[mass == 0].any()
+        expect = n * mass
+        z = (counts - expect) / np.sqrt(np.maximum(expect * (1 - mass), 1))
+        assert np.abs(z).max() <= 5, z[np.abs(z) > 5]
+        p = mass.sum()  # the frames that click
+        assert abs(counts.sum() - n * p) <= 5 * math.sqrt(n * p * (1 - p))
+        z = (counts - arrivals) / np.sqrt(np.maximum(counts + arrivals, 1))
+        assert np.abs(z).max() <= 5, z[np.abs(z) > 5]
+
+    @pytest.mark.parametrize("det", range(3))
+    def test_saturated_timebin(self, det):
+        vcfg, detectors = _saturated_detectors()
+        self._check(*detectors[det][:1], vcfg, detectors[det][1])
+
+    @pytest.mark.parametrize("gate", [DELTA_T1, DELTA_T2])
+    @pytest.mark.parametrize("signals", [2, 3])
+    def test_pulse_and_floor_signals(self, gate, signals):
+        self._check(self.MIXED[:signals], validate_config(SimConfig(seed=0)), gate)
+
+
+class TestCellsRobust:
+    """Runs into cells at the extremes, and windows off the cells' edges."""
+
+    @staticmethod
+    def _run(tmp_path, monkeypatch, frames, mu_in="1000"):
+        """Run timebin_b at ``mu_in`` over ``frames`` frames through the CLI:
+        its exit code, its report and its detectors' cells."""
+        text = (SCENARIOS / "timebin_b.ini").read_text()
+        assert "\nmu_in = 2.5\n" in text
+        derived = tmp_path / "saturated.ini"
+        derived.write_text(text.replace("\nmu_in = 2.5\n", f"\nmu_in = {mu_in}\n"))
+        drawn = _traced_cells(monkeypatch)
+        rc = main(["run", str(derived), "--frames", str(frames), "--out", str(tmp_path / "o")])
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        for _, det in drawn:  # counts of at most one click a frame
+            assert (np.diff(det.before) >= 0).all() and det.before[:, -1].sum() <= frames
+        return rc, report, [det for _, det in drawn]
+
+    def test_every_frame_clicks(self, tmp_path, monkeypatch):
+        # at mu_in = 1e6 each detector's frames click with probability
+        # -expm1(-C) == 1.0 in float, and every frame's click is counted
+        sc = load_scenario(SCENARIOS / "timebin_b.ini")
+        sc = replace(sc, cfg=replace(sc.cfg, mu_in=1e6))
+        ch = build_channel(sc)
+        for sid, groups in sc.experiment.collections.items():
+            gated = [s for s in sc.signals if s.delayed == sc.signal(sid).delayed]
+            lam = sum(expected_collection_rate(sc, ch, s.signal_id, groups) for s in gated)
+            assert -math.expm1(-lam / sc.cfg.frame_rate_hz) == 1.0
+        rc, report, cells = self._run(tmp_path, monkeypatch, 1000, "1e6")
+        assert rc == 0 and len(cells) == 3
+        assert [det.before[:, -1].sum() for det in cells] == [1000] * 3
+
+        def finite(value):
+            if isinstance(value, dict):
+                return all(map(finite, value.values()))
+            return not isinstance(value, float) or math.isfinite(value)
+
+        assert finite(report) and "nan" not in json.dumps(report)
+
+    @pytest.mark.parametrize("frames", [1, 1000])
+    def test_few_frames(self, tmp_path, monkeypatch, frames):
+        rc, report, cells = self._run(tmp_path, monkeypatch, frames)
+        assert rc == 0 and report["n_frames"] == frames and len(cells) == 3
+
+    def test_window_off_the_edges_raises(self):
+        period = validate_config(SimConfig()).frame_period_ps
+        # counts 1, 3, 5 of signal 0 and 2, 4, 6 of signal 1
+        cells = Cells(np.array([0, 100, 250, period]), np.array([[0, 1, 4, 9], [0, 2, 6, 12]]))
+        assert cells.count(0, 250) == 10 and cells.count(100, period, 1) == 10
+        assert cells.count(np.array([0, 250]), np.array([100, period])) == 14
+        for lo, hi in [(0, 99), (1, 100), (0, period + 1), (-1, 100), (250, 100),
+                       (np.array([0, 100]), np.array([100, 200]))]:
+            with pytest.raises(ValueError, match="cell edges"):
+                cells.count(lo, hi)
 
 
 class TestExactWindows:
-    def test_snr_from_exact_timestamp_windows(self):
+    def test_snr_from_exact_timestamp_windows(self, monkeypatch):
         # at mu_in = 1000 slot edges at k * 1540 ps, off the 25 ps histogram
         # grid, hold enough clicks that a binned count would differ
         sc = load_scenario(SCENARIOS / "timebin_b.ini").with_overrides(n_frames=20_000)
         sc = replace(sc, cfg=replace(sc.cfg, mu_in=1000.0))
-        vcfg, ch, exp = sc.validated(), build_channel(sc), sc.experiment
+        vcfg, exp = sc.validated(), sc.experiment
+        drawn = _traced_cells(monkeypatch)
         report = run_scenario(sc).report
         tp, w = vcfg.pulse_period_ps, vcfg.frame_window_ps
-        for det_idx, (sid, groups) in enumerate(sorted(exp.collections.items())):
-            det = _timebin_detector(vcfg, ch, sc.signals, (ROLE_PHOTONS, det_idx), groups,
-                                    exp.gates[sid], exp.n_frames)
-            t = det.t_within
+        assert [key for key, _ in drawn] == [(ROLE_PHOTONS, i) for i in range(3)]
+        for (_, det), sid in zip(drawn, sorted(exp.collections)):
             sig = sc.signal(sid)
             off = sig.offset_ps(vcfg)
             slots = [sig.fixed_slot] + [
                 o.fixed_slot for o in sc.signals
                 if o is not sig and o.offset_ps(vcfg) == off
             ]
-            in_slot = [np.count_nonzero((t >= off + k * tp) & (t < off + (k + 1) * tp))
-                       for k in slots]
-            half = np.count_nonzero((t >= off) & (t < off + w))
+            in_slot = [det.count(off + k * tp, off + (k + 1) * tp) for k in slots]
+            half = det.count(off, off + w)
             floor = (half - sum(in_slot)) * w / (w - len(slots) * tp)
             assert report.snr_db_per_signal[sid] == pytest.approx(
                 10 * math.log10(in_slot[0] / floor), rel=1e-12, abs=0
@@ -477,10 +648,11 @@ class TestJitterKernel:
 
 
 class TestFoldAcrossBatches:
-    """Detectors that draw each frame's first gated click from its law give,
-    on every batch, the partial last one included, the clicks of the
-    Poisson path that draws every click and sorts and walks them: per
-    window and per origin, pooled over held-out seeds, within 5 sigma."""
+    """Detectors that draw each frame's first gated click from its law (on
+    every batch, the partial last one included) or its counts from it give
+    the clicks of the Poisson path that draws every click and sorts and
+    walks them: per window and per origin, pooled over held-out seeds,
+    within 5 sigma."""
 
     N = 2 * BATCH + 123
     SEEDS = range(101, 106)  # held out: no sampler or bound was tuned on them
@@ -516,11 +688,8 @@ class TestFoldAcrossBatches:
         # the time-bin runner draws each detector over the whole run; the
         # BB84 exchange draws a first-arrival port once a batch and a
         # Poisson-path port once a span of several, so each detector's
-        # clicks are pooled by key on both sides; windows are the pulse
-        # slots of both halves
-        vcfg = sc.validated()
-        slots = np.arange(vcfg.d + 1) * vcfg.pulse_period_ps
-        edges = np.concatenate([slots, vcfg.frame_window_ps + slots, [vcfg.frame_period_ps]])
+        # clicks are pooled by key on both sides
+        edges = self._edges(sc.validated())
         counts = {}
         for seed in self.SEEDS:
             seeded = replace(sc, cfg=replace(sc.cfg, seed=seed))
@@ -543,6 +712,17 @@ class TestFoldAcrossBatches:
                     cell = counts.setdefault((key, side),
                                              np.zeros((len(edges) - 1, 3), np.int64))
                     np.add.at(cell, (k, det.origin), 1)
+        self._assert_same_law(counts)
+
+    @staticmethod
+    def _edges(vcfg) -> np.ndarray:
+        """The windows' edges: the pulse slots of both halves."""
+        slots = np.arange(vcfg.d + 1) * vcfg.pulse_period_ps
+        return np.concatenate([slots, vcfg.frame_window_ps + slots, [vcfg.frame_period_ps]])
+
+    @staticmethod
+    def _assert_same_law(counts):
+        """``counts[key, 0]`` against ``counts[key, 1]``, cell by cell."""
         for key, side in counts:
             if side == 0:
                 got, ref = counts[key, 0], counts[key, 1]
@@ -551,11 +731,34 @@ class TestFoldAcrossBatches:
                 assert np.abs(z).max() <= 5, (key, z[np.abs(z) > 5])
 
     def test_saturated_timebin(self, monkeypatch):
-        # mu_in = 1000 is dense enough that the default switch draws first
-        # arrivals
+        # mu_in = 1000 is dense enough that the default switch draws each
+        # detector's counts from the first-click law, in cells that hold
+        # the windows besides the runner's own
         sc = load_scenario(SCENARIOS / "timebin_b.ini").with_overrides(n_frames=self.N)
         sc = replace(sc, cfg=replace(sc.cfg, mu_in=1000.0))
-        self._check(monkeypatch, sc, pipeline.FIRST_CLICK_DENSITY)
+        edges = self._edges(sc.validated())
+        windows = (edges[:-1], edges[1:])
+        cell_edges, draw = pipeline._cell_edges, pipeline._first_click_counts
+        counts = {}
+        for seed in self.SEEDS:
+            seeded = replace(sc, cfg=replace(sc.cfg, seed=seed))
+            for side, density in enumerate((pipeline.FIRST_CLICK_DENSITY, math.inf)):
+                draws = []
+                monkeypatch.setattr(pipeline, "FIRST_CLICK_DENSITY", density)
+                monkeypatch.setattr(pipeline, "_cell_edges",
+                                    lambda vcfg, ws: cell_edges(vcfg, [*ws, windows]))
+                monkeypatch.setattr(pipeline, "_first_click_counts",
+                                    lambda *args: draws.append(1) or draw(*args))
+                drawn = _traced_cells(monkeypatch)
+                run_scenario(seeded)
+                monkeypatch.undo()
+                assert len(draws) == (len(drawn) if side == 0 else 0) and len(drawn) == 3
+                for key, det in drawn:
+                    assert det.before[:, -1].sum() <= self.N  # one click a frame at most
+                    cell = counts.setdefault((key, side), np.zeros((len(edges) - 1, 3), np.int64))
+                    for k, (lo, hi) in enumerate(zip(*windows)):
+                        cell[k] += [det.count(lo, hi, s) for s in range(3)]
+        self._assert_same_law(counts)
 
     def test_bb84_ports_forced_dense(self, monkeypatch):
         # Bob's ports take rate tables indexed by the frame class, one

@@ -284,10 +284,11 @@ class TestCliRun:
 
     def test_saturated_timebin_report_bytes(self, tmp_path):
         # timebin_b at mu_in = 1000 puts 3-7 gated clicks a frame into every
-        # detector, so each draws only its first gated click a frame, from
-        # that click's law; the bytes are pinned from that draw, which
-        # TestFoldAcrossBatches and TestFirstClickVeto check in law against
-        # drawing, sorting and walking every click
+        # detector, so each draws its counts from the first-click law, one
+        # binomial and one multinomial over its cells; the bytes are pinned
+        # from that draw, which TestFirstClickCounts checks against the
+        # exact law and TestFoldAcrossBatches against drawing, sorting and
+        # walking every click
         derived = tmp_path / "timebin_b_saturated.ini"
         text = (SCENARIOS / "timebin_b.ini").read_text()
         assert "\nmu_in = 2.5\n" in text
@@ -295,7 +296,7 @@ class TestCliRun:
         out = tmp_path / "o"
         assert main(["run", str(derived), "--frames", "20000", "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
-        assert digest == "376abde94e56bfa875b2fd5e2206828689cbb4f5438d1cc68a8dc81f97328f87"
+        assert digest == "05fb630a868028b8e8bb0b6c325290877001f0decf2b9c10d6ef954c347e5255"
 
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SDMQSIM_OUT", str(tmp_path / "envout"))
