@@ -75,7 +75,7 @@ class SimConfig:
     im_extinction : float
         Intensity-modulator extinction ratio, linear scale (> 1).
     jitter_sigma_ps : float
-        Gaussian detection timing jitter (1 sigma).
+        Gaussian detection timing jitter (1 sigma), at most ``pulse_period_ps``.
     seed : int
         Root seed for all random streams.
     """
@@ -153,9 +153,10 @@ def validate_config(cfg: SimConfig) -> ValidatedConfig:
             f"im_extinction must be > 1 (linear ratio), got {cfg.im_extinction}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
-    if not 0 <= cfg.jitter_sigma_ps < math.inf:
-        raise ConfigError(
-            f"jitter_sigma_ps must be non-negative and finite, got {cfg.jitter_sigma_ps}")
+    # NaN and inf fail; a wider jitter would build a kernel of 8 sigma a pulse
+    if not 0 <= cfg.jitter_sigma_ps <= cfg.pulse_period_ps:
+        raise ConfigError(f"jitter_sigma_ps must be in [0, pulse_period_ps = "
+                          f"{cfg.pulse_period_ps}], got {cfg.jitter_sigma_ps}")
 
     return ValidatedConfig(
         **{f: getattr(cfg, f) for f in SimConfig.__dataclass_fields__},

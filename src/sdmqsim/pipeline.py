@@ -6,20 +6,21 @@ mean clicks per frame, from the channel and (for phase frames)
 jittered ``Pulse`` or a uniform ``Floor``, each with its per-ps law
 (``runs``).  A rate that differs from frame to frame (Bob's ports in BB84)
 is a rate table indexed by the frame class, and the frames' classes, an
-int array or ``protocol.Planes``, go to the detector once: the sampler
-thins from the table's top rate and reads the classes at its candidate
-frames, and only the first-arrival draw unpacks them.  A click's origin is
-its signal's position in the detector's list.
+int array or ``protocol.Planes``, go to the detector as they are: the
+sampler thins from the table's top rate and reads the classes at its
+candidate frames only.  A click's origin is its signal's position in the
+detector's list.
 
 A ``dt1``/``dt2`` detector with the dead time nested in the blank half
 keeps each frame's first gated click (see receiver), so its frames are
 i.i.d.: a frame clicks with probability ``1 - e^{-C}``, ``C`` its mean
-gated clicks.  From ``FIRST_CLICK_DENSITY`` expected clicks a frame such a
-detector is drawn from that law.  Other detectors draw every click,
-O(events) at the ~0.002 events per detector-frame of the phase experiments
-(``_poisson_frames``), then gate, sort and walk them, in spans of the most
-whole batches that expect at most ``SPAN_CLICKS`` clicks (``_span``), one
-random stream a (detector, signal, span).  Photon sampling is
+gated clicks.  From ``FIRST_CLICK_DENSITY`` expected clicks a frame a runner
+draws such a detector's counts from that law (``_drawn_as_counts``).  Every
+other detector, Bob's ports included, draws every click, O(events) at the
+~0.002 events per detector-frame of the phase experiments
+(``_poisson_frames``), then gates, sorts and walks them, in spans of the
+most whole batches that expect at most ``SPAN_CLICKS`` clicks (``_span``),
+one random stream a (detector, signal, span).  Photon sampling is
 efficiency-thinned at the source (Poisson splitting), which is
 statistically identical to sampling raw photons and thinning at the
 detector.  Streams depend on the scenario alone, so results are
@@ -28,15 +29,14 @@ reproducible from its seed.
 The time-bin and phase runners declare the ps edges of every window they
 read (``_cell_edges``) and draw each detector once over the whole run into
 ``Cells``: per-origin counts between those edges, and histogram bins where
-read (``_detector_cells``).  A first-arrival detector's counts are one draw
-from stream ``(*key, 0)``, with no per-click array
-(``_first_click_counts``).  Only BB84's ports draw each frame's first
-arrival (``_first_arrivals``), since the exchange needs frame identity.
-The exchange runs span-outer, its ports' rule capped at
+read (``_detector_cells``).  A dense detector's counts are one draw from
+stream ``(*key, 0)``, with no per-click array (``_first_click_counts``).
+The BB84 exchange needs each click's frame, so it draws Bob's ports on
+the Poisson path.  It runs span-outer, its ports' span capped at
 ``EXCHANGE_SPAN_BATCHES``: each span draws its per-frame state
-(``protocol.exchange_batches``) and Bob's ports, each with one carry (its
-blocked-until time and first-arrival tables) into the next span, then
-decodes and sifts; only the conclusive frames outlive a span.
+(``protocol.exchange_batches``) and Bob's ports, each port's blocked-until
+time going into the next span, then decodes and sifts; only the
+conclusive frames outlive a span.
 """
 from __future__ import annotations
 
@@ -62,7 +62,6 @@ from .protocol import (
     PHASE_TABLE,
     Bb84Result,
     KeyRateParams,
-    Planes,
     decode,
     error_rate,
     exchange_batches,
@@ -87,10 +86,9 @@ __all__ = [
     "simulate_bb84",
 ]
 
-# gated clicks a frame from which drawing only each frame's first click
-# beats drawing every click, and the cells of that draw's guide table
+# gated clicks a frame from which a runner draws a detector's counts from
+# the first-click law rather than drawing every click
 FIRST_CLICK_DENSITY = 0.25
-GUIDE_CELLS = 1 << 17
 # expected clicks of one Poisson-path span: a span is the most whole
 # batches that expect at most this many, at least one, and 2^16 batches
 # for a detector that expects under a click a batch
@@ -157,6 +155,7 @@ class DetectorResult:
     t_within: np.ndarray
     frame_idx: np.ndarray
     origin: np.ndarray  # the signal's position in the detector's signal list
+    blocked: int = 0  # absolute ps until which the detector stays dead after them
 
 
 @dataclass
@@ -304,20 +303,6 @@ def _span_pieces(root, key, components, vcfg, b0, nb, cls):
                 yield sig_pos, frames, placement.times(gen, len(frames), vcfg)
 
 
-def _prefix_law(laws, g0, out) -> np.ndarray:
-    """Fill ``out``, one row a signal over the ps ``g0 ..``, with the mean
-    clicks at each ps of signals ``0 .. s`` (row ``s``); ``laws[s]`` lists
-    signal ``s``'s components as ``(rate, runs)``, ``runs`` the per-ps law.
-    Written before it is read, so each page faults in once, not twice."""
-    out.fill(0.0)
-    for row, comps in zip(out, laws):
-        for rate, runs in comps:
-            _add_runs(row, runs, rate, g0)
-    for s in range(1, len(out)):
-        out[s] += out[s - 1]
-    return out
-
-
 @lru_cache(maxsize=1)
 def _work(shape: tuple) -> np.ndarray:
     """A float buffer that a run's first-click laws are built in one after
@@ -325,96 +310,23 @@ def _work(shape: tuple) -> np.ndarray:
     return np.empty(shape)
 
 
-def _arrival_tables(components, vcfg, gate) -> tuple:
-    """``(total, cdf, guide, scale, cuts)`` over a detector's gated half, one
-    per distinct row of its rate tables, and the map from a frame class to
-    its table (classes of equal rates share one).  ``cdf`` is the
-    law of the first gated click, which exists with probability ``total``; only ps
-    ``guide[j] .. guide[j+1]`` have ``cdf`` in cell ``j = floor(u * scale)``
-    (Chen & Asau, 1974).  A click at ``t`` is from a signal ``<= s`` with
-    probability ``cuts[s][t] = (1 - e^{-L_s}) / (1 - e^{-L})``, ``L_s`` the
-    clicks of signals ``0 .. s`` at ``t``: the lowest signal wins ties."""
-    window = vcfg.frame_window_ps
-    g0 = window if gate == DELTA_T2 else 0
-    laws = [[(lam, placement.runs(vcfg)) for lam, placement in comps] for comps in components]
-    rates = [rate for comps in components for rate, _ in comps if isinstance(rate, np.ndarray)]
-    rows, inverse = np.unique(np.column_stack(rates) if rates else np.zeros((1, 0)), axis=0,
-                              return_inverse=True)
-    tables = []
-    for class_rates in map(iter, rows):
-        # each table keeps its rows, so none is built in the shared buffer
-        lam = _prefix_law([[(next(class_rates) if isinstance(rate, np.ndarray) else rate, runs)
-                            for rate, runs in comps] for comps in laws],
-                          g0, np.empty((len(components), window)))
-        cdf = np.cumsum(lam[-1])
-        np.negative(np.expm1(np.negative(cdf, out=cdf), out=cdf), out=cdf)
-        scale = GUIDE_CELLS / cdf[-1] if cdf[-1] else 0.0
-        np.expm1(np.negative(lam, out=lam), out=lam)  # cuts, in place of lam[:-1]
-        np.divide(lam[:-1], lam[-1], out=lam[:-1], where=lam[-1] < 0)
-        k = lam[-1].view(np.int64)  # the last row is free once the cuts are divided
-        np.multiply(cdf, scale, out=k, casting="unsafe")
-        k += 1
-        guide = np.bincount(k, minlength=GUIDE_CELLS + 2).cumsum(dtype=np.int32)
-        # one signal needs no cuts, and its row is not kept
-        tables.append((cdf[-1], cdf, guide, scale, lam[:-1] if len(lam) > 1 else ()))
-    return tables, inverse
-
-
-def _first_arrivals(root, key, components, vcfg, gate, frames, cls, carry) -> tuple:
-    """Each frame's first gated click in ``frames``, of classes ``cls``: one
-    uniform a frame from stream ``(*key, batch)`` inverts the ``cdf`` of the
-    frame's class (see ``_arrival_tables``, kept in ``carry``), and one more
-    a click picks its origin."""
-    if "tables" not in carry:
-        carry["tables"] = _arrival_tables(components, vcfg, gate)
-    tables, inverse = carry["tables"]
-    multi = len(tables) > 1
-    totals = np.array([tab[0] for tab in tables])
-    # at most one click a frame, written in place: pages past the last click
-    # are never touched
-    fr, t, origin = (np.empty(len(frames), dtype=dt) for dt in (np.int64, np.int64, np.int8))
-    n = 0
-    for b0 in range(frames.start, frames.stop, BATCH):
-        gen = root.stream(*key, b0 // BATCH).generator()
-        u = gen.random(min(BATCH, frames.stop - b0))
-        if multi:  # the table of each frame's class
-            row = cls[b0 - frames.start:b0 - frames.start + len(u)]
-            row = inverse[row.unpack() if isinstance(row, Planes) else row]
-            hit = np.flatnonzero(u < totals[row])
-            row = row[hit]
-        else:
-            hit = np.flatnonzero(u < totals[0])
-        u, v = u[hit], gen.random(len(hit))
-        m = n + len(hit)
-        fr[n:m], origin[n:m] = b0 + hit, 0
-        for c, (_, cdf, guide, scale, cuts) in enumerate(tables):
-            sel = np.flatnonzero(row == c) if multi else slice(None)
-            uc = u[sel]
-            j = (uc * scale).astype(np.intp)
-            lo, hi = guide[j], guide[j + 1]
-            tc = lo + (cdf[lo] <= uc)  # exact where cell j holds at most one ps
-            wide = np.flatnonzero(hi - lo > 1)
-            tc[wide] = np.searchsorted(cdf, uc[wide], side="right")
-            t[n:m][sel] = tc
-            for cut in cuts:
-                origin[n:m][sel] += v[sel] >= cut[tc]
-        n = m
-    t[:n] += vcfg.frame_window_ps if gate == DELTA_T2 else 0
-    return fr[:n], t[:n], origin[:n]
-
-
 def _first_click_counts(root, key, components, vcfg, gate, n, edges) -> np.ndarray:
     """Counts of the first gated clicks of ``n`` i.i.d. frames per origin
     and cell between ``edges``, one draw from stream ``(*key, 0)``:
     Binomial(n, 1 - e^{-C}) frames click, and a multinomial splits them by
     the exact mass ``sum_{t in cell} e^{-C(<t)} (1 - e^{-L_s(t)})``,
-    differenced over ``s`` (``L_s`` as in ``_arrival_tables``)."""
+    differenced over ``s``, ``L_s(t)`` the mean clicks at ``t`` of signals
+    ``0 .. s``: the lowest signal wins ties."""
     window, signals = vcfg.frame_window_ps, len(components)
     g0 = window if gate == DELTA_T2 else 0
     work = _work((signals + 1, window))
     lam, surv = work[:signals], work[signals]
-    _prefix_law([[(rate, placement.runs(vcfg)) for rate, placement in comps]
-                 for comps in components], g0, lam)
+    lam.fill(0.0)  # written before it is read, so each page faults in once
+    for row, comps in zip(lam, components):
+        for rate, placement in comps:
+            _add_runs(row, placement.runs(vcfg), rate, g0)
+    for s in range(1, signals):
+        lam[s] += lam[s - 1]  # L_s
     surv[0] = 0.0
     np.cumsum(lam[-1, :-1], out=surv[1:])  # C(<t)
     p_click = -math.expm1(-(surv[-1] + lam[-1, -1]))
@@ -437,16 +349,25 @@ def _first_click_counts(root, key, components, vcfg, gate, n, edges) -> np.ndarr
     return gen.multinomial(clicks, mass.ravel() / mass.sum()).reshape(mass.shape)
 
 
-def _span(components, vcfg, gate) -> tuple[bool, int]:
-    """Whether a detector draws first arrivals, and its span in frames: one
-    batch when it does, else the most whole batches that expect at most
-    ``SPAN_CLICKS`` clicks at the top rates."""
+def _top_clicks(components) -> float:
+    """A detector's expected clicks a frame, each rate table at its top."""
+    return sum(lam.max() if isinstance(lam, np.ndarray) else lam
+               for comps in components for lam, _ in comps)
+
+
+def _drawn_as_counts(components, vcfg, gate) -> bool:
+    """Whether a runner draws a detector's counts from the first-click law:
+    a ``dt1``/``dt2`` detector with the dead time nested in the blank half,
+    from ``FIRST_CLICK_DENSITY`` expected clicks a frame."""
     window, tau = vcfg.frame_window_ps, vcfg.dead_time_ps
-    expected = sum(lam.max() if isinstance(lam, np.ndarray) else lam
-                   for comps in components for lam, _ in comps)
-    if gate != "always" and window <= tau <= window + 1 and expected >= FIRST_CLICK_DENSITY:
-        return True, BATCH
-    return False, BATCH * max(1, int(SPAN_CLICKS // max(expected * BATCH, 1)))
+    return (gate != "always" and window <= tau <= window + 1
+            and _top_clicks(components) >= FIRST_CLICK_DENSITY)
+
+
+def _span(components) -> int:
+    """A Poisson-path span in frames: the most whole batches that expect at
+    most ``SPAN_CLICKS`` clicks at the top rates, at least one."""
+    return BATCH * max(1, int(SPAN_CLICKS // max(_top_clicks(components) * BATCH, 1)))
 
 
 def _simulate_detector(
@@ -456,46 +377,40 @@ def _simulate_detector(
     gate: str,
     frames: range,
     cls=None,
-    carry: dict | None = None,
+    blocked: int = 0,
 ) -> DetectorResult:
     """Draw, gate and dead-time veto every click of one detector in
     ``frames``, a range that starts on a batch boundary, in spans of whole
-    batches (see ``_span``).  ``components[s]`` lists signal ``s``'s
+    batches (``_span``).  ``components[s]`` lists signal ``s``'s
     ``(lam, placement)`` pairs: ``lam`` mean clicks per frame, a float or a
     rate table giving frame ``frames.start + i`` the rate ``lam[cls[i]]``
     (``cls`` an int array or ``Planes``), and ``placement`` a ``Pulse`` or
-    ``Floor`` (see the module docstring).  A caller drawing one detector
-    span by span keeps one ``carry`` dict for it, which this call updates:
-    the first-arrival tables, which ``cls`` does not enter, are built once,
-    and no click is kept before the absolute time ``carry["blocked"]``, the
-    last kept click plus the dead time."""
-    carry = {} if carry is None else carry
+    ``Floor`` (see the module docstring).  No click is kept before the
+    absolute time ``blocked``, which a caller drawing one detector span by
+    span takes from the previous span's result."""
     root = RandomSource(vcfg.seed)
-    first, span = _span(components, vcfg, gate)
-    if first:
-        fr, t, origin = _first_arrivals(root, key, components, vcfg, gate, frames, cls, carry)
-    else:
-        parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                  np.zeros(0, dtype=np.int8))]
-        for b0 in range(frames.start, frames.stop, span):
-            i0, nb = b0 - frames.start, min(span, frames.stop - b0)
-            pieces = _span_pieces(root, key, components, vcfg, b0, nb,
-                                   None if cls is None else cls[i0:i0 + nb])
-            parts += [(fr, t, np.full(len(fr), s, dtype=np.int8)) for s, fr, t in pieces]
-        fr, t, origin = _finish_detector(parts, vcfg, gate, carry.get("blocked", 0))
+    span = _span(components)
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+              np.zeros(0, dtype=np.int8))]
+    for b0 in range(frames.start, frames.stop, span):
+        i0, nb = b0 - frames.start, min(span, frames.stop - b0)
+        pieces = _span_pieces(root, key, components, vcfg, b0, nb,
+                               None if cls is None else cls[i0:i0 + nb])
+        parts += [(fr, t, np.full(len(fr), s, dtype=np.int8)) for s, fr, t in pieces]
+    fr, t, origin = _finish_detector(parts, vcfg, gate, blocked)
     if len(fr):
-        carry["blocked"] = int(fr[-1]) * vcfg.frame_period_ps + int(t[-1]) + vcfg.dead_time_ps
-    return DetectorResult(t_within=t, frame_idx=fr, origin=origin)
+        blocked = int(fr[-1]) * vcfg.frame_period_ps + int(t[-1]) + vcfg.dead_time_ps
+    return DetectorResult(t_within=t, frame_idx=fr, origin=origin, blocked=blocked)
 
 
 def _detector_cells(key, components, vcfg, gate, n, edges, histogram=False) -> Cells:
     """One detector's accepted clicks over ``n`` frames as ``Cells`` between
-    ``edges`` (see ``_cell_edges``), with a histogram if asked.  On the
-    first-arrival path they are drawn as counts between both kinds of edge;
-    on the Poisson path the clicks of ``_simulate_detector`` are sorted by
-    origin, then ps, and each origin's edges found in them."""
+    ``edges`` (see ``_cell_edges``), with a histogram if asked.  Counts
+    (``_drawn_as_counts``) are drawn between both kinds of edge; otherwise
+    the clicks of ``_simulate_detector`` are sorted by origin, then ps, and
+    each origin's edges found in them."""
     signals, period = len(components), vcfg.frame_period_ps
-    if not _span(components, vcfg, gate)[0]:
+    if not _drawn_as_counts(components, vcfg, gate):
         det = _simulate_detector(key, components, vcfg, gate, range(n))
         click = np.multiply(det.origin, period, dtype=np.int64) + det.t_within
         click.sort()
@@ -956,26 +871,27 @@ def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
     ``protocol.exchange_batches``, the ports' (``_span``) capped at
     ``EXCHANGE_SPAN_BATCHES`` batches, is one call a port and is reduced to
     its conclusive frames, Bob's bits there and its sifted key bits, written
-    in place after the previous span's; each port's carry (its dead time
-    and first-arrival tables) goes into the next span.  The span's class
-    planes go to the ports as they are, and Alice's bits and bases and
-    Bob's bases are read at the conclusive frames only, each once.
+    in place after the previous span's; each port's dead time goes into the
+    next span.  The span's class planes go to the ports as they are, and
+    Alice's bits and bases and Bob's bases are read at the conclusive
+    frames only, each once.
     """
     law = delay_interferometer_rates(
         cfg.eta * flux, cfg.d, visibility_cap, PHASE_TABLE, "none", phase_floor)
-    ports = [((ROLE_PHOTONS, i), [_phase_components(cfg, law, port, "none", 0)], {})
+    ports = [((ROLE_PHOTONS, i), [_phase_components(cfg, law, port, "none", 0)])
              for i, port in enumerate(("p", "p_prime"))]
-    span = min(EXCHANGE_SPAN_BATCHES * BATCH,
-               *(_span(comps, cfg, DELTA_T1)[1] for _, comps, _ in ports))
+    span = min(EXCHANGE_SPAN_BATCHES * BATCH, *(_span(comps) for _, comps in ports))
+    blocked = [0] * len(ports)
     frames_all = _lazy_record(n_frames, np.int64)
     bits_all, key_a_all, key_b_all = (_lazy_record(n_frames, np.int8) for _ in range(3))
     n_det = n_sift = 0
     for batch in exchange_batches(cfg.seed, n_frames, eve, span):
         b0, chunk = batch.start, range(batch.start, batch.start + len(batch.cls))
-        usable = [_usable_frames(_simulate_detector(key, comps, cfg, DELTA_T1, chunk,
-                                                    batch.cls, carry), cfg) - b0
-                  for key, comps, carry in ports]
-        frames, bob_bits, bob_x = decode(*usable, batch.bob_x)
+        dets = [_simulate_detector(key, comps, cfg, DELTA_T1, chunk, batch.cls, at)
+                for (key, comps), at in zip(ports, blocked)]
+        blocked = [det.blocked for det in dets]
+        frames, bob_bits, bob_x = decode(*(_usable_frames(det, cfg) - b0 for det in dets),
+                                         batch.bob_x)
         key_a, key_b, _ = sift(batch.bits[frames], batch.alice_x[frames], bob_x, bob_bits)
         det, sifted = slice(n_det, n_det + len(frames)), slice(n_sift, n_sift + len(key_a))
         frames_all[det], bits_all[det] = b0 + frames, bob_bits

@@ -18,9 +18,9 @@ first), and builds the frame class, which indexes the eight values of
 phi_a + phi_b in ``PHASE_TABLE``, as three more planes of words with
 ``&``, ``^`` and ``~``.  No per-frame array is built: the port sampler
 reads classes at its candidate frames, decoding and sifting read bits and
-bases at the conclusive frames, and only the dense first-arrival path and
-the transcript unpack a batch (``Planes.unpack``).  The exchange reduces each
-span to its conclusive frames, and the transcript draws the state again.
+bases at the conclusive frames, and only the transcript unpacks a batch
+(``Planes.unpack``).  The exchange reduces each span to its conclusive
+frames, and the transcript draws the state again.
 
 Port convention: port P carries the ``1 + V cos(phi_a + phi_b)`` lobe.  A
 matched-basis bit 0 therefore lights port P in the X basis but port P' in

@@ -13,6 +13,8 @@ from sdmqsim.pipeline import (
     DetectorResult,
     Floor,
     Pulse,
+    _cell_edges,
+    _detector_cells,
     _finish_detector,
     _simulate_detector,
 )
@@ -48,27 +50,22 @@ def _uniform_in_gate(lam):
 SEEDS = range(101, 106)  # held out: no sampler or bound was tuned on them
 
 
-def _both_paths(monkeypatch, draw):
-    """``draw(seed)`` over ``SEEDS``, first with each frame's first gated
-    click drawn from its law, then with every click drawn (the Poisson
-    path, ``FIRST_CLICK_DENSITY = inf``) and sorted and walked."""
-    with mock.patch.object(pipeline, "_first_arrivals",
-                           wraps=pipeline._first_arrivals) as spy:
-        first = [draw(seed) for seed in SEEDS]
+def _counts_and_walked(monkeypatch, components, cfg, gate, n, edges):
+    """Each seed's ``(origin, cell)`` clicks of a detector over ``n`` frames
+    between ``edges`` (from ``_cell_edges``), over ``SEEDS``: first drawn as
+    counts from the first-click law, then on the Poisson path
+    (``FIRST_CLICK_DENSITY = inf``), which draws every click and sorts and
+    walks them."""
+    def draw():
+        return [np.diff(_detector_cells((4,), components, replace(cfg, seed=seed), gate, n,
+                                        edges).before, axis=1) for seed in SEEDS]
+
+    with mock.patch.object(pipeline, "_first_click_counts",
+                           wraps=pipeline._first_click_counts) as spy:
+        counts = draw()
         assert spy.call_count == len(SEEDS)
     monkeypatch.setattr(pipeline, "FIRST_CLICK_DENSITY", math.inf)
-    return first, [draw(seed) for seed in SEEDS]
-
-
-def _law_counts(dets, edges, n_sig):
-    """Clicks pooled over ``dets`` per window ``[edges[k], edges[k+1])`` and
-    origin; every click falls in a window."""
-    counts = np.zeros((len(edges) - 1, n_sig), dtype=np.int64)
-    for det in dets:
-        k = np.searchsorted(edges, det.t_within, side="right") - 1
-        assert ((k >= 0) & (k < len(edges) - 1)).all()
-        np.add.at(counts, (k, det.origin), 1)
-    return counts
+    return counts, draw()
 
 
 def _assert_same_law(got, ref):
@@ -113,27 +110,19 @@ class TestDetect:
         dev = np.abs(basis @ coef - clicks) / clicks.max()
         assert dev.max() < 0.01
 
-    def test_dead_time_nested_in_blank_interval(self, cfg, monkeypatch):
+    def test_dead_time_nested_in_blank_interval(self, cfg):
         # with one frame per period and a half-period gate, dead time never
         # suppresses in-gate signal: a gated collection clicks at most once
         # per frame, and exactly in the frames with >= 1 photon, as the
         # Poisson path's sort and walk finds them
         n = 50_000
         comps = _uniform_in_gate(0.3)
-
-        def draw(seed):
-            return _simulate_detector((1,), comps, replace(cfg, seed=seed), "dt1", range(n))
-
-        first, walked = _both_paths(monkeypatch, draw)
-        photons = [_simulate_detector((1,), comps, replace(cfg, seed=seed, dead_time_ps=0),
-                                      "dt1", range(n)) for seed in SEEDS]
-        for det, ph in zip(first, photons):
-            assert (np.diff(det.frame_idx) > 0).all()
+        for seed in SEEDS:
+            det = _simulate_detector((1,), comps, replace(cfg, seed=seed), "dt1", range(n))
+            ph = _simulate_detector((1,), comps, replace(cfg, seed=seed, dead_time_ps=0),
+                                    "dt1", range(n))
             assert len(ph.t_within) > len(det.t_within)
-        for det, ph in zip(walked, photons):
             np.testing.assert_array_equal(det.frame_idx, np.unique(ph.frame_idx))
-        edges = np.linspace(0, W, 11).astype(np.int64)
-        _assert_same_law(_law_counts(first, edges, 1), _law_counts(walked, edges, 1))
 
 
 class TestDeadTimeMask:
@@ -258,8 +247,8 @@ _PIECES = st.lists(
 
 
 class TestFirstClickVeto:
-    """A dense ``dt1``/``dt2`` detector with the dead time nested in the
-    blank half draws each frame's first gated click from its law; the
+    """A runner draws a dense ``dt1``/``dt2`` detector with the dead time
+    nested in the blank half as counts from the first-click law; the
     Poisson path, which draws every click and then sorts and walks them
     (checked here against the greedy loop), is the reference."""
 
@@ -280,14 +269,14 @@ class TestFirstClickVeto:
         return t[order], fr[order], orig[order]
 
     @staticmethod
-    def _draws_first_arrival(cfg, gate, lam):
-        """Whether ``_simulate_detector`` draws only first arrivals for a
-        detector expecting ``lam`` clicks a frame, uniform over the first
-        half-frame."""
+    def _draws_counts(cfg, gate, lam):
+        """Whether ``_detector_cells`` draws the counts of a detector
+        expecting ``lam`` clicks a frame, uniform over the first half-frame,
+        from the first-click law."""
         with mock.patch.object(
-            pipeline, "_first_arrivals", wraps=pipeline._first_arrivals
+            pipeline, "_first_click_counts", wraps=pipeline._first_click_counts
         ) as spy:
-            _simulate_detector((2,), _uniform_in_gate(lam), cfg, gate, range(8))
+            _detector_cells((2,), _uniform_in_gate(lam), cfg, gate, 8, _cell_edges(cfg, []))
         return spy.called
 
     def _check(self, got, ref):
@@ -305,21 +294,15 @@ class TestFirstClickVeto:
     @pytest.mark.parametrize("gate", ["dt1", "dt2"])
     @pytest.mark.parametrize("tau", [W, W + 1])
     def test_first_click_matches_sort_and_walk(self, gate, tau, monkeypatch):
-        cfg = validate_config(SimConfig(dead_time_ps=tau))
-
-        def draw(seed):
-            return _simulate_detector((4,), self.COMPONENTS, replace(cfg, seed=seed), gate,
-                                      range(20_000))
-
-        first, walked = _both_paths(monkeypatch, draw)
-        for det in first:
-            assert (np.diff(det.frame_idx) > 0).all()
-            assert gate_mask(det.t_within, gate, W).all()
+        cfg, n = validate_config(SimConfig(dead_time_ps=tau)), 20_000
         centers = (W // 2, W + W // 2, W + W // 2 + 1540)
-        edges = np.unique(np.concatenate(
-            [np.linspace(0, P, 17).astype(np.int64)]
-            + [c + np.arange(-400, 401, 100) for c in centers]))
-        _assert_same_law(_law_counts(first, edges, 3), _law_counts(walked, edges, 3))
+        edges = _cell_edges(cfg, [np.linspace(0, P, 17).astype(np.int64)]
+                            + [c + np.arange(-400, 401, 100) for c in centers])
+        outside = ~gate_mask(edges[:-1], gate, W)
+        counts, walked = _counts_and_walked(monkeypatch, self.COMPONENTS, cfg, gate, n, edges)
+        for drawn in counts + walked:
+            assert drawn.sum() <= n and not drawn[:, outside].any()
+        _assert_same_law(sum(counts), sum(walked))
 
     @pytest.mark.parametrize(
         "gate,tau",
@@ -333,15 +316,15 @@ class TestFirstClickVeto:
         # gate, or an ungated detector: the first-click rule does not hold,
         # so even a dense detector draws every click
         cfg = validate_config(SimConfig(dead_time_ps=tau))
-        assert not self._draws_first_arrival(cfg, gate, 1.0)
+        assert not self._draws_counts(cfg, gate, 1.0)
         pieces = _pieces(draw)
         self._check(self._sort_and_walk(pieces, cfg, gate), self._reference(
             pieces, cfg, gate, lambda t, td: _greedy_dead_time(t.tolist(), td)))
 
     def test_sparse_detector_takes_general_path(self, cfg):
         # the switch reads the expected clicks a frame, before any draw
-        assert not self._draws_first_arrival(cfg, "dt1", FIRST_CLICK_DENSITY / 2)
-        assert self._draws_first_arrival(cfg, "dt1", FIRST_CLICK_DENSITY)
+        assert not self._draws_counts(cfg, "dt1", FIRST_CLICK_DENSITY / 2)
+        assert self._draws_counts(cfg, "dt1", FIRST_CLICK_DENSITY)
         pieces = _pieces([[(3, 10), (3, 20)]])
         assert self._sort_and_walk(pieces, cfg, "dt1")[0].tolist() == [10]
 
@@ -354,16 +337,12 @@ class TestFirstClickVeto:
         lams, n = (0.2, 0.5, 0.3), 100_000
         below = np.cumsum((0.0,) + lams[:-1])
         p = (1 - np.exp(-np.array(lams))) * np.exp(-below)
-
-        def draw(seed):
-            return _simulate_detector((5,), [[(lam, Pulse(500))] for lam in lams],
-                                      replace(cfg, seed=seed), "dt1", range(n))
-
-        for dets in _both_paths(monkeypatch, draw):
-            for det in dets:
-                assert (det.t_within == 500).all()
-                counts = np.bincount(det.origin, minlength=3)
-                assert (np.abs(counts - n * p) <= 5 * np.sqrt(n * p * (1 - p))).all(), counts
+        edges = _cell_edges(cfg, [(500, 501)])
+        for drawn in sum(_counts_and_walked(monkeypatch, [[(lam, Pulse(500))] for lam in lams],
+                                            cfg, "dt1", n, edges), []):
+            counts = drawn[:, 1]  # the cell [500, 501)
+            assert counts.sum() == drawn.sum()
+            assert (np.abs(counts - n * p) <= 5 * np.sqrt(n * p * (1 - p))).all(), counts
 
 
 class TestTimeWindowFilter:

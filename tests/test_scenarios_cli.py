@@ -427,6 +427,11 @@ class TestCliRun:
                          "uniform_il_db must be <= 0", id="theory_il_db"),
             pytest.param("capacity", "theory_mu = 1.0", "theory_mu = -1.0",
                          "theory_mu must be", id="theory_mu"),
+            # one ps past the pulse period; a wide jitter would build a
+            # kernel 8 sigma long a pulse
+            pytest.param("timebin_b", "jitter_sigma_ps = 100", "jitter_sigma_ps = 1541",
+                         "jitter_sigma_ps must be in [0, pulse_period_ps = 1540], got 1541",
+                         id="jitter_sigma_ps"),
         ],
     )
     def test_bad_channel_or_signal_value_exit_2(self, name, old, new, says,
