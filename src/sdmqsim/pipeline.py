@@ -4,39 +4,37 @@ The runners describe each signal that reaches a detector as components:
 mean clicks per frame, from the channel and (for phase frames)
 ``receiver.delay_interferometer_rates``, and where they land, as data: a
 jittered ``Pulse`` or a uniform ``Floor``, each with its per-ps law
-(``runs``).  A rate that differs from frame to frame (Bob's ports in BB84)
-is a rate table indexed by the frame class, and the frames' classes, an
-int array or ``protocol.Planes``, go to the detector as they are: the
-sampler thins from the table's top rate and reads the classes at its
-candidate frames only.  A click's origin is its signal's position in the
-detector's list.
+(``runs``).  A click's origin is its signal's position in the detector's
+list.
 
 A ``dt1``/``dt2`` detector with the dead time nested in the blank half
 keeps each frame's first gated click (see receiver), so its frames are
 i.i.d.: a frame clicks with probability ``1 - e^{-C}``, ``C`` its mean
 gated clicks.  From ``FIRST_CLICK_DENSITY`` expected clicks a frame a runner
 draws such a detector's counts from that law (``_drawn_as_counts``).  Every
-other detector, Bob's ports included, draws every click, O(events) at the
-~0.002 events per detector-frame of the phase experiments
-(``_poisson_frames``), then gates, sorts and walks them, in spans of the
-most whole batches that expect at most ``SPAN_CLICKS`` clicks (``_span``),
-one random stream a (detector, signal, span).  Photon sampling is
+other runner detector draws every click, O(events) at the ~0.002 events
+per detector-frame of the phase experiments (``_poisson_frames``), then
+gates, sorts and walks them, one span at a time: a span is the most whole
+batches that expect at most ``SPAN_CLICKS`` clicks (``_span``), with one
+random stream a (detector, signal, span), and the time until which the
+detector stays dead goes into the next span.  Photon sampling is
 efficiency-thinned at the source (Poisson splitting), which is
 statistically identical to sampling raw photons and thinning at the
 detector.  Streams depend on the scenario alone, so results are
 reproducible from its seed.
 
 The time-bin and phase runners declare the ps edges of every window they
-read (``_cell_edges``) and draw each detector once over the whole run into
-``Cells``: per-origin counts between those edges, and histogram bins where
-read (``_detector_cells``).  A dense detector's counts are one draw from
-stream ``(*key, 0)``, with no per-click array (``_first_click_counts``).
-The BB84 exchange needs each click's frame, so it draws Bob's ports on
-the Poisson path.  It runs span-outer, its ports' span capped at
-``EXCHANGE_SPAN_BATCHES``: each span draws its per-frame state
-(``protocol.exchange_batches``) and Bob's ports, each port's blocked-until
-time going into the next span, then decodes and sifts; only the
-conclusive frames outlive a span.
+read (``_cell_edges``) and get each detector back as ``Cells``: per-origin
+counts between those edges, and histogram bins where read
+(``_detector_cells``).  A dense detector's counts are one draw from stream
+``(*key, 0)``, with no per-click array (``_first_click_counts``).
+
+The BB84 exchange reads only each frame's outcome.  With Bob's dead time
+nested in the blank half (a longer one is rejected), that outcome depends
+on the frame's class alone, so the exchange draws its conclusive frames
+and the port that lit straight from a class table (``simulate_bb84``), one
+span of ``protocol.exchange_batches`` at a time; only the conclusive
+frames outlive a span.
 """
 from __future__ import annotations
 
@@ -52,6 +50,7 @@ from .config import (
     BATCH,
     DELTA_T1,
     DELTA_T2,
+    ConfigError,
     RandomSource,
     ROLE_PHOTONS,
     SignalAssignment,
@@ -62,7 +61,6 @@ from .protocol import (
     PHASE_TABLE,
     Bb84Result,
     KeyRateParams,
-    decode,
     error_rate,
     exchange_batches,
     key_rate,
@@ -93,8 +91,7 @@ FIRST_CLICK_DENSITY = 0.25
 # batches that expect at most this many, at least one, and 2^16 batches
 # for a detector that expects under a click a batch
 SPAN_CLICKS = 1 << 16
-# most batches in a BB84 exchange span, whose state holds ~1.4 bytes of
-# bit planes a frame and each port ~0.9 bytes of candidate clicks
+# most batches in a BB84 exchange span (~1.4 bytes of bit planes a frame)
 EXCHANGE_SPAN_BATCHES = 4
 
 
@@ -242,10 +239,11 @@ class Pulse:
         """The law of ``times``: the rounded jitter around each slot,
         clamped."""
         w = _jitter_kernel(vcfg.jitter_sigma_ps)
-        slots = self.first + self.spacing * np.arange(self.n)[:, None]
-        t = np.clip(slots + np.arange(len(w)) - len(w) // 2, 0, vcfg.frame_period_ps - 1)
-        p = np.bincount(t.ravel() - t[0, 0], np.tile(w / self.n, self.n))
-        return [(t[0, 0], t[-1, -1] + 1, p)]
+        t = np.arange(len(w)) - len(w) // 2 + self.first + self.spacing * np.arange(self.n)[:, None]
+        np.clip(t, 0, vcfg.frame_period_ps - 1, out=t)  # in place: a train's t is ~0.8 MB
+        lo, hi = t[0, 0], t[-1, -1] + 1
+        t -= lo
+        return [(lo, hi, np.bincount(t.ravel(), np.tile(w / self.n, self.n)))]
 
 
 @dataclass(frozen=True)
@@ -288,19 +286,6 @@ def _jitter_kernel(sigma: float) -> np.ndarray:
 def _pulse_center(vcfg, offset, slot):
     """Center (ps) of pulse slot ``slot`` of a train starting at ``offset``."""
     return offset + slot * vcfg.pulse_period_ps + vcfg.pulse_period_ps // 2
-
-
-def _span_pieces(root, key, components, vcfg, b0, nb, cls):
-    """Yield ``(sig_pos, frames, t)`` for each piece of the span of frames
-    ``b0 .. b0+nb``, of classes ``cls``: stream ``(*key, s, b0 // BATCH)``
-    draws signal ``s``'s components in list order, the frames (sorted) and
-    then their within-frame times."""
-    for sig_pos, comps in enumerate(components):
-        gen = root.stream(*key, sig_pos, b0 // BATCH).generator()
-        for lam, placement in comps:
-            frames = b0 + _poisson_frames(gen, lam, nb, cls)
-            if len(frames):
-                yield sig_pos, frames, placement.times(gen, len(frames), vcfg)
 
 
 @lru_cache(maxsize=1)
@@ -349,10 +334,9 @@ def _first_click_counts(root, key, components, vcfg, gate, n, edges) -> np.ndarr
     return gen.multinomial(clicks, mass.ravel() / mass.sum()).reshape(mass.shape)
 
 
-def _top_clicks(components) -> float:
-    """A detector's expected clicks a frame, each rate table at its top."""
-    return sum(lam.max() if isinstance(lam, np.ndarray) else lam
-               for comps in components for lam, _ in comps)
+def _mean_clicks(components) -> float:
+    """A detector's expected clicks a frame."""
+    return sum(lam for comps in components for lam, _ in comps)
 
 
 def _drawn_as_counts(components, vcfg, gate) -> bool:
@@ -361,13 +345,13 @@ def _drawn_as_counts(components, vcfg, gate) -> bool:
     from ``FIRST_CLICK_DENSITY`` expected clicks a frame."""
     window, tau = vcfg.frame_window_ps, vcfg.dead_time_ps
     return (gate != "always" and window <= tau <= window + 1
-            and _top_clicks(components) >= FIRST_CLICK_DENSITY)
+            and _mean_clicks(components) >= FIRST_CLICK_DENSITY)
 
 
-def _span(components) -> int:
-    """A Poisson-path span in frames: the most whole batches that expect at
-    most ``SPAN_CLICKS`` clicks at the top rates, at least one."""
-    return BATCH * max(1, int(SPAN_CLICKS // max(_top_clicks(components) * BATCH, 1)))
+def _span(clicks: float) -> int:
+    """A span in frames of a draw that expects ``clicks`` a frame: the most
+    whole batches that expect at most ``SPAN_CLICKS``, at least one."""
+    return BATCH * max(1, int(SPAN_CLICKS // max(clicks * BATCH, 1)))
 
 
 def _simulate_detector(
@@ -376,27 +360,30 @@ def _simulate_detector(
     vcfg: ValidatedConfig,
     gate: str,
     frames: range,
-    cls=None,
     blocked: int = 0,
 ) -> DetectorResult:
     """Draw, gate and dead-time veto every click of one detector in
     ``frames``, a range that starts on a batch boundary, in spans of whole
     batches (``_span``).  ``components[s]`` lists signal ``s``'s
-    ``(lam, placement)`` pairs: ``lam`` mean clicks per frame, a float or a
-    rate table giving frame ``frames.start + i`` the rate ``lam[cls[i]]``
-    (``cls`` an int array or ``Planes``), and ``placement`` a ``Pulse`` or
-    ``Floor`` (see the module docstring).  No click is kept before the
-    absolute time ``blocked``, which a caller drawing one detector span by
-    span takes from the previous span's result."""
+    ``(lam, placement)`` pairs: ``lam`` mean clicks per frame and
+    ``placement`` a ``Pulse`` or ``Floor`` (see the module docstring).  No
+    click is kept before the absolute time ``blocked``, which a caller
+    drawing one detector span by span takes from the previous span's
+    result."""
     root = RandomSource(vcfg.seed)
-    span = _span(components)
+    span = _span(_mean_clicks(components))
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
               np.zeros(0, dtype=np.int8))]
+    # stream (*key, s, first batch) draws signal s's components of a span in
+    # list order: the frames (sorted), then their within-frame times
     for b0 in range(frames.start, frames.stop, span):
-        i0, nb = b0 - frames.start, min(span, frames.stop - b0)
-        pieces = _span_pieces(root, key, components, vcfg, b0, nb,
-                               None if cls is None else cls[i0:i0 + nb])
-        parts += [(fr, t, np.full(len(fr), s, dtype=np.int8)) for s, fr, t in pieces]
+        for s, comps in enumerate(components):
+            gen = root.stream(*key, s, b0 // BATCH).generator()
+            for lam, placement in comps:
+                fr = b0 + _poisson_frames(gen, lam, min(span, frames.stop - b0))
+                if len(fr):
+                    parts.append((fr, placement.times(gen, len(fr), vcfg),
+                                  np.full(len(fr), s, dtype=np.int8)))
     fr, t, origin = _finish_detector(parts, vcfg, gate, blocked)
     if len(fr):
         blocked = int(fr[-1]) * vcfg.frame_period_ps + int(t[-1]) + vcfg.dead_time_ps
@@ -407,17 +394,22 @@ def _detector_cells(key, components, vcfg, gate, n, edges, histogram=False) -> C
     """One detector's accepted clicks over ``n`` frames as ``Cells`` between
     ``edges`` (see ``_cell_edges``), with a histogram if asked.  Counts
     (``_drawn_as_counts``) are drawn between both kinds of edge; otherwise
-    the clicks of ``_simulate_detector`` are sorted by origin, then ps, and
-    each origin's edges found in them."""
+    each span's clicks (``_simulate_detector``, the dead time carried) are
+    sorted by origin, then ps, and each origin's edges found in them."""
     signals, period = len(components), vcfg.frame_period_ps
     if not _drawn_as_counts(components, vcfg, gate):
-        det = _simulate_detector(key, components, vcfg, gate, range(n))
-        click = np.multiply(det.origin, period, dtype=np.int64) + det.t_within
-        click.sort()
-        at = np.searchsorted(click, np.add.outer(np.arange(signals) * period, edges).ravel())
-        at = at.reshape(signals, -1)
-        return Cells(edges, at - at[:, :1],
-                     histogram_from_times(det.t_within, vcfg) if histogram else None)
+        before, bins, blocked = np.zeros((signals, len(edges)), np.int64), 0, 0
+        span = _span(_mean_clicks(components))
+        for b0 in range(0, n, span):
+            det = _simulate_detector(key, components, vcfg, gate, range(n)[b0:b0 + span], blocked)
+            blocked = det.blocked
+            click = np.multiply(det.origin, period, dtype=np.int64) + det.t_within
+            click.sort()
+            at = np.searchsorted(click, np.add.outer(np.arange(signals) * period, edges).ravel())
+            at = at.reshape(signals, -1)
+            before += at - at[:, :1]
+            bins += histogram_from_times(det.t_within, vcfg).bins if histogram else 0
+        return Cells(edges, before, Histogram(bins, vcfg.hist_res_ps) if histogram else None)
     fine = (_cell_edges(vcfg, [edges, np.arange(0, period, vcfg.hist_res_ps)])
             if histogram else edges)
     counts = _first_click_counts(RandomSource(vcfg.seed), key, components, vcfg, gate, n, fine)
@@ -837,11 +829,27 @@ def _run_phase_sweep(scenario: Scenario, vcfg, channel) -> RunResult:
     return RunResult(report=report, sweep_points=points_out)
 
 
-def _usable_frames(det: DetectorResult, vcfg) -> np.ndarray:
-    """Sorted frames whose first click lands on an interior position."""
-    fr, t = det.frame_idx, det.t_within
-    lo, hi = _interior_window(vcfg, 0)
-    return fr[(np.diff(fr, prepend=-1) != 0) & (t >= lo) & (t < hi)]
+def _mass(runs, lo, hi) -> float:
+    """The mass over ps ``lo .. hi`` of a per-ps law's runs (``_add_runs``)."""
+    total = 0.0
+    for a, b, p in runs:
+        s, e = max(a, lo), min(b, hi)
+        if s < e:
+            total += p * (e - s) if np.isscalar(p) else p[s - a:e - a].sum()
+    return total
+
+
+def _port_usable(cfg, law, port) -> np.ndarray:
+    """Per frame class, the chance ``e^{-B} (1 - e^{-I})`` that a port's
+    first gated click lands on an interior position, ``B`` and ``I`` its
+    mean clicks before and inside the interior window."""
+    lo, hi = _interior_window(cfg, 0)
+    before = inside = 0.0
+    for rate, placement in _phase_components(cfg, law, port, "none", 0):
+        runs = placement.runs(cfg)
+        before = before + rate * _mass(runs, 0, lo)
+        inside = inside + rate * _mass(runs, lo, hi)
+    return np.exp(-before) * -np.expm1(-inside)
 
 
 def _lazy_record(n: int, dtype) -> np.ndarray:
@@ -861,40 +869,41 @@ def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
                   phase_floor: float = 0.0) -> Bb84Result:
     """Run a full BB84 exchange over phase frames, one span at a time.
 
-    ``flux`` is the received mean photons per frame at Bob's input.  Each
-    of Bob's two ports is a detector gated to the first half-window and
-    drawn by ``_simulate_detector`` at the rates of
-    :func:`receiver.delay_interferometer_rates` over ``PHASE_TABLE``, one
-    per frame class.  A port's outcome in a frame is its first click past
-    the gate and the dead time; it is usable on an interior position.
-    Each port's components are built once a run.  Each span of
-    ``protocol.exchange_batches``, the ports' (``_span``) capped at
-    ``EXCHANGE_SPAN_BATCHES`` batches, is one call a port and is reduced to
-    its conclusive frames, Bob's bits there and its sifted key bits, written
-    in place after the previous span's; each port's dead time goes into the
-    next span.  The span's class planes go to the ports as they are, and
-    Alice's bits and bases and Bob's bases are read at the conclusive
-    frames only, each once.
+    ``flux`` is the received mean photons per frame at Bob's input.  Bob's
+    ports, gated ``dt1`` at the rates of
+    :func:`receiver.delay_interferometer_rates` over ``PHASE_TABLE``, are
+    usable with ``p_P`` and ``p_P'`` a class (``_port_usable``): a frame is
+    conclusive with ``q = p_P (1 - p_P') + p_P' (1 - p_P)`` and lights P in
+    a share ``p_P (1 - p_P') / q`` of those.  Each span (``_span`` at the
+    class table's top, capped at ``EXCHANGE_SPAN_BATCHES`` batches) opens
+    stream ``(ROLE_PHOTONS, first batch)``: the frames with a candidate at
+    the class table ``-ln(1 - q)`` (``_poisson_frames``) are conclusive, and
+    one uniform each picks the port.  The state is read there only, and Bob's bits and the sifted key
+    bits are written in place after the previous span's.
     """
+    if cfg.dead_time_ps > cfg.frame_window_ps + 1:  # a port's frames would not be i.i.d.
+        raise ConfigError(f"BB84 nests the dead time in the blank half: dead_time_ps must be "
+                          f"at most frame_window_ps + 1, got {cfg.dead_time_ps}")
     law = delay_interferometer_rates(
         cfg.eta * flux, cfg.d, visibility_cap, PHASE_TABLE, "none", phase_floor)
-    ports = [((ROLE_PHOTONS, i), [_phase_components(cfg, law, port, "none", 0)])
-             for i, port in enumerate(("p", "p_prime"))]
-    span = min(EXCHANGE_SPAN_BATCHES * BATCH, *(_span(comps) for _, comps in ports))
-    blocked = [0] * len(ports)
+    p, pp = (_port_usable(cfg, law, port) for port in ("p", "p_prime"))
+    lights_p = p * (1 - pp)
+    conclusive = lights_p + pp * (1 - p)
+    rate = -np.log1p(-conclusive)
     frames_all = _lazy_record(n_frames, np.int64)
     bits_all, key_a_all, key_b_all = (_lazy_record(n_frames, np.int8) for _ in range(3))
     n_det = n_sift = 0
+    span = min(EXCHANGE_SPAN_BATCHES * BATCH, _span(rate.max()))  # one batch for dense ports
     for batch in exchange_batches(cfg.seed, n_frames, eve, span):
-        b0, chunk = batch.start, range(batch.start, batch.start + len(batch.cls))
-        dets = [_simulate_detector(key, comps, cfg, DELTA_T1, chunk, batch.cls, at)
-                for (key, comps), at in zip(ports, blocked)]
-        blocked = [det.blocked for det in dets]
-        frames, bob_bits, bob_x = decode(*(_usable_frames(det, cfg) - b0 for det in dets),
-                                         batch.bob_x)
+        gen = RandomSource(cfg.seed).stream(ROLE_PHOTONS, batch.start // BATCH).generator()
+        candidates = _poisson_frames(gen, rate, len(batch.cls), batch.cls)
+        frames = candidates[np.diff(candidates, prepend=-1) > 0]
+        cls, bob_x = batch.cls[frames], batch.bob_x[frames]
+        on_p = gen.random(len(frames)) * conclusive[cls] < lights_p[cls]
+        bob_bits = (on_p != bob_x).astype(np.int8)  # 0 on port P in X and on P' in Z
         key_a, key_b, _ = sift(batch.bits[frames], batch.alice_x[frames], bob_x, bob_bits)
         det, sifted = slice(n_det, n_det + len(frames)), slice(n_sift, n_sift + len(key_a))
-        frames_all[det], bits_all[det] = b0 + frames, bob_bits
+        frames_all[det], bits_all[det] = batch.start + frames, bob_bits
         key_a_all[sifted], key_b_all[sifted] = key_a, key_b
         n_det, n_sift = det.stop, sifted.stop
     key_a, key_b = key_a_all[:n_sift], key_b_all[:n_sift]

@@ -6,25 +6,24 @@ one-pulse-delay interferometer whose extra phase selects his basis
 (phi_b = 0 measures X, pi/2 measures Z).  A frame-level click on one of the
 two output ports is the measurement outcome; double or missing clicks give
 a null bit.  Clicks in the two edge positions of the train carry no phase
-information and are discarded before the bit decision.  The clicks
-themselves are drawn by ``pipeline.simulate_bb84``; this module holds the
-per-frame state, the encoding table, decoding, sifting, the finite-key
-bound and the transcript.
+information and are discarded before the bit decision.  Each frame's
+outcome is drawn by ``pipeline.simulate_bb84``; this module holds the
+per-frame state, the encoding table, sifting, the finite-key bound and
+the transcript.
 
 Per-frame state lives one span at a time as bit planes: ``exchange_batches``
 draws each stream's raw 64-bit Philox words, 64 draws to a word (draw
 ``i`` of a stream is bit ``i % 64`` of word ``i // 64``, least significant
 first), and builds the frame class, which indexes the eight values of
 phi_a + phi_b in ``PHASE_TABLE``, as three more planes of words with
-``&``, ``^`` and ``~``.  No per-frame array is built: the port sampler
-reads classes at its candidate frames, decoding and sifting read bits and
-bases at the conclusive frames, and only the transcript unpacks a batch
-(``Planes.unpack``).  The exchange reduces each span to its conclusive
-frames, and the transcript draws the state again.
+``&``, ``^`` and ``~``.  No per-frame array is built: the exchange reads
+classes at candidate frames and bits and bases at conclusive frames, and
+reduces each span to its conclusive frames; only the transcript, which
+draws the state again, unpacks a batch (``Planes.unpack``).
 
 Port convention: port P carries the ``1 + V cos(phi_a + phi_b)`` lobe.  A
 matched-basis bit 0 therefore lights port P in the X basis but port P' in
-the Z basis, so the port-to-bit decode table is basis dependent.
+the Z basis: Bob's bit is 0 on P in X and on P' in Z.
 """
 from __future__ import annotations
 
@@ -44,7 +43,6 @@ __all__ = [
     "Planes",
     "FrameBatch",
     "exchange_batches",
-    "decode",
     "sift",
     "error_rate",
     "key_rate",
@@ -65,10 +63,9 @@ PHASE_TABLE = (PHASES[:, None] + np.array([0.0, math.pi / 2])).ravel()
 class Planes:
     """``n`` frames' small unsigned values held as bit planes of raw words:
     bit ``k`` of frame ``i``'s value is bit ``i % 64`` of ``words[k, i //
-    64]``, least significant first.  It reads like a uint8 array:
-    ``planes[idx]`` looks the values up at frame indices, and a slice from a
-    multiple of 64 frames is a ``Planes`` again.  The bits past ``n`` in the
-    last word are never read."""
+    64]``, least significant first.  ``planes[idx]`` looks the values up at
+    frame indices, as in a uint8 array.  The bits past ``n`` in the last
+    word are never read."""
 
     __slots__ = ("words", "n")
 
@@ -79,11 +76,6 @@ class Planes:
         return self.n
 
     def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            start, stop, _ = idx.indices(self.n)
-            if start % 64:
-                raise ValueError("a slice of bit planes must start on a word")
-            return Planes(self.words[:, start // 64:-(-stop // 64)], max(stop - start, 0))
         idx = np.asarray(idx)
         byte, shift = idx >> 3, idx.astype(np.uint8) & 7
         planes = self.words.view(np.uint8)
@@ -178,16 +170,6 @@ def exchange_batches(seed: int, n_frames: int, eve: bool,
         yield FrameBatch(b0, *(None if w is None else Planes(w[None], nb)
                                for w in (bits, alice_x, eve_x, eve_bits, bob_x)),
                          Planes(cls, nb))
-
-
-def decode(frames_p: np.ndarray, frames_pp: np.ndarray, bob_x: np.ndarray):
-    """Conclusive frames (a usable click on exactly one port; each port's
-    frames sorted), Bob's bits there and his bases there, read once: port P
-    means 0 in X and 1 in Z."""
-    frames = np.setxor1d(frames_p, frames_pp, assume_unique=True)
-    on_p = np.isin(frames, frames_p, assume_unique=True)
-    bob_x = bob_x[frames]
-    return frames, (on_p != bob_x).astype(np.int8), bob_x
 
 
 @dataclass(frozen=True)

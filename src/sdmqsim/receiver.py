@@ -7,9 +7,8 @@ does not extend it), matching gated detector behaviour.  Under a ``dt1`` or
 period ``P = 2W`` (``W <= tau <= W + 1``), the veto keeps exactly each
 frame's first gated click: ``tau >= W`` covers the rest of the gate, and
 ``tau <= W + 1`` ends before the next frame's gate opens.  The pipeline
-draws a dense detector's counts (a BB84 port's first click a frame)
-straight from that click's law, so it never calls ``dead_time_mask`` for
-it.
+draws a dense runner detector's counts, and Bob's BB84 outcomes, straight
+from that click's law, so it never calls ``dead_time_mask`` for them.
 
 Interference is computed at intensity level with a hardware visibility
 cap: the channel randomizes inter-signal phases, so only each photon's

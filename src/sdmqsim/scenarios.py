@@ -132,9 +132,12 @@ class Scenario:
             bad = [f"gates {sid}:{g}" for sid, g in exp.gates.items() if g != "dt1"]
             bad += [f"delayed = true on signal {s.signal_id}" for s in self.signals if s.delayed]
             bad += [f"a second signal [signal.{s.signal_id}]" for s in self.signals[1:]]
+            if self.cfg.dead_time_ps > self.cfg.frame_window_ps + 1:
+                bad.append(f"dead_time_ps = {self.cfg.dead_time_ps} > frame_window_ps + 1")
             if bad:
-                raise ConfigError(f"{kind} simulates one signal and gates its ports dt1 in "
-                                  f"the first half-window: {bad[0]} is not supported")
+                raise ConfigError(f"{kind} simulates one signal and gates its ports dt1 in the "
+                                  f"first half-window, the dead time nested in the blank half: "
+                                  f"{bad[0]} is not supported")
         elif not exp.collections:  # every other kind counts per collection
             raise ConfigError(f"{kind} scenario requires a collections map")
         if kind == "phase_er" and exp.gates:

@@ -8,21 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sdmqsim import pipeline
 from sdmqsim.config import (
-    DELTA_T1,
     ROLE_ALICE,
     ROLE_BOB,
     ROLE_EVE,
     ROLE_PHOTONS,
+    ConfigError,
     RandomSource,
     SimConfig,
     validate_config,
 )
 from sdmqsim.pipeline import (
     BATCH,
+    Cells,
     Pulse,
+    _detector_cells,
     _phase_components,
     _simulate_detector,
-    _usable_frames,
     run_scenario,
     simulate_bb84,
 )
@@ -36,7 +37,6 @@ from sdmqsim.protocol import (
     Planes,
     _unpack,
     _words,
-    decode,
     exchange_batches,
     key_rate,
     sift,
@@ -81,19 +81,6 @@ def _old_phase(basis_x, bits):
     )
 
 
-def _old_decode(usable_p, usable_pp, bob_x):
-    """Per-frame boolean decode over every frame: Bob's bit or NULL_BIT."""
-    conclusive = usable_p ^ usable_pp
-    bob_bits = np.full(len(bob_x), NULL_BIT, dtype=np.int8)
-    p_clicked = conclusive & usable_p
-    pp_clicked = conclusive & usable_pp
-    bob_bits[p_clicked & bob_x] = 0
-    bob_bits[p_clicked & ~bob_x] = 1
-    bob_bits[pp_clicked & bob_x] = 1
-    bob_bits[pp_clicked & ~bob_x] = 0
-    return bob_bits
-
-
 class TestInt8Exchange:
     """The int8 exchange against the per-frame float and boolean one."""
 
@@ -123,31 +110,6 @@ class TestInt8Exchange:
         assert np.array_equal(table.interior_p[cls], old.interior_p)
         assert np.array_equal(table.interior_p_prime[cls], old.interior_p_prime)
         assert table[2:] == old[2:]  # edges and floor do not depend on phase
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 40))
-    def test_decode_on_click_frames_matches_per_frame_decode(self, data, n):
-        frames = st.sets(st.integers(0, n - 1))
-        set_p = data.draw(frames)
-        set_pp = data.draw(st.one_of(frames, st.just(set_p), st.just(set())))
-        bools = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
-        bits = data.draw(bools).astype(np.int8)
-        alice_x, bob_x = data.draw(bools), data.draw(bools)
-
-        usable_p, usable_pp = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        usable_p[list(set_p)] = True
-        usable_pp[list(set_pp)] = True
-        old_bits = _old_decode(usable_p, usable_pp, bob_x)
-        old_a, old_b, old_q = sift(bits, alice_x, bob_x, old_bits)
-
-        conc, conc_bits, conc_x = decode(np.flatnonzero(usable_p), np.flatnonzero(usable_pp),
-                                         bob_x)
-        np.testing.assert_array_equal(conc_x, bob_x[conc])
-        key_a, key_b, q = sift(bits[conc], alice_x[conc], conc_x, conc_bits)
-        assert np.array_equal(key_a, old_a)
-        assert np.array_equal(key_b, old_b)
-        assert q == old_q or (math.isnan(q) and math.isnan(old_q))
-        assert len(conc) == int(np.sum(old_bits != NULL_BIT))
 
 
 def _ref_draw(words, n):
@@ -218,13 +180,6 @@ class TestPlanes:
         np.testing.assert_array_equal(planes.unpack(), ref)
         idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=50)), dtype=np.intp)
         np.testing.assert_array_equal(planes[idx], ref[idx])
-        start = data.draw(st.sampled_from(range(0, n, 64)))
-        stop = data.draw(st.integers(start + 1, n))
-        part = planes[start:stop]
-        assert len(part) == stop - start
-        np.testing.assert_array_equal(part.unpack(), ref[start:stop])
-        with pytest.raises(ValueError, match="word"):
-            planes[1:]
 
     @pytest.mark.parametrize("eve", [False, True])
     @pytest.mark.parametrize("n", [1, 63, 64, 65, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 37])
@@ -271,22 +226,6 @@ class TestDrawBalance:
         assert np.all(np.abs(ones - m / 2) <= 5 * math.sqrt(m / 4))
 
 
-def _whole_run_bb84(cfg, n, flux, v, eve):
-    """The exchange with every per-frame array of the run built at once and
-    each port drawn, gated and vetoed over the whole run: the conclusive
-    frames, Bob's bits there, the keys and the QBER."""
-    bits, alice_x, bob_x, cls = _whole_run_state(cfg.seed, n, eve)
-    law = delay_interferometer_rates(cfg.eta * flux, cfg.d, v, PHASE_TABLE, "none", 0.0)
-    usable = [
-        _usable_frames(_simulate_detector(
-            (ROLE_PHOTONS, i), [_phase_components(cfg, law, port, "none", 0)],
-            cfg, DELTA_T1, range(n), cls), cfg)
-        for i, port in enumerate(("p", "p_prime"))
-    ]
-    frames, bob_bits, _ = decode(*usable, bob_x)
-    return (frames, bob_bits, *sift(bits[frames], alice_x[frames], bob_x[frames], bob_bits))
-
-
 def _whole_run_transcript(seed, n, eve, frames, bob_bits):
     """The transcript's text from whole-run per-frame arrays."""
     bits, alice_x, bob_x, _ = _whole_run_state(seed, n, eve)
@@ -313,8 +252,9 @@ def _blocked_until(det, vcfg, blocked):
 
 
 class TestStreamSplit:
-    """The exchange drawn one batch at a time against the same draws made
-    over the whole run at once."""
+    """The exchange drawn one batch at a time, and a runner detector one
+    span at a time, against the same draws made over the whole run at
+    once."""
 
     @pytest.mark.parametrize("eve", [False, True])
     @pytest.mark.parametrize("n", [1, 7, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 5])
@@ -332,45 +272,21 @@ class TestStreamSplit:
     def test_result_and_transcript_match_whole_run(self, cfg, n, eve, tmp_path):
         cfg = replace(cfg, seed=10)
         res = simulate_bb84(cfg, n_frames=n, flux=2.0, visibility_cap=0.93, eve=eve)
-        frames, bob_bits, key_a, key_b, qber = _whole_run_bb84(cfg, n, 2.0, 0.93, eve)
+        frames = res.frames
+        assert (np.diff(frames) > 0).all() and np.isin(res.bits, (0, 1)).all()
+        assert len(frames) == 0 or 0 <= frames[0] <= frames[-1] < n
         if n > 2 * BATCH:  # conclusive frames on both sides of a batch boundary
             assert frames[0] < BATCH <= frames[-1]
-        np.testing.assert_array_equal(res.frames, frames)
-        np.testing.assert_array_equal(res.bits, bob_bits)
+        # the keys sift the whole-run state at the conclusive frames
+        bits, alice_x, bob_x, _ = _whole_run_state(cfg.seed, n, eve)
+        key_a, key_b, qber = sift(bits[frames], alice_x[frames], bob_x[frames], res.bits)
         np.testing.assert_array_equal(res.key_a, key_a)
         np.testing.assert_array_equal(res.key_b, key_b)
         assert (res.n_frames, res.n_detected, res.n_sifted) == (n, len(frames), len(key_a))
         assert res.qber == qber or (math.isnan(res.qber) and math.isnan(qber))
         write_transcript(tmp_path / "t.csv", res)
         assert (tmp_path / "t.csv").read_bytes() == _whole_run_transcript(
-            cfg.seed, n, eve, frames, bob_bits).encode()
-
-    def test_long_dead_time_matches_whole_run(self, cfg, monkeypatch):
-        # a 150 ns dead time outlasts the 100 ns blank half, so each port's
-        # dead time carries across batch boundaries
-        n = 2 * BATCH + 5
-        cfg = replace(cfg, seed=11, dead_time_ps=150_000)
-        calls, sim = [], pipeline._simulate_detector
-
-        def traced(key, components, vcfg, gate, frames, cls, blocked):
-            calls.append((key, blocked, sim(key, components, vcfg, gate, frames, cls, blocked)))
-            return calls[-1][2]
-
-        monkeypatch.setattr(pipeline, "_simulate_detector", traced)
-        res = simulate_bb84(cfg, n_frames=n, flux=10.0, visibility_cap=0.93, eve=True)
-        monkeypatch.undo()
-        for port in ((ROLE_PHOTONS, 0), (ROLE_PHOTONS, 1)):  # each batch gets the dead time
-            blocked = [b for key, b, _ in calls if key == port]
-            dets = [det for key, _, det in calls if key == port]
-            assert len(blocked) == 3 and blocked[0] == 0
-            for i in (1, 2):
-                assert blocked[i] == _blocked_until(dets[i - 1], cfg, blocked[i - 1]) > 0
-        frames, bob_bits, key_a, key_b, qber = _whole_run_bb84(cfg, n, 10.0, 0.93, True)
-        np.testing.assert_array_equal(res.frames, frames)
-        np.testing.assert_array_equal(res.bits, bob_bits)
-        np.testing.assert_array_equal(res.key_a, key_a)
-        np.testing.assert_array_equal(res.key_b, key_b)
-        assert res.qber == qber
+            cfg.seed, n, eve, frames, res.bits).encode()
 
     @pytest.mark.parametrize("eve", [False, True])
     @pytest.mark.parametrize("n", [1, 64, BATCH + 1, 5 * BATCH + 37])
@@ -394,35 +310,45 @@ class TestStreamSplit:
         with pytest.raises(ValueError, match="multiple of 64"):
             next(exchange_batches(9, BATCH, False, span))
 
-    def test_dead_time_carried_across_batches(self, cfg):
-        # a click late in each batch's last frame blocks the first 49 ns of
-        # the next batch, where every other frame's clicks land at 10 ns
+    def test_dead_time_carried_across_batches(self, cfg, monkeypatch):
+        # a runner detector gated `always` on the Poisson path, one batch a
+        # span: a click late in every frame blocks the next frame's first
+        # 149 ns, where its other clicks land at 10 ns, across spans too
         n = 2 * BATCH + 5
         cfg = replace(cfg, dead_time_ps=150_000)
-        late = (np.arange(n) % BATCH == BATCH - 1).astype(np.int8)
+        key, comps = (ROLE_PHOTONS, 0), [[(3.0, Pulse(10_000)), (16.0, Pulse(199_000))]]
+        edges = np.array([0, 100_000, cfg.frame_period_ps])
+        calls, sim = [], pipeline._simulate_detector
 
-        # frame class 1 clicks at 99 ns, class 0 at 10 ns
-        comps = [[(np.array([20.0, 0.0]), Pulse(10_000)),
-                  (np.array([0.0, 20.0]), Pulse(99_000))]]
+        def traced(*args):
+            calls.append((args[4], args[5], sim(*args)))
+            return calls[-1][2]
 
-        whole = _simulate_detector((ROLE_PHOTONS, 0), comps, cfg, DELTA_T1, range(n), late)
-        carried, fresh, blocked = [], [], 0
-        for b0 in range(0, n, BATCH):
-            frames = range(b0, min(b0 + BATCH, n))
-            cls = late[frames.start:frames.stop]
-            carried.append(_simulate_detector((ROLE_PHOTONS, 0), comps, cfg, DELTA_T1,
-                                              frames, cls, blocked))
-            blocked = carried[-1].blocked
-            fresh.append(_simulate_detector((ROLE_PHOTONS, 0), comps, cfg, DELTA_T1,
-                                            frames, cls))
+        monkeypatch.setattr(pipeline, "_simulate_detector", traced)
+        cells = _detector_cells(key, comps, cfg, "always", n, edges, histogram=True)
+        monkeypatch.undo()
+        assert [frames for frames, _, _ in calls] == [range(0, BATCH), range(BATCH, 2 * BATCH),
+                                                      range(2 * BATCH, n)]
+        spans = [det for _, _, det in calls]
+        assert calls[0][1] == 0  # each later span starts blocked by the last one's last click
+        for i in (1, 2):
+            assert calls[i][1] == spans[i - 1].blocked == _blocked_until(spans[i - 1], cfg, 0) > 0
+        # the spans keep the clicks of the whole run drawn, sorted and walked at once
+        whole = _simulate_detector(key, comps, cfg, "always", range(n))
         for field in ("frame_idx", "t_within"):
             np.testing.assert_array_equal(
-                np.concatenate([getattr(d, field) for d in carried]), getattr(whole, field))
-        assert whole.blocked == blocked == _blocked_until(whole, cfg, 0)
-        # the first frame of each later batch is vetoed only with the dead
-        # time carried over
-        assert not np.isin([BATCH, 2 * BATCH], whole.frame_idx).any()
-        assert np.isin([BATCH, 2 * BATCH], np.concatenate([d.frame_idx for d in fresh])).all()
+                np.concatenate([getattr(d, field) for d in spans]), getattr(whole, field))
+        want = Cells(edges, np.searchsorted(np.sort(whole.t_within), edges)[None, :])
+        np.testing.assert_array_equal(cells.before, want.before)
+        np.testing.assert_array_equal(cells.histogram.bins, np.bincount(
+            whole.t_within // cfg.hist_res_ps, minlength=cfg.n_bins))
+        # an early click is kept in the run's first frame alone, where spans
+        # drawn without the dead time carried over keep one in their first
+        early = [d.frame_idx[d.t_within < 100_000] for d in spans]
+        assert set(np.concatenate(early).tolist()) <= {0}
+        fresh = [sim(key, comps, cfg, "always", frames) for frames, _, _ in calls]
+        early = np.concatenate([d.frame_idx[d.t_within < 100_000] for d in fresh])
+        assert set(early.tolist()) - {0} == {BATCH, 2 * BATCH}
 
 
 def _bb84(cfg, seed, v, n=200_000):
@@ -594,6 +520,29 @@ class TestKeyRate:
             key_rate(KeyRateParams(f_ec=0.9))
 
 
+def _port_tables(cfg, flux, v, floor):
+    """Per frame class, the chance ``q`` that a frame is conclusive, one of
+    Bob's ports usable and the other not, and the share of those on port P.
+    A port is usable with ``e^{-B} (1 - e^{-I})``, ``B`` and ``I`` its mean
+    clicks before and on the interior positions, summed here per ps over
+    its components' ``runs``."""
+    law = delay_interferometer_rates(cfg.eta * flux, cfg.d, v, PHASE_TABLE, "none", floor)
+    lo, hi = cfg.pulse_period_ps, cfg.d * cfg.pulse_period_ps  # positions 1 .. d-1
+    usable = []
+    for port in ("p", "p_prime"):
+        before = inside = 0.0
+        for rate, placement in _phase_components(cfg, law, port, "none", 0):
+            row = np.zeros(cfg.frame_period_ps)
+            for a, b, p in placement.runs(cfg):
+                row[a:b] += p
+            before = before + rate * row[:lo].sum()
+            inside = inside + rate * row[lo:hi].sum()
+        usable.append(np.exp(-before) * (1 - np.exp(-inside)))
+    p, pp = usable
+    q = p * (1 - pp) + pp * (1 - p)
+    return q, p * (1 - pp) / q
+
+
 class TestSimulateBb84:
     def test_no_eve_wrong_port_floor(self, cfg):
         res = simulate_bb84(
@@ -619,37 +568,42 @@ class TestSimulateBb84:
         tol = 3 * math.sqrt(0.25 * 0.75 / res.n_sifted)
         assert abs(res.qber - 0.25) < tol
 
-    # PHASE_TABLE's eight classes give four distinct pairs of port rates;
-    # each class's frames click by the first-click law at its own rates
+    # every class's frames are conclusive and light port P by the law of
+    # two independent ports, each usable where its first gated click lands
+    # on an interior position; pooled over two seeds, at the canned flux
+    # and at two where the ports are dense
     @pytest.mark.parametrize("v,floor", [(0.93, 0.0), (1.0, 0.05)])
-    def test_dense_port_clicks_per_class(self, cfg, v, floor, monkeypatch):
-        drawn, sim = {}, pipeline._simulate_detector
+    def test_port_outcomes_per_class(self, cfg, v, floor):
+        for flux, eve in itertools.product((0.148, 2.0, 7.4), (False, True)):
+            q, share = _port_tables(cfg, flux, v, floor)
+            frames_of = conclusive = on_p = 0
+            for seed in (46, 47):
+                res = simulate_bb84(replace(cfg, seed=seed), n_frames=1 << 21, flux=flux,
+                                    visibility_cap=v, eve=eve, phase_floor=floor)
+                assert (np.diff(res.frames) > 0).all()
+                for b in res.batches():
+                    cls, bob_x = b.cls.unpack(), b.bob_x.unpack()
+                    lo, hi = np.searchsorted(res.frames, (b.start, b.start + len(cls)))
+                    at = res.frames[lo:hi] - b.start
+                    frames_of += np.bincount(cls, minlength=len(PHASE_TABLE))
+                    conclusive += np.bincount(cls[at], minlength=len(PHASE_TABLE))
+                    # Bob's bit is 0 on port P in X and on port P' in Z
+                    on_p += np.bincount(cls[at], res.bits[lo:hi] != bob_x[at],
+                                        minlength=len(PHASE_TABLE))
+            case = (flux, eve)
+            mean, var = frames_of * q, frames_of * q * (1 - q)
+            assert (np.abs(conclusive - mean) <= 5 * np.sqrt(var)).all(), (case, conclusive, mean)
+            assert abs(conclusive.sum() - mean.sum()) <= 5 * math.sqrt(var.sum()), case
+            mean, var = conclusive * share, conclusive * share * (1 - share)
+            assert (np.abs(on_p - mean) <= 5 * np.sqrt(var)).all(), (case, on_p, mean)
 
-        def traced(key, components, *args):
-            det = sim(key, components, *args)
-            drawn.setdefault(key, (components, []))[1].append(det.frame_idx)
-            return det
-
-        monkeypatch.setattr(pipeline, "_simulate_detector", traced)
-        n = 2 * BATCH + 5
-        simulate_bb84(replace(cfg, seed=45), n_frames=n, flux=2.0, visibility_cap=v,
-                      phase_floor=floor, eve=True)
-        cls = np.concatenate([batch.cls.unpack() for batch in exchange_batches(45, n, True)])
-        frames_of = np.bincount(cls, minlength=len(PHASE_TABLE))
-        assert len(drawn) == 2
-        for components, frames in drawn.values():
-            frames = np.concatenate(frames)
-            assert (np.diff(frames) > 0).all()  # a frame clicks once at most
-            clicked = np.bincount(cls[frames], minlength=len(PHASE_TABLE))
-            for c in range(len(PHASE_TABLE)):
-                # the class's mean clicks in the gated half, a plain sum over its ps
-                row = np.zeros(cfg.frame_period_ps)
-                for rate, placement in components[0]:
-                    for lo, hi, p in placement.runs(cfg):
-                        row[lo:hi] += (rate[c] if isinstance(rate, np.ndarray) else rate) * p
-                p = -math.expm1(-row[:cfg.frame_window_ps].sum())
-                sd = math.sqrt(frames_of[c] * p * (1 - p))
-                assert abs(clicked[c] - frames_of[c] * p) <= 5 * sd, (c, clicked[c], p)
+    def test_dead_time_past_the_blank_half_raises(self, cfg):
+        # one ps more and a port's click late in a frame's gate could block
+        # the next frame's first ps, so frames would not be independent
+        window = cfg.frame_window_ps
+        simulate_bb84(replace(cfg, dead_time_ps=window + 1), 1000, 2.0)
+        with pytest.raises(ConfigError, match="dead_time_ps must be at most"):
+            simulate_bb84(replace(cfg, dead_time_ps=window + 2), 1000, 2.0)
 
     def test_zero_frames_give_an_empty_exchange(self, cfg, tmp_path):
         res = simulate_bb84(cfg, 0, 2.0, eve=True)

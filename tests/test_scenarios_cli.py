@@ -270,7 +270,7 @@ class TestCliRun:
 
     def test_bb84_eve_transcript_bytes(self, tmp_path):
         # the transcript's bytes at 2000 frames, pinned when the exchange
-        # began reading its coins and bits 64 to a raw Philox word
+        # began drawing Bob's outcomes from the ports' class table
         derived = tmp_path / "bb84_eve_t.ini"
         derived.write_text(
             (SCENARIOS / "bb84_eve.ini").read_text().replace(
@@ -280,7 +280,7 @@ class TestCliRun:
         out = tmp_path / "o"
         assert main(["run", str(derived), "--frames", "2000", "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "transcript.csv").read_bytes()).hexdigest()
-        assert digest == "b5bd3c3eb22873f55c40a59098723c2aca3cca0b4870ace938b87c2ed7fd96ff"
+        assert digest == "65628063c82d42f2a5f28d613aff6f4d0b6b104b04c00cfadb6f9ce246c99716"
 
     def test_saturated_timebin_report_bytes(self, tmp_path):
         # timebin_b at mu_in = 1000 puts 3-7 gated clicks a frame into every
@@ -432,6 +432,10 @@ class TestCliRun:
             pytest.param("timebin_b", "jitter_sigma_ps = 100", "jitter_sigma_ps = 1541",
                          "jitter_sigma_ps must be in [0, pulse_period_ps = 1540], got 1541",
                          id="jitter_sigma_ps"),
+            # one ps past frame_window_ps + 1: a port's dead time could reach
+            # the next frame's gate, and the exchange draws frames as independent
+            pytest.param("bb84", "dead_time_ps = 100000", "dead_time_ps = 100002",
+                         "dead_time_ps = 100002 > frame_window_ps + 1", id="dead_time_ps"),
         ],
     )
     def test_bad_channel_or_signal_value_exit_2(self, name, old, new, says,
