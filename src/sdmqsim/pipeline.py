@@ -27,7 +27,9 @@ The time-bin and phase runners declare the ps edges of every window they
 read (``_cell_edges``) and get each detector back as ``Cells``: per-origin
 counts between those edges, and histogram bins where read
 (``_detector_cells``).  A dense detector's counts are one draw from stream
-``(*key, 0)``, with no per-click array (``_first_click_counts``).
+``(*key, 0)``, with no per-click array (``_first_click_counts``), from a
+law summed over stretches of constant rate, one ps long only inside the
+jitter kernels (``_first_click_law``).
 
 The BB84 exchange reads only each frame's outcome.  With Bob's dead time
 nested in the blank half (a longer one is rejected), that outcome depends
@@ -208,16 +210,6 @@ def _poisson_frames(gen, lam, nb: int, cls=None) -> np.ndarray:
     return idx
 
 
-def _add_runs(row, runs, lam, g0) -> np.ndarray:
-    """Add ``lam`` times the ``(lo, hi, p)`` runs of a per-ps law (``p`` one
-    value for the run or one a ps) to ``row``, which holds ps ``g0 ..``."""
-    for lo, hi, p in runs:
-        a, b = max(lo, g0), min(hi, g0 + len(row))
-        if a < b:
-            row[a - g0:b - g0] += lam * (p if np.isscalar(p) else p[a - lo:b - lo])
-    return row
-
-
 @dataclass(frozen=True)
 class Pulse:
     """Jittered clicks at ``first + k * spacing``, ``k`` uniform in ``0 .. n-1``."""
@@ -237,13 +229,20 @@ class Pulse:
 
     def runs(self, vcfg) -> list:
         """The law of ``times``: the rounded jitter around each slot,
-        clamped."""
-        w = _jitter_kernel(vcfg.jitter_sigma_ps)
-        t = np.arange(len(w)) - len(w) // 2 + self.first + self.spacing * np.arange(self.n)[:, None]
-        np.clip(t, 0, vcfg.frame_period_ps - 1, out=t)  # in place: a train's t is ~0.8 MB
+        clamped.  A train that no clamp reaches is summed slot by slot,
+        adding as a bincount of its slots would, with no per-click array."""
+        w = _jitter_kernel(vcfg.jitter_sigma_ps) / self.n
+        lo, width = self.first - len(w) // 2, len(w) + self.spacing * (self.n - 1)
+        if 0 <= lo and lo + width <= vcfg.frame_period_ps:
+            p = np.zeros(width)
+            for j in range(self.n):
+                p[j * self.spacing:j * self.spacing + len(w)] += w
+            return [(lo, lo + width, p)]
+        t = lo + np.arange(len(w)) + self.spacing * np.arange(self.n)[:, None]
+        np.clip(t, 0, vcfg.frame_period_ps - 1, out=t)
         lo, hi = t[0, 0], t[-1, -1] + 1
         t -= lo
-        return [(lo, hi, np.bincount(t.ravel(), np.tile(w / self.n, self.n)))]
+        return [(lo, hi, np.bincount(t.ravel(), np.tile(w, self.n)))]
 
 
 @dataclass(frozen=True)
@@ -288,50 +287,73 @@ def _pulse_center(vcfg, offset, slot):
     return offset + slot * vcfg.pulse_period_ps + vcfg.pulse_period_ps // 2
 
 
-@lru_cache(maxsize=1)
-def _work(shape: tuple) -> np.ndarray:
-    """A float buffer that a run's first-click laws are built in one after
-    another, so that its pages fault in once, not once a detector."""
-    return np.empty(shape)
+def _first_click_law(components, vcfg, gate, edges) -> tuple:
+    """The chance ``1 - e^{-C}`` that a frame has a gated click, and the
+    exact mass of its first one per origin and cell between ``edges``:
+    ``sum_{t in cell} e^{-C(<t)} (1 - e^{-L_s(t)})``, differenced over
+    ``s``, ``L_s(t)`` the mean clicks at ``t`` of signals ``0 .. s``: the
+    lowest signal wins ties.  It is summed over stretches of ``m`` ps of
+    constant rates, cut at every run's and cell's edge, one ps each inside
+    the runs with a rate a ps: over a stretch, ``C`` grows by ``L m``
+    (``L`` the total rate), and the mass is its first ps's times
+    ``(1 - e^{-L m}) / (1 - e^{-L})``, or ``m`` where ``L = 0``."""
+    window, signals = vcfg.frame_window_ps, len(components)
+    g0 = window if gate == DELTA_T2 else 0
+    runs = [(s, rate, max(lo, g0), min(hi, g0 + window), lo, p)
+            for s, comps in enumerate(components) for rate, placement in comps
+            for lo, hi, p in placement.runs(vcfg) if max(lo, g0) < min(hi, g0 + window)]
+    cuts = _cell_edges(vcfg, [np.clip(edges, g0, g0 + window), *(r[2:4] for r in runs)])
+    cuts = cuts[(g0 <= cuts) & (cuts <= g0 + window)]
+    opened = np.zeros(len(cuts), dtype=np.int64)  # runs with a rate a ps, less those closed
+    for _, _, a, b, _, p in runs:
+        if not np.isscalar(p):
+            opened[np.searchsorted(cuts, (a, b))] += (1, -1)
+    m, sparse = np.diff(cuts), np.cumsum(opened[:-1]) == 0
+    at = np.concatenate([[0], np.cumsum(np.where(sparse, 1, m))])  # each cut's stretch
+    work = np.zeros((signals + 1, at[-1] + 1))  # a last stretch of no rate holds C
+    lam, surv = work[:signals], work[signals]
+    for s, rate, a, b, lo, p in runs:
+        i = at[np.searchsorted(cuts, a)]
+        if np.isscalar(p):
+            lam[s, i:at[np.searchsorted(cuts, b)]] += rate * p
+        else:
+            lam[s, i:i + b - a] += rate * p[a - lo:b - lo]
+    for s in range(1, signals):
+        lam[s] += lam[s - 1]  # L_s
+    first, m = at[:-1][sparse], m[sparse]
+    total, surv[1:] = lam[-1, first], lam[-1, :-1]
+    surv[first + 1] *= m  # over a stretch C grows by L m
+    p_click = -math.expm1(-np.cumsum(surv, out=surv)[-1])  # C(<t)
+    np.exp(np.negative(surv, out=surv), out=surv)
+    surv[first] *= np.divide(np.expm1(-total * m), np.expm1(-total), out=m.astype(float),
+                             where=total > 0)
+    np.expm1(np.negative(lam, out=lam), out=lam)  # -(1 - e^{-L_s})
+    for s in range(signals - 1, 0, -1):
+        lam[s] -= lam[s - 1]
+    lam *= surv  # minus each origin's mass a stretch
+    # the cells the gated half overlaps are contiguous: each sum runs to
+    # the next one's start
+    pos = at[np.searchsorted(cuts, np.clip(edges, g0, g0 + window))]
+    inside = np.flatnonzero(pos[1:] > pos[:-1])
+    mass = np.zeros((signals, len(edges) - 1))
+    mass[:, inside] = np.add.reduceat(lam, pos[inside], axis=1)
+    return p_click, np.maximum(np.negative(mass, out=mass), 0.0, out=mass)
 
 
 def _first_click_counts(root, key, components, vcfg, gate, n, edges) -> np.ndarray:
     """Counts of the first gated clicks of ``n`` i.i.d. frames per origin
     and cell between ``edges``, one draw from stream ``(*key, 0)``:
-    Binomial(n, 1 - e^{-C}) frames click, and a multinomial splits them by
-    the exact mass ``sum_{t in cell} e^{-C(<t)} (1 - e^{-L_s(t)})``,
-    differenced over ``s``, ``L_s(t)`` the mean clicks at ``t`` of signals
-    ``0 .. s``: the lowest signal wins ties."""
-    window, signals = vcfg.frame_window_ps, len(components)
-    g0 = window if gate == DELTA_T2 else 0
-    work = _work((signals + 1, window))
-    lam, surv = work[:signals], work[signals]
-    lam.fill(0.0)  # written before it is read, so each page faults in once
-    for row, comps in zip(lam, components):
-        for rate, placement in comps:
-            _add_runs(row, placement.runs(vcfg), rate, g0)
-    for s in range(1, signals):
-        lam[s] += lam[s - 1]  # L_s
-    surv[0] = 0.0
-    np.cumsum(lam[-1, :-1], out=surv[1:])  # C(<t)
-    p_click = -math.expm1(-(surv[-1] + lam[-1, -1]))
-    np.exp(np.negative(surv, out=surv), out=surv)
-    np.expm1(np.negative(lam, out=lam), out=lam)  # -(1 - e^{-L_s})
-    for s in range(signals - 1, 0, -1):
-        lam[s] -= lam[s - 1]
-    lam *= surv  # minus each origin's mass a ps
-    # the cells the gated half overlaps are contiguous: each sum runs to
-    # the next one's start
-    pos = np.clip(edges - g0, 0, window)
-    inside = np.flatnonzero(pos[1:] > pos[:-1])
-    mass = np.zeros((signals, len(edges) - 1))
-    mass[:, inside] = np.add.reduceat(lam, pos[inside], axis=1)
-    np.maximum(np.negative(mass, out=mass), 0.0, out=mass)
+    Binomial(n, 1 - e^{-C}) frames click, and a multinomial over the cells
+    of non-zero mass splits them by ``_first_click_law``."""
+    p_click, mass = _first_click_law(components, vcfg, gate, edges)
     gen = root.stream(*key, 0).generator()
     clicks = gen.binomial(n, p_click)
-    if not clicks:
-        return np.zeros(mass.shape, dtype=np.int64)
-    return gen.multinomial(clicks, mass.ravel() / mass.sum()).reshape(mass.shape)
+    counts = np.zeros(mass.shape, dtype=np.int64)
+    if clicks:
+        p = mass.ravel() / mass.sum()
+        held = np.flatnonzero(p)  # a category of mass 0 takes no randomness
+        counts.flat[held] = gen.multinomial(clicks, p[held])
+    return counts
 
 
 def _mean_clicks(components) -> float:
@@ -830,7 +852,8 @@ def _run_phase_sweep(scenario: Scenario, vcfg, channel) -> RunResult:
 
 
 def _mass(runs, lo, hi) -> float:
-    """The mass over ps ``lo .. hi`` of a per-ps law's runs (``_add_runs``)."""
+    """The mass over ps ``lo .. hi`` of a per-ps law's ``(lo, hi, p)`` runs
+    (``p`` one value for the run or one a ps)."""
     total = 0.0
     for a, b, p in runs:
         s, e = max(a, lo), min(b, hi)
@@ -839,17 +862,22 @@ def _mass(runs, lo, hi) -> float:
     return total
 
 
-def _port_usable(cfg, law, port) -> np.ndarray:
-    """Per frame class, the chance ``e^{-B} (1 - e^{-I})`` that a port's
-    first gated click lands on an interior position, ``B`` and ``I`` its
-    mean clicks before and inside the interior window."""
+def _port_usable(cfg, law) -> list:
+    """Per frame class, the chances ``e^{-B} (1 - e^{-I})`` that port P's
+    and port P''s first gated click lands on an interior position, ``B``
+    and ``I`` the port's mean clicks before and inside the interior window.
+    The ports share their placements, whose masses there are found once."""
     lo, hi = _interior_window(cfg, 0)
-    before = inside = 0.0
-    for rate, placement in _phase_components(cfg, law, port, "none", 0):
-        runs = placement.runs(cfg)
-        before = before + rate * _mass(runs, 0, lo)
-        inside = inside + rate * _mass(runs, lo, hi)
-    return np.exp(-before) * -np.expm1(-inside)
+    ports = [_phase_components(cfg, law, port, "none", 0) for port in ("p", "p_prime")]
+    masses = [(_mass(runs, 0, lo), _mass(runs, lo, hi))
+              for runs in (placement.runs(cfg) for _, placement in ports[0])]
+    usable = []
+    for comps in ports:
+        before = inside = 0.0
+        for (rate, _), (b, i) in zip(comps, masses):
+            before, inside = before + rate * b, inside + rate * i
+        usable.append(np.exp(-before) * -np.expm1(-inside))
+    return usable
 
 
 def _lazy_record(n: int, dtype) -> np.ndarray:
@@ -886,7 +914,7 @@ def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
                           f"at most frame_window_ps + 1, got {cfg.dead_time_ps}")
     law = delay_interferometer_rates(
         cfg.eta * flux, cfg.d, visibility_cap, PHASE_TABLE, "none", phase_floor)
-    p, pp = (_port_usable(cfg, law, port) for port in ("p", "p_prime"))
+    p, pp = _port_usable(cfg, law)
     lights_p = p * (1 - pp)
     conclusive = lights_p + pp * (1 - p)
     rate = -np.log1p(-conclusive)

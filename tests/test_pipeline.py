@@ -26,6 +26,7 @@ from sdmqsim.pipeline import (
     _cell_edges,
     _detector_cells,
     _first_click_counts,
+    _first_click_law,
     _mean_db,
     _phase_components,
     _phase_gates,
@@ -419,7 +420,7 @@ def _first_click_mass(components, vcfg, gate, edges) -> np.ndarray:
     quiet = np.exp(-lam)  # no click of signal s at ps t
     before = np.concatenate([[1.0], np.cumprod(quiet.prod(axis=0))[:-1]])
     below = np.cumprod(np.vstack([np.ones(period), quiet[:-1]]), axis=0)
-    per_ps = before * below * (1.0 - quiet)
+    per_ps = before * below * -np.expm1(-lam)
     k = np.searchsorted(edges, np.arange(period), side="right") - 1
     return np.stack([np.bincount(k, row, minlength=len(edges) - 1) for row in per_ps])
 
@@ -481,6 +482,104 @@ class TestFirstClickCounts:
     @pytest.mark.parametrize("signals", [2, 3])
     def test_pulse_and_floor_signals(self, gate, signals):
         self._check(self.MIXED[:signals], validate_config(SimConfig(seed=0)), gate)
+
+
+def _histogram_edges(vcfg) -> np.ndarray:
+    """The slot edges with the 25 ps histogram bins' edges among them, as a
+    runner that reads a histogram draws a dense detector between."""
+    return _cell_edges(vcfg, [_slot_edges(vcfg), np.arange(0, vcfg.frame_period_ps,
+                                                             vcfg.hist_res_ps)])
+
+
+def _dense_phase(vcfg) -> list:
+    """A phase detector watching two trains, one in each half, each at 2
+    clicks a frame: with the default 100 ps jitter the 63-slot interior
+    train's kernels overlap, so every ps of its stretch has a rate of its
+    own."""
+    rates = delay_interferometer_rates(2.0, vcfg.d, 0.93, math.pi, "none", 0.12655)
+    return [_phase_components(vcfg, rates, "p", "none", off) for off in (0, vcfg.frame_window_ps)]
+
+
+def _law_cases():
+    """``(id, components, vcfg)`` of the first-click law's exact checks."""
+    vcfg, detectors = _saturated_detectors()
+    cases = [(f"saturated_timebin_{i}", comps, vcfg) for i, (comps, _) in enumerate(detectors)]
+    base = validate_config(SimConfig(seed=0))
+    cases += [("mixed", TestFirstClickCounts.MIXED, base),
+              ("dense_phase", _dense_phase(base), base)]
+    for sigma in (0.0, float(base.pulse_period_ps)):
+        jittered = validate_config(SimConfig(seed=0, jitter_sigma_ps=sigma))
+        cases += [(f"mixed_sigma_{sigma:g}", TestFirstClickCounts.MIXED, jittered),
+                  (f"dense_phase_sigma_{sigma:g}", _dense_phase(jittered), jittered)]
+    cases += [
+        # clamped at the frame's last ps and at ps 0, beside a floor
+        ("clamped", [[(1.5, Pulse(199_950)), (0.2, Floor(100_000))],
+                     [(0.7, Pulse(120)), (0.1, Floor(0, 1540))]], base),
+        ("zero_rate_signal", [[(0.0, Pulse(30_000))], *TestFirstClickCounts.MIXED], base),
+        # nothing in the second half: with gate dt2 no frame clicks
+        ("first_half_only", [[(1.0, Pulse(30_000)), (0.5, Floor(0))]], base),
+    ]
+    sc = load_scenario(SCENARIOS / "timebin_b.ini")
+    sc = replace(sc, cfg=replace(sc.cfg, mu_in=1e9))  # e^{-C} underflows
+    vcfg, ch = sc.validated(), build_channel(sc)
+    for sid, groups in sorted(sc.experiment.collections.items()):
+        cases.append((f"mu_1e9_{sid}", _timebin_law(vcfg, ch, sc.signals, groups), vcfg))
+    return cases
+
+
+class TestFirstClickLaw:
+    """The first-click law summed over stretches of constant rate equals
+    the per-ps cumulative product of ``_first_click_mass`` in every (origin,
+    cell), and ``p_click`` is its total, at both gates, between the slot
+    edges and between the histogram's.  An origin's mass is a difference
+    of ``1 - e^{-L}`` terms, whose rounding is about 1e-16 times ``L``, not
+    times the mass: cells in a faint signal's kernel tails, of mass ~1e-16
+    beside a brighter signal, are held to an absolute 1e-18."""
+
+    CASES = _law_cases()
+
+    @pytest.mark.parametrize("gate", [DELTA_T1, DELTA_T2])
+    @pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
+    def test_matches_per_ps_reference(self, case, gate):
+        _, components, vcfg = case
+        for edges in (_slot_edges(vcfg), _histogram_edges(vcfg)):
+            p_click, mass = _first_click_law(components, vcfg, gate, edges)
+            ref = _first_click_mass(components, vcfg, gate, edges)
+            assert mass.shape == ref.shape and (mass >= 0).all()
+            np.testing.assert_allclose(mass, ref, rtol=1e-9, atol=1e-18)
+            assert p_click == pytest.approx(mass.sum(), rel=1e-9, abs=0)
+
+    def test_no_rate_in_the_gated_half(self):
+        vcfg = validate_config(SimConfig(seed=0))
+        p_click, mass = _first_click_law([[(1.0, Pulse(30_000)), (0.5, Floor(0))]], vcfg,
+                                         DELTA_T2, _histogram_edges(vcfg))
+        assert p_click == 0 and not mass.any()
+        assert not _first_click_counts(RandomSource(1), (ROLE_PHOTONS, 0),
+                                       [[(1.0, Pulse(30_000))]], vcfg, DELTA_T2, 1000,
+                                       _slot_edges(vcfg)).any()
+
+
+class TestZeroMassSkip:
+    """The multinomial over the cells of non-zero mass draws what one over
+    every cell draws on the same stream: a category of mass 0 takes no
+    randomness and gets no count."""
+
+    N = 200_000
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    @pytest.mark.parametrize("det", range(3))
+    def test_matches_full_layout(self, det, seed):
+        vcfg, detectors = _saturated_detectors()
+        components, gate = detectors[det]
+        edges, key = _histogram_edges(vcfg), (ROLE_PHOTONS, det)
+        counts = _first_click_counts(RandomSource(seed), key, components, vcfg, gate, self.N,
+                                     edges)
+        p_click, mass = _first_click_law(components, vcfg, gate, edges)
+        assert (mass == 0).any()  # the other half's cells: the skip is taken
+        gen = RandomSource(seed).stream(*key, 0).generator()
+        full = gen.multinomial(gen.binomial(self.N, p_click), mass.ravel() / mass.sum())
+        np.testing.assert_array_equal(counts, full.reshape(mass.shape))
+        assert not counts[mass == 0].any()
 
 
 class TestCellsRobust:
@@ -581,7 +680,10 @@ class TestMeanDb:
 def _mass(placement, vcfg) -> np.ndarray:
     """Per-ps probability of ``placement.times`` over the frame, from its
     ``runs``."""
-    return pipeline._add_runs(np.zeros(vcfg.frame_period_ps), placement.runs(vcfg), 1.0, 0)
+    mass = np.zeros(vcfg.frame_period_ps)
+    for lo, hi, p in placement.runs(vcfg):
+        mass[lo:hi] += p
+    return mass
 
 
 class TestPlacementLaw:
@@ -631,7 +733,7 @@ def _uncached_runs(pulse, vcfg):
 class TestJitterKernel:
     def test_runs_match_uncached_formula(self):
         pulses = (Pulse(120), Pulse(2310, 63, 1540), Pulse(199_950))
-        for sigma in (0, 0.3, 100, 250, 0.3, 100):  # each sigma evicts the last
+        for sigma in (0, 0.3, 100, 250, 1540, 0.3, 100):  # each sigma evicts the last
             vcfg = validate_config(SimConfig(jitter_sigma_ps=sigma))
             for pulse in pulses:
                 for _ in range(2):  # computed, then read from the cache
