@@ -158,7 +158,6 @@ def tomography(
     floor_counts: int,
     d: int,
     visibility: float | None = None,
-    p_i: float | None = None,
 ) -> TomographyResult:
     """Diagonal elements from slot counts; off-diagonal from the visibility.
 
@@ -169,10 +168,7 @@ def tomography(
         raise ValueError("zero total counts")
     rho_jj = pulse_counts / (pulse_counts + floor_counts)
     rho_kk = (1.0 - rho_jj) / (d - 1)
-    off = None
-    if visibility is not None:
-        pi = 1.0 / d if p_i is None else p_i
-        off = visibility * math.sqrt(pi * pi)
+    off = None if visibility is None else visibility * (1.0 / d)  # V sqrt(p_j p_k), p = 1/d
     return TomographyResult(rho_jj=rho_jj, rho_kk=rho_kk, rho_offdiag=off)
 
 

@@ -14,14 +14,14 @@ gated clicks.  From ``FIRST_CLICK_DENSITY`` expected clicks a frame a runner
 draws such a detector's counts from that law (``_drawn_as_counts``).  Every
 other runner detector draws every click, O(events) at the ~0.002 events
 per detector-frame of the phase experiments (``_poisson_frames``), then
-gates, sorts and walks them, one span at a time: a span is the most whole
-batches that expect at most ``SPAN_CLICKS`` clicks (``_span``), with one
-random stream a (detector, signal, span), and the time until which the
-detector stays dead goes into the next span.  Photon sampling is
-efficiency-thinned at the source (Poisson splitting), which is
-statistically identical to sampling raw photons and thinning at the
-detector.  Streams depend on the scenario alone, so results are
-reproducible from its seed.
+gates, sorts and walks them, one span a call (``_simulate_detector``): a
+span is the most whole batches that expect at most ``SPAN_CLICKS`` clicks
+(``_span``), with one random stream a (detector, signal, span), and
+``_detector_cells`` hands the time until which the detector stays dead to
+the next span's call.  Photon sampling is efficiency-thinned at the
+source (Poisson splitting), which is statistically identical to sampling
+raw photons and thinning at the detector.  Streams depend on the scenario
+alone, so results are reproducible from its seed.
 
 The time-bin and phase runners declare the ps edges of every window they
 read (``_cell_edges``) and get each detector back as ``Cells``: per-origin
@@ -80,7 +80,6 @@ from .scenarios import Scenario
 __all__ = [
     "build_channel",
     "expected_collection_rate",
-    "DetectorResult",
     "RunResult",
     "run_scenario",
     "simulate_bb84",
@@ -144,17 +143,6 @@ def expected_collection_rate(
 # ---------------------------------------------------------------------------
 # Batched event generation
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class DetectorResult:
-    """Accepted clicks of one detector in the frames it was drawn over,
-    in time order."""
-
-    t_within: np.ndarray
-    frame_idx: np.ndarray
-    origin: np.ndarray  # the signal's position in the detector's signal list
-    blocked: int = 0  # absolute ps until which the detector stays dead after them
 
 
 @dataclass
@@ -376,61 +364,52 @@ def _span(clicks: float) -> int:
     return BATCH * max(1, int(SPAN_CLICKS // max(clicks * BATCH, 1)))
 
 
-def _simulate_detector(
-    key: tuple,
-    components: list,
-    vcfg: ValidatedConfig,
-    gate: str,
-    frames: range,
-    blocked: int = 0,
-) -> DetectorResult:
-    """Draw, gate and dead-time veto every click of one detector in
-    ``frames``, a range that starts on a batch boundary, in spans of whole
-    batches (``_span``).  ``components[s]`` lists signal ``s``'s
-    ``(lam, placement)`` pairs: ``lam`` mean clicks per frame and
-    ``placement`` a ``Pulse`` or ``Floor`` (see the module docstring).  No
-    click is kept before the absolute time ``blocked``, which a caller
-    drawing one detector span by span takes from the previous span's
-    result."""
+def _simulate_detector(key, components, vcfg, gate, frames: range, blocked: int) -> tuple:
+    """Draw, gate and dead-time veto every click of one detector in the span
+    ``frames``, a range that starts on a batch boundary.  ``components[s]``
+    lists signal ``s``'s ``(lam, placement)`` pairs: ``lam`` mean clicks per
+    frame and ``placement`` a ``Pulse`` or ``Floor`` (see the module
+    docstring).  Stream ``(*key, s, first batch)`` draws signal ``s``'s
+    components in list order: the frames (sorted), then their within-frame
+    times.  No click is kept before the absolute time ``blocked``.  Returns
+    the kept ``(frames, t, origin)`` in time order and the absolute time
+    until which the detector stays dead after them."""
     root = RandomSource(vcfg.seed)
-    span = _span(_mean_clicks(components))
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
               np.zeros(0, dtype=np.int8))]
-    # stream (*key, s, first batch) draws signal s's components of a span in
-    # list order: the frames (sorted), then their within-frame times
-    for b0 in range(frames.start, frames.stop, span):
-        for s, comps in enumerate(components):
-            gen = root.stream(*key, s, b0 // BATCH).generator()
-            for lam, placement in comps:
-                fr = b0 + _poisson_frames(gen, lam, min(span, frames.stop - b0))
-                if len(fr):
-                    parts.append((fr, placement.times(gen, len(fr), vcfg),
-                                  np.full(len(fr), s, dtype=np.int8)))
+    for s, comps in enumerate(components):
+        gen = root.stream(*key, s, frames.start // BATCH).generator()
+        for lam, placement in comps:
+            fr = frames.start + _poisson_frames(gen, lam, len(frames))
+            if len(fr):
+                parts.append((fr, placement.times(gen, len(fr), vcfg),
+                              np.full(len(fr), s, dtype=np.int8)))
     fr, t, origin = _finish_detector(parts, vcfg, gate, blocked)
     if len(fr):
         blocked = int(fr[-1]) * vcfg.frame_period_ps + int(t[-1]) + vcfg.dead_time_ps
-    return DetectorResult(t_within=t, frame_idx=fr, origin=origin, blocked=blocked)
+    return (fr, t, origin), blocked
 
 
 def _detector_cells(key, components, vcfg, gate, n, edges, histogram=False) -> Cells:
     """One detector's accepted clicks over ``n`` frames as ``Cells`` between
     ``edges`` (see ``_cell_edges``), with a histogram if asked.  Counts
     (``_drawn_as_counts``) are drawn between both kinds of edge; otherwise
-    each span's clicks (``_simulate_detector``, the dead time carried) are
-    sorted by origin, then ps, and each origin's edges found in them."""
+    ``_simulate_detector`` draws one span (``_span``) a call, the dead time
+    carried into the next, and each span's clicks are sorted by origin,
+    then ps, and each origin's edges found in them."""
     signals, period = len(components), vcfg.frame_period_ps
     if not _drawn_as_counts(components, vcfg, gate):
         before, bins, blocked = np.zeros((signals, len(edges)), np.int64), 0, 0
         span = _span(_mean_clicks(components))
         for b0 in range(0, n, span):
-            det = _simulate_detector(key, components, vcfg, gate, range(n)[b0:b0 + span], blocked)
-            blocked = det.blocked
-            click = np.multiply(det.origin, period, dtype=np.int64) + det.t_within
+            (_, t, origin), blocked = _simulate_detector(key, components, vcfg, gate,
+                                                         range(n)[b0:b0 + span], blocked)
+            click = np.multiply(origin, period, dtype=np.int64) + t
             click.sort()
             at = np.searchsorted(click, np.add.outer(np.arange(signals) * period, edges).ravel())
             at = at.reshape(signals, -1)
             before += at - at[:, :1]
-            bins += histogram_from_times(det.t_within, vcfg).bins if histogram else 0
+            bins += histogram_from_times(t, vcfg).bins if histogram else 0
         return Cells(edges, before, Histogram(bins, vcfg.hist_res_ps) if histogram else None)
     fine = (_cell_edges(vcfg, [edges, np.arange(0, period, vcfg.hist_res_ps)])
             if histogram else edges)

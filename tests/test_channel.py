@@ -20,7 +20,7 @@ from sdmqsim.config import (
     SimConfig,
     validate_config,
 )
-from sdmqsim.pipeline import _collected_flux, _simulate_detector, _timebin_law
+from sdmqsim.pipeline import _cell_edges, _collected_flux, _detector_cells, _timebin_law
 from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario
 
 # raw dB entries, re-stated here as the independent cross-check of the data file
@@ -198,13 +198,14 @@ class TestPropagate:
             )
 
 
-def _one_signal_detector(tables, n, sig, gate="always", **sim):
-    """Every click of one signal into its own group, through a flat 0 dB link."""
+def _one_signal_cells(tables, n, sig, windows=(), **sim):
+    """Every click of one signal into its own group over ``n`` frames,
+    through a flat 0 dB link, as cells that hold ``windows``."""
     il, xt = tables
     ch = ChannelModel(il=il, xt=xt, uniform_il_db=0.0)
     vcfg = validate_config(SimConfig(**sim))
     law = _timebin_law(vcfg, ch, [sig], (sig.input_group,))
-    return _simulate_detector((ROLE_PHOTONS, 0), law, vcfg, gate, range(n))
+    return _detector_cells((ROLE_PHOTONS, 0), law, vcfg, "always", n, _cell_edges(vcfg, windows))
 
 
 class TestSamplePhotons:
@@ -212,29 +213,27 @@ class TestSamplePhotons:
 
     def test_zero_flux_empty(self, tables):
         sig = SignalAssignment("A", input_group=1, fixed_slot=0)
-        det = _one_signal_detector(tables, 1000, sig, mu_in=1e-12, im_extinction=1e9)
-        assert len(det.t_within) == 0
+        cells = _one_signal_cells(tables, 1000, sig, mu_in=1e-12, im_extinction=1e9)
+        assert not cells.before.any()
 
     def test_poisson_count_small_scale(self, tables):
         # mean 0.0225/frame over 20k frames: 450 +- 63 (3 sigma)
         sig = SignalAssignment("A", input_group=1, fixed_slot=0)
-        det = _one_signal_detector(
+        cells = _one_signal_cells(
             tables, 20_000, sig, mu_in=0.15, eta=0.15, im_extinction=math.inf,
             dead_time_ps=0, jitter_sigma_ps=0.0, seed=42,
         )
-        assert abs(len(det.t_within) - 450) <= 3 * math.sqrt(450)
+        assert abs(cells.count(0, 200_000) - 450) <= 3 * math.sqrt(450)
 
     def test_timestamp_clustering(self, tables):
         sig = SignalAssignment("B", input_group=1, delayed=True, fixed_slot=20)
-        det = _one_signal_detector(
-            tables, 1, sig, mu_in=50.0, eta=1.0, im_extinction=math.inf,
+        center = 100_000 + 20 * 1540 + 770
+        near = (center - 799, center + 800)  # within 8 sigma of jitter
+        cells = _one_signal_cells(
+            tables, 1, sig, [near], mu_in=50.0, eta=1.0, im_extinction=math.inf,
             dead_time_ps=0, seed=5,
         )
-        ts = det.t_within
-        center = 100_000 + 20 * 1540 + 770
-        assert len(ts) > 10
-        assert np.all(np.abs(ts - center) < 800)  # within 8 sigma of jitter
-        assert np.all(np.diff(ts) >= 0)
+        assert cells.count(*near) == cells.count(0, 200_000) > 10
 
 
 class TestInsertionLossMeasurement:
@@ -268,9 +267,9 @@ class TestErgodicity:
         ch = ChannelModel(il=il, xt=xt)
         counts = []
         for g in range(1, 6):
-            det = _simulate_detector((ROLE_PHOTONS, g), _timebin_law(vcfg, ch, [sig], (g,)), vcfg,
-                                     "always", range(n))
-            counts.append(len(det.t_within))
+            cells = _detector_cells((ROLE_PHOTONS, g), _timebin_law(vcfg, ch, [sig], (g,)), vcfg,
+                                    "always", n, _cell_edges(vcfg, []))
+            counts.append(cells.count(0, vcfg.frame_period_ps))
         counts = np.array(counts, dtype=float)
         expect_frac = xt.column(1)
         total_exp = n * 2.5 * ch.transmission(sig) * 0.15

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +12,7 @@ from sdmqsim.config import (
 )
 from sdmqsim.encoder import floor_fraction
 from sdmqsim.channel import ChannelModel, load_link_tables
-from sdmqsim.pipeline import _simulate_detector, _timebin_components, _timebin_law
+from sdmqsim.pipeline import _cell_edges, _detector_cells, _timebin_components, _timebin_law
 from sdmqsim.receiver import delay_interferometer_rates
 from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario
 
@@ -103,25 +102,26 @@ class TestSchedule:
     """Time-bin signals occupy their fixed slot in every frame."""
 
     @staticmethod
-    def _clicks(sig, n, **sim):
+    def _cells(sig, n, window, **sim):
+        """The signal's clicks over ``n`` frames, as cells that hold ``window``."""
         vcfg = validate_config(SimConfig(mu_in=50.0, dead_time_ps=0, **sim))
         law = _timebin_law(vcfg, ChannelModel(*load_link_tables()), [sig], (sig.input_group,))
-        return _simulate_detector((ROLE_PHOTONS, 0), law, vcfg, "always", range(n))
+        return _detector_cells((ROLE_PHOTONS, 0), law, vcfg, "always", n,
+                               _cell_edges(vcfg, [window]))
 
     def test_delayed_signal_offset_on_every_frame(self):
         # pulse and floor clicks of a delayed signal all land in the second
         # half-window, in every frame
         sig = SignalAssignment("B", input_group=3, delayed=True, fixed_slot=5)
-        det = self._clicks(sig, 20_000, im_extinction=20.0)
-        assert len(np.unique(det.frame_idx)) > 1000
-        assert det.t_within.min() >= 100_000
+        cells = self._cells(sig, 20_000, (100_000, 200_000), im_extinction=20.0)
+        assert cells.count(0, 100_000) == 0 and cells.count(100_000, 200_000) > 1000
 
     def test_fixed_slot(self):
         # without a floor every click is within 8 sigma of jitter of slot 20
-        det = self._clicks(SignalAssignment("A", input_group=1, fixed_slot=20), 500,
-                           im_extinction=math.inf)
-        assert len(det.t_within) > 10
-        assert np.all(np.abs(det.t_within - (20 * 1540 + 770)) < 800)
+        near = (20 * 1540 + 770 - 799, 20 * 1540 + 770 + 800)
+        cells = self._cells(SignalAssignment("A", input_group=1, fixed_slot=20), 500, near,
+                            im_extinction=math.inf)
+        assert cells.count(*near) == cells.count(0, 200_000) > 10
 
 
 def test_floor_fraction_limits():

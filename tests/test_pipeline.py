@@ -2,9 +2,11 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sdmqsim import pipeline
 from sdmqsim.cli import main
@@ -32,14 +34,13 @@ from sdmqsim.pipeline import (
     _phase_gates,
     _phase_law,
     _poisson_frames,
-    _simulate_detector,
     _timebin_law,
     build_channel,
     expected_collection_rate,
     run_scenario,
 )
 from sdmqsim.protocol import KeyRateParams, Planes, key_rate
-from sdmqsim.receiver import delay_interferometer_rates
+from sdmqsim.receiver import delay_interferometer_rates, gate_mask
 from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario, load_scenario
 
 REPO = Path(__file__).resolve().parents[1]
@@ -404,25 +405,34 @@ def _traced_cells(monkeypatch) -> list:
     return drawn
 
 
+def _gated_rates(components, vcfg, gate) -> np.ndarray:
+    """Each signal's mean clicks a ps over the frame, from its components'
+    ``runs``, and 0 outside ``gate``."""
+    lam = np.zeros((len(components), vcfg.frame_period_ps))
+    for row, comps in zip(lam, components):
+        for rate, placement in comps:
+            for lo, hi, p in placement.runs(vcfg):
+                row[lo:hi] += rate * np.asarray(p)
+    lam[:, ~gate_mask(np.arange(vcfg.frame_period_ps), gate, vcfg.frame_window_ps)] = 0.0
+    return lam
+
+
+def _per_cell(per_ps, edges) -> np.ndarray:
+    """Rows of a per-ps quantity summed over the cells between ``edges``."""
+    k = np.searchsorted(edges, np.arange(per_ps.shape[1]), side="right") - 1
+    return np.stack([np.bincount(k, row, minlength=len(edges) - 1) for row in per_ps])
+
+
 def _first_click_mass(components, vcfg, gate, edges) -> np.ndarray:
     """Exact (origin, cell) mass of a frame's first gated click, from each
     component's ``runs`` by a plain cumulative product over the ps: the click
     is at ps ``t`` from signal ``s`` when no signal clicked before ``t``, no
     signal below ``s`` clicks at ``t``, and ``s`` does."""
-    period, w = vcfg.frame_period_ps, vcfg.frame_window_ps
-    g0 = w if gate == DELTA_T2 else 0
-    lam = np.zeros((len(components), period))
-    for row, comps in zip(lam, components):
-        for rate, placement in comps:
-            for lo, hi, p in placement.runs(vcfg):
-                row[lo:hi] += rate * np.asarray(p)
-    lam[:, :g0], lam[:, g0 + w:] = 0.0, 0.0
+    lam = _gated_rates(components, vcfg, gate)
     quiet = np.exp(-lam)  # no click of signal s at ps t
     before = np.concatenate([[1.0], np.cumprod(quiet.prod(axis=0))[:-1]])
-    below = np.cumprod(np.vstack([np.ones(period), quiet[:-1]]), axis=0)
-    per_ps = before * below * -np.expm1(-lam)
-    k = np.searchsorted(edges, np.arange(period), side="right") - 1
-    return np.stack([np.bincount(k, row, minlength=len(edges) - 1) for row in per_ps])
+    below = np.cumprod(np.vstack([np.ones(lam.shape[1]), quiet[:-1]]), axis=0)
+    return _per_cell(before * below * -np.expm1(-lam), edges)
 
 
 def _slot_edges(vcfg) -> np.ndarray:
@@ -441,6 +451,13 @@ def _saturated_detectors():
                   for sid, groups in sorted(exp.collections.items())]
 
 
+# three signals over both halves: a pulse and a floor, a four-slot train
+# and a split floor, and a lone pulse
+MIXED = [[(2.0, Pulse(30_000)), (0.5, Floor(0))],
+         [(1.0, Pulse(130_000, 4, 1540)), (0.3, Floor(100_000, 1540))],
+         [(0.8, Pulse(31_000))]]
+
+
 class TestFirstClickCounts:
     """A dense detector's counts, drawn as one binomial and one multinomial,
     follow the exact first-click law in every (origin, cell), pooled over
@@ -449,11 +466,6 @@ class TestFirstClickCounts:
 
     N = 50_000
     SEEDS = range(401, 405)
-    # three signals over both halves: a pulse and a floor, a four-slot
-    # train and a split floor, and a lone pulse
-    MIXED = [[(2.0, Pulse(30_000)), (0.5, Floor(0))],
-             [(1.0, Pulse(130_000, 4, 1540)), (0.3, Floor(100_000, 1540))],
-             [(0.8, Pulse(31_000))]]
 
     def _check(self, components, vcfg, gate):
         edges, key = _slot_edges(vcfg), (ROLE_PHOTONS, 3)
@@ -481,7 +493,7 @@ class TestFirstClickCounts:
     @pytest.mark.parametrize("gate", [DELTA_T1, DELTA_T2])
     @pytest.mark.parametrize("signals", [2, 3])
     def test_pulse_and_floor_signals(self, gate, signals):
-        self._check(self.MIXED[:signals], validate_config(SimConfig(seed=0)), gate)
+        self._check(MIXED[:signals], validate_config(SimConfig(seed=0)), gate)
 
 
 def _histogram_edges(vcfg) -> np.ndarray:
@@ -505,17 +517,17 @@ def _law_cases():
     vcfg, detectors = _saturated_detectors()
     cases = [(f"saturated_timebin_{i}", comps, vcfg) for i, (comps, _) in enumerate(detectors)]
     base = validate_config(SimConfig(seed=0))
-    cases += [("mixed", TestFirstClickCounts.MIXED, base),
+    cases += [("mixed", MIXED, base),
               ("dense_phase", _dense_phase(base), base)]
     for sigma in (0.0, float(base.pulse_period_ps)):
         jittered = validate_config(SimConfig(seed=0, jitter_sigma_ps=sigma))
-        cases += [(f"mixed_sigma_{sigma:g}", TestFirstClickCounts.MIXED, jittered),
+        cases += [(f"mixed_sigma_{sigma:g}", MIXED, jittered),
                   (f"dense_phase_sigma_{sigma:g}", _dense_phase(jittered), jittered)]
     cases += [
         # clamped at the frame's last ps and at ps 0, beside a floor
         ("clamped", [[(1.5, Pulse(199_950)), (0.2, Floor(100_000))],
                      [(0.7, Pulse(120)), (0.1, Floor(0, 1540))]], base),
-        ("zero_rate_signal", [[(0.0, Pulse(30_000))], *TestFirstClickCounts.MIXED], base),
+        ("zero_rate_signal", [[(0.0, Pulse(30_000))], *MIXED], base),
         # nothing in the second half: with gate dt2 no frame clicks
         ("first_half_only", [[(1.0, Pulse(30_000)), (0.5, Floor(0))]], base),
     ]
@@ -580,6 +592,99 @@ class TestZeroMassSkip:
         full = gen.multinomial(gen.binomial(self.N, p_click), mass.ravel() / mass.sum())
         np.testing.assert_array_equal(counts, full.reshape(mass.shape))
         assert not counts[mass == 0].any()
+
+
+W, P, TP = 100_000, 200_000, 1540  # the default frame window, period and pulse period
+# 0, or log-uniform from 1e-3 to ~3 clicks a frame
+_RATE = st.floats(-3.5, 0.5).map(lambda x: 0.0 if x < -3 else 10.0 ** x)
+_PLACEMENT = st.one_of(
+    st.builds(Pulse, st.one_of(st.integers(0, P - 1), st.sampled_from([0, 60, P - 60, P - 1])),
+              st.integers(1, 4), st.just(TP)),
+    st.builds(Floor, st.sampled_from([0, W]), st.sampled_from([0, TP])),
+)
+# dt1 and dt2 with the dead time nested in the blank half, every gate with none
+_GATE_TAU = st.sampled_from([(g, tau) for g in (DELTA_T1, DELTA_T2) for tau in (W, W + 1)]
+                            + [(g, 0) for g in (DELTA_T1, DELTA_T2, "always")])
+_SATURATED = _saturated_detectors()[1]
+
+
+class TestDetectorLaw:
+    """A runner detector's cells, drawn through ``_detector_cells``, follow
+    its law whichever sampler draws them: the first-click law
+    (``_first_click_mass``) where the dead time nests in the blank half,
+    and n times the gated rate mass with no dead time, where every gated
+    click is kept.  Each detector is drawn over ``N`` frames as counts
+    (``FIRST_CLICK_DENSITY = 0``; only where the first-click rule holds)
+    and on the Poisson path (``FIRST_CLICK_DENSITY = inf``), there at the
+    default ``SPAN_CLICKS`` and at one-batch spans (``SPAN_CLICKS = 1``:
+    three spans, the last partial).  Cells of no mass get no click, and a
+    nested detector clicks at most once a frame.  Each draw's G statistic
+    over the cells, and the frames with no click where nested, with the
+    cells that expect < 5 pooled into one, is read as the Wilson-Hilferty
+    z of its chi-square law and must be at most 5: a one-sided 2.9e-7 a
+    draw, under 5e-5 over the test's at most 138 draws (46 examples, at
+    most three draws each), which ``derandomize`` makes the same on every
+    run."""
+
+    N = 2 * BATCH + 123
+    DRAWS = ((0.0, pipeline.SPAN_CLICKS), (math.inf, pipeline.SPAN_CLICKS), (math.inf, 1))
+
+    @staticmethod
+    def _z(obs, expect) -> float:
+        """The Wilson-Hilferty z of the G statistic of counts ``obs``
+        against ``expect``, the categories that expect < 5 pooled."""
+        small = expect < 5
+        obs = np.append(obs[~small], obs[small].sum()).astype(float)
+        expect = np.append(expect[~small], expect[small].sum())
+        held = expect > 0
+        obs, expect, k = obs[held], expect[held], np.count_nonzero(held)
+        if not k:
+            return 0.0
+        g = 2 * (obs * np.log(obs / expect, out=np.zeros(k), where=obs > 0) - obs + expect).sum()
+        return (np.cbrt(g / k) - 1 + 2 / (9 * k)) / math.sqrt(2 / (9 * k))
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(components=st.lists(st.lists(st.tuples(_RATE, _PLACEMENT), min_size=1, max_size=2),
+                               min_size=1, max_size=3),
+           sigma=st.sampled_from([0.0, 100.0, float(TP)]), gate_tau=_GATE_TAU,
+           extra=st.lists(st.integers(1, P - 1), max_size=4), seed=st.integers(0, 1 << 16))
+    # jitter-free pulses of three signals on one ps: the lowest wins the tie
+    @example(components=[[(lam, Pulse(500, 1, TP))] for lam in (0.2, 0.5, 0.3)], sigma=0.0,
+             gate_tau=(DELTA_T1, W), extra=[500, 501], seed=1)
+    # the benchmark's saturated time-bin detectors (timebin_b at mu_in = 1000)
+    @example(components=_SATURATED[0][0], sigma=100.0, gate_tau=(_SATURATED[0][1], W), extra=[],
+             seed=2)
+    @example(components=_SATURATED[1][0], sigma=100.0, gate_tau=(_SATURATED[1][1], W), extra=[],
+             seed=3)
+    @example(components=_SATURATED[2][0], sigma=100.0, gate_tau=(_SATURATED[2][1], W), extra=[],
+             seed=4)
+    # a pulse clamped at the frame's last ps
+    @example(components=[[(1.5, Pulse(199_950, 1, TP)), (0.2, Floor(W))],
+                         [(0.7, Pulse(120, 1, TP))]],
+             sigma=100.0, gate_tau=(DELTA_T2, W + 1), extra=[199_000], seed=5)
+    # a signal of rate 0 beside a split floor
+    @example(components=[[(0.0, Pulse(30_000, 1, TP))], [(0.4, Floor(0, TP))]], sigma=100.0,
+             gate_tau=(DELTA_T1, W), extra=[], seed=6)
+    def test_cells_follow_the_law(self, components, sigma, gate_tau, extra, seed):
+        gate, tau = gate_tau
+        vcfg = validate_config(SimConfig(jitter_sigma_ps=sigma, dead_time_ps=tau, seed=seed))
+        edges = _cell_edges(vcfg, [_slot_edges(vcfg), np.array(extra, dtype=np.int64)])
+        if tau:
+            mass = _first_click_mass(components, vcfg, gate, edges)
+        else:
+            mass = _per_cell(_gated_rates(components, vcfg, gate), edges)
+        for density, span_clicks in self.DRAWS[0 if tau else 1:]:  # counts only if nested
+            with mock.patch.multiple(pipeline, FIRST_CLICK_DENSITY=density,
+                                     SPAN_CLICKS=span_clicks):
+                cells = _detector_cells((ROLE_PHOTONS, 5), components, vcfg, gate, self.N, edges)
+            counts = np.diff(cells.before, axis=1)
+            assert (counts >= 0).all() and not counts[mass == 0].any()
+            obs, expect = counts.ravel(), self.N * mass.ravel()
+            if tau:
+                assert counts.sum() <= self.N
+                obs = np.append(obs, self.N - counts.sum())
+                expect = np.append(expect, self.N * (1 - mass.sum()))
+            assert self._z(obs, expect) <= 5, (density, span_clicks)
 
 
 class TestCellsRobust:
@@ -801,12 +906,12 @@ def _opened_streams(monkeypatch) -> list:
 
 
 class TestPoissonSpans:
-    """The Poisson path draws a detector in spans of whole batches that
-    expect at most ``SPAN_CLICKS`` clicks, each span one stream a signal
-    keyed by its first batch: no frame is drawn twice or skipped at a span
-    edge, and a detector dense enough for one-batch spans draws as batch by
-    batch.  Gated ``always`` with no dead time, so every drawn click is
-    kept."""
+    """The Poisson path's stream cut, apart from its law (``TestDetectorLaw``):
+    a detector is drawn in spans of whole batches that expect at most
+    ``SPAN_CLICKS`` clicks, one stream a signal a span, keyed by the span's
+    first batch, and each component draws every frame once; a detector
+    dense enough for one-batch spans draws as batch by batch.  A change of
+    the stream cut edits this class alone."""
 
     N = 5 * BATCH + 123
     KEY = (ROLE_PHOTONS, 7)
@@ -815,10 +920,6 @@ class TestPoissonSpans:
     SPARSE = [[(4e-4, Pulse(20_000)), (2e-4, Floor(0))],
               [(3e-4, Pulse(150_000, 4, 1540))]]
 
-    @staticmethod
-    def _vcfg(seed):
-        return validate_config(SimConfig(dead_time_ps=0, seed=seed))
-
     # the default spans the whole run; 150 clicks span two batches, so
     # spans start at batches 0, 2 and 4 and the last is partial
     @pytest.mark.parametrize("span_clicks,firsts", [(pipeline.SPAN_CLICKS, [0]),
@@ -826,31 +927,22 @@ class TestPoissonSpans:
     @pytest.mark.parametrize("seed", [301, 302, 303])
     def test_sparse_detector_spans(self, monkeypatch, span_clicks, firsts, seed):
         monkeypatch.setattr(pipeline, "SPAN_CLICKS", span_clicks)
-        opened = _opened_streams(monkeypatch)
-        det = _simulate_detector(self.KEY, self.SPARSE, self._vcfg(seed), "always",
-                                 range(self.N))
+        opened, drawn, poisson = _opened_streams(monkeypatch), [], pipeline._poisson_frames
+        monkeypatch.setattr(pipeline, "_poisson_frames",
+                            lambda gen, lam, nb: drawn.append(nb) or poisson(gen, lam, nb))
+        vcfg = validate_config(SimConfig(dead_time_ps=0, seed=seed))
+        cells = _detector_cells(self.KEY, self.SPARSE, vcfg, "always", self.N,
+                                _cell_edges(vcfg, []))
         assert sorted(opened) == [(*self.KEY, s, b) for s in (0, 1) for b in firsts]
-        fr = det.frame_idx
-        assert len(fr) and fr.min() >= 0 and fr.max() < self.N
-        rates = [sum(lam for lam, _ in comps) for comps in self.SPARSE]
-        # per batch block, the partial last one included
-        block = np.bincount(fr // BATCH, minlength=6)
-        assert len(block) == 6
-        lengths = np.minimum(BATCH, self.N - BATCH * np.arange(6))
-        mean = sum(rates) * lengths
-        assert np.all(np.abs(block - mean) <= 5 * np.sqrt(mean)), (block, mean)
-        # per origin, given the total
-        share = np.array(rates) / sum(rates)
-        got = np.bincount(det.origin, minlength=2)
-        sigma = np.sqrt(len(fr) * share * (1 - share))
-        assert np.all(np.abs(got - len(fr) * share) <= 5 * sigma), (got, share)
+        assert sum(drawn) == 3 * self.N  # three components
+        assert cells.before[:, -1].all()  # both signals clicked
 
-    def test_dense_detector_draws_batch_by_batch(self):
+    def test_dense_detector_draws_batch_by_batch(self, monkeypatch):
         # 1.4 expected clicks a frame: one batch expects more than
         # SPAN_CLICKS, so each span is one batch
         components = [[(0.9, Pulse(20_000)), (0.3, Floor(0))],
                       [(0.2, Floor(100_000, 1540))]]
-        n, vcfg = 2 * BATCH + 123, self._vcfg(304)
+        n, vcfg = 2 * BATCH + 123, validate_config(SimConfig(dead_time_ps=0, seed=304))
         assert 1.4 * BATCH > pipeline.SPAN_CLICKS
         root, parts = RandomSource(vcfg.seed), []
         for b0 in range(0, n, BATCH):
@@ -861,10 +953,15 @@ class TestPoissonSpans:
                     parts.append((fr, placement.times(gen, len(fr), vcfg), np.full(len(fr), s)))
         fr, t, origin = map(np.concatenate, zip(*parts))
         order = np.argsort(fr * vcfg.frame_period_ps + t, kind="stable")
-        det = _simulate_detector(self.KEY, components, vcfg, "always", range(n))
-        np.testing.assert_array_equal(det.frame_idx, fr[order])
-        np.testing.assert_array_equal(det.t_within, t[order])
-        np.testing.assert_array_equal(det.origin, origin[order])
+        spans, sim = [], pipeline._simulate_detector
+        monkeypatch.setattr(pipeline, "_simulate_detector",
+                            lambda *args: spans.append(sim(*args)) or spans[-1])
+        _detector_cells(self.KEY, components, vcfg, "always", n, _cell_edges(vcfg, []))
+        assert len(spans) == 3
+        got_fr, got_t, got_origin = map(np.concatenate, zip(*(kept for kept, _ in spans)))
+        np.testing.assert_array_equal(got_fr, fr[order])
+        np.testing.assert_array_equal(got_t, t[order])
+        np.testing.assert_array_equal(got_origin, origin[order])
 
     def test_phase_er_opens_few_streams(self, monkeypatch):
         # 15 sparse detectors, each drawn as one span: one stream a signal,

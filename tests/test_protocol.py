@@ -19,11 +19,9 @@ from sdmqsim.config import (
 )
 from sdmqsim.pipeline import (
     BATCH,
-    Cells,
     Pulse,
     _detector_cells,
     _phase_components,
-    _simulate_detector,
     run_scenario,
     simulate_bb84,
 )
@@ -242,19 +240,10 @@ def _whole_run_transcript(seed, n, eve, frames, bob_bits):
     return "\n".join(lines) + "\n"
 
 
-def _blocked_until(det, vcfg, blocked):
-    """The absolute time until which ``det``'s detector stays dead: its last
-    click plus the dead time, or ``blocked`` when it kept no click."""
-    if not len(det.frame_idx):
-        return blocked
-    return (int(det.frame_idx[-1]) * vcfg.frame_period_ps + int(det.t_within[-1])
-            + vcfg.dead_time_ps)
-
-
 class TestStreamSplit:
-    """The exchange drawn one batch at a time, and a runner detector one
-    span at a time, against the same draws made over the whole run at
-    once."""
+    """The exchange drawn one batch at a time against the same draws made
+    over the whole run at once, and a runner detector drawn one span at a
+    time with the dead time carried across."""
 
     @pytest.mark.parametrize("eve", [False, True])
     @pytest.mark.parametrize("n", [1, 7, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 5])
@@ -314,10 +303,9 @@ class TestStreamSplit:
         # a runner detector gated `always` on the Poisson path, one batch a
         # span: a click late in every frame blocks the next frame's first
         # 149 ns, where its other clicks land at 10 ns, across spans too
-        n = 2 * BATCH + 5
+        n, period = 2 * BATCH + 5, cfg.frame_period_ps
         cfg = replace(cfg, dead_time_ps=150_000)
         key, comps = (ROLE_PHOTONS, 0), [[(3.0, Pulse(10_000)), (16.0, Pulse(199_000))]]
-        edges = np.array([0, 100_000, cfg.frame_period_ps])
         calls, sim = [], pipeline._simulate_detector
 
         def traced(*args):
@@ -325,30 +313,22 @@ class TestStreamSplit:
             return calls[-1][2]
 
         monkeypatch.setattr(pipeline, "_simulate_detector", traced)
-        cells = _detector_cells(key, comps, cfg, "always", n, edges, histogram=True)
+        cells = _detector_cells(key, comps, cfg, "always", n, np.array([0, 100_000, period]),
+                                histogram=True)
         monkeypatch.undo()
         assert [frames for frames, _, _ in calls] == [range(0, BATCH), range(BATCH, 2 * BATCH),
                                                       range(2 * BATCH, n)]
-        spans = [det for _, _, det in calls]
-        assert calls[0][1] == 0  # each later span starts blocked by the last one's last click
-        for i in (1, 2):
-            assert calls[i][1] == spans[i - 1].blocked == _blocked_until(spans[i - 1], cfg, 0) > 0
-        # the spans keep the clicks of the whole run drawn, sorted and walked at once
-        whole = _simulate_detector(key, comps, cfg, "always", range(n))
-        for field in ("frame_idx", "t_within"):
-            np.testing.assert_array_equal(
-                np.concatenate([getattr(d, field) for d in spans]), getattr(whole, field))
-        want = Cells(edges, np.searchsorted(np.sort(whole.t_within), edges)[None, :])
-        np.testing.assert_array_equal(cells.before, want.before)
-        np.testing.assert_array_equal(cells.histogram.bins, np.bincount(
-            whole.t_within // cfg.hist_res_ps, minlength=cfg.n_bins))
-        # an early click is kept in the run's first frame alone, where spans
-        # drawn without the dead time carried over keep one in their first
-        early = [d.frame_idx[d.t_within < 100_000] for d in spans]
-        assert set(np.concatenate(early).tolist()) <= {0}
-        fresh = [sim(key, comps, cfg, "always", frames) for frames, _, _ in calls]
-        early = np.concatenate([d.frame_idx[d.t_within < 100_000] for d in fresh])
-        assert set(early.tolist()) - {0} == {BATCH, 2 * BATCH}
+        # each later span starts blocked by the last one's last click
+        assert calls[0][1] == 0
+        for (_, _, ((fr, t, _), blocked)), (_, carried, _) in zip(calls, calls[1:]):
+            assert carried == blocked == int(fr[-1]) * period + int(t[-1]) + cfg.dead_time_ps
+        # every frame keeps its late click, and an early click is kept in the
+        # run's first frame alone, where spans drawn without the dead time
+        # carried over would keep one in their first
+        assert cells.count(100_000, period) == n and cells.count(0, 100_000) <= 1
+        bins = cells.histogram.bins
+        assert bins.sum() == cells.count(0, period)
+        assert bins[:100_000 // cfg.hist_res_ps].sum() == cells.count(0, 100_000)
 
 
 def _bb84(cfg, seed, v, n=200_000):

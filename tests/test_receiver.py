@@ -10,13 +10,11 @@ from sdmqsim.config import ConfigError, RandomSource, SimConfig, validate_config
 from sdmqsim import pipeline
 from sdmqsim.pipeline import (
     FIRST_CLICK_DENSITY,
-    DetectorResult,
     Floor,
     Pulse,
     _cell_edges,
     _detector_cells,
     _finish_detector,
-    _simulate_detector,
 )
 from sdmqsim.receiver import (
     Histogram,
@@ -35,11 +33,11 @@ def cfg():
 
 
 def _detect(times, cfg, gate="always"):
-    """Gate and dead-time veto one detector's photons, all in frame 0."""
+    """The kept times of one detector's photons at ``times``, all in frame
+    0, gated and dead-time vetoed."""
     t = np.asarray(times, dtype=np.int64)
     zeros = np.zeros(len(t), dtype=np.int64)
-    fr, t, origin = _finish_detector([(zeros, t, zeros.astype(np.int8))], cfg, gate)
-    return DetectorResult(t, fr, origin)
+    return _finish_detector([(zeros, t, zeros.astype(np.int8))], cfg, gate)[1]
 
 
 def _uniform_in_gate(lam):
@@ -74,30 +72,42 @@ def _assert_same_law(got, ref):
     assert np.abs(z).max() <= 5, z
 
 
+def _kept_frames(key, components, cfg, gate, n) -> np.ndarray:
+    """The frames of every click that ``_detector_cells`` keeps on the
+    Poisson path, span by span, in time order."""
+    spans, sim = [], pipeline._simulate_detector
+
+    def traced(*args):
+        spans.append(sim(*args))
+        return spans[-1]
+
+    with mock.patch.multiple(pipeline, FIRST_CLICK_DENSITY=math.inf, _simulate_detector=traced):
+        _detector_cells(key, components, cfg, gate, n, _cell_edges(cfg, []))
+    return np.concatenate([fr for (fr, _, _), _ in spans])
+
+
 class TestDetect:
     def test_unit_efficiency_no_dead_time(self):
         cfg0 = validate_config(SimConfig(dead_time_ps=0))
-        det = _detect([100, 5_000, 150_000], cfg0)
-        assert len(det.t_within) == 3
+        assert len(_detect([100, 5_000, 150_000], cfg0)) == 3
 
     def test_dead_time_vetoes_second_click(self, cfg):
         # two photons 50 ns apart with a 100 ns dead time -> one click
-        det = _detect([10_000, 60_000], cfg)
-        assert det.t_within.tolist() == [10_000]
+        assert _detect([10_000, 60_000], cfg).tolist() == [10_000]
 
     def test_gate_discards_out_of_window(self):
         cfg0 = validate_config(SimConfig(dead_time_ps=0))
-        det = _detect([50_000, 150_000], cfg0, gate="dt2")
-        assert det.t_within.tolist() == [150_000]
+        assert _detect([50_000, 150_000], cfg0, gate="dt2").tolist() == [150_000]
 
     def test_thinned_poisson_click_probability(self, cfg):
         # mean 0.15 photons/frame, eta 0.15: per-frame click probability
         # 1 - exp(-0.0225) ~= 0.02225, checked within 3 sigma over 3e5 frames
         n = 300_000
-        det = _simulate_detector((0,), _uniform_in_gate(0.15 * 0.15), cfg, "dt1", range(n))
+        cells = _detector_cells((0,), _uniform_in_gate(0.15 * 0.15), cfg, "dt1", n,
+                                _cell_edges(cfg, []))
         p = 1 - math.exp(-0.0225)
         expect = n * p
-        assert abs(len(det.t_within) - expect) <= 3 * math.sqrt(expect)
+        assert abs(cells.count(0, cfg.frame_period_ps) - expect) <= 3 * math.sqrt(expect)
 
     def test_detector_linearity_low_flux(self, cfg):
         # click probability vs mean photons/frame stays within 1% of the
@@ -118,28 +128,10 @@ class TestDetect:
         n = 50_000
         comps = _uniform_in_gate(0.3)
         for seed in SEEDS:
-            det = _simulate_detector((1,), comps, replace(cfg, seed=seed), "dt1", range(n))
-            ph = _simulate_detector((1,), comps, replace(cfg, seed=seed, dead_time_ps=0),
-                                    "dt1", range(n))
-            assert len(ph.t_within) > len(det.t_within)
-            np.testing.assert_array_equal(det.frame_idx, np.unique(ph.frame_idx))
-
-
-class TestDeadTimeMask:
-    @settings(max_examples=1000, deadline=None)
-    @given(
-        ts=st.lists(st.integers(0, 10_000_000), min_size=0, max_size=200),
-        td=st.integers(0, 500_000),
-    )
-    def test_min_gap_invariant(self, ts, td):
-        t = np.array(sorted(ts), dtype=np.int64)
-        keep = dead_time_mask(t, td)
-        kept = t[keep]
-        if len(kept) > 1:
-            assert np.diff(kept).min() >= td
-        # first event always accepted
-        if len(t):
-            assert keep[0]
+            det = _kept_frames((1,), comps, replace(cfg, seed=seed), "dt1", n)
+            ph = _kept_frames((1,), comps, replace(cfg, seed=seed, dead_time_ps=0), "dt1", n)
+            assert len(ph) > len(det)
+            np.testing.assert_array_equal(det, np.unique(ph))
 
 
 def _greedy_dead_time(t, dead_time_ps):
@@ -155,7 +147,8 @@ def _greedy_dead_time(t, dead_time_ps):
 
 
 class TestDeadTimeOracle:
-    """``dead_time_mask`` against the plain greedy loop."""
+    """``dead_time_mask`` against the plain greedy loop, which keeps the
+    first event and none within a dead time of a kept one."""
 
     @settings(max_examples=1000, deadline=None)
     @given(
@@ -171,7 +164,7 @@ class TestDeadTimeOracle:
             max_size=200,
         ),
         start=st.integers(0, 10**12),
-        td=st.one_of(st.just(0), st.just(100_000), st.integers(0, 250_000)),
+        td=st.one_of(st.just(0), st.just(100_000), st.integers(0, 500_000)),
     )
     def test_matches_reference(self, gaps, start, td):
         t = start + np.cumsum(np.array(gaps, dtype=np.int64))
@@ -248,9 +241,11 @@ _PIECES = st.lists(
 
 class TestFirstClickVeto:
     """A runner draws a dense ``dt1``/``dt2`` detector with the dead time
-    nested in the blank half as counts from the first-click law; the
-    Poisson path, which draws every click and then sorts and walks them
-    (checked here against the greedy loop), is the reference."""
+    nested in the blank half as counts from the first-click law, and every
+    other detector on the Poisson path, which draws every click and then
+    sorts and walks them (checked here against the greedy loop, and its
+    cells against the counts').  ``test_pipeline.TestDetectorLaw`` holds
+    both paths' cells to the law."""
 
     @staticmethod
     def _sort_and_walk(pieces, cfg, gate):

@@ -286,9 +286,9 @@ class TestCliRun:
         # timebin_b at mu_in = 1000 puts 3-7 gated clicks a frame into every
         # detector, so each draws its counts from the first-click law, one
         # binomial and one multinomial over its cells; the bytes are pinned
-        # from that draw, which TestFirstClickCounts checks against the
-        # exact law and TestFoldAcrossBatches against drawing, sorting and
-        # walking every click
+        # from that draw, which TestDetectorLaw checks against the exact
+        # law, as it does the Poisson path that draws, sorts and walks
+        # every click
         derived = tmp_path / "timebin_b_saturated.ini"
         text = (SCENARIOS / "timebin_b.ini").read_text()
         assert "\nmu_in = 2.5\n" in text
