@@ -9,7 +9,7 @@ power-level crosstalk measurement.
 import numpy as np
 
 from sdmqsim.channel import ChannelModel, load_link_tables, measure_insertion_loss
-from sdmqsim.config import ROLE_PHOTONS, SignalAssignment, SimConfig, validate_config
+from sdmqsim.config import ROLE_PHOTONS, SignalAssignment, SimConfig
 
 il, xt = load_link_tables()
 
@@ -50,7 +50,7 @@ print("\n== single-photon crosstalk check, input group 1 ==")
 from sdmqsim.pipeline import _cell_edges, _detector_cells, _timebin_law
 
 n = 100_000
-vcfg = validate_config(SimConfig(mu_in=2.5, dead_time_ps=0, seed=7))
+vcfg = SimConfig(mu_in=2.5, dead_time_ps=0, seed=7)
 sig = SignalAssignment("A", input_group=1, fixed_slot=10)
 counts = np.array([
     _detector_cells((ROLE_PHOTONS, g), _timebin_law(vcfg, channel, [sig], (g,)), vcfg, "always",

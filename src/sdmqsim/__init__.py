@@ -8,8 +8,6 @@ from .config import (
     RandomSource,
     SignalAssignment,
     SimConfig,
-    ValidatedConfig,
-    validate_config,
 )
 from .channel import (
     AssignmentError,

@@ -17,8 +17,6 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "SimConfig",
-    "ValidatedConfig",
-    "validate_config",
     "RandomSource",
     "SignalAssignment",
     "BATCH",
@@ -94,74 +92,57 @@ class SimConfig:
     jitter_sigma_ps: float = 100.0
     seed: int = 1
 
+    def __post_init__(self):
+        """Raise ConfigError naming the first violated invariant."""
+        if self.d < 2:
+            raise ConfigError(f"d must be >= 2, got {self.d}")
+        if self.pulse_period_ps <= 0:
+            raise ConfigError("pulse_period_ps must be positive")
+        if self.d * self.pulse_period_ps > self.frame_window_ps:
+            raise ConfigError(
+                f"pulse train does not fit the frame window: "
+                f"d*T_p = {self.d * self.pulse_period_ps} ps > "
+                f"frame_window = {self.frame_window_ps} ps"
+            )
+        if self.frame_period_ps != 2 * self.frame_window_ps:
+            raise ConfigError(
+                f"frame_period ({self.frame_period_ps} ps) must equal "
+                f"2 * frame_window ({2 * self.frame_window_ps} ps)"
+            )
+        implied_rate = 1.0e12 / self.frame_period_ps
+        if not math.isclose(self.frame_rate_hz, implied_rate, rel_tol=1e-9):
+            raise ConfigError(
+                f"frame_rate_hz ({self.frame_rate_hz:g}) inconsistent with "
+                f"1/frame_period ({implied_rate:g} Hz)"
+            )
+        if not 0.0 <= self.eta <= 1.0:
+            raise ConfigError(f"eta must be in [0, 1], got {self.eta}")
+        if not 0.0 <= self.p_tb <= 1.0:
+            raise ConfigError(f"p_tb must be in [0, 1], got {self.p_tb}")
+        if self.dead_time_ps < 0:
+            raise ConfigError("dead_time_ps must be non-negative")
+        if self.hist_res_ps <= 0 or self.frame_period_ps % self.hist_res_ps != 0:
+            raise ConfigError(
+                f"hist_res_ps ({self.hist_res_ps}) must divide "
+                f"frame_period ({self.frame_period_ps})"
+            )
+        # written so that NaN fails every range check
+        if not 0 < self.mu_in < math.inf:
+            raise ConfigError(f"mu_in must be positive and finite, got {self.mu_in}")
+        if not self.im_extinction > 1.0:  # +inf (a perfect modulator) passes
+            raise ConfigError(
+                f"im_extinction must be > 1 (linear ratio), got {self.im_extinction}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        # NaN and inf fail; a wider jitter would build a kernel of 8 sigma a pulse
+        if not 0 <= self.jitter_sigma_ps <= self.pulse_period_ps:
+            raise ConfigError(f"jitter_sigma_ps must be in [0, pulse_period_ps = "
+                              f"{self.pulse_period_ps}], got {self.jitter_sigma_ps}")
 
-@dataclass(frozen=True)
-class ValidatedConfig(SimConfig):
-    """A :class:`SimConfig` whose invariants have been checked.
-
-    Adds the derived quantities used throughout the pipeline.
-    """
-
-    n_bins: int = 0
-
-
-def validate_config(cfg: SimConfig) -> ValidatedConfig:
-    """Check every invariant of ``cfg`` and precompute derived quantities.
-
-    Raises
-    ------
-    ConfigError
-        Naming the violated invariant.
-    """
-    if cfg.d < 2:
-        raise ConfigError(f"d must be >= 2, got {cfg.d}")
-    if cfg.pulse_period_ps <= 0:
-        raise ConfigError("pulse_period_ps must be positive")
-    if cfg.d * cfg.pulse_period_ps > cfg.frame_window_ps:
-        raise ConfigError(
-            f"pulse train does not fit the frame window: "
-            f"d*T_p = {cfg.d * cfg.pulse_period_ps} ps > "
-            f"frame_window = {cfg.frame_window_ps} ps"
-        )
-    if cfg.frame_period_ps != 2 * cfg.frame_window_ps:
-        raise ConfigError(
-            f"frame_period ({cfg.frame_period_ps} ps) must equal "
-            f"2 * frame_window ({2 * cfg.frame_window_ps} ps)"
-        )
-    implied_rate = 1.0e12 / cfg.frame_period_ps
-    if not math.isclose(cfg.frame_rate_hz, implied_rate, rel_tol=1e-9):
-        raise ConfigError(
-            f"frame_rate_hz ({cfg.frame_rate_hz:g}) inconsistent with "
-            f"1/frame_period ({implied_rate:g} Hz)"
-        )
-    if not 0.0 <= cfg.eta <= 1.0:
-        raise ConfigError(f"eta must be in [0, 1], got {cfg.eta}")
-    if not 0.0 <= cfg.p_tb <= 1.0:
-        raise ConfigError(f"p_tb must be in [0, 1], got {cfg.p_tb}")
-    if cfg.dead_time_ps < 0:
-        raise ConfigError("dead_time_ps must be non-negative")
-    if cfg.hist_res_ps <= 0 or cfg.frame_period_ps % cfg.hist_res_ps != 0:
-        raise ConfigError(
-            f"hist_res_ps ({cfg.hist_res_ps}) must divide "
-            f"frame_period ({cfg.frame_period_ps})"
-        )
-    # written so that NaN fails every range check
-    if not 0 < cfg.mu_in < math.inf:
-        raise ConfigError(f"mu_in must be positive and finite, got {cfg.mu_in}")
-    if not cfg.im_extinction > 1.0:  # +inf (a perfect modulator) passes
-        raise ConfigError(
-            f"im_extinction must be > 1 (linear ratio), got {cfg.im_extinction}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
-    # NaN and inf fail; a wider jitter would build a kernel of 8 sigma a pulse
-    if not 0 <= cfg.jitter_sigma_ps <= cfg.pulse_period_ps:
-        raise ConfigError(f"jitter_sigma_ps must be in [0, pulse_period_ps = "
-                          f"{cfg.pulse_period_ps}], got {cfg.jitter_sigma_ps}")
-
-    return ValidatedConfig(
-        **{f: getattr(cfg, f) for f in SimConfig.__dataclass_fields__},
-        n_bins=cfg.frame_period_ps // cfg.hist_res_ps,
-    )
+    @property
+    def n_bins(self) -> int:
+        """Histogram bins per frame period."""
+        return self.frame_period_ps // self.hist_res_ps
 
 
 # ---------------------------------------------------------------------------

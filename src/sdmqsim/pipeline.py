@@ -56,7 +56,7 @@ from .config import (
     RandomSource,
     ROLE_PHOTONS,
     SignalAssignment,
-    ValidatedConfig,
+    SimConfig,
 )
 from .encoder import floor_fraction
 from .protocol import (
@@ -544,7 +544,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
         "bb84": _run_bb84,
         "bb84_eve": _run_bb84,
     }[scenario.experiment.kind]
-    return runner(scenario, scenario.validated(), build_channel(scenario))
+    return runner(scenario, scenario.cfg, build_channel(scenario))
 
 
 def _analytic_group_rates(scenario, channel) -> dict:
@@ -871,7 +871,7 @@ def _lazy_record(n: int, dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype, count=n)
 
 
-def simulate_bb84(cfg: ValidatedConfig, n_frames: int, flux: float,
+def simulate_bb84(cfg: SimConfig, n_frames: int, flux: float,
                   visibility_cap: float = 0.93, eve: bool = False,
                   phase_floor: float = 0.0) -> Bb84Result:
     """Run a full BB84 exchange over phase frames, one span at a time.

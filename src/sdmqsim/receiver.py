@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import ascii_digits, csv_bytes
-from .config import DELTA_T1, ValidatedConfig
+from .config import DELTA_T1, SimConfig
 
 __all__ = [
     "Histogram",
@@ -144,7 +144,7 @@ def delay_interferometer_rates(
     )
 
 
-def histogram_from_times(t_within: np.ndarray, cfg: ValidatedConfig,
+def histogram_from_times(t_within: np.ndarray, cfg: SimConfig,
                          counts: np.ndarray | None = None) -> Histogram:
     """Histogram of within-frame timestamps, each counted ``counts`` times
     if given (the starts of cells that each lie in one bin, and their

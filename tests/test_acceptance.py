@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sdmqsim.analysis import error_budget, fit_visibility, prob_from_db, tomography
-from sdmqsim.config import SimConfig, validate_config
+from sdmqsim.config import SimConfig
 from sdmqsim.channel import CrosstalkMatrix
 from sdmqsim.encoder import floor_fraction
 from sdmqsim.pipeline import (
@@ -261,7 +261,7 @@ def test_10_protocol_properties(bb84_run, bb84_eve_run):
     ok_rate = r >= 0.64
 
     # full oracle with the imperfect interferometer: 0.25 + (1-V)/4
-    cfg = validate_config(SimConfig(seed=77))
+    cfg = SimConfig(seed=77)
     res_v = simulate_bb84(
         cfg, n_frames=400_000, flux=0.5, visibility_cap=0.93, eve=True,
     )
@@ -310,7 +310,7 @@ def test_11_property_suites():
     # signal's pulse and floor sum to its mean; the two interferometer
     # ports carry it all, or half of it with one arm blocked
     ok_mu = True
-    vcfg = validate_config(SimConfig())
+    vcfg = SimConfig()
     for _ in range(n_cases):
         mu = float(gen.uniform(0.01, 5.0))
         if gen.random() < 0.5:

@@ -18,7 +18,6 @@ from sdmqsim.config import (
     ConfigError,
     SignalAssignment,
     SimConfig,
-    validate_config,
 )
 from sdmqsim.pipeline import _cell_edges, _collected_flux, _detector_cells, _timebin_law
 from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario
@@ -203,7 +202,7 @@ def _one_signal_cells(tables, n, sig, windows=(), **sim):
     through a flat 0 dB link, as cells that hold ``windows``."""
     il, xt = tables
     ch = ChannelModel(il=il, xt=xt, uniform_il_db=0.0)
-    vcfg = validate_config(SimConfig(**sim))
+    vcfg = SimConfig(**sim)
     law = _timebin_law(vcfg, ch, [sig], (sig.input_group,))
     return _detector_cells((ROLE_PHOTONS, 0), law, vcfg, "always", n, _cell_edges(vcfg, windows))
 
@@ -261,7 +260,7 @@ class TestErgodicity:
         # photon-counting crosstalk measurement reproduces the power-level
         # table within Poisson bounds
         n = 200_000
-        vcfg = validate_config(SimConfig(mu_in=2.5, dead_time_ps=0, seed=99))
+        vcfg = SimConfig(mu_in=2.5, dead_time_ps=0, seed=99)
         sig = SignalAssignment("A", input_group=1, fixed_slot=10)
         il, xt = tables
         ch = ChannelModel(il=il, xt=xt)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,14 +9,13 @@ from sdmqsim.config import (
     RandomSource,
     SignalAssignment,
     SimConfig,
-    validate_config,
 )
 from sdmqsim.pipeline import Pulse, _timebin_components
 
 
 class TestValidateConfig:
     def test_defaults_valid_with_8000_bins(self):
-        v = validate_config(SimConfig())
+        v = SimConfig()
         assert v.n_bins == 8000
         assert v.d == 64
         for slot, center in ((0, 770), (20, 20 * 1540 + 770)):
@@ -23,20 +24,17 @@ class TestValidateConfig:
 
     def test_pulse_train_must_fit_window(self):
         # 64 * 1540 = 98560 > 90000
-        cfg = SimConfig(frame_window_ps=90_000, frame_period_ps=180_000,
-                        frame_rate_hz=1e12 / 180_000)
         with pytest.raises(ConfigError, match="does not fit"):
-            validate_config(cfg)
+            SimConfig(frame_window_ps=90_000, frame_period_ps=180_000,
+                      frame_rate_hz=1e12 / 180_000)
 
     def test_frame_rate_consistency(self):
-        cfg = SimConfig(frame_rate_hz=4e6)  # period 200000 ps implies 5 MHz
         with pytest.raises(ConfigError, match="frame_rate"):
-            validate_config(cfg)
+            SimConfig(frame_rate_hz=4e6)  # period 200000 ps implies 5 MHz
 
     def test_period_must_be_twice_window(self):
-        cfg = SimConfig(frame_period_ps=150_000, frame_rate_hz=1e12 / 150_000)
         with pytest.raises(ConfigError, match="frame_period"):
-            validate_config(cfg)
+            SimConfig(frame_period_ps=150_000, frame_rate_hz=1e12 / 150_000)
 
     @pytest.mark.parametrize(
         "kwargs,match",
@@ -51,7 +49,13 @@ class TestValidateConfig:
     )
     def test_invariant_violations(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
-            validate_config(SimConfig(**kwargs))
+            SimConfig(**kwargs)
+
+    def test_replace_is_checked(self):
+        # a copy derives its bins from its own fields and keeps every invariant
+        assert replace(SimConfig(), hist_res_ps=50).n_bins == 4000
+        with pytest.raises(ConfigError, match="jitter_sigma_ps"):
+            replace(SimConfig(), jitter_sigma_ps=5000.0)
 
 
 class TestSignalAssignment:
@@ -126,6 +130,6 @@ class TestRandomSource:
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be non-negative"):
-            validate_config(SimConfig(seed=-3))
+            SimConfig(seed=-3)
         with pytest.raises(ValueError, match="non-negative"):
             RandomSource(-3, (1,)).generator()

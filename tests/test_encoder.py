@@ -8,7 +8,6 @@ from sdmqsim.config import (
     ConfigError,
     SignalAssignment,
     SimConfig,
-    validate_config,
 )
 from sdmqsim.encoder import floor_fraction
 from sdmqsim.channel import ChannelModel, load_link_tables
@@ -19,7 +18,7 @@ from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario
 
 @pytest.fixture(scope="module")
 def vcfg():
-    return validate_config(SimConfig())
+    return SimConfig()
 
 
 def _timebin_rates(vcfg, m, mu, r):
@@ -104,7 +103,7 @@ class TestSchedule:
     @staticmethod
     def _cells(sig, n, window, **sim):
         """The signal's clicks over ``n`` frames, as cells that hold ``window``."""
-        vcfg = validate_config(SimConfig(mu_in=50.0, dead_time_ps=0, **sim))
+        vcfg = SimConfig(mu_in=50.0, dead_time_ps=0, **sim)
         law = _timebin_law(vcfg, ChannelModel(*load_link_tables()), [sig], (sig.input_group,))
         return _detector_cells((ROLE_PHOTONS, 0), law, vcfg, "always", n,
                                _cell_edges(vcfg, [window]))

@@ -15,7 +15,6 @@ from sdmqsim.config import (
     ConfigError,
     RandomSource,
     SimConfig,
-    validate_config,
 )
 from sdmqsim.pipeline import (
     BATCH,
@@ -46,7 +45,7 @@ from sdmqsim.scenarios import load_scenario
 
 @pytest.fixture(scope="module")
 def cfg():
-    return validate_config(SimConfig())
+    return SimConfig()
 
 
 def phase_index(basis_x: np.ndarray, bits: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdmqsim.config import ConfigError, RandomSource, SimConfig, validate_config
+from sdmqsim.config import ConfigError, RandomSource, SimConfig
 from sdmqsim import pipeline
 from sdmqsim.pipeline import (
     FIRST_CLICK_DENSITY,
@@ -29,7 +29,7 @@ from sdmqsim.scenarios import ExperimentSpec
 
 @pytest.fixture(scope="module")
 def cfg():
-    return validate_config(SimConfig())
+    return SimConfig()
 
 
 def _detect(times, cfg, gate="always"):
@@ -88,7 +88,7 @@ def _kept_frames(key, components, cfg, gate, n) -> np.ndarray:
 
 class TestDetect:
     def test_unit_efficiency_no_dead_time(self):
-        cfg0 = validate_config(SimConfig(dead_time_ps=0))
+        cfg0 = SimConfig(dead_time_ps=0)
         assert len(_detect([100, 5_000, 150_000], cfg0)) == 3
 
     def test_dead_time_vetoes_second_click(self, cfg):
@@ -96,7 +96,7 @@ class TestDetect:
         assert _detect([10_000, 60_000], cfg).tolist() == [10_000]
 
     def test_gate_discards_out_of_window(self):
-        cfg0 = validate_config(SimConfig(dead_time_ps=0))
+        cfg0 = SimConfig(dead_time_ps=0)
         assert _detect([50_000, 150_000], cfg0, gate="dt2").tolist() == [150_000]
 
     def test_thinned_poisson_click_probability(self, cfg):
@@ -289,7 +289,7 @@ class TestFirstClickVeto:
     @pytest.mark.parametrize("gate", ["dt1", "dt2"])
     @pytest.mark.parametrize("tau", [W, W + 1])
     def test_first_click_matches_sort_and_walk(self, gate, tau, monkeypatch):
-        cfg, n = validate_config(SimConfig(dead_time_ps=tau)), 20_000
+        cfg, n = SimConfig(dead_time_ps=tau), 20_000
         centers = (W // 2, W + W // 2, W + W // 2 + 1540)
         edges = _cell_edges(cfg, [np.linspace(0, P, 17).astype(np.int64)]
                             + [c + np.arange(-400, 401, 100) for c in centers])
@@ -310,7 +310,7 @@ class TestFirstClickVeto:
         # a dead time shorter than the gate, one reaching the next frame's
         # gate, or an ungated detector: the first-click rule does not hold,
         # so even a dense detector draws every click
-        cfg = validate_config(SimConfig(dead_time_ps=tau))
+        cfg = SimConfig(dead_time_ps=tau)
         assert not self._draws_counts(cfg, gate, 1.0)
         pieces = _pieces(draw)
         self._check(self._sort_and_walk(pieces, cfg, gate), self._reference(
@@ -328,7 +328,7 @@ class TestFirstClickVeto:
         # with probability 1 - e^{-L}, and the click is signal s's with
         # probability (1 - e^{-lam_s}) e^{-(lam_0 + .. + lam_{s-1})}: the
         # lowest signal clicking at the ps wins, on both paths
-        cfg = validate_config(SimConfig(jitter_sigma_ps=0))
+        cfg = SimConfig(jitter_sigma_ps=0)
         lams, n = (0.2, 0.5, 0.3), 100_000
         below = np.cumsum((0.0,) + lams[:-1])
         p = (1 - np.exp(-np.array(lams))) * np.exp(-below)
