@@ -7,8 +7,9 @@ or for ``keyrate_n`` (the finite-key block size), and merges the headline
 metrics into one CSV.  ``--seed``, ``--frames`` and each swept value go
 through ``Scenario.with_overrides``, so they pass the checks a file's value
 passes: an unknown key, or one the scenario's kind does not read, exits 2
-before any output directory is made.  Logs go to stderr; data only to
-files.
+before any output directory is made; a swept value is read as a file's
+text (``pi/2``) and written to ``sweep.csv`` as typed.  Logs go to
+stderr; data only to files.
 
 Exit codes: 0 ok, 2 configuration error, 3 runtime/IO error.
 """
@@ -96,30 +97,26 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_values(raw: str, param: str) -> list[float]:
-    """The comma-separated ``raw`` as floats, each checked before the first
-    row is computed: text that is not a number, or a ``keyrate_n`` that is
-    not a whole block size, is a configuration error naming ``param``."""
-    vals = []
-    for text in filter(str.strip, raw.split(",")):
+def _sweep_values(raw: str, param: str) -> list[str]:
+    """The comma-separated ``raw``, each value as typed, the text a file
+    would hold.  A ``keyrate_n`` that is not a whole block size is a
+    configuration error naming ``param``, before the first row is computed."""
+    values = [text.strip() for text in raw.split(",") if text.strip()]
+    if not values:
+        raise ConfigError("empty sweep value list")
+    for text in values if param == "keyrate_n" else ():
         try:
             v = float(text)
         except ValueError:
-            raise ConfigError(f"{param} values must be numbers, got {text.strip()!r}") from None
-        if param == "keyrate_n" and not (v.is_integer() and v >= 1):  # NaN and inf fail
+            raise ConfigError(f"{param} values must be numbers, got {text!r}") from None
+        if not (v.is_integer() and v >= 1):  # NaN and inf fail
             raise ConfigError(f"keyrate_n must be an integer >= 1, got {v:g}")
-        vals.append(v)
-    if not vals:
-        raise ConfigError("empty sweep value list")
-    return vals
+    return values
 
 
 def _scalar_metrics(result: RunResult) -> dict:
-    out = {}
-    for k, v in result.report.to_dict().items():
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            out[k] = v
-    return out
+    return {k: v for k, v in result.report.to_dict().items()
+            if isinstance(v, (int, float)) and not isinstance(v, bool)}
 
 
 def cmd_sweep(args) -> int:
@@ -131,21 +128,20 @@ def cmd_sweep(args) -> int:
     values = _sweep_values(args.values, param)
     if param == "keyrate_n":
         # formula-level sweep of the finite-key bound against the block size
-        rows = [{param: int(v), "key_rate": key_rate(KeyRateParams(n=int(v)))} for v in values]
+        rows = [{param: v, "key_rate": key_rate(KeyRateParams(n=int(float(v))))}
+                for v in values]
     else:
         # every value passes the scenario's checks before the first run
         subs = [scenario.with_overrides(**{param: v}) for v in values]
         rows = []
         for v, sub in zip(values, subs):
-            _log(f"sweep {param}={v:g}")
+            _log(f"sweep {param}={v}")
             rows.append({param: v, **_scalar_metrics(run_scenario(sub))})
 
     out_dir = Path(args.out) if args.out else _default_out(scenario.name, "sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
     keys = [param] + sorted({k for row in rows for k in row} - {param})
-    lines = [",".join(keys)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(k)) for k in keys))
+    lines = [",".join(keys)] + [",".join(_fmt(row.get(k)) for k in keys) for row in rows]
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
     _write_manifest(out_dir, scenario_path, scenario,
                     {"sweep_param": param, "values": values})

@@ -144,6 +144,12 @@ class SimConfig:
         """Histogram bins per frame period."""
         return self.frame_period_ps // self.hist_res_ps
 
+    @property
+    def dead_time_nested(self) -> bool:
+        """Whether the dead time nests in the blank half, so that a gated
+        detector keeps each frame's first click and no other (see receiver)."""
+        return self.frame_window_ps <= self.dead_time_ps <= self.frame_window_ps + 1
+
 
 # ---------------------------------------------------------------------------
 # Random streams

@@ -32,7 +32,7 @@ law summed over stretches of constant rate, one ps long only inside the
 jitter kernels (``_first_click_law``).
 
 The BB84 exchange reads only each frame's outcome.  With Bob's dead time
-nested in the blank half (a longer one is rejected), that outcome depends
+nested in the blank half (any other is rejected), that outcome depends
 on the frame's class alone, so the exchange draws its conclusive frames
 and the port that lit straight from a class table (``simulate_bb84``), one
 span of ``protocol.exchange_batches`` at a time; only the conclusive
@@ -353,8 +353,7 @@ def _drawn_as_counts(components, vcfg, gate) -> bool:
     """Whether a runner draws a detector's counts from the first-click law:
     a ``dt1``/``dt2`` detector with the dead time nested in the blank half,
     from ``FIRST_CLICK_DENSITY`` expected clicks a frame."""
-    window, tau = vcfg.frame_window_ps, vcfg.dead_time_ps
-    return (gate != "always" and window <= tau <= window + 1
+    return (gate != "always" and vcfg.dead_time_nested
             and _mean_clicks(components) >= FIRST_CLICK_DENSITY)
 
 
@@ -533,8 +532,8 @@ def _phase_gates(vcfg, offset_ps) -> tuple:
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
-    """Dispatch to the experiment-specific runner, with the scenario's
-    checked configuration and its channel, each made once a run."""
+    """Dispatch to the experiment-specific runner, with the scenario alone
+    (each runner reads its ``cfg``) and its channel, built once a run."""
     runner = {
         "timebin_B": _run_timebin,
         "timebin_xt": _run_timebin,
@@ -544,7 +543,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
         "bb84": _run_bb84,
         "bb84_eve": _run_bb84,
     }[scenario.experiment.kind]
-    return runner(scenario, scenario.cfg, build_channel(scenario))
+    return runner(scenario, build_channel(scenario))
 
 
 def _analytic_group_rates(scenario, channel) -> dict:
@@ -566,8 +565,8 @@ def _mean_db(values) -> float | None:
     return math.inf if est and all(v == math.inf for v in est) else None
 
 
-def _run_timebin(scenario: Scenario, vcfg, channel) -> RunResult:
-    exp = scenario.experiment
+def _run_timebin(scenario: Scenario, channel) -> RunResult:
+    vcfg, exp = scenario.cfg, scenario.experiment
     n = exp.n_frames
     # one delayed signal, as Scenario checks: timebin_B reads crosstalk on
     # its collection, and timebin_xt compares its slot with the undelayed one's
@@ -660,8 +659,8 @@ def _run_timebin(scenario: Scenario, vcfg, channel) -> RunResult:
     )
 
 
-def _run_capacity(scenario: Scenario, vcfg, channel) -> RunResult:
-    exp = scenario.experiment
+def _run_capacity(scenario: Scenario, channel) -> RunResult:
+    vcfg, exp = scenario.cfg, scenario.experiment
     n = exp.n_frames
 
     # Part 1: idealized single-signal budget at a flat insertion loss.
@@ -727,7 +726,7 @@ def _run_capacity(scenario: Scenario, vcfg, channel) -> RunResult:
     )
 
 
-def _run_phase_er(scenario: Scenario, vcfg, channel) -> RunResult:
+def _run_phase_er(scenario: Scenario, channel) -> RunResult:
     """Extinction ratios per output group.
 
     A delayed signal is measured alone on its groups in the second
@@ -738,7 +737,7 @@ def _run_phase_er(scenario: Scenario, vcfg, channel) -> RunResult:
     evaluated interfering and with either arm blocked; the non-interfering
     reference is the arm average.
     """
-    exp = scenario.experiment
+    vcfg, exp = scenario.cfg, scenario.experiment
     n = exp.n_frames
     phi_total = exp.phi_a + exp.phi_b
 
@@ -790,14 +789,14 @@ def _run_phase_er(scenario: Scenario, vcfg, channel) -> RunResult:
     )
 
 
-def _run_phase_sweep(scenario: Scenario, vcfg, channel) -> RunResult:
+def _run_phase_sweep(scenario: Scenario, channel) -> RunResult:
     """Counts vs total phase on the interfering port, with the sinusoid fit.
 
     Per phase point, counts are pulse-gated and background-subtracted over
     the interior positions, so the fitted visibility reflects the fringe
     contrast rather than the uniform floor.
     """
-    exp = scenario.experiment
+    vcfg, exp = scenario.cfg, scenario.experiment
     n = exp.n_frames
     fits = {}
     points_out = []
@@ -888,9 +887,11 @@ def simulate_bb84(cfg: SimConfig, n_frames: int, flux: float,
     one uniform each picks the port.  The state is read there only, and Bob's bits and the sifted key
     bits are written in place after the previous span's.
     """
-    if cfg.dead_time_ps > cfg.frame_window_ps + 1:  # a port's frames would not be i.i.d.
+    if not cfg.dead_time_nested:  # a port's frames would not be i.i.d.
+        bound = ("at least frame_window_ps" if cfg.dead_time_ps < cfg.frame_window_ps
+                 else "at most frame_window_ps + 1")
         raise ConfigError(f"BB84 nests the dead time in the blank half: dead_time_ps must be "
-                          f"at most frame_window_ps + 1, got {cfg.dead_time_ps}")
+                          f"{bound}, got {cfg.dead_time_ps}")
     law = delay_interferometer_rates(
         cfg.eta * flux, cfg.d, visibility_cap, PHASE_TABLE, "none", phase_floor)
     p, pp = _port_usable(cfg, law)
@@ -918,8 +919,8 @@ def simulate_bb84(cfg: SimConfig, n_frames: int, flux: float,
                       key_a, key_b, cfg.seed, eve, frames_all[:n_det], bits_all[:n_det])
 
 
-def _run_bb84(scenario: Scenario, vcfg, channel) -> RunResult:
-    exp = scenario.experiment
+def _run_bb84(scenario: Scenario, channel) -> RunResult:
+    vcfg, exp = scenario.cfg, scenario.experiment
     sig = scenario.signals[0]
     groups = exp.collections.get(sig.signal_id, (sig.input_group,))
     flux = _collected_flux(vcfg, channel, sig, groups)

@@ -4,11 +4,11 @@ interferometer and histogram accumulation.
 Dead time is non-paralyzable (a photon arriving during the dead interval
 does not extend it), matching gated detector behaviour.  Under a ``dt1`` or
 ``dt2`` gate, with the dead time nested in the blank half of the frame
-period ``P = 2W`` (``W <= tau <= W + 1``), the veto keeps exactly each
-frame's first gated click: ``tau >= W`` covers the rest of the gate, and
-``tau <= W + 1`` ends before the next frame's gate opens.  The pipeline
-draws a dense runner detector's counts, and Bob's BB84 outcomes, straight
-from that click's law, so it never calls ``dead_time_mask`` for them.
+period ``P = 2W`` (``SimConfig.dead_time_nested``: ``W <= tau <= W + 1``),
+the veto keeps each frame's first gated click alone: ``tau >= W`` covers
+the gate's rest, and ``tau <= W + 1`` ends before the next gate opens.  The
+pipeline draws a dense runner detector's counts, and Bob's BB84 outcomes,
+straight from that click's law, never calling ``dead_time_mask`` for them.
 
 Interference is computed at intensity level with a hardware visibility
 cap: the channel randomizes inter-signal phases, so only each photon's

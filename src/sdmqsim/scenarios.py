@@ -132,8 +132,10 @@ class Scenario:
             bad = [f"gates {sid}:{g}" for sid, g in exp.gates.items() if g != "dt1"]
             bad += [f"delayed = true on signal {s.signal_id}" for s in self.signals if s.delayed]
             bad += [f"a second signal [signal.{s.signal_id}]" for s in self.signals[1:]]
-            if self.cfg.dead_time_ps > self.cfg.frame_window_ps + 1:
-                bad.append(f"dead_time_ps = {self.cfg.dead_time_ps} > frame_window_ps + 1")
+            if not self.cfg.dead_time_nested:
+                tau, window = self.cfg.dead_time_ps, self.cfg.frame_window_ps
+                bad.append(f"dead_time_ps = {tau} < frame_window_ps" if tau < window
+                           else f"dead_time_ps = {tau} > frame_window_ps + 1")
             if bad:
                 raise ConfigError(f"{kind} simulates one signal and gates its ports dt1 in the "
                                   f"first half-window, the dead time nested in the blank half: "

@@ -57,6 +57,14 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="jitter_sigma_ps"):
             replace(SimConfig(), jitter_sigma_ps=5000.0)
 
+    def test_dead_time_nested_in_the_blank_half(self):
+        # at least the window, so the gate keeps one click a frame, and at
+        # most one ps more, so the next frame's gate opens on a live detector
+        window = SimConfig().frame_window_ps
+        nested = [SimConfig(dead_time_ps=tau).dead_time_nested
+                  for tau in (0, window - 1, window, window + 1, window + 2)]
+        assert nested == [False, False, True, True, False]
+
 
 class TestSignalAssignment:
     """A signal built in code is checked as a scenario file's is."""

@@ -584,6 +584,14 @@ class TestSimulateBb84:
         with pytest.raises(ConfigError, match="dead_time_ps must be at most"):
             simulate_bb84(replace(cfg, dead_time_ps=window + 2), 1000, 2.0)
 
+    def test_dead_time_short_of_the_window_raises(self, cfg):
+        # one ps less and a port's click at a frame's first gated ps would
+        # not block its last, so a frame could keep two clicks
+        window = cfg.frame_window_ps
+        simulate_bb84(replace(cfg, dead_time_ps=window), 1000, 2.0)
+        with pytest.raises(ConfigError, match="dead_time_ps must be at least frame_window_ps"):
+            simulate_bb84(replace(cfg, dead_time_ps=window - 1), 1000, 2.0)
+
     def test_zero_frames_give_an_empty_exchange(self, cfg, tmp_path):
         res = simulate_bb84(cfg, 0, 2.0, eve=True)
         assert (res.n_frames, res.n_detected, res.n_sifted) == (0, 0, 0)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +10,6 @@ from sdmqsim import pipeline
 from sdmqsim.pipeline import (
     FIRST_CLICK_DENSITY,
     Floor,
-    Pulse,
     _cell_edges,
     _detector_cells,
     _finish_detector,
@@ -45,47 +43,6 @@ def _uniform_in_gate(lam):
     return [[(lam, Floor(0))]]
 
 
-SEEDS = range(101, 106)  # held out: no sampler or bound was tuned on them
-
-
-def _counts_and_walked(monkeypatch, components, cfg, gate, n, edges):
-    """Each seed's ``(origin, cell)`` clicks of a detector over ``n`` frames
-    between ``edges`` (from ``_cell_edges``), over ``SEEDS``: first drawn as
-    counts from the first-click law, then on the Poisson path
-    (``FIRST_CLICK_DENSITY = inf``), which draws every click and sorts and
-    walks them."""
-    def draw():
-        return [np.diff(_detector_cells((4,), components, replace(cfg, seed=seed), gate, n,
-                                        edges).before, axis=1) for seed in SEEDS]
-
-    with mock.patch.object(pipeline, "_first_click_counts",
-                           wraps=pipeline._first_click_counts) as spy:
-        counts = draw()
-        assert spy.call_count == len(SEEDS)
-    monkeypatch.setattr(pipeline, "FIRST_CLICK_DENSITY", math.inf)
-    return counts, draw()
-
-
-def _assert_same_law(got, ref):
-    """Two samplers' pooled counts agree in every cell within 5 sigma."""
-    z = (got - ref) / np.sqrt(np.maximum(got + ref, 1))
-    assert np.abs(z).max() <= 5, z
-
-
-def _kept_frames(key, components, cfg, gate, n) -> np.ndarray:
-    """The frames of every click that ``_detector_cells`` keeps on the
-    Poisson path, span by span, in time order."""
-    spans, sim = [], pipeline._simulate_detector
-
-    def traced(*args):
-        spans.append(sim(*args))
-        return spans[-1]
-
-    with mock.patch.multiple(pipeline, FIRST_CLICK_DENSITY=math.inf, _simulate_detector=traced):
-        _detector_cells(key, components, cfg, gate, n, _cell_edges(cfg, []))
-    return np.concatenate([fr for (fr, _, _), _ in spans])
-
-
 class TestDetect:
     def test_unit_efficiency_no_dead_time(self):
         cfg0 = SimConfig(dead_time_ps=0)
@@ -99,16 +56,6 @@ class TestDetect:
         cfg0 = SimConfig(dead_time_ps=0)
         assert _detect([50_000, 150_000], cfg0, gate="dt2").tolist() == [150_000]
 
-    def test_thinned_poisson_click_probability(self, cfg):
-        # mean 0.15 photons/frame, eta 0.15: per-frame click probability
-        # 1 - exp(-0.0225) ~= 0.02225, checked within 3 sigma over 3e5 frames
-        n = 300_000
-        cells = _detector_cells((0,), _uniform_in_gate(0.15 * 0.15), cfg, "dt1", n,
-                                _cell_edges(cfg, []))
-        p = 1 - math.exp(-0.0225)
-        expect = n * p
-        assert abs(cells.count(0, cfg.frame_period_ps) - expect) <= 3 * math.sqrt(expect)
-
     def test_detector_linearity_low_flux(self, cfg):
         # click probability vs mean photons/frame stays within 1% of the
         # best-fit line, referenced to full scale (standard nonlinearity
@@ -119,20 +66,6 @@ class TestDetect:
         coef, *_ = np.linalg.lstsq(basis, clicks, rcond=None)
         dev = np.abs(basis @ coef - clicks) / clicks.max()
         assert dev.max() < 0.01
-
-    def test_dead_time_nested_in_blank_interval(self, cfg):
-        # with one frame per period and a half-period gate, dead time never
-        # suppresses in-gate signal: a gated collection clicks at most once
-        # per frame, and exactly in the frames with >= 1 photon, as the
-        # Poisson path's sort and walk finds them
-        n = 50_000
-        comps = _uniform_in_gate(0.3)
-        for seed in SEEDS:
-            det = _kept_frames((1,), comps, replace(cfg, seed=seed), "dt1", n)
-            ph = _kept_frames((1,), comps, replace(cfg, seed=seed, dead_time_ps=0), "dt1", n)
-            assert len(ph) > len(det)
-            np.testing.assert_array_equal(det, np.unique(ph))
-
 
 def _greedy_dead_time(t, dead_time_ps):
     """Reference veto: one pass, one event at a time."""
@@ -241,11 +174,11 @@ _PIECES = st.lists(
 
 class TestFirstClickVeto:
     """A runner draws a dense ``dt1``/``dt2`` detector with the dead time
-    nested in the blank half as counts from the first-click law, and every
-    other detector on the Poisson path, which draws every click and then
-    sorts and walks them (checked here against the greedy loop, and its
-    cells against the counts').  ``test_pipeline.TestDetectorLaw`` holds
-    both paths' cells to the law."""
+    nested in the blank half (``SimConfig.dead_time_nested``) as counts
+    from the first-click law, and every other detector on the Poisson path,
+    which draws every click and then sorts and walks them (checked here
+    against the greedy loop).  ``test_pipeline.TestDetectorLaw`` holds both
+    paths' cells to the law."""
 
     @staticmethod
     def _sort_and_walk(pieces, cfg, gate):
@@ -278,27 +211,6 @@ class TestFirstClickVeto:
         for a, b in zip(got, ref, strict=True):
             np.testing.assert_array_equal(a, b)
 
-    # three signals, pulses and floors in both halves: signals 0 and 1 pulse
-    # on the same ps in the first half, 1 and 2 in the second
-    COMPONENTS = [
-        [(2.0, Pulse(W // 2)), (0.5, Floor(0))],
-        [(1.0, Pulse(W // 2)), (1.0, Pulse(W + W // 2)), (0.3, Floor(W))],
-        [(0.5, Pulse(W + W // 2, 3, 1540)), (0.4, Floor(0, 1540))],
-    ]
-
-    @pytest.mark.parametrize("gate", ["dt1", "dt2"])
-    @pytest.mark.parametrize("tau", [W, W + 1])
-    def test_first_click_matches_sort_and_walk(self, gate, tau, monkeypatch):
-        cfg, n = SimConfig(dead_time_ps=tau), 20_000
-        centers = (W // 2, W + W // 2, W + W // 2 + 1540)
-        edges = _cell_edges(cfg, [np.linspace(0, P, 17).astype(np.int64)]
-                            + [c + np.arange(-400, 401, 100) for c in centers])
-        outside = ~gate_mask(edges[:-1], gate, W)
-        counts, walked = _counts_and_walked(monkeypatch, self.COMPONENTS, cfg, gate, n, edges)
-        for drawn in counts + walked:
-            assert drawn.sum() <= n and not drawn[:, outside].any()
-        _assert_same_law(sum(counts), sum(walked))
-
     @pytest.mark.parametrize(
         "gate,tau",
         [("dt1", W - 1), ("dt2", W - 1), ("dt1", W + 2), ("dt2", W + 2),
@@ -322,23 +234,6 @@ class TestFirstClickVeto:
         assert self._draws_counts(cfg, "dt1", FIRST_CLICK_DENSITY)
         pieces = _pieces([[(3, 10), (3, 20)]])
         assert self._sort_and_walk(pieces, cfg, "dt1")[0].tolist() == [10]
-
-    def test_equal_times_keep_lower_signal(self, monkeypatch):
-        # jitter-free pulses of three signals on one ps: a frame clicks there
-        # with probability 1 - e^{-L}, and the click is signal s's with
-        # probability (1 - e^{-lam_s}) e^{-(lam_0 + .. + lam_{s-1})}: the
-        # lowest signal clicking at the ps wins, on both paths
-        cfg = SimConfig(jitter_sigma_ps=0)
-        lams, n = (0.2, 0.5, 0.3), 100_000
-        below = np.cumsum((0.0,) + lams[:-1])
-        p = (1 - np.exp(-np.array(lams))) * np.exp(-below)
-        edges = _cell_edges(cfg, [(500, 501)])
-        for drawn in sum(_counts_and_walked(monkeypatch, [[(lam, Pulse(500))] for lam in lams],
-                                            cfg, "dt1", n, edges), []):
-            counts = drawn[:, 1]  # the cell [500, 501)
-            assert counts.sum() == drawn.sum()
-            assert (np.abs(counts - n * p) <= 5 * np.sqrt(n * p * (1 - p))).all(), counts
-
 
 class TestTimeWindowFilter:
     def test_keep_and_drop(self):

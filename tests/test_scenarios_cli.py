@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import sdmqsim
 from sdmqsim.cli import main
 from sdmqsim.config import ConfigError, SignalAssignment, SimConfig
 from sdmqsim.scenarios import (
@@ -305,6 +306,46 @@ class TestCliRun:
         assert rc == 0
         assert (tmp_path / "envout" / "bb84" / "report.json").exists()
 
+    @staticmethod
+    def _with_tables(tmp_path, tables) -> Path:
+        """timebin_b reading its link tables from ``tables``."""
+        derived = tmp_path / "tables.ini"
+        derived.write_text((SCENARIOS / "timebin_b.ini").read_text().replace(
+            "[channel]\n", f"[channel]\ntables_path = {tables}\n"))
+        return derived
+
+    @staticmethod
+    def _group_rates(out) -> dict:
+        rows = (out / "group_rates.csv").read_text().splitlines()[1:]
+        return {(sig, g): float(cps) for sig, g, cps in (row.split(",") for row in rows)}
+
+    def test_tables_path_is_read(self, tmp_path):
+        # group 3's 8 km loss one dB deeper scales signal B (launched into
+        # group 3) into every output group by 10^-0.1, and no other signal
+        text = (Path(sdmqsim.__file__).parent / "data" / "fmf_link_tables.txt").read_text()
+        row = "8km     -12.66  -12.42  -12.46  -12.06  -12.67"
+        assert text.count(row) == 1
+        tables = tmp_path / "tables.txt"
+        tables.write_text(text.replace(row, row.replace("-12.46", "-13.46")))
+        rates = {}
+        for name, ini in (("packaged", SCENARIOS / "timebin_b.ini"),
+                          ("copy", self._with_tables(tmp_path, tables))):
+            assert main(["run", str(ini), "--frames", "100", "--out", str(tmp_path / name)]) == 0
+            rates[name] = self._group_rates(tmp_path / name)
+        assert rates["copy"].keys() == rates["packaged"].keys()
+        # each side is written to 6 significant digits
+        for (sig, g), cps in rates["packaged"].items():
+            factor = 10 ** -0.1 if sig == "B" else 1.0
+            assert rates["copy"][sig, g] == pytest.approx(cps * factor, rel=2e-5), (sig, g)
+
+    def test_missing_tables_path_exits_nonzero(self, tmp_path, capsys):
+        missing = tmp_path / "no_tables.txt"
+        out = tmp_path / "o"
+        rc = main(["run", str(self._with_tables(tmp_path, missing)), "--frames", "100",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc in (2, 3) and str(missing) in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_timebin_short_run_exits_0(self, tmp_path):
         rc = main(["run", str(SCENARIOS / "timebin_b.ini"), "--frames", "1000",
@@ -436,6 +477,11 @@ class TestCliRun:
             # the next frame's gate, and the exchange draws frames as independent
             pytest.param("bb84", "dead_time_ps = 100000", "dead_time_ps = 100002",
                          "dead_time_ps = 100002 > frame_window_ps + 1", id="dead_time_ps"),
+            # shorter than the gate: a frame could keep a second click, which
+            # the exchange never draws
+            *[pytest.param(name, "dead_time_ps = 100000", f"dead_time_ps = {tau}",
+                           f"dead_time_ps = {tau} < frame_window_ps", id=f"{name}_dead_time_{tau}")
+              for name in ("bb84", "bb84_eve") for tau in (99999, 0)],
         ],
     )
     def test_bad_channel_or_signal_value_exit_2(self, name, old, new, says,
@@ -447,6 +493,7 @@ class TestCliRun:
         assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert says in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     # NaN passes a plain `x < 0` check; each key is rejected by name instead
     @pytest.mark.parametrize(
@@ -761,6 +808,30 @@ class TestCliSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines] == ["d", "32", "64"]
 
+    # each value is read as a scenario file's text, and written as typed
+    def test_values_read_as_file_text(self, tmp_path):
+        out = tmp_path / "phi"
+        rc = main([
+            "sweep", str(SCENARIOS / "phase_er.ini"),
+            "--param", "phi_b", "--values", "pi/2, pi", "--seed", "3", "--out", str(out),
+        ])
+        assert rc == 0
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["phi_b", "pi/2", "pi"]
+        assert rows[1].split(",")[1:] != rows[2].split(",")[1:]  # each value was read
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["overrides"]["values"] == ["pi/2", "pi"]
+        out = tmp_path / "gates"
+        rc = main([
+            "sweep", str(SCENARIOS / "timebin_b.ini"),
+            "--param", "gates", "--values", "A:dt1 B:dt2 C:dt1,A:dt1 B:dt2 C:dt2",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["A:dt1 B:dt2 C:dt1",
+                                                           "A:dt1 B:dt2 C:dt2"]
+
     def test_empty_values_exit_2(self, tmp_path):
         rc = main([
             "sweep", str(SCENARIOS / "bb84.ini"),
@@ -769,14 +840,14 @@ class TestCliSweep:
         assert rc == 2
 
     # every value is checked before the first row: a block size must be a
-    # whole number >= 1, and any value a number
+    # whole number >= 1, and any other value read as a scenario file's text
     @pytest.mark.parametrize("param,values,message", [
         ("keyrate_n", "inf", "keyrate_n must be an integer >= 1, got inf"),
         ("keyrate_n", "0", "keyrate_n must be an integer >= 1, got 0"),
         ("keyrate_n", "nan", "keyrate_n must be an integer >= 1, got nan"),
         ("keyrate_n", "1e3,1.5", "keyrate_n must be an integer >= 1, got 1.5"),
         ("keyrate_n", "abc", "keyrate_n values must be numbers, got 'abc'"),
-        ("eta", "0.1,abc", "eta values must be numbers, got 'abc'"),
+        ("eta", "0.1,abc", "bad value for eta: 'abc'"),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, param, values, message):
         out = tmp_path / "x"
