@@ -31,7 +31,7 @@ from .analysis import (
     snr_db,
     tomography,
 )
-from .protocol import KeyRateParams, key_rate, sift
+from .protocol import KeyRateParams, key_rate
 from .scenarios import Scenario, load_scenario
 from .pipeline import RunResult, run_scenario, simulate_bb84
 

@@ -124,13 +124,20 @@ def _builtin_table_path() -> Path:
 def load_link_tables(path: str | Path | None = None):
     """Parse the link data file into (InsertionLossTable, CrosstalkMatrix).
 
-    ``path=None`` loads the packaged measured tables.
+    ``path=None`` loads the packaged measured tables.  A file that cannot be
+    read, or a line that does not parse, raises ``AssignmentError`` naming
+    ``tables_path``, the file and the line.
     """
     p = _builtin_table_path() if path is None else Path(path)
+    try:
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise AssignmentError(f"tables_path: cannot read {p}: {reason}") from None
     il_rows: dict[str, list[float]] = {}
     xt_rows: list[list[float]] = []
     section = None
-    for raw_line in p.read_text().splitlines():
+    for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -138,12 +145,15 @@ def load_link_tables(path: str | Path | None = None):
             section = line[1:-1]
             continue
         parts = line.split()
-        if section == "insertion_loss":
-            il_rows[parts[0]] = [float(x) for x in parts[1:]]
-        elif section == "crosstalk_8km":
-            xt_rows.append([float(x) for x in parts])
-        else:
-            raise AssignmentError(f"unknown section {section!r} in {p}")
+        try:
+            if section == "insertion_loss":
+                il_rows[parts[0]] = [float(x) for x in parts[1:]]
+            elif section == "crosstalk_8km":
+                xt_rows.append([float(x) for x in parts])
+            else:
+                raise ValueError(f"unknown section {section!r}")
+        except ValueError as exc:
+            raise AssignmentError(f"tables_path {p}, line {lineno}: {line!r}: {exc}") from None
     il = InsertionLossTable(loss_db=il_rows)
     xt = CrosstalkMatrix.from_db(xt_rows)
     return il, xt

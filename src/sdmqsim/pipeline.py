@@ -33,16 +33,18 @@ jitter kernels (``_first_click_law``).
 
 The BB84 exchange reads only each frame's outcome.  With Bob's dead time
 nested in the blank half (any other is rejected), that outcome depends
-on the frame's class alone, so the exchange draws its conclusive frames
-and the port that lit straight from a class table (``simulate_bb84``), one
-span of ``protocol.exchange_batches`` at a time; only the conclusive
-frames outlive a span.
+on the frame's class alone, so the exchange draws the frames that hold a
+photon candidate at the class table's top rate, a state word at each of
+those frames alone, and from the table which are conclusive and which
+port lit (``_exchange_spans``), one span at a time; only the counts and
+the sifted key bits outlive a span (``simulate_bb84``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Iterator
 
 import numpy as np
 
@@ -60,13 +62,14 @@ from .config import (
 )
 from .encoder import floor_fraction
 from .protocol import (
+    N_STATES,
     PHASE_TABLE,
     Bb84Result,
+    ExchangeSpan,
     KeyRateParams,
     error_rate,
-    exchange_batches,
     key_rate,
-    sift,
+    state_table,
 )
 from .receiver import (
     Histogram,
@@ -92,7 +95,8 @@ FIRST_CLICK_DENSITY = 0.25
 # batches that expect at most this many, at least one, and 2^16 batches
 # for a detector that expects under a click a batch
 SPAN_CLICKS = 1 << 16
-# most batches in a BB84 exchange span (~1.4 bytes of bit planes a frame)
+# most batches in a BB84 exchange span: longer spans draw in fewer calls
+# but hold more candidates at once, and raise the peak
 EXCHANGE_SPAN_BATCHES = 4
 
 
@@ -179,22 +183,14 @@ class RunResult:
     bb84: object = None
 
 
-def _poisson_frames(gen, lam, nb: int, cls=None) -> np.ndarray:
+def _poisson_frames(gen, lam: float, nb: int) -> np.ndarray:
     """Sorted frame indices in ``[0, nb)`` of a Poisson(lam)-per-frame stream.
 
     One Poisson total, then that many uniform frame picks: given the total,
-    independent Poisson counts are multinomial with equal cells.  ``lam``
-    may be a rate table giving frame ``i`` the rate ``lam[cls[i]]``, thinned
-    from the table's top rate, which is exact for any bound at or above the
-    rates (Lewis & Shedler, Naval Res. Logist. Q. 26, 1979).  ``cls`` is an
-    int array or ``Planes``, looked up at the candidate frames only.
+    independent Poisson counts are multinomial with equal cells.
     """
-    table = isinstance(lam, np.ndarray)
-    lam_max = lam.max() if table else lam
-    idx = gen.integers(0, nb, size=gen.poisson(lam_max * nb))
+    idx = gen.integers(0, nb, size=gen.poisson(lam * nb))
     idx.sort()
-    if table:
-        idx = idx[gen.random(len(idx)) * lam_max < lam[cls[idx]]]
     return idx
 
 
@@ -858,16 +854,37 @@ def _port_usable(cfg, law) -> list:
     return usable
 
 
-def _lazy_record(n: int, dtype) -> np.ndarray:
-    """A zeroed ``n``-long array on a private anonymous mapping: each page
-    is committed when first written, a small page at a time, where numpy
-    advises huge pages for arrays of 4 MB or more and a first write there
-    can commit 2 MB."""
-    import mmap  # here, so that runs with no BB84 exchange do not load it
+def _exchange_spans(seed: int, n_frames: int, rate, conclusive, lights_p,
+                    bob_x) -> Iterator[ExchangeSpan]:
+    """Draw a BB84 exchange one span at a time, given per state word its
+    rate of kept candidates, its chance ``conclusive = 1 - e^{-rate}`` and
+    the chance ``lights_p`` that it lights port P, and Bob's basis.
 
-    dtype = np.dtype(dtype)  # a mapping is never empty
-    buf = mmap.mmap(-1, max(n, 1) * dtype.itemsize, flags=mmap.MAP_PRIVATE)
-    return np.frombuffer(buf, dtype, count=n)
+    A span is ``_span`` at the top rate, at most ``EXCHANGE_SPAN_BATCHES``
+    batches, and draws from stream ``(ROLE_PHOTONS, first batch)``: the
+    candidate frames at the top rate (``_poisson_frames``), one raw 64-bit
+    word a distinct candidate frame, whose five low bits are its state
+    (``protocol.state_table``), one uniform a candidate, kept below the
+    state's rate (thinning, Lewis & Shedler, Naval Res. Logist. Q. 26,
+    1979), and one uniform a conclusive frame, one with a kept candidate,
+    for the port.  Candidates are drawn independently of the state, so a
+    frame of any state keeps a Poisson(rate) number of them.
+    """
+    r_max = rate.max()
+    span = min(EXCHANGE_SPAN_BATCHES * BATCH, _span(r_max))  # one batch for dense ports
+    for start in range(0, n_frames, span):
+        stop = min(start + span, n_frames)
+        gen = RandomSource(seed).stream(ROLE_PHOTONS, start // BATCH).generator()
+        candidates = _poisson_frames(gen, r_max, stop - start)
+        first = np.flatnonzero(np.diff(candidates, prepend=-1))  # each frame's first candidate
+        state = gen.bit_generator.random_raw(len(first)).view(np.int64) & (N_STATES - 1)
+        # a frame keeps a candidate where u r_max < rate: where its least u does
+        u = np.minimum.reduceat(gen.random(len(candidates)), first)
+        hit = np.flatnonzero(u * r_max < rate[state])
+        s = state[hit]
+        on_p = gen.random(len(hit)) * conclusive[s] < lights_p[s]
+        bob_bits = (on_p != bob_x[s]).astype(np.int8)  # 0 on port P in X and on P' in Z
+        yield ExchangeSpan(start, stop, start + candidates[first], state, hit, bob_bits)
 
 
 def simulate_bb84(cfg: SimConfig, n_frames: int, flux: float,
@@ -880,12 +897,10 @@ def simulate_bb84(cfg: SimConfig, n_frames: int, flux: float,
     :func:`receiver.delay_interferometer_rates` over ``PHASE_TABLE``, are
     usable with ``p_P`` and ``p_P'`` a class (``_port_usable``): a frame is
     conclusive with ``q = p_P (1 - p_P') + p_P' (1 - p_P)`` and lights P in
-    a share ``p_P (1 - p_P') / q`` of those.  Each span (``_span`` at the
-    class table's top, capped at ``EXCHANGE_SPAN_BATCHES`` batches) opens
-    stream ``(ROLE_PHOTONS, first batch)``: the frames with a candidate at
-    the class table ``-ln(1 - q)`` (``_poisson_frames``) are conclusive, and
-    one uniform each picks the port.  The state is read there only, and Bob's bits and the sifted key
-    bits are written in place after the previous span's.
+    a share ``p_P (1 - p_P') / q`` of those.  These are read per state word
+    through ``protocol.state_table``, built once a run, and
+    ``_exchange_spans`` draws the state at candidate frames only.  Only the
+    counts and the sifted key bits outlive a span.
     """
     if not cfg.dead_time_nested:  # a port's frames would not be i.i.d.
         bound = ("at least frame_window_ps" if cfg.dead_time_ps < cfg.frame_window_ps
@@ -895,28 +910,21 @@ def simulate_bb84(cfg: SimConfig, n_frames: int, flux: float,
     law = delay_interferometer_rates(
         cfg.eta * flux, cfg.d, visibility_cap, PHASE_TABLE, "none", phase_floor)
     p, pp = _port_usable(cfg, law)
-    lights_p = p * (1 - pp)
-    conclusive = lights_p + pp * (1 - p)
-    rate = -np.log1p(-conclusive)
-    frames_all = _lazy_record(n_frames, np.int64)
-    bits_all, key_a_all, key_b_all = (_lazy_record(n_frames, np.int8) for _ in range(3))
-    n_det = n_sift = 0
-    span = min(EXCHANGE_SPAN_BATCHES * BATCH, _span(rate.max()))  # one batch for dense ports
-    for batch in exchange_batches(cfg.seed, n_frames, eve, span):
-        gen = RandomSource(cfg.seed).stream(ROLE_PHOTONS, batch.start // BATCH).generator()
-        candidates = _poisson_frames(gen, rate, len(batch.cls), batch.cls)
-        frames = candidates[np.diff(candidates, prepend=-1) > 0]
-        cls, bob_x = batch.cls[frames], batch.bob_x[frames]
-        on_p = gen.random(len(frames)) * conclusive[cls] < lights_p[cls]
-        bob_bits = (on_p != bob_x).astype(np.int8)  # 0 on port P in X and on P' in Z
-        key_a, key_b, _ = sift(batch.bits[frames], batch.alice_x[frames], bob_x, bob_bits)
-        det, sifted = slice(n_det, n_det + len(frames)), slice(n_sift, n_sift + len(key_a))
-        frames_all[det], bits_all[det] = batch.start + frames, bob_bits
-        key_a_all[sifted], key_b_all[sifted] = key_a, key_b
-        n_det, n_sift = det.stop, sifted.stop
-    key_a, key_b = key_a_all[:n_sift], key_b_all[:n_sift]
-    return Bb84Result(n_frames, n_det, n_sift, error_rate(key_a, key_b),
-                      key_a, key_b, cfg.seed, eve, frames_all[:n_det], bits_all[:n_det])
+    table = state_table(eve)
+    lights_p = (p * (1 - pp))[table.cls]
+    conclusive = lights_p + (pp * (1 - p))[table.cls]
+    spans = partial(_exchange_spans, cfg.seed, n_frames, -np.log1p(-conclusive), conclusive,
+                    lights_p, table.bob_x)
+    n_det, key_a, key_b = 0, [np.zeros(0, np.int8)], [np.zeros(0, np.int8)]
+    for span in spans():
+        state = span.state[span.conclusive]
+        sifted = table.sifted[state]
+        n_det += len(state)
+        key_a.append(table.alice_bit[state[sifted]])
+        key_b.append(span.bob_bits[sifted])
+    key_a, key_b = np.concatenate(key_a), np.concatenate(key_b)
+    return Bb84Result(n_frames, n_det, len(key_a), error_rate(key_a, key_b),
+                      key_a, key_b, cfg.seed, spans)
 
 
 def _run_bb84(scenario: Scenario, channel) -> RunResult:

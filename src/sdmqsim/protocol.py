@@ -8,18 +8,17 @@ two output ports is the measurement outcome; double or missing clicks give
 a null bit.  Clicks in the two edge positions of the train carry no phase
 information and are discarded before the bit decision.  Each frame's
 outcome is drawn by ``pipeline.simulate_bb84``; this module holds the
-per-frame state, the encoding table, sifting, the finite-key bound and
-the transcript.
+per-frame state's tables, the encoding table, the finite-key bound and the
+transcript.
 
-Per-frame state lives one span at a time as bit planes: ``exchange_batches``
-draws each stream's raw 64-bit Philox words, 64 draws to a word (draw
-``i`` of a stream is bit ``i % 64`` of word ``i // 64``, least significant
-first), and builds the frame class, which indexes the eight values of
-phi_a + phi_b in ``PHASE_TABLE``, as three more planes of words with
-``&``, ``^`` and ``~``.  No per-frame array is built: the exchange reads
-classes at candidate frames and bits and bases at conclusive frames, and
-reduces each span to its conclusive frames; only the transcript, which
-draws the state again, unpacks a batch (``Planes.unpack``).
+A frame's state is one word of five fair bits: Alice's bit and basis,
+Bob's basis, and Eve's basis and bit (``state_table``).  The exchange draws
+it only at the frames that hold a photon candidate, one span at a time
+(``ExchangeSpan``), and reads its class, which indexes the eight values of
+phi_a + phi_b in ``PHASE_TABLE``, Alice's bit, Bob's basis and the sifted
+flag from the 32-entry tables.  No per-frame array is built, and the
+result keeps no record of frames: the transcript draws the spans again and
+fills the other frames from a stream of its own.
 
 Port convention: port P carries the ``1 + V cos(phi_a + phi_b)`` lobe.  A
 matched-basis bit 0 therefore lights port P in the X basis but port P' in
@@ -29,21 +28,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .analysis import ascii_digits, csv_bytes
-from .config import BATCH, ROLE_ALICE, ROLE_BOB, ROLE_EVE, RandomSource
+from .config import BATCH, ROLE_TRANSCRIPT, RandomSource
 
 __all__ = [
     "BASIS_X",
     "BASIS_Z",
     "KeyRateParams",
-    "Planes",
-    "FrameBatch",
-    "exchange_batches",
-    "sift",
+    "StateTable",
+    "state_table",
+    "ExchangeSpan",
     "error_rate",
     "key_rate",
     "Bb84Result",
@@ -58,118 +56,49 @@ NULL_BIT = -1  # array representation of a null outcome
 # pi/2 (Z), so 2*that + (Bob measures Z) is the frame class
 PHASES = np.array([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
 PHASE_TABLE = (PHASES[:, None] + np.array([0.0, math.pi / 2])).ravel()
+# a frame's state is a word of five fair bits (see ``state_table``)
+N_STATES = 32
 
 
-class Planes:
-    """``n`` frames' small unsigned values held as bit planes of raw words:
-    bit ``k`` of frame ``i``'s value is bit ``i % 64`` of ``words[k, i //
-    64]``, least significant first.  ``planes[idx]`` looks the values up at
-    frame indices, as in a uint8 array.  The bits past ``n`` in the last
-    word are never read."""
+class StateTable(NamedTuple):
+    """A frame's state word read through 32-entry tables: the class into
+    ``PHASE_TABLE`` of the state Bob receives, Alice's bit, Bob's basis
+    (1 -> X) and whether the two bases match (the frame sifts if
+    conclusive)."""
 
-    __slots__ = ("words", "n")
-
-    def __init__(self, words: np.ndarray, n: int):
-        self.words, self.n = words, n
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, idx):
-        idx = np.asarray(idx)
-        byte, shift = idx >> 3, idx.astype(np.uint8) & 7
-        planes = self.words.view(np.uint8)
-        v = planes[-1].take(byte) >> shift & 1
-        for plane in planes[-2::-1]:
-            v += v
-            v |= plane.take(byte) >> shift & 1
-        return v
-
-    def unpack(self) -> np.ndarray:
-        """Every frame's value as uint8."""
-        planes = _unpack(self.words, self.n).view(np.uint8)
-        v = planes[-1]
-        for plane in planes[-2::-1]:
-            v += v
-            v |= plane
-        return v
+    cls: np.ndarray
+    alice_bit: np.ndarray
+    bob_x: np.ndarray
+    sifted: np.ndarray
 
 
-class FrameBatch(NamedTuple):
-    """The state of frames ``start .. start + len(cls)``, each stream's raw
-    words as one plane; Eve's are None without her."""
+def state_table(eve: bool) -> StateTable:
+    """The tables of the 32 state words: bit 0 is Alice's bit, bit 1 her
+    basis, bit 2 Bob's basis (1 -> X for each), bit 3 Eve's basis and bit 4
+    Eve's bit.  An intercept-resend Eve measures in her basis; where it
+    differs from Alice's she re-sends her own bit in it, so the sent basis
+    is hers and the sent bit hers where the bases differ.  The class is
+    ``4 * sent bit + 2 * (sent basis Z) + (Bob measures Z)``.  Without Eve,
+    bits 3 and 4 are ignored."""
+    bit, alice_x, bob_x, eve_x, eve_bit = np.arange(N_STATES) >> np.arange(5)[:, None] & 1
+    sent_bit, sent_x = bit, alice_x
+    if eve:
+        sent_bit, sent_x = np.where(eve_x == alice_x, bit, eve_bit), eve_x
+    cls = 4 * sent_bit + 2 * (1 - sent_x) + (1 - bob_x)
+    return StateTable(cls, bit.astype(np.int8), bob_x.astype(bool), alice_x == bob_x)
+
+
+class ExchangeSpan(NamedTuple):
+    """Frames ``start .. stop`` of an exchange: the frames holding a photon
+    candidate, sorted and distinct, their state words, the conclusive ones
+    among them (indices into ``frames``) and Bob's bit at each of those."""
 
     start: int
-    bits: Planes  # Alice's bits
-    alice_x: Planes  # basis coins, 1 -> X
-    eve_x: Planes | None
-    eve_bits: Planes | None
-    bob_x: Planes
-    cls: Planes  # class into PHASE_TABLE of the state Bob receives
-
-
-def _words(gen: np.random.Generator, n: int) -> np.ndarray:
-    """The ``ceil(n / 64)`` raw words of ``n`` coins or bits, little-endian."""
-    return gen.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
-
-
-def _unpack(words: np.ndarray, n: int) -> np.ndarray:
-    """Draws ``0 .. n`` of each plane of ``words`` as bool: draw ``i`` is bit
-    ``i % 64`` of word ``i // 64``, read through a little-endian view from
-    the least significant bit up."""
-    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
-
-
-def _generator_at(source: RandomSource, k: int) -> np.random.Generator:
-    """``source``'s generator after ``k`` raw 64-bit words (a Philox counter
-    step makes four): the words of ``64 k`` coins or bits."""
-    gen = source.generator()
-    gen.bit_generator.advance(k // 4)
-    gen.bit_generator.random_raw(k % 4)
-    return gen
-
-
-def exchange_batches(seed: int, n_frames: int, eve: bool,
-                     span: int = BATCH) -> Iterator[FrameBatch]:
-    """Draw the exchange's state ``span`` frames at a time.
-
-    The draws are those of whole-run streams, the same whatever the span:
-    Alice's stream yields every bit and then her basis coins, Eve's stream
-    her coins and then her bits, Bob's stream his coins.  ``n`` coins or
-    bits take ``ceil(n / 64)`` raw words, so a second generator on Alice's
-    and Eve's key starts ``ceil(n_frames / 64)`` words in, at the later
-    part; ``span`` is a multiple of 64, so every chunk but the last takes
-    whole words.  An intercept-resend Eve measures in a random basis; where
-    it differs from Alice's she re-sends a uniformly random state of her
-    own basis.  The class planes are Bob's Z, the sent Z and the sent bit:
-    ``4 * sent bit + 2 * (sent basis Z) + (Bob measures Z)``.
-    """
-    if span <= 0 or span % 64:
-        raise ValueError(f"span must be a positive multiple of 64 frames, not {span}")
-    root = RandomSource(seed)
-    alice, eve_src = root.stream(ROLE_ALICE), root.stream(ROLE_EVE)
-    words = -(-n_frames // 64)
-    gen_bits, gen_alice_x = alice.generator(), _generator_at(alice, words)
-    gen_eve_x, gen_eve_bits = eve_src.generator(), _generator_at(eve_src, words)
-    gen_bob_x = root.stream(ROLE_BOB).generator()
-    for b0 in range(0, n_frames, span):
-        nb = min(span, n_frames - b0)
-        bits, alice_x, bob_x = (_words(gen, nb) for gen in (gen_bits, gen_alice_x, gen_bob_x))
-        eve_x = eve_bits = None
-        cls = np.empty((3, len(bits)), np.uint64)
-        np.invert(bob_x, out=cls[0])
-        if eve:
-            eve_x, eve_bits = _words(gen_eve_x, nb), _words(gen_eve_bits, nb)
-            # where the bases agree Eve re-sends Alice's state, so the sent
-            # basis is Eve's everywhere and the sent bit hers where they differ
-            np.invert(eve_x, out=cls[1])
-            np.bitwise_xor(bits, (bits ^ eve_bits) & (eve_x ^ alice_x), out=cls[2])
-        else:
-            np.invert(alice_x, out=cls[1])
-            cls[2] = bits
-        yield FrameBatch(b0, *(None if w is None else Planes(w[None], nb)
-                               for w in (bits, alice_x, eve_x, eve_bits, bob_x)),
-                         Planes(cls, nb))
+    stop: int
+    frames: np.ndarray
+    state: np.ndarray
+    conclusive: np.ndarray
+    bob_bits: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -264,21 +193,6 @@ def key_rate(params: KeyRateParams) -> float:
     return (1.0 - params.eps_rob) * ell / n
 
 
-def sift(a, b, b_prime, bob_bits):
-    """Keep basis-matched, conclusive frames; estimate the error rate.
-
-    Returns ``(key_a, key_b, qber_est)``.  ``qber_est`` is the mismatch
-    fraction over every sifted position (NaN with none).
-    """
-    a, b, b_prime, bob_bits = map(np.asarray, (a, b, b_prime, bob_bits))
-    if not (len(a) == len(b) == len(b_prime) == len(bob_bits)):
-        raise ValueError("sequence lengths differ")
-    keep = (b == b_prime) & (bob_bits != NULL_BIT)
-    key_a = a[keep].astype(np.int8)
-    key_b = bob_bits[keep].astype(np.int8)
-    return key_a, key_b, error_rate(key_a, key_b)
-
-
 def error_rate(key_a, key_b) -> float:
     """Mismatch fraction of two sifted keys (NaN with none)."""
     return float(np.mean(key_a != key_b)) if len(key_a) else math.nan
@@ -291,9 +205,8 @@ def error_rate(key_a, key_b) -> float:
 
 @dataclass(frozen=True)
 class Bb84Result:
-    """Keys and record of one exchange: the conclusive ``frames`` and Bob's
-    ``bits`` there.  ``batches`` draws the per-frame state of ``seed``'s
-    exchange (with an intercept-resend Eve if ``eve``) again."""
+    """Counts and sifted keys of one exchange; ``spans()`` draws its spans
+    again, as the exchange drew them, for the transcript."""
 
     n_frames: int
     n_detected: int
@@ -302,20 +215,7 @@ class Bb84Result:
     key_a: np.ndarray
     key_b: np.ndarray
     seed: int
-    eve: bool
-    frames: np.ndarray
-    bits: np.ndarray
-
-    def batches(self) -> Iterator[FrameBatch]:
-        return exchange_batches(self.seed, self.n_frames, self.eve)
-
-    def bob_bits_in(self, start: int, stop: int) -> np.ndarray:
-        """Bob's bit in frames ``start .. stop``, ``NULL_BIT`` where
-        inconclusive."""
-        lo, hi = np.searchsorted(self.frames, (start, stop))
-        out = np.full(stop - start, NULL_BIT, dtype=np.int8)
-        out[self.frames[lo:hi] - start] = self.bits[lo:hi]
-        return out
+    spans: Callable[[], Iterator[ExchangeSpan]]
 
 
 def _basis_chars(basis_x: np.ndarray) -> np.ndarray:
@@ -330,19 +230,30 @@ def _bit_chars(bits: np.ndarray) -> np.ndarray:
 def write_transcript(path, result: Bb84Result) -> None:
     """Dump the announced bases and detection outcomes (audit log).
 
-    One row per frame, written one batch at a time: the bit column is what
-    Bob would announce having detected ('-' for an inconclusive frame);
-    sifted marks basis-matched conclusive positions.
+    One row per frame, written one batch at a time as the exchange's spans
+    are drawn again: the bit column is what Bob would announce having
+    detected ('-' for an inconclusive frame); sifted marks basis-matched
+    conclusive positions.  A frame with a photon candidate shows the state
+    the exchange drew.  Every other frame is inconclusive, and its bases
+    and Alice's bit are drawn for the transcript alone, three bits of a
+    state word a frame from stream ``(ROLE_TRANSCRIPT,)``.
     """
+    gen = RandomSource(result.seed).stream(ROLE_TRANSCRIPT).generator()
     with open(path, "wb") as out:
         out.write(b"frame,alice_basis,alice_bit,bob_basis,bob_bit,sifted\n")
-        for b in result.batches():
-            stop = b.start + len(b.cls)
-            bits, alice_x, bob_x = (p.unpack() for p in (b.bits, b.alice_x, b.bob_x))
-            bob = result.bob_bits_in(b.start, stop)
-            sifted = (alice_x == bob_x) & (bob != NULL_BIT)
-            out.write(csv_bytes(
-                ascii_digits(np.arange(b.start, stop)), b",", _basis_chars(alice_x), b",",
-                _bit_chars(bits.view(np.int8)), b",", _basis_chars(bob_x), b",",
-                _bit_chars(bob), b",", _bit_chars(sifted.view(np.int8)), b"\n",
-            ))
+        for span in result.spans():
+            for b0 in range(span.start, span.stop, BATCH):
+                b1 = min(b0 + BATCH, span.stop)
+                state = gen.integers(0, 8, b1 - b0, dtype=np.uint8)
+                lo, hi = np.searchsorted(span.frames, (b0, b1))
+                state[span.frames[lo:hi] - b0] = span.state[lo:hi]
+                bob = np.full(b1 - b0, NULL_BIT, dtype=np.int8)
+                lo, hi = np.searchsorted(span.conclusive, (lo, hi))
+                bob[span.frames[span.conclusive[lo:hi]] - b0] = span.bob_bits[lo:hi]
+                bits, alice_x, bob_x = (state >> k & 1 for k in range(3))
+                sifted = (alice_x == bob_x) & (bob != NULL_BIT)
+                out.write(csv_bytes(
+                    ascii_digits(np.arange(b0, b1)), b",", _basis_chars(alice_x), b",",
+                    _bit_chars(bits.view(np.int8)), b",", _basis_chars(bob_x), b",",
+                    _bit_chars(bob), b",", _bit_chars(sifted.view(np.int8)), b"\n",
+                ))

@@ -38,7 +38,7 @@ from sdmqsim.pipeline import (
     expected_collection_rate,
     run_scenario,
 )
-from sdmqsim.protocol import KeyRateParams, Planes, key_rate
+from sdmqsim.protocol import N_STATES, KeyRateParams, key_rate, state_table
 from sdmqsim.receiver import delay_interferometer_rates, gate_mask
 from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario, load_scenario
 
@@ -135,8 +135,44 @@ def _poisson_cells(lam, n):
     return lo, hi, np.array(expect)
 
 
+def _exchange_span(seed, nb, rate):
+    """The one span of an ``nb``-frame exchange over the 32-entry rate table
+    ``rate``, half of each state's conclusive frames lighting port P."""
+    conclusive = -np.expm1(-rate)
+    [span] = pipeline._exchange_spans(seed, nb, rate, conclusive, conclusive / 2,
+                                      state_table(False).bob_x)
+    return span
+
+
+def _gathered_span(seed, nb, rate, rate_of):
+    """``_exchange_span`` drawn with every frame's state gathered into a
+    per-frame array and every candidate thinned on its own, at the rate
+    ``rate_of`` gives its word, from the table's top rate.  Returns the
+    candidate frames, their words, the conclusive ones and Bob's bits."""
+    gen = RandomSource(seed).stream(ROLE_PHOTONS, 0).generator()
+    r_max = rate.max()
+    idx = np.sort(gen.integers(0, nb, size=gen.poisson(r_max * nb)))
+    frames = np.unique(idx)
+    word = np.full(nb, -1, np.int64)
+    word[frames] = gen.bit_generator.random_raw(len(frames)) & (N_STATES - 1)
+    kept = np.zeros(nb, bool)
+    kept[idx[gen.random(len(idx)) * r_max < rate_of(word[idx])]] = True
+    hit = np.flatnonzero(kept[frames])
+    s = word[frames[hit]]
+    conclusive = -np.expm1(-rate)
+    on_p = gen.random(len(hit)) * conclusive[s] < conclusive[s] / 2
+    return frames, word[frames], hit, (on_p != state_table(False).bob_x[s]).astype(np.int8)
+
+
+def _assert_span_is(span, ref):
+    for got, want in zip((span.frames, span.state, span.conclusive, span.bob_bits), ref,
+                         strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
 class TestSparseSampler:
-    """``_poisson_frames`` has the law of one Poisson draw per frame."""
+    """``_poisson_frames`` has the law of one Poisson draw per frame, and the
+    exchange thins its candidates to each frame's rate."""
 
     @pytest.mark.parametrize(
         "lam,nb", [(0.002, 1 << 20), (0.5, 1 << 16), (17.0, 1 << 16)]
@@ -155,24 +191,23 @@ class TestSparseSampler:
         assert np.all(np.abs(observed - expect) <= 5 * sigma), (observed, expect)
 
     def test_per_frame_rates_thinned_to_each_frames_mean(self):
-        # the BB84 exchange's class table: frames of each rate level have
-        # that level's Poisson law, and rate 0 draws nothing
+        # states of each rate level are conclusive with that level's chance
+        # 1 - e^{-rate} of a kept candidate, and rate 0 never: every state
+        # is a 32nd of all frames
         levels = np.array([0.0, 0.05, 0.5, 4.0])
-        nb = 1 << 16
-        cls = (np.arange(nb) % len(levels)).astype(np.int8)
-        lam = levels[cls]
-        gen = RandomSource(5).stream(1).generator()
-        idx = _poisson_frames(gen, levels, nb, cls)
-        assert np.all(np.diff(idx) >= 0)
-        assert idx[0] >= 0 and idx[-1] < nb
-        per_frame = np.bincount(idx, minlength=nb)
-        assert per_frame[lam == 0].sum() == 0
-        for level in levels[1:]:
-            counts = per_frame[lam == level]
-            lo, hi, expect = _poisson_cells(level, len(counts))
-            observed = np.bincount(np.clip(counts, lo, hi) - lo, minlength=hi - lo + 1)
-            sigma = np.sqrt(expect * (1.0 - expect / len(counts)))
-            assert np.all(np.abs(observed - expect) <= 5 * sigma), (level, observed, expect)
+        rate = levels[np.arange(N_STATES) % len(levels)]
+        n = 1 << 20
+        conclusive = -np.expm1(-rate)
+        counts = np.zeros(N_STATES, np.int64)
+        for span in pipeline._exchange_spans(5, n, rate, conclusive, conclusive / 2,
+                                             state_table(False).bob_x):
+            assert np.all(np.diff(span.frames) > 0)
+            assert span.start <= span.frames[0] and span.frames[-1] < span.stop
+            counts += np.bincount(span.state[span.conclusive], minlength=N_STATES)
+        assert counts[rate == 0].sum() == 0
+        p = conclusive / N_STATES
+        sigma = np.sqrt(n * p * (1 - p))
+        assert np.all(np.abs(counts - n * p) <= 5 * sigma), (counts, n * p)
 
     @pytest.mark.parametrize("table", [
         np.array([0.3, 2.0, 0.7, 2.0]),  # a tie at the top rate
@@ -182,42 +217,40 @@ class TestSparseSampler:
     ])
     @pytest.mark.parametrize("nb", [*range(1, 11), BATCH])
     def test_rate_table_lookup_matches_full_gather(self, table, nb):
-        def gathered(gen, lam):  # every frame's rate gathered, thinned from the table's max
-            lam_max = table.max()
-            idx = gen.integers(0, nb, size=gen.poisson(lam_max * nb))
-            idx.sort()
-            return idx[gen.random(len(idx)) * lam_max < lam[idx]]
-
-        classes = np.random.default_rng(nb).integers(0, len(table), size=nb).astype(np.int8)
+        # the exchange looks a rate up once a candidate frame, at its least
+        # uniform; the reference gathers a rate a candidate and keeps a frame
+        # where any is kept, draw for draw
         top = np.flatnonzero(table == table.max())
-        # every class, the top rate's classes missing, and one class alone
-        for cls in (classes, np.where(np.isin(classes, top), (top[-1] + 1) % len(table),
-                                      classes).astype(np.int8), np.full(nb, 2, np.int8)):
+        states = np.arange(N_STATES) % len(table)
+        # every rate, the top rate missing, and one rate alone
+        for cls in (states, np.where(np.isin(states, top), (top[-1] + 1) % len(table), states),
+                    np.full(N_STATES, 2)):
+            rate = table[cls]
             for seed in range(3):
-                ref, got = (RandomSource(seed).stream(2, nb).generator() for _ in range(2))
-                np.testing.assert_array_equal(_poisson_frames(got, table, nb, cls),
-                                              gathered(ref, table[cls]))
-                assert got.random() == ref.random()  # draw for draw
+                _assert_span_is(_exchange_span(seed, nb, rate),
+                                _gathered_span(seed, nb, rate, lambda w: rate[w]))
 
-    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("eve", [0, 1])
     @pytest.mark.parametrize("table", [
         np.array([0.3, 2.0, 0.7, 2.0]),
         np.array([0.0, 0.05, 0.5, 4.0]),
     ])
     @pytest.mark.parametrize("nb", [1, 7, 63, 64, 65, BATCH])
-    def test_planes_draw_as_their_class_array(self, table, nb, pad):
-        # the classes as two bit planes whose padding bits are all ``pad``:
-        # with pad 1 the padding holds class 3, the top of the second table
-        classes = np.random.default_rng(nb).integers(0, 3, size=nb).astype(np.int8)
-        for cls in (classes, np.full(nb, 2, np.int8)):
-            bits = (cls >> np.arange(2)[:, None]) & 1
-            bits = np.concatenate([bits, np.full((2, -nb % 64), pad)], axis=1).astype(np.uint8)
-            planes = Planes(np.packbits(bits, axis=1, bitorder="little").view("<u8"), nb)
-            for seed in range(3):
-                ref, got = (RandomSource(seed).stream(3, nb).generator() for _ in range(2))
-                np.testing.assert_array_equal(_poisson_frames(got, table, nb, planes),
-                                              _poisson_frames(ref, table, nb, cls))
-                assert got.random() == ref.random()  # draw for draw
+    def test_planes_draw_as_their_class_array(self, table, nb, eve):
+        # a state word packs its frame's class: a rate table read through
+        # ``state_table`` draws as the class of each candidate's bits, worked
+        # out by hand (Eve's bits ignored without her) and looked up by class
+        rates = np.concatenate([table, table[::-1]])
+
+        def by_class(word):
+            bit, alice_x, bob_x, eve_x, eve_bit = (word >> k & 1 for k in range(5))
+            if eve:
+                bit, alice_x = np.where(eve_x == alice_x, bit, eve_bit), eve_x
+            return rates[4 * bit + 2 * (1 - alice_x) + (1 - bob_x)]
+
+        rate = rates[state_table(bool(eve)).cls]
+        for seed in range(3):
+            _assert_span_is(_exchange_span(seed, nb, rate), _gathered_span(seed, nb, rate, by_class))
 
     def test_zero_rate_draws_nothing(self):
         gen = RandomSource(5).generator()
@@ -903,13 +936,13 @@ class TestExchangeSpans:
     one stream a span of at most four batches."""
 
     def test_bb84_eve_opens_few_streams(self, monkeypatch):
-        # the exchange's five streams and one a span of four batches: 24 at
-        # 4.8 M frames, where one a port a span opened 43 and one a port a
-        # batch 153
+        # one stream a span of four batches: 19 at 4.8 M frames, where the
+        # exchange's five state streams besides made 24, one a port a span
+        # 43 and one a port a batch 153
         opened = _opened_streams(monkeypatch)
         run_scenario(load_scenario(SCENARIOS / "bb84_eve.ini").with_overrides(
             n_frames=4_800_000))
-        assert len(opened) <= 24
+        assert len(opened) <= 19
 
 
 class TestBb84KeyRate:

@@ -1,17 +1,15 @@
 import itertools
 import math
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from sdmqsim import pipeline
 from sdmqsim.config import (
-    ROLE_ALICE,
-    ROLE_BOB,
-    ROLE_EVE,
     ROLE_PHOTONS,
+    ROLE_TRANSCRIPT,
     ConfigError,
     RandomSource,
     SimConfig,
@@ -27,16 +25,14 @@ from sdmqsim.pipeline import (
 from sdmqsim.protocol import (
     BASIS_X,
     BASIS_Z,
+    Bb84Result,
     KeyRateParams,
+    N_STATES,
     NULL_BIT,
     PHASE_TABLE,
     PHASES,
-    Planes,
-    _unpack,
-    _words,
-    exchange_batches,
     key_rate,
-    sift,
+    state_table,
     write_transcript,
 )
 from sdmqsim.receiver import delay_interferometer_rates
@@ -109,194 +105,245 @@ class TestInt8Exchange:
         assert table[2:] == old[2:]  # edges and floor do not depend on phase
 
 
-def _ref_draw(words, n):
-    """Draw ``i`` of ``n`` as bit ``i % 64`` of ``words[i // 64]``, by shift
-    and mask."""
-    i = np.arange(n)
-    return (words[i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)
-
-
-class TestRawDraws:
-    """The coins and bits are the bits of numpy's raw Philox words, 64 to
-    a word from the least significant bit up."""
-
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, BATCH - 1, BATCH, BATCH + 1])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_coins_and_bits_match_numpy(self, seed, n):
-        assert BATCH % 64 == 0  # a full batch takes whole words
-        words = -(-n // 64)
-        for dtype in (bool, np.int8):  # coins, and bits as int8
-            ref, gen = (RandomSource(seed).stream(ROLE_ALICE).generator() for _ in range(2))
-            raw = ref.bit_generator.random_raw(words + 1)
-            got = _unpack(_words(gen, n), n).view(dtype)
-            assert got.dtype == dtype
-            np.testing.assert_array_equal(got, _ref_draw(raw, n).astype(dtype))
-            # the draw took exactly ceil(n / 64) words
-            assert gen.bit_generator.random_raw() == raw[words]
-
-
-def _whole_run_draws(seed, n):
-    """Alice's bits and coins, Eve's coins and bits and Bob's coins, each
-    stream's words drawn at once: Alice's bits then coins, Eve's coins then
-    bits, ``ceil(n / 64)`` words each."""
-    root = RandomSource(seed)
-    words = -(-n // 64)
-    alice, eve, bob = (root.stream(role).generator().bit_generator.random_raw(2 * words)
-                       for role in (ROLE_ALICE, ROLE_EVE, ROLE_BOB))
-    return (_ref_draw(alice, n).astype(np.int8), _ref_draw(alice[words:], n).astype(bool),
-            _ref_draw(eve, n).astype(bool), _ref_draw(eve[words:], n).astype(np.int8),
-            _ref_draw(bob, n).astype(bool))
-
-
-def _whole_run_state(seed, n, eve):
-    """Alice's bits and coins, Bob's coins and the frame classes from the
-    whole-run draws."""
-    bits, alice_x, eve_x, eve_bits, bob_x = _whole_run_draws(seed, n)
-    sent = phase_index(alice_x, bits)
-    if eve:
-        sent = np.where(eve_x == alice_x, sent, phase_index(eve_x, eve_bits))
-    return bits, alice_x, bob_x, phase_index(bob_x, sent)
-
-
-class TestPlanes:
-    """A batch holds its state as bit planes: each stream's raw words as
-    drawn and three class planes, read only through ``Planes``."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_reads_match_unpacked_reference(self, data):
-        k, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 200))
-        words = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=k * -(-n // 64),
-                                   max_size=k * -(-n // 64)))
-        words = np.array(words, dtype=np.uint64).reshape(k, -1)
-        ref = np.zeros(n, np.uint8)
-        for bit, row in enumerate(words):
-            ref |= _ref_draw(row, n).astype(np.uint8) << bit
-        planes = Planes(words, n)
-        assert planes.unpack().dtype == np.uint8
-        np.testing.assert_array_equal(planes.unpack(), ref)
-        idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=50)), dtype=np.intp)
-        np.testing.assert_array_equal(planes[idx], ref[idx])
+class TestStateTable:
+    """The 32 state words' tables against a brute-force build from
+    ``PHASES``, ``PHASE_TABLE`` and the intercept-resend rule."""
 
     @pytest.mark.parametrize("eve", [False, True])
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 37])
-    def test_batches_match_whole_run(self, n, eve):
-        batches = list(exchange_batches(9, n, eve))
-        assert [b.start for b in batches] == list(range(0, n, BATCH))
-        streams = ("bits", "alice_x", "eve_x", "eve_bits", "bob_x")
-        draws = _whole_run_draws(9, n)
-        for name, ref in zip(streams, draws, strict=True):
-            planes = [getattr(b, name) for b in batches]
-            if not eve and name.startswith("eve"):
-                assert planes == [None] * len(batches)
-                continue
-            # one plane of ceil(nb / 64) words a batch, its draws as drawn
-            assert [p.words.shape for p in planes] == [(1, -(-len(b.cls) // 64))
-                                                        for b in batches]
-            np.testing.assert_array_equal(np.concatenate([p.unpack() for p in planes]), ref)
-        cls = _whole_run_state(9, n, eve)[3]
-        np.testing.assert_array_equal(np.concatenate([b.cls.unpack() for b in batches]), cls)
-        idx = np.random.default_rng(n).integers(0, n, size=min(n, 3000))
-        for b in batches:
-            want = cls[b.start:b.start + len(b.cls)]
-            at = idx[(idx >= b.start) & (idx < b.start + len(want))] - b.start
-            np.testing.assert_array_equal(b.cls[at], want[at])
-            np.testing.assert_array_equal(b.bob_x[at], draws[4][b.start + at])
+    def test_matches_brute_force(self, eve):
+        table = state_table(eve)
+        assert [len(t) for t in table] == [N_STATES] * 4
+        for word in range(N_STATES):
+            bit, alice_x, bob_x, eve_x, eve_bit = (word >> k & 1 for k in range(5))
+            sent = PHASES[2 * bit + (not alice_x)]
+            if eve and eve_x != alice_x:  # Eve re-sends her own bit in her basis
+                sent = PHASES[2 * eve_bit + (not eve_x)]
+            # the class adds Bob's basis: 0 to measure X, pi/2 to measure Z
+            phase = sent + (0.0 if bob_x else math.pi / 2)
+            cls = [c for c in range(len(PHASE_TABLE))
+                   if c % 2 == (not bob_x) and math.isclose(PHASE_TABLE[c], phase)]
+            assert cls == [table.cls[word]], word
+            assert table.alice_bit[word] == bit and table.bob_x[word] == bob_x
+            # a conclusive frame sifts where Alice's and Bob's bases match
+            assert table.sifted[word] == (alice_x == bob_x)
+        assert table.alice_bit.dtype == np.int8 and table.sifted.sum() == N_STATES // 2
+        # each class holds four words, so every class is an eighth of frames
+        assert (np.bincount(table.cls, minlength=len(PHASE_TABLE)) == N_STATES // 8).all()
+
+
+def _spans(cfg, n, flux, eve, seed, v=0.93, floor=0.0):
+    return list(simulate_bb84(replace(cfg, seed=seed), n_frames=n, flux=flux,
+                              visibility_cap=v, eve=eve, phase_floor=floor).spans())
+
+
+class TestExchangeDraws:
+    """The exchange draws a state word at each frame holding a photon
+    candidate, one span at a time."""
+
+    @pytest.mark.parametrize("flux,batches", [(0.5, pipeline.EXCHANGE_SPAN_BATCHES), (50.0, 1)])
+    def test_spans_tile_the_run(self, cfg, flux, batches):
+        n = 5 * BATCH + 37
+        spans = _spans(cfg, n, flux, False, 2002)
+        assert [(s.start, s.stop) for s in spans] == [
+            (b0, min(b0 + batches * BATCH, n)) for b0 in range(0, n, batches * BATCH)]
+        for s in spans:
+            assert (np.diff(s.frames) > 0).all() and s.start <= s.frames[0] <= s.frames[-1] < s.stop
+            assert len(s.state) == len(s.frames) and (np.diff(s.conclusive) > 0).all()
+            assert len(s.bob_bits) == len(s.conclusive) and np.isin(s.bob_bits, (0, 1)).all()
 
 
 class TestDrawBalance:
-    """The five draws of an exchange are fair and independent."""
-
-    N = 1 << 20
+    """The state words of an exchange are fair and independent."""
 
     @pytest.mark.parametrize("seed", range(2001, 2006))
-    def test_joint_table_and_bit_positions(self, seed):
-        draws = _whole_run_draws(seed, self.N)
-        # (Alice bit, Alice basis, Eve basis, Eve bit, Bob basis): 32 cells
-        cell = sum(d.astype(np.int64) << k for k, d in enumerate(draws))
-        counts = np.bincount(cell, minlength=32)
-        p = 1 / 32
-        assert np.all(np.abs(counts - self.N * p) <= 5 * math.sqrt(self.N * p * (1 - p)))
-        # each of a word's 64 bit positions, over every word of the five draws
-        ones = np.concatenate(draws).view(np.uint8).reshape(-1, 64).sum(axis=0, dtype=np.int64)
-        m = 5 * self.N // 64
-        assert np.all(np.abs(ones - m / 2) <= 5 * math.sqrt(m / 4))
+    def test_joint_table_and_bit_positions(self, cfg, seed):
+        # at flux 50 most frames hold a candidate: over 10^6 words, each of
+        # the 32 (Alice's bit and basis, Bob's basis, Eve's basis and bit)
+        # within 5 sigma of its share, and each of the five bits set in half
+        words = np.concatenate([span.state for span in _spans(cfg, 1 << 21, 50.0, True, seed)])
+        n, p = len(words), 1 / N_STATES
+        assert n > 10**6
+        counts = np.bincount(words, minlength=N_STATES)
+        assert len(counts) == N_STATES
+        assert np.all(np.abs(counts - n * p) <= 5 * math.sqrt(n * p * (1 - p))), counts
+        ones = np.array([np.count_nonzero(words >> k & 1) for k in range(5)])
+        assert np.all(np.abs(ones - n / 2) <= 5 * math.sqrt(n / 4)), ones
 
 
-def _whole_run_transcript(seed, n, eve, frames, bob_bits):
-    """The transcript's text from whole-run per-frame arrays."""
-    bits, alice_x, bob_x, _ = _whole_run_state(seed, n, eve)
-    bob = np.full(n, NULL_BIT, dtype=np.int8)
-    bob[frames] = bob_bits
-    sifted = (alice_x == bob_x) & (bob != NULL_BIT)
-    basis = {True: BASIS_X, False: BASIS_Z}
-    lines = ["frame,alice_basis,alice_bit,bob_basis,bob_bit,sifted"]
-    lines += [
-        f"{i},{basis[ax]},{a},{basis[bx]},{'-' if o == NULL_BIT else o},{int(s)}"
-        for i, (ax, a, bx, o, s) in enumerate(zip(
-            alice_x.tolist(), bits.tolist(), bob_x.tolist(), bob.tolist(), sifted.tolist()))
-    ]
-    return "\n".join(lines) + "\n"
+def _exchange(seed, n, rate, eve=False):
+    """An ``n``-frame exchange over the 32-entry table ``rate`` of kept
+    candidates a frame by state word, half of each state's conclusive frames
+    lighting port P: a result for its spans and its transcript."""
+    conclusive = -np.expm1(-rate)
+    spans = partial(pipeline._exchange_spans, seed, n, rate, conclusive, conclusive / 2,
+                    state_table(eve).bob_x)
+    empty = np.zeros(0, np.int8)
+    return Bb84Result(n, 0, 0, math.nan, empty, empty, seed, spans)
+
+
+def _drawn_by_hand(seed, n, rate):
+    """Per frame of ``_exchange``, drawn by hand one span at a time, each
+    from stream ``(ROLE_PHOTONS, first batch)``: its state word (-1 without
+    a candidate) and Bob's bit (``NULL_BIT`` where inconclusive).  The words
+    are laid out a frame and every candidate is thinned on its own."""
+    conclusive = -np.expm1(-rate)
+    r_max = rate.max()
+    span = min(pipeline.EXCHANGE_SPAN_BATCHES * BATCH, pipeline._span(r_max))
+    word = np.full(n, -1, np.int64)
+    bob = np.full(n, NULL_BIT, np.int8)
+    for start in range(0, n, span):
+        nb = min(span, n - start)
+        gen = RandomSource(seed).stream(ROLE_PHOTONS, start // BATCH).generator()
+        idx = start + np.sort(gen.integers(0, nb, size=gen.poisson(r_max * nb)))
+        frames = np.unique(idx)
+        word[frames] = gen.bit_generator.random_raw(len(frames)) & (N_STATES - 1)
+        kept = np.unique(idx[gen.random(len(idx)) * r_max < rate[word[idx]]])
+        s = word[kept]
+        on_p = gen.random(len(kept)) * conclusive[s] < conclusive[s] / 2
+        bob[kept] = on_p != (s >> 2 & 1)  # bit 2 is Bob's basis, 1 -> X
+    return word, bob
+
+
+def _per_frame_words(res):
+    """``_drawn_by_hand``'s per-frame words and Bob's bits from the spans
+    of ``res``."""
+    word = np.full(res.n_frames, -1, np.int64)
+    bob = np.full(res.n_frames, NULL_BIT, np.int8)
+    for span in res.spans():
+        word[span.frames] = span.state
+        bob[span.frames[span.conclusive]] = span.bob_bits
+    return word, bob
+
+
+# a rate table topping at one kept candidate a frame: spans of one batch
+RATES = np.linspace(0.05, 1.0, N_STATES)
+
+
+class TestRawDraws:
+    """A candidate frame's state word is the low five bits of one of numpy's
+    raw Philox words, drawn after the candidates; the transcript's other
+    frames take their coins and bits from numpy's draws of stream
+    ``(ROLE_TRANSCRIPT,)``, three bits a frame, one batch at a time."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, BATCH - 1, BATCH, BATCH + 1])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_coins_and_bits_match_numpy(self, seed, n, tmp_path):
+        res = _exchange(seed, n, RATES)
+        word, bob = _drawn_by_hand(seed, n, RATES)
+        got_word, got_bob = _per_frame_words(res)
+        np.testing.assert_array_equal(got_word, word)
+        np.testing.assert_array_equal(got_bob, bob)
+        gen = RandomSource(seed).stream(ROLE_TRANSCRIPT).generator()
+        other = np.concatenate([gen.integers(0, 8, min(BATCH, n - b0), dtype=np.uint8)
+                                for b0 in range(0, n, BATCH)])
+        state = np.where(word < 0, other, word)
+        bits, alice_x, bob_x, bob_bits = _per_frame(res, tmp_path)
+        for k, column in enumerate((bits, alice_x, bob_x)):
+            np.testing.assert_array_equal(column, state >> k & 1)
+        np.testing.assert_array_equal(bob_bits, bob)
+
+
+class TestPlanes:
+    """The transcript's per-frame planes, Alice's bit and basis, Bob's basis
+    and bit and the sifted flag, written one batch at a time, against the
+    whole run's laid out at once."""
+
+    @pytest.mark.parametrize("eve", [False, True])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 37])
+    def test_batches_match_whole_run(self, cfg, n, eve, tmp_path):
+        res = simulate_bb84(replace(cfg, seed=9), n_frames=n, flux=2.0, eve=eve)
+        # the other frames' words drawn at once, then the candidates' words
+        gen = RandomSource(9).stream(ROLE_TRANSCRIPT).generator()
+        state = gen.integers(0, 8, n, dtype=np.uint8).astype(np.int64)
+        bob = np.full(n, NULL_BIT, dtype=np.int8)
+        for span in res.spans():
+            state[span.frames] = span.state
+            bob[span.frames[span.conclusive]] = span.bob_bits
+        bits, alice_x, bob_x = (state >> k & 1 for k in range(3))
+        sifted = (alice_x == bob_x) & (bob != NULL_BIT)
+        basis = {1: BASIS_X, 0: BASIS_Z}
+        lines = ["frame,alice_basis,alice_bit,bob_basis,bob_bit,sifted"]
+        lines += [
+            f"{i},{basis[ax]},{a},{basis[bx]},{'-' if o == NULL_BIT else o},{int(s)}"
+            for i, (ax, a, bx, o, s) in enumerate(zip(
+                alice_x.tolist(), bits.tolist(), bob_x.tolist(), bob.tolist(), sifted.tolist()))
+        ]
+        write_transcript(tmp_path / "t.csv", res)
+        assert (tmp_path / "t.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestStreamSplit:
-    """The exchange drawn one batch at a time against the same draws made
-    over the whole run at once, and a runner detector drawn one span at a
+    """The exchange drawn one span at a time, each span from a stream of its
+    own, against the whole run, and a runner detector drawn one span at a
     time with the dead time carried across."""
 
     @pytest.mark.parametrize("eve", [False, True])
     @pytest.mark.parametrize("n", [1, 7, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 5])
     def test_per_frame_state_matches_whole_run(self, n, eve):
-        batches = list(exchange_batches(9, n, eve))
-        assert [b.start for b in batches] == list(range(0, n, BATCH))
-        columns = [np.concatenate([p.unpack() for p in c])
-                   for c in zip(*((b.bits, b.alice_x, b.bob_x, b.cls) for b in batches))]
-        for got, ref in zip(columns, _whole_run_state(9, n, eve), strict=True):
-            assert got.dtype == np.uint8 and ref.itemsize == 1
-            np.testing.assert_array_equal(got.view(ref.dtype), ref)
+        # the run's words and Bob's bits as drawn by hand span by span, and
+        # each word's class that of the state Bob receives: Alice's, or
+        # Eve's where her basis differs
+        table = state_table(eve)
+        rate = RATES[::4][table.cls]
+        res = _exchange(9, n, rate, eve)
+        assert [s.start for s in res.spans()] == list(range(0, n, BATCH))
+        word, bob = _per_frame_words(res)
+        ref_word, ref_bob = _drawn_by_hand(9, n, rate)
+        np.testing.assert_array_equal(word, ref_word)
+        np.testing.assert_array_equal(bob, ref_bob)
+        w = word[word >= 0]
+        bits, eve_bits = (w & 1).astype(np.int8), (w >> 4 & 1).astype(np.int8)
+        alice_x, bob_x, eve_x = ((w >> k & 1).astype(bool) for k in (1, 2, 3))
+        sent = phase_index(alice_x, bits)
+        if eve:
+            sent = np.where(eve_x == alice_x, sent, phase_index(eve_x, eve_bits))
+        np.testing.assert_array_equal(table.cls[w], phase_index(bob_x, sent))
 
+    # the transcript replays the exchange: its rows count the detected and
+    # sifted frames and spell the keys; a frame with a candidate shows the
+    # state the exchange drew there
     @pytest.mark.parametrize("eve", [False, True])
-    @pytest.mark.parametrize("n", [1, 7, BATCH - 1, BATCH + 1, 2 * BATCH + 5])
+    @pytest.mark.parametrize("n", [1, 7, BATCH - 1, BATCH + 1, 2 * BATCH + 5,
+                                   5 * BATCH + 37])
     def test_result_and_transcript_match_whole_run(self, cfg, n, eve, tmp_path):
-        cfg = replace(cfg, seed=10)
-        res = simulate_bb84(cfg, n_frames=n, flux=2.0, visibility_cap=0.93, eve=eve)
-        frames = res.frames
-        assert (np.diff(frames) > 0).all() and np.isin(res.bits, (0, 1)).all()
-        assert len(frames) == 0 or 0 <= frames[0] <= frames[-1] < n
-        if n > 2 * BATCH:  # conclusive frames on both sides of a batch boundary
-            assert frames[0] < BATCH <= frames[-1]
-        # the keys sift the whole-run state at the conclusive frames
-        bits, alice_x, bob_x, _ = _whole_run_state(cfg.seed, n, eve)
-        key_a, key_b, qber = sift(bits[frames], alice_x[frames], bob_x[frames], res.bits)
-        np.testing.assert_array_equal(res.key_a, key_a)
-        np.testing.assert_array_equal(res.key_b, key_b)
-        assert (res.n_frames, res.n_detected, res.n_sifted) == (n, len(frames), len(key_a))
+        res = simulate_bb84(replace(cfg, seed=10), n_frames=n, flux=2.0, eve=eve)
+        bits, alice_x, bob_x, bob = _per_frame(res, tmp_path)
+        rows = (tmp_path / "transcript.csv").read_bytes().splitlines()[1:]
+        assert [int(row.split(b",", 1)[0]) for row in rows] == list(range(n))
+        sifted = np.array([row.endswith(b",1") for row in rows], dtype=bool)
+        assert np.array_equal(sifted, (alice_x == bob_x) & (bob != NULL_BIT))
+        assert (np.count_nonzero(bob != NULL_BIT), np.count_nonzero(sifted)) == (
+            res.n_detected, res.n_sifted)
+        np.testing.assert_array_equal(bits[sifted], res.key_a)
+        np.testing.assert_array_equal(bob[sifted], res.key_b)
+        qber = np.mean(bits[sifted] != bob[sifted]) if sifted.any() else math.nan
         assert res.qber == qber or (math.isnan(res.qber) and math.isnan(qber))
-        write_transcript(tmp_path / "t.csv", res)
-        assert (tmp_path / "t.csv").read_bytes() == _whole_run_transcript(
-            cfg.seed, n, eve, frames, res.bits).encode()
+        for span in res.spans():
+            words = span.state
+            np.testing.assert_array_equal(bits[span.frames], words & 1)
+            np.testing.assert_array_equal(alice_x[span.frames], words >> 1 & 1)
+            np.testing.assert_array_equal(bob_x[span.frames], words >> 2 & 1)
+            np.testing.assert_array_equal(bob[span.frames[span.conclusive]], span.bob_bits)
 
     @pytest.mark.parametrize("eve", [False, True])
     @pytest.mark.parametrize("n", [1, 64, BATCH + 1, 5 * BATCH + 37])
-    def test_spans_give_the_same_state(self, n, eve):
-        # whole-run streams: the state is the same whatever the span
-        def planes(span, name):
-            chunks = list(exchange_batches(9, n, eve, span))
-            assert [b.start for b in chunks] == list(range(0, n, span))
-            got = [getattr(b, name) for b in chunks]
-            return None if got[0] is None else np.concatenate([p.unpack() for p in got])
-
-        for name in ("bits", "alice_x", "eve_x", "eve_bits", "bob_x", "cls"):
-            one, four = planes(BATCH, name), planes(4 * BATCH, name)
-            if not eve and name.startswith("eve"):
-                assert one is four is None
-            else:
-                np.testing.assert_array_equal(one, four)
-
-    @pytest.mark.parametrize("span", [0, 1, 63, 100, BATCH + 32])
-    def test_span_off_whole_words_raises(self, span):
-        with pytest.raises(ValueError, match="multiple of 64"):
-            next(exchange_batches(9, BATCH, False, span))
+    def test_spans_give_the_same_state(self, cfg, n, eve):
+        # the transcript draws the exchange's spans again: each time the
+        # same, and they hold the result's counts and keys
+        res = simulate_bb84(replace(cfg, seed=9), n_frames=n, flux=2.0, eve=eve)
+        spans, again = list(res.spans()), list(res.spans())
+        assert [s.start for s in spans] == [s.start for s in again]
+        for span, other in zip(spans, again, strict=True):
+            for got, want in zip(span, other, strict=True):
+                np.testing.assert_array_equal(got, want)
+        table = state_table(eve)
+        words = [s.state[s.conclusive] for s in spans]
+        sifted = [table.sifted[w] for w in words]
+        assert res.n_detected == sum(len(w) for w in words)
+        np.testing.assert_array_equal(
+            res.key_a, np.concatenate([table.alice_bit[w[k]] for w, k in zip(words, sifted)]))
+        np.testing.assert_array_equal(
+            res.key_b, np.concatenate([s.bob_bits[k] for s, k in zip(spans, sifted)]))
 
     def test_dead_time_carried_across_batches(self, cfg, monkeypatch):
         # a runner detector gated `always` on the Poisson path, one batch a
@@ -336,17 +383,30 @@ def _bb84(cfg, seed, v, n=200_000):
     )
 
 
-def _per_frame(res):
+TRANSCRIPT_HEADER = b"frame,alice_basis,alice_bit,bob_basis,bob_bit,sifted\n"
+
+
+def _per_frame(res, tmp_path):
     """Alice's bits and basis coins, Bob's coins and his bits (``NULL_BIT``
-    where inconclusive) in every frame of ``res``."""
-    bits, alice_x, bob_x = (np.concatenate([p.unpack() for p in c]) for c in
-                            zip(*((b.bits, b.alice_x, b.bob_x) for b in res.batches())))
-    return bits, alice_x, bob_x, res.bob_bits_in(0, res.n_frames)
+    where inconclusive) in every frame of ``res``, read from its transcript.
+    A row ends in ``,B,b,B,b,s``: ten bytes of fixed width before its
+    newline."""
+    path = tmp_path / "transcript.csv"
+    write_transcript(path, res)
+    buf = np.frombuffer(path.read_bytes(), np.uint8)
+    assert buf[:len(TRANSCRIPT_HEADER)].tobytes() == TRANSCRIPT_HEADER
+    ends = np.flatnonzero(buf == ord("\n"))[1:]
+    assert len(ends) == res.n_frames
+    assert (buf[ends[:, None] - np.arange(2, 12, 2)] == ord(",")).all()
+    bits = (buf[ends - 7] - ord("0")).view(np.int8)
+    bob = np.where(buf[ends - 3] == ord("-"), NULL_BIT, buf[ends - 3] - ord("0")).astype(np.int8)
+    assert np.isin(bits, (0, 1)).all() and np.isin(bob, (NULL_BIT, 0, 1)).all()
+    return bits, buf[ends - 9] == ord(BASIS_X), buf[ends - 5] == ord(BASIS_X), bob
 
 
-def _outcomes(res, alice_basis, bob_basis, bit=None):
+def _outcomes(res, tmp_path, alice_basis, bob_basis, bit=None):
     """Bob's conclusive bits in frames with the given bases (and Alice bit)."""
-    bits, alice_x, bob_x, bob = _per_frame(res)
+    bits, alice_x, bob_x, bob = _per_frame(res, tmp_path)
     sel = (alice_x == (alice_basis == BASIS_X)) & (bob_x == (bob_basis == BASIS_X))
     sel &= bob != NULL_BIT
     if bit is not None:
@@ -355,9 +415,9 @@ def _outcomes(res, alice_basis, bob_basis, bit=None):
 
 
 class TestAlicePrepare:
-    def test_mapping_and_balance(self, cfg):
+    def test_mapping_and_balance(self, cfg, tmp_path):
         res = _bb84(cfg, 12, v=1.0, n=1_000_000)
-        bits, alice_x, _, _ = _per_frame(res)
+        bits, alice_x, _, _ = _per_frame(res, tmp_path)
         # uniform basis balance within 3 sigma (0.0015 at n=1e6)
         assert abs(np.mean(alice_x) - 0.5) < 0.0015
         assert abs(bits.mean() - 0.5) < 0.0015
@@ -367,101 +427,53 @@ class TestAlicePrepare:
 
 
 class TestBobMeasure:
-    def test_matched_basis_deterministic_bit(self, cfg):
+    def test_matched_basis_deterministic_bit(self, cfg, tmp_path):
         # X basis, bit 1: destructive on port P, so conclusive outcomes are
         # always 1 at unit visibility
-        conclusive = _outcomes(_bb84(cfg, 2, v=1.0), BASIS_X, BASIS_X, bit=1)
+        conclusive = _outcomes(_bb84(cfg, 2, v=1.0), tmp_path, BASIS_X, BASIS_X, bit=1)
         assert len(conclusive) > 50
         assert set(conclusive.tolist()) == {1}
 
-    def test_matched_basis_bit0_both_bases(self, cfg):
+    def test_matched_basis_bit0_both_bases(self, cfg, tmp_path):
         res = _bb84(cfg, 3, v=1.0)
         for basis in (BASIS_X, BASIS_Z):
-            conclusive = _outcomes(res, basis, basis, bit=0)
+            conclusive = _outcomes(res, tmp_path, basis, basis, bit=0)
             assert len(conclusive) > 50
             assert set(conclusive.tolist()) == {0}
 
-    def test_matched_basis_wrong_port_floor(self, cfg):
+    def test_matched_basis_wrong_port_floor(self, cfg, tmp_path):
         # wrong-port click probability per conclusive outcome is (1 - V)/2
         v = 0.93
-        conclusive = _outcomes(_bb84(cfg, 5, v=v), BASIS_X, BASIS_X, bit=1)
+        conclusive = _outcomes(_bb84(cfg, 5, v=v), tmp_path, BASIS_X, BASIS_X, bit=1)
         total = len(conclusive)
         wrong = int(np.sum(conclusive == 0))  # correct bit is 1
         expect = (1 - v) / 2
         assert total > 400
         assert abs(wrong / total - expect) < 3 * math.sqrt(expect * (1 - expect) / total)
 
-    def test_mismatched_basis_uniform(self, cfg):
+    def test_mismatched_basis_uniform(self, cfg, tmp_path):
         res = _bb84(cfg, 4, v=1.0)
-        outcomes = _outcomes(res, BASIS_Z, BASIS_X, bit=0)
+        outcomes = _outcomes(res, tmp_path, BASIS_Z, BASIS_X, bit=0)
         assert len(outcomes) > 500
         frac = np.mean(outcomes)
         assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / len(outcomes))
 
 
 class TestEveIntercept:
-    def test_half_of_frames_resent_in_other_basis(self, cfg):
+    def test_half_of_frames_resent_in_other_basis(self, cfg, tmp_path):
         # at unit visibility a matched-basis bit is wrong only in a frame Eve
         # re-sent in the other basis, and then half the time: in each of
         # Alice's bases, twice the wrong share is the re-sent share, 1/2
         res = simulate_bb84(
             replace(cfg, seed=22), n_frames=400_000, flux=0.5, visibility_cap=1.0, eve=True,
         )
-        bits, alice_x, bob_x, bob = _per_frame(res)
+        bits, alice_x, bob_x, bob = _per_frame(res, tmp_path)
         for basis_x in (True, False):
             sel = (alice_x == basis_x) & (bob_x == basis_x) & (bob != NULL_BIT)
             n = int(np.sum(sel))
             assert n > 5000
             resent = 2 * np.mean(bob[sel] != bits[sel])
             assert abs(resent - 0.5) < 2 * 3 * math.sqrt(0.25 * 0.75 / n)
-
-
-class TestSift:
-    def test_all_matched_noiseless(self):
-        a = np.array([0, 1, 1, 0])
-        b = np.array(["X", "Z", "X", "Z"])
-        key_a, key_b, q = sift(a, b, b.copy(), a.copy())
-        assert np.array_equal(key_a, a)
-        assert np.array_equal(key_b, a)
-        assert q == 0.0
-
-    def test_null_bits_dropped(self):
-        a = np.array([0, 1, 1])
-        b = np.array(["X", "X", "Z"])
-        bob = np.array([0, NULL_BIT, 1])
-        key_a, key_b, q = sift(a, b, b.copy(), bob)
-        assert list(key_a) == [0, 1]
-        assert list(key_b) == [0, 1]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="lengths"):
-            sift([0], ["X"], ["X", "Z"], [0, 1])
-
-    def test_random_bases_sift_half(self):
-        n = 200_000
-        gen = RandomSource(31).generator()
-        a = gen.integers(0, 2, n)
-        b = np.where(gen.random(n) < 0.5, "X", "Z")
-        b2 = np.where(gen.random(n) < 0.5, "X", "Z")
-        key_a, _, _ = sift(a, b, b2, a.copy())
-        assert abs(len(key_a) / n - 0.5) < 3 * math.sqrt(0.25 / n)
-
-    def test_exhaustive_small_against_brute_force(self):
-        # every (basis, basis', bob_bit) combination over 3 frames
-        opts_b = ["X", "Z"]
-        opts_bob = [0, 1, NULL_BIT]
-        for b in itertools.product(opts_b, repeat=3):
-            for b2 in itertools.product(opts_b, repeat=3):
-                for bob in itertools.product(opts_bob, repeat=3):
-                    a = [0, 1, 0]
-                    key_a, key_b, _ = sift(a, list(b), list(b2), list(bob))
-                    ref_a, ref_b = [], []
-                    for i in range(3):
-                        if b[i] == b2[i] and bob[i] != NULL_BIT:
-                            ref_a.append(a[i])
-                            ref_b.append(bob[i])
-                    assert list(key_a) == ref_a
-                    assert list(key_b) == ref_b
 
 
 class TestKeyRate:
@@ -550,27 +562,26 @@ class TestSimulateBb84:
     # every class's frames are conclusive and light port P by the law of
     # two independent ports, each usable where its first gated click lands
     # on an interior position; pooled over two seeds, at the canned flux
-    # and at two where the ports are dense
+    # and at three where the ports are dense.  Every class is an eighth of
+    # the frames, so a class's conclusive count is binomial in all frames
     @pytest.mark.parametrize("v,floor", [(0.93, 0.0), (1.0, 0.05)])
     def test_port_outcomes_per_class(self, cfg, v, floor):
-        for flux, eve in itertools.product((0.148, 2.0, 7.4), (False, True)):
+        for flux, eve in itertools.product((0.148, 2.0, 7.4, 50.0), (False, True)):
             q, share = _port_tables(cfg, flux, v, floor)
-            frames_of = conclusive = on_p = 0
+            table = state_table(eve)
+            conclusive = on_p = 0
+            n = 2 * (1 << 21)
             for seed in (46, 47):
-                res = simulate_bb84(replace(cfg, seed=seed), n_frames=1 << 21, flux=flux,
-                                    visibility_cap=v, eve=eve, phase_floor=floor)
-                assert (np.diff(res.frames) > 0).all()
-                for b in res.batches():
-                    cls, bob_x = b.cls.unpack(), b.bob_x.unpack()
-                    lo, hi = np.searchsorted(res.frames, (b.start, b.start + len(cls)))
-                    at = res.frames[lo:hi] - b.start
-                    frames_of += np.bincount(cls, minlength=len(PHASE_TABLE))
-                    conclusive += np.bincount(cls[at], minlength=len(PHASE_TABLE))
+                for span in _spans(cfg, 1 << 21, flux, eve, seed, v, floor):
+                    words = span.state[span.conclusive]
+                    cls = table.cls[words]
+                    conclusive += np.bincount(cls, minlength=len(PHASE_TABLE))
                     # Bob's bit is 0 on port P in X and on port P' in Z
-                    on_p += np.bincount(cls[at], res.bits[lo:hi] != bob_x[at],
+                    on_p += np.bincount(cls, span.bob_bits != table.bob_x[words],
                                         minlength=len(PHASE_TABLE))
             case = (flux, eve)
-            mean, var = frames_of * q, frames_of * q * (1 - q)
+            p = q / len(PHASE_TABLE)
+            mean, var = n * p, n * p * (1 - p)
             assert (np.abs(conclusive - mean) <= 5 * np.sqrt(var)).all(), (case, conclusive, mean)
             assert abs(conclusive.sum() - mean.sum()) <= 5 * math.sqrt(var.sum()), case
             mean, var = conclusive * share, conclusive * share * (1 - share)
@@ -596,11 +607,23 @@ class TestSimulateBb84:
         res = simulate_bb84(cfg, 0, 2.0, eve=True)
         assert (res.n_frames, res.n_detected, res.n_sifted) == (0, 0, 0)
         assert math.isnan(res.qber)
-        for arr in (res.key_a, res.key_b, res.frames, res.bits):
-            assert len(arr) == 0
+        assert len(res.key_a) == len(res.key_b) == 0 and list(res.spans()) == []
         write_transcript(tmp_path / "t.csv", res)
-        assert (tmp_path / "t.csv").read_bytes() == _whole_run_transcript(
-            cfg.seed, 0, True, res.frames, res.bits).encode()
+        assert (tmp_path / "t.csv").read_bytes() == TRANSCRIPT_HEADER
+
+    def test_transcript_other_frames_balanced(self, cfg, tmp_path):
+        # frames with no candidate: inconclusive, and their (Alice's bit,
+        # Alice's basis, Bob's basis) in each of 8 cells within 5 sigma
+        res = simulate_bb84(replace(cfg, seed=11), n_frames=1 << 20, flux=0.5, eve=True)
+        bits, alice_x, bob_x, bob = _per_frame(res, tmp_path)
+        other = np.ones(res.n_frames, dtype=bool)
+        for span in res.spans():
+            other[span.frames] = False
+        assert (bob[other] == NULL_BIT).all()
+        n, p = np.count_nonzero(other), 1 / 8
+        assert n > 0.9 * res.n_frames
+        counts = np.bincount(bits[other] + 2 * alice_x[other] + 4 * bob_x[other], minlength=8)
+        assert np.all(np.abs(counts - n * p) <= 5 * math.sqrt(n * p * (1 - p))), counts
 
     def test_eve_with_imperfect_visibility(self, cfg):
         # full oracle: 1/2 * (1-V)/2 + 1/2 * 1/2

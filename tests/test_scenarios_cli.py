@@ -271,7 +271,7 @@ class TestCliRun:
 
     def test_bb84_eve_transcript_bytes(self, tmp_path):
         # the transcript's bytes at 2000 frames, pinned when the exchange
-        # began drawing Bob's outcomes from the ports' class table
+        # began drawing each frame's state at its photon candidates only
         derived = tmp_path / "bb84_eve_t.ini"
         derived.write_text(
             (SCENARIOS / "bb84_eve.ini").read_text().replace(
@@ -281,7 +281,7 @@ class TestCliRun:
         out = tmp_path / "o"
         assert main(["run", str(derived), "--frames", "2000", "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "transcript.csv").read_bytes()).hexdigest()
-        assert digest == "65628063c82d42f2a5f28d613aff6f4d0b6b104b04c00cfadb6f9ce246c99716"
+        assert digest == "021b2e2f2cf24bdf83c3b8ce61c3ecc39b76d0691ce8e220f81a760731770509"
 
     def test_saturated_timebin_report_bytes(self, tmp_path):
         # timebin_b at mu_in = 1000 puts 3-7 gated clicks a frame into every
@@ -344,7 +344,24 @@ class TestCliRun:
         rc = main(["run", str(self._with_tables(tmp_path, missing)), "--frames", "100",
                    "--out", str(out)])
         err = capsys.readouterr().err
-        assert rc in (2, 3) and str(missing) in err and "Traceback" not in err
+        assert rc == 2 and str(missing) in err and "Traceback" not in err
+        assert "tables_path" in err
+        assert not out.exists()
+
+    def test_malformed_tables_row_exits_2(self, tmp_path, capsys):
+        # a row that does not parse is a configuration error naming the
+        # key, the file and the line, before any output directory is made
+        text = (Path(sdmqsim.__file__).parent / "data" / "fmf_link_tables.txt").read_text()
+        row = "8km     -12.66  -12.42  -12.46  -12.06  -12.67"
+        line = text.splitlines().index(row) + 1
+        tables = tmp_path / "tables.txt"
+        tables.write_text(text.replace(row, "8km a b c d e"))
+        out = tmp_path / "o"
+        rc = main(["run", str(self._with_tables(tmp_path, tables)), "--frames", "100",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "Traceback" not in err
+        assert f"tables_path {tables}, line {line}:" in err
         assert not out.exists()
 
     def test_timebin_short_run_exits_0(self, tmp_path):
