@@ -4,8 +4,8 @@ The runners describe each signal that reaches a detector as components:
 mean clicks per frame, from the channel and (for phase frames)
 ``receiver.delay_interferometer_rates``, and where they land, as data: a
 jittered ``Pulse`` or a uniform ``Floor``, each with its per-ps law
-(``runs``).  A click's origin is its signal's position in the detector's
-list.
+(``runs``) and its mass before a ps in closed form (``before``).  A
+click's origin is its signal's position in the detector's list.
 
 A ``dt1``/``dt2`` detector with the dead time nested in the blank half
 keeps each frame's first gated click (see receiver), so its frames are
@@ -33,11 +33,14 @@ jitter kernels (``_first_click_law``).
 
 The BB84 exchange reads only each frame's outcome.  With Bob's dead time
 nested in the blank half (any other is rejected), that outcome depends
-on the frame's class alone, so the exchange draws the frames that hold a
-photon candidate at the class table's top rate, a state word at each of
-those frames alone, and from the table which are conclusive and which
-port lit (``_exchange_spans``), one span at a time; only the counts and
-the sifted key bits outlive a span (``simulate_bb84``).
+on the frame's class alone.  The class table reads each port's
+placements' mass before and inside the interior window (``before``), with
+no per-ps law.  The exchange draws the frames that hold a photon candidate
+at the table's top rate, a state word at each of those frames alone, and
+from the table which are conclusive and which port lit
+(``_exchange_spans``), one span at a time.  Each span is read once, from
+the conclusive states its draw gathered; only the counts and the sifted
+key bits outlive it (``simulate_bb84``).
 """
 from __future__ import annotations
 
@@ -228,6 +231,22 @@ class Pulse:
         t -= lo
         return [(lo, hi, np.bincount(t.ravel(), np.tile(w, self.n)))]
 
+    def before(self, x: int, vcfg) -> float:
+        """The mass of ``runs`` before ps ``x`` in closed form, from the
+        kernel's erf edges (``h`` its half-width, ``r`` sigma sqrt 2, ``T`` its
+        sum): a slot centred ``m`` ps before ``x`` puts ``(erf((m - 0.5) / r) +
+        T) / 2`` there, ``m`` held to ``-h .. h + 1``; a train averages its
+        slots.  Clamped to ps 0 .. P - 1, none lies before ps 0, all before P."""
+        sigma, h = vcfg.jitter_sigma_ps, math.ceil(8 * vcfg.jitter_sigma_ps)
+        r = sigma * math.sqrt(2)
+        total = math.erf((h + 0.5) / r) if sigma else 1.0
+        if not 0 < x < vcfg.frame_period_ps:
+            return 0.0 if x <= 0 else total
+        ms = [x - self.first - j * self.spacing for j in range(self.n)]
+        if not sigma:
+            return sum(m > 0 for m in ms) / self.n
+        return sum(math.erf((min(max(m, -h), h + 1) - 0.5) / r) + total for m in ms) / (2 * self.n)
+
 
 @dataclass(frozen=True)
 class Floor:
@@ -251,6 +270,14 @@ class Floor:
             hi = min(lo + w, last)  # the ps from hi on clamp to the last
             runs += [(lo, hi, p), (last, last + 1, p * (lo + w - hi))]
         return runs
+
+    def before(self, x: int, vcfg) -> float:
+        """The mass of ``runs`` before ps ``x``: each arm's share of its
+        window before ``x``, and all of it from ``x = P`` on."""
+        w = vcfg.frame_window_ps
+        if x >= vcfg.frame_period_ps:
+            return 1.0
+        return sum(min(max(x - lo, 0), w) for lo in (self.lo, self.lo + self.split)) / (2 * w)
 
 
 @lru_cache(maxsize=1)
@@ -825,31 +852,20 @@ def _run_phase_sweep(scenario: Scenario, channel) -> RunResult:
     return RunResult(report=report, sweep_points=points_out)
 
 
-def _mass(runs, lo, hi) -> float:
-    """The mass over ps ``lo .. hi`` of a per-ps law's ``(lo, hi, p)`` runs
-    (``p`` one value for the run or one a ps)."""
-    total = 0.0
-    for a, b, p in runs:
-        s, e = max(a, lo), min(b, hi)
-        if s < e:
-            total += p * (e - s) if np.isscalar(p) else p[s - a:e - a].sum()
-    return total
-
-
 def _port_usable(cfg, law) -> list:
     """Per frame class, the chances ``e^{-B} (1 - e^{-I})`` that port P's
     and port P''s first gated click lands on an interior position, ``B``
     and ``I`` the port's mean clicks before and inside the interior window.
-    The ports share their placements, whose masses there are found once."""
+    The ports share their placements, whose masses before the window's
+    edges (``before``, in closed form) are found once."""
     lo, hi = _interior_window(cfg, 0)
     ports = [_phase_components(cfg, law, port, "none", 0) for port in ("p", "p_prime")]
-    masses = [(_mass(runs, 0, lo), _mass(runs, lo, hi))
-              for runs in (placement.runs(cfg) for _, placement in ports[0])]
+    masses = [(placement.before(lo, cfg), placement.before(hi, cfg)) for _, placement in ports[0]]
     usable = []
     for comps in ports:
         before = inside = 0.0
-        for (rate, _), (b, i) in zip(comps, masses):
-            before, inside = before + rate * b, inside + rate * i
+        for (rate, _), (to_lo, to_hi) in zip(comps, masses):
+            before, inside = before + rate * to_lo, inside + rate * (to_hi - to_lo)
         usable.append(np.exp(-before) * -np.expm1(-inside))
     return usable
 
@@ -884,7 +900,7 @@ def _exchange_spans(seed: int, n_frames: int, rate, conclusive, lights_p,
         s = state[hit]
         on_p = gen.random(len(hit)) * conclusive[s] < lights_p[s]
         bob_bits = (on_p != bob_x[s]).astype(np.int8)  # 0 on port P in X and on P' in Z
-        yield ExchangeSpan(start, stop, start + candidates[first], state, hit, bob_bits)
+        yield ExchangeSpan(start, stop, candidates, first, state, hit, s, bob_bits)
 
 
 def simulate_bb84(cfg: SimConfig, n_frames: int, flux: float,
@@ -895,12 +911,14 @@ def simulate_bb84(cfg: SimConfig, n_frames: int, flux: float,
     ``flux`` is the received mean photons per frame at Bob's input.  Bob's
     ports, gated ``dt1`` at the rates of
     :func:`receiver.delay_interferometer_rates` over ``PHASE_TABLE``, are
-    usable with ``p_P`` and ``p_P'`` a class (``_port_usable``): a frame is
-    conclusive with ``q = p_P (1 - p_P') + p_P' (1 - p_P)`` and lights P in
-    a share ``p_P (1 - p_P') / q`` of those.  These are read per state word
-    through ``protocol.state_table``, built once a run, and
-    ``_exchange_spans`` draws the state at candidate frames only.  Only the
-    counts and the sifted key bits outlive a span.
+    usable with ``p_P`` and ``p_P'`` a class (``_port_usable``, in closed
+    form): a frame is conclusive with ``q = p_P (1 - p_P') + p_P' (1 -
+    p_P)`` and lights P in a share ``p_P (1 - p_P') / q`` of those.  These
+    are read per state word through ``protocol.state_table``, built once a
+    run, and ``_exchange_spans`` draws the state at candidate frames only.
+    The counts and the sifted key bits are read from each span's conclusive
+    states, and only they outlive it; a span's ``frames`` are formed only by
+    the transcript.
     """
     if not cfg.dead_time_nested:  # a port's frames would not be i.i.d.
         bound = ("at least frame_window_ps" if cfg.dead_time_ps < cfg.frame_window_ps
@@ -917,11 +935,12 @@ def simulate_bb84(cfg: SimConfig, n_frames: int, flux: float,
                     lights_p, table.bob_x)
     n_det, key_a, key_b = 0, [np.zeros(0, np.int8)], [np.zeros(0, np.int8)]
     for span in spans():
-        state = span.state[span.conclusive]
+        state = span.conclusive_state
         sifted = table.sifted[state]
         n_det += len(state)
         key_a.append(table.alice_bit[state[sifted]])
         key_b.append(span.bob_bits[sifted])
+        del span  # its candidates are released before the next span is drawn
     key_a, key_b = np.concatenate(key_a), np.concatenate(key_b)
     return Bb84Result(n_frames, n_det, len(key_a), error_rate(key_a, key_b),
                       key_a, key_b, cfg.seed, spans)

@@ -89,16 +89,25 @@ def state_table(eve: bool) -> StateTable:
 
 
 class ExchangeSpan(NamedTuple):
-    """Frames ``start .. stop`` of an exchange: the frames holding a photon
-    candidate, sorted and distinct, their state words, the conclusive ones
-    among them (indices into ``frames``) and Bob's bit at each of those."""
+    """Frames ``start .. stop`` of an exchange: its photon candidates as
+    frames from ``start``, sorted, the index of each frame's first one, the
+    frames' state words, the conclusive frames (indices into ``frames``),
+    their states and Bob's bit at each."""
 
     start: int
     stop: int
-    frames: np.ndarray
+    candidates: np.ndarray
+    first: np.ndarray
     state: np.ndarray
     conclusive: np.ndarray
+    conclusive_state: np.ndarray
     bob_bits: np.ndarray
+
+    @property
+    def frames(self) -> np.ndarray:
+        """The frames holding a candidate, sorted and distinct: formed only
+        where read, by the transcript."""
+        return self.start + self.candidates[self.first]
 
 
 @dataclass(frozen=True)
@@ -242,14 +251,15 @@ def write_transcript(path, result: Bb84Result) -> None:
     with open(path, "wb") as out:
         out.write(b"frame,alice_basis,alice_bit,bob_basis,bob_bit,sifted\n")
         for span in result.spans():
+            frames = span.frames
             for b0 in range(span.start, span.stop, BATCH):
                 b1 = min(b0 + BATCH, span.stop)
                 state = gen.integers(0, 8, b1 - b0, dtype=np.uint8)
-                lo, hi = np.searchsorted(span.frames, (b0, b1))
-                state[span.frames[lo:hi] - b0] = span.state[lo:hi]
+                lo, hi = np.searchsorted(frames, (b0, b1))
+                state[frames[lo:hi] - b0] = span.state[lo:hi]
                 bob = np.full(b1 - b0, NULL_BIT, dtype=np.int8)
                 lo, hi = np.searchsorted(span.conclusive, (lo, hi))
-                bob[span.frames[span.conclusive[lo:hi]] - b0] = span.bob_bits[lo:hi]
+                bob[frames[span.conclusive[lo:hi]] - b0] = span.bob_bits[lo:hi]
                 bits, alice_x, bob_x = (state >> k & 1 for k in range(3))
                 sifted = (alice_x == bob_x) & (bob != NULL_BIT)
                 out.write(csv_bytes(

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from dataclasses import replace
@@ -38,7 +39,7 @@ from sdmqsim.pipeline import (
     expected_collection_rate,
     run_scenario,
 )
-from sdmqsim.protocol import N_STATES, KeyRateParams, key_rate, state_table
+from sdmqsim.protocol import N_STATES, PHASE_TABLE, KeyRateParams, key_rate, state_table
 from sdmqsim.receiver import delay_interferometer_rates, gate_mask
 from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario, load_scenario
 
@@ -565,6 +566,40 @@ class TestFirstClickLaw:
                                        _slot_edges(vcfg)).any()
 
 
+class TestPortLaw:
+    """Each of Bob's ports is usable, per class, with the mass of its first
+    ``dt1`` click on the interior positions: ``_port_usable``, from each
+    placement's mass before the window's edges in closed form, equals
+    ``_first_click_mass`` over the cell ``[lo, hi)``, the port's components
+    one signal, at ``TestFirstClickLaw``'s tolerances."""
+
+    @pytest.mark.parametrize("floor", [0.0, 0.12655])
+    @pytest.mark.parametrize("v", [0.93, 1.0])
+    @pytest.mark.parametrize("sigma", [0.0, 100.0, float(SimConfig().pulse_period_ps)])
+    @pytest.mark.parametrize("flux", [0.02, 2.0, 50.0])
+    def test_matches_first_click_mass(self, monkeypatch, flux, sigma, v, floor):
+        # the reference reads the same four placements 16 times
+        monkeypatch.setattr(Pulse, "runs", functools.cache(Pulse.runs))
+        cfg = SimConfig(jitter_sigma_ps=sigma)
+        lo, hi = pipeline._interior_window(cfg, 0)
+        edges = np.array([0, lo, hi, cfg.frame_period_ps])
+        law = delay_interferometer_rates(cfg.eta * flux, cfg.d, v, PHASE_TABLE, "none", floor)
+        for port, usable in zip(("p", "p_prime"), pipeline._port_usable(cfg, law)):
+            for cls, phi in enumerate(PHASE_TABLE):
+                rates = delay_interferometer_rates(cfg.eta * flux, cfg.d, v, phi, "none", floor)
+                port_law = [list(_phase_components(cfg, rates, port, "none", 0))]
+                ref = _first_click_mass(port_law, cfg, DELTA_T1, edges)[0, 1]
+                np.testing.assert_allclose(usable[cls], ref, rtol=1e-9, atol=1e-18)
+
+    def test_builds_no_per_ps_law(self, monkeypatch):
+        for owner, name in ((Pulse, "runs"), (Floor, "runs"), (pipeline, "_jitter_kernel")):
+            monkeypatch.setattr(owner, name, mock.Mock(side_effect=AssertionError(name)))
+        cfg = SimConfig()
+        law = delay_interferometer_rates(cfg.eta * 0.02, cfg.d, 0.93, PHASE_TABLE, "none", 0.0)
+        for usable in pipeline._port_usable(cfg, law):
+            assert ((0 < usable) & (usable < 1)).all()
+
+
 class TestZeroMassSkip:
     """The multinomial over the cells of non-zero mass draws what one over
     every cell draws on the same stream: a category of mass 0 takes no
@@ -795,6 +830,17 @@ def _mass(placement, vcfg) -> np.ndarray:
     return mass
 
 
+PLACEMENT_CASES = [
+    (Pulse(120), 100.0),  # clamped at ps 0
+    (Pulse(199_950), 100.0),  # clamped at ps P - 1
+    (Pulse(2310, 63, 1540), 100.0),  # a phase port's interior train
+    (Pulse(31_570), 0.0),  # no jitter: one ps
+    (Floor(0), 100.0),
+    (Floor(100_000), 100.0),  # up to P - 1
+    (Floor(100_000, 1540), 100.0),  # split, clamped at P - 1
+]
+
+
 class TestPlacementLaw:
     """``runs`` is the per-ps law that ``times`` draws: it sums to 1, and
     draws agree with it within 5 sigma over cells of consecutive ps that
@@ -802,15 +848,7 @@ class TestPlacementLaw:
 
     N = 400_000
 
-    @pytest.mark.parametrize("placement,sigma", [
-        (Pulse(120), 100.0),  # clamped at ps 0
-        (Pulse(199_950), 100.0),  # clamped at ps P - 1
-        (Pulse(2310, 63, 1540), 100.0),  # a phase port's interior train
-        (Pulse(31_570), 0.0),  # no jitter: one ps
-        (Floor(0), 100.0),
-        (Floor(100_000), 100.0),  # up to P - 1
-        (Floor(100_000, 1540), 100.0),  # split, clamped at P - 1
-    ])
+    @pytest.mark.parametrize("placement,sigma", PLACEMENT_CASES)
     def test_mass_matches_times(self, placement, sigma):
         vcfg = SimConfig(jitter_sigma_ps=sigma)
         mass = _mass(placement, vcfg)
@@ -824,6 +862,27 @@ class TestPlacementLaw:
         obs, exp = np.bincount(cell, seen), np.bincount(cell, expect)
         z = (obs - exp)[exp > 0] / np.sqrt(exp[exp > 0])
         assert np.abs(z).max() <= 5
+
+
+class TestClosedFormMass:
+    """``before`` is the cumulative sum of ``runs``' per-ps law, in closed
+    form: at the ends of the frame, at the interior window's edges that
+    Bob's ports read, beside each edge of the law's support and at random
+    ps, against a sum in extended precision."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3, 100.0, float(SimConfig().pulse_period_ps)])
+    @pytest.mark.parametrize("placement", [placement for placement, _ in PLACEMENT_CASES])
+    def test_matches_cumulative_runs(self, placement, sigma):
+        vcfg = SimConfig(jitter_sigma_ps=sigma)
+        period, mass = vcfg.frame_period_ps, _mass(placement, vcfg)
+        ref = np.concatenate([[0.0], np.cumsum(mass, dtype=np.longdouble)])
+        support = np.flatnonzero(np.diff(mass > 0, prepend=False, append=False))
+        x = np.concatenate([[-1, 0, 1, *pipeline._interior_window(vcfg, 0), period - 1, period,
+                             period + 1], support - 1, support, support + 1,
+                            RandomSource(37).generator().integers(0, period, 200)])
+        got = [placement.before(int(t), vcfg) for t in x]
+        np.testing.assert_allclose(got, ref[np.clip(x, 0, period)].astype(float),
+                                   rtol=0, atol=1e-14)
 
 
 def _uncached_runs(pulse, vcfg):

@@ -26,6 +26,7 @@ from sdmqsim.protocol import (
     BASIS_X,
     BASIS_Z,
     Bb84Result,
+    ExchangeSpan,
     KeyRateParams,
     N_STATES,
     NULL_BIT,
@@ -150,6 +151,23 @@ class TestExchangeDraws:
             assert (np.diff(s.frames) > 0).all() and s.start <= s.frames[0] <= s.frames[-1] < s.stop
             assert len(s.state) == len(s.frames) and (np.diff(s.conclusive) > 0).all()
             assert len(s.bob_bits) == len(s.conclusive) and np.isin(s.bob_bits, (0, 1)).all()
+
+    def test_frames_are_the_distinct_candidates(self, cfg):
+        for s in _spans(cfg, 5 * BATCH + 37, 0.5, False, 2003):
+            np.testing.assert_array_equal(s.frames, s.start + s.candidates[s.first])
+            np.testing.assert_array_equal(s.frames, s.start + np.unique(s.candidates))
+            np.testing.assert_array_equal(s.conclusive_state, s.state[s.conclusive])
+
+    def test_exchange_forms_no_frames(self, cfg, monkeypatch, tmp_path):
+        # the counts and keys read the conclusive states the draw gathered:
+        # only the transcript forms a span's frames, once a span
+        formed, frames = [], ExchangeSpan.frames
+        monkeypatch.setattr(ExchangeSpan, "frames",
+                            property(lambda span: formed.append(span.start) or frames.fget(span)))
+        res = simulate_bb84(replace(cfg, seed=2004), 5 * BATCH + 37, 0.5, eve=True)
+        assert res.n_sifted > 0 and formed == []
+        write_transcript(tmp_path / "t.csv", res)
+        assert formed == list(range(0, res.n_frames, pipeline.EXCHANGE_SPAN_BATCHES * BATCH))
 
 
 class TestDrawBalance:
