@@ -38,9 +38,10 @@ placements' mass before and inside the interior window (``before``), with
 no per-ps law.  The exchange draws the frames that hold a photon candidate
 at the table's top rate, a state word at each of those frames alone, and
 from the table which are conclusive and which port lit
-(``_exchange_spans``), one span at a time.  Each span is read once, from
-the conclusive states its draw gathered; only the counts and the sifted
-key bits outlive it (``simulate_bb84``).
+(``_exchange_spans``), one span at a time.  Each span is read once: its
+conclusive frames are tallied by state word and lit port, and only that
+32 x 2 tally outlives it; the counts and the sifted error rate are read
+from it (``simulate_bb84``).
 """
 from __future__ import annotations
 
@@ -70,7 +71,6 @@ from .protocol import (
     Bb84Result,
     ExchangeSpan,
     KeyRateParams,
-    error_rate,
     key_rate,
     state_table,
 )
@@ -870,11 +870,11 @@ def _port_usable(cfg, law) -> list:
     return usable
 
 
-def _exchange_spans(seed: int, n_frames: int, rate, conclusive, lights_p,
-                    bob_x) -> Iterator[ExchangeSpan]:
+def _exchange_spans(seed: int, n_frames: int, rate, conclusive,
+                    lights_p) -> Iterator[ExchangeSpan]:
     """Draw a BB84 exchange one span at a time, given per state word its
     rate of kept candidates, its chance ``conclusive = 1 - e^{-rate}`` and
-    the chance ``lights_p`` that it lights port P, and Bob's basis.
+    the chance ``lights_p`` that it lights port P.
 
     A span is ``_span`` at the top rate, at most ``EXCHANGE_SPAN_BATCHES``
     batches, and draws from stream ``(ROLE_PHOTONS, first batch)``: the
@@ -896,11 +896,10 @@ def _exchange_spans(seed: int, n_frames: int, rate, conclusive, lights_p,
         state = gen.bit_generator.random_raw(len(first)).view(np.int64) & (N_STATES - 1)
         # a frame keeps a candidate where u r_max < rate: where its least u does
         u = np.minimum.reduceat(gen.random(len(candidates)), first)
-        hit = np.flatnonzero(u * r_max < rate[state])
-        s = state[hit]
-        on_p = gen.random(len(hit)) * conclusive[s] < lights_p[s]
-        bob_bits = (on_p != bob_x[s]).astype(np.int8)  # 0 on port P in X and on P' in Z
-        yield ExchangeSpan(start, stop, candidates, first, state, hit, s, bob_bits)
+        kept = u * r_max < rate[state]
+        s = state[kept]
+        lit_p = gen.random(len(s)) * conclusive[s] < lights_p[s]
+        yield ExchangeSpan(start, stop, candidates, first, state, kept, s, lit_p)
 
 
 def simulate_bb84(cfg: SimConfig, n_frames: int, flux: float,
@@ -916,9 +915,9 @@ def simulate_bb84(cfg: SimConfig, n_frames: int, flux: float,
     p_P)`` and lights P in a share ``p_P (1 - p_P') / q`` of those.  These
     are read per state word through ``protocol.state_table``, built once a
     run, and ``_exchange_spans`` draws the state at candidate frames only.
-    The counts and the sifted key bits are read from each span's conclusive
-    states, and only they outlive it; a span's ``frames`` are formed only by
-    the transcript.
+    Each span's conclusive frames are tallied by state word and lit port,
+    and the counts and sifted errors read from the tally: Bob's bit, 0 on P
+    in X and on P' in Z, is wrong where P lit iff his basis is Alice's bit.
     """
     if not cfg.dead_time_nested:  # a port's frames would not be i.i.d.
         bound = ("at least frame_window_ps" if cfg.dead_time_ps < cfg.frame_window_ps
@@ -932,18 +931,15 @@ def simulate_bb84(cfg: SimConfig, n_frames: int, flux: float,
     lights_p = (p * (1 - pp))[table.cls]
     conclusive = lights_p + (pp * (1 - p))[table.cls]
     spans = partial(_exchange_spans, cfg.seed, n_frames, -np.log1p(-conclusive), conclusive,
-                    lights_p, table.bob_x)
-    n_det, key_a, key_b = 0, [np.zeros(0, np.int8)], [np.zeros(0, np.int8)]
+                    lights_p)
+    tally = np.zeros(2 * N_STATES, np.int64)  # conclusive frames at 2 * state word + lit P
     for span in spans():
-        state = span.conclusive_state
-        sifted = table.sifted[state]
-        n_det += len(state)
-        key_a.append(table.alice_bit[state[sifted]])
-        key_b.append(span.bob_bits[sifted])
+        tally += np.bincount(2 * span.conclusive_state + span.lit_p, minlength=2 * N_STATES)
         del span  # its candidates are released before the next span is drawn
-    key_a, key_b = np.concatenate(key_a), np.concatenate(key_b)
-    return Bb84Result(n_frames, n_det, len(key_a), error_rate(key_a, key_b),
-                      key_a, key_b, cfg.seed, spans)
+    wrong = 2 * np.arange(N_STATES) + (table.bob_x == table.alice_bit)  # Bob's bit not Alice's
+    n_sifted = int(tally.reshape(N_STATES, 2)[table.sifted].sum())
+    qber = tally[wrong[table.sifted]].sum() / n_sifted if n_sifted else math.nan
+    return Bb84Result(n_frames, int(tally.sum()), n_sifted, float(qber), cfg.seed, spans)
 
 
 def _run_bb84(scenario: Scenario, channel) -> RunResult:

@@ -14,11 +14,12 @@ transcript.
 A frame's state is one word of five fair bits: Alice's bit and basis,
 Bob's basis, and Eve's basis and bit (``state_table``).  The exchange draws
 it only at the frames that hold a photon candidate, one span at a time
-(``ExchangeSpan``), and reads its class, which indexes the eight values of
-phi_a + phi_b in ``PHASE_TABLE``, Alice's bit, Bob's basis and the sifted
-flag from the 32-entry tables.  No per-frame array is built, and the
-result keeps no record of frames: the transcript draws the spans again and
-fills the other frames from a stream of its own.
+(``ExchangeSpan``), and tallies its conclusive frames by state word and
+lit port; the 32-entry tables read the class, which indexes the eight
+values of phi_a + phi_b in ``PHASE_TABLE``, and from the tally the counts
+and the sifted error rate.  No per-frame array is built, and the result
+keeps no key and no record of frames: the transcript draws the spans
+again and fills the other frames from a stream of its own.
 
 Port convention: port P carries the ``1 + V cos(phi_a + phi_b)`` lobe.  A
 matched-basis bit 0 therefore lights port P in the X basis but port P' in
@@ -42,7 +43,6 @@ __all__ = [
     "StateTable",
     "state_table",
     "ExchangeSpan",
-    "error_rate",
     "key_rate",
     "Bb84Result",
     "write_transcript",
@@ -89,25 +89,36 @@ def state_table(eve: bool) -> StateTable:
 
 
 class ExchangeSpan(NamedTuple):
-    """Frames ``start .. stop`` of an exchange: its photon candidates as
-    frames from ``start``, sorted, the index of each frame's first one, the
-    frames' state words, the conclusive frames (indices into ``frames``),
-    their states and Bob's bit at each."""
+    """Frames ``start .. stop`` of an exchange, as its draw made them: its
+    photon candidates as frames from ``start``, sorted, the index of each
+    frame's first one, the frames' state words, which frames are conclusive
+    (``kept``), their states and whether each lit port P."""
 
     start: int
     stop: int
     candidates: np.ndarray
     first: np.ndarray
     state: np.ndarray
-    conclusive: np.ndarray
+    kept: np.ndarray
     conclusive_state: np.ndarray
-    bob_bits: np.ndarray
+    lit_p: np.ndarray
 
+    # formed only where read, by the transcript
     @property
     def frames(self) -> np.ndarray:
-        """The frames holding a candidate, sorted and distinct: formed only
-        where read, by the transcript."""
+        """The frames holding a candidate, sorted and distinct."""
         return self.start + self.candidates[self.first]
+
+    @property
+    def conclusive(self) -> np.ndarray:
+        """The conclusive frames, as indices into ``frames``."""
+        return np.flatnonzero(self.kept)
+
+    @property
+    def bob_bits(self) -> np.ndarray:
+        """Bob's bit at each conclusive frame: 0 on port P in X and on P' in
+        Z (bit 2 of the word is Bob's basis, 1 -> X)."""
+        return (self.lit_p != (self.conclusive_state >> 2 & 1)).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -202,11 +213,6 @@ def key_rate(params: KeyRateParams) -> float:
     return (1.0 - params.eps_rob) * ell / n
 
 
-def error_rate(key_a, key_b) -> float:
-    """Mismatch fraction of two sifted keys (NaN with none)."""
-    return float(np.mean(key_a != key_b)) if len(key_a) else math.nan
-
-
 # ---------------------------------------------------------------------------
 # BB84 session record
 # ---------------------------------------------------------------------------
@@ -214,15 +220,13 @@ def error_rate(key_a, key_b) -> float:
 
 @dataclass(frozen=True)
 class Bb84Result:
-    """Counts and sifted keys of one exchange; ``spans()`` draws its spans
-    again, as the exchange drew them, for the transcript."""
+    """Counts and sifted error rate of one exchange; ``spans()`` draws its
+    spans again, as the exchange drew them, for the transcript."""
 
     n_frames: int
     n_detected: int
     n_sifted: int
     qber: float
-    key_a: np.ndarray
-    key_b: np.ndarray
     seed: int
     spans: Callable[[], Iterator[ExchangeSpan]]
 
@@ -251,15 +255,15 @@ def write_transcript(path, result: Bb84Result) -> None:
     with open(path, "wb") as out:
         out.write(b"frame,alice_basis,alice_bit,bob_basis,bob_bit,sifted\n")
         for span in result.spans():
-            frames = span.frames
+            frames, conclusive, bob_bits = span.frames, span.conclusive, span.bob_bits
             for b0 in range(span.start, span.stop, BATCH):
                 b1 = min(b0 + BATCH, span.stop)
                 state = gen.integers(0, 8, b1 - b0, dtype=np.uint8)
                 lo, hi = np.searchsorted(frames, (b0, b1))
                 state[frames[lo:hi] - b0] = span.state[lo:hi]
                 bob = np.full(b1 - b0, NULL_BIT, dtype=np.int8)
-                lo, hi = np.searchsorted(span.conclusive, (lo, hi))
-                bob[frames[span.conclusive[lo:hi]] - b0] = span.bob_bits[lo:hi]
+                lo, hi = np.searchsorted(conclusive, (lo, hi))
+                bob[frames[conclusive[lo:hi]] - b0] = bob_bits[lo:hi]
                 bits, alice_x, bob_x = (state >> k & 1 for k in range(3))
                 sifted = (alice_x == bob_x) & (bob != NULL_BIT)
                 out.write(csv_bytes(

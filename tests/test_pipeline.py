@@ -140,8 +140,7 @@ def _exchange_span(seed, nb, rate):
     """The one span of an ``nb``-frame exchange over the 32-entry rate table
     ``rate``, half of each state's conclusive frames lighting port P."""
     conclusive = -np.expm1(-rate)
-    [span] = pipeline._exchange_spans(seed, nb, rate, conclusive, conclusive / 2,
-                                      state_table(False).bob_x)
+    [span] = pipeline._exchange_spans(seed, nb, rate, conclusive, conclusive / 2)
     return span
 
 
@@ -200,8 +199,7 @@ class TestSparseSampler:
         n = 1 << 20
         conclusive = -np.expm1(-rate)
         counts = np.zeros(N_STATES, np.int64)
-        for span in pipeline._exchange_spans(5, n, rate, conclusive, conclusive / 2,
-                                             state_table(False).bob_x):
+        for span in pipeline._exchange_spans(5, n, rate, conclusive, conclusive / 2):
             assert np.all(np.diff(span.frames) > 0)
             assert span.start <= span.frames[0] and span.frames[-1] < span.stop
             counts += np.bincount(span.state[span.conclusive], minlength=N_STATES)

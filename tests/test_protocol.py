@@ -151,6 +151,7 @@ class TestExchangeDraws:
             assert (np.diff(s.frames) > 0).all() and s.start <= s.frames[0] <= s.frames[-1] < s.stop
             assert len(s.state) == len(s.frames) and (np.diff(s.conclusive) > 0).all()
             assert len(s.bob_bits) == len(s.conclusive) and np.isin(s.bob_bits, (0, 1)).all()
+            assert len(s.kept) == len(s.state) and len(s.lit_p) == len(s.conclusive_state)
 
     def test_frames_are_the_distinct_candidates(self, cfg):
         for s in _spans(cfg, 5 * BATCH + 37, 0.5, False, 2003):
@@ -159,15 +160,19 @@ class TestExchangeDraws:
             np.testing.assert_array_equal(s.conclusive_state, s.state[s.conclusive])
 
     def test_exchange_forms_no_frames(self, cfg, monkeypatch, tmp_path):
-        # the counts and keys read the conclusive states the draw gathered:
-        # only the transcript forms a span's frames, once a span
-        formed, frames = [], ExchangeSpan.frames
-        monkeypatch.setattr(ExchangeSpan, "frames",
-                            property(lambda span: formed.append(span.start) or frames.fget(span)))
+        # the counts read the tally of the conclusive states and lit ports
+        # the draw gathered: only the transcript forms a span's frames,
+        # conclusive frames and Bob's bits, each once a span
+        formed = {name: [] for name in ("frames", "conclusive", "bob_bits")}
+        for name, log in formed.items():
+            monkeypatch.setattr(ExchangeSpan, name, property(
+                lambda span, log=log, get=getattr(ExchangeSpan, name).fget:
+                    log.append(span.start) or get(span)))
         res = simulate_bb84(replace(cfg, seed=2004), 5 * BATCH + 37, 0.5, eve=True)
-        assert res.n_sifted > 0 and formed == []
+        assert res.n_sifted > 0 and formed == {name: [] for name in formed}
         write_transcript(tmp_path / "t.csv", res)
-        assert formed == list(range(0, res.n_frames, pipeline.EXCHANGE_SPAN_BATCHES * BATCH))
+        starts = list(range(0, res.n_frames, pipeline.EXCHANGE_SPAN_BATCHES * BATCH))
+        assert formed == {name: starts for name in formed}
 
 
 class TestDrawBalance:
@@ -188,15 +193,13 @@ class TestDrawBalance:
         assert np.all(np.abs(ones - n / 2) <= 5 * math.sqrt(n / 4)), ones
 
 
-def _exchange(seed, n, rate, eve=False):
+def _exchange(seed, n, rate):
     """An ``n``-frame exchange over the 32-entry table ``rate`` of kept
     candidates a frame by state word, half of each state's conclusive frames
     lighting port P: a result for its spans and its transcript."""
     conclusive = -np.expm1(-rate)
-    spans = partial(pipeline._exchange_spans, seed, n, rate, conclusive, conclusive / 2,
-                    state_table(eve).bob_x)
-    empty = np.zeros(0, np.int8)
-    return Bb84Result(n, 0, 0, math.nan, empty, empty, seed, spans)
+    spans = partial(pipeline._exchange_spans, seed, n, rate, conclusive, conclusive / 2)
+    return Bb84Result(n, 0, 0, math.nan, seed, spans)
 
 
 def _drawn_by_hand(seed, n, rate):
@@ -290,6 +293,25 @@ class TestPlanes:
         assert (tmp_path / "t.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def _counts(res):
+    """The result's detected, sifted and wrong sifted frames, the last
+    ``qber * n_sifted``."""
+    errors = round(res.qber * res.n_sifted) if res.n_sifted else 0
+    return res.n_detected, res.n_sifted, errors
+
+
+def _span_counts(spans, table):
+    """``_counts`` recounted from the spans: their conclusive states and
+    Bob's bits, read through ``table``."""
+    detected = sifted = errors = 0
+    for span in spans:
+        words = span.state[span.conclusive]
+        keep = table.sifted[words]
+        detected, sifted = detected + len(words), sifted + np.count_nonzero(keep)
+        errors += np.count_nonzero(table.alice_bit[words[keep]] != span.bob_bits[keep])
+    return detected, sifted, errors
+
+
 class TestStreamSplit:
     """The exchange drawn one span at a time, each span from a stream of its
     own, against the whole run, and a runner detector drawn one span at a
@@ -303,7 +325,7 @@ class TestStreamSplit:
         # Eve's where her basis differs
         table = state_table(eve)
         rate = RATES[::4][table.cls]
-        res = _exchange(9, n, rate, eve)
+        res = _exchange(9, n, rate)
         assert [s.start for s in res.spans()] == list(range(0, n, BATCH))
         word, bob = _per_frame_words(res)
         ref_word, ref_bob = _drawn_by_hand(9, n, rate)
@@ -317,23 +339,28 @@ class TestStreamSplit:
             sent = np.where(eve_x == alice_x, sent, phase_index(eve_x, eve_bits))
         np.testing.assert_array_equal(table.cls[w], phase_index(bob_x, sent))
 
-    # the transcript replays the exchange: its rows count the detected and
-    # sifted frames and spell the keys; a frame with a candidate shows the
-    # state the exchange drew there
+    # the transcript replays the exchange: its rows count the detected,
+    # sifted and wrong frames the result's tally read; a frame with a
+    # candidate shows the state the exchange drew there.  Cases: the canned
+    # flux at V = 0.93 (ids: the frame count), dense ports (flux 50, spans
+    # of one batch) and a phase floor of 0.05
     @pytest.mark.parametrize("eve", [False, True])
-    @pytest.mark.parametrize("n", [1, 7, BATCH - 1, BATCH + 1, 2 * BATCH + 5,
-                                   5 * BATCH + 37])
-    def test_result_and_transcript_match_whole_run(self, cfg, n, eve, tmp_path):
-        res = simulate_bb84(replace(cfg, seed=10), n_frames=n, flux=2.0, eve=eve)
+    @pytest.mark.parametrize("n,flux,floor", [
+        *(pytest.param(n, 2.0, 0.0, id=str(n))
+          for n in (1, 7, BATCH - 1, BATCH + 1, 2 * BATCH + 5, 5 * BATCH + 37)),
+        *(pytest.param(n, 50.0, 0.0, id=f"{n}-dense") for n in (BATCH + 1, 5 * BATCH + 37)),
+        *(pytest.param(n, 2.0, 0.05, id=f"{n}-floor") for n in (BATCH + 1, 5 * BATCH + 37)),
+    ])
+    def test_result_and_transcript_match_whole_run(self, cfg, n, flux, floor, eve, tmp_path):
+        res = simulate_bb84(replace(cfg, seed=10), n_frames=n, flux=flux, eve=eve,
+                            phase_floor=floor)
         bits, alice_x, bob_x, bob = _per_frame(res, tmp_path)
         rows = (tmp_path / "transcript.csv").read_bytes().splitlines()[1:]
         assert [int(row.split(b",", 1)[0]) for row in rows] == list(range(n))
         sifted = np.array([row.endswith(b",1") for row in rows], dtype=bool)
         assert np.array_equal(sifted, (alice_x == bob_x) & (bob != NULL_BIT))
-        assert (np.count_nonzero(bob != NULL_BIT), np.count_nonzero(sifted)) == (
-            res.n_detected, res.n_sifted)
-        np.testing.assert_array_equal(bits[sifted], res.key_a)
-        np.testing.assert_array_equal(bob[sifted], res.key_b)
+        assert (np.count_nonzero(bob != NULL_BIT), np.count_nonzero(sifted),
+                np.count_nonzero(bits[sifted] != bob[sifted])) == _counts(res)
         qber = np.mean(bits[sifted] != bob[sifted]) if sifted.any() else math.nan
         assert res.qber == qber or (math.isnan(res.qber) and math.isnan(qber))
         for span in res.spans():
@@ -342,26 +369,20 @@ class TestStreamSplit:
             np.testing.assert_array_equal(alice_x[span.frames], words >> 1 & 1)
             np.testing.assert_array_equal(bob_x[span.frames], words >> 2 & 1)
             np.testing.assert_array_equal(bob[span.frames[span.conclusive]], span.bob_bits)
+        assert _span_counts(res.spans(), state_table(eve)) == _counts(res)
 
     @pytest.mark.parametrize("eve", [False, True])
     @pytest.mark.parametrize("n", [1, 64, BATCH + 1, 5 * BATCH + 37])
     def test_spans_give_the_same_state(self, cfg, n, eve):
         # the transcript draws the exchange's spans again: each time the
-        # same, and they hold the result's counts and keys
+        # same, and they hold the result's counts
         res = simulate_bb84(replace(cfg, seed=9), n_frames=n, flux=2.0, eve=eve)
         spans, again = list(res.spans()), list(res.spans())
         assert [s.start for s in spans] == [s.start for s in again]
         for span, other in zip(spans, again, strict=True):
             for got, want in zip(span, other, strict=True):
                 np.testing.assert_array_equal(got, want)
-        table = state_table(eve)
-        words = [s.state[s.conclusive] for s in spans]
-        sifted = [table.sifted[w] for w in words]
-        assert res.n_detected == sum(len(w) for w in words)
-        np.testing.assert_array_equal(
-            res.key_a, np.concatenate([table.alice_bit[w[k]] for w, k in zip(words, sifted)]))
-        np.testing.assert_array_equal(
-            res.key_b, np.concatenate([s.bob_bits[k] for s, k in zip(spans, sifted)]))
+        assert _span_counts(spans, state_table(eve)) == _counts(res)
 
     def test_dead_time_carried_across_batches(self, cfg, monkeypatch):
         # a runner detector gated `always` on the Poisson path, one batch a
@@ -441,7 +462,7 @@ class TestAlicePrepare:
         assert abs(bits.mean() - 0.5) < 0.0015
         # at unit visibility every sifted bit decodes to Alice's bit
         assert res.n_sifted > 10_000
-        assert np.array_equal(res.key_a, res.key_b)
+        assert res.qber == 0.0
 
 
 class TestBobMeasure:
@@ -591,12 +612,9 @@ class TestSimulateBb84:
             n = 2 * (1 << 21)
             for seed in (46, 47):
                 for span in _spans(cfg, 1 << 21, flux, eve, seed, v, floor):
-                    words = span.state[span.conclusive]
-                    cls = table.cls[words]
+                    cls = table.cls[span.conclusive_state]
                     conclusive += np.bincount(cls, minlength=len(PHASE_TABLE))
-                    # Bob's bit is 0 on port P in X and on port P' in Z
-                    on_p += np.bincount(cls, span.bob_bits != table.bob_x[words],
-                                        minlength=len(PHASE_TABLE))
+                    on_p += np.bincount(cls, span.lit_p, minlength=len(PHASE_TABLE))
             case = (flux, eve)
             p = q / len(PHASE_TABLE)
             mean, var = n * p, n * p * (1 - p)
@@ -625,7 +643,7 @@ class TestSimulateBb84:
         res = simulate_bb84(cfg, 0, 2.0, eve=True)
         assert (res.n_frames, res.n_detected, res.n_sifted) == (0, 0, 0)
         assert math.isnan(res.qber)
-        assert len(res.key_a) == len(res.key_b) == 0 and list(res.spans()) == []
+        assert list(res.spans()) == []
         write_transcript(tmp_path / "t.csv", res)
         assert (tmp_path / "t.csv").read_bytes() == TRANSCRIPT_HEADER
 
