@@ -30,8 +30,8 @@ DELTA_T1 = "dt1"
 DELTA_T2 = "dt2"
 
 # frames per batch: a detector's spans are whole batches, and the last
-# element of every stream key is its span's first batch; a multiple of 64,
-# so a batch's BB84 coins and bits fill whole raw words
+# element of every detector's stream key is its span's first batch; a BB84
+# exchange draws one tally a batch
 BATCH = 1 << 16
 
 # quasi-degenerate mode groups of the few-mode fiber
@@ -157,7 +157,7 @@ class SimConfig:
 
 # Stable role identifiers; part of the stream key, never reordered.
 ROLE_PHOTONS = 1
-ROLE_TRANSCRIPT = 3  # a BB84 transcript's frames that hold no photon candidate
+ROLE_TRANSCRIPT = 3  # the order of a BB84 transcript's frames in each batch
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,8 @@ class RandomSource:
     ``(role, signal_index, batch_index)``.  A stream is numpy's
     ``SeedSequence(entropy=seed, spawn_key=stream_id)`` keying a Philox.
     Opening one takes ~27 us (best of nine timings on one Xeon core), and a
-    canned run opens 4 to 48: a BB84 exchange opens one a span of four
-    batches, five at its 1.2 M frames, and its transcript one more.
+    canned run opens 1 to 48: a BB84 exchange opens one, and its
+    transcript one more.
     """
 
     seed: int

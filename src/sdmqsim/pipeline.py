@@ -33,22 +33,20 @@ jitter kernels (``_first_click_law``).
 
 The BB84 exchange reads only each frame's outcome.  With Bob's dead time
 nested in the blank half (any other is rejected), that outcome depends
-on the frame's class alone.  The class table reads each port's
-placements' mass before and inside the interior window (``before``), with
-no per-ps law.  The exchange draws the frames that hold a photon candidate
-at the table's top rate, a state word at each of those frames alone, and
-from the table which are conclusive and which port lit
-(``_exchange_spans``), one span at a time.  Each span is read once: its
-conclusive frames are tallied by state word and lit port, and only that
-32 x 2 tally outlives it; the counts and the sifted error rate are read
-from it (``simulate_bb84``).
+on the frame's class alone, so frames are i.i.d. given their state.  The
+class table reads each port's placements' mass before and inside the
+interior window (``before``), with no per-ps law.  Summed over Eve's
+bits, which no output reads, it gives the law of 24 cells, a visible
+word by outcome, and a batch's tally over them is exactly multinomial:
+one call draws every batch's, and the counts and the sifted error rate
+are read from their sum (``simulate_bb84``), O(batches), with no
+per-frame or per-photon array.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache, partial
-from typing import Iterator
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,15 +63,7 @@ from .config import (
     SimConfig,
 )
 from .encoder import floor_fraction
-from .protocol import (
-    N_STATES,
-    PHASE_TABLE,
-    Bb84Result,
-    ExchangeSpan,
-    KeyRateParams,
-    key_rate,
-    state_table,
-)
+from .protocol import PHASE_TABLE, Bb84Result, KeyRateParams, cell_law, key_rate
 from .receiver import (
     Histogram,
     dead_time_mask,
@@ -98,9 +88,6 @@ FIRST_CLICK_DENSITY = 0.25
 # batches that expect at most this many, at least one, and 2^16 batches
 # for a detector that expects under a click a batch
 SPAN_CLICKS = 1 << 16
-# most batches in a BB84 exchange span: longer spans draw in fewer calls
-# but hold more candidates at once, and raise the peak
-EXCHANGE_SPAN_BATCHES = 4
 
 
 def build_channel(scenario: Scenario) -> ChannelModel:
@@ -870,54 +857,22 @@ def _port_usable(cfg, law) -> list:
     return usable
 
 
-def _exchange_spans(seed: int, n_frames: int, rate, conclusive,
-                    lights_p) -> Iterator[ExchangeSpan]:
-    """Draw a BB84 exchange one span at a time, given per state word its
-    rate of kept candidates, its chance ``conclusive = 1 - e^{-rate}`` and
-    the chance ``lights_p`` that it lights port P.
-
-    A span is ``_span`` at the top rate, at most ``EXCHANGE_SPAN_BATCHES``
-    batches, and draws from stream ``(ROLE_PHOTONS, first batch)``: the
-    candidate frames at the top rate (``_poisson_frames``), one raw 64-bit
-    word a distinct candidate frame, whose five low bits are its state
-    (``protocol.state_table``), one uniform a candidate, kept below the
-    state's rate (thinning, Lewis & Shedler, Naval Res. Logist. Q. 26,
-    1979), and one uniform a conclusive frame, one with a kept candidate,
-    for the port.  Candidates are drawn independently of the state, so a
-    frame of any state keeps a Poisson(rate) number of them.
-    """
-    r_max = rate.max()
-    span = min(EXCHANGE_SPAN_BATCHES * BATCH, _span(r_max))  # one batch for dense ports
-    for start in range(0, n_frames, span):
-        stop = min(start + span, n_frames)
-        gen = RandomSource(seed).stream(ROLE_PHOTONS, start // BATCH).generator()
-        candidates = _poisson_frames(gen, r_max, stop - start)
-        first = np.flatnonzero(np.diff(candidates, prepend=-1))  # each frame's first candidate
-        state = gen.bit_generator.random_raw(len(first)).view(np.int64) & (N_STATES - 1)
-        # a frame keeps a candidate where u r_max < rate: where its least u does
-        u = np.minimum.reduceat(gen.random(len(candidates)), first)
-        kept = u * r_max < rate[state]
-        s = state[kept]
-        lit_p = gen.random(len(s)) * conclusive[s] < lights_p[s]
-        yield ExchangeSpan(start, stop, candidates, first, state, kept, s, lit_p)
-
-
 def simulate_bb84(cfg: SimConfig, n_frames: int, flux: float,
                   visibility_cap: float = 0.93, eve: bool = False,
                   phase_floor: float = 0.0) -> Bb84Result:
-    """Run a full BB84 exchange over phase frames, one span at a time.
+    """Run a full BB84 exchange over phase frames as per-batch tallies.
 
     ``flux`` is the received mean photons per frame at Bob's input.  Bob's
     ports, gated ``dt1`` at the rates of
     :func:`receiver.delay_interferometer_rates` over ``PHASE_TABLE``, are
     usable with ``p_P`` and ``p_P'`` a class (``_port_usable``, in closed
-    form): a frame is conclusive with ``q = p_P (1 - p_P') + p_P' (1 -
-    p_P)`` and lights P in a share ``p_P (1 - p_P') / q`` of those.  These
-    are read per state word through ``protocol.state_table``, built once a
-    run, and ``_exchange_spans`` draws the state at candidate frames only.
-    Each span's conclusive frames are tallied by state word and lit port,
-    and the counts and sifted errors read from the tally: Bob's bit, 0 on P
-    in X and on P' in Z, is wrong where P lit iff his basis is Alice's bit.
+    form): a frame lights P alone with ``p_P (1 - p_P')``, P' alone with
+    ``p_P' (1 - p_P)``, and is inconclusive otherwise.  Summed over Eve's
+    two bits, this is the law of the 24 tally cells, a visible word by
+    outcome (``protocol.cell_law``); each batch's tally over them is one
+    row of a multinomial draw from stream ``(ROLE_PHOTONS,)``, and the
+    counts and the QBER are read from their sum
+    (``Bb84Result.from_tallies``).
     """
     if not cfg.dead_time_nested:  # a port's frames would not be i.i.d.
         bound = ("at least frame_window_ps" if cfg.dead_time_ps < cfg.frame_window_ps
@@ -927,19 +882,10 @@ def simulate_bb84(cfg: SimConfig, n_frames: int, flux: float,
     law = delay_interferometer_rates(
         cfg.eta * flux, cfg.d, visibility_cap, PHASE_TABLE, "none", phase_floor)
     p, pp = _port_usable(cfg, law)
-    table = state_table(eve)
-    lights_p = (p * (1 - pp))[table.cls]
-    conclusive = lights_p + (pp * (1 - p))[table.cls]
-    spans = partial(_exchange_spans, cfg.seed, n_frames, -np.log1p(-conclusive), conclusive,
-                    lights_p)
-    tally = np.zeros(2 * N_STATES, np.int64)  # conclusive frames at 2 * state word + lit P
-    for span in spans():
-        tally += np.bincount(2 * span.conclusive_state + span.lit_p, minlength=2 * N_STATES)
-        del span  # its candidates are released before the next span is drawn
-    wrong = 2 * np.arange(N_STATES) + (table.bob_x == table.alice_bit)  # Bob's bit not Alice's
-    n_sifted = int(tally.reshape(N_STATES, 2)[table.sifted].sum())
-    qber = tally[wrong[table.sifted]].sum() / n_sifted if n_sifted else math.nan
-    return Bb84Result(n_frames, int(tally.sum()), n_sifted, float(qber), cfg.seed, spans)
+    gen = RandomSource(cfg.seed).stream(ROLE_PHOTONS).generator()
+    tallies = gen.multinomial(np.minimum(n_frames - np.arange(0, n_frames, BATCH), BATCH),
+                              cell_law(p * (1 - pp), pp * (1 - p), eve))
+    return Bb84Result.from_tallies(cfg.seed, tallies)
 
 
 def _run_bb84(scenario: Scenario, channel) -> RunResult:

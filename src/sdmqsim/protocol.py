@@ -8,18 +8,18 @@ two output ports is the measurement outcome; double or missing clicks give
 a null bit.  Clicks in the two edge positions of the train carry no phase
 information and are discarded before the bit decision.  Each frame's
 outcome is drawn by ``pipeline.simulate_bb84``; this module holds the
-per-frame state's tables, the encoding table, the finite-key bound and the
-transcript.
+state's class table, the tally cells' law and counts, the encoding table,
+the finite-key bound and the transcript.
 
 A frame's state is one word of five fair bits: Alice's bit and basis,
-Bob's basis, and Eve's basis and bit (``state_table``).  The exchange draws
-it only at the frames that hold a photon candidate, one span at a time
-(``ExchangeSpan``), and tallies its conclusive frames by state word and
-lit port; the 32-entry tables read the class, which indexes the eight
-values of phi_a + phi_b in ``PHASE_TABLE``, and from the tally the counts
-and the sifted error rate.  No per-frame array is built, and the result
-keeps no key and no record of frames: the transcript draws the spans
-again and fills the other frames from a stream of its own.
+Bob's basis, and Eve's basis and bit; a 32-entry table reads its class,
+which indexes the eight values of phi_a + phi_b in ``PHASE_TABLE``
+(``state_table``).  No output reads Eve's bits, so the exchange sums
+them out: its law has ``N_CELLS`` cells, a visible word (Alice's bit and
+basis, Bob's basis) by outcome (inconclusive, lit P' or lit P), and it
+draws each batch's tally over them.  No per-frame array is built: the
+counts and the sifted error rate are read from the summed tallies, and
+the transcript lays each batch's frames out in an order of its own.
 
 Port convention: port P carries the ``1 + V cos(phi_a + phi_b)`` lobe.  A
 matched-basis bit 0 therefore lights port P in the X basis but port P' in
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -40,9 +39,8 @@ __all__ = [
     "BASIS_X",
     "BASIS_Z",
     "KeyRateParams",
-    "StateTable",
     "state_table",
-    "ExchangeSpan",
+    "cell_law",
     "key_rate",
     "Bb84Result",
     "write_transcript",
@@ -50,75 +48,51 @@ __all__ = [
 
 BASIS_X = "X"
 BASIS_Z = "Z"
-NULL_BIT = -1  # array representation of a null outcome
 
 # Alice's phase by 2*bit + (basis is Z) (X0, Z0, X1, Z1); Bob adds 0 (X) or
 # pi/2 (Z), so 2*that + (Bob measures Z) is the frame class
 PHASES = np.array([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
 PHASE_TABLE = (PHASES[:, None] + np.array([0.0, math.pi / 2])).ravel()
-# a frame's state is a word of five fair bits (see ``state_table``)
+# a frame's state is a word of five fair bits (see ``state_table``), of
+# which the low three are visible; a tally cell is 3 * visible word +
+# outcome (inconclusive, lit P', lit P)
 N_STATES = 32
+N_WORDS = 8
+N_CELLS = 3 * N_WORDS
 
 
-class StateTable(NamedTuple):
-    """A frame's state word read through 32-entry tables: the class into
-    ``PHASE_TABLE`` of the state Bob receives, Alice's bit, Bob's basis
-    (1 -> X) and whether the two bases match (the frame sifts if
-    conclusive)."""
-
-    cls: np.ndarray
-    alice_bit: np.ndarray
-    bob_x: np.ndarray
-    sifted: np.ndarray
-
-
-def state_table(eve: bool) -> StateTable:
-    """The tables of the 32 state words: bit 0 is Alice's bit, bit 1 her
-    basis, bit 2 Bob's basis (1 -> X for each), bit 3 Eve's basis and bit 4
-    Eve's bit.  An intercept-resend Eve measures in her basis; where it
-    differs from Alice's she re-sends her own bit in it, so the sent basis
-    is hers and the sent bit hers where the bases differ.  The class is
-    ``4 * sent bit + 2 * (sent basis Z) + (Bob measures Z)``.  Without Eve,
-    bits 3 and 4 are ignored."""
+def state_table(eve: bool) -> np.ndarray:
+    """The class into ``PHASE_TABLE`` of the state Bob receives, for each of
+    the 32 state words: bit 0 is Alice's bit, bit 1 her basis, bit 2 Bob's
+    basis (1 -> X for each), bit 3 Eve's basis and bit 4 Eve's bit.  An
+    intercept-resend Eve measures in her basis; where it differs from
+    Alice's she re-sends her own bit in it, so the sent basis is hers and
+    the sent bit hers where the bases differ.  The class is ``4 * sent bit
+    + 2 * (sent basis Z) + (Bob measures Z)``.  Without Eve, bits 3 and 4
+    are ignored."""
     bit, alice_x, bob_x, eve_x, eve_bit = np.arange(N_STATES) >> np.arange(5)[:, None] & 1
     sent_bit, sent_x = bit, alice_x
     if eve:
         sent_bit, sent_x = np.where(eve_x == alice_x, bit, eve_bit), eve_x
-    cls = 4 * sent_bit + 2 * (1 - sent_x) + (1 - bob_x)
-    return StateTable(cls, bit.astype(np.int8), bob_x.astype(bool), alice_x == bob_x)
+    return 4 * sent_bit + 2 * (1 - sent_x) + (1 - bob_x)
 
 
-class ExchangeSpan(NamedTuple):
-    """Frames ``start .. stop`` of an exchange, as its draw made them: its
-    photon candidates as frames from ``start``, sorted, the index of each
-    frame's first one, the frames' state words, which frames are conclusive
-    (``kept``), their states and whether each lit port P."""
+def cell_law(lights_p: np.ndarray, lights_pp: np.ndarray, eve: bool) -> np.ndarray:
+    """A frame's law over the ``N_CELLS`` tally cells, given per class its
+    chances of lighting port P alone and port P' alone (inconclusive
+    otherwise): read per state word through ``state_table`` and summed
+    over Eve's two bits, which no output reads."""
+    outcome = np.stack([1 - lights_p - lights_pp, lights_pp, lights_p], axis=1)
+    return outcome[state_table(eve)].reshape(-1, N_WORDS, 3).sum(0).ravel() / N_STATES
 
-    start: int
-    stop: int
-    candidates: np.ndarray
-    first: np.ndarray
-    state: np.ndarray
-    kept: np.ndarray
-    conclusive_state: np.ndarray
-    lit_p: np.ndarray
 
-    # formed only where read, by the transcript
-    @property
-    def frames(self) -> np.ndarray:
-        """The frames holding a candidate, sorted and distinct."""
-        return self.start + self.candidates[self.first]
-
-    @property
-    def conclusive(self) -> np.ndarray:
-        """The conclusive frames, as indices into ``frames``."""
-        return np.flatnonzero(self.kept)
-
-    @property
-    def bob_bits(self) -> np.ndarray:
-        """Bob's bit at each conclusive frame: 0 on port P in X and on P' in
-        Z (bit 2 of the word is Bob's basis, 1 -> X)."""
-        return (self.lit_p != (self.conclusive_state >> 2 & 1)).astype(np.int8)
+def _cell_bits() -> tuple:
+    """Per tally cell, Alice's bit, her basis and Bob's (1 -> X) and Bob's
+    bit: -1 where inconclusive, else lit P xor his basis (0 on P in X and
+    on P' in Z)."""
+    word, outcome = np.divmod(np.arange(N_CELLS), 3)
+    bit, alice_x, bob_x = (word >> k & 1 for k in range(3))
+    return bit, alice_x, bob_x, np.where(outcome == 0, -1, (outcome == 2) ^ bob_x)
 
 
 @dataclass(frozen=True)
@@ -220,54 +194,58 @@ def key_rate(params: KeyRateParams) -> float:
 
 @dataclass(frozen=True)
 class Bb84Result:
-    """Counts and sifted error rate of one exchange; ``spans()`` draws its
-    spans again, as the exchange drew them, for the transcript."""
+    """Counts and sifted error rate of one exchange, and its ``tallies``:
+    a row a batch of ``BATCH`` frames, the batch's frames in each tally
+    cell (``3 * visible word + outcome``, see ``N_CELLS``)."""
 
     n_frames: int
     n_detected: int
     n_sifted: int
     qber: float
     seed: int
-    spans: Callable[[], Iterator[ExchangeSpan]]
+    tallies: np.ndarray
+
+    @classmethod
+    def from_tallies(cls, seed: int, tallies: np.ndarray) -> Bb84Result:
+        """The counts and the QBER, ``errors / n_sifted``, of the summed
+        tallies: a conclusive frame sifts where the bases match, and errs
+        where Bob's bit is not Alice's."""
+        bit, alice_x, bob_x, bob = _cell_bits()
+        total = tallies.sum(0)
+        conclusive = bob >= 0
+        sifted = conclusive & (alice_x == bob_x)
+        n_sifted = int(total[sifted].sum())
+        qber = total[sifted & (bob != bit)].sum() / n_sifted if n_sifted else math.nan
+        return cls(int(total.sum()), int(total[conclusive].sum()), n_sifted, float(qber), seed,
+                   tallies)
 
 
-def _basis_chars(basis_x: np.ndarray) -> np.ndarray:
-    return np.where(basis_x, np.uint8(ord(BASIS_X)), np.uint8(ord(BASIS_Z)))
-
-
-def _bit_chars(bits: np.ndarray) -> np.ndarray:
-    """``0``/``1`` for int8 bits, ``-`` for ``NULL_BIT``."""
-    return np.where(bits == NULL_BIT, np.uint8(ord("-")), bits.view(np.uint8) + np.uint8(48))
+def _row_ends() -> np.ndarray:
+    """Per tally cell, the bytes of a transcript row after its frame
+    number: Alice's basis and bit, Bob's basis and bit ('-' where
+    inconclusive) and the sifted flag."""
+    basis = (BASIS_Z, BASIS_X)
+    ends = "".join(
+        f",{basis[ax]},{b},{basis[bx]},{'-' if o < 0 else o},{int(o >= 0 and ax == bx)}\n"
+        for b, ax, bx, o in zip(*(column.tolist() for column in _cell_bits())))
+    return np.frombuffer(ends.encode(), np.uint8).reshape(N_CELLS, -1)
 
 
 def write_transcript(path, result: Bb84Result) -> None:
     """Dump the announced bases and detection outcomes (audit log).
 
-    One row per frame, written one batch at a time as the exchange's spans
-    are drawn again: the bit column is what Bob would announce having
-    detected ('-' for an inconclusive frame); sifted marks basis-matched
-    conclusive positions.  A frame with a photon candidate shows the state
-    the exchange drew.  Every other frame is inconclusive, and its bases
-    and Alice's bit are drawn for the transcript alone, three bits of a
-    state word a frame from stream ``(ROLE_TRANSCRIPT,)``.
+    One row per frame, written one batch at a time: the bit column is what
+    Bob would announce having detected ('-' for an inconclusive frame);
+    sifted marks basis-matched conclusive positions.  A batch's rows are
+    one permutation of its tally's cells, each repeated its count, drawn
+    from stream ``(ROLE_TRANSCRIPT,)``: given a batch's counts, its i.i.d.
+    frames are in uniform order, so each frame has the exchange's law and
+    the rows tally exactly to the result.
     """
     gen = RandomSource(result.seed).stream(ROLE_TRANSCRIPT).generator()
+    ends = _row_ends()
     with open(path, "wb") as out:
         out.write(b"frame,alice_basis,alice_bit,bob_basis,bob_bit,sifted\n")
-        for span in result.spans():
-            frames, conclusive, bob_bits = span.frames, span.conclusive, span.bob_bits
-            for b0 in range(span.start, span.stop, BATCH):
-                b1 = min(b0 + BATCH, span.stop)
-                state = gen.integers(0, 8, b1 - b0, dtype=np.uint8)
-                lo, hi = np.searchsorted(frames, (b0, b1))
-                state[frames[lo:hi] - b0] = span.state[lo:hi]
-                bob = np.full(b1 - b0, NULL_BIT, dtype=np.int8)
-                lo, hi = np.searchsorted(conclusive, (lo, hi))
-                bob[frames[conclusive[lo:hi]] - b0] = bob_bits[lo:hi]
-                bits, alice_x, bob_x = (state >> k & 1 for k in range(3))
-                sifted = (alice_x == bob_x) & (bob != NULL_BIT)
-                out.write(csv_bytes(
-                    ascii_digits(np.arange(b0, b1)), b",", _basis_chars(alice_x), b",",
-                    _bit_chars(bits.view(np.int8)), b",", _basis_chars(bob_x), b",",
-                    _bit_chars(bob), b",", _bit_chars(sifted.view(np.int8)), b"\n",
-                ))
+        for b0, tally in zip(range(0, result.n_frames, BATCH), result.tallies):
+            cells = gen.permutation(np.repeat(np.arange(N_CELLS, dtype=np.uint8), tally))
+            out.write(csv_bytes(ascii_digits(np.arange(b0, b0 + len(cells))), ends[cells]))

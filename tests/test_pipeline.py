@@ -39,7 +39,15 @@ from sdmqsim.pipeline import (
     expected_collection_rate,
     run_scenario,
 )
-from sdmqsim.protocol import N_STATES, PHASE_TABLE, KeyRateParams, key_rate, state_table
+from sdmqsim.protocol import (
+    N_CELLS,
+    N_STATES,
+    N_WORDS,
+    PHASE_TABLE,
+    KeyRateParams,
+    key_rate,
+    state_table,
+)
 from sdmqsim.receiver import delay_interferometer_rates, gate_mask
 from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario, load_scenario
 
@@ -136,43 +144,38 @@ def _poisson_cells(lam, n):
     return lo, hi, np.array(expect)
 
 
-def _exchange_span(seed, nb, rate):
-    """The one span of an ``nb``-frame exchange over the 32-entry rate table
-    ``rate``, half of each state's conclusive frames lighting port P."""
-    conclusive = -np.expm1(-rate)
-    [span] = pipeline._exchange_spans(seed, nb, rate, conclusive, conclusive / 2)
-    return span
+def _usable(rate):
+    """Per frame class, the chances that port P (``1 - e^{-rate}``) and
+    port P' (half that) are usable."""
+    p = -np.expm1(-rate)
+    return p, p / 2
 
 
-def _gathered_span(seed, nb, rate, rate_of):
-    """``_exchange_span`` drawn with every frame's state gathered into a
-    per-frame array and every candidate thinned on its own, at the rate
-    ``rate_of`` gives its word, from the table's top rate.  Returns the
-    candidate frames, their words, the conclusive ones and Bob's bits."""
-    gen = RandomSource(seed).stream(ROLE_PHOTONS, 0).generator()
-    r_max = rate.max()
-    idx = np.sort(gen.integers(0, nb, size=gen.poisson(r_max * nb)))
-    frames = np.unique(idx)
-    word = np.full(nb, -1, np.int64)
-    word[frames] = gen.bit_generator.random_raw(len(frames)) & (N_STATES - 1)
-    kept = np.zeros(nb, bool)
-    kept[idx[gen.random(len(idx)) * r_max < rate_of(word[idx])]] = True
-    hit = np.flatnonzero(kept[frames])
-    s = word[frames[hit]]
-    conclusive = -np.expm1(-rate)
-    on_p = gen.random(len(hit)) * conclusive[s] < conclusive[s] / 2
-    return frames, word[frames], hit, (on_p != state_table(False).bob_x[s]).astype(np.int8)
+def _exchange_tallies(monkeypatch, seed, nb, usable, eve):
+    """The tallies of an ``nb``-frame exchange whose ports are usable, per
+    class, with the chances ``usable`` in place of the ports' law."""
+    monkeypatch.setattr(pipeline, "_port_usable", lambda cfg, law: usable)
+    return pipeline.simulate_bb84(SimConfig(seed=seed), nb, 2.0, eve=eve).tallies
 
 
-def _assert_span_is(span, ref):
-    for got, want in zip((span.frames, span.state, span.conclusive, span.bob_bits), ref,
-                         strict=True):
-        np.testing.assert_array_equal(got, want)
+def _gathered_tallies(seed, nb, usable_of_word):
+    """The tally of ``nb <= BATCH`` frames drawn by hand from stream
+    ``(ROLE_PHOTONS,)`` over a law gathered one state word at a time:
+    ``usable_of_word(w)`` gives word ``w``'s port chances, and the word adds
+    them, a 32nd each, to the cells of its low three bits (inconclusive,
+    lit P' alone, lit P alone)."""
+    law = np.zeros(N_CELLS)
+    for word in range(N_STATES):
+        p, pp = usable_of_word(word)
+        lp, lpp = p * (1 - pp), pp * (1 - p)
+        for k, chance in enumerate((1 - lp - lpp, lpp, lp)):
+            law[3 * (word % N_WORDS) + k] += chance / N_STATES
+    return RandomSource(seed).stream(ROLE_PHOTONS).generator().multinomial(nb, law)[None]
 
 
 class TestSparseSampler:
     """``_poisson_frames`` has the law of one Poisson draw per frame, and the
-    exchange thins its candidates to each frame's rate."""
+    exchange draws its tally over each frame class's port chances."""
 
     @pytest.mark.parametrize(
         "lam,nb", [(0.002, 1 << 20), (0.5, 1 << 16), (17.0, 1 << 16)]
@@ -190,44 +193,30 @@ class TestSparseSampler:
         sigma = np.sqrt(expect * (1.0 - expect / nb))
         assert np.all(np.abs(observed - expect) <= 5 * sigma), (observed, expect)
 
-    def test_per_frame_rates_thinned_to_each_frames_mean(self):
-        # states of each rate level are conclusive with that level's chance
-        # 1 - e^{-rate} of a kept candidate, and rate 0 never: every state
-        # is a 32nd of all frames
-        levels = np.array([0.0, 0.05, 0.5, 4.0])
-        rate = levels[np.arange(N_STATES) % len(levels)]
-        n = 1 << 20
-        conclusive = -np.expm1(-rate)
-        counts = np.zeros(N_STATES, np.int64)
-        for span in pipeline._exchange_spans(5, n, rate, conclusive, conclusive / 2):
-            assert np.all(np.diff(span.frames) > 0)
-            assert span.start <= span.frames[0] and span.frames[-1] < span.stop
-            counts += np.bincount(span.state[span.conclusive], minlength=N_STATES)
-        assert counts[rate == 0].sum() == 0
-        p = conclusive / N_STATES
-        sigma = np.sqrt(n * p * (1 - p))
-        assert np.all(np.abs(counts - n * p) <= 5 * sigma), (counts, n * p)
-
     @pytest.mark.parametrize("table", [
         np.array([0.3, 2.0, 0.7, 2.0]),  # a tie at the top rate
         np.array([2.0, 2.0, 2.0, 2.0]),
         np.array([0.0, 0.05, 0.5, 4.0]),
-        np.array([0.0, 0.0, 0.0, 0.0]),
+        np.array([0.0, 0.0, 0.0, 0.0]),  # every frame inconclusive
     ])
     @pytest.mark.parametrize("nb", [*range(1, 11), BATCH])
-    def test_rate_table_lookup_matches_full_gather(self, table, nb):
-        # the exchange looks a rate up once a candidate frame, at its least
-        # uniform; the reference gathers a rate a candidate and keeps a frame
-        # where any is kept, draw for draw
+    def test_rate_table_lookup_matches_full_gather(self, monkeypatch, table, nb):
+        # the exchange looks its port chances up once a class; the
+        # reference gathers them a state word through ``state_table`` and
+        # draws the tally by hand, draw for draw, with and without Eve
         top = np.flatnonzero(table == table.max())
-        states = np.arange(N_STATES) % len(table)
+        classes = np.arange(len(PHASE_TABLE)) % len(table)
         # every rate, the top rate missing, and one rate alone
-        for cls in (states, np.where(np.isin(states, top), (top[-1] + 1) % len(table), states),
-                    np.full(N_STATES, 2)):
-            rate = table[cls]
-            for seed in range(3):
-                _assert_span_is(_exchange_span(seed, nb, rate),
-                                _gathered_span(seed, nb, rate, lambda w: rate[w]))
+        for cls in (classes,
+                    np.where(np.isin(classes, top), (top[-1] + 1) % len(table), classes),
+                    np.full(len(PHASE_TABLE), 2)):
+            p, pp = _usable(table[cls])
+            for eve in (False, True):
+                word_cls = state_table(eve)
+                for seed in range(3):
+                    np.testing.assert_array_equal(
+                        _exchange_tallies(monkeypatch, seed, nb, (p, pp), eve),
+                        _gathered_tallies(seed, nb, lambda w: (p[word_cls[w]], pp[word_cls[w]])))
 
     @pytest.mark.parametrize("eve", [0, 1])
     @pytest.mark.parametrize("table", [
@@ -235,21 +224,23 @@ class TestSparseSampler:
         np.array([0.0, 0.05, 0.5, 4.0]),
     ])
     @pytest.mark.parametrize("nb", [1, 7, 63, 64, 65, BATCH])
-    def test_planes_draw_as_their_class_array(self, table, nb, eve):
-        # a state word packs its frame's class: a rate table read through
-        # ``state_table`` draws as the class of each candidate's bits, worked
-        # out by hand (Eve's bits ignored without her) and looked up by class
-        rates = np.concatenate([table, table[::-1]])
+    def test_planes_draw_as_their_class_array(self, monkeypatch, table, nb, eve):
+        # a state word packs its frame's class: port chances read per class
+        # draw as those of each word's class, worked out by hand from its
+        # bits (Eve's bits ignored without her), and looked up by class
+        p, pp = _usable(np.concatenate([table, table[::-1]]))
 
         def by_class(word):
             bit, alice_x, bob_x, eve_x, eve_bit = (word >> k & 1 for k in range(5))
-            if eve:
-                bit, alice_x = np.where(eve_x == alice_x, bit, eve_bit), eve_x
-            return rates[4 * bit + 2 * (1 - alice_x) + (1 - bob_x)]
+            if eve and eve_x != alice_x:  # Eve re-sends her own bit in her basis
+                bit, alice_x = eve_bit, eve_x
+            cls = 4 * bit + 2 * (1 - alice_x) + (1 - bob_x)
+            return p[cls], pp[cls]
 
-        rate = rates[state_table(bool(eve)).cls]
         for seed in range(3):
-            _assert_span_is(_exchange_span(seed, nb, rate), _gathered_span(seed, nb, rate, by_class))
+            np.testing.assert_array_equal(
+                _exchange_tallies(monkeypatch, seed, nb, (p, pp), bool(eve)),
+                _gathered_tallies(seed, nb, by_class))
 
     def test_zero_rate_draws_nothing(self):
         gen = RandomSource(5).generator()
@@ -989,17 +980,15 @@ class TestPoissonSpans:
 
 
 class TestExchangeSpans:
-    """The BB84 exchange draws Bob's outcomes from the ports' class table,
-    one stream a span of at most four batches."""
+    """The BB84 exchange draws every batch's tally from one stream."""
 
     def test_bb84_eve_opens_few_streams(self, monkeypatch):
-        # one stream a span of four batches: 19 at 4.8 M frames, where the
-        # exchange's five state streams besides made 24, one a port a span
-        # 43 and one a port a batch 153
+        # one multinomial draws every batch's tally: one stream, whatever
+        # the frame count
         opened = _opened_streams(monkeypatch)
         run_scenario(load_scenario(SCENARIOS / "bb84_eve.ini").with_overrides(
             n_frames=4_800_000))
-        assert len(opened) <= 19
+        assert opened == [(ROLE_PHOTONS,)]
 
 
 class TestBb84KeyRate:

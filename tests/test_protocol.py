@@ -1,7 +1,7 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,19 +25,22 @@ from sdmqsim.pipeline import (
 from sdmqsim.protocol import (
     BASIS_X,
     BASIS_Z,
-    Bb84Result,
-    ExchangeSpan,
     KeyRateParams,
+    N_CELLS,
     N_STATES,
-    NULL_BIT,
+    N_WORDS,
     PHASE_TABLE,
     PHASES,
+    cell_law,
     key_rate,
     state_table,
     write_transcript,
 )
 from sdmqsim.receiver import delay_interferometer_rates
 from sdmqsim.scenarios import load_scenario
+
+
+NULL_BIT = -1  # Bob's bit in an inconclusive frame, as the tests decode it
 
 
 @pytest.fixture(scope="module")
@@ -107,13 +110,14 @@ class TestInt8Exchange:
 
 
 class TestStateTable:
-    """The 32 state words' tables against a brute-force build from
-    ``PHASES``, ``PHASE_TABLE`` and the intercept-resend rule."""
+    """The 32 state words' classes and the 24 tally cells' law against a
+    brute-force build from ``PHASES``, ``PHASE_TABLE`` and the
+    intercept-resend rule."""
 
     @pytest.mark.parametrize("eve", [False, True])
     def test_matches_brute_force(self, eve):
         table = state_table(eve)
-        assert [len(t) for t in table] == [N_STATES] * 4
+        assert len(table) == N_STATES
         for word in range(N_STATES):
             bit, alice_x, bob_x, eve_x, eve_bit = (word >> k & 1 for k in range(5))
             sent = PHASES[2 * bit + (not alice_x)]
@@ -123,165 +127,134 @@ class TestStateTable:
             phase = sent + (0.0 if bob_x else math.pi / 2)
             cls = [c for c in range(len(PHASE_TABLE))
                    if c % 2 == (not bob_x) and math.isclose(PHASE_TABLE[c], phase)]
-            assert cls == [table.cls[word]], word
-            assert table.alice_bit[word] == bit and table.bob_x[word] == bob_x
-            # a conclusive frame sifts where Alice's and Bob's bases match
-            assert table.sifted[word] == (alice_x == bob_x)
-        assert table.alice_bit.dtype == np.int8 and table.sifted.sum() == N_STATES // 2
+            assert cls == [table[word]], word
         # each class holds four words, so every class is an eighth of frames
-        assert (np.bincount(table.cls, minlength=len(PHASE_TABLE)) == N_STATES // 8).all()
+        assert (np.bincount(table, minlength=len(PHASE_TABLE)) == N_STATES // 8).all()
+
+    @pytest.mark.parametrize("eve", [False, True])
+    def test_cell_law_matches_brute_force(self, eve):
+        # each state word adds its class's chances, a 32nd each, into the
+        # cells of its low three bits: inconclusive, lit P' alone, lit P alone
+        gen = np.random.default_rng(7)
+        lights_p, lights_pp = gen.uniform(0, 0.5, (2, len(PHASE_TABLE)))
+        law = np.zeros(N_CELLS)
+        for word, c in enumerate(state_table(eve)):
+            outcome = (1 - lights_p[c] - lights_pp[c], lights_pp[c], lights_p[c])
+            for k, chance in enumerate(outcome):
+                law[3 * (word % N_WORDS) + k] += chance / N_STATES
+        np.testing.assert_allclose(cell_law(lights_p, lights_pp, eve), law, rtol=1e-14)
+        assert math.isclose(law.sum(), 1.0)
 
 
-def _spans(cfg, n, flux, eve, seed, v=0.93, floor=0.0):
-    return list(simulate_bb84(replace(cfg, seed=seed), n_frames=n, flux=flux,
-                              visibility_cap=v, eve=eve, phase_floor=floor).spans())
+def _exchange(monkeypatch, cfg, seed, n, usable, eve):
+    """An ``n``-frame exchange whose ports are usable, per class, with the
+    chances ``usable`` (P, then P') in place of the ports' law."""
+    monkeypatch.setattr(pipeline, "_port_usable", lambda cfg, law: usable)
+    return simulate_bb84(replace(cfg, seed=seed), n, 2.0, eve=eve)
 
 
-class TestExchangeDraws:
-    """The exchange draws a state word at each frame holding a photon
-    candidate, one span at a time."""
-
-    @pytest.mark.parametrize("flux,batches", [(0.5, pipeline.EXCHANGE_SPAN_BATCHES), (50.0, 1)])
-    def test_spans_tile_the_run(self, cfg, flux, batches):
-        n = 5 * BATCH + 37
-        spans = _spans(cfg, n, flux, False, 2002)
-        assert [(s.start, s.stop) for s in spans] == [
-            (b0, min(b0 + batches * BATCH, n)) for b0 in range(0, n, batches * BATCH)]
-        for s in spans:
-            assert (np.diff(s.frames) > 0).all() and s.start <= s.frames[0] <= s.frames[-1] < s.stop
-            assert len(s.state) == len(s.frames) and (np.diff(s.conclusive) > 0).all()
-            assert len(s.bob_bits) == len(s.conclusive) and np.isin(s.bob_bits, (0, 1)).all()
-            assert len(s.kept) == len(s.state) and len(s.lit_p) == len(s.conclusive_state)
-
-    def test_frames_are_the_distinct_candidates(self, cfg):
-        for s in _spans(cfg, 5 * BATCH + 37, 0.5, False, 2003):
-            np.testing.assert_array_equal(s.frames, s.start + s.candidates[s.first])
-            np.testing.assert_array_equal(s.frames, s.start + np.unique(s.candidates))
-            np.testing.assert_array_equal(s.conclusive_state, s.state[s.conclusive])
-
-    def test_exchange_forms_no_frames(self, cfg, monkeypatch, tmp_path):
-        # the counts read the tally of the conclusive states and lit ports
-        # the draw gathered: only the transcript forms a span's frames,
-        # conclusive frames and Bob's bits, each once a span
-        formed = {name: [] for name in ("frames", "conclusive", "bob_bits")}
-        for name, log in formed.items():
-            monkeypatch.setattr(ExchangeSpan, name, property(
-                lambda span, log=log, get=getattr(ExchangeSpan, name).fget:
-                    log.append(span.start) or get(span)))
-        res = simulate_bb84(replace(cfg, seed=2004), 5 * BATCH + 37, 0.5, eve=True)
-        assert res.n_sifted > 0 and formed == {name: [] for name in formed}
-        write_transcript(tmp_path / "t.csv", res)
-        starts = list(range(0, res.n_frames, pipeline.EXCHANGE_SPAN_BATCHES * BATCH))
-        assert formed == {name: starts for name in formed}
+def _law_by_hand(usable, eve):
+    """The cell law of ports usable per class with the chances ``usable``,
+    summed word by word: each of the 32 state words adds its class's
+    chances, a 32nd each, to the cells of its low three bits (inconclusive,
+    lit P' alone, lit P alone), the class worked out from its bits."""
+    p, pp = usable
+    law = np.zeros(N_CELLS)
+    for word in range(N_STATES):
+        bit, alice_x, bob_x, eve_x, eve_bit = (word >> k & 1 for k in range(5))
+        if eve and eve_x != alice_x:  # Eve re-sends her own bit in her basis
+            bit, alice_x = eve_bit, eve_x
+        c = 4 * bit + 2 * (1 - alice_x) + (1 - bob_x)
+        lp, lpp = p[c] * (1 - pp[c]), pp[c] * (1 - p[c])
+        for k, chance in enumerate((1 - lp - lpp, lpp, lp)):
+            law[3 * (word % N_WORDS) + k] += chance / N_STATES
+    return law
 
 
-class TestDrawBalance:
-    """The state words of an exchange are fair and independent."""
-
-    @pytest.mark.parametrize("seed", range(2001, 2006))
-    def test_joint_table_and_bit_positions(self, cfg, seed):
-        # at flux 50 most frames hold a candidate: over 10^6 words, each of
-        # the 32 (Alice's bit and basis, Bob's basis, Eve's basis and bit)
-        # within 5 sigma of its share, and each of the five bits set in half
-        words = np.concatenate([span.state for span in _spans(cfg, 1 << 21, 50.0, True, seed)])
-        n, p = len(words), 1 / N_STATES
-        assert n > 10**6
-        counts = np.bincount(words, minlength=N_STATES)
-        assert len(counts) == N_STATES
-        assert np.all(np.abs(counts - n * p) <= 5 * math.sqrt(n * p * (1 - p))), counts
-        ones = np.array([np.count_nonzero(words >> k & 1) for k in range(5)])
-        assert np.all(np.abs(ones - n / 2) <= 5 * math.sqrt(n / 4)), ones
+def _tallies_by_hand(seed, n, law):
+    """Every batch's tally of an ``n``-frame exchange over ``law``, drawn by
+    hand one batch at a time, each a multinomial call on stream
+    ``(ROLE_PHOTONS,)``."""
+    gen = RandomSource(seed).stream(ROLE_PHOTONS).generator()
+    return np.array([gen.multinomial(min(BATCH, n - b0), law)
+                     for b0 in range(0, n, BATCH)]).reshape(-1, N_CELLS)
 
 
-def _exchange(seed, n, rate):
-    """An ``n``-frame exchange over the 32-entry table ``rate`` of kept
-    candidates a frame by state word, half of each state's conclusive frames
-    lighting port P: a result for its spans and its transcript."""
-    conclusive = -np.expm1(-rate)
-    spans = partial(pipeline._exchange_spans, seed, n, rate, conclusive, conclusive / 2)
-    return Bb84Result(n, 0, 0, math.nan, seed, spans)
+def _frames_by_hand(seed, tallies):
+    """Per frame, the visible word and Bob's bit (``NULL_BIT`` where
+    inconclusive) of the batches' cells, each batch one permutation of its
+    tally's, drawn by hand from stream ``(ROLE_TRANSCRIPT,)``."""
+    gen = RandomSource(seed).stream(ROLE_TRANSCRIPT).generator()
+    cells = np.concatenate([gen.permutation(np.repeat(np.arange(N_CELLS), tally))
+                            for tally in tallies])
+    word, outcome = np.divmod(cells, 3)
+    return word, np.where(outcome == 0, NULL_BIT, (outcome == 2) != (word >> 2 & 1))
 
 
-def _drawn_by_hand(seed, n, rate):
-    """Per frame of ``_exchange``, drawn by hand one span at a time, each
-    from stream ``(ROLE_PHOTONS, first batch)``: its state word (-1 without
-    a candidate) and Bob's bit (``NULL_BIT`` where inconclusive).  The words
-    are laid out a frame and every candidate is thinned on its own."""
-    conclusive = -np.expm1(-rate)
-    r_max = rate.max()
-    span = min(pipeline.EXCHANGE_SPAN_BATCHES * BATCH, pipeline._span(r_max))
-    word = np.full(n, -1, np.int64)
-    bob = np.full(n, NULL_BIT, np.int8)
-    for start in range(0, n, span):
-        nb = min(span, n - start)
-        gen = RandomSource(seed).stream(ROLE_PHOTONS, start // BATCH).generator()
-        idx = start + np.sort(gen.integers(0, nb, size=gen.poisson(r_max * nb)))
-        frames = np.unique(idx)
-        word[frames] = gen.bit_generator.random_raw(len(frames)) & (N_STATES - 1)
-        kept = np.unique(idx[gen.random(len(idx)) * r_max < rate[word[idx]]])
-        s = word[kept]
-        on_p = gen.random(len(kept)) * conclusive[s] < conclusive[s] / 2
-        bob[kept] = on_p != (s >> 2 & 1)  # bit 2 is Bob's basis, 1 -> X
-    return word, bob
-
-
-def _per_frame_words(res):
-    """``_drawn_by_hand``'s per-frame words and Bob's bits from the spans
-    of ``res``."""
-    word = np.full(res.n_frames, -1, np.int64)
-    bob = np.full(res.n_frames, NULL_BIT, np.int8)
-    for span in res.spans():
-        word[span.frames] = span.state
-        bob[span.frames[span.conclusive]] = span.bob_bits
-    return word, bob
-
-
-# a rate table topping at one kept candidate a frame: spans of one batch
-RATES = np.linspace(0.05, 1.0, N_STATES)
+# per class, the chances that port P and port P' are usable: each class
+# its own, so a class read wrong draws another law
+USABLE = (np.linspace(0.05, 0.9, len(PHASE_TABLE)), np.linspace(0.6, 0.02, len(PHASE_TABLE)))
 
 
 class TestRawDraws:
-    """A candidate frame's state word is the low five bits of one of numpy's
-    raw Philox words, drawn after the candidates; the transcript's other
-    frames take their coins and bits from numpy's draws of stream
-    ``(ROLE_TRANSCRIPT,)``, three bits a frame, one batch at a time."""
+    """An exchange's tallies are numpy's multinomial draws of stream
+    ``(ROLE_PHOTONS,)`` over the cell law; the transcript's frames take
+    their coins and bits from numpy's permutation of each batch's cells,
+    drawn from stream ``(ROLE_TRANSCRIPT,)``, one batch at a time."""
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, BATCH - 1, BATCH, BATCH + 1])
     @pytest.mark.parametrize("seed", range(5))
-    def test_coins_and_bits_match_numpy(self, seed, n, tmp_path):
-        res = _exchange(seed, n, RATES)
-        word, bob = _drawn_by_hand(seed, n, RATES)
-        got_word, got_bob = _per_frame_words(res)
-        np.testing.assert_array_equal(got_word, word)
-        np.testing.assert_array_equal(got_bob, bob)
-        gen = RandomSource(seed).stream(ROLE_TRANSCRIPT).generator()
-        other = np.concatenate([gen.integers(0, 8, min(BATCH, n - b0), dtype=np.uint8)
-                                for b0 in range(0, n, BATCH)])
-        state = np.where(word < 0, other, word)
+    def test_coins_and_bits_match_numpy(self, cfg, seed, n, monkeypatch, tmp_path):
+        res = _exchange(monkeypatch, cfg, seed, n, USABLE, eve=True)
+        law = _law_by_hand(USABLE, eve=True)
+        np.testing.assert_allclose(cell_law(USABLE[0] * (1 - USABLE[1]),
+                                            USABLE[1] * (1 - USABLE[0]), True), law, rtol=1e-14)
+        tallies = _tallies_by_hand(seed, n, law)
+        np.testing.assert_array_equal(res.tallies, tallies)
+        word, bob = _frames_by_hand(seed, tallies)
         bits, alice_x, bob_x, bob_bits = _per_frame(res, tmp_path)
         for k, column in enumerate((bits, alice_x, bob_x)):
-            np.testing.assert_array_equal(column, state >> k & 1)
+            np.testing.assert_array_equal(column, word >> k & 1)
         np.testing.assert_array_equal(bob_bits, bob)
+
+
+class TestDrawBalance:
+    """The visible words of an exchange are fair and independent."""
+
+    @pytest.mark.parametrize("seed", range(2001, 2006))
+    def test_joint_table_and_bit_positions(self, cfg, seed):
+        # at flux 50 with Eve, over 2^21 frames: each of the 8 visible words
+        # (Alice's bit and basis, Bob's basis) within 5 sigma of an eighth
+        # of the frames, and each of their three bits set in half
+        res = simulate_bb84(replace(cfg, seed=seed), 1 << 21, 50.0, eve=True)
+        words = res.tallies.sum(0).reshape(N_WORDS, 3).sum(1)
+        n, p = res.n_frames, 1 / N_WORDS
+        assert n == 1 << 21
+        assert np.all(np.abs(words - n * p) <= 5 * math.sqrt(n * p * (1 - p))), words
+        ones = np.array([words[np.arange(N_WORDS) >> k & 1 == 1].sum() for k in range(3)])
+        assert np.all(np.abs(ones - n / 2) <= 5 * math.sqrt(n / 4)), ones
 
 
 class TestPlanes:
     """The transcript's per-frame planes, Alice's bit and basis, Bob's basis
     and bit and the sifted flag, written one batch at a time, against the
-    whole run's laid out at once."""
+    whole run's laid out at once from the tallies."""
 
     @pytest.mark.parametrize("eve", [False, True])
     @pytest.mark.parametrize("n", [1, 63, 64, 65, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 37])
     def test_batches_match_whole_run(self, cfg, n, eve, tmp_path):
         res = simulate_bb84(replace(cfg, seed=9), n_frames=n, flux=2.0, eve=eve)
-        # the other frames' words drawn at once, then the candidates' words
+        # every batch's cells, one permutation of its tally's, then decoded
+        # at once: a cell is 3 * (bit + 2 alice_x + 4 bob_x) + outcome, the
+        # outcome inconclusive, lit P' or lit P, and Bob's bit 0 on P in X
+        # and on P' in Z
         gen = RandomSource(9).stream(ROLE_TRANSCRIPT).generator()
-        state = gen.integers(0, 8, n, dtype=np.uint8).astype(np.int64)
-        bob = np.full(n, NULL_BIT, dtype=np.int8)
-        for span in res.spans():
-            state[span.frames] = span.state
-            bob[span.frames[span.conclusive]] = span.bob_bits
-        bits, alice_x, bob_x = (state >> k & 1 for k in range(3))
-        sifted = (alice_x == bob_x) & (bob != NULL_BIT)
+        cells = np.concatenate([gen.permutation(np.repeat(np.arange(N_CELLS), tally))
+                                for tally in res.tallies])
+        word, outcome = np.divmod(cells, 3)
+        bits, alice_x, bob_x = (word >> k & 1 for k in range(3))
+        bob = np.where(outcome == 0, NULL_BIT, (outcome == 2) != bob_x)
+        sifted = (alice_x == bob_x) & (outcome > 0)
         basis = {1: BASIS_X, 0: BASIS_Z}
         lines = ["frame,alice_basis,alice_bit,bob_basis,bob_bit,sifted"]
         lines += [
@@ -300,50 +273,42 @@ def _counts(res):
     return res.n_detected, res.n_sifted, errors
 
 
-def _span_counts(spans, table):
-    """``_counts`` recounted from the spans: their conclusive states and
-    Bob's bits, read through ``table``."""
-    detected = sifted = errors = 0
-    for span in spans:
-        words = span.state[span.conclusive]
-        keep = table.sifted[words]
-        detected, sifted = detected + len(words), sifted + np.count_nonzero(keep)
-        errors += np.count_nonzero(table.alice_bit[words[keep]] != span.bob_bits[keep])
-    return detected, sifted, errors
-
-
 class TestStreamSplit:
-    """The exchange drawn one span at a time, each span from a stream of its
-    own, against the whole run, and a runner detector drawn one span at a
-    time with the dead time carried across."""
+    """The exchange's tallies, one a batch, against the transcript's rows,
+    and a runner detector drawn one span at a time with the dead time
+    carried across."""
 
     @pytest.mark.parametrize("eve", [False, True])
     @pytest.mark.parametrize("n", [1, 7, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 5])
-    def test_per_frame_state_matches_whole_run(self, n, eve):
-        # the run's words and Bob's bits as drawn by hand span by span, and
-        # each word's class that of the state Bob receives: Alice's, or
-        # Eve's where her basis differs
-        table = state_table(eve)
-        rate = RATES[::4][table.cls]
-        res = _exchange(9, n, rate)
-        assert [s.start for s in res.spans()] == list(range(0, n, BATCH))
-        word, bob = _per_frame_words(res)
-        ref_word, ref_bob = _drawn_by_hand(9, n, rate)
-        np.testing.assert_array_equal(word, ref_word)
+    def test_per_frame_state_matches_whole_run(self, cfg, n, eve, monkeypatch, tmp_path):
+        # the run's tallies, one multinomial call over every batch, as drawn
+        # by hand one batch at a time; its frames as laid out by hand.
+        # Each class lights the port of its sent bit alone (P on 1 in X and
+        # on 0 in Z), so every frame is conclusive and Bob's bit is that of
+        # the state he receives: Alice's without Eve, and with her wrong in
+        # a quarter of the frames, those she re-sends in the other basis
+        # with the other bit
+        cls = np.arange(len(PHASE_TABLE))
+        on_p = ((cls >> 2) != 1 - (cls & 1)).astype(float)
+        usable = (on_p, 1 - on_p)
+        res = _exchange(monkeypatch, cfg, 9, n, usable, eve)
+        tallies = _tallies_by_hand(9, n, _law_by_hand(usable, eve))
+        np.testing.assert_array_equal(res.tallies, tallies)
+        word, ref_bob = _frames_by_hand(9, tallies)
+        bits, alice_x, bob_x, bob = _per_frame(res, tmp_path)
+        np.testing.assert_array_equal(bits + 2 * alice_x + 4 * bob_x, word)
         np.testing.assert_array_equal(bob, ref_bob)
-        w = word[word >= 0]
-        bits, eve_bits = (w & 1).astype(np.int8), (w >> 4 & 1).astype(np.int8)
-        alice_x, bob_x, eve_x = ((w >> k & 1).astype(bool) for k in (1, 2, 3))
-        sent = phase_index(alice_x, bits)
-        if eve:
-            sent = np.where(eve_x == alice_x, sent, phase_index(eve_x, eve_bits))
-        np.testing.assert_array_equal(table.cls[w], phase_index(bob_x, sent))
+        assert (bob != NULL_BIT).all() and res.n_detected == n
+        wrong = np.count_nonzero(bob != bits)
+        if not eve:
+            assert wrong == 0
+        else:
+            assert abs(wrong - n / 4) <= 5 * math.sqrt(n * 3 / 16), (wrong, n)
 
-    # the transcript replays the exchange: its rows count the detected,
-    # sifted and wrong frames the result's tally read; a frame with a
-    # candidate shows the state the exchange drew there.  Cases: the canned
-    # flux at V = 0.93 (ids: the frame count), dense ports (flux 50, spans
-    # of one batch) and a phase floor of 0.05
+    # the transcript's rows count the detected, sifted and wrong frames the
+    # result read from its tallies, and each batch's rows tally to its row.
+    # Cases: the canned flux at V = 0.93 (ids: the frame count), dense ports
+    # (flux 50) and a phase floor of 0.05
     @pytest.mark.parametrize("eve", [False, True])
     @pytest.mark.parametrize("n,flux,floor", [
         *(pytest.param(n, 2.0, 0.0, id=str(n))
@@ -363,26 +328,13 @@ class TestStreamSplit:
                 np.count_nonzero(bits[sifted] != bob[sifted])) == _counts(res)
         qber = np.mean(bits[sifted] != bob[sifted]) if sifted.any() else math.nan
         assert res.qber == qber or (math.isnan(res.qber) and math.isnan(qber))
-        for span in res.spans():
-            words = span.state
-            np.testing.assert_array_equal(bits[span.frames], words & 1)
-            np.testing.assert_array_equal(alice_x[span.frames], words >> 1 & 1)
-            np.testing.assert_array_equal(bob_x[span.frames], words >> 2 & 1)
-            np.testing.assert_array_equal(bob[span.frames[span.conclusive]], span.bob_bits)
-        assert _span_counts(res.spans(), state_table(eve)) == _counts(res)
-
-    @pytest.mark.parametrize("eve", [False, True])
-    @pytest.mark.parametrize("n", [1, 64, BATCH + 1, 5 * BATCH + 37])
-    def test_spans_give_the_same_state(self, cfg, n, eve):
-        # the transcript draws the exchange's spans again: each time the
-        # same, and they hold the result's counts
-        res = simulate_bb84(replace(cfg, seed=9), n_frames=n, flux=2.0, eve=eve)
-        spans, again = list(res.spans()), list(res.spans())
-        assert [s.start for s in spans] == [s.start for s in again]
-        for span, other in zip(spans, again, strict=True):
-            for got, want in zip(span, other, strict=True):
-                np.testing.assert_array_equal(got, want)
-        assert _span_counts(spans, state_table(eve)) == _counts(res)
+        # lit P' gives Bob's basis as his bit, lit P the other
+        outcome = np.where(bob == NULL_BIT, 0, 1 + (bob != bob_x))
+        cells = 3 * (bits + 2 * alice_x + 4 * bob_x) + outcome
+        assert len(res.tallies) == len(range(0, n, BATCH))
+        for b, tally in enumerate(res.tallies):
+            np.testing.assert_array_equal(
+                np.bincount(cells[b * BATCH:(b + 1) * BATCH], minlength=N_CELLS), tally)
 
     def test_dead_time_carried_across_batches(self, cfg, monkeypatch):
         # a runner detector gated `always` on the Poisson path, one batch a
@@ -573,6 +525,17 @@ def _port_tables(cfg, flux, v, floor):
     return q, p * (1 - pp) / q
 
 
+def _cell_law(cfg, flux, v=0.93, floor=0.0, eve=False):
+    """The exchange's law by hand, a row a visible word (Alice's bit and
+    basis, Bob's basis), columns inconclusive, lit P' and lit P: each state
+    word's chances from its class's ``_port_tables``, averaged over Eve's
+    two bits (bits 3 and 4), and each visible word an eighth of frames."""
+    q, share = _port_tables(cfg, flux, v, floor)
+    cls = state_table(eve).reshape(4, N_WORDS)  # a row a value of Eve's bits
+    q, share = q[cls], share[cls]
+    return np.stack([1 - q, q * (1 - share), q * share], axis=-1).mean(0) / N_WORDS
+
+
 class TestSimulateBb84:
     def test_no_eve_wrong_port_floor(self, cfg):
         res = simulate_bb84(
@@ -598,28 +561,27 @@ class TestSimulateBb84:
         tol = 3 * math.sqrt(0.25 * 0.75 / res.n_sifted)
         assert abs(res.qber - 0.25) < tol
 
-    # every class's frames are conclusive and light port P by the law of
-    # two independent ports, each usable where its first gated click lands
-    # on an interior position; pooled over two seeds, at the canned flux
-    # and at three where the ports are dense.  Every class is an eighth of
-    # the frames, so a class's conclusive count is binomial in all frames
+    # every visible word's frames are conclusive and light port P by the
+    # law of two independent ports, each usable where its first gated
+    # click lands on an interior position, averaged over Eve's bits;
+    # pooled over two seeds, at the canned flux and at three where the
+    # ports are dense.  Every visible word is an eighth of the frames, so
+    # its conclusive count is binomial in all frames
     @pytest.mark.parametrize("v,floor", [(0.93, 0.0), (1.0, 0.05)])
     def test_port_outcomes_per_class(self, cfg, v, floor):
         for flux, eve in itertools.product((0.148, 2.0, 7.4, 50.0), (False, True)):
-            q, share = _port_tables(cfg, flux, v, floor)
-            table = state_table(eve)
-            conclusive = on_p = 0
+            law = _cell_law(cfg, flux, v, floor, eve)
             n = 2 * (1 << 21)
-            for seed in (46, 47):
-                for span in _spans(cfg, 1 << 21, flux, eve, seed, v, floor):
-                    cls = table.cls[span.conclusive_state]
-                    conclusive += np.bincount(cls, minlength=len(PHASE_TABLE))
-                    on_p += np.bincount(cls, span.lit_p, minlength=len(PHASE_TABLE))
+            total = sum(simulate_bb84(replace(cfg, seed=seed), 1 << 21, flux, v, eve,
+                                      floor).tallies.sum(0) for seed in (46, 47))
+            total = total.reshape(N_WORDS, 3)
+            conclusive, on_p = total[:, 1:].sum(1), total[:, 2]
             case = (flux, eve)
-            p = q / len(PHASE_TABLE)
+            p = law[:, 1:].sum(1)
             mean, var = n * p, n * p * (1 - p)
             assert (np.abs(conclusive - mean) <= 5 * np.sqrt(var)).all(), (case, conclusive, mean)
             assert abs(conclusive.sum() - mean.sum()) <= 5 * math.sqrt(var.sum()), case
+            share = law[:, 2] / p
             mean, var = conclusive * share, conclusive * share * (1 - share)
             assert (np.abs(on_p - mean) <= 5 * np.sqrt(var)).all(), (case, on_p, mean)
 
@@ -643,23 +605,22 @@ class TestSimulateBb84:
         res = simulate_bb84(cfg, 0, 2.0, eve=True)
         assert (res.n_frames, res.n_detected, res.n_sifted) == (0, 0, 0)
         assert math.isnan(res.qber)
-        assert list(res.spans()) == []
+        assert res.tallies.shape == (0, N_CELLS)
         write_transcript(tmp_path / "t.csv", res)
         assert (tmp_path / "t.csv").read_bytes() == TRANSCRIPT_HEADER
 
     def test_transcript_other_frames_balanced(self, cfg, tmp_path):
-        # frames with no candidate: inconclusive, and their (Alice's bit,
-        # Alice's basis, Bob's basis) in each of 8 cells within 5 sigma
+        # inconclusive frames: their (Alice's bit, Alice's basis, Bob's
+        # basis) in each of 8 cells within 5 sigma of its share of them
         res = simulate_bb84(replace(cfg, seed=11), n_frames=1 << 20, flux=0.5, eve=True)
         bits, alice_x, bob_x, bob = _per_frame(res, tmp_path)
-        other = np.ones(res.n_frames, dtype=bool)
-        for span in res.spans():
-            other[span.frames] = False
-        assert (bob[other] == NULL_BIT).all()
-        n, p = np.count_nonzero(other), 1 / 8
+        other = bob == NULL_BIT
+        n = np.count_nonzero(other)
         assert n > 0.9 * res.n_frames
+        law = _cell_law(cfg, 0.5, eve=True)[:, 0]
+        p = law / law.sum()
         counts = np.bincount(bits[other] + 2 * alice_x[other] + 4 * bob_x[other], minlength=8)
-        assert np.all(np.abs(counts - n * p) <= 5 * math.sqrt(n * p * (1 - p))), counts
+        assert np.all(np.abs(counts - n * p) <= 5 * np.sqrt(n * p * (1 - p))), (counts, n * p)
 
     def test_eve_with_imperfect_visibility(self, cfg):
         # full oracle: 1/2 * (1-V)/2 + 1/2 * 1/2
@@ -670,6 +631,38 @@ class TestSimulateBb84:
         expect = 0.5 * (1 - v) / 2 + 0.25
         tol = 3 * math.sqrt(expect * (1 - expect) / res.n_sifted)
         assert abs(res.qber - expect) < tol
+
+
+class TestExchangeTally:
+    """The exchange draws one tally a batch over the ``N_CELLS`` cells: its
+    cost and memory go with the batches, not the frames."""
+
+    @pytest.mark.parametrize("flux", [0.5, 50.0])
+    @pytest.mark.parametrize("n", [1, BATCH - 1, BATCH, BATCH + 1, 5 * BATCH + 37])
+    def test_tallies_tile_the_run(self, cfg, n, flux):
+        res = simulate_bb84(replace(cfg, seed=2002), n, flux)
+        assert res.tallies.shape == (-(-n // BATCH), N_CELLS)
+        np.testing.assert_array_equal(res.tallies.sum(1),
+                                      [min(BATCH, n - b0) for b0 in range(0, n, BATCH)])
+        assert res.n_detected == res.tallies.reshape(-1, N_WORDS, 3)[:, :, 1:].sum()
+
+    def test_large_run_allocates_little(self, cfg):
+        # 2^31 frames: 32768 tallies of 24 cells (6.3 MB), and the counts
+        # within 5 sigma of the frames times the law
+        n, flux = 1 << 31, 2.0
+        tracemalloc.start()
+        try:
+            res = simulate_bb84(replace(cfg, seed=2005), n, flux, eve=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+        law = _cell_law(cfg, flux, eve=True)
+        total = res.tallies.sum(0).reshape(N_WORDS, 3)
+        assert (np.abs(total - n * law) <= 5 * np.sqrt(n * law * (1 - law))).all(), total
+        sifted = np.array([(w >> 1 & 1) == (w >> 2 & 1) for w in range(N_WORDS)])
+        for count, p in ((res.n_detected, law[:, 1:].sum()), (res.n_sifted, law[sifted, 1:].sum())):
+            assert abs(count - n * p) <= 5 * math.sqrt(n * p * (1 - p)), (count, n * p)
 
 
 class TestCannedBias:

@@ -271,7 +271,9 @@ class TestCliRun:
 
     def test_bb84_eve_transcript_bytes(self, tmp_path):
         # the transcript's bytes at 2000 frames, pinned when the exchange
-        # began drawing each frame's state at its photon candidates only
+        # began drawing each batch's tally over its 24 cells in one
+        # multinomial, and the transcript each batch's order in one
+        # permutation
         derived = tmp_path / "bb84_eve_t.ini"
         derived.write_text(
             (SCENARIOS / "bb84_eve.ini").read_text().replace(
@@ -281,7 +283,7 @@ class TestCliRun:
         out = tmp_path / "o"
         assert main(["run", str(derived), "--frames", "2000", "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "transcript.csv").read_bytes()).hexdigest()
-        assert digest == "021b2e2f2cf24bdf83c3b8ce61c3ecc39b76d0691ce8e220f81a760731770509"
+        assert digest == "6a21953871471247ea3b1ce27781bd48d7af29ad674a7984274f11e1da7e0efa"
 
     def test_saturated_timebin_report_bytes(self, tmp_path):
         # timebin_b at mu_in = 1000 puts 3-7 gated clicks a frame into every
