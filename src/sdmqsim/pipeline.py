@@ -24,12 +24,15 @@ raw photons and thinning at the detector.  Streams depend on the scenario
 alone, so results are reproducible from its seed.
 
 The time-bin and phase runners declare the ps edges of every window they
-read (``_cell_edges``) and get each detector back as ``Cells``: per-origin
-counts between those edges, and histogram bins where read
-(``_detector_cells``).  A dense detector's counts are one draw from stream
-``(*key, 0)``, with no per-click array (``_first_click_counts``), from a
-law summed over stretches of constant rate, one ps long only inside the
-jitter kernels (``_first_click_law``).
+read (``_cell_edges``) and get each detector back as ``Cells``: counts
+between those edges, and histogram bins where read (``_detector_cells``).
+A dense detector's counts are one draw from stream ``(*key, 0)``, with no
+per-click array (``_first_click_counts``), summed over origins: a cell's
+first-click mass telescopes to ``e^{-C(<a)} (1 - e^{-dC})`` from its mean
+gated clicks ``dC`` (``_first_click_law``), with no per-ps exponential.
+The one origin split a runner reads, timebin_B's on its late signal's
+detector, is drawn as counts only where that signal alone lands in the
+gate; elsewhere on the Poisson path, which keeps every click's origin.
 
 The BB84 exchange reads only each frame's outcome.  With Bob's dead time
 nested in the blank half (any other is rejected), that outcome depends
@@ -143,20 +146,25 @@ def expected_collection_rate(
 class Cells:
     """Accepted clicks of one detector over its run: ``before[s, i]`` of
     signal ``s`` before ``edges[i]``, the sorted distinct ps edges of the
-    windows its runner reads, and all of them in ``histogram``'s bins where
-    the runner reads those."""
+    windows its runner reads (one row summed over signals where not
+    ``by_origin``), and all of them in ``histogram``'s bins where the
+    runner reads those."""
 
     edges: np.ndarray
     before: np.ndarray
     histogram: Histogram | None = None
+    by_origin: bool = True
 
     def count(self, lo, hi, origin: int | None = None) -> int:
         """Clicks of ``origin`` (of every signal if None) in the windows
         ``[lo, hi)``, ps or arrays of ps, summed.  Every bound must be a
-        cell edge, and no window may be reversed."""
+        cell edge, no window may be reversed, and an origin is read only
+        from cells split by origin."""
         ij = np.searchsorted(self.edges, (lo, hi))
         if (self.edges.take(ij, mode="clip") != (lo, hi)).any() or (ij[1] < ij[0]).any():
             raise ValueError(f"windows [{lo}, {hi}) ps do not lie on cell edges")
+        if origin is not None and not self.by_origin:
+            raise ValueError(f"origin {origin} read from cells summed over origins")
         before = self.before.sum(axis=0) if origin is None else self.before[origin]
         return int((before[ij[1]] - before[ij[0]]).sum())
 
@@ -287,70 +295,41 @@ def _pulse_center(vcfg, offset, slot):
 
 def _first_click_law(components, vcfg, gate, edges) -> tuple:
     """The chance ``1 - e^{-C}`` that a frame has a gated click, and the
-    exact mass of its first one per origin and cell between ``edges``:
-    ``sum_{t in cell} e^{-C(<t)} (1 - e^{-L_s(t)})``, differenced over
-    ``s``, ``L_s(t)`` the mean clicks at ``t`` of signals ``0 .. s``: the
-    lowest signal wins ties.  It is summed over stretches of ``m`` ps of
-    constant rates, cut at every run's and cell's edge, one ps each inside
-    the runs with a rate a ps: over a stretch, ``C`` grows by ``L m``
-    (``L`` the total rate), and the mass is its first ps's times
-    ``(1 - e^{-L m}) / (1 - e^{-L})``, or ``m`` where ``L = 0``."""
-    window, signals = vcfg.frame_window_ps, len(components)
-    g0 = window if gate == DELTA_T2 else 0
-    runs = [(s, rate, max(lo, g0), min(hi, g0 + window), lo, p)
-            for s, comps in enumerate(components) for rate, placement in comps
-            for lo, hi, p in placement.runs(vcfg) if max(lo, g0) < min(hi, g0 + window)]
-    cuts = _cell_edges(vcfg, [np.clip(edges, g0, g0 + window), *(r[2:4] for r in runs)])
-    cuts = cuts[(g0 <= cuts) & (cuts <= g0 + window)]
-    opened = np.zeros(len(cuts), dtype=np.int64)  # runs with a rate a ps, less those closed
-    for _, _, a, b, _, p in runs:
-        if not np.isscalar(p):
-            opened[np.searchsorted(cuts, (a, b))] += (1, -1)
-    m, sparse = np.diff(cuts), np.cumsum(opened[:-1]) == 0
-    at = np.concatenate([[0], np.cumsum(np.where(sparse, 1, m))])  # each cut's stretch
-    work = np.zeros((signals + 1, at[-1] + 1))  # a last stretch of no rate holds C
-    lam, surv = work[:signals], work[signals]
-    for s, rate, a, b, lo, p in runs:
-        i = at[np.searchsorted(cuts, a)]
-        if np.isscalar(p):
-            lam[s, i:at[np.searchsorted(cuts, b)]] += rate * p
-        else:
-            lam[s, i:i + b - a] += rate * p[a - lo:b - lo]
-    for s in range(1, signals):
-        lam[s] += lam[s - 1]  # L_s
-    first, m = at[:-1][sparse], m[sparse]
-    total, surv[1:] = lam[-1, first], lam[-1, :-1]
-    surv[first + 1] *= m  # over a stretch C grows by L m
-    p_click = -math.expm1(-np.cumsum(surv, out=surv)[-1])  # C(<t)
-    np.exp(np.negative(surv, out=surv), out=surv)
-    surv[first] *= np.divide(np.expm1(-total * m), np.expm1(-total), out=m.astype(float),
-                             where=total > 0)
-    np.expm1(np.negative(lam, out=lam), out=lam)  # -(1 - e^{-L_s})
-    for s in range(signals - 1, 0, -1):
-        lam[s] -= lam[s - 1]
-    lam *= surv  # minus each origin's mass a stretch
-    # the cells the gated half overlaps are contiguous: each sum runs to
-    # the next one's start
-    pos = at[np.searchsorted(cuts, np.clip(edges, g0, g0 + window))]
-    inside = np.flatnonzero(pos[1:] > pos[:-1])
-    mass = np.zeros((signals, len(edges) - 1))
-    mass[:, inside] = np.add.reduceat(lam, pos[inside], axis=1)
-    return p_click, np.maximum(np.negative(mass, out=mass), 0.0, out=mass)
+    exact mass of its first one in each cell between ``edges``, summed over
+    origins.  Over a cell ``[a, b)`` it telescopes to ``e^{-C(<a)} (1 -
+    e^{-dC})``, ``dC`` the cell's mean gated clicks: each run's sum over the
+    cell, a ``reduceat`` over its span where it has a rate a ps and its
+    overlap with the cell times its rate where that is constant.  No
+    per-ps exponential is taken."""
+    g0 = vcfg.frame_window_ps if gate == DELTA_T2 else 0
+    cut = np.clip(edges, g0, g0 + vcfg.frame_window_ps)
+    dc = np.zeros(len(edges) - 1)
+    for rate, placement in (comp for comps in components for comp in comps):
+        for lo, hi, p in placement.runs(vcfg):
+            i, j = np.searchsorted(cut, (lo, hi), "right")
+            i = max(i - 1, 0)  # the run's cells are i .. j - 1
+            k = np.clip(cut[i:j + 1], lo, hi) - lo  # their edges' offsets into it
+            if np.isscalar(p):
+                dc[i:i + len(k) - 1] += rate * p * np.diff(k)
+            else:
+                inside = np.flatnonzero(k[1:] > k[:-1])
+                dc[i + inside] += rate * np.add.reduceat(p[:k[-1]], k[inside])
+    c = np.concatenate([[0.0], np.cumsum(dc[:-1])])  # C(<a), each cell's a
+    return -math.expm1(-dc.sum()), np.exp(-c) * -np.expm1(-dc)
 
 
 def _first_click_counts(root, key, components, vcfg, gate, n, edges) -> np.ndarray:
-    """Counts of the first gated clicks of ``n`` i.i.d. frames per origin
-    and cell between ``edges``, one draw from stream ``(*key, 0)``:
-    Binomial(n, 1 - e^{-C}) frames click, and a multinomial over the cells
-    of non-zero mass splits them by ``_first_click_law``."""
+    """Counts of the first gated clicks of ``n`` i.i.d. frames in each cell
+    between ``edges``, summed over origins, one draw from stream ``(*key,
+    0)``: Binomial(n, 1 - e^{-C}) frames click, and a multinomial over the
+    cells of non-zero mass splits them by ``_first_click_law``."""
     p_click, mass = _first_click_law(components, vcfg, gate, edges)
     gen = root.stream(*key, 0).generator()
     clicks = gen.binomial(n, p_click)
-    counts = np.zeros(mass.shape, dtype=np.int64)
+    counts = np.zeros(len(mass), dtype=np.int64)
     if clicks:
-        p = mass.ravel() / mass.sum()
-        held = np.flatnonzero(p)  # a category of mass 0 takes no randomness
-        counts.flat[held] = gen.multinomial(clicks, p[held])
+        held = np.flatnonzero(mass)  # a cell of mass 0 takes no randomness
+        counts[held] = gen.multinomial(clicks, mass[held] / mass.sum())
     return counts
 
 
@@ -399,15 +378,31 @@ def _simulate_detector(key, components, vcfg, gate, frames: range, blocked: int)
     return (fr, t, origin), blocked
 
 
-def _detector_cells(key, components, vcfg, gate, n, edges, histogram=False) -> Cells:
+def _rated(components, vcfg, gate) -> list:
+    """The signals with positive mass in a ``dt1``/``dt2`` gate, read from
+    their placements' mass before its two edges (``before``)."""
+    lo = vcfg.frame_window_ps if gate == DELTA_T2 else 0
+    hi = lo + vcfg.frame_window_ps
+    return [s for s, comps in enumerate(components)
+            if any(rate * (pl.before(hi, vcfg) - pl.before(lo, vcfg)) > 0 for rate, pl in comps)]
+
+
+def _detector_cells(key, components, vcfg, gate, n, edges, histogram=False,
+                    by_origin=False) -> Cells:
     """One detector's accepted clicks over ``n`` frames as ``Cells`` between
     ``edges`` (see ``_cell_edges``), with a histogram if asked.  Counts
-    (``_drawn_as_counts``) are drawn between both kinds of edge; otherwise
+    (``_drawn_as_counts``) are drawn between both kinds of edge, in one row
+    summed over origins; a detector whose origin split is read
+    (``by_origin``) is drawn so only where at most one signal has gated
+    mass (``_rated``), and its row is then that signal's.  Otherwise
     ``_simulate_detector`` draws one span (``_span``) a call, the dead time
     carried into the next, and each span's clicks are sorted by origin,
-    then ps, and each origin's edges found in them."""
+    then ps, and each origin's edges found in them: exact per origin under
+    the lowest-signal-wins tie rule."""
     signals, period = len(components), vcfg.frame_period_ps
-    if not _drawn_as_counts(components, vcfg, gate):
+    counted = _drawn_as_counts(components, vcfg, gate)
+    rated = _rated(components, vcfg, gate) if counted and by_origin else []
+    if not counted or len(rated) > 1:
         before, bins, blocked = np.zeros((signals, len(edges)), np.int64), 0, 0
         span = _span(_mean_clicks(components))
         for b0 in range(0, n, span):
@@ -423,10 +418,10 @@ def _detector_cells(key, components, vcfg, gate, n, edges, histogram=False) -> C
     fine = (_cell_edges(vcfg, [edges, np.arange(0, period, vcfg.hist_res_ps)])
             if histogram else edges)
     counts = _first_click_counts(RandomSource(vcfg.seed), key, components, vcfg, gate, n, fine)
-    before = np.zeros((signals, len(fine)), dtype=np.int64)
-    np.cumsum(counts, axis=1, out=before[:, 1:])
+    before = np.zeros((signals if by_origin else 1, len(fine)), dtype=np.int64)
+    np.cumsum(counts, out=before[rated[0] if rated else 0, 1:])
     return Cells(edges, before[:, np.searchsorted(fine, edges)],
-                 histogram_from_times(fine[:-1], vcfg, counts.sum(axis=0)) if histogram else None)
+                 histogram_from_times(fine[:-1], vcfg, counts) if histogram else None, by_origin)
 
 
 def _finish_detector(parts, vcfg, gate, blocked=0) -> tuple:
@@ -610,11 +605,11 @@ def _run_timebin(scenario: Scenario, channel) -> RunResult:
     extra: dict = {}
     histograms = {}
     for det_idx, (sid, groups) in enumerate(sorted(exp.collections.items())):
-        gate = exp.gates.get(sid, "always")
+        gate, sig = exp.gates.get(sid, "always"), scenario.signal(sid)
         det = _detector_cells((ROLE_PHOTONS, det_idx),
                               _timebin_law(vcfg, channel, scenario.signals, groups), vcfg,
-                              gate, n, edges, histogram=True)
-        sig = scenario.signal(sid)
+                              gate, n, edges, histogram=True,
+                              by_origin=sig is late and exp.kind != "timebin_xt")
         offset = sig.offset_ps(vcfg)
         # other signals' pulses sharing this half-window are known spikes,
         # not floor: their slots are left out of the floor

@@ -490,8 +490,8 @@ def _histogram_edges(vcfg) -> np.ndarray:
 def _dense_phase(vcfg) -> list:
     """A phase detector watching two trains, one in each half, each at 2
     clicks a frame: with the default 100 ps jitter the 63-slot interior
-    train's kernels overlap, so every ps of its stretch has a rate of its
-    own."""
+    train's kernels overlap, so its run has a rate of its own at every ps
+    of the train."""
     rates = delay_interferometer_rates(2.0, vcfg.d, 0.93, math.pi, "none", 0.12655)
     return [_phase_components(vcfg, rates, "p", "none", off) for off in (0, vcfg.frame_window_ps)]
 
@@ -524,13 +524,12 @@ def _law_cases():
 
 
 class TestFirstClickLaw:
-    """The first-click law summed over stretches of constant rate equals
-    the per-ps cumulative product of ``_first_click_mass`` in every (origin,
-    cell), and ``p_click`` is its total, at both gates, between the slot
-    edges and between the histogram's.  An origin's mass is a difference
-    of ``1 - e^{-L}`` terms, whose rounding is about 1e-16 times ``L``, not
-    times the mass: cells in a faint signal's kernel tails, of mass ~1e-16
-    beside a brighter signal, are held to an absolute 1e-18."""
+    """The first-click law telescoped over the cells equals the per-ps
+    cumulative product of ``_first_click_mass`` summed over origins in
+    every cell, and ``p_click`` is its total, at both gates, between the
+    slot edges and between the histogram's.  The bounds are those the
+    per-origin law was held to: a cell in a kernel's far tail, of mass
+    ~1e-16, is held to an absolute 1e-18."""
 
     CASES = _law_cases()
 
@@ -540,7 +539,7 @@ class TestFirstClickLaw:
         _, components, vcfg = case
         for edges in (_slot_edges(vcfg), _histogram_edges(vcfg)):
             p_click, mass = _first_click_law(components, vcfg, gate, edges)
-            ref = _first_click_mass(components, vcfg, gate, edges)
+            ref = _first_click_mass(components, vcfg, gate, edges).sum(axis=0)
             assert mass.shape == ref.shape and (mass >= 0).all()
             np.testing.assert_allclose(mass, ref, rtol=1e-9, atol=1e-18)
             assert p_click == pytest.approx(mass.sum(), rel=1e-9, abs=0)
@@ -632,23 +631,27 @@ class TestDetectorLaw:
     (``_first_click_mass``) where the dead time nests in the blank half,
     and n times the gated rate mass with no dead time, where every gated
     click is kept.  Each detector is drawn over ``N`` frames as counts
-    (``FIRST_CLICK_DENSITY = 0``; only where the first-click rule holds)
-    and on the Poisson path (``FIRST_CLICK_DENSITY = inf``), there at the
-    default ``SPAN_CLICKS`` and at one-batch spans (``SPAN_CLICKS = 1``:
-    three spans, the last partial).  Cells of no mass get no click, and a
-    nested detector clicks at most once a frame.  Each draw's G statistic
-    over the cells, and the frames with no click where nested, with the
-    cells that expect < 5 pooled into one, is read as the Wilson-Hilferty
-    z of its chi-square law and must be at most 5: a one-sided 2.9e-7 a
-    draw.  The G-test spreads a uniform rate error over all its cells, so
+    (``FIRST_CLICK_DENSITY = 0``; only where the first-click rule holds),
+    one row held to the law summed over origins, and on the Poisson path
+    (``FIRST_CLICK_DENSITY = inf``), each origin's row held to its own,
+    there at the default ``SPAN_CLICKS`` and at one-batch spans
+    (``SPAN_CLICKS = 1``: three spans, the last partial).  A detector whose
+    origin split is read (``by_origin``) is drawn as counts only where one
+    signal has gated mass, into that signal's row.  Cells of no mass get
+    no click, and a nested detector clicks at most once a frame.  Each
+    draw's G statistic over the cells, and the frames with no click where
+    nested, with the cells that expect < 5 pooled into one, is read as the
+    Wilson-Hilferty z of its chi-square law and must be at most 5: a
+    one-sided 2.9e-7 a draw.  The G-test spreads a uniform rate error over all its cells, so
     each draw's total clicks must also lie within 5 sigma of ``N`` times
     the total mass, the variance binomial where nested and Poisson with no
     dead time.  That bound is held where the variance is at least 1,000,
     where the exact tails are within ~10% of the normal's two-sided
     5.7e-7; a smaller variance has no power against a 1% error.  Both
-    together fail a correct sampler under 1.3e-4 over the test's at most
-    138 draws (46 examples, at most three draws each), which
-    ``derandomize`` makes the same on every run."""
+    together fail a correct sampler under 1.3e-4 over the class's at most
+    141 draws (46 examples, at most three draws each, and the three
+    ``by_origin`` draws), which ``derandomize`` and fixed seeds make the
+    same on every run."""
 
     N = 2 * BATCH + 123
     DRAWS = ((0.0, pipeline.SPAN_CLICKS), (math.inf, pipeline.SPAN_CLICKS), (math.inf, 1))
@@ -701,18 +704,58 @@ class TestDetectorLaw:
             with mock.patch.multiple(pipeline, FIRST_CLICK_DENSITY=density,
                                      SPAN_CLICKS=span_clicks):
                 cells = _detector_cells((ROLE_PHOTONS, 5), components, vcfg, gate, self.N, edges)
-            counts = np.diff(cells.before, axis=1)
-            assert (counts >= 0).all() and not counts[mass == 0].any()
-            obs, expect = counts.ravel(), self.N * mass.ravel()
-            total, p = counts.sum(), mass.sum()
-            var = self.N * p * (1 - p) if tau else self.N * p
-            if var >= 1000:
-                assert abs(total - self.N * p) <= 5 * math.sqrt(var), (density, span_clicks)
-            if tau:
-                assert total <= self.N
-                obs = np.append(obs, self.N - total)
-                expect = np.append(expect, self.N * (1 - p))
-            assert self._z(obs, expect) <= 5, (density, span_clicks)
+            assert cells.by_origin == (density > 0)
+            self._check(cells, mass if cells.by_origin else mass.sum(axis=0, keepdims=True),
+                        tau, (density, span_clicks))
+
+    def _check(self, cells, mass, nested, label):
+        """The cells' counts against ``N`` times ``mass``, row by row."""
+        counts = np.diff(cells.before, axis=1)
+        assert counts.shape == mass.shape, label
+        assert (counts >= 0).all() and not counts[mass == 0].any(), label
+        obs, expect = counts.ravel(), self.N * mass.ravel()
+        total, p = counts.sum(), mass.sum()
+        var = self.N * p * (1 - p) if nested else self.N * p
+        if var >= 1000:
+            assert abs(total - self.N * p) <= 5 * math.sqrt(var), label
+        if nested:
+            assert total <= self.N, label
+            obs = np.append(obs, self.N - total)
+            expect = np.append(expect, self.N * (1 - p))
+        assert self._z(obs, expect) <= 5, label
+
+    # two signals rated in the gate: jitter-free pulses on one ps, where the
+    # lowest wins the tie, and two overlapping kernels beside a floor
+    @pytest.mark.parametrize("components,sigma", [
+        ([[(lam, Pulse(500))] for lam in (0.2, 0.5, 0.3)], 0.0),
+        ([[(1.0, Pulse(30_000)), (0.5, Floor(0))], [(0.8, Pulse(30_050))]], 100.0),
+    ])
+    def test_by_origin_split_drawn_on_the_poisson_path(self, components, sigma):
+        vcfg = SimConfig(jitter_sigma_ps=sigma, seed=7)
+        edges = _cell_edges(vcfg, [_slot_edges(vcfg), np.array([500, 501, 30_000])])
+        with mock.patch.object(pipeline, "_first_click_counts",
+                               side_effect=AssertionError("drawn as counts")):
+            cells = _detector_cells((ROLE_PHOTONS, 5), components, vcfg, DELTA_T1, self.N,
+                                    edges, by_origin=True)
+        assert cells.by_origin
+        self._check(cells, _first_click_mass(components, vcfg, DELTA_T1, edges), True,
+                    "poisson")
+
+    def test_by_origin_one_rated_signal_drawn_as_counts(self):
+        # signal 1 alone lands in the dt2 gate; signal 0's floor run clamped
+        # at the frame's last ps has no mass, and rates nothing
+        vcfg = SimConfig(seed=8)
+        components = [[(1.0, Pulse(30_000)), (0.5, Floor(0))],
+                      [(1.2, Pulse(130_000)), (0.4, Floor(W, TP))]]
+        edges = _cell_edges(vcfg, [_slot_edges(vcfg)])
+        with mock.patch.object(pipeline, "_simulate_detector",
+                               side_effect=AssertionError("drawn on the Poisson path")):
+            cells = _detector_cells((ROLE_PHOTONS, 5), components, vcfg, DELTA_T2, self.N,
+                                    edges, by_origin=True)
+        mass = _first_click_mass(components, vcfg, DELTA_T2, edges)
+        assert cells.by_origin and not mass[0].any() and not cells.before[0].any()
+        self._check(cells, mass, True, "counts")
+        assert cells.count(W, P, 1) == cells.count(W, P) > 0 == cells.count(W, P, 0)
 
 
 class TestCellsRobust:
@@ -758,6 +801,29 @@ class TestCellsRobust:
     def test_few_frames(self, tmp_path, monkeypatch, frames):
         rc, report, cells = self._run(tmp_path, monkeypatch, frames)
         assert rc == 0 and report["n_frames"] == frames and len(cells) == 3
+
+    def test_origin_of_summed_cells_raises(self):
+        # a dense nested detector's counts are one row summed over origins:
+        # it has no origin to read, and must not give the total for one
+        vcfg = SimConfig(seed=3)
+        edges = _cell_edges(vcfg, [_slot_edges(vcfg)])
+        cells = _detector_cells((ROLE_PHOTONS, 0), MIXED, vcfg, DELTA_T1, 1000, edges)
+        assert not cells.by_origin and cells.before.shape == (1, len(edges))
+        assert cells.count(0, W) > 0
+        for origin in range(len(MIXED)):
+            with pytest.raises(ValueError, match="summed over origins"):
+                cells.count(0, W, origin)
+
+    def test_saturated_detectors_drawn_as_counts(self, tmp_path, monkeypatch):
+        # timebin_B reads the origin split of its late signal's detector;
+        # only that signal has mass in its dt2 gate, so every saturated
+        # detector is drawn as counts (the Poisson path at these rates
+        # costs ~10x the run)
+        monkeypatch.setattr(pipeline, "_simulate_detector",
+                            mock.Mock(side_effect=AssertionError("drawn on the Poisson path")))
+        rc, report, cells = self._run(tmp_path, monkeypatch, 1000)
+        assert rc == 0 and [det.by_origin for det in cells] == [False, True, False]
+        assert report["extra"]["ac_counts_in_dt2_on_B"] == 0
 
     def test_window_off_the_edges_raises(self):
         period = SimConfig().frame_period_ps

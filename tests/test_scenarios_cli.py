@@ -288,10 +288,11 @@ class TestCliRun:
     def test_saturated_timebin_report_bytes(self, tmp_path):
         # timebin_b at mu_in = 1000 puts 3-7 gated clicks a frame into every
         # detector, so each draws its counts from the first-click law, one
-        # binomial and one multinomial over its cells; the bytes are pinned
-        # from that draw, which TestDetectorLaw checks against the exact
-        # law, as it does the Poisson path that draws, sorts and walks
-        # every click
+        # binomial and one multinomial over its cells summed over origins
+        # (the late signal's detector into its own row, the one signal in
+        # its gate); the bytes are pinned from that draw, which
+        # TestDetectorLaw checks against the exact law, as it does the
+        # Poisson path that draws, sorts and walks every click
         derived = tmp_path / "timebin_b_saturated.ini"
         text = (SCENARIOS / "timebin_b.ini").read_text()
         assert "\nmu_in = 2.5\n" in text
@@ -299,7 +300,7 @@ class TestCliRun:
         out = tmp_path / "o"
         assert main(["run", str(derived), "--frames", "20000", "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
-        assert digest == "05fb630a868028b8e8bb0b6c325290877001f0decf2b9c10d6ef954c347e5255"
+        assert digest == "5d440b576eb9c62e6fe95c61c5efee0868b09cffb54532e4db6e1430c337f02d"
 
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SDMQSIM_OUT", str(tmp_path / "envout"))
