@@ -9,18 +9,20 @@ through ``Scenario.with_overrides``, so they pass the checks a file's value
 passes: an unknown key, or one the scenario's kind does not read, exits 2
 before any output directory is made; a swept value is read as a file's
 text (``pi/2``) and written to ``sweep.csv`` as typed.  Logs go to
-stderr; data only to files.
+stderr; data only to files.  ``-h``/``--help`` prints the usage to stdout.
 
-Exit codes: 0 ok, 2 configuration error, 3 runtime/IO error.
+Exit codes: 0 ok, 2 configuration error or bad command line (the usage and
+the error go to stderr), 3 runtime/IO error.
 """
 from __future__ import annotations
 
-import argparse
+import getopt
 import json
 import os
 import platform
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -157,36 +159,60 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sdmqsim",
-        description="Photon-level simulator for a mode-multiplexed "
-        "time-bin/phase quantum link",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# each command's function, its one positional and its options, ``name: (type, required)``
+COMMANDS = {
+    "run": (cmd_run, "scenario", {"seed": (int, False), "frames": (int, False),
+                                  "out": (str, False)}),
+    "sweep": (cmd_sweep, "scenario", {"param": (str, True), "values": (str, True),
+                                      "seed": (int, False), "out": (str, False)}),
+}
+USAGE = "usage: " + "\n       ".join(
+    [f"sdmqsim {name} {pos.upper()}" + "".join(
+        f" --{o} {o.upper()}" if required else f" [--{o} {o.upper()}]"
+        for o, (_, required) in opts.items())
+     for name, (_, pos, opts) in COMMANDS.items()]
+    + ["sdmqsim -h | --help"]
+) + f"\n\n--out defaults to ${OUT_ENV}/<name>; --values is a comma-separated list.\n"
 
-    p_run = sub.add_parser("run", help="run one scenario file")
-    p_run.add_argument("scenario", help="path to a scenario .ini file")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--frames", type=int, default=None)
-    p_run.add_argument("--out", default=None, help=f"output dir (default ${OUT_ENV}/<name>)")
-    p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a scenario over parameter values")
-    p_sweep.add_argument("scenario")
-    p_sweep.add_argument("--param", required=True)
-    p_sweep.add_argument("--values", required=True, help="comma-separated list")
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
-    return parser
+def _parse(argv: list[str]):
+    """``argv``'s command function and arguments, or None for ``-h``/``--help``.
+    An option may be given before or after the positional, as ``--key value``,
+    ``--key=value`` or by a unique prefix of the key; the last repeat wins."""
+    func, positional, options = COMMANDS.get(argv[0] if argv else None, (None, None, {}))
+    opts, rest = getopt.gnu_getopt(argv[1:] if func else argv, "h",
+                                   ["help"] + [f"{o}=" for o in options])
+    if any(opt in ("-h", "--help") for opt, _ in opts):
+        return None
+    if func is None:
+        raise getopt.GetoptError(f"expected a command, one of {', '.join(COMMANDS)}")
+    if len(rest) != 1:
+        raise getopt.GetoptError(f"expected one {positional}, got {len(rest)}")
+    args = {positional: rest[0], **dict.fromkeys(options)}
+    for opt, text in opts:
+        kind = options[opt[2:]][0]
+        try:
+            args[opt[2:]] = kind(text)
+        except ValueError:
+            raise getopt.GetoptError(f"{opt}: invalid {kind.__name__} value {text!r}") from None
+    missing = [f"--{o}" for o, (_, req) in options.items() if req and args[o] is None]
+    if missing:
+        raise getopt.GetoptError(f"{' and '.join(missing)} required")
+    return func, SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        parsed = _parse(sys.argv[1:] if argv is None else list(argv))
+    except getopt.GetoptError as exc:
+        print(f"{USAGE}sdmqsim: error: {exc.msg}", file=sys.stderr)
+        return 2
+    if parsed is None:
+        print(USAGE, end="")
+        return 0
+    func, args = parsed
+    try:
+        return func(args)
     except ConfigError as exc:
         _log(f"configuration error: {exc}")
         return 2

@@ -66,10 +66,9 @@ def dead_time_mask(t: np.ndarray, dead_time_ps: int) -> np.ndarray:
     A cluster starts at the first event and at every event whose gap to the
     previous raw event is ``>= dead_time_ps``.  Cluster starts are always
     kept, since the last kept event is no later than the previous raw one.
-    A cluster keeps more only if the first event at least ``dead_time_ps``
-    after its start still falls inside it; only those clusters are walked,
-    jumping from kept event to kept event by binary search, so vetoed
-    events are never visited.
+    A cluster keeps more only if it spans at least ``dead_time_ps``; only
+    those clusters are walked, jumping from kept event to kept event by
+    binary search, so vetoed events are never visited.
     """
     t = np.asarray(t)
     n = len(t)
@@ -79,9 +78,9 @@ def dead_time_mask(t: np.ndarray, dead_time_ps: int) -> np.ndarray:
     keep[1:] = np.diff(t) >= dead_time_ps
     starts = np.flatnonzero(keep)
     ends = np.append(starts[1:], n)
-    first = np.searchsorted(t, t[starts] + dead_time_ps)
-    walk = first < ends
-    for i, end in zip(first[walk].tolist(), ends[walk].tolist()):
+    walk = t[ends - 1] >= t[starts] + dead_time_ps  # the cluster's span, as t is sorted
+    first = np.searchsorted(t, t[starts[walk]] + dead_time_ps)
+    for i, end in zip(first.tolist(), ends[walk].tolist()):
         while i < end:
             keep[i] = True
             i = bisect.bisect_left(t, t[i] + dead_time_ps, i + 1, end)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import sdmqsim
+from sdmqsim import cli
 from sdmqsim.cli import main
 from sdmqsim.config import ConfigError, SignalAssignment, SimConfig
 from sdmqsim.scenarios import (
@@ -876,6 +878,111 @@ class TestCliSweep:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+README_COMMAND_LINE = (REPO / "README.md").read_text().split("## Command line")[1].split("## ")[0]
+BB84 = str(SCENARIOS / "bb84.ini")
+
+
+class TestCliParse:
+    """What each command line hands its command, and the exits of ``--help``
+    and of a bad command line.  The expected arguments are those the
+    ``argparse`` parser this one replaced gave, values and types."""
+
+    PARITY = [
+        # the README's command lines
+        ("run scenarios/capacity.ini", "run",
+         dict(scenario="scenarios/capacity.ini", seed=None, frames=None, out=None)),
+        ("run scenarios/bb84.ini --seed 7 --frames 500000 --out /tmp/bb84", "run",
+         dict(scenario="scenarios/bb84.ini", seed=7, frames=500000, out="/tmp/bb84")),
+        ("sweep scenarios/bb84.ini --param keyrate_n --values 1e3,1e4,1e5,1e6", "sweep",
+         dict(scenario="scenarios/bb84.ini", param="keyrate_n", values="1e3,1e4,1e5,1e6",
+              seed=None, out=None)),
+        ("sweep scenarios/phase_er.ini --param phi_b --values 0,pi/4,pi/2,pi", "sweep",
+         dict(scenario="scenarios/phase_er.ini", param="phi_b", values="0,pi/4,pi/2,pi",
+              seed=None, out=None)),
+        # --key=value, unique prefixes, repeats, options first, values as typed
+        ("run x.ini --seed=3 --frames=10 --out=o", "run",
+         dict(scenario="x.ini", seed=3, frames=10, out="o")),
+        ("run x.ini --fr 100 --s 4 --o d", "run",
+         dict(scenario="x.ini", seed=4, frames=100, out="d")),
+        ("run x.ini --seed 1 --frames 5 --seed 2", "run",
+         dict(scenario="x.ini", seed=2, frames=5, out=None)),
+        ("run --frames 100 --seed 5 x.ini", "run",
+         dict(scenario="x.ini", seed=5, frames=100, out=None)),
+        ("run x.ini --seed -1", "run", dict(scenario="x.ini", seed=-1, frames=None, out=None)),
+        ("run x.ini --frames 1_000 --out=", "run",
+         dict(scenario="x.ini", seed=None, frames=1000, out="")),
+        ("run -- x.ini", "run", dict(scenario="x.ini", seed=None, frames=None, out=None)),
+        ("sweep --values a,b x.ini --p p --seed 2 --param q --out o", "sweep",
+         dict(scenario="x.ini", param="q", values="a,b", seed=2, out="o")),
+    ]
+
+    BAD = [
+        pytest.param([], id="no-command"),
+        pytest.param(["walk", BB84], id="unknown-command"),
+        pytest.param(["run", BB84, "--bogus", "1"], id="unknown-option"),
+        pytest.param(["run", BB84, "--seed", "x"], id="seed-not-int"),
+        pytest.param(["run", BB84, "--frames", "1.5"], id="frames-not-int"),
+        pytest.param(["run", BB84, "--frames"], id="option-without-value"),
+        pytest.param(["run", BB84, BB84], id="extra-positional"),
+        pytest.param(["run"], id="no-scenario"),
+        pytest.param(["sweep", BB84, "--values", "1,2"], id="sweep-without-param"),
+        pytest.param(["sweep", BB84, "--param", "seed"], id="sweep-without-values"),
+    ]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name, (_, *rest) in cli.COMMANDS.items():
+            monkeypatch.setitem(cli.COMMANDS, name, (
+                lambda args, name=name: calls.append((name, vars(args))) or 0, *rest))
+        return calls
+
+    @pytest.fixture
+    def empty_cwd(self, tmp_path, monkeypatch):
+        """A working directory, and the default output root inside it."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "out"))
+        return tmp_path
+
+    @pytest.mark.parametrize("line, command, expected", PARITY)
+    def test_arguments_as_argparse_gave(self, calls, line, command, expected):
+        assert main(shlex.split(line)) == 0
+        assert calls == [(command, expected)]
+        assert {k: type(v) for k, v in calls[0][1].items()} == {
+            k: type(v) for k, v in expected.items()}
+
+    def test_readme_command_lines_covered(self):
+        lines = {line for line, _, _ in self.PARITY}
+        readme = re.findall(r"(?m)^sdmqsim (.*?)\s*(?:#.*)?$", README_COMMAND_LINE)
+        assert readme and set(readme) <= lines
+
+    @pytest.mark.parametrize("argv", BAD)
+    def test_bad_command_line_exit_2(self, argv, empty_cwd, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("usage: sdmqsim run SCENARIO")
+        assert "sdmqsim: error: " in err
+        assert out == ""
+        assert list(empty_cwd.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["run", "--help"],
+                                      ["sweep", BB84, "-h"], ["run", BB84, "--he"]])
+    def test_help_exit_0(self, argv, empty_cwd, capsys):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == cli.USAGE
+        assert err == ""
+        assert list(empty_cwd.iterdir()) == []
+
+    def test_readme_shows_usage(self):
+        assert cli.USAGE in README_COMMAND_LINE
+
+    def test_main_reads_sys_argv(self, calls, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["sdmqsim", "run", BB84, "--frames", "7"])
+        assert main() == 0
+        assert calls == [("run", dict(scenario=BB84, seed=None, frames=7, out=None))]
 
 
 class TestGoldenReports:
