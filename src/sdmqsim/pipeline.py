@@ -3,9 +3,10 @@
 The runners describe each signal that reaches a detector as components:
 mean clicks per frame, from the channel and (for phase frames)
 ``receiver.delay_interferometer_rates``, and where they land, as data: a
-jittered ``Pulse`` or a uniform ``Floor``, each with its per-ps law
-(``runs``) and its mass before a ps in closed form (``before``).  A
-click's origin is its signal's position in the detector's list.
+jittered ``Pulse`` or a uniform ``Floor``, each with its draw (``times``)
+and its law written once, in closed form: its mass in each cell between
+sorted ps cuts (``mass``), exact to rounding in both tails.  A click's
+origin is its signal's position in the detector's list.
 
 A ``dt1``/``dt2`` detector with the dead time nested in the blank half
 keeps each frame's first gated click (see receiver), so its frames are
@@ -29,7 +30,8 @@ between those edges, and histogram bins where read (``_detector_cells``).
 A dense detector's counts are one draw from stream ``(*key, 0)``, with no
 per-click array (``_first_click_counts``), summed over origins: a cell's
 first-click mass telescopes to ``e^{-C(<a)} (1 - e^{-dC})`` from its mean
-gated clicks ``dC`` (``_first_click_law``), with no per-ps exponential.
+gated clicks ``dC``, each component's rate times its placement's
+``mass`` (``_first_click_law``), with no per-ps law or exponential.
 The one origin split a runner reads, timebin_B's on its late signal's
 detector, is drawn as counts only where that signal alone lands in the
 gate; elsewhere on the Poisson path, which keeps every click's origin.
@@ -37,19 +39,18 @@ gate; elsewhere on the Poisson path, which keeps every click's origin.
 The BB84 exchange reads only each frame's outcome.  With Bob's dead time
 nested in the blank half (any other is rejected), that outcome depends
 on the frame's class alone, so frames are i.i.d. given their state.  The
-class table reads each port's placements' mass before and inside the
-interior window (``before``), with no per-ps law.  Summed over Eve's
-bits, which no output reads, it gives the law of 24 cells, a visible
-word by outcome, and a batch's tally over them is exactly multinomial:
-one call draws every batch's, and the counts and the sifted error rate
-are read from their sum (``simulate_bb84``), O(batches), with no
-per-frame or per-photon array.
+class table is the same first-click law at the interior window's edges,
+both ports' rates stacked by class (``_port_usable``).  Summed over
+Eve's bits, which no output reads, it gives the law of 24 cells, a
+visible word by outcome, and a batch's tally over them is exactly
+multinomial: one call draws every batch's, and the counts and the sifted
+error rate are read from their sum (``simulate_bb84``), O(batches), with
+no per-frame or per-photon array.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -194,7 +195,8 @@ def _poisson_frames(gen, lam: float, nb: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pulse:
-    """Jittered clicks at ``first + k * spacing``, ``k`` uniform in ``0 .. n-1``."""
+    """Jittered clicks at ``first + k * spacing``, ``k`` uniform in ``0 ..
+    n-1``: drawn by ``times``, their law in closed form by ``mass``."""
 
     first: int
     n: int = 1
@@ -209,44 +211,46 @@ class Pulse:
         np.maximum(t, 0, out=t)
         return np.minimum(t, vcfg.frame_period_ps - 1, out=t)
 
-    def runs(self, vcfg) -> list:
-        """The law of ``times``: the rounded jitter around each slot,
-        clamped.  A train that no clamp reaches is summed slot by slot,
-        adding as a bincount of its slots would, with no per-click array."""
-        w = _jitter_kernel(vcfg.jitter_sigma_ps) / self.n
-        lo, width = self.first - len(w) // 2, len(w) + self.spacing * (self.n - 1)
-        if 0 <= lo and lo + width <= vcfg.frame_period_ps:
-            p = np.zeros(width)
-            for j in range(self.n):
-                p[j * self.spacing:j * self.spacing + len(w)] += w
-            return [(lo, lo + width, p)]
-        t = lo + np.arange(len(w)) + self.spacing * np.arange(self.n)[:, None]
-        np.clip(t, 0, vcfg.frame_period_ps - 1, out=t)
-        lo, hi = t[0, 0], t[-1, -1] + 1
-        t -= lo
-        return [(lo, hi, np.bincount(t.ravel(), np.tile(w, self.n)))]
-
-    def before(self, x: int, vcfg) -> float:
-        """The mass of ``runs`` before ps ``x`` in closed form, from the
-        kernel's erf edges (``h`` its half-width, ``r`` sigma sqrt 2, ``T`` its
-        sum): a slot centred ``m`` ps before ``x`` puts ``(erf((m - 0.5) / r) +
-        T) / 2`` there, ``m`` held to ``-h .. h + 1``; a train averages its
-        slots.  Clamped to ps 0 .. P - 1, none lies before ps 0, all before P."""
-        sigma, h = vcfg.jitter_sigma_ps, math.ceil(8 * vcfg.jitter_sigma_ps)
-        r = sigma * math.sqrt(2)
-        total = math.erf((h + 0.5) / r) if sigma else 1.0
-        if not 0 < x < vcfg.frame_period_ps:
-            return 0.0 if x <= 0 else total
-        ms = [x - self.first - j * self.spacing for j in range(self.n)]
-        if not sigma:
-            return sum(m > 0 for m in ms) / self.n
-        return sum(math.erf((min(max(m, -h), h + 1) - 0.5) / r) + total for m in ms) / (2 * self.n)
+    def mass(self, cut, vcfg) -> np.ndarray:
+        """The law of ``times``: its mass in each cell between the distinct
+        sorted ps ``cut``, in ``[0, P]``.  Each slot puts the rounded jitter
+        out to ``h = ceil(8 sigma)`` ps from its centre, clamped to ps 0 .. P
+        - 1, ``1 - erfc((h + 0.5) / r)`` in all (``r`` sigma sqrt 2), and
+        ``(erfc(|m - 0.5| / r) - erfc((h + 0.5) / r)) / 2`` before a ps ``m
+        <= 0`` ps from the centre or after one ``m >= 1`` ps from it.  That
+        ``erfc`` is taken only at the cuts inside each slot's clamped
+        support, for every slot at once.  A cell's mass is the difference of
+        two such tail masses, plus the total of each slot whose centre it
+        holds, so it is exact to rounding in both tails.  A train averages
+        its slots."""
+        period, sigma = vcfg.frame_period_ps, vcfg.jitter_sigma_ps
+        h, r = math.ceil(8 * sigma), sigma * math.sqrt(2)
+        tail = math.erfc((h + 0.5) / r) if sigma else 0.0
+        c = self.first + self.spacing * np.arange(self.n)
+        # each slot's cuts in its clamped support, cut[lo] .. cut[hi - 1], and
+        # the first cut past its clamped centre, cut[mid]
+        bounds = np.minimum(np.maximum(np.add.outer([-h, h, 0], c), 0), period - 1)
+        lo, hi, mid = np.searchsorted(cut, bounds, "right")
+        k = hi - lo
+        at = np.arange(k.sum()) + np.repeat(lo - np.cumsum(k) + k, k)
+        m = cut[at] - np.repeat(c, k)
+        # erfc once a distinct j = |m - 1/2| - 1/2 met, which a train's slots
+        # share; s is the tail mass before a cut at or left of the centre,
+        # less the tail mass after one right of it
+        j, erfc = np.maximum(-m, m - 1), np.zeros(h)
+        met = np.flatnonzero(np.bincount(j, minlength=h))
+        erfc[met] = np.fromiter(map(math.erfc, ((met + 0.5) / r).tolist()), float, len(met))
+        s = np.copysign((erfc[j] - tail) / 2, 0.5 - m)
+        cells = np.bincount(np.concatenate([at, at + 1, mid]),
+                            np.concatenate([s, -s, np.full(self.n, 1 - tail)]), len(cut) + 1)
+        return cells[1:len(cut)] / self.n
 
 
 @dataclass(frozen=True)
 class Floor:
     """Clicks at ``lo + U[0, frame_window_ps)``; with ``split``, each one is
-    ``split`` ps later with probability 1/2."""
+    ``split`` ps later with probability 1/2.  Drawn by ``times``, their law
+    by ``mass``."""
 
     lo: int
     split: int = 0
@@ -257,35 +261,15 @@ class Floor:
             t += self.split * (gen.random(size) < 0.5)
         return np.minimum(t, vcfg.frame_period_ps - 1, out=t)
 
-    def runs(self, vcfg) -> list:
-        """The law of ``times``: uniform over each arm, clamped."""
-        w, last = vcfg.frame_window_ps, vcfg.frame_period_ps - 1
-        p, runs = 1 / (w * (2 if self.split else 1)), []
-        for lo in {self.lo, self.lo + self.split}:
-            hi = min(lo + w, last)  # the ps from hi on clamp to the last
-            runs += [(lo, hi, p), (last, last + 1, p * (lo + w - hi))]
-        return runs
-
-    def before(self, x: int, vcfg) -> float:
-        """The mass of ``runs`` before ps ``x``: each arm's share of its
-        window before ``x``, and all of it from ``x = P`` on."""
-        w = vcfg.frame_window_ps
-        if x >= vcfg.frame_period_ps:
-            return 1.0
-        return sum(min(max(x - lo, 0), w) for lo in (self.lo, self.lo + self.split)) / (2 * w)
-
-
-@lru_cache(maxsize=1)
-def _jitter_kernel(sigma: float) -> np.ndarray:
-    """Per-ps law of the rounded jitter, centered: erf differences at +-0.5
-    ps out to 8 sigma, shared read-only by a run's pulses."""
-    w = np.ones(1)
-    if sigma > 0:
-        edges = [math.erf((k + 0.5) / (sigma * math.sqrt(2)))
-                 for k in range(math.ceil(8 * sigma) + 1)]
-        w = np.concatenate([np.diff(edges)[::-1] / 2, edges[:1], np.diff(edges) / 2])
-    w.flags.writeable = False
-    return w
+    def mass(self, cut, vcfg) -> np.ndarray:
+        """The law of ``times``: its mass in each cell between the distinct
+        sorted ps ``cut``, in ``[0, P]``, from each arm's overlap with the
+        cell, and all of it before ``P``."""
+        w, arms = vcfg.frame_window_ps, {self.lo, self.lo + self.split}
+        before = sum(np.minimum(np.maximum(cut - lo, 0), w) for lo in arms) / (len(arms) * w)
+        if cut[-1] >= vcfg.frame_period_ps:
+            before[-1] = 1.0
+        return np.diff(before)
 
 
 def _pulse_center(vcfg, offset, slot):
@@ -295,27 +279,25 @@ def _pulse_center(vcfg, offset, slot):
 
 def _first_click_law(components, vcfg, gate, edges) -> tuple:
     """The chance ``1 - e^{-C}`` that a frame has a gated click, and the
-    exact mass of its first one in each cell between ``edges``, summed over
-    origins.  Over a cell ``[a, b)`` it telescopes to ``e^{-C(<a)} (1 -
-    e^{-dC})``, ``dC`` the cell's mean gated clicks: each run's sum over the
-    cell, a ``reduceat`` over its span where it has a rate a ps and its
-    overlap with the cell times its rate where that is constant.  No
-    per-ps exponential is taken."""
+    exact mass of its first one in each cell between ``edges`` (sorted
+    distinct ps from 0 to P, see ``_cell_edges``), summed over origins.
+    Over a cell ``[a, b)`` it telescopes to ``e^{-C(<a)} (1 - e^{-dC})``,
+    ``dC`` the cell's mean gated clicks, each component's rate times its
+    placement's mass in the cell (``mass``).  No per-ps exponential is
+    taken.  A rate may be an array, such as Bob's ports by frame class:
+    the law is then one along its leading axes."""
     g0 = vcfg.frame_window_ps if gate == DELTA_T2 else 0
-    cut = np.clip(edges, g0, g0 + vcfg.frame_window_ps)
-    dc = np.zeros(len(edges) - 1)
-    for rate, placement in (comp for comps in components for comp in comps):
-        for lo, hi, p in placement.runs(vcfg):
-            i, j = np.searchsorted(cut, (lo, hi), "right")
-            i = max(i - 1, 0)  # the run's cells are i .. j - 1
-            k = np.clip(cut[i:j + 1], lo, hi) - lo  # their edges' offsets into it
-            if np.isscalar(p):
-                dc[i:i + len(k) - 1] += rate * p * np.diff(k)
-            else:
-                inside = np.flatnonzero(k[1:] > k[:-1])
-                dc[i + inside] += rate * np.add.reduceat(p[:k[-1]], k[inside])
-    c = np.concatenate([[0.0], np.cumsum(dc[:-1])])  # C(<a), each cell's a
-    return -math.expm1(-dc.sum()), np.exp(-c) * -np.expm1(-dc)
+    g1 = g0 + vcfg.frame_window_ps
+    # the cells i .. j - 1 overlap the gate
+    i, j = np.searchsorted(edges, g0, "right") - 1, np.searchsorted(edges, g1)
+    cut = np.minimum(np.maximum(edges[i:j + 1], g0), g1)
+    dc = sum((np.multiply.outer(rate, placement.mass(cut, vcfg))
+              for comps in components for rate, placement in comps), np.zeros(j - i))
+    c = np.zeros_like(dc)  # C(<a), each cell's a
+    np.cumsum(dc[..., :-1], axis=-1, out=c[..., 1:])
+    mass = np.zeros(dc.shape[:-1] + (len(edges) - 1,))
+    mass[..., i:j] = np.exp(-c) * -np.expm1(-dc)
+    return -np.expm1(-dc.sum(axis=-1)), mass
 
 
 def _first_click_counts(root, key, components, vcfg, gate, n, edges) -> np.ndarray:
@@ -380,11 +362,11 @@ def _simulate_detector(key, components, vcfg, gate, frames: range, blocked: int)
 
 def _rated(components, vcfg, gate) -> list:
     """The signals with positive mass in a ``dt1``/``dt2`` gate, read from
-    their placements' mass before its two edges (``before``)."""
+    their placements' mass between its two edges (``mass``)."""
     lo = vcfg.frame_window_ps if gate == DELTA_T2 else 0
-    hi = lo + vcfg.frame_window_ps
+    gate_edges = np.array([lo, lo + vcfg.frame_window_ps])
     return [s for s, comps in enumerate(components)
-            if any(rate * (pl.before(hi, vcfg) - pl.before(lo, vcfg)) > 0 for rate, pl in comps)]
+            if any(rate * pl.mass(gate_edges, vcfg)[0] > 0 for rate, pl in comps)]
 
 
 def _detector_cells(key, components, vcfg, gate, n, edges, histogram=False,
@@ -834,22 +816,19 @@ def _run_phase_sweep(scenario: Scenario, channel) -> RunResult:
     return RunResult(report=report, sweep_points=points_out)
 
 
-def _port_usable(cfg, law) -> list:
+def _port_usable(cfg, law) -> np.ndarray:
     """Per frame class, the chances ``e^{-B} (1 - e^{-I})`` that port P's
     and port P''s first gated click lands on an interior position, ``B``
-    and ``I`` the port's mean clicks before and inside the interior window.
-    The ports share their placements, whose masses before the window's
-    edges (``before``, in closed form) are found once."""
+    and ``I`` the port's mean clicks before and inside the interior window:
+    the first-click law's cell ``[lo, hi)`` between the edges ``(0, lo, hi,
+    P)``, the two ports' rates stacked over the placements they share."""
     lo, hi = _interior_window(cfg, 0)
-    ports = [_phase_components(cfg, law, port, "none", 0) for port in ("p", "p_prime")]
-    masses = [(placement.before(lo, cfg), placement.before(hi, cfg)) for _, placement in ports[0]]
-    usable = []
-    for comps in ports:
-        before = inside = 0.0
-        for (rate, _), (to_lo, to_hi) in zip(comps, masses):
-            before, inside = before + rate * to_lo, inside + rate * (to_hi - to_lo)
-        usable.append(np.exp(-before) * -np.expm1(-inside))
-    return usable
+    ports = zip(*(_phase_components(cfg, law, port, "none", 0) for port in ("p", "p_prime")))
+    # each pair of rates as (2, 1) or (2, classes)
+    components = [[(np.reshape([rate, rate_prime], (2, -1)), placement)
+                   for (rate, placement), (rate_prime, _) in ports]]
+    return _first_click_law(components, cfg, DELTA_T1,
+                            np.array([0, lo, hi, cfg.frame_period_ps]))[1][..., 1]
 
 
 def simulate_bb84(cfg: SimConfig, n_frames: int, flux: float,
@@ -860,9 +839,10 @@ def simulate_bb84(cfg: SimConfig, n_frames: int, flux: float,
     ``flux`` is the received mean photons per frame at Bob's input.  Bob's
     ports, gated ``dt1`` at the rates of
     :func:`receiver.delay_interferometer_rates` over ``PHASE_TABLE``, are
-    usable with ``p_P`` and ``p_P'`` a class (``_port_usable``, in closed
-    form): a frame lights P alone with ``p_P (1 - p_P')``, P' alone with
-    ``p_P' (1 - p_P)``, and is inconclusive otherwise.  Summed over Eve's
+    usable with ``p_P`` and ``p_P'`` a class (``_port_usable``, the
+    first-click law at the interior window's edges): a frame lights P
+    alone with ``p_P (1 - p_P')``, P' alone with ``p_P' (1 - p_P)``, and
+    is inconclusive otherwise.  Summed over Eve's
     two bits, this is the law of the 24 tally cells, a visible word by
     outcome (``protocol.cell_law``); each batch's tally over them is one
     row of a multinomial draw from stream ``(ROLE_PHOTONS,)``, and the

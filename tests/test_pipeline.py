@@ -1,6 +1,6 @@
-import functools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from law_reference import per_ps
 
 from sdmqsim import pipeline
 from sdmqsim.cli import main
@@ -429,12 +430,11 @@ def _traced_cells(monkeypatch) -> list:
 
 def _gated_rates(components, vcfg, gate) -> np.ndarray:
     """Each signal's mean clicks a ps over the frame, from its components'
-    ``runs``, and 0 outside ``gate``."""
+    per-ps law (``per_ps``), and 0 outside ``gate``."""
     lam = np.zeros((len(components), vcfg.frame_period_ps))
     for row, comps in zip(lam, components):
         for rate, placement in comps:
-            for lo, hi, p in placement.runs(vcfg):
-                row[lo:hi] += rate * np.asarray(p)
+            row += rate * per_ps(placement, vcfg)
     lam[:, ~gate_mask(np.arange(vcfg.frame_period_ps), gate, vcfg.frame_window_ps)] = 0.0
     return lam
 
@@ -447,7 +447,7 @@ def _per_cell(per_ps, edges) -> np.ndarray:
 
 def _first_click_mass(components, vcfg, gate, edges) -> np.ndarray:
     """Exact (origin, cell) mass of a frame's first gated click, from each
-    component's ``runs`` by a plain cumulative product over the ps: the click
+    component's per-ps law by a plain cumulative product over the ps: the click
     is at ps ``t`` from signal ``s`` when no signal clicked before ``t``, no
     signal below ``s`` clicks at ``t``, and ``s`` does."""
     lam = _gated_rates(components, vcfg, gate)
@@ -490,8 +490,7 @@ def _histogram_edges(vcfg) -> np.ndarray:
 def _dense_phase(vcfg) -> list:
     """A phase detector watching two trains, one in each half, each at 2
     clicks a frame: with the default 100 ps jitter the 63-slot interior
-    train's kernels overlap, so its run has a rate of its own at every ps
-    of the train."""
+    train's slots overlap, so it has mass at every ps of the train."""
     rates = delay_interferometer_rates(2.0, vcfg.d, 0.93, math.pi, "none", 0.12655)
     return [_phase_components(vcfg, rates, "p", "none", off) for off in (0, vcfg.frame_window_ps)]
 
@@ -556,18 +555,16 @@ class TestFirstClickLaw:
 
 class TestPortLaw:
     """Each of Bob's ports is usable, per class, with the mass of its first
-    ``dt1`` click on the interior positions: ``_port_usable``, from each
-    placement's mass before the window's edges in closed form, equals
-    ``_first_click_mass`` over the cell ``[lo, hi)``, the port's components
-    one signal, at ``TestFirstClickLaw``'s tolerances."""
+    ``dt1`` click on the interior positions: ``_port_usable``, the
+    first-click law at the window's edges with both ports' rates stacked,
+    equals ``_first_click_mass`` over the cell ``[lo, hi)``, the port's
+    components one signal, at ``TestFirstClickLaw``'s tolerances."""
 
     @pytest.mark.parametrize("floor", [0.0, 0.12655])
     @pytest.mark.parametrize("v", [0.93, 1.0])
     @pytest.mark.parametrize("sigma", [0.0, 100.0, float(SimConfig().pulse_period_ps)])
     @pytest.mark.parametrize("flux", [0.02, 2.0, 50.0])
-    def test_matches_first_click_mass(self, monkeypatch, flux, sigma, v, floor):
-        # the reference reads the same four placements 16 times
-        monkeypatch.setattr(Pulse, "runs", functools.cache(Pulse.runs))
+    def test_matches_first_click_mass(self, flux, sigma, v, floor):
         cfg = SimConfig(jitter_sigma_ps=sigma)
         lo, hi = pipeline._interior_window(cfg, 0)
         edges = np.array([0, lo, hi, cfg.frame_period_ps])
@@ -580,12 +577,23 @@ class TestPortLaw:
                 np.testing.assert_allclose(usable[cls], ref, rtol=1e-9, atol=1e-18)
 
     def test_builds_no_per_ps_law(self, monkeypatch):
-        for owner, name in ((Pulse, "runs"), (Floor, "runs"), (pipeline, "_jitter_kernel")):
-            monkeypatch.setattr(owner, name, mock.Mock(side_effect=AssertionError(name)))
-        cfg = SimConfig()
-        law = delay_interferometer_rates(cfg.eta * 0.02, cfg.d, 0.93, PHASE_TABLE, "none", 0.0)
-        for usable in pipeline._port_usable(cfg, law):
-            assert ((0 < usable) & (usable < 1)).all()
+        # erfc only at the edges inside each slot's support, at most one a
+        # slot and edge and one a pulse for its truncated tail, not a
+        # kernel's 2 h + 2 values; no array of a quarter of the frame's ps
+        calls, erfc = [], math.erfc
+        monkeypatch.setattr(math, "erfc", lambda x: calls.append(x) or erfc(x))
+        for sigma in (100.0, float(SimConfig().pulse_period_ps)):
+            cfg = SimConfig(jitter_sigma_ps=sigma)
+            law = delay_interferometer_rates(cfg.eta * 0.02, cfg.d, 0.93, PHASE_TABLE, "none", 0)
+            calls.clear()
+            tracemalloc.start()
+            try:
+                usable = pipeline._port_usable(cfg, law)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert usable.shape == (2, len(PHASE_TABLE)) and ((0 < usable) & (usable < 1)).all()
+            assert 0 < len(calls) <= 5 * (cfg.d + 1) and peak < cfg.frame_period_ps * 8 // 4
 
 
 class TestZeroMassSkip:
@@ -648,8 +656,8 @@ class TestDetectorLaw:
     dead time.  That bound is held where the variance is at least 1,000,
     where the exact tails are within ~10% of the normal's two-sided
     5.7e-7; a smaller variance has no power against a 1% error.  Both
-    together fail a correct sampler under 1.3e-4 over the class's at most
-    141 draws (46 examples, at most three draws each, and the three
+    together fail a correct sampler under 1.4e-4 over the class's at most
+    144 draws (47 examples, at most three draws each, and the three
     ``by_origin`` draws), which ``derandomize`` and fixed seeds make the
     same on every run."""
 
@@ -692,6 +700,9 @@ class TestDetectorLaw:
     # a signal of rate 0 beside a split floor
     @example(components=[[(0.0, Pulse(30_000, 1, TP))], [(0.4, Floor(0, TP))]], sigma=100.0,
              gate_tau=(DELTA_T1, W), extra=[], seed=6)
+    # a train whose second slot lies past P - 1 and clamps to it
+    @example(components=[[(1.0, Floor(0)), (1.0, Pulse(199_940, 2, TP))]], sigma=0.0,
+             gate_tau=(DELTA_T2, W), extra=[], seed=0)
     def test_cells_follow_the_law(self, components, sigma, gate_tau, extra, seed):
         gate, tau = gate_tau
         vcfg = SimConfig(jitter_sigma_ps=sigma, dead_time_ps=tau, seed=seed)
@@ -742,8 +753,8 @@ class TestDetectorLaw:
                     "poisson")
 
     def test_by_origin_one_rated_signal_drawn_as_counts(self):
-        # signal 1 alone lands in the dt2 gate; signal 0's floor run clamped
-        # at the frame's last ps has no mass, and rates nothing
+        # signal 1 alone lands in the dt2 gate; signal 0's floor lies in the
+        # first half, so it has no mass there and rates nothing
         vcfg = SimConfig(seed=8)
         components = [[(1.0, Pulse(30_000)), (0.5, Floor(0))],
                       [(1.2, Pulse(130_000)), (0.4, Floor(W, TP))]]
@@ -876,15 +887,6 @@ class TestMeanDb:
         assert _mean_db(values) == mean
 
 
-def _mass(placement, vcfg) -> np.ndarray:
-    """Per-ps probability of ``placement.times`` over the frame, from its
-    ``runs``."""
-    mass = np.zeros(vcfg.frame_period_ps)
-    for lo, hi, p in placement.runs(vcfg):
-        mass[lo:hi] += p
-    return mass
-
-
 PLACEMENT_CASES = [
     (Pulse(120), 100.0),  # clamped at ps 0
     (Pulse(199_950), 100.0),  # clamped at ps P - 1
@@ -893,20 +895,22 @@ PLACEMENT_CASES = [
     (Floor(0), 100.0),
     (Floor(100_000), 100.0),  # up to P - 1
     (Floor(100_000, 1540), 100.0),  # split, clamped at P - 1
+    (Pulse(199_940, 2, 1540), 100.0),  # a train whose second slot lies past P - 1
 ]
 
 
 class TestPlacementLaw:
-    """``runs`` is the per-ps law that ``times`` draws: it sums to 1, and
-    draws agree with it within 5 sigma over cells of consecutive ps that
-    each expect >= 25 draws (the last cell may expect fewer)."""
+    """The tests' per-ps law (``per_ps``) is the law that ``times`` draws:
+    it sums to 1 but for the jitter's truncated tails, and draws agree with
+    it within 5 sigma over cells of consecutive ps that each expect >= 25
+    draws (the last cell may expect fewer)."""
 
     N = 400_000
 
     @pytest.mark.parametrize("placement,sigma", PLACEMENT_CASES)
     def test_mass_matches_times(self, placement, sigma):
         vcfg = SimConfig(jitter_sigma_ps=sigma)
-        mass = _mass(placement, vcfg)
+        mass = per_ps(placement, vcfg)
         assert mass.shape == (vcfg.frame_period_ps,) and (mass >= 0).all()
         assert mass.sum() == pytest.approx(1.0, abs=1e-12)
         t = placement.times(RandomSource(31).generator(), self.N, vcfg)
@@ -920,51 +924,26 @@ class TestPlacementLaw:
 
 
 class TestClosedFormMass:
-    """``before`` is the cumulative sum of ``runs``' per-ps law, in closed
-    form: at the ends of the frame, at the interior window's edges that
-    Bob's ports read, beside each edge of the law's support and at random
-    ps, against a sum in extended precision."""
+    """``mass`` is the tests' per-ps law (``per_ps``) summed over each cell
+    between sorted cuts, at ``TestFirstClickLaw``'s tolerances, so exact to
+    rounding in both tails: cuts at the ends of the frame, at the interior
+    window's edges that Bob's ports read, beside each edge of the law's
+    support, on a 25 ps grid through every pulse's far tails and at random
+    ps."""
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3, 100.0, float(SimConfig().pulse_period_ps)])
     @pytest.mark.parametrize("placement", [placement for placement, _ in PLACEMENT_CASES])
     def test_matches_cumulative_runs(self, placement, sigma):
         vcfg = SimConfig(jitter_sigma_ps=sigma)
-        period, mass = vcfg.frame_period_ps, _mass(placement, vcfg)
-        ref = np.concatenate([[0.0], np.cumsum(mass, dtype=np.longdouble)])
-        support = np.flatnonzero(np.diff(mass > 0, prepend=False, append=False))
-        x = np.concatenate([[-1, 0, 1, *pipeline._interior_window(vcfg, 0), period - 1, period,
-                             period + 1], support - 1, support, support + 1,
+        period, ref = vcfg.frame_period_ps, per_ps(placement, vcfg)
+        support = np.flatnonzero(np.diff(ref > 0, prepend=False, append=False))
+        x = np.concatenate([[0, 1, *pipeline._interior_window(vcfg, 0), period - 1, period],
+                            support - 1, support, support + 1, np.arange(0, period, 25),
                             RandomSource(37).generator().integers(0, period, 200)])
-        got = [placement.before(int(t), vcfg) for t in x]
-        np.testing.assert_allclose(got, ref[np.clip(x, 0, period)].astype(float),
-                                   rtol=0, atol=1e-14)
-
-
-def _uncached_runs(pulse, vcfg):
-    """``Pulse.runs`` with its jitter kernel computed on every call."""
-    sigma, w = vcfg.jitter_sigma_ps, np.ones(1)
-    if sigma > 0:
-        edges = [math.erf((k + 0.5) / (sigma * math.sqrt(2)))
-                 for k in range(math.ceil(8 * sigma) + 1)]
-        w = np.concatenate([np.diff(edges)[::-1] / 2, edges[:1], np.diff(edges) / 2])
-    slots = pulse.first + pulse.spacing * np.arange(pulse.n)[:, None]
-    t = np.clip(slots + np.arange(len(w)) - len(w) // 2, 0, vcfg.frame_period_ps - 1)
-    p = np.bincount(t.ravel() - t[0, 0], np.tile(w / pulse.n, pulse.n))
-    return [(t[0, 0], t[-1, -1] + 1, p)]
-
-
-class TestJitterKernel:
-    def test_runs_match_uncached_formula(self):
-        pulses = (Pulse(120), Pulse(2310, 63, 1540), Pulse(199_950))
-        for sigma in (0, 0.3, 100, 250, 1540, 0.3, 100):  # each sigma evicts the last
-            vcfg = SimConfig(jitter_sigma_ps=sigma)
-            for pulse in pulses:
-                for _ in range(2):  # computed, then read from the cache
-                    ((lo, hi, p),) = pulse.runs(vcfg)
-                    ((ref_lo, ref_hi, ref_p),) = _uncached_runs(pulse, vcfg)
-                    assert (lo, hi) == (ref_lo, ref_hi)
-                    np.testing.assert_array_equal(p, ref_p)
-            assert not pipeline._jitter_kernel(vcfg.jitter_sigma_ps).flags.writeable
+        cut = np.unique(np.clip(x, 0, period))
+        got = placement.mass(cut, vcfg)
+        assert got.shape == (len(cut) - 1,) and (got >= 0).all()
+        np.testing.assert_allclose(got, _per_cell(ref[None], cut)[0], rtol=1e-9, atol=1e-18)
 
 
 def _opened_streams(monkeypatch) -> list:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from law_reference import per_ps
 from sdmqsim import pipeline
 from sdmqsim.config import (
     ROLE_PHOTONS,
@@ -507,16 +508,14 @@ def _port_tables(cfg, flux, v, floor):
     Bob's ports usable and the other not, and the share of those on port P.
     A port is usable with ``e^{-B} (1 - e^{-I})``, ``B`` and ``I`` its mean
     clicks before and on the interior positions, summed here per ps over
-    its components' ``runs``."""
+    its components' per-ps law (``per_ps``)."""
     law = delay_interferometer_rates(cfg.eta * flux, cfg.d, v, PHASE_TABLE, "none", floor)
     lo, hi = cfg.pulse_period_ps, cfg.d * cfg.pulse_period_ps  # positions 1 .. d-1
     usable = []
     for port in ("p", "p_prime"):
         before = inside = 0.0
         for rate, placement in _phase_components(cfg, law, port, "none", 0):
-            row = np.zeros(cfg.frame_period_ps)
-            for a, b, p in placement.runs(cfg):
-                row[a:b] += p
+            row = per_ps(placement, cfg)
             before = before + rate * row[:lo].sum()
             inside = inside + rate * row[lo:hi].sum()
         usable.append(np.exp(-before) * (1 - np.exp(-inside)))
