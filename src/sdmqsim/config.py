@@ -134,7 +134,8 @@ class SimConfig:
                 f"im_extinction must be > 1 (linear ratio), got {self.im_extinction}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        # NaN and inf fail; a wider jitter would build a kernel of 8 sigma a pulse
+        # NaN and inf fail; Pulse.mass holds ceil(8 sigma) tail masses and every
+        # cut within 8 sigma of each slot, so its cost grows with the jitter
         if not 0 <= self.jitter_sigma_ps <= self.pulse_period_ps:
             raise ConfigError(f"jitter_sigma_ps must be in [0, pulse_period_ps = "
                               f"{self.pulse_period_ps}], got {self.jitter_sigma_ps}")

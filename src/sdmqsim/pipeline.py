@@ -5,8 +5,10 @@ mean clicks per frame, from the channel and (for phase frames)
 ``receiver.delay_interferometer_rates``, and where they land, as data: a
 jittered ``Pulse`` or a uniform ``Floor``, each with its draw (``times``)
 and its law written once, in closed form: its mass in each cell between
-sorted ps cuts (``mass``), exact to rounding in both tails.  A click's
-origin is its signal's position in the detector's list.
+sorted ps cuts (``mass``), exact to rounding in both tails.  A click
+carries no origin: a runner that counts one signal's share, timebin_B's
+crosstalk, counts it as the lab does, on a second detector at the same
+collection and gate with that signal left out of its list.
 
 A ``dt1``/``dt2`` detector with the dead time nested in the blank half
 keeps each frame's first gated click (see receiver), so its frames are
@@ -28,13 +30,10 @@ The time-bin and phase runners declare the ps edges of every window they
 read (``_cell_edges``) and get each detector back as ``Cells``: counts
 between those edges, and histogram bins where read (``_detector_cells``).
 A dense detector's counts are one draw from stream ``(*key, 0)``, with no
-per-click array (``_first_click_counts``), summed over origins: a cell's
-first-click mass telescopes to ``e^{-C(<a)} (1 - e^{-dC})`` from its mean
-gated clicks ``dC``, each component's rate times its placement's
-``mass`` (``_first_click_law``), with no per-ps law or exponential.
-The one origin split a runner reads, timebin_B's on its late signal's
-detector, is drawn as counts only where that signal alone lands in the
-gate; elsewhere on the Poisson path, which keeps every click's origin.
+per-click array (``_first_click_counts``): a cell's first-click mass
+telescopes to ``e^{-C(<a)} (1 - e^{-dC})`` from its mean gated clicks
+``dC``, each component's rate times its placement's ``mass``
+(``_first_click_law``), with no per-ps law or exponential.
 
 The BB84 exchange reads only each frame's outcome.  With Bob's dead time
 nested in the blank half (any other is rejected), that outcome depends
@@ -120,7 +119,6 @@ def expected_collection_rate(
     channel: ChannelModel,
     sid: str,
     groups,
-    include_excess: bool = True,
 ) -> float:
     """Analytic detected count rate (cps) of one signal into a collection.
 
@@ -131,10 +129,7 @@ def expected_collection_rate(
     summed over the signals that land in the gate): 0.4-0.8% fewer clicks
     than this rate at the canned fluxes, 72-85% fewer at mu_in = 1000.
     """
-    sig = scenario.signal(sid)
-    if not include_excess:
-        sig = replace(sig, excess_db=0.0)
-    cfg = scenario.cfg
+    sig, cfg = scenario.signal(sid), scenario.cfg
     return _collected_flux(cfg, channel, sig, groups) * cfg.eta * cfg.frame_rate_hz
 
 
@@ -145,29 +140,22 @@ def expected_collection_rate(
 
 @dataclass
 class Cells:
-    """Accepted clicks of one detector over its run: ``before[s, i]`` of
-    signal ``s`` before ``edges[i]``, the sorted distinct ps edges of the
-    windows its runner reads (one row summed over signals where not
-    ``by_origin``), and all of them in ``histogram``'s bins where the
-    runner reads those."""
+    """Accepted clicks of one detector over its run: ``before[i]`` before
+    ``edges[i]``, the sorted distinct ps edges of the windows its runner
+    reads, and all of them in ``histogram``'s bins where the runner reads
+    those."""
 
     edges: np.ndarray
     before: np.ndarray
     histogram: Histogram | None = None
-    by_origin: bool = True
 
-    def count(self, lo, hi, origin: int | None = None) -> int:
-        """Clicks of ``origin`` (of every signal if None) in the windows
-        ``[lo, hi)``, ps or arrays of ps, summed.  Every bound must be a
-        cell edge, no window may be reversed, and an origin is read only
-        from cells split by origin."""
+    def count(self, lo, hi) -> int:
+        """Clicks in the windows ``[lo, hi)``, ps or arrays of ps, summed.
+        Every bound must be a cell edge, and no window may be reversed."""
         ij = np.searchsorted(self.edges, (lo, hi))
         if (self.edges.take(ij, mode="clip") != (lo, hi)).any() or (ij[1] < ij[0]).any():
             raise ValueError(f"windows [{lo}, {hi}) ps do not lie on cell edges")
-        if origin is not None and not self.by_origin:
-            raise ValueError(f"origin {origin} read from cells summed over origins")
-        before = self.before.sum(axis=0) if origin is None else self.before[origin]
-        return int((before[ij[1]] - before[ij[0]]).sum())
+        return int((self.before[ij[1]] - self.before[ij[0]]).sum())
 
 
 @dataclass
@@ -280,7 +268,7 @@ def _pulse_center(vcfg, offset, slot):
 def _first_click_law(components, vcfg, gate, edges) -> tuple:
     """The chance ``1 - e^{-C}`` that a frame has a gated click, and the
     exact mass of its first one in each cell between ``edges`` (sorted
-    distinct ps from 0 to P, see ``_cell_edges``), summed over origins.
+    distinct ps from 0 to P, see ``_cell_edges``), whatever its signal.
     Over a cell ``[a, b)`` it telescopes to ``e^{-C(<a)} (1 - e^{-dC})``,
     ``dC`` the cell's mean gated clicks, each component's rate times its
     placement's mass in the cell (``mass``).  No per-ps exponential is
@@ -302,9 +290,9 @@ def _first_click_law(components, vcfg, gate, edges) -> tuple:
 
 def _first_click_counts(root, key, components, vcfg, gate, n, edges) -> np.ndarray:
     """Counts of the first gated clicks of ``n`` i.i.d. frames in each cell
-    between ``edges``, summed over origins, one draw from stream ``(*key,
-    0)``: Binomial(n, 1 - e^{-C}) frames click, and a multinomial over the
-    cells of non-zero mass splits them by ``_first_click_law``."""
+    between ``edges``, one draw from stream ``(*key, 0)``: Binomial(n, 1 -
+    e^{-C}) frames click, and a multinomial over the cells of non-zero mass
+    splits them by ``_first_click_law``."""
     p_click, mass = _first_click_law(components, vcfg, gate, edges)
     gen = root.stream(*key, 0).generator()
     clicks = gen.binomial(n, p_click)
@@ -342,78 +330,55 @@ def _simulate_detector(key, components, vcfg, gate, frames: range, blocked: int)
     docstring).  Stream ``(*key, s, first batch)`` draws signal ``s``'s
     components in list order: the frames (sorted), then their within-frame
     times.  No click is kept before the absolute time ``blocked``.  Returns
-    the kept ``(frames, t, origin)`` in time order and the absolute time
-    until which the detector stays dead after them."""
+    the kept ``(frames, t)`` in time order and the absolute time until
+    which the detector stays dead after them."""
     root = RandomSource(vcfg.seed)
-    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-              np.zeros(0, dtype=np.int8))]
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
     for s, comps in enumerate(components):
         gen = root.stream(*key, s, frames.start // BATCH).generator()
         for lam, placement in comps:
             fr = frames.start + _poisson_frames(gen, lam, len(frames))
             if len(fr):
-                parts.append((fr, placement.times(gen, len(fr), vcfg),
-                              np.full(len(fr), s, dtype=np.int8)))
-    fr, t, origin = _finish_detector(parts, vcfg, gate, blocked)
+                parts.append((fr, placement.times(gen, len(fr), vcfg)))
+    fr, t = _finish_detector(parts, vcfg, gate, blocked)
     if len(fr):
         blocked = int(fr[-1]) * vcfg.frame_period_ps + int(t[-1]) + vcfg.dead_time_ps
-    return (fr, t, origin), blocked
+    return (fr, t), blocked
 
 
-def _rated(components, vcfg, gate) -> list:
-    """The signals with positive mass in a ``dt1``/``dt2`` gate, read from
-    their placements' mass between its two edges (``mass``)."""
-    lo = vcfg.frame_window_ps if gate == DELTA_T2 else 0
-    gate_edges = np.array([lo, lo + vcfg.frame_window_ps])
-    return [s for s, comps in enumerate(components)
-            if any(rate * pl.mass(gate_edges, vcfg)[0] > 0 for rate, pl in comps)]
-
-
-def _detector_cells(key, components, vcfg, gate, n, edges, histogram=False,
-                    by_origin=False) -> Cells:
+def _detector_cells(key, components, vcfg, gate, n, edges, histogram=False) -> Cells:
     """One detector's accepted clicks over ``n`` frames as ``Cells`` between
     ``edges`` (see ``_cell_edges``), with a histogram if asked.  Counts
-    (``_drawn_as_counts``) are drawn between both kinds of edge, in one row
-    summed over origins; a detector whose origin split is read
-    (``by_origin``) is drawn so only where at most one signal has gated
-    mass (``_rated``), and its row is then that signal's.  Otherwise
+    (``_drawn_as_counts``) are drawn between both kinds of edge.  Otherwise
     ``_simulate_detector`` draws one span (``_span``) a call, the dead time
-    carried into the next, and each span's clicks are sorted by origin,
-    then ps, and each origin's edges found in them: exact per origin under
-    the lowest-signal-wins tie rule."""
-    signals, period = len(components), vcfg.frame_period_ps
-    counted = _drawn_as_counts(components, vcfg, gate)
-    rated = _rated(components, vcfg, gate) if counted and by_origin else []
-    if not counted or len(rated) > 1:
-        before, bins, blocked = np.zeros((signals, len(edges)), np.int64), 0, 0
+    carried into the next, and each span's clicks are counted before each
+    edge."""
+    if not _drawn_as_counts(components, vcfg, gate):
+        before, bins, blocked = np.zeros(len(edges), np.int64), 0, 0
         span = _span(_mean_clicks(components))
         for b0 in range(0, n, span):
-            (_, t, origin), blocked = _simulate_detector(key, components, vcfg, gate,
-                                                         range(n)[b0:b0 + span], blocked)
-            click = np.multiply(origin, period, dtype=np.int64) + t
-            click.sort()
-            at = np.searchsorted(click, np.add.outer(np.arange(signals) * period, edges).ravel())
-            at = at.reshape(signals, -1)
-            before += at - at[:, :1]
+            (_, t), blocked = _simulate_detector(key, components, vcfg, gate,
+                                                 range(n)[b0:b0 + span], blocked)
+            before += np.searchsorted(np.sort(t), edges)
             bins += histogram_from_times(t, vcfg).bins if histogram else 0
         return Cells(edges, before, Histogram(bins, vcfg.hist_res_ps) if histogram else None)
-    fine = (_cell_edges(vcfg, [edges, np.arange(0, period, vcfg.hist_res_ps)])
+    fine = (_cell_edges(vcfg, [edges, np.arange(0, vcfg.frame_period_ps, vcfg.hist_res_ps)])
             if histogram else edges)
     counts = _first_click_counts(RandomSource(vcfg.seed), key, components, vcfg, gate, n, fine)
-    before = np.zeros((signals if by_origin else 1, len(fine)), dtype=np.int64)
-    np.cumsum(counts, out=before[rated[0] if rated else 0, 1:])
-    return Cells(edges, before[:, np.searchsorted(fine, edges)],
-                 histogram_from_times(fine[:-1], vcfg, counts) if histogram else None, by_origin)
+    before = np.zeros(len(fine), dtype=np.int64)
+    np.cumsum(counts, out=before[1:])
+    return Cells(edges, before[np.searchsorted(fine, edges)],
+                 histogram_from_times(fine[:-1], vcfg, counts) if histogram else None)
 
 
 def _finish_detector(parts, vcfg, gate, blocked=0) -> tuple:
-    """Gate, time-sort and dead-time walk held ``(frames, t, origin)`` pieces
-    to clicks, none before the absolute time ``blocked``."""
-    fr, t, origin = (np.concatenate(column) for column in zip(*parts))
+    """Gate, time-sort and dead-time walk held ``(frames, t)`` pieces to
+    clicks, none before the absolute time ``blocked``."""
+    fr, t = (np.concatenate(column) for column in zip(*parts))
     # gate first: the mask reads only t_within, and the stable sort keeps
     # the survivors' relative order, so sorting fewer events changes nothing
     keep = gate_mask(t, gate, vcfg.frame_window_ps)
-    fr, t, origin = fr[keep], t[keep], origin[keep]
+    fr, t = fr[keep], t[keep]
     t_abs = fr * vcfg.frame_period_ps + t
     order = np.argsort(t_abs, kind="stable")
     t_abs = t_abs[order]
@@ -421,7 +386,7 @@ def _finish_detector(parts, vcfg, gate, blocked=0) -> tuple:
     # walk starts at the first event past it
     first = np.searchsorted(t_abs, blocked)
     order = order[first:][dead_time_mask(t_abs[first:], vcfg.dead_time_ps)]
-    return fr[order], t[order], origin[order]
+    return fr[order], t[order]
 
 
 def _timebin_components(vcfg, lam, f, offset, slot) -> tuple:
@@ -590,8 +555,7 @@ def _run_timebin(scenario: Scenario, channel) -> RunResult:
         gate, sig = exp.gates.get(sid, "always"), scenario.signal(sid)
         det = _detector_cells((ROLE_PHOTONS, det_idx),
                               _timebin_law(vcfg, channel, scenario.signals, groups), vcfg,
-                              gate, n, edges, histogram=True,
-                              by_origin=sig is late and exp.kind != "timebin_xt")
+                              gate, n, edges, histogram=True)
         offset = sig.offset_ps(vcfg)
         # other signals' pulses sharing this half-window are known spikes,
         # not floor: their slots are left out of the floor
@@ -618,9 +582,13 @@ def _run_timebin(scenario: Scenario, channel) -> RunResult:
         elif sig is late:
             ids = "".join(o.signal_id for o in early)
             xt_db[f"{ids}_to_{sid}"] = crosstalk(det)
-            extra[f"{ids.lower()}_counts_in_dt2_on_{sid}"] = sum(
-                det.count(*win["half", window], scenario.signals.index(o)) for o in early
-            )
+            # the others' clicks as the lab counts them: the late signal
+            # dark, on a detector at the same collection and gate, drawn
+            # from a stream no other detector of the run opens
+            dark = _detector_cells((ROLE_PHOTONS, len(exp.collections)),
+                                   _timebin_law(vcfg, channel, early, groups), vcfg, gate, n,
+                                   edges)
+            extra[f"{ids.lower()}_counts_in_dt2_on_{sid}"] = dark.count(*win["half", window])
         del det  # released before the next detector is drawn
 
     snr_mean = _mean_db(snr_by_signal.values())

@@ -81,7 +81,8 @@ class TestExpectedRates:
         sc = capacity_scenario
         channel = build_channel(sc)
         with_cal = expected_collection_rate(sc, channel, "C", (4, 5))
-        bare = expected_collection_rate(sc, channel, "C", (4, 5), include_excess=False)
+        bare_sc = replace(sc, signals=tuple(replace(s, excess_db=0.0) for s in sc.signals))
+        bare = expected_collection_rate(bare_sc, channel, "C", (4, 5))
         ratio = with_cal / bare
         assert ratio == pytest.approx(10 ** (sc.signal("C").excess_db / 10), rel=1e-12)
 
@@ -91,7 +92,7 @@ def _gated_counts(times, vcfg, offset=0) -> float:
     that hold its gates."""
     on, off = _phase_gates(vcfg, offset)
     edges = _cell_edges(vcfg, (on, off))
-    cells = Cells(edges, np.searchsorted(np.sort(times), edges)[None, :])
+    cells = Cells(edges, np.searchsorted(np.sort(times), edges))
     return float(cells.count(*on) - cells.count(*off))
 
 
@@ -359,7 +360,7 @@ class TestOnePathCrossCheck:
     def _check(self, drawn, rates):
         det, windows = drawn
         counts = [det.count(lo, hi) for lo, hi in zip(*windows)]
-        assert sum(counts) == det.before[:, -1].sum()
+        assert sum(counts) == det.before[-1]
         for got, rate in zip(counts, rates):
             expect = rate * self.N
             assert abs(got - expect) <= 4 * math.sqrt(expect), (counts, rates)
@@ -446,15 +447,13 @@ def _per_cell(per_ps, edges) -> np.ndarray:
 
 
 def _first_click_mass(components, vcfg, gate, edges) -> np.ndarray:
-    """Exact (origin, cell) mass of a frame's first gated click, from each
-    component's per-ps law by a plain cumulative product over the ps: the click
-    is at ps ``t`` from signal ``s`` when no signal clicked before ``t``, no
-    signal below ``s`` clicks at ``t``, and ``s`` does."""
-    lam = _gated_rates(components, vcfg, gate)
-    quiet = np.exp(-lam)  # no click of signal s at ps t
-    before = np.concatenate([[1.0], np.cumprod(quiet.prod(axis=0))[:-1]])
-    below = np.cumprod(np.vstack([np.ones(lam.shape[1]), quiet[:-1]]), axis=0)
-    return _per_cell(before * below * -np.expm1(-lam), edges)
+    """Exact mass in each cell of a frame's first gated click, from each
+    component's per-ps law by a plain cumulative product over the ps: the
+    click is at ps ``t`` when no signal clicked before ``t`` and one clicks
+    at ``t``."""
+    lam = _gated_rates(components, vcfg, gate).sum(axis=0)
+    before = np.concatenate([[1.0], np.cumprod(np.exp(-lam))[:-1]])
+    return _per_cell((before * -np.expm1(-lam))[None], edges)[0]
 
 
 def _slot_edges(vcfg) -> np.ndarray:
@@ -524,10 +523,9 @@ def _law_cases():
 
 class TestFirstClickLaw:
     """The first-click law telescoped over the cells equals the per-ps
-    cumulative product of ``_first_click_mass`` summed over origins in
-    every cell, and ``p_click`` is its total, at both gates, between the
-    slot edges and between the histogram's.  The bounds are those the
-    per-origin law was held to: a cell in a kernel's far tail, of mass
+    cumulative product of ``_first_click_mass`` in every cell, and
+    ``p_click`` is its total, at both gates, between the slot edges and
+    between the histogram's.  A cell in a jitter's far tail, of mass
     ~1e-16, is held to an absolute 1e-18."""
 
     CASES = _law_cases()
@@ -538,7 +536,7 @@ class TestFirstClickLaw:
         _, components, vcfg = case
         for edges in (_slot_edges(vcfg), _histogram_edges(vcfg)):
             p_click, mass = _first_click_law(components, vcfg, gate, edges)
-            ref = _first_click_mass(components, vcfg, gate, edges).sum(axis=0)
+            ref = _first_click_mass(components, vcfg, gate, edges)
             assert mass.shape == ref.shape and (mass >= 0).all()
             np.testing.assert_allclose(mass, ref, rtol=1e-9, atol=1e-18)
             assert p_click == pytest.approx(mass.sum(), rel=1e-9, abs=0)
@@ -573,7 +571,7 @@ class TestPortLaw:
             for cls, phi in enumerate(PHASE_TABLE):
                 rates = delay_interferometer_rates(cfg.eta * flux, cfg.d, v, phi, "none", floor)
                 port_law = [list(_phase_components(cfg, rates, port, "none", 0))]
-                ref = _first_click_mass(port_law, cfg, DELTA_T1, edges)[0, 1]
+                ref = _first_click_mass(port_law, cfg, DELTA_T1, edges)[1]
                 np.testing.assert_allclose(usable[cls], ref, rtol=1e-9, atol=1e-18)
 
     def test_builds_no_per_ps_law(self, monkeypatch):
@@ -640,16 +638,13 @@ class TestDetectorLaw:
     and n times the gated rate mass with no dead time, where every gated
     click is kept.  Each detector is drawn over ``N`` frames as counts
     (``FIRST_CLICK_DENSITY = 0``; only where the first-click rule holds),
-    one row held to the law summed over origins, and on the Poisson path
-    (``FIRST_CLICK_DENSITY = inf``), each origin's row held to its own,
-    there at the default ``SPAN_CLICKS`` and at one-batch spans
-    (``SPAN_CLICKS = 1``: three spans, the last partial).  A detector whose
-    origin split is read (``by_origin``) is drawn as counts only where one
-    signal has gated mass, into that signal's row.  Cells of no mass get
-    no click, and a nested detector clicks at most once a frame.  Each
-    draw's G statistic over the cells, and the frames with no click where
-    nested, with the cells that expect < 5 pooled into one, is read as the
-    Wilson-Hilferty z of its chi-square law and must be at most 5: a
+    and on the Poisson path (``FIRST_CLICK_DENSITY = inf``), there at the
+    default ``SPAN_CLICKS`` and at one-batch spans (``SPAN_CLICKS = 1``:
+    three spans, the last partial).  Cells of no mass get no click, and a
+    nested detector clicks at most once a frame.  Each draw's G statistic
+    over the cells, and the frames with no click where nested, with the
+    cells that expect < 5 pooled into one, is read as the Wilson-Hilferty
+    z of its chi-square law and must be at most 5: a
     one-sided 2.9e-7 a draw.  The G-test spreads a uniform rate error over all its cells, so
     each draw's total clicks must also lie within 5 sigma of ``N`` times
     the total mass, the variance binomial where nested and Poisson with no
@@ -657,9 +652,8 @@ class TestDetectorLaw:
     where the exact tails are within ~10% of the normal's two-sided
     5.7e-7; a smaller variance has no power against a 1% error.  Both
     together fail a correct sampler under 1.4e-4 over the class's at most
-    144 draws (47 examples, at most three draws each, and the three
-    ``by_origin`` draws), which ``derandomize`` and fixed seeds make the
-    same on every run."""
+    141 draws (47 examples, at most three draws each), which
+    ``derandomize`` and fixed seeds make the same on every run."""
 
     N = 2 * BATCH + 123
     DRAWS = ((0.0, pipeline.SPAN_CLICKS), (math.inf, pipeline.SPAN_CLICKS), (math.inf, 1))
@@ -683,7 +677,7 @@ class TestDetectorLaw:
                                min_size=1, max_size=3),
            sigma=st.sampled_from([0.0, 100.0, float(TP)]), gate_tau=_GATE_TAU,
            extra=st.lists(st.integers(1, P - 1), max_size=4), seed=st.integers(0, 1 << 16))
-    # jitter-free pulses of three signals on one ps: the lowest wins the tie
+    # jitter-free pulses of three signals on one ps
     @example(components=[[(lam, Pulse(500, 1, TP))] for lam in (0.2, 0.5, 0.3)], sigma=0.0,
              gate_tau=(DELTA_T1, W), extra=[500, 501], seed=1)
     # the benchmark's saturated time-bin detectors (timebin_b at mu_in = 1000)
@@ -710,21 +704,19 @@ class TestDetectorLaw:
         if tau:
             mass = _first_click_mass(components, vcfg, gate, edges)
         else:
-            mass = _per_cell(_gated_rates(components, vcfg, gate), edges)
+            mass = _per_cell(_gated_rates(components, vcfg, gate), edges).sum(axis=0)
         for density, span_clicks in self.DRAWS[0 if tau else 1:]:  # counts only if nested
             with mock.patch.multiple(pipeline, FIRST_CLICK_DENSITY=density,
                                      SPAN_CLICKS=span_clicks):
                 cells = _detector_cells((ROLE_PHOTONS, 5), components, vcfg, gate, self.N, edges)
-            assert cells.by_origin == (density > 0)
-            self._check(cells, mass if cells.by_origin else mass.sum(axis=0, keepdims=True),
-                        tau, (density, span_clicks))
+            self._check(cells, mass, tau, (density, span_clicks))
 
     def _check(self, cells, mass, nested, label):
-        """The cells' counts against ``N`` times ``mass``, row by row."""
-        counts = np.diff(cells.before, axis=1)
+        """The cells' counts against ``N`` times ``mass``."""
+        counts = np.diff(cells.before)
         assert counts.shape == mass.shape, label
         assert (counts >= 0).all() and not counts[mass == 0].any(), label
-        obs, expect = counts.ravel(), self.N * mass.ravel()
+        obs, expect = counts, self.N * mass
         total, p = counts.sum(), mass.sum()
         var = self.N * p * (1 - p) if nested else self.N * p
         if var >= 1000:
@@ -734,39 +726,6 @@ class TestDetectorLaw:
             obs = np.append(obs, self.N - total)
             expect = np.append(expect, self.N * (1 - p))
         assert self._z(obs, expect) <= 5, label
-
-    # two signals rated in the gate: jitter-free pulses on one ps, where the
-    # lowest wins the tie, and two overlapping kernels beside a floor
-    @pytest.mark.parametrize("components,sigma", [
-        ([[(lam, Pulse(500))] for lam in (0.2, 0.5, 0.3)], 0.0),
-        ([[(1.0, Pulse(30_000)), (0.5, Floor(0))], [(0.8, Pulse(30_050))]], 100.0),
-    ])
-    def test_by_origin_split_drawn_on_the_poisson_path(self, components, sigma):
-        vcfg = SimConfig(jitter_sigma_ps=sigma, seed=7)
-        edges = _cell_edges(vcfg, [_slot_edges(vcfg), np.array([500, 501, 30_000])])
-        with mock.patch.object(pipeline, "_first_click_counts",
-                               side_effect=AssertionError("drawn as counts")):
-            cells = _detector_cells((ROLE_PHOTONS, 5), components, vcfg, DELTA_T1, self.N,
-                                    edges, by_origin=True)
-        assert cells.by_origin
-        self._check(cells, _first_click_mass(components, vcfg, DELTA_T1, edges), True,
-                    "poisson")
-
-    def test_by_origin_one_rated_signal_drawn_as_counts(self):
-        # signal 1 alone lands in the dt2 gate; signal 0's floor lies in the
-        # first half, so it has no mass there and rates nothing
-        vcfg = SimConfig(seed=8)
-        components = [[(1.0, Pulse(30_000)), (0.5, Floor(0))],
-                      [(1.2, Pulse(130_000)), (0.4, Floor(W, TP))]]
-        edges = _cell_edges(vcfg, [_slot_edges(vcfg)])
-        with mock.patch.object(pipeline, "_simulate_detector",
-                               side_effect=AssertionError("drawn on the Poisson path")):
-            cells = _detector_cells((ROLE_PHOTONS, 5), components, vcfg, DELTA_T2, self.N,
-                                    edges, by_origin=True)
-        mass = _first_click_mass(components, vcfg, DELTA_T2, edges)
-        assert cells.by_origin and not mass[0].any() and not cells.before[0].any()
-        self._check(cells, mass, True, "counts")
-        assert cells.count(W, P, 1) == cells.count(W, P) > 0 == cells.count(W, P, 0)
 
 
 class TestCellsRobust:
@@ -784,7 +743,7 @@ class TestCellsRobust:
         rc = main(["run", str(derived), "--frames", str(frames), "--out", str(tmp_path / "o")])
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         for _, det in drawn:  # counts of at most one click a frame
-            assert (np.diff(det.before) >= 0).all() and det.before[:, -1].sum() <= frames
+            assert (np.diff(det.before) >= 0).all() and det.before[-1] <= frames
         return rc, report, [det for _, det in drawn]
 
     def test_every_frame_clicks(self, tmp_path, monkeypatch):
@@ -798,8 +757,8 @@ class TestCellsRobust:
             lam = sum(expected_collection_rate(sc, ch, s.signal_id, groups) for s in gated)
             assert -math.expm1(-lam / sc.cfg.frame_rate_hz) == 1.0
         rc, report, cells = self._run(tmp_path, monkeypatch, 1000, "1e6")
-        assert rc == 0 and len(cells) == 3
-        assert [det.before[:, -1].sum() for det in cells] == [1000] * 3
+        # A, B, B's collection with B dark (no A or C click in its gate), C
+        assert rc == 0 and [det.before[-1] for det in cells] == [1000, 1000, 0, 1000]
 
         def finite(value):
             if isinstance(value, dict):
@@ -811,36 +770,23 @@ class TestCellsRobust:
     @pytest.mark.parametrize("frames", [1, 1000])
     def test_few_frames(self, tmp_path, monkeypatch, frames):
         rc, report, cells = self._run(tmp_path, monkeypatch, frames)
-        assert rc == 0 and report["n_frames"] == frames and len(cells) == 3
-
-    def test_origin_of_summed_cells_raises(self):
-        # a dense nested detector's counts are one row summed over origins:
-        # it has no origin to read, and must not give the total for one
-        vcfg = SimConfig(seed=3)
-        edges = _cell_edges(vcfg, [_slot_edges(vcfg)])
-        cells = _detector_cells((ROLE_PHOTONS, 0), MIXED, vcfg, DELTA_T1, 1000, edges)
-        assert not cells.by_origin and cells.before.shape == (1, len(edges))
-        assert cells.count(0, W) > 0
-        for origin in range(len(MIXED)):
-            with pytest.raises(ValueError, match="summed over origins"):
-                cells.count(0, W, origin)
+        assert rc == 0 and report["n_frames"] == frames and len(cells) == 4
 
     def test_saturated_detectors_drawn_as_counts(self, tmp_path, monkeypatch):
-        # timebin_B reads the origin split of its late signal's detector;
-        # only that signal has mass in its dt2 gate, so every saturated
-        # detector is drawn as counts (the Poisson path at these rates
-        # costs ~10x the run)
+        # every saturated detector, the late signal's collection with that
+        # signal dark too, is drawn as counts (the Poisson path at these
+        # rates costs ~10x the run)
         monkeypatch.setattr(pipeline, "_simulate_detector",
                             mock.Mock(side_effect=AssertionError("drawn on the Poisson path")))
         rc, report, cells = self._run(tmp_path, monkeypatch, 1000)
-        assert rc == 0 and [det.by_origin for det in cells] == [False, True, False]
+        assert rc == 0 and len(cells) == 4
         assert report["extra"]["ac_counts_in_dt2_on_B"] == 0
 
     def test_window_off_the_edges_raises(self):
         period = SimConfig().frame_period_ps
-        # counts 1, 3, 5 of signal 0 and 2, 4, 6 of signal 1
-        cells = Cells(np.array([0, 100, 250, period]), np.array([[0, 1, 4, 9], [0, 2, 6, 12]]))
-        assert cells.count(0, 250) == 10 and cells.count(100, period, 1) == 10
+        # counts 3, 7 and 11
+        cells = Cells(np.array([0, 100, 250, period]), np.array([0, 3, 10, 21]))
+        assert cells.count(0, 250) == 10 and cells.count(100, period) == 18
         assert cells.count(np.array([0, 250]), np.array([100, period])) == 14
         for lo, hi in [(0, 99), (1, 100), (0, period + 1), (-1, 100), (250, 100),
                        (np.array([0, 100]), np.array([100, 200]))]:
@@ -858,8 +804,10 @@ class TestExactWindows:
         drawn = _traced_cells(monkeypatch)
         report = run_scenario(sc).report
         tp, w = vcfg.pulse_period_ps, vcfg.frame_window_ps
-        assert [key for key, _ in drawn] == [(ROLE_PHOTONS, i) for i in range(3)]
-        for (_, det), sid in zip(drawn, sorted(exp.collections)):
+        # B's collection is drawn a second time, with B dark, as detector 3
+        assert [key for key, _ in drawn] == [(ROLE_PHOTONS, i) for i in (0, 1, 3, 2)]
+        for i, sid in enumerate(sorted(exp.collections)):
+            det = dict(drawn)[ROLE_PHOTONS, i]
             sig = sc.signal(sid)
             off = sig.offset_ps(vcfg)
             slots = [sig.fixed_slot] + [
@@ -903,7 +851,9 @@ class TestPlacementLaw:
     """The tests' per-ps law (``per_ps``) is the law that ``times`` draws:
     it sums to 1 but for the jitter's truncated tails, and draws agree with
     it within 5 sigma over cells of consecutive ps that each expect >= 25
-    draws (the last cell may expect fewer)."""
+    draws (the last cell may expect fewer), and in their mean within 5
+    standard errors of the law's.  The cells cannot resolve a 1 ps shift of
+    a 100 ps jitter; the mean, its standard error ~0.16 ps, does."""
 
     N = 400_000
 
@@ -921,6 +871,10 @@ class TestPlacementLaw:
         obs, exp = np.bincount(cell, seen), np.bincount(cell, expect)
         z = (obs - exp)[exp > 0] / np.sqrt(exp[exp > 0])
         assert np.abs(z).max() <= 5
+        ps = np.arange(vcfg.frame_period_ps)
+        mean = mass @ ps / mass.sum()
+        var = mass @ (ps - mean) ** 2 / mass.sum()
+        assert abs(t.mean() - mean) <= 5 * math.sqrt(var / self.N)
 
 
 class TestClosedFormMass:
@@ -988,7 +942,7 @@ class TestPoissonSpans:
                                 _cell_edges(vcfg, []))
         assert sorted(opened) == [(*self.KEY, s, b) for s in (0, 1) for b in firsts]
         assert sum(drawn) == 3 * self.N  # three components
-        assert cells.before[:, -1].all()  # both signals clicked
+        assert cells.before[-1] > 0
 
     def test_dense_detector_draws_batch_by_batch(self, monkeypatch):
         # 1.4 expected clicks a frame: one batch expects more than
@@ -1003,18 +957,17 @@ class TestPoissonSpans:
                 gen = root.stream(*self.KEY, s, b0 // BATCH).generator()
                 for lam, placement in comps:
                     fr = b0 + _poisson_frames(gen, lam, min(BATCH, n - b0))
-                    parts.append((fr, placement.times(gen, len(fr), vcfg), np.full(len(fr), s)))
-        fr, t, origin = map(np.concatenate, zip(*parts))
+                    parts.append((fr, placement.times(gen, len(fr), vcfg)))
+        fr, t = map(np.concatenate, zip(*parts))
         order = np.argsort(fr * vcfg.frame_period_ps + t, kind="stable")
         spans, sim = [], pipeline._simulate_detector
         monkeypatch.setattr(pipeline, "_simulate_detector",
                             lambda *args: spans.append(sim(*args)) or spans[-1])
         _detector_cells(self.KEY, components, vcfg, "always", n, _cell_edges(vcfg, []))
         assert len(spans) == 3
-        got_fr, got_t, got_origin = map(np.concatenate, zip(*(kept for kept, _ in spans)))
+        got_fr, got_t = map(np.concatenate, zip(*(kept for kept, _ in spans)))
         np.testing.assert_array_equal(got_fr, fr[order])
         np.testing.assert_array_equal(got_t, t[order])
-        np.testing.assert_array_equal(got_origin, origin[order])
 
     def test_phase_er_opens_few_streams(self, monkeypatch):
         # 15 sparse detectors, each drawn as one span: one stream a signal,
@@ -1034,6 +987,20 @@ class TestExchangeSpans:
         run_scenario(load_scenario(SCENARIOS / "bb84_eve.ini").with_overrides(
             n_frames=4_800_000))
         assert opened == [(ROLE_PHOTONS,)]
+
+
+class TestStreamsDistinct:
+    """No two draws of a run share a random stream: each canned kind, and
+    the benchmark's saturated time-bin scenario, opens each stream once."""
+
+    @pytest.mark.parametrize("path", [*sorted(SCENARIOS.glob("*.ini")),
+                                      REPO / "perfbench" / "timebin_saturated.ini"],
+                             ids=lambda path: path.stem)
+    def test_each_stream_opened_once(self, monkeypatch, path):
+        sc = load_scenario(path).with_overrides(n_frames=20_000)
+        opened = _opened_streams(monkeypatch)
+        run_scenario(sc)
+        assert opened and len(set(opened)) == len(opened), opened
 
 
 class TestBb84KeyRate:

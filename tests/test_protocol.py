@@ -358,7 +358,7 @@ class TestStreamSplit:
                                                       range(2 * BATCH, n)]
         # each later span starts blocked by the last one's last click
         assert calls[0][1] == 0
-        for (_, _, ((fr, t, _), blocked)), (_, carried, _) in zip(calls, calls[1:]):
+        for (_, _, ((fr, t), blocked)), (_, carried, _) in zip(calls, calls[1:]):
             assert carried == blocked == int(fr[-1]) * period + int(t[-1]) + cfg.dead_time_ps
         # every frame keeps its late click, and an early click is kept in the
         # run's first frame alone, where spans drawn without the dead time

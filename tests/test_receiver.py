@@ -35,7 +35,7 @@ def _detect(times, cfg, gate="always"):
     0, gated and dead-time vetoed."""
     t = np.asarray(times, dtype=np.int64)
     zeros = np.zeros(len(t), dtype=np.int64)
-    return _finish_detector([(zeros, t, zeros.astype(np.int8))], cfg, gate)[1]
+    return _finish_detector([(zeros, t)], cfg, gate)[1]
 
 
 def _uniform_in_gate(lam):
@@ -151,14 +151,13 @@ W, P = 100_000, 200_000  # the default frame window and period
 
 
 def _pieces(draw_pieces):
-    """Per-piece (times, frames, origin) arrays; piece ``k`` has origin ``k``."""
-    ts, fs, os_ = [], [], []
-    for k, events in enumerate(draw_pieces):
+    """Per-piece (times, frames) arrays."""
+    ts, fs = [], []
+    for events in draw_pieces:
         events = sorted(events)  # the sampler draws each piece's frames sorted
         ts.append(np.array([t for _, t in events], dtype=np.int64))
         fs.append(np.array([f for f, _ in events], dtype=np.int64))
-        os_.append(np.full(len(events), k, dtype=np.int8))
-    return ts, fs, os_
+    return ts, fs
 
 
 # times on the gate and frame edges, and a few mid-gate values shared across
@@ -182,19 +181,19 @@ class TestFirstClickVeto:
 
     @staticmethod
     def _sort_and_walk(pieces, cfg, gate):
-        fr, t, orig = _finish_detector(list(zip(pieces[1], pieces[0], pieces[2])), cfg, gate)
-        return t, fr, orig
+        fr, t = _finish_detector(list(zip(pieces[1], pieces[0])), cfg, gate)
+        return t, fr
 
     @staticmethod
     def _reference(pieces, cfg, gate, walk):
         """Gate, stable sort by absolute time, then veto with ``walk``."""
-        t, fr, orig = (np.concatenate(part) for part in pieces)
+        t, fr = (np.concatenate(part) for part in pieces)
         keep = gate_mask(t, gate, cfg.frame_window_ps)
-        t, fr, orig = t[keep], fr[keep], orig[keep]
+        t, fr = t[keep], fr[keep]
         t_abs = fr * cfg.frame_period_ps + t
         order = np.argsort(t_abs, kind="stable")
         order = order[walk(t_abs[order], cfg.dead_time_ps)]
-        return t[order], fr[order], orig[order]
+        return t[order], fr[order]
 
     @staticmethod
     def _draws_counts(cfg, gate, lam):

@@ -290,9 +290,9 @@ class TestCliRun:
     def test_saturated_timebin_report_bytes(self, tmp_path):
         # timebin_b at mu_in = 1000 puts 3-7 gated clicks a frame into every
         # detector, so each draws its counts from the first-click law, one
-        # binomial and one multinomial over its cells summed over origins
-        # (the late signal's detector into its own row, the one signal in
-        # its gate); the bytes are pinned from that draw, which
+        # binomial and one multinomial over its cells (and the late
+        # signal's collection with that signal dark, which has no mass in
+        # its gate, draws none); the bytes are pinned from that draw, which
         # TestDetectorLaw checks against the exact law, as it does the
         # Poisson path that draws, sorts and walks every click
         derived = tmp_path / "timebin_b_saturated.ini"
