@@ -8,7 +8,7 @@ power-level crosstalk measurement.
 """
 import numpy as np
 
-from sdmqsim.channel import ChannelModel, load_link_tables, measure_insertion_loss
+from sdmqsim.channel import ChannelModel, load_link_tables
 from sdmqsim.config import ROLE_PHOTONS, SignalAssignment, SimConfig
 
 il, xt = load_link_tables()
@@ -27,8 +27,8 @@ print("  group-5 output distribution:", np.round(xt.column(5), 4))
 print("\n== per-signal transmission ==")
 channel = ChannelModel(il=il, xt=xt, distance="8km", mu_reference="mux_input")
 for g in (1, 3, 5):
-    sig = SignalAssignment("S", input_group=g)
-    meas = measure_insertion_loss(sig, channel)
+    # all output groups collected: the crosstalk columns are stochastic
+    meas = 10 * np.log10(channel.transmission(SignalAssignment("S", input_group=g)))
     print(f"  input group {g}: measured IL {meas:.2f} dB "
           f"(table {il.db(g, '8km'):.2f} dB)")
 

@@ -10,7 +10,7 @@ range of block sizes.
 from pathlib import Path
 
 from sdmqsim.pipeline import run_scenario
-from sdmqsim.protocol import KeyRateParams, key_rate
+from sdmqsim.protocol import key_rate
 from sdmqsim.scenarios import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -29,5 +29,5 @@ print("intercept-resend signature at V = 1: 1/2 x 1/2 = 0.25")
 
 print("\n== finite-key secret fraction (defaults, k = n) ==")
 for n in (10**3, 10**4, 10**5, 10**6, 10**7):
-    print(f"  n = {n:>8}: r = {key_rate(KeyRateParams(n=n)):.4f}")
+    print(f"  n = {n:>8}: r = {key_rate(n):.4f}")
 print("  (r >= 0.64 from n = 1e6 with the default parameter set)")

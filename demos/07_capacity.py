@@ -8,7 +8,7 @@ log2(64) = 6 qubits.
 """
 from pathlib import Path
 
-from sdmqsim.analysis import capacity, capacity_from_counts
+from sdmqsim.analysis import capacity_from_counts
 from sdmqsim.pipeline import run_scenario
 from sdmqsim.scenarios import load_scenario
 
@@ -33,7 +33,7 @@ print(f"  detector-efficiency ceiling (eta -> 1): "
       f"{rep.extra['capacity_eta1_qubits_per_s'] / 1e6:.2f} Mqubit/s")
 
 print("\n== parametric form ==")
-c_one = capacity(1, 1.0, 0.15, 5e6, 10 ** (-0.83), 64)
+c_one = 0.15 * 5e6 * 10 ** (-0.83) * 6  # eta R_f IL log2(d) at mu' = 1
 print(f"  one group, parametric product: {c_one / 1e3:.1f} kqubit/s")
 print(f"  from a 202.6 kcps aggregate: "
       f"{capacity_from_counts(202_600, 64) / 1e6:.4f} Mqubit/s")

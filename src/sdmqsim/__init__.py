@@ -15,12 +15,10 @@ from .channel import (
     CrosstalkMatrix,
     InsertionLossTable,
     load_link_tables,
-    measure_insertion_loss,
 )
 from .receiver import Histogram, InterferometerRates, delay_interferometer_rates
 from .analysis import (
     MetricsReport,
-    capacity,
     capacity_from_counts,
     counts_per_second,
     crosstalk_db,
@@ -31,7 +29,7 @@ from .analysis import (
     snr_db,
     tomography,
 )
-from .protocol import KeyRateParams, key_rate
+from .protocol import key_rate
 from .scenarios import Scenario, load_scenario
 from .pipeline import RunResult, run_scenario, simulate_bb84
 

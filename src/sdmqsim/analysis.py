@@ -1,5 +1,5 @@
-"""Figures of merit: count rates, crosstalk, SNR, extinction ratio,
-visibility fitting, time-bin tomography, symbol-error budget and capacity.
+"""Figures of merit: count rates, crosstalk, SNR, extinction ratio, visibility
+fitting, time-bin tomography, symbol-error budget and capacity from counts.
 
 All dB quantities have linear-probability companions via
 ``p = 10**(-dB/10)``.  Infinite-dB results (an empty denominator window)
@@ -26,7 +26,6 @@ __all__ = [
     "TomographyResult",
     "tomography",
     "error_budget",
-    "capacity",
     "capacity_from_counts",
     "MetricsReport",
     "ascii_digits",
@@ -144,22 +143,15 @@ class TomographyResult:
     """Density-matrix elements recoverable from the measurements.
 
     ``rho_jj`` is the occupied-slot population, ``rho_kk`` the per-slot
-    population of each of the remaining d-1 slots, and ``rho_offdiag`` the
-    adjacent-pulse coherence ``V * sqrt(P_i P_j)`` with ``P_i ~ 1/d``.
+    population of each of the remaining d-1 slots.
     """
 
     rho_jj: float
     rho_kk: float
-    rho_offdiag: float | None
 
 
-def tomography(
-    pulse_counts: int,
-    floor_counts: int,
-    d: int,
-    visibility: float | None = None,
-) -> TomographyResult:
-    """Diagonal elements from slot counts; off-diagonal from the visibility.
+def tomography(pulse_counts: int, floor_counts: int, d: int) -> TomographyResult:
+    """Diagonal elements from slot counts.
 
     ``rho_jj = c_j / (c_j + cf_j)`` where ``cf_j`` is the background from
     all other time slots, and ``rho_kk = (1 - rho_jj) / (d - 1)``.
@@ -168,8 +160,7 @@ def tomography(
         raise ValueError("zero total counts")
     rho_jj = pulse_counts / (pulse_counts + floor_counts)
     rho_kk = (1.0 - rho_jj) / (d - 1)
-    off = None if visibility is None else visibility * (1.0 / d)  # V sqrt(p_j p_k), p = 1/d
-    return TomographyResult(rho_jj=rho_jj, rho_kk=rho_kk, rho_offdiag=off)
+    return TomographyResult(rho_jj=rho_jj, rho_kk=rho_kk)
 
 
 def error_budget(p_xt: float, p_snr: float, d: int) -> tuple[float, float]:
@@ -185,19 +176,6 @@ def error_budget(p_xt: float, p_snr: float, d: int) -> tuple[float, float]:
         raise ValueError("d must be >= 2")
     p_s = math.hypot(p_xt, p_snr)
     return p_s, p_s / math.log2(d)
-
-
-def capacity(
-    q_eff: float, mu: float, eta: float, frame_rate_hz: float, il_linear: float, d: int
-) -> float:
-    """Achievable capacity in qubits/s: Q * mu * eta * R_f * IL * log2(d)."""
-    for name, v in [("q_eff", q_eff), ("mu", mu), ("eta", eta),
-                    ("frame_rate_hz", frame_rate_hz), ("il_linear", il_linear)]:
-        if v < 0:
-            raise ValueError(f"{name} must be >= 0")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    return q_eff * mu * eta * frame_rate_hz * il_linear * math.log2(d)
 
 
 def capacity_from_counts(total_cps: float, d: int) -> float:

@@ -25,9 +25,7 @@ __all__ = [
     "CrosstalkMatrix",
     "ChannelModel",
     "load_link_tables",
-    "measure_insertion_loss",
     "db_to_linear",
-    "linear_to_db",
 ]
 
 DISTANCES = ("40m", "8km")
@@ -39,10 +37,6 @@ class AssignmentError(ConfigError):
 
 def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
-
-
-def linear_to_db(linear):
-    return 10.0 * np.log10(np.asarray(linear, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -216,19 +210,3 @@ class ChannelModel:
         frac = self.group_fractions(in_group)
         return float(sum(frac[g - 1] for g in groups))
 
-
-def measure_insertion_loss(
-    signal: SignalAssignment,
-    channel: ChannelModel,
-    mu: float = 1.0,
-) -> float:
-    """Insertion-loss estimate (dB) for a single-signal scenario.
-
-    Ratio of total receiver-plane flux (all output groups) to the injected
-    flux.  Deterministic: evaluates the channel expectation, so it
-    reproduces the configured table exactly.
-    """
-    if mu <= 0:
-        raise ValueError("injected flux must be positive")
-    out = mu * channel.transmission(signal)  # columns are stochastic
-    return float(linear_to_db(out / mu))

@@ -34,7 +34,7 @@ from .analysis import (
 )
 from .config import ConfigError
 from .pipeline import RunResult, run_scenario
-from .protocol import KeyRateParams, key_rate, write_transcript
+from .protocol import key_rate, write_transcript
 from .receiver import export_histogram
 from .scenarios import Scenario, load_scenario
 
@@ -130,8 +130,7 @@ def cmd_sweep(args) -> int:
     values = _sweep_values(args.values, param)
     if param == "keyrate_n":
         # formula-level sweep of the finite-key bound against the block size
-        rows = [{param: v, "key_rate": key_rate(KeyRateParams(n=int(float(v))))}
-                for v in values]
+        rows = [{param: v, "key_rate": key_rate(int(float(v)))} for v in values]
     else:
         # every value passes the scenario's checks before the first run
         subs = [scenario.with_overrides(**{param: v}) for v in values]

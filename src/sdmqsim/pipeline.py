@@ -66,12 +66,13 @@ from .config import (
     SimConfig,
 )
 from .encoder import floor_fraction
-from .protocol import PHASE_TABLE, Bb84Result, KeyRateParams, cell_law, key_rate
+from .protocol import PHASE_TABLE, Bb84Result, cell_law, key_rate
 from .receiver import (
     Histogram,
     dead_time_mask,
     delay_interferometer_rates,
     gate_mask,
+    gate_span,
     histogram_from_times,
 )
 from .scenarios import Scenario
@@ -274,8 +275,7 @@ def _first_click_law(components, vcfg, gate, edges) -> tuple:
     placement's mass in the cell (``mass``).  No per-ps exponential is
     taken.  A rate may be an array, such as Bob's ports by frame class:
     the law is then one along its leading axes."""
-    g0 = vcfg.frame_window_ps if gate == DELTA_T2 else 0
-    g1 = g0 + vcfg.frame_window_ps
+    g0, g1 = gate_span(gate, vcfg.frame_window_ps)
     # the cells i .. j - 1 overlap the gate
     i, j = np.searchsorted(edges, g0, "right") - 1, np.searchsorted(edges, g1)
     cut = np.minimum(np.maximum(edges[i:j + 1], g0), g1)
@@ -844,7 +844,7 @@ def _run_bb84(scenario: Scenario, channel) -> RunResult:
     # nothing was sifted or the error rate is past the bound's range
     secret = 0.0
     if res.n_sifted and res.qber <= 0.5:
-        secret = key_rate(KeyRateParams(n=res.n_sifted, q_tol=res.qber))
+        secret = key_rate(res.n_sifted, res.qber)
     report = analysis.MetricsReport(
         experiment=exp.kind,
         seed=vcfg.seed,

@@ -38,7 +38,6 @@ from .config import BATCH, ROLE_TRANSCRIPT, RandomSource
 __all__ = [
     "BASIS_X",
     "BASIS_Z",
-    "KeyRateParams",
     "state_table",
     "cell_law",
     "key_rate",
@@ -95,46 +94,16 @@ def _cell_bits() -> tuple:
     return bit, alice_x, bob_x, np.where(outcome == 0, -1, (outcome == 2) ^ bob_x)
 
 
-@dataclass(frozen=True)
-class KeyRateParams:
-    """Inputs of the finite-key secret-fraction bound.
-
-    ``eps_sec``/``eps_corr`` are the secrecy and correctness failure
-    probabilities, ``q_tol`` the channel error tolerance, ``n`` the raw key
-    bits, ``k`` the parameter-estimation bits (defaults to n), ``q`` the
-    preparation quality (1 for ideal BB84 states), ``eps_rob`` the
-    robustness (probability the protocol aborts with no eavesdropper) and
-    ``f_ec`` the error-correction inefficiency.
-    """
-
-    n: int = 1_000_000
-    k: int | None = None
-    eps_sec: float = 1e-14
-    eps_corr: float = 1e-14
-    q_tol: float = 0.01
-    q: float = 1.0
-    eps_rob: float = 0.18
-    f_ec: float = 1.1
-
-    @property
-    def k_eff(self) -> int:
-        return self.n if self.k is None else self.k
-
-    def validate(self) -> None:
-        if self.n < 1 or self.k_eff < 1:
-            raise ValueError("n and k must be >= 1")
-        for name in ("eps_sec", "eps_corr"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
-                raise ValueError(f"{name} must be in (0, 1)")
-        if not 0 <= self.q_tol <= 0.5:
-            raise ValueError("q_tol must be in [0, 0.5]")
-        if not 0 <= self.eps_rob < 1:
-            raise ValueError("eps_rob must be in [0, 1)")
-        if not 0 < self.q <= 1:
-            raise ValueError("q must be in (0, 1]")
-        if self.f_ec < 1:
-            raise ValueError("f_ec must be >= 1")
+# Settings of the finite-key bound that no run varies: the secrecy and
+# correctness failure probabilities, the preparation quality (1 for ideal
+# BB84 states), the robustness (the chance that the protocol aborts with no
+# eavesdropper) and the error-correction inefficiency.  The
+# parameter-estimation sample ``k`` is the raw key's ``n``.
+EPS_SEC = 1e-14
+EPS_CORR = 1e-14
+Q = 1.0
+EPS_ROB = 0.18
+F_EC = 1.1
 
 
 def _h2(p: float) -> float:
@@ -143,48 +112,48 @@ def _h2(p: float) -> float:
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
-def key_rate(params: KeyRateParams) -> float:
-    """Expected secret bits per raw key bit from the finite-key bound.
+def key_rate(n: int, q_tol: float = 0.01) -> float:
+    """Expected secret bits per raw key bit from the finite-key bound, for
+    ``n`` raw key bits at channel error tolerance ``q_tol``.
 
     Implements the key-length bound of Tomamichel, Lim, Gisin & Renner,
     "Tight finite-key analysis for quantum cryptography", Nat. Commun. 3,
-    634 (2012), term by term:
+    634 (2012), term by term, with the module's settings ``EPS_SEC``,
+    ``EPS_CORR``, ``Q``, ``EPS_ROB`` and ``F_EC`` and ``k = n``
+    parameter-estimation bits:
 
-    * ``n (q - h2(q_tol + mu))`` -- smooth min-entropy of the raw key given
-      the adversary, from the entropic uncertainty relation; ``q`` is the
+    * ``n (Q - h2(q_tol + mu))`` -- smooth min-entropy of the raw key given
+      the adversary, from the entropic uncertainty relation; ``Q`` is the
       preparation quality (1 for ideal BB84) and ``mu`` the statistical
       fluctuation between the k sampled and n unsampled positions
       (Serfling-type bound for sampling without replacement):
       ``mu = sqrt((n + k)(k + 1) / (n k^2) * ln(1/eps_pe) / 2)``.
-    * ``leak_ec = f_ec * n * h2(q_tol)`` -- error-correction leakage model.
-    * ``log2(2 / (eps_corr * eps_bar^2))`` -- correctness verification plus
+    * ``leak_ec = F_EC * n * h2(q_tol)`` -- error-correction leakage model.
+    * ``log2(2 / (EPS_CORR * eps_bar^2))`` -- correctness verification plus
       leftover-hash privacy-amplification cost.
-    * The secrecy budget is split ``eps_sec = 2 eps_bar + eps_pe`` with
-      ``eps_bar = eps_pe = eps_sec / 3``.
-    * The expected rate is scaled by ``(1 - eps_rob)``: with probability
-      ``eps_rob`` the protocol aborts even without an eavesdropper and
+    * The secrecy budget is split ``EPS_SEC = 2 eps_bar + eps_pe`` with
+      ``eps_bar = eps_pe = EPS_SEC / 3``.
+    * The expected rate is scaled by ``(1 - EPS_ROB)``: with probability
+      ``EPS_ROB`` the protocol aborts even without an eavesdropper and
       yields no key.
 
     Returns 0 when the bound is non-positive (abort regime).
     """
-    params.validate()
-    n, k = params.n, params.k_eff
-    eps_bar = eps_pe = params.eps_sec / 3.0
-    mu = math.sqrt(
-        (n + k) * (k + 1) / (n * k * k) * math.log(1.0 / eps_pe) / 2.0
-    )
-    q_err = params.q_tol + mu
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 <= q_tol <= 0.5:
+        raise ValueError(f"q_tol must be in [0, 0.5], got {q_tol}")
+    k = n
+    eps_bar = eps_pe = EPS_SEC / 3.0
+    mu = math.sqrt((n + k) * (k + 1) / (n * k * k) * math.log(1.0 / eps_pe) / 2.0)
+    q_err = q_tol + mu
     if q_err >= 0.5:
         return 0.0
-    leak_ec = params.f_ec * n * _h2(params.q_tol)
-    ell = (
-        n * (params.q - _h2(q_err))
-        - leak_ec
-        - math.log2(2.0 / (params.eps_corr * eps_bar * eps_bar))
-    )
+    ell = (n * (Q - _h2(q_err)) - F_EC * n * _h2(q_tol)
+           - math.log2(2.0 / (EPS_CORR * eps_bar * eps_bar)))
     if ell <= 0:
         return 0.0
-    return (1.0 - params.eps_rob) * ell / n
+    return (1.0 - EPS_ROB) * ell / n
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import ascii_digits, csv_bytes
-from .config import DELTA_T1, SimConfig
+from .config import DELTA_T1, DELTA_T2, SimConfig
 
 __all__ = [
     "Histogram",
     "InterferometerRates",
     "delay_interferometer_rates",
     "export_histogram",
+    "gate_span",
     "gate_mask",
     "dead_time_mask",
     "histogram_from_times",
@@ -48,13 +49,23 @@ class Histogram:
     hist_res_ps: int
 
 
-def gate_mask(t_within: np.ndarray, gate: str, frame_window_ps: int) -> np.ndarray:
-    t_within = np.asarray(t_within)
-    if gate == "always":
-        return np.ones(t_within.shape, dtype=bool)
+def gate_span(gate: str, frame_window_ps: int) -> tuple[int, int]:
+    """The ps ``[lo, hi)`` of the frame period ``P = 2W`` that ``gate``
+    passes: all of it (``always``), the first half (``dt1``) or the second
+    (``dt2``)."""
     if gate == DELTA_T1:
-        return t_within < frame_window_ps
-    return t_within >= frame_window_ps
+        return 0, frame_window_ps
+    if gate == DELTA_T2:
+        return frame_window_ps, 2 * frame_window_ps
+    return 0, 2 * frame_window_ps
+
+
+def gate_mask(t_within: np.ndarray, gate: str, frame_window_ps: int) -> np.ndarray:
+    """Which within-frame times, each in ``[0, P)``, ``gate`` passes: a
+    gate open at 0 is read at its end, any other at its start."""
+    lo, hi = gate_span(gate, frame_window_ps)
+    t_within = np.asarray(t_within)
+    return t_within < hi if lo == 0 else t_within >= lo
 
 
 def dead_time_mask(t: np.ndarray, dead_time_ps: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from sdmqsim.pipeline import (
     run_scenario,
     simulate_bb84,
 )
-from sdmqsim.protocol import KeyRateParams, key_rate
+from sdmqsim.protocol import key_rate
 from sdmqsim.receiver import dead_time_mask, delay_interferometer_rates
 from sdmqsim.scenarios import load_scenario
 
@@ -257,7 +257,7 @@ def test_10_protocol_properties(bb84_run, bb84_eve_run):
     tol_e = 3 * math.sqrt(0.25 * 0.75 / n_sift_e)
     ok_eve = n_sift_e >= 10_000 and abs(rep_e.qber_sifted - 0.25) <= tol_e
 
-    r = key_rate(KeyRateParams(n=10**6))
+    r = key_rate(10**6)
     ok_rate = r >= 0.64
 
     # full oracle with the imperfect interferometer: 0.25 + (1-V)/4

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from sdmqsim.analysis import (
     ELIMINATED,
     MetricsReport,
-    capacity,
     capacity_from_counts,
     counts_per_second,
     crosstalk_db,
@@ -159,11 +158,6 @@ class TestTomography:
         assert res.rho_jj == 1.0
         assert res.rho_kk == 0.0
 
-    def test_offdiagonal_from_visibility(self):
-        res = tomography(930, 70, d=64, visibility=0.93)
-        assert res.rho_offdiag == pytest.approx(0.93 / 64, rel=1e-12)
-        assert res.rho_offdiag == pytest.approx(0.0145, abs=3e-4)
-
     def test_zero_counts_rejected(self):
         with pytest.raises(ValueError):
             tomography(0, 0, d=64)
@@ -207,25 +201,6 @@ class TestCapacity:
         cap = capacity_from_counts(202_600, 64) / 0.15
         assert cap == pytest.approx(8.1e6, rel=0.01)
 
-    def test_zero_factor(self):
-        assert capacity(3, 0.0, 0.15, 5e6, 0.1, 64) == 0.0
-
-    def test_eq_product(self):
-        c = capacity(3, 1.0, 0.15, 5e6, 10 ** (-0.83), 64)
-        assert c == pytest.approx(3 * 110_933.13 * 6, rel=1e-4)
-
-    @settings(max_examples=500, deadline=None)
-    @given(
-        scale=st.floats(0.01, 100.0),
-        which=st.integers(0, 4),
-    )
-    def test_linearity_in_each_factor(self, scale, which):
-        base = [2.0, 0.5, 0.2, 4e6, 0.3]
-        args = list(base)
-        args[which] *= scale
-        c0 = capacity(*base, d=64)
-        c1 = capacity(*args, d=64)
-        assert c1 == pytest.approx(c0 * scale, rel=1e-9)
 
 
 class TestMetricsReport:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from law_reference import per_ps
-from sdmqsim import pipeline
+from sdmqsim import pipeline, protocol
 from sdmqsim.config import (
     ROLE_PHOTONS,
     ROLE_TRANSCRIPT,
@@ -26,7 +26,6 @@ from sdmqsim.pipeline import (
 from sdmqsim.protocol import (
     BASIS_X,
     BASIS_Z,
-    KeyRateParams,
     N_CELLS,
     N_STATES,
     N_WORDS,
@@ -469,38 +468,48 @@ class TestEveIntercept:
 
 
 class TestKeyRate:
+    def test_bound_term_by_term(self):
+        # Tomamichel et al. (2012) written out with the literal settings:
+        # eps_sec = eps_corr = 1e-14 (eps_bar = eps_pe = eps_sec / 3),
+        # preparation quality 1, eps_rob 0.18, f_ec 1.1 and k = n
+        n, q_tol = 10**6, 0.01
+
+        def h2(p):
+            return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+        eps = 1e-14 / 3
+        mu = math.sqrt((n + n) * (n + 1) / n**3 * math.log(1 / eps) / 2)
+        ell = n * (1.0 - h2(q_tol + mu)) - 1.1 * n * h2(q_tol) - math.log2(2 / (1e-14 * eps**2))
+        assert key_rate(n, q_tol) == pytest.approx((1 - 0.18) * ell / n, rel=1e-12)
+
     def test_reference_point(self):
-        assert key_rate(KeyRateParams(n=10**6)) >= 0.64
+        assert key_rate(10**6) >= 0.64
 
     def test_maximal_error_tolerance_aborts(self):
-        assert key_rate(KeyRateParams(n=10**6, q_tol=0.5)) == 0.0
+        assert key_rate(10**6, q_tol=0.5) == 0.0
 
     def test_small_block_below_target(self):
-        assert key_rate(KeyRateParams(n=10**3)) < 0.64
+        assert key_rate(10**3) < 0.64
 
     def test_monotone_in_n(self):
-        rates = [key_rate(KeyRateParams(n=n)) for n in (10**3, 10**4, 10**5, 10**6, 10**7)]
+        rates = [key_rate(n) for n in (10**3, 10**4, 10**5, 10**6, 10**7)]
         assert all(r1 >= r0 for r0, r1 in zip(rates, rates[1:]))
 
     def test_monotone_in_q_tol(self):
-        rates = [
-            key_rate(KeyRateParams(n=10**6, q_tol=q))
-            for q in (0.005, 0.01, 0.02, 0.05, 0.1, 0.3, 0.5)
-        ]
+        rates = [key_rate(10**6, q) for q in (0.005, 0.01, 0.02, 0.05, 0.1, 0.3, 0.5)]
         assert all(r1 <= r0 for r0, r1 in zip(rates, rates[1:]))
 
-    def test_robustness_scales_expected_rate(self):
-        r0 = key_rate(KeyRateParams(n=10**6, eps_rob=0.0))
-        r = key_rate(KeyRateParams(n=10**6, eps_rob=0.18))
-        assert r == pytest.approx(0.82 * r0, rel=1e-12)
+    def test_robustness_scales_expected_rate(self, monkeypatch):
+        r = key_rate(10**6)
+        monkeypatch.setattr(protocol, "EPS_ROB", 0.0)
+        assert r == pytest.approx(0.82 * key_rate(10**6), rel=1e-12)
 
     def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            key_rate(KeyRateParams(n=0))
-        with pytest.raises(ValueError):
-            key_rate(KeyRateParams(eps_sec=0.0))
-        with pytest.raises(ValueError):
-            key_rate(KeyRateParams(f_ec=0.9))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            key_rate(0)
+        for q_tol in (-0.1, 0.6, math.nan):
+            with pytest.raises(ValueError, match="q_tol must be in"):
+                key_rate(10**6, q_tol)
 
 
 def _port_tables(cfg, flux, v, floor):

@@ -20,6 +20,7 @@ from sdmqsim.receiver import (
     delay_interferometer_rates,
     export_histogram,
     gate_mask,
+    gate_span,
     histogram_from_times,
 )
 from sdmqsim.scenarios import ExperimentSpec
@@ -240,6 +241,17 @@ class TestTimeWindowFilter:
         assert t[gate_mask(t, "dt2", 100_000)].tolist() == [150_000]
         assert t[gate_mask(t, "dt1", 100_000)].tolist() == [50_000]
         assert gate_mask(t, "always", 100_000).all()
+
+    def test_each_gate_half_open(self):
+        # over the period P = 2W: dt1 [0, W), dt2 [W, P), always [0, P);
+        # the first-click law reads the same spans
+        w = 100_000
+        assert [gate_span(g, w) for g in ("dt1", "dt2", "always")] == [
+            (0, w), (w, 2 * w), (0, 2 * w)]
+        t = np.array([0, w - 1, w, 2 * w - 1])
+        assert gate_mask(t, "dt1", w).tolist() == [True, True, False, False]
+        assert gate_mask(t, "dt2", w).tolist() == [False, False, True, True]
+        assert gate_mask(t, "always", w).all()
 
     def test_bad_window(self):
         with pytest.raises(ConfigError, match="gate"):
