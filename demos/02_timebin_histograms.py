@@ -5,8 +5,10 @@ on groups 2+3 with the A+C crosstalk confined to the first half-window,
 and the A-delayed arrangement where C sits alone in the first half-window.
 Histograms land in ``out/demos/`` as bin_start_ps,count CSV files.
 """
+import json
 from pathlib import Path
 
+from sdmqsim.analysis import report_json
 from sdmqsim.pipeline import run_scenario
 from sdmqsim.receiver import export_histogram
 from sdmqsim.scenarios import load_scenario
@@ -23,11 +25,11 @@ for name in ("timebin_b", "timebin_xt"):
     rep = result.report
     print(f"== {name} ({N_FRAMES} frames) ==")
     print("  collection rates (cps):",
-          {k: round(v) for k, v in rep.cps_per_collection.items()})
-    if rep.xt_db:
+          {k: round(v) for k, v in rep["cps_per_collection"].items()})
+    if "xt_db" in rep:
         print("  crosstalk (dB):",
               {k: (round(v, 2) if isinstance(v, float) else v)
-               for k, v in rep.to_dict()["xt_db"].items()})
+               for k, v in json.loads(report_json(rep))["xt_db"].items()})
     for hist_name, hist in result.histograms.items():
         path = OUT / f"{name}_{hist_name}.csv"
         export_histogram(hist, path)

@@ -24,14 +24,14 @@ for sid, groups in sorted(res_b.group_rates.items()):
 
 print("\n== crosstalk onto the delayed signal ==")
 rep = res_b.report
-leaked = rep.extra["ac_counts_in_dt2_on_B"]
+leaked = rep["extra"]["ac_counts_in_dt2_on_B"]
 print(f"  A+C counts inside B's gated half-window: {leaked} "
       f"(time windowing removes this crosstalk completely)")
 
 print("\n== co-timed A-C crosstalk ==")
 scenario_xt = load_scenario(SCENARIOS / "timebin_xt.ini").with_overrides(n_frames=500_000)
 rep_xt = run_scenario(scenario_xt).report
-for pair, xt in rep_xt.xt_db.items():
+for pair, xt in rep_xt["xt_db"].items():
     print(f"  {pair}: {xt:+.2f} dB")
-print(f"  worst-case false-detection probability p_XT = {rep_xt.p_xt:.4f}")
-assert rep_xt.p_xt < 0.08
+print(f"  worst-case false-detection probability p_XT = {rep_xt['p_xt']:.4f}")
+assert rep_xt["p_xt"] < 0.08

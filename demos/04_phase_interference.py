@@ -38,9 +38,9 @@ scenario = load_scenario(SCENARIOS / "phase_er.ini").with_overrides(n_frames=400
 result = run_scenario(scenario)
 rep = result.report
 print("\nextinction ratios by output group (dB):",
-      {g: round(v, 2) for g, v in rep.er_db_per_group.items()})
-print(f"mean ER {rep.er_db_mean:.2f} dB -> wrong-phase detection probability "
-      f"p_phi = {rep.p_phi:.3f}")
+      {g: round(v, 2) for g, v in rep["er_db_per_group"].items()})
+print(f"mean ER {rep['er_db_mean']:.2f} dB -> wrong-phase detection probability "
+      f"p_phi = {rep['p_phi']:.3f}")
 write_er_by_group_csv(OUT / "er_by_group.csv", result.er_by_group)
 
 for name, hist in result.histograms.items():

@@ -22,7 +22,7 @@ result = run_scenario(scenario)
 
 write_counts_vs_phase_csv(OUT / "counts_vs_phase.csv", result.sweep_points)
 print("sweep points -> out/demos/counts_vs_phase.csv")
-for sid, fit in result.report.visibility.items():
+for sid, fit in result.report["visibility"].items():
     print(f"  {sid}: I0 = {fit['i0']:.1f}, V = {fit['visibility']:.4f} "
           f"(rms residual {fit['residual']:.2f})")
     print(f"      adjacent-pulse coherence rho_ij = V/d = {fit['visibility'] / 64:.5f}")

@@ -21,8 +21,8 @@ for name in ("bb84", "bb84_eve"):
     rep = run_scenario(scenario).report
     v = scenario.experiment.visibility_cap
     print(f"== {name} (V = {v}) ==")
-    print(f"  detected {rep.extra['n_detected']}, sifted {rep.extra['n_sifted']}, "
-          f"sifted QBER {rep.qber_sifted:.4f}, key rate {rep.key_rate:.4f}")
+    print(f"  detected {rep['extra']['n_detected']}, sifted {rep['extra']['n_sifted']}, "
+          f"sifted QBER {rep['qber_sifted']:.4f}, key rate {rep['key_rate']:.4f}")
 
 print("\nwrong-port floor at V = 0.93: (1 - V)/2 =", round((1 - 0.93) / 2, 4))
 print("intercept-resend signature at V = 1: 1/2 x 1/2 = 0.25")

@@ -19,18 +19,18 @@ result = run_scenario(scenario)
 rep = result.report
 
 print("== single-signal ceiling ==")
-print(f"  analytic: {rep.extra['theory_single_signal_cps']:.1f} cps "
+print(f"  analytic: {rep['extra']['theory_single_signal_cps']:.1f} cps "
       f"(mu'=1, eta=0.15, R_f=5 MHz, IL=-8.3 dB)")
-print(f"  Monte Carlo: {rep.extra['mc_single_signal_cps']:.1f} cps")
+print(f"  Monte Carlo: {rep['extra']['mc_single_signal_cps']:.1f} cps")
 
 print("\n== aggregated system ==")
 print("  collection rates (cps):",
-      {k: round(v) for k, v in rep.cps_per_collection.items()})
-total = rep.extra["total_cps"]
+      {k: round(v) for k, v in rep["cps_per_collection"].items()})
+total = rep["extra"]["total_cps"]
 print(f"  total {total:.0f} cps x 6 qubits/frame -> "
-      f"C_p = {rep.capacity_qubits_per_s / 1e6:.3f} Mqubit/s")
+      f"C_p = {rep['capacity_qubits_per_s'] / 1e6:.3f} Mqubit/s")
 print(f"  detector-efficiency ceiling (eta -> 1): "
-      f"{rep.extra['capacity_eta1_qubits_per_s'] / 1e6:.2f} Mqubit/s")
+      f"{rep['extra']['capacity_eta1_qubits_per_s'] / 1e6:.2f} Mqubit/s")
 
 print("\n== parametric form ==")
 c_one = 0.15 * 5e6 * 10 ** (-0.83) * 6  # eta R_f IL log2(d) at mu' = 1

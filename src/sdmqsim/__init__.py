@@ -18,7 +18,6 @@ from .channel import (
 )
 from .receiver import Histogram, InterferometerRates, delay_interferometer_rates
 from .analysis import (
-    MetricsReport,
     capacity_from_counts,
     counts_per_second,
     crosstalk_db,

@@ -1,5 +1,6 @@
 """Figures of merit: count rates, crosstalk, SNR, extinction ratio, visibility
-fitting, time-bin tomography, symbol-error budget and capacity from counts.
+fitting, time-bin tomography, symbol-error budget and capacity from counts;
+and the report they fill, each of its keys declared once in ``REPORT``.
 
 All dB quantities have linear-probability companions via
 ``p = 10**(-dB/10)``.  Infinite-dB results (an empty denominator window)
@@ -10,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import re
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +30,9 @@ __all__ = [
     "tomography",
     "error_budget",
     "capacity_from_counts",
-    "MetricsReport",
+    "build_report",
+    "report_row",
+    "report_json",
     "ascii_digits",
     "csv_bytes",
     "write_counts_vs_phase_csv",
@@ -180,83 +185,131 @@ def error_budget(p_xt: float, p_snr: float, d: int) -> tuple[float, float]:
 
 def capacity_from_counts(total_cps: float, d: int) -> float:
     """Capacity from an aggregated measured count rate: cps * log2(d)."""
-    if total_cps < 0:
-        raise ValueError("count rate must be >= 0")
-    if d < 2:
-        raise ValueError("d must be >= 2")
     return total_cps * math.log2(d)
 
 
 # ---------------------------------------------------------------------------
-# Report container and serialization
+# The report: every key declared once, with its unit and the kinds that set it
 # ---------------------------------------------------------------------------
 
+_TIMEBIN, _BB84 = ("timebin_B", "timebin_xt"), ("bb84", "bb84_eve")
+_ALL = _TIMEBIN + ("capacity", "phase_er", "phase_sweep") + _BB84
 
-def _check_prob(name: str, value: float | None) -> None:
-    if value is not None and not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+# every report.json leaf: its dotted path, in which <id> stands for a signal
+# id, <ids> for several run together and <group> for an output group; its
+# unit; and the kinds that set it.  scenarios/SCHEMA.md's REPORT table is
+# this one row for row, with each key's meaning.
+REPORT = (
+    ("experiment", "label", _ALL),
+    ("seed", "integer", _ALL),
+    ("n_frames", "frames", _ALL),
+    ("cps_per_collection.<id>", "counts/s", _TIMEBIN + ("capacity",)),
+    ("xt_db.<ids>_to_<id>", "dB", ("timebin_B",)),
+    ("xt_db.at_<id>_collection", "dB", ("timebin_xt",)),
+    ("snr_db", "dB", _TIMEBIN),
+    ("snr_db_per_signal.<id>", "dB", _TIMEBIN),
+    ("rho_diag.<id>", "probability", _TIMEBIN),
+    ("p_xt", "probability", _TIMEBIN),
+    ("p_snr", "probability", _TIMEBIN),
+    ("extra.<ids>_counts_in_dt2_on_<id>", "counts", ("timebin_B",)),
+    ("extra.rho_kk.<id>", "probability", _TIMEBIN),
+    ("capacity_qubits_per_s", "qubits/s", ("capacity",)),
+    ("extra.total_cps", "counts/s", ("capacity",)),
+    ("extra.analytic_collection_cps.<id>", "counts/s", ("capacity",)),
+    ("extra.capacity_eta1_qubits_per_s", "qubits/s", ("capacity",)),
+    ("extra.theory_single_signal_cps", "counts/s", ("capacity",)),
+    ("extra.mc_single_signal_cps", "counts/s", ("capacity",)),
+    ("er_db_per_group.<group>", "dB", ("phase_er",)),
+    ("er_db_mean", "dB", ("phase_er",)),
+    ("p_phi", "probability", ("phase_er",)),
+    ("extra.p_phi_by_group.<group>", "probability", ("phase_er",)),
+    ("visibility.<id>.visibility", "fraction", ("phase_sweep",)),
+    ("visibility.<id>.i0", "counts", ("phase_sweep",)),
+    ("visibility.<id>.residual", "counts", ("phase_sweep",)),
+    ("qber_sifted", "probability", _BB84),
+    ("key_rate", "fraction", _BB84),
+    ("extra.n_detected", "frames", _BB84),
+    ("extra.n_sifted", "bits", _BB84),
+    ("extra.key_rate_params_n", "bits", _BB84),
+    ("extra.flux_per_frame", "photons/frame", _BB84),
+)
+
+# each unit's range: NaN lies in none, and only a dB may be infinite (a
+# ratio over an empty window); a label is no quantity, unchecked and unswept
+UNITS = {"label": None, "dB": (-math.inf, math.inf), "probability": (0.0, 1.0),
+         "fraction": (0.0, 1.0), **dict.fromkeys(
+             ("integer", "frames", "bits", "counts", "counts/s", "qubits/s", "photons/frame"),
+             (0.0, sys.float_info.max))}
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """Derived quantities of one simulated experiment."""
+def _tree(kind: str) -> dict:
+    """The keys declared for ``kind``, nested as the report nests them, a
+    leaf's value its unit; a key holding ``<...>`` is compiled to a pattern."""
+    tree: dict = {}
+    for path, unit, kinds in (row for row in REPORT if kind in row[2]):
+        *branch, leaf = (re.compile(re.sub("<[a-z]+>", ".+", re.escape(key))) if "<" in key else key
+                         for key in path.split("."))
+        node = tree
+        for key in branch:
+            node = node.setdefault(key, {})
+        node[leaf] = unit
+    return tree
 
-    experiment: str = ""
-    seed: int | None = None
-    n_frames: int | None = None
-    cps_per_collection: dict | None = None
-    xt_db: dict | None = None
-    snr_db: float | None = None
-    snr_db_per_signal: dict | None = None
-    er_db_per_group: dict | None = None
-    er_db_mean: float | None = None
-    visibility: dict | None = None
-    rho_diag: dict | None = None
-    p_xt: float | None = None
-    p_snr: float | None = None
-    p_s: float | None = None
-    p_phi: float | None = None
-    qber_timebin: float | None = None
-    qber_sifted: float | None = None
-    key_rate: float | None = None
-    capacity_qubits_per_s: float | None = None
-    extra: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        for name in ("p_xt", "p_snr", "p_s", "p_phi", "qber_timebin", "qber_sifted"):
-            _check_prob(name, getattr(self, name))
-        if self.capacity_qubits_per_s is not None and self.capacity_qubits_per_s < 0:
-            raise ValueError("capacity must be >= 0")
-        if self.rho_diag:
-            for k, v in self.rho_diag.items():
-                _check_prob(f"rho_diag[{k}]", v)
+_DECLARED = {kind: _tree(kind) for kind in _ALL}
 
-    def to_dict(self) -> dict:
-        out = {}
-        for k, v in asdict(self).items():
-            if v is None or (k == "extra" and not v):
-                continue
-            out[k] = _sanitize(v)
-        return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+def _leaves(node: dict, declared: dict, kind: str, prefix: str = ""):
+    """Each leaf under ``node`` as ``(dotted path, unit, value)``.  A key not
+    declared for ``kind``, as that leaf or that table, raises ValueError; a
+    table that is None (no estimate) has no leaves."""
+    for key, value in node.items():
+        name, path = str(key), prefix + str(key)
+        sub = declared.get(name) or next(
+            (d for t, d in declared.items() if not isinstance(t, str) and t.fullmatch(name)), None)
+        if sub is None or isinstance(sub, dict) != isinstance(value, dict) and value is not None:
+            raise ValueError(f"report key {path} is not declared for {kind}")
+        if isinstance(value, dict):
+            yield from _leaves(value, sub, kind, path + ".")
+        elif isinstance(sub, str):
+            yield path, sub, value
 
-    def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
+
+def build_report(experiment: str, seed: int, n_frames: int, **quantities) -> dict:
+    """The report of a run of kind ``experiment``, nested as report.json is,
+    less the top-level quantities that are None or empty (no estimate).  A
+    leaf not declared for the kind in ``REPORT``, or outside its unit's
+    range, raises ValueError.  An infinite dB value stays a float until
+    ``report_json`` writes it."""
+    report = {"experiment": experiment, "seed": seed, "n_frames": n_frames,
+              **{key: v for key, v in quantities.items() if v not in (None, {})}}
+    for path, unit, value in _leaves(report, _DECLARED[experiment], experiment):
+        bounds = UNITS[unit]
+        if bounds and value is not None and not bounds[0] <= value <= bounds[1]:
+            raise ValueError(f"report key {path} = {value!r} outside {list(bounds)} ({unit})")
+    return report
+
+
+def report_row(report: dict) -> dict:
+    """A built or read ``report``'s quantities by dotted path
+    (``visibility.A.visibility``, ``extra.n_sifted``), each as report.json
+    writes it: a sweep's row."""
+    kind = report["experiment"]
+    return {path: _sanitize(value)
+            for path, unit, value in _leaves(report, _DECLARED[kind], kind) if UNITS[unit]}
+
+
+def report_json(report: dict) -> str:
+    """The text of report.json: sorted keys, an infinite value as a sentinel."""
+    return json.dumps(_sanitize(report), indent=2, sort_keys=True) + "\n"
 
 
 def _sanitize(value):
-    """Replace non-finite floats with sentinel strings for serialization."""
+    """Each infinite float as a sentinel string, through nested dicts."""
     if isinstance(value, dict):
         return {k: _sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
-    if isinstance(value, float):
-        if math.isinf(value):
-            return ELIMINATED if value > 0 else "no-signal"
-        if math.isnan(value):
-            return "nan"
+    if isinstance(value, float) and math.isinf(value):
+        return ELIMINATED if value > 0 else "no-signal"
     return value
 
 

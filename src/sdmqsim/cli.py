@@ -3,13 +3,15 @@
 ``run`` loads a scenario file, simulates it end to end and writes the
 metrics report, per-figure CSVs and a run manifest.  ``sweep`` repeats a
 scenario over a list of values for one ``[sim]`` or ``[experiment]`` key,
-or for ``keyrate_n`` (the finite-key block size), and merges the headline
-metrics into one CSV.  ``--seed``, ``--frames`` and each swept value go
-through ``Scenario.with_overrides``, so they pass the checks a file's value
-passes: an unknown key, or one the scenario's kind does not read, exits 2
-before any output directory is made; a swept value is read as a file's
-text (``pi/2``) and written to ``sweep.csv`` as typed.  Logs go to
-stderr; data only to files.  ``-h``/``--help`` prints the usage to stdout.
+or for ``keyrate_n`` (the finite-key block size), into one CSV: a row a
+value and a column a quantity its reports hold (``analysis.REPORT``),
+named by dotted path and written as report.json writes it.  ``--seed``,
+``--frames`` and each swept value go through ``Scenario.with_overrides``,
+so they pass the checks a file's value passes: an unknown key, or one the
+scenario's kind does not read, exits 2 before any output directory is
+made; a swept value is read as a file's text (``pi/2``) and written to
+``sweep.csv`` as typed.  Logs go to stderr; data only to files.
+``-h``/``--help`` prints the usage to stdout.
 
 Exit codes: 0 ok, 2 configuration error or bad command line (the usage and
 the error go to stderr), 3 runtime/IO error.
@@ -28,6 +30,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    report_json,
+    report_row,
     write_counts_vs_phase_csv,
     write_er_by_group_csv,
     write_group_rates_csv,
@@ -71,7 +75,7 @@ def _write_manifest(out_dir: Path, scenario_path: Path, scenario: Scenario,
 
 def _write_artifacts(out_dir: Path, result: RunResult) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    result.report.write(out_dir / "report.json")
+    (out_dir / "report.json").write_text(report_json(result.report))
     for name, hist in result.histograms.items():
         export_histogram(hist, out_dir / f"hist_{name}.csv")
     if result.sweep_points:
@@ -116,16 +120,10 @@ def _sweep_values(raw: str, param: str) -> list[str]:
     return values
 
 
-def _scalar_metrics(result: RunResult) -> dict:
-    return {k: v for k, v in result.report.to_dict().items()
-            if isinstance(v, (int, float)) and not isinstance(v, bool)}
-
-
 def cmd_sweep(args) -> int:
     scenario_path = Path(args.scenario)
-    scenario = load_scenario(scenario_path)
-    if args.seed is not None:
-        scenario = scenario.with_overrides(seed=args.seed)
+    overrides = {} if args.seed is None else {"seed": args.seed}
+    scenario = load_scenario(scenario_path).with_overrides(**overrides)
     param = args.param
     values = _sweep_values(args.values, param)
     if param == "keyrate_n":
@@ -137,7 +135,7 @@ def cmd_sweep(args) -> int:
         rows = []
         for v, sub in zip(values, subs):
             _log(f"sweep {param}={v}")
-            rows.append({param: v, **_scalar_metrics(run_scenario(sub))})
+            rows.append({param: v, **report_row(run_scenario(sub).report)})
 
     out_dir = Path(args.out) if args.out else _default_out(scenario.name, "sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -145,7 +143,7 @@ def cmd_sweep(args) -> int:
     lines = [",".join(keys)] + [",".join(_fmt(row.get(k)) for k in keys) for row in rows]
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
     _write_manifest(out_dir, scenario_path, scenario,
-                    {"sweep_param": param, "values": values})
+                    {**overrides, "sweep_param": param, "values": values})
     _log(f"sweep results written to {out_dir}")
     return 0
 

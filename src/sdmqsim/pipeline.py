@@ -163,7 +163,7 @@ class Cells:
 class RunResult:
     """Report plus exportable artifacts of one scenario run."""
 
-    report: analysis.MetricsReport
+    report: dict
     histograms: dict = field(default_factory=dict)
     sweep_points: list = field(default_factory=list)
     group_rates: dict = field(default_factory=dict)
@@ -594,12 +594,10 @@ def _run_timebin(scenario: Scenario, channel) -> RunResult:
     snr_mean = _mean_db(snr_by_signal.values())
     finite_xt = [abs(v) for v in xt_db.values() if v is not None and math.isfinite(v)]
     p_xt = analysis.prob_from_db(min(finite_xt, default=None))
-    report = analysis.MetricsReport(
-        experiment=exp.kind,
-        seed=vcfg.seed,
-        n_frames=n,
+    report = analysis.build_report(
+        exp.kind, vcfg.seed, n,
         cps_per_collection=cps,
-        xt_db=xt_db or None,
+        xt_db=xt_db,
         snr_db=snr_mean,
         snr_db_per_signal=snr_by_signal,
         rho_diag=rho,
@@ -659,10 +657,8 @@ def _run_capacity(scenario: Scenario, channel) -> RunResult:
         sid: expected_collection_rate(scenario, channel, sid, groups)
         for sid, groups in exp.collections.items()
     }
-    report = analysis.MetricsReport(
-        experiment="capacity",
-        seed=vcfg.seed,
-        n_frames=n,
+    report = analysis.build_report(
+        exp.kind, vcfg.seed, n,
         cps_per_collection=cps,
         capacity_qubits_per_s=cap,
         extra={
@@ -728,10 +724,8 @@ def _run_phase_er(scenario: Scenario, channel) -> RunResult:
         p_phi_by_group[g] = (counts["none"] / (2.0 * c0)
                              if c0 and counts["none"] <= 2.0 * c0 else None)
     er_mean = _mean_db(er_by_group.values())
-    report = analysis.MetricsReport(
-        experiment="phase_er",
-        seed=vcfg.seed,
-        n_frames=n,
+    report = analysis.build_report(
+        exp.kind, vcfg.seed, n,
         er_db_per_group={g: er_by_group[g] for g in sorted(er_by_group)},
         er_db_mean=er_mean,
         p_phi=analysis.prob_from_db(er_mean),
@@ -775,12 +769,7 @@ def _run_phase_sweep(scenario: Scenario, channel) -> RunResult:
             points_out.append((sid, exp.phi_a + phi_b, c))
         fit = analysis.fit_visibility(pts)
         fits[sid] = None if fit is None else asdict(fit)
-    report = analysis.MetricsReport(
-        experiment="phase_sweep",
-        seed=vcfg.seed,
-        n_frames=n,
-        visibility=fits,
-    )
+    report = analysis.build_report(exp.kind, vcfg.seed, n, visibility=fits)
     return RunResult(report=report, sweep_points=points_out)
 
 
@@ -845,10 +834,8 @@ def _run_bb84(scenario: Scenario, channel) -> RunResult:
     secret = 0.0
     if res.n_sifted and res.qber <= 0.5:
         secret = key_rate(res.n_sifted, res.qber)
-    report = analysis.MetricsReport(
-        experiment=exp.kind,
-        seed=vcfg.seed,
-        n_frames=exp.n_frames,
+    report = analysis.build_report(
+        exp.kind, vcfg.seed, exp.n_frames,
         qber_sifted=res.qber if res.n_sifted else None,
         key_rate=secret,
         extra={

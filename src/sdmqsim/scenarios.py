@@ -88,6 +88,8 @@ class ExperimentSpec:
         for name in ("phi_a", "phi_b", "theory_il_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.theory_il_db > 0:
+            raise ConfigError(f"theory_il_db must be <= 0 (a loss), got {self.theory_il_db}")
         if not 0 < self.theory_mu < math.inf:
             raise ConfigError(f"theory_mu must be positive and finite, got {self.theory_mu}")
         if not all(map(math.isfinite, self.sweep_phi_b)):

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdmqsim.analysis import error_budget, fit_visibility, prob_from_db, tomography
+from sdmqsim.analysis import (error_budget, fit_visibility, prob_from_db, report_json,
+                              tomography)
 from sdmqsim.config import SimConfig
 from sdmqsim.channel import CrosstalkMatrix
 from sdmqsim.encoder import floor_fraction
@@ -77,13 +78,13 @@ def bb84_eve_run():
 
 def test_01_single_signal_theoretical_rate(capacity_run):
     result, elapsed = capacity_run
-    extra = result.report.extra
+    extra = result.report["extra"]
     analytic = extra["theory_single_signal_cps"]
     mc = extra["mc_single_signal_cps"]
     # analytic product reproduces 110.9 kHz exactly to rounding
     ok_analytic = round(analytic / 100) * 100 == 110_900
     # Monte Carlo within 3 sigma Poisson of the analytic rate at 1e6 frames
-    n = result.report.n_frames
+    n = result.report["n_frames"]
     expect_counts = analytic * n / 5e6
     sigma = math.sqrt(expect_counts)
     mc_counts = mc * n / 5e6
@@ -107,10 +108,10 @@ def test_02_aggregate_capacity(capacity_run):
     cap_arith = capacity_from_counts(202_600, 64)
     ok_arith = abs(cap_arith - 202_600 * 6) < 1e-6 and round(cap_arith / 1e4) == 122
     # simulated channel lands within 2% of 1.22 Mqubit/s
-    cap = rep.capacity_qubits_per_s
+    cap = rep["capacity_qubits_per_s"]
     ok_cap = abs(cap / 1.22e6 - 1.0) <= 0.02
     # analytic pipeline from the tables within 15% of each measured rate
-    analytic = rep.extra["analytic_collection_cps"]
+    analytic = rep["extra"]["analytic_collection_cps"]
     ok_each = {
         sid: abs(analytic[sid] / MEASURED_RATES[sid] - 1.0) <= 0.15
         for sid in MEASURED_RATES
@@ -137,25 +138,25 @@ def test_02_aggregate_capacity(capacity_run):
 
 def test_03_time_windowing_removes_ac_crosstalk(timebin_b_run):
     rep = timebin_b_run.report
-    leaked = rep.extra["ac_counts_in_dt2_on_B"]
-    xt = rep.xt_db["AC_to_B"]
+    leaked = rep["extra"]["ac_counts_in_dt2_on_B"]
+    xt = rep["xt_db"]["AC_to_B"]
     _check(
         "ACCEPT-03",
         leaked == 0 and math.isinf(xt),
         f"A+C counts in the gated half-window of B's collection with B dark: {leaked} "
-        f"over {rep.n_frames} frames (crosstalk reported: eliminated)",
+        f"over {rep['n_frames']} frames (crosstalk reported: eliminated)",
     )
 
 
 def test_04_a_c_crosstalk(timebin_xt_run):
     rep = timebin_xt_run.report
-    worst = min(abs(v) for v in rep.xt_db.values())
-    ok = worst >= 11.0 and rep.p_xt <= 0.08
+    worst = min(abs(v) for v in rep["xt_db"].values())
+    ok = worst >= 11.0 and rep["p_xt"] <= 0.08
     _check(
         "ACCEPT-04",
         ok,
-        f"|XT| {worst:.2f} dB >= 11 dB, p_XT {rep.p_xt:.4f} <= 0.08 "
-        f"(per collection: { {k: round(v, 2) for k, v in rep.xt_db.items()} })",
+        f"|XT| {worst:.2f} dB >= 11 dB, p_XT {rep['p_xt']:.4f} <= 0.08 "
+        f"(per collection: { {k: round(v, 2) for k, v in rep['xt_db'].items()} })",
     )
 
 
@@ -163,9 +164,9 @@ def test_05_snr_calibration(timebin_b_run, timebin_xt_run):
     # B characterized in the main arrangement; A and C in the A-delayed
     # arrangement where each half-window holds a single signal
     snr = {
-        "A": timebin_xt_run.report.snr_db_per_signal["A"],
-        "B": timebin_b_run.report.snr_db_per_signal["B"],
-        "C": timebin_xt_run.report.snr_db_per_signal["C"],
+        "A": timebin_xt_run.report["snr_db_per_signal"]["A"],
+        "B": timebin_b_run.report["snr_db_per_signal"]["B"],
+        "C": timebin_xt_run.report["snr_db_per_signal"]["C"],
     }
     mean = sum(snr.values()) / 3
     p = prob_from_db(mean)
@@ -180,20 +181,20 @@ def test_05_snr_calibration(timebin_b_run, timebin_xt_run):
 
 def test_06_phase_extinction_ratios(phase_er_run):
     rep = phase_er_run.report
-    ers = rep.er_db_per_group
+    ers = rep["er_db_per_group"]
     in_band = all(5.9 - 0.5 <= v <= 8.9 + 0.5 for v in ers.values())
-    ok_mean = abs(rep.er_db_mean - 7.3) <= 0.3
-    ok_p = abs(rep.p_phi - 0.18) <= 0.02
+    ok_mean = abs(rep["er_db_mean"] - 7.3) <= 0.3
+    ok_p = abs(rep["p_phi"] - 0.18) <= 0.02
     _check(
         "ACCEPT-06",
         in_band and ok_mean and ok_p,
         f"group ER { {g: round(v, 2) for g, v in ers.items()} } within [5.4, 9.4], "
-        f"mean {rep.er_db_mean:.2f} (7.3 +- 0.3), p_phi {rep.p_phi:.3f} (0.18 +- 0.02)",
+        f"mean {rep['er_db_mean']:.2f} (7.3 +- 0.3), p_phi {rep['p_phi']:.3f} (0.18 +- 0.02)",
     )
 
 
 def test_07_visibility_recovery(phase_sweep_run):
-    fits = phase_sweep_run.report.visibility
+    fits = phase_sweep_run.report["visibility"]
     ok_sim = all(abs(fits[s]["visibility"] - 0.93) <= 0.02 for s in ("A", "B"))
     # noiseless synthetic data recovers the parameters to 1e-9
     phases = [k * math.pi / 4 for k in range(8)]
@@ -211,14 +212,14 @@ def test_07_visibility_recovery(phase_sweep_run):
 
 def test_08_tomography(timebin_b_run, timebin_xt_run):
     rho = {
-        "A": timebin_xt_run.report.rho_diag["A"],
-        "B": timebin_b_run.report.rho_diag["B"],
-        "C": timebin_xt_run.report.rho_diag["C"],
+        "A": timebin_xt_run.report["rho_diag"]["A"],
+        "B": timebin_b_run.report["rho_diag"]["B"],
+        "C": timebin_xt_run.report["rho_diag"]["C"],
     }
     rho_kk = {
-        "A": timebin_xt_run.report.extra["rho_kk"]["A"],
-        "B": timebin_b_run.report.extra["rho_kk"]["B"],
-        "C": timebin_xt_run.report.extra["rho_kk"]["C"],
+        "A": timebin_xt_run.report["extra"]["rho_kk"]["A"],
+        "B": timebin_b_run.report["extra"]["rho_kk"]["B"],
+        "C": timebin_xt_run.report["extra"]["rho_kk"]["C"],
     }
     targets = {"A": 0.93, "B": 0.93, "C": 0.96}
     targets_kk = {"A": 0.001, "B": 0.001, "C": 0.0005}
@@ -247,15 +248,15 @@ def test_09_error_budget():
 
 def test_10_protocol_properties(bb84_run, bb84_eve_run):
     rep = bb84_run.report
-    n_sift = rep.extra["n_sifted"]
+    n_sift = rep["extra"]["n_sifted"]
     expect = (1 - 0.93) / 2
     tol = 3 * math.sqrt(expect * (1 - expect) / n_sift)
-    ok_noeve = abs(rep.qber_sifted - expect) <= tol
+    ok_noeve = abs(rep["qber_sifted"] - expect) <= tol
 
     rep_e = bb84_eve_run.report
-    n_sift_e = rep_e.extra["n_sifted"]
+    n_sift_e = rep_e["extra"]["n_sifted"]
     tol_e = 3 * math.sqrt(0.25 * 0.75 / n_sift_e)
-    ok_eve = n_sift_e >= 10_000 and abs(rep_e.qber_sifted - 0.25) <= tol_e
+    ok_eve = n_sift_e >= 10_000 and abs(rep_e["qber_sifted"] - 0.25) <= tol_e
 
     r = key_rate(10**6)
     ok_rate = r >= 0.64
@@ -272,8 +273,8 @@ def test_10_protocol_properties(bb84_run, bb84_eve_run):
     _check(
         "ACCEPT-10",
         ok_noeve and ok_eve and ok_rate and ok_eve_v,
-        f"no-Eve QBER {rep.qber_sifted:.4f} vs {expect:.4f} +- {tol:.4f} "
-        f"({n_sift} sifted); Eve QBER {rep_e.qber_sifted:.4f} vs 0.25 +- {tol_e:.4f} "
+        f"no-Eve QBER {rep['qber_sifted']:.4f} vs {expect:.4f} +- {tol:.4f} "
+        f"({n_sift} sifted); Eve QBER {rep_e['qber_sifted']:.4f} vs 0.25 +- {tol_e:.4f} "
         f"({n_sift_e} sifted); Eve at V=0.93: {res_v.qber:.4f} vs {expect_v:.4f}; "
         f"key rate r(1e6) = {r:.4f} >= 0.64",
     )
@@ -347,8 +348,8 @@ def test_11_property_suites():
     sc = load_scenario(SCENARIOS / "timebin_b.ini")
     for seed in (1, 2, 3):
         sub = sc.with_overrides(seed=seed, n_frames=2000)
-        r1 = run_scenario(sub).report.to_json()
-        r2 = run_scenario(sub).report.to_json()
+        r1 = report_json(run_scenario(sub).report)
+        r2 = report_json(run_scenario(sub).report)
         if r1 != r2:
             ok_det = False
             break

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdmqsim.analysis import (
     ELIMINATED,
-    MetricsReport,
+    build_report,
     capacity_from_counts,
     counts_per_second,
     crosstalk_db,
@@ -14,6 +14,7 @@ from sdmqsim.analysis import (
     extinction_ratio_db,
     fit_visibility,
     prob_from_db,
+    report_json,
     snr_db,
     tomography,
 )
@@ -204,17 +205,73 @@ class TestCapacity:
 
 
 class TestMetricsReport:
+    """The report as ``build_report`` builds it and ``report_json`` writes it."""
+
     def test_probability_validation(self):
-        with pytest.raises(ValueError):
-            MetricsReport(p_xt=1.5)
+        with pytest.raises(ValueError, match=r"p_xt = 1.5 outside \[0.0, 1.0\]"):
+            build_report("timebin_xt", 1, 10, p_xt=1.5)
 
     def test_infinite_db_serialized_as_sentinel(self):
-        rep = MetricsReport(xt_db={"AC_to_B": math.inf})
-        data = json.loads(rep.to_json())
+        rep = build_report("timebin_B", 1, 10, xt_db={"AC_to_B": math.inf})
+        data = json.loads(report_json(rep))
         assert data["xt_db"]["AC_to_B"] == ELIMINATED
 
     def test_json_deterministic_and_sorted(self):
-        rep = MetricsReport(experiment="x", snr_db=11.3, p_snr=0.074)
-        assert rep.to_json() == rep.to_json()
-        keys = list(json.loads(rep.to_json()).keys())
+        rep = build_report("timebin_B", 1, 10, snr_db=11.3, p_snr=0.074)
+        assert report_json(rep) == report_json(rep)
+        keys = list(json.loads(report_json(rep)).keys())
         assert keys == sorted(keys)
+
+    def test_top_level_nulls_dropped_nested_kept(self):
+        rep = build_report("capacity", 1, 10, capacity_qubits_per_s=None, cps_per_collection={},
+                           extra={"capacity_eta1_qubits_per_s": None})
+        assert json.loads(report_json(rep)) == {
+            "experiment": "capacity", "seed": 1, "n_frames": 10,
+            "extra": {"capacity_eta1_qubits_per_s": None}}
+
+    # each a key of another kind, a misspelt or unfilled pattern, a table
+    # where a leaf is declared or a leaf where a table is
+    @pytest.mark.parametrize("kind,fields", [
+        pytest.param("bb84", {"extra": {"bogus": 1}}, id="bb84-extra.bogus"),
+        pytest.param("bb84", {"p_s": 0.1}, id="bb84-p_s"),
+        pytest.param("timebin_xt", {"xt_db": {"AC_to_B": 3.0}}, id="timebin_xt-xt_db.AC_to_B"),
+        pytest.param("timebin_B", {"xt_db": {"_to_B": 3.0}}, id="timebin_B-xt_db._to_B"),
+        pytest.param("timebin_B", {"extra": {"ac_counts_in_dt2_on_": 0}},
+                     id="timebin_B-extra.ac_counts_in_dt2_on_"),
+        pytest.param("phase_sweep", {"visibility": {"A": {"slope": 1.0}}},
+                     id="phase_sweep-visibility.A.slope"),
+        pytest.param("capacity", {"cps_per_collection": 5.0}, id="capacity-cps_per_collection"),
+        pytest.param("phase_er", {"p_phi": {"1": 0.1}}, id="phase_er-p_phi.1"),
+    ])
+    def test_undeclared_key_raises(self, kind, fields):
+        with pytest.raises(ValueError, match=f"is not declared for {kind}"):
+            build_report(kind, 1, 10, **fields)
+
+    @pytest.mark.parametrize("kind,fields", [
+        pytest.param("bb84", {"qber_sifted": 1.5}, id="bb84-qber_sifted"),
+        pytest.param("bb84", {"key_rate": -0.1}, id="bb84-key_rate"),
+        pytest.param("capacity", {"capacity_qubits_per_s": -1.0}, id="capacity-capacity"),
+        pytest.param("capacity", {"cps_per_collection": {"A": math.inf}},
+                     id="capacity-cps_per_collection.A-inf"),
+        pytest.param("timebin_B", {"snr_db": math.nan}, id="timebin_B-snr_db-nan"),
+        pytest.param("timebin_B", {"extra": {"rho_kk": {"A": math.nan}}},
+                     id="timebin_B-extra.rho_kk.A-nan"),
+        pytest.param("phase_er", {"extra": {"p_phi_by_group": {1: -0.1}}},
+                     id="phase_er-extra.p_phi_by_group.1"),
+        pytest.param("phase_sweep", {"visibility": {"A": {"visibility": 1.01}}},
+                     id="phase_sweep-visibility.A.visibility"),
+        pytest.param("bb84", {"seed": -1}, id="bb84-seed"),
+    ])
+    def test_out_of_range_raises(self, kind, fields):
+        fields = {"seed": 1, "n_frames": 10, **fields}
+        with pytest.raises(ValueError, match="outside"):
+            build_report(kind, **fields)
+
+    def test_declared_patterns_accepted(self):
+        rep = build_report(
+            "timebin_B", 1, 10, xt_db={"AC_to_B": -math.inf},
+            snr_db_per_signal={"A": None, "B": 3.0},
+            extra={"ac_counts_in_dt2_on_B": 0, "rho_kk": {"A": 0.5}})
+        assert json.loads(report_json(rep))["xt_db"] == {"AC_to_B": "no-signal"}
+        assert build_report("phase_sweep", 1, 10, visibility={"A": None})["visibility"] == {
+            "A": None}

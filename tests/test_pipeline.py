@@ -277,7 +277,7 @@ class TestCapacityTheoryPart:
     def test_analytic_budget_formula(self):
         sc = load_scenario(SCENARIOS / "capacity.ini").with_overrides(n_frames=50_000)
         result = run_scenario(sc)
-        extra = result.report.extra
+        extra = result.report["extra"]
         assert extra["theory_single_signal_cps"] == pytest.approx(
             1.0 * 0.15 * 5e6 * 10 ** (-0.83), rel=1e-12
         )
@@ -300,8 +300,8 @@ class TestCapacityTheoryPart:
     def test_eta_ceiling_reported(self):
         sc = load_scenario(SCENARIOS / "capacity.ini").with_overrides(n_frames=20_000)
         rep = run_scenario(sc).report
-        assert rep.extra["capacity_eta1_qubits_per_s"] == pytest.approx(
-            rep.capacity_qubits_per_s / 0.15
+        assert rep["extra"]["capacity_eta1_qubits_per_s"] == pytest.approx(
+            rep["capacity_qubits_per_s"] / 0.15
         )
 
 
@@ -310,7 +310,7 @@ class TestPhaseErShape:
         sc = load_scenario(SCENARIOS / "phase_er.ini").with_overrides(n_frames=30_000)
         result = run_scenario(sc)
         rep = result.report
-        assert sorted(rep.er_db_per_group) == [1, 2, 3, 4, 5]
+        assert sorted(rep["er_db_per_group"]) == [1, 2, 3, 4, 5]
         assert set(result.er_by_group[2]) == {"B", result.er_by_group[2][1]}
         # interfering and blocked histograms exported per group
         assert any(k.endswith("interfering") for k in result.histograms)
@@ -320,7 +320,7 @@ class TestPhaseErShape:
         sc = load_scenario(SCENARIOS / "phase_er.ini").with_overrides(n_frames=60_000)
         rep = run_scenario(sc).report
         # destructive setting: every group shows positive extinction
-        assert all(v > 3.0 for v in rep.er_db_per_group.values())
+        assert all(v > 3.0 for v in rep["er_db_per_group"].values())
 
 
 class TestOnePathCrossCheck:
@@ -816,7 +816,7 @@ class TestExactWindows:
             in_slot = [det.count(off + k * tp, off + (k + 1) * tp) for k in slots]
             half = det.count(off, off + w)
             floor = (half - sum(in_slot)) * w / (w - len(slots) * tp)
-            assert report.snr_db_per_signal[sid] == pytest.approx(
+            assert report["snr_db_per_signal"][sid] == pytest.approx(
                 10 * math.log10(in_slot[0] / floor), rel=1e-12, abs=0
             ), sid
 
@@ -1009,10 +1009,10 @@ class TestBb84KeyRate:
     def test_key_rate_from_simulated_qber(self, name):
         sc = load_scenario(SCENARIOS / f"{name}.ini").with_overrides(n_frames=400_000)
         rep = run_scenario(sc).report
-        n = rep.extra["n_sifted"]
-        assert rep.extra["key_rate_params_n"] == n
-        assert rep.key_rate == key_rate(n, rep.qber_sifted)
+        n = rep["extra"]["n_sifted"]
+        assert rep["extra"]["key_rate_params_n"] == n
+        assert rep["key_rate"] == key_rate(n, rep["qber_sifted"])
         if name == "bb84_eve":
-            assert rep.key_rate == 0.0  # QBER 0.25: the protocol aborts
+            assert rep["key_rate"] == 0.0  # QBER 0.25: the protocol aborts
         else:
-            assert 0.0 < rep.key_rate < key_rate(10**6)
+            assert 0.0 < rep["key_rate"] < key_rate(10**6)

@@ -686,10 +686,10 @@ class TestCannedBias:
         errors = sifted = detected = 0
         for seed in range(3001, 3013):
             rep = run_scenario(scenario.with_overrides(seed=seed)).report
-            n = rep.extra["n_sifted"]
-            errors += round(rep.qber_sifted * n)
+            n = rep["extra"]["n_sifted"]
+            errors += round(rep["qber_sifted"] * n)
             sifted += n
-            detected += rep.extra["n_detected"]
+            detected += rep["extra"]["n_detected"]
         assert sifted > 100_000
         assert abs(errors / sifted - expect) <= 4 * math.sqrt(expect * (1 - expect) / sifted)
         assert abs(sifted / detected - 0.5) <= 4 * math.sqrt(0.25 / detected)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,12 +8,15 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sdmqsim
 from sdmqsim import cli
+from sdmqsim.analysis import ELIMINATED, REPORT, report_row
 from sdmqsim.cli import main
 from sdmqsim.config import ConfigError, SignalAssignment, SimConfig
 from sdmqsim.scenarios import (
@@ -63,6 +68,14 @@ GOLDEN_CSVS = {
         "counts_vs_phase.csv": "6c293888d355aba217f6b317900401c2de0c0c20ff734ee544c35c31aa97f47e",
     },
 }
+
+
+def assert_declared(report: dict) -> None:
+    """Every leaf of ``report``, as report.json holds it, is declared for its
+    kind (``report_row`` raises otherwise) and is finite, null or a
+    sentinel."""
+    for path, value in report_row(report).items():
+        assert value in (None, ELIMINATED, "no-signal") or math.isfinite(value), (path, value)
 
 
 # timebin_B reads crosstalk on its one delayed signal's collection, and
@@ -485,9 +498,8 @@ class TestCliRun:
                          id="no_kind"),
             pytest.param("bb84", "uniform_il_db = -8.3", "uniform_il_db = 3.0",
                          "uniform_il_db must be <= 0", id="uniform_il_db"),
-            # capacity's flat single-signal budget is built through the same check
             pytest.param("capacity", "theory_il_db = -8.3", "theory_il_db = 3.0",
-                         "uniform_il_db must be <= 0", id="theory_il_db"),
+                         "theory_il_db must be <= 0", id="theory_il_db"),
             pytest.param("capacity", "theory_mu = 1.0", "theory_mu = -1.0",
                          "theory_mu must be", id="theory_mu"),
             # one ps past the pulse period; a wide jitter would build a
@@ -709,6 +721,7 @@ class TestPoissonNoise:
                        "--seed", str(seed), "--out", str(out)])
             assert rc == 0, seed
             assert '"nan"' not in (out / "report.json").read_text(), seed
+            assert_declared(json.loads((out / "report.json").read_text()))
 
     def _report(self, name, frames, seed, tmp_path):
         out = tmp_path / "o"
@@ -779,6 +792,55 @@ class TestCliSweep:
         assert lines[1].split(",")[0] == "0.05"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["overrides"]["sweep_param"] == "eta"
+
+    # run's and sweep's --seed are both overrides: the manifest records it
+    def test_manifest_records_seed(self, tmp_path):
+        for seed, overrides in (["--seed", "9"], {"seed": 9}), ([], {}):
+            out = tmp_path / f"seed{len(seed)}"
+            assert main(["sweep", str(SCENARIOS / "bb84.ini"), "--param", "eta",
+                         "--values", "0.1", *seed, "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["overrides"] == {**overrides, "sweep_param": "eta", "values": ["0.1"]}
+        assert manifest["resolved_seed"] == load_scenario(SCENARIOS / "bb84.ini").cfg.seed
+
+    # a column for each quantity the report holds, named by dotted path,
+    # nested ones and sentinels included
+    def test_declared_leaves_are_columns(self, tmp_path):
+        out = tmp_path / "vis"
+        assert main(["sweep", str(SCENARIOS / "phase_sweep.ini"), "--param", "seed",
+                     "--values", "1,2", "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 3 and "visibility.A.visibility" in lines[0].split(",")
+        out = tmp_path / "snr"
+        assert main(["sweep", str(SCENARIOS / "timebin_b.ini"), "--param", "n_frames",
+                     "--values", "300", "--seed", "1", "--out", str(out)]) == 0
+        header, row = (line.split(",") for line in (out / "sweep.csv").read_text().splitlines())
+        assert row[header.index("snr_db")] == "eliminated"
+
+    # a sweep's row is its run's report.json, every leaf but the kind
+    @pytest.mark.parametrize("name", CANNED)
+    def test_row_is_the_report(self, name, tmp_path):
+        scenario = str(SCENARIOS / f"{name}.ini")
+        assert main(["sweep", scenario, "--param", "n_frames", "--values", "2000",
+                     "--seed", "4", "--out", str(tmp_path / "s")]) == 0
+        assert main(["run", scenario, "--frames", "2000", "--seed", "4",
+                     "--out", str(tmp_path / "r")]) == 0
+
+        def flat(node, prefix=""):
+            for key, value in node.items():
+                if isinstance(value, dict):
+                    yield from flat(value, f"{prefix}{key}.")
+                else:
+                    yield f"{prefix}{key}", value
+
+        report = dict(flat(json.loads((tmp_path / "r" / "report.json").read_text())))
+        del report["experiment"]
+        header, row = (line.split(",")
+                       for line in (tmp_path / "s" / "sweep.csv").read_text().splitlines())
+        assert header == ["n_frames", *sorted(set(report) - {"n_frames"})]
+        assert dict(zip(header, row)) == {
+            key: "" if v is None else f"{v:.10g}" if isinstance(v, float) else str(v)
+            for key, v in report.items()}
 
     # at eta 0 no efficiency scales the capacity up to eta 1: that key is
     # null, and the run and the sweep exit 0
@@ -999,8 +1061,44 @@ class TestGoldenReports:
         assert rc == 0
         golden = REPO / "out" / name / "report.json"
         assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
+        assert_declared(json.loads(golden.read_text()))
         csvs = GOLDEN_CSVS.get(name, {})
         written = sorted(path.name for path in tmp_path.iterdir())
         assert written == sorted(["manifest.json", "report.json", *csvs])
         for fname, digest in csvs.items():
             assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
+
+
+class TestReportKeys:
+    """``analysis.REPORT`` declares each report key once: the goldens set
+    every row, SCHEMA.md's REPORT table is the declaration, and a run of
+    any canned scenario at any size and seed writes only declared leaves."""
+
+    def test_every_row_set_by_a_golden(self):
+        leaves = set()
+        for name in CANNED:
+            report = json.loads((REPO / "out" / name / "report.json").read_text())
+            leaves |= {"experiment", *report_row(report)}
+        for path, _, _ in REPORT:
+            pattern = re.sub(r"<[a-z]+>", "[^.]+", re.escape(path))
+            assert any(re.fullmatch(pattern, leaf) for leaf in leaves), path
+
+    def test_schema_table_is_the_declaration(self):
+        text = (SCENARIOS / "SCHEMA.md").read_text().split("## Report keys")[1]
+        rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+                for line in text.splitlines() if line.startswith("| `")]
+        assert [(key, unit, listed) for key, unit, listed, _ in rows] == [
+            (f"`{path}`", unit,
+             "all" if set(declared) == set(EXPERIMENT_KINDS) else ", ".join(declared))
+            for path, unit, declared in REPORT]
+
+    @pytest.mark.parametrize("name", CANNED)
+    @settings(max_examples=40, deadline=None)
+    @given(frames=st.integers(1, 5000), seed=st.integers(0, 2**64 - 1))
+    def test_any_size_and_seed(self, name, frames, seed):
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+            out = Path(tmp) / "o"
+            rc = main(["run", str(SCENARIOS / f"{name}.ini"), "--frames", str(frames),
+                       "--seed", str(seed), "--out", str(out)])
+            assert rc == 0 and "Traceback" not in err.getvalue(), err.getvalue()
+            assert_declared(json.loads((out / "report.json").read_text()))
