@@ -353,9 +353,7 @@ def csv_bytes(*columns) -> bytes:
     for c in mats:
         mt[at:at + len(c)] = c
         at += len(c)
-    m = mt.T.copy()
-    del mt  # freed before the mask and the kept bytes are made
-    return m[m != 0].tobytes()
+    return mt.T.tobytes().translate(None, b"\0")
 
 
 def write_counts_vs_phase_csv(path: str | Path, rows) -> None:

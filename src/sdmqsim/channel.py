@@ -17,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import N_GROUPS, ConfigError, SignalAssignment
+from .config import N_GROUPS, ConfigError, SignalAssignment, check_keys, key
 
 __all__ = [
     "AssignmentError",
     "InsertionLossTable",
     "CrosstalkMatrix",
+    "ChannelSpec",
     "ChannelModel",
     "load_link_tables",
     "db_to_linear",
@@ -153,9 +154,9 @@ def load_link_tables(path: str | Path | None = None):
     return il, xt
 
 
-@dataclass(frozen=True)
-class ChannelModel:
-    """Link conventions on top of the measured tables.
+@dataclass(frozen=True, kw_only=True)
+class ChannelSpec:
+    """The ``[channel]`` keys: link conventions on top of the measured tables.
 
     ``mu_reference`` selects the plane where the scenario's mu is defined:
 
@@ -167,26 +168,26 @@ class ChannelModel:
 
     ``uniform_il_db`` (if set) replaces the table with a flat loss and an
     identity crosstalk matrix -- used for idealized single-signal budgets.
+    ``tables_path`` (if set) is a link-tables file read instead of the
+    packaged one.  A setting out of its range raises ``AssignmentError``.
     """
+
+    distance: str = key("8km", "one of " + ", ".join(DISTANCES))  # no interpolation model
+    mu_reference: str = key("mux_input", "one of mux_input, fmf_input")
+    input_mdm_exclusion_db: float = key(4.2, "finite")
+    uniform_il_db: float | None = key(None, "<= 0 (a loss)")
+    tables_path: str | None = key(None)
+
+    def __post_init__(self):
+        check_keys(self, error=AssignmentError)
+
+
+@dataclass(frozen=True)
+class ChannelModel(ChannelSpec):
+    """A scenario's channel: its settings and the measured tables."""
 
     il: InsertionLossTable
     xt: CrosstalkMatrix
-    distance: str = "8km"
-    mu_reference: str = "mux_input"
-    input_mdm_exclusion_db: float = 4.2
-    uniform_il_db: float | None = None
-
-    def __post_init__(self):
-        if self.distance not in DISTANCES:
-            raise AssignmentError(
-                f"distance must be one of {DISTANCES} (no interpolation model)"
-            )
-        if self.mu_reference not in ("mux_input", "fmf_input"):
-            raise AssignmentError("mu_reference must be 'mux_input' or 'fmf_input'")
-        if self.uniform_il_db is not None and not self.uniform_il_db <= 0.0:
-            raise AssignmentError(
-                f"uniform_il_db must be <= 0 (a loss), got {self.uniform_il_db}"
-            )
 
     def transmission(self, signal: SignalAssignment) -> float:
         """Linear end-to-end transmission for one signal (loss factors only)."""

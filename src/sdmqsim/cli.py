@@ -135,7 +135,8 @@ def cmd_sweep(args) -> int:
         rows = []
         for v, sub in zip(values, subs):
             _log(f"sweep {param}={v}")
-            rows.append({param: v, **report_row(run_scenario(sub).report)})
+            # the value as typed, even where a report key has its name
+            rows.append({**report_row(run_scenario(sub).report), param: v})
 
     out_dir = Path(args.out) if args.out else _default_out(scenario.name, "sweep")
     out_dir.mkdir(parents=True, exist_ok=True)

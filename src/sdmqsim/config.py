@@ -1,5 +1,9 @@
 """Shared domain types, configuration and the seeded random-stream contract.
 
+Each scenario key is declared once by ``key``, as a field of the dataclass
+its section fills, and the dataclass checks itself against the declared
+ranges when built (``check_keys``), then checks the rules joining its keys.
+
 All times are carried as integer picoseconds.  The 25 ps histogram bins and
 1540 ps pulse periods are exactly representable, so histogram binning never
 accumulates float drift.  Random numbers come from counter-based Philox
@@ -9,8 +13,11 @@ numpy's ``SeedSequence(entropy=seed, spawn_key=ids)`` keying a Philox.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import operator
+import re
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -19,6 +26,8 @@ __all__ = [
     "SimConfig",
     "RandomSource",
     "SignalAssignment",
+    "key",
+    "check_keys",
     "BATCH",
     "N_GROUPS",
     "DELTA_T1",
@@ -42,62 +51,100 @@ class ConfigError(ValueError):
     """Raised when a configuration violates one of its invariants."""
 
 
+# the clauses of a key's declared range (see ``key``), each a test of one
+# value; NaN passes none of them but ``one of``
+_WORDS = {"positive": "> 0", "non-negative": ">= 0"}
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+
+
+def _clause(text: str):
+    text = _WORDS.get(text, text)
+    if text == "finite":
+        return math.isfinite
+    if text.startswith("one of "):
+        return text[len("one of "):].split(", ").__contains__
+    if text.startswith("in ["):
+        lo, hi = map(float, text[len("in ["):-1].split(", "))
+        return lambda v: lo <= v <= hi
+    op, bound = text.split()
+    compare, bound = _COMPARE[op], float(bound)
+    return lambda v: compare(v, bound)
+
+
+def key(default=MISSING, allowed: str = "", kinds: tuple | None = None, parse=None):
+    """A scenario key, declared once as a field of the dataclass its section
+    fills: its type (the field's, or ``parse`` for a file's text), its
+    ``default`` (none: the key is required), its single-key range
+    ``allowed`` and the experiment ``kinds`` that read it (None: every kind).
+
+    ``allowed`` joins clauses with " and " (``finite``, ``positive``,
+    ``non-negative``, ``>= x``, ``> x``, ``<= x``, ``in [lo, hi]`` or ``one
+    of a, b``) and may hold a parenthesized note; empty, the key has none.
+    ``check_keys`` holds each value to it.
+    """
+    tests = [_clause(c) for c in re.sub(r" \(.*?\)", "", allowed).split(" and ") if c]
+    test = (None if not tests else tests[0] if len(tests) == 1
+            else lambda v: all(t(v) for t in tests))
+    meta = {"allowed": allowed, "test": test, "kinds": kinds, "parse": parse}
+    if default == {}:
+        return field(default_factory=dict, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def check_keys(obj, where: str = "", error=ConfigError) -> None:
+    """Raise ``error`` naming the first key of ``obj`` outside its declared
+    range.  An unset (None) key passes; each item of a tuple, and each value
+    of a map, is held to the range."""
+    for name, allowed, test in _ranged(type(obj)):
+        value = getattr(obj, name)
+        if value is None:
+            continue
+        items = (value.values() if isinstance(value, dict)
+                 else value if isinstance(value, tuple) else (value,))
+        if not all(map(test, items)):
+            raise error(f"{where}{name} must be {allowed}, got {value!r}")
+
+
+@functools.cache
+def _ranged(cls) -> tuple:
+    """Each key of ``cls`` that has a range: its name, range and test."""
+    return tuple((f.name, f.metadata["allowed"], f.metadata["test"])
+                 for f in fields(cls) if f.metadata.get("test"))
+
+
+def ints(raw: str) -> tuple:
+    """A parser of a key's text: e.g. '0,1' -> (0, 1)."""
+    return tuple(map(int, raw.split(",")))
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Top-level simulation parameters.
+    """The ``[sim]`` keys: top-level simulation parameters.  Times are in ps."""
 
-    Parameters
-    ----------
-    d : int
-        Pulse slots per frame.
-    pulse_period_ps : int
-        Pulse period T_p in picoseconds.
-    frame_window_ps : int
-        Duration of the occupied half-frame (the signal interval).
-    frame_period_ps : int
-        Full frame period; must equal twice the frame window.
-    frame_rate_hz : float
-        Frame rate; must equal 1 / frame_period.
-    mu_in : float
-        Mean photons per frame at the configured reference plane.
-    eta : float
-        Detector efficiency.
-    dead_time_ps : int
-        Detector dead time.
-    hist_res_ps : int
-        Histogram bin width; must divide the frame period.
-    p_tb : float
-        Fraction of frames carrying time-bin data.  Data/security
-        interleaving is not simulated: time-bin kinds require 1 and phase
-        kinds ignore it.
-    im_extinction : float
-        Intensity-modulator extinction ratio, linear scale (> 1).
-    jitter_sigma_ps : float
-        Gaussian detection timing jitter (1 sigma), at most ``pulse_period_ps``.
-    seed : int
-        Root seed for all random streams.
-    """
-
-    d: int = 64
-    pulse_period_ps: int = 1540
-    frame_window_ps: int = 100_000
-    frame_period_ps: int = 200_000
-    frame_rate_hz: float = 5.0e6
-    mu_in: float = 1.0
-    eta: float = 0.15
-    dead_time_ps: int = 100_000
-    hist_res_ps: int = 25
-    p_tb: float = 1.0
-    im_extinction: float = 674.0
-    jitter_sigma_ps: float = 100.0
-    seed: int = 1
+    d: int = key(64, ">= 2")  # pulse slots per frame
+    pulse_period_ps: int = key(1540, "positive")  # pulse period T_p
+    frame_window_ps: int = key(100_000)  # the occupied half-frame (signal interval)
+    frame_period_ps: int = key(200_000)  # twice the frame window
+    frame_rate_hz: float = key(5.0e6)  # 1 / frame_period
+    mu_in: float = key(1.0, "positive and finite")  # photons a frame at the reference plane
+    eta: float = key(0.15, "in [0, 1]")  # detector efficiency
+    dead_time_ps: int = key(100_000, "non-negative")
+    hist_res_ps: int = key(25, "positive")  # histogram bin width, dividing the period
+    # frames carrying time-bin data; data/security interleaving is not
+    # simulated: the time-bin kinds require 1 and the phase kinds ignore it
+    p_tb: float = key(1.0, "in [0, 1]")
+    # intensity-modulator extinction ratio, linear; +inf is a perfect modulator
+    im_extinction: float = key(678.0, "> 1 (linear ratio)")
+    # Gaussian detection jitter (1 sigma), at most ``pulse_period_ps``: NaN and
+    # inf fail; Pulse.mass holds ceil(8 sigma) tail masses and every cut
+    # within 8 sigma of each slot, so its cost grows with the jitter
+    jitter_sigma_ps: float = key(100.0)
+    seed: int = key(1, "non-negative")  # root seed of every random stream
 
     def __post_init__(self):
-        """Raise ConfigError naming the first violated invariant."""
-        if self.d < 2:
-            raise ConfigError(f"d must be >= 2, got {self.d}")
-        if self.pulse_period_ps <= 0:
-            raise ConfigError("pulse_period_ps must be positive")
+        """Raise ConfigError naming the first violated invariant: a key out
+        of its range, then a rule joining keys."""
+        check_keys(self)
         if self.d * self.pulse_period_ps > self.frame_window_ps:
             raise ConfigError(
                 f"pulse train does not fit the frame window: "
@@ -115,27 +162,11 @@ class SimConfig:
                 f"frame_rate_hz ({self.frame_rate_hz:g}) inconsistent with "
                 f"1/frame_period ({implied_rate:g} Hz)"
             )
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError(f"eta must be in [0, 1], got {self.eta}")
-        if not 0.0 <= self.p_tb <= 1.0:
-            raise ConfigError(f"p_tb must be in [0, 1], got {self.p_tb}")
-        if self.dead_time_ps < 0:
-            raise ConfigError("dead_time_ps must be non-negative")
-        if self.hist_res_ps <= 0 or self.frame_period_ps % self.hist_res_ps != 0:
+        if self.frame_period_ps % self.hist_res_ps != 0:
             raise ConfigError(
                 f"hist_res_ps ({self.hist_res_ps}) must divide "
                 f"frame_period ({self.frame_period_ps})"
             )
-        # written so that NaN fails every range check
-        if not 0 < self.mu_in < math.inf:
-            raise ConfigError(f"mu_in must be positive and finite, got {self.mu_in}")
-        if not self.im_extinction > 1.0:  # +inf (a perfect modulator) passes
-            raise ConfigError(
-                f"im_extinction must be > 1 (linear ratio), got {self.im_extinction}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        # NaN and inf fail; Pulse.mass holds ceil(8 sigma) tail masses and every
-        # cut within 8 sigma of each slot, so its cost grows with the jitter
         if not 0 <= self.jitter_sigma_ps <= self.pulse_period_ps:
             raise ConfigError(f"jitter_sigma_ps must be in [0, pulse_period_ps = "
                               f"{self.pulse_period_ps}], got {self.jitter_sigma_ps}")
@@ -189,29 +220,31 @@ class RandomSource:
 
 @dataclass(frozen=True)
 class SignalAssignment:
-    """Mapping of one transmitted signal onto the multiplexed link.
+    """The keys of a ``[signal.<ID>]`` section: one transmitted signal on the
+    multiplexed link, ``signal_id`` the section's ID.
 
     ``input_group`` is the quasi-degenerate mode group (1..Q) and
     ``input_mode``, when set, the Hermite-Gaussian index (n, p) in it:
     group g holds the modes with n + p = g - 1.  ``delayed`` signals are
     shifted by one frame window so they occupy the second half of the
     frame period.  ``excess_db`` is a per-signal coupling correction on top
-    of the table loss (<= 0 for excess loss); ``im_extinction`` optionally
-    overrides the global modulator extinction for this signal;
-    ``fixed_slot`` is the time-bin slot the signal occupies in every frame
-    (required by the time-bin kinds, unused by the phase kinds).
+    of the table loss; ``im_extinction`` optionally overrides the global
+    modulator extinction for this signal; ``fixed_slot`` is the time-bin
+    slot the signal occupies in every frame (required by the time-bin
+    kinds, unused by the phase kinds).
     """
 
     signal_id: str
-    input_mode: tuple | None = None
-    input_group: int = 1
-    delayed: bool = False
-    excess_db: float = 0.0
-    im_extinction: float | None = None
-    fixed_slot: int | None = None
+    input_group: int = key(1)  # a mode group, 1..N_GROUPS (see __post_init__)
+    input_mode: tuple | None = key(None, parse=ints)
+    delayed: bool = key(False)
+    excess_db: float = key(0.0, "<= 0 (a loss)")
+    im_extinction: float | None = key(None, "> 1 (linear ratio)")
+    fixed_slot: int | None = key(None)
 
     def __post_init__(self):
         where = f"[signal.{self.signal_id}]"
+        check_keys(self, where + " ")
         if not 1 <= self.input_group <= N_GROUPS:
             raise ConfigError(f"{where} input_group: mode group {self.input_group} "
                               f"outside 1..{N_GROUPS}")
@@ -220,11 +253,6 @@ class SignalAssignment:
                                      and sum(mode) + 1 == self.input_group):
             raise ConfigError(f"{where} input_mode must be two ints n,p >= 0 with "
                               f"n + p + 1 = input_group ({self.input_group}), got {mode}")
-        if not self.excess_db <= 0.0:  # written so that NaN fails
-            raise ConfigError(f"{where} excess_db must be <= 0 (a loss), got {self.excess_db}")
-        if self.im_extinction is not None and not self.im_extinction > 1.0:
-            raise ConfigError(f"{where} im_extinction must be > 1 (linear ratio), "
-                              f"got {self.im_extinction}")
 
     def offset_ps(self, cfg: SimConfig) -> int:
         return cfg.frame_window_ps if self.delayed else 0

@@ -95,15 +95,7 @@ SPAN_CLICKS = 1 << 16
 
 
 def build_channel(scenario: Scenario) -> ChannelModel:
-    il, xt = load_link_tables(scenario.channel.tables_path)
-    return ChannelModel(
-        il=il,
-        xt=xt,
-        distance=scenario.channel.distance,
-        mu_reference=scenario.channel.mu_reference,
-        input_mdm_exclusion_db=scenario.channel.input_mdm_exclusion_db,
-        uniform_il_db=scenario.channel.uniform_il_db,
-    )
+    return ChannelModel(*load_link_tables(scenario.channel.tables_path), **vars(scenario.channel))
 
 
 def _collected_flux(vcfg, channel: ChannelModel, sig: SignalAssignment, groups) -> float:
@@ -375,18 +367,15 @@ def _finish_detector(parts, vcfg, gate, blocked=0) -> tuple:
     """Gate, time-sort and dead-time walk held ``(frames, t)`` pieces to
     clicks, none before the absolute time ``blocked``."""
     fr, t = (np.concatenate(column) for column in zip(*parts))
-    # gate first: the mask reads only t_within, and the stable sort keeps
-    # the survivors' relative order, so sorting fewer events changes nothing
+    # gate first: the mask reads only t_within, so sorting fewer events
+    # changes nothing; equal absolute times are equal clicks
     keep = gate_mask(t, gate, vcfg.frame_window_ps)
-    fr, t = fr[keep], t[keep]
-    t_abs = fr * vcfg.frame_period_ps + t
-    order = np.argsort(t_abs, kind="stable")
-    t_abs = t_abs[order]
+    t_abs = fr[keep] * vcfg.frame_period_ps + t[keep]
+    t_abs.sort()
     # vetoed events do not extend the dead time (non-paralyzable), so the
     # walk starts at the first event past it
-    first = np.searchsorted(t_abs, blocked)
-    order = order[first:][dead_time_mask(t_abs[first:], vcfg.dead_time_ps)]
-    return fr[order], t[order]
+    t_abs = t_abs[np.searchsorted(t_abs, blocked):]
+    return np.divmod(t_abs[dead_time_mask(t_abs, vcfg.dead_time_ps)], vcfg.frame_period_ps)
 
 
 def _timebin_components(vcfg, lam, f, offset, slot) -> tuple:

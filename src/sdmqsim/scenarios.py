@@ -2,26 +2,30 @@
 
 A scenario bundles the simulation parameters, the signal assignments, the
 channel conventions and one experiment kind.  Each section fills one
-dataclass: ``[sim]`` a ``SimConfig``, ``[channel]`` a ``ChannelSpec``,
-``[signal.<ID>]`` a ``SignalAssignment`` and ``[experiment]`` an
-``ExperimentSpec``.  Its keys are the dataclass's fields, each read as the
-field's type (see ``key_types``), so the dataclasses are the schema;
-``scenarios/SCHEMA.md`` in the repository documents it.  A value that does
-not convert is a ``ConfigError`` naming its key.  ``Scenario.with_overrides``
-converts and checks a run's or a sweep's values the same way.
+dataclass (``SECTIONS``): ``[sim]`` a ``SimConfig``, ``[channel]`` a
+``ChannelSpec``, ``[signal.<ID>]`` a ``SignalAssignment`` and
+``[experiment]`` an ``ExperimentSpec``.  Its keys are the fields declared
+with ``config.key`` (``KEYS``), each declared once: its type (the field's,
+or a parser of a file's text), default, single-key range and the kinds
+that read it.  ``scenarios/SCHEMA.md`` in the repository holds those
+declarations row for row.  A value that does not convert, lies outside its
+range, or is set for a kind that does not read it, is a ``ConfigError``
+naming its key, whether it comes from a file, from
+``Scenario.with_overrides`` (a run's or a sweep's values) or from a
+dataclass built in code; rules that join keys are each dataclass's
+``__post_init__`` and ``Scenario``'s.
 """
 from __future__ import annotations
 
 import configparser
-import functools
 import math
-import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .config import N_GROUPS, ConfigError, SimConfig, SignalAssignment
+from .channel import ChannelSpec
+from .config import N_GROUPS, ConfigError, SimConfig, SignalAssignment, check_keys, key
 
-__all__ = ["ChannelSpec", "ExperimentSpec", "Scenario", "load_scenario", "key_types",
+__all__ = ["ChannelSpec", "ExperimentSpec", "Scenario", "load_scenario", "SECTIONS", "KEYS",
            "EXPERIMENT_KINDS"]
 
 EXPERIMENT_KINDS = (
@@ -34,66 +38,58 @@ EXPERIMENT_KINDS = (
     "capacity",
 )
 
-GATE_VALUES = ("dt1", "dt2", "always")
-
 # kinds that simulate a pure time-bin stream with one slot per signal
 TIMEBIN_KINDS = ("timebin_xt", "timebin_B", "capacity")
 
-# [experiment] keys only these kinds read; a file or an override setting one
-# for another kind is rejected rather than silently ignored
-_PHASE_KINDS = ("phase_er", "phase_sweep", "bb84", "bb84_eve")
-KIND_ONLY_KEYS = {"transcript": ("bb84", "bb84_eve"), "theory_mu": ("capacity",),
-                  "theory_il_db": ("capacity",), "phi_a": ("phase_er", "phase_sweep"),
-                  "phi_b": ("phase_er",), "sweep_phi_b": ("phase_sweep",),
-                  "visibility_cap": _PHASE_KINDS, "phase_floor": _PHASE_KINDS}
+
+def phase(raw: str) -> float:
+    """A parser of a key's text: plain radians or a simple 'pi' multiple
+    such as '3pi/4'."""
+    raw = raw.strip().lower()
+    if "pi" in raw:
+        head, _, tail = raw.partition("pi")
+        num = float(head) if head not in ("", "+", "-") else float(head + "1")
+        den = float(tail.lstrip("/")) if tail else 1.0
+        return num * math.pi / den
+    return float(raw)
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Link conventions for a scenario (see channel.ChannelModel)."""
+def phases(raw: str) -> tuple:
+    """e.g. '0, pi/4' -> (0.0, pi/4)."""
+    return tuple(map(phase, raw.split(",")))
 
-    distance: str = "8km"
-    mu_reference: str = "mux_input"
-    input_mdm_exclusion_db: float = 4.2
-    uniform_il_db: float | None = None
-    tables_path: str | None = None
+
+def gate_map(raw: str) -> dict:
+    """e.g. 'A:dt1 B:dt2' -> {'A': 'dt1', 'B': 'dt2'}."""
+    return dict(part.split(":") for part in raw.split())
+
+
+def group_map(raw: str) -> dict:
+    """e.g. 'A:1 B:2+3 C:4+5' -> {'A': (1,), 'B': (2, 3), 'C': (4, 5)}."""
+    return {sid: tuple(map(int, groups.split("+"))) for sid, groups in gate_map(raw).items()}
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Experiment kind plus its kind-specific knobs."""
+    """The ``[experiment]`` keys: the experiment kind plus its knobs."""
 
-    kind: str
-    n_frames: int = 100_000
-    phi_a: float = math.pi
-    phi_b: float = 0.0
-    visibility_cap: float = 0.93
-    phase_floor: float = 0.0
-    sweep_phi_b: tuple = ()
-    collections: dict = field(default_factory=dict)  # signal -> (groups...)
-    gates: dict = field(default_factory=dict)  # signal -> gate
-    theory_mu: float = 1.0
-    theory_il_db: float = -8.3
-    transcript: bool = False
+    kind: str = key()  # one of EXPERIMENT_KINDS
+    n_frames: int = key(100_000, ">= 1")
+    phi_a: float = key(math.pi, "finite", ("phase_er", "phase_sweep"), phase)
+    phi_b: float = key(0.0, "finite", ("phase_er",), phase)
+    visibility_cap: float = key(0.93, "in [0, 1]", ("phase_er", "phase_sweep", "bb84", "bb84_eve"))
+    phase_floor: float = key(0.0, "in [0, 1]", ("phase_er", "phase_sweep", "bb84", "bb84_eve"))
+    sweep_phi_b: tuple = key((), "finite", ("phase_sweep",), phases)
+    collections: dict = key({}, parse=group_map)  # signal -> (groups...)
+    gates: dict = key({}, "one of dt1, dt2, always", parse=gate_map)  # signal -> gate
+    theory_mu: float = key(1.0, "positive and finite", ("capacity",))
+    theory_il_db: float = key(-8.3, "<= 0 (a loss) and finite", ("capacity",))
+    transcript: bool = key(False, kinds=("bb84", "bb84_eve"))
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.n_frames < 1:
-            raise ConfigError(f"n_frames must be >= 1, got {self.n_frames}")
-        # written so that NaN fails the checks
-        for name in ("visibility_cap", "phase_floor"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
-        for name in ("phi_a", "phi_b", "theory_il_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.theory_il_db > 0:
-            raise ConfigError(f"theory_il_db must be <= 0 (a loss), got {self.theory_il_db}")
-        if not 0 < self.theory_mu < math.inf:
-            raise ConfigError(f"theory_mu must be positive and finite, got {self.theory_mu}")
-        if not all(map(math.isfinite, self.sweep_phi_b)):
-            raise ConfigError(f"sweep_phi_b must be finite, got {self.sweep_phi_b}")
+        check_keys(self)
         collected = set()
         for sid, groups in self.collections.items():
             for g in groups:
@@ -107,9 +103,6 @@ class ExperimentSpec:
                 collected.add(g)
         if self.kind == "phase_sweep" and len(self.sweep_phi_b) == 0:
             raise ConfigError("phase_sweep requires a sweep_phi_b list")
-        for g in self.gates.values():
-            if g not in GATE_VALUES:
-                raise ConfigError(f"gate must be one of {GATE_VALUES}, got {g!r}")
 
 
 @dataclass(frozen=True)
@@ -179,72 +172,42 @@ class Scenario:
 
     def with_overrides(self, **values) -> "Scenario":
         """This scenario with the ``[sim]`` and ``[experiment]`` keys of
-        ``values`` replaced, each converted to its field's type and checked
-        as a file's keys are, ``KIND_ONLY_KEYS`` included."""
-        sim = {key: v for key, v in values.items() if key in key_types(SimConfig)}
+        ``values`` replaced, each converted and checked as a file's keys
+        are, the kinds that read it included."""
+        sim = {key: v for key, v in values.items() if key in KEYS[SimConfig]}
         exp = _fields({key: v for key, v in values.items() if key not in sim},
                       ExperimentSpec, "[sim] or [experiment]")
         out = replace(self, cfg=replace(self.cfg, **_fields(sim, SimConfig, "[sim]")),
                       experiment=replace(self.experiment, **exp))
-        _check_read_by(out.experiment.kind, exp)
+        _check_read_by(out.experiment.kind, {SimConfig: sim, ExperimentSpec: exp})
         return out
 
 
-@functools.cache
-def key_types(cls) -> dict:
-    """Each key of the section that fills ``cls`` and the type its value is
-    read as: the field's type, ``X | None`` read as ``X``.  A signal's id
-    is its section's name, not a key."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
-            for f in fields(cls) if f.name != "signal_id"}
+# each section's name and the dataclass it fills; each dataclass's keys are
+# its fields declared with ``config.key``, by name
+SECTIONS = {"sim": SimConfig, "channel": ChannelSpec, "signal.<ID>": SignalAssignment,
+            "experiment": ExperimentSpec}
+KEYS = {cls: {f.name: f for f in fields(cls) if f.metadata} for cls in SECTIONS.values()}
+
+# each type a key's value may have, by the name its field's annotation gives
+_TYPES = {"int": int, "float": float, "str": str, "bool": bool, "tuple": tuple, "dict": dict}
+
+def _check_read_by(kind: str, given: dict) -> None:
+    """Reject the first key that ``kind`` does not read of ``given``, each
+    dataclass's keys set."""
+    for cls, keys in given.items():
+        for name in keys:
+            kinds = KEYS[cls][name].metadata["kinds"] or (kind,)
+            if kind not in kinds:
+                raise ConfigError(f"{name} is read only by kind {' or '.join(kinds)}, "
+                                  f"not by {kind}")
 
 
-def _check_read_by(kind: str, keys) -> None:
-    """Reject the first of ``keys`` that ``kind`` does not read."""
-    for key in keys:
-        kinds = KIND_ONLY_KEYS.get(key, (kind,))
-        if kind not in kinds:
-            raise ConfigError(f"{key} is read only by kind {' or '.join(kinds)}, "
-                              f"not by {kind}")
-
-
-def _parse_phase(raw: str) -> float:
-    """Accept plain floats or simple 'pi'-multiples like '3pi/4'."""
-    raw = raw.strip().lower()
-    if "pi" in raw:
-        head, _, tail = raw.partition("pi")
-        num = float(head) if head not in ("", "+", "-") else float(head + "1")
-        den = float(tail.lstrip("/")) if tail else 1.0
-        return num * math.pi / den
-    return float(raw)
-
-
-def _pairs(raw: str) -> dict:
-    """e.g. 'A:dt1 B:dt2' -> {'A': 'dt1', 'B': 'dt2'}."""
-    return dict(part.split(":") for part in raw.split())
-
-
-# keys read by a parser of their own; every other key is read as its type
-_PARSERS = {
-    "phi_a": _parse_phase,
-    "phi_b": _parse_phase,
-    "sweep_phi_b": lambda raw: tuple(map(_parse_phase, raw.split(","))),
-    # e.g. 'A:1 B:2+3 C:4+5' -> {'A': (1,), 'B': (2, 3), 'C': (4, 5)}
-    "collections": lambda raw: {sid: tuple(map(int, groups.split("+")))
-                                for sid, groups in _pairs(raw).items()},
-    "gates": _pairs,
-    "input_mode": lambda raw: tuple(map(int, raw.split(","))),
-}
-
-_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
-          "false": False, "no": False, "0": False, "off": False}
-
-
-def _convert(value, typ, key: str, name: str):
-    """``value`` for key ``key`` of type ``typ``: a file's text through the
-    key's parser, any other value through ``typ``.  A value that does not
-    convert is a ``ConfigError`` naming the key as ``name``."""
+def _convert(value, f, name: str):
+    """``value`` for the key declared by field ``f``: a file's text through
+    the key's parser or its type, any other value through its type.  A value
+    that does not convert is a ``ConfigError`` naming the key as ``name``."""
+    typ = _TYPES[f.type.split(" |")[0]]
     try:
         if not isinstance(value, str):
             # a sweep's 1.5 is no seed, and its 0.5 no transcript flag
@@ -252,10 +215,10 @@ def _convert(value, typ, key: str, name: str):
                 raise ValueError(value)
             return typ(value)
         raw = value.strip()
-        if key in _PARSERS:
-            return _PARSERS[key](raw)
+        if f.metadata["parse"]:
+            return f.metadata["parse"](raw)
         if typ is bool:
-            return _BOOLS[raw.lower()]
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if typ is float and raw.lower() == "pi":
             return math.pi
         return typ(raw)
@@ -264,13 +227,13 @@ def _convert(value, typ, key: str, name: str):
 
 
 def _fields(values: dict, cls, where: str, label: str = "") -> dict:
-    """``values`` as fields of ``cls``; a key outside them is unknown in
+    """``values`` as keys of ``cls``; a key outside them is unknown in
     ``where``, and a bad value names its key as ``label`` + key."""
-    types = key_types(cls)
-    for key in values:
-        if key not in types:
-            raise ConfigError(f"unknown {where} key {key!r}")
-    return {key: _convert(v, types[key], key, label + key) for key, v in values.items()}
+    declared = KEYS[cls]
+    for name in values:
+        if name not in declared:
+            raise ConfigError(f"unknown {where} key {name!r}")
+    return {name: _convert(v, declared[name], label + name) for name, v in values.items()}
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -285,8 +248,11 @@ def load_scenario(path: str | Path) -> Scenario:
     except configparser.Error as exc:  # its message names the file and the line
         raise ConfigError(" ".join(str(exc).split())) from exc
 
+    given = {}  # the keys each section sets, by the dataclass it fills
+
     def read(section, cls, label=""):
         items = dict(parser.items(section)) if parser.has_section(section) else {}
+        given.setdefault(cls, {}).update(items)
         return _fields(items, cls, f"[{section}]", label)
 
     cfg = SimConfig(**read("sim", SimConfig))
@@ -303,6 +269,6 @@ def load_scenario(path: str | Path) -> Scenario:
     if "kind" not in exp_kwargs:
         raise ConfigError("[experiment] sets no kind")
     experiment = ExperimentSpec(**exp_kwargs)
-    _check_read_by(experiment.kind, exp_kwargs)
+    _check_read_by(experiment.kind, given)
 
     return Scenario(path.stem, cfg, signals, channel, experiment)

@@ -1,3 +1,4 @@
+import configparser
 import contextlib
 import hashlib
 import io
@@ -9,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from dataclasses import MISSING
 from pathlib import Path
 
 import pytest
@@ -21,9 +23,10 @@ from sdmqsim.cli import main
 from sdmqsim.config import ConfigError, SignalAssignment, SimConfig
 from sdmqsim.scenarios import (
     EXPERIMENT_KINDS,
+    KEYS,
+    SECTIONS,
     ChannelSpec,
     ExperimentSpec,
-    key_types,
     load_scenario,
 )
 
@@ -89,6 +92,69 @@ AMBIGUOUS_DELAY_ROLES = [
     pytest.param("timebin_xt", "[experiment]",
                  "[signal.B]\ninput_group = 3\nfixed_slot = 1\n\n[experiment]",
                  id="xt-third"),
+]
+
+
+def _type_name(f) -> str:
+    """A key's type as SCHEMA.md names it: its parser's, or its field's."""
+    return f.metadata["parse"].__name__ if f.metadata["parse"] else f.type.split(" |")[0]
+
+
+def _default(f) -> str:
+    """A key's default as SCHEMA.md writes it."""
+    value = f.default_factory() if f.default_factory is not MISSING else f.default
+    if value is MISSING:
+        return "required"
+    return ("unset" if value in (None, (), {})
+            else str(value).lower() if isinstance(value, bool) else str(value))
+
+
+def _just_outside(f) -> list:
+    """Values just outside key ``f``'s declared range, as a file's text,
+    read from the range's own words (see ``config.key``): past each bound
+    by one for an int and by one float step for a float, ``inf`` and
+    ``-inf`` for a finite one, and NaN for any float range."""
+    text = re.sub(r" \(.*?\)", "", f.metadata["allowed"])
+    if not text:
+        return []
+    if text.startswith("one of "):
+        return ["x"]
+    is_int = f.type == "int"
+
+    def past(bound, way):
+        return int(bound) + way if is_int else math.nextafter(bound, way * math.inf)
+
+    values = [] if is_int else [math.nan]
+    for clause in text.split(" and "):
+        clause = {"positive": "> 0", "non-negative": ">= 0"}.get(clause, clause)
+        if clause == "finite":
+            values += [math.inf, -math.inf]
+        elif clause.startswith("in ["):
+            lo, hi = map(float, clause[4:-1].split(", "))
+            values += [past(lo, -1), past(hi, 1)]
+        else:
+            op, bound = clause.split()
+            bound = float(bound)
+            values.append({">": int(bound) if is_int else bound, ">=": past(bound, -1),
+                           "<=": past(bound, 1)}[op])
+    return [repr(v) for v in values]
+
+
+# each canned scenario's kind and its first signal's id
+CANNED_KIND = {name: (sc.experiment.kind, sc.signals[0].signal_id)
+               for name in CANNED for sc in [load_scenario(SCENARIOS / f"{name}.ini")]}
+
+# each declared range and a value just outside it: the canned scenario
+# whose kind reads the key (bb84 for a key every kind reads), its section
+# and the value as a file's text
+OUT_OF_RANGE = [
+    pytest.param(name, section.replace("<ID>", CANNED_KIND[name][1]), f.name,
+                 f"{CANNED_KIND[name][1]}:{value}" if f.type == "dict" else value,
+                 id=f"{section}-{f.name}={value}")
+    for section, cls in SECTIONS.items() for f in KEYS[cls].values()
+    for name in [next(n for n in ["bb84", *CANNED]
+                      if CANNED_KIND[n][0] in (f.metadata["kinds"] or EXPERIMENT_KINDS))]
+    for value in _just_outside(f)
 ]
 
 
@@ -196,7 +262,17 @@ class TestScenarioLoading:
             sc.with_overrides(**values)
         assert says in str(exc.value)
 
-    # SCHEMA.md's key table of each section lists exactly the keys read there
+    # every declared range, from the declaration: a [sim] or [experiment]
+    # value just outside it is rejected by name
+    @pytest.mark.parametrize("name,section,key,value",
+                             [p for p in OUT_OF_RANGE if p.values[1] in ("sim", "experiment")])
+    def test_override_outside_declared_range_rejected(self, name, section, key, value):
+        sc = load_scenario(SCENARIOS / f"{name}.ini")
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            sc.with_overrides(**{key: value})
+
+    # SCHEMA.md's key table of each section is that section's declaration,
+    # row for row: key, type, default, range and the kinds that read it
     @pytest.mark.parametrize(
         "section,cls",
         [("[sim]", SimConfig), ("[channel]", ChannelSpec),
@@ -205,10 +281,11 @@ class TestScenarioLoading:
     def test_schema_doc_lists_every_key(self, section, cls):
         doc = (SCENARIOS / "SCHEMA.md").read_text()
         (part,) = [p for p in doc.split("\n## ") if p.startswith(f"`{section}`")]
-        documented = re.findall(r"^\| `(\w+)` \|", part, flags=re.M)
-        assert len(documented) == len(set(documented))
-        assert set(documented) == set(key_types(cls))
-
+        rows = [[cell.strip() for cell in line.strip("|").split("|")][:5]
+                for line in part.splitlines() if line.startswith("| `")]
+        assert SECTIONS[section[1:-1]] is cls
+        assert rows == [[f"`{f.name}`", _type_name(f), _default(f), f.metadata["allowed"] or "—",
+                         ", ".join(f.metadata["kinds"] or ["all"])] for f in KEYS[cls].values()]
 
 
 class TestCliRun:
@@ -527,7 +604,27 @@ class TestCliRun:
         assert main(["run", str(bad), "--frames", "1000", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert says in err and "Traceback" not in err
-        assert not (tmp_path / "o").exists()
+        # every one is checked when the file loads
+        assert "running scenario" not in err and not (tmp_path / "o").exists()
+
+    # every declared range, from the declaration: a file's value just outside
+    # it exits 2 naming the key, before the run is logged or its directory made
+    @pytest.mark.parametrize("name,section,key,value", OUT_OF_RANGE)
+    def test_file_outside_declared_range_exit_2(self, name, section, key, value,
+                                                 tmp_path, capsys):
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                           interpolation=None)
+        parser.read(SCENARIOS / f"{name}.ini")
+        parser.set(section, key, value)
+        bad = tmp_path / "bad.ini"
+        with bad.open("w") as fh:
+            parser.write(fh)
+        out = tmp_path / "o"
+        assert main(["run", str(bad), "--frames", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        where = f"[{section}] " if section.startswith("signal.") else ""
+        assert f"configuration error: {where}{key} must be " in err, err
+        assert "running scenario" not in err and not out.exists()
 
     # NaN passes a plain `x < 0` check; each key is rejected by name instead
     @pytest.mark.parametrize(
@@ -891,6 +988,14 @@ class TestCliSweep:
         assert rc == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines] == ["d", "32", "64"]
+
+    # a swept key that is also a report key keeps its first column as typed
+    def test_swept_report_key_written_as_typed(self, tmp_path):
+        out = tmp_path / "seeds"
+        assert main(["sweep", str(SCENARIOS / "bb84.ini"), "--param", "seed",
+                     "--values", "007,8", "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["seed", "007", "8"]
 
     # each value is read as a scenario file's text, and written as typed
     def test_values_read_as_file_text(self, tmp_path):
