@@ -7,7 +7,7 @@ leakage (bounded by the modal isolation of non-adjacent groups).
 """
 from pathlib import Path
 
-from sdmqsim.analysis import write_group_rates_csv
+from sdmqsim.analysis import write_table
 from sdmqsim.pipeline import run_scenario
 from sdmqsim.scenarios import load_scenario
 
@@ -17,10 +17,11 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 scenario_b = load_scenario(SCENARIOS / "timebin_b.ini").with_overrides(n_frames=300_000)
 res_b = run_scenario(scenario_b)
-write_group_rates_csv(OUT / "group_rates.csv", res_b.group_rates)
+rates = res_b.tables["group_rates.csv"]
+write_table(OUT, "group_rates.csv", rates)
 print("per-(signal, output group) analytic rates -> out/demos/group_rates.csv")
-for sid, groups in sorted(res_b.group_rates.items()):
-    print(f"  {sid}: " + "  ".join(f"g{g}={r:8.1f}" for g, r in sorted(groups.items())))
+for sid in sorted({row[0] for row in rates}):
+    print(f"  {sid}: " + "  ".join(f"g{g}={r:8.1f}" for s, g, r in rates if s == sid))
 
 print("\n== crosstalk onto the delayed signal ==")
 rep = res_b.report

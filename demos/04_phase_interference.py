@@ -9,7 +9,7 @@ yields the wrong-phase detection probability.
 import math
 from pathlib import Path
 
-from sdmqsim.analysis import write_er_by_group_csv
+from sdmqsim.analysis import write_table
 from sdmqsim.pipeline import run_scenario
 from sdmqsim.receiver import delay_interferometer_rates, export_histogram
 from sdmqsim.scenarios import load_scenario
@@ -41,7 +41,7 @@ print("\nextinction ratios by output group (dB):",
       {g: round(v, 2) for g, v in rep["er_db_per_group"].items()})
 print(f"mean ER {rep['er_db_mean']:.2f} dB -> wrong-phase detection probability "
       f"p_phi = {rep['p_phi']:.3f}")
-write_er_by_group_csv(OUT / "er_by_group.csv", result.er_by_group)
+write_table(OUT, "er_by_group.csv", result.tables["er_by_group.csv"])
 
 for name, hist in result.histograms.items():
     if name.startswith(("g2_", "g3_")):

@@ -9,7 +9,7 @@ matrix, rho_ij = V sqrt(P_i P_j).
 """
 from pathlib import Path
 
-from sdmqsim.analysis import write_counts_vs_phase_csv
+from sdmqsim.analysis import write_table
 from sdmqsim.pipeline import run_scenario
 from sdmqsim.scenarios import load_scenario
 
@@ -20,7 +20,7 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 scenario = load_scenario(SCENARIOS / "phase_sweep.ini").with_overrides(n_frames=150_000)
 result = run_scenario(scenario)
 
-write_counts_vs_phase_csv(OUT / "counts_vs_phase.csv", result.sweep_points)
+write_table(OUT, "counts_vs_phase.csv", result.tables["counts_vs_phase.csv"])
 print("sweep points -> out/demos/counts_vs_phase.csv")
 for sid, fit in result.report["visibility"].items():
     print(f"  {sid}: I0 = {fit['i0']:.1f}, V = {fit['visibility']:.4f} "

@@ -1,6 +1,8 @@
 """Figures of merit: count rates, crosstalk, SNR, extinction ratio, visibility
 fitting, time-bin tomography, symbol-error budget and capacity from counts;
-and the report they fill, each of its keys declared once in ``REPORT``.
+the report they fill, each of its keys declared once in ``REPORT``; and the
+files a run writes, each declared once in ``ARTIFACTS`` with its columns,
+and the one writer of their tables (``write_table``).
 
 All dB quantities have linear-probability companions via
 ``p = 10**(-dB/10)``.  Infinite-dB results (an empty denominator window)
@@ -35,9 +37,8 @@ __all__ = [
     "report_json",
     "ascii_digits",
     "csv_bytes",
-    "write_counts_vs_phase_csv",
-    "write_group_rates_csv",
-    "write_er_by_group_csv",
+    "csv_header",
+    "write_table",
 ]
 
 ELIMINATED = "eliminated"
@@ -314,8 +315,58 @@ def _sanitize(value):
 
 
 # ---------------------------------------------------------------------------
-# Per-figure CSV emitters
+# The artifacts: every file that run and sweep write, declared once
 # ---------------------------------------------------------------------------
+
+_HIST = ("bin_start_ps", "count")
+
+# every file that run and sweep write: its name, in which <id> stands for a
+# signal id, <groups> for output groups joined by "+" and <group> for one;
+# its CSV columns, each float's format after a colon where it is not str's;
+# the kinds that write it; and when: on every run, on a run that sets the
+# named key, or on a sweep.  scenarios/SCHEMA.md's artifact table is this
+# one row for row, with each file's meaning.
+ARTIFACTS = (
+    ("report.json", (), _ALL, ("run",)),
+    ("manifest.json", (), _ALL, ("run", "sweep")),
+    ("hist_<id>_g<groups>.csv", _HIST, _TIMEBIN + ("capacity",), ("run",)),
+    ("hist_g<group>_<id>_<interfering|blocked>.csv", _HIST, ("phase_er",), ("run",)),
+    ("group_rates.csv", ("signal", "out_group", "cps:.6g"), _TIMEBIN + ("capacity",), ("run",)),
+    ("er_by_group.csv", ("out_group", "signal", "er_db:.6g"), ("phase_er",), ("run",)),
+    ("counts_vs_phase.csv", ("signal", "phase_rad:.10g", "counts"), ("phase_sweep",), ("run",)),
+    ("transcript.csv", ("frame", "alice_basis", "alice_bit", "bob_basis", "bob_bit", "sifted"),
+     _BB84, ("transcript = true",)),
+    ("sweep.csv", ("<param>", "<report key>:.10g"), _ALL, ("sweep",)),
+)
+
+# each file's column names and formats, by its declared name
+_COLUMNS = {name: tuple(zip(*(column.partition(":")[::2] for column in columns)))
+            for name, columns, _, _ in ARTIFACTS if columns}
+
+
+def csv_header(name: str) -> bytes:
+    """The header line of the CSV declared as ``name`` (or pattern) in ``ARTIFACTS``."""
+    return (",".join(_COLUMNS[name][0]) + "\n").encode()
+
+
+def _cell(value, spec: str) -> str:
+    """A table cell: None empty, an infinite float its sentinel and any
+    other float in its column's format; anything else as ``str`` writes it."""
+    if isinstance(value, float):
+        return _sanitize(value) if math.isinf(value) else format(value, spec)
+    return "" if value is None else str(value)
+
+
+def write_table(directory: str | Path, name: str, rows, names=None) -> None:
+    """Write ``rows``, each a sequence of cells in column order, as the
+    table declared as ``name`` to ``directory / name``.  A table whose
+    declared columns are patterns (``sweep.csv``) takes its column names
+    from ``names``, its last declared column's format serving the rest."""
+    declared, specs = _COLUMNS[name]
+    names = names or declared
+    specs += specs[-1:] * (len(names) - len(specs))
+    lines = [",".join(names)] + [",".join(map(_cell, row, specs)) for row in rows]
+    (Path(directory) / name).write_text("\n".join(lines) + "\n")
 
 
 def ascii_digits(values: np.ndarray) -> np.ndarray:
@@ -354,30 +405,3 @@ def csv_bytes(*columns) -> bytes:
         mt[at:at + len(c)] = c
         at += len(c)
     return mt.T.tobytes().translate(None, b"\0")
-
-
-def write_counts_vs_phase_csv(path: str | Path, rows) -> None:
-    """rows: iterable of (signal, phase_rad, counts)."""
-    lines = ["signal,phase_rad,counts"]
-    for sig, phi, c in rows:
-        lines.append(f"{sig},{phi:.10g},{c}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_group_rates_csv(path: str | Path, rates: dict) -> None:
-    """rates: {signal: {group: cps}}."""
-    lines = ["signal,out_group,cps"]
-    for sig in sorted(rates):
-        for g in sorted(rates[sig]):
-            lines.append(f"{sig},{g},{rates[sig][g]:.6g}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_er_by_group_csv(path: str | Path, er: dict) -> None:
-    """er: {group: (signal, er_db)}; an er_db of None is left empty."""
-    lines = ["out_group,signal,er_db"]
-    for g in sorted(er):
-        sig, val = er[g]
-        v = "" if val is None else ELIMINATED if math.isinf(val) else f"{val:.6g}"
-        lines.append(f"{g},{sig},{v}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -1,9 +1,9 @@
 """Batch orchestrator.
 
 ``run`` loads a scenario file, simulates it end to end and writes the
-metrics report, per-figure CSVs and a run manifest.  ``sweep`` repeats a
+files ``analysis.ARTIFACTS`` declares for its kind.  ``sweep`` repeats a
 scenario over a list of values for one ``[sim]`` or ``[experiment]`` key,
-or for ``keyrate_n`` (the finite-key block size), into one CSV: a row a
+or for ``keyrate_n`` (the finite-key block size), into ``sweep.csv``: a row a
 value and a column a quantity its reports hold (``analysis.REPORT``),
 named by dotted path and written as report.json writes it.  ``--seed``,
 ``--frames`` and each swept value go through ``Scenario.with_overrides``,
@@ -29,13 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    report_json,
-    report_row,
-    write_counts_vs_phase_csv,
-    write_er_by_group_csv,
-    write_group_rates_csv,
-)
+from .analysis import report_json, report_row, write_table
 from .config import ConfigError
 from .pipeline import RunResult, run_scenario
 from .protocol import key_rate, write_transcript
@@ -78,12 +72,8 @@ def _write_artifacts(out_dir: Path, result: RunResult) -> None:
     (out_dir / "report.json").write_text(report_json(result.report))
     for name, hist in result.histograms.items():
         export_histogram(hist, out_dir / f"hist_{name}.csv")
-    if result.sweep_points:
-        write_counts_vs_phase_csv(out_dir / "counts_vs_phase.csv", result.sweep_points)
-    if result.group_rates:
-        write_group_rates_csv(out_dir / "group_rates.csv", result.group_rates)
-    if result.er_by_group:
-        write_er_by_group_csv(out_dir / "er_by_group.csv", result.er_by_group)
+    for name, rows in result.tables.items():
+        write_table(out_dir, name, rows)
     if result.bb84 is not None:
         write_transcript(out_dir / "transcript.csv", result.bb84)
 
@@ -141,20 +131,11 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out) if args.out else _default_out(scenario.name, "sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
     keys = [param] + sorted({k for row in rows for k in row} - {param})
-    lines = [",".join(keys)] + [",".join(_fmt(row.get(k)) for k in keys) for row in rows]
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+    write_table(out_dir, "sweep.csv", [[row.get(k) for k in keys] for row in rows], keys)
     _write_manifest(out_dir, scenario_path, scenario,
                     {**overrides, "sweep_param": param, "values": values})
     _log(f"sweep results written to {out_dir}")
     return 0
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    return str(v)
 
 
 # each command's function, its one positional and its options, ``name: (type, required)``

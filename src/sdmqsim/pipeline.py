@@ -153,13 +153,12 @@ class Cells:
 
 @dataclass
 class RunResult:
-    """Report plus exportable artifacts of one scenario run."""
+    """Report plus exportable artifacts of one scenario run; ``tables`` holds
+    each table's rows by the file name ``analysis.ARTIFACTS`` declares."""
 
     report: dict
     histograms: dict = field(default_factory=dict)
-    sweep_points: list = field(default_factory=list)
-    group_rates: dict = field(default_factory=dict)
-    er_by_group: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)
     bb84: object = None
 
 
@@ -487,13 +486,12 @@ def run_scenario(scenario: Scenario) -> RunResult:
     return runner(scenario, build_channel(scenario))
 
 
-def _analytic_group_rates(scenario, channel) -> dict:
-    """Model expectation of each signal's rate into each output group."""
-    return {
-        sig.signal_id: {g: expected_collection_rate(scenario, channel, sig.signal_id, (g,))
-                        for g in range(1, 6)}
-        for sig in scenario.signals
-    }
+def _group_rates(scenario, channel) -> dict:
+    """The ``group_rates.csv`` table: the model's expected rate of each
+    signal into each output group."""
+    return {"group_rates.csv": [
+        (sid, g, expected_collection_rate(scenario, channel, sid, (g,)))
+        for sid in sorted(s.signal_id for s in scenario.signals) for g in range(1, 6)]}
 
 
 def _mean_db(values) -> float | None:
@@ -594,11 +592,7 @@ def _run_timebin(scenario: Scenario, channel) -> RunResult:
         p_snr=analysis.prob_from_db(snr_mean),
         extra={**extra, "rho_kk": rho_kk},
     )
-    return RunResult(
-        report=report,
-        histograms=histograms,
-        group_rates=_analytic_group_rates(scenario, channel),
-    )
+    return RunResult(report, histograms, tables=_group_rates(scenario, channel))
 
 
 def _run_capacity(scenario: Scenario, channel) -> RunResult:
@@ -659,11 +653,7 @@ def _run_capacity(scenario: Scenario, channel) -> RunResult:
             "capacity_eta1_qubits_per_s": cap / vcfg.eta if vcfg.eta else None,
         },
     )
-    return RunResult(
-        report=report,
-        histograms=histograms,
-        group_rates=_analytic_group_rates(scenario, channel),
-    )
+    return RunResult(report, histograms, tables=_group_rates(scenario, channel))
 
 
 def _run_phase_er(scenario: Scenario, channel) -> RunResult:
@@ -720,11 +710,8 @@ def _run_phase_er(scenario: Scenario, channel) -> RunResult:
         p_phi=analysis.prob_from_db(er_mean),
         extra={"p_phi_by_group": p_phi_by_group},
     )
-    return RunResult(
-        report=report,
-        histograms=histograms,
-        er_by_group={g: (sid, er_by_group[g]) for g, sid in sorted(plans)},
-    )
+    return RunResult(report, histograms, tables={
+        "er_by_group.csv": [(g, sid, er_by_group[g]) for g, sid in sorted(plans)]})
 
 
 def _run_phase_sweep(scenario: Scenario, channel) -> RunResult:
@@ -737,7 +724,7 @@ def _run_phase_sweep(scenario: Scenario, channel) -> RunResult:
     vcfg, exp = scenario.cfg, scenario.experiment
     n = exp.n_frames
     fits = {}
-    points_out = []
+    points = []  # counts_vs_phase.csv's rows
     run_tag = 0
     gates = {sid: _phase_gates(vcfg, scenario.signal(sid).offset_ps(vcfg))
              for sid in exp.collections}
@@ -746,7 +733,6 @@ def _run_phase_sweep(scenario: Scenario, channel) -> RunResult:
         sig = scenario.signal(sid)
         gate = exp.gates.get(sid, DELTA_T2 if sig.delayed else DELTA_T1)
         on, off = gates[sid]
-        pts = []
         for phi_b in exp.sweep_phi_b:
             det = _detector_cells((ROLE_PHOTONS, run_tag, det_idx),
                                   _phase_law(vcfg, channel, scenario.signals, groups, exp,
@@ -754,12 +740,11 @@ def _run_phase_sweep(scenario: Scenario, channel) -> RunResult:
                                   vcfg, gate, n, edges)
             run_tag += 1
             c = float(det.count(*on) - det.count(*off))
-            pts.append((exp.phi_a + phi_b, c))
-            points_out.append((sid, exp.phi_a + phi_b, c))
-        fit = analysis.fit_visibility(pts)
+            points.append((sid, exp.phi_a + phi_b, c))
+        fit = analysis.fit_visibility(p[1:] for p in points if p[0] == sid)
         fits[sid] = None if fit is None else asdict(fit)
     report = analysis.build_report(exp.kind, vcfg.seed, n, visibility=fits)
-    return RunResult(report=report, sweep_points=points_out)
+    return RunResult(report=report, tables={"counts_vs_phase.csv": points})
 
 
 def _port_usable(cfg, law) -> np.ndarray:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ascii_digits, csv_bytes
+from .analysis import ascii_digits, csv_bytes, csv_header
 from .config import BATCH, ROLE_TRANSCRIPT, RandomSource
 
 __all__ = [
@@ -203,7 +203,8 @@ def _row_ends() -> np.ndarray:
 def write_transcript(path, result: Bb84Result) -> None:
     """Dump the announced bases and detection outcomes (audit log).
 
-    One row per frame, written one batch at a time: the bit column is what
+    One row per frame under the declared header (``analysis.ARTIFACTS``),
+    written one batch at a time: the bit column is what
     Bob would announce having detected ('-' for an inconclusive frame);
     sifted marks basis-matched conclusive positions.  A batch's rows are
     one permutation of its tally's cells, each repeated its count, drawn
@@ -214,7 +215,7 @@ def write_transcript(path, result: Bb84Result) -> None:
     gen = RandomSource(result.seed).stream(ROLE_TRANSCRIPT).generator()
     ends = _row_ends()
     with open(path, "wb") as out:
-        out.write(b"frame,alice_basis,alice_bit,bob_basis,bob_bit,sifted\n")
+        out.write(csv_header("transcript.csv"))
         for b0, tally in zip(range(0, result.n_frames, BATCH), result.tallies):
             cells = gen.permutation(np.repeat(np.arange(N_CELLS, dtype=np.uint8), tally))
             out.write(csv_bytes(ascii_digits(np.arange(b0, b0 + len(cells))), ends[cells]))

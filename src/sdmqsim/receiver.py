@@ -1,5 +1,5 @@
 """Detection chain: gated single-photon detectors, the time-delay
-interferometer and histogram accumulation.
+interferometer, histogram accumulation and the histogram files.
 
 Dead time is non-paralyzable (a photon arriving during the dead interval
 does not extend it), matching gated detector behaviour.  Under a ``dt1`` or
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import ascii_digits, csv_bytes
+from .analysis import ascii_digits, csv_bytes, csv_header
 from .config import DELTA_T1, DELTA_T2, SimConfig
 
 __all__ = [
@@ -173,8 +173,9 @@ def _bin_starts(n_bins: int, hist_res_ps: int) -> np.ndarray:
 
 
 def export_histogram(hist: Histogram, path: str | Path) -> None:
-    """Write one row per bin: ``bin_start_ps,count`` (LF line endings)."""
+    """Write one row per bin, its start in ps and its count, under the header
+    ``analysis.ARTIFACTS`` declares for every histogram (LF line endings)."""
     starts = _bin_starts(len(hist.bins), hist.hist_res_ps)
     with open(path, "wb") as out:
-        out.write(b"bin_start_ps,count\n")
+        out.write(csv_header("hist_<id>_g<groups>.csv"))
         out.write(csv_bytes(starts, b",", ascii_digits(hist.bins), b"\n"))

@@ -219,8 +219,6 @@ def _convert(value, f, name: str):
             return f.metadata["parse"](raw)
         if typ is bool:
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-        if typ is float and raw.lower() == "pi":
-            return math.pi
         return typ(raw)
     except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {name}: {value!r}") from exc
@@ -239,12 +237,14 @@ def _fields(values: dict, cls, where: str, label: str = "") -> dict:
 def load_scenario(path: str | Path) -> Scenario:
     """Parse a scenario INI file."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"scenario file not found: {path}")
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None)
     try:
-        parser.read(str(path))
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:  # its message names the file and the line
         raise ConfigError(" ".join(str(exc).split())) from exc
 

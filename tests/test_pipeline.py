@@ -311,7 +311,7 @@ class TestPhaseErShape:
         result = run_scenario(sc)
         rep = result.report
         assert sorted(rep["er_db_per_group"]) == [1, 2, 3, 4, 5]
-        assert set(result.er_by_group[2]) == {"B", result.er_by_group[2][1]}
+        assert {g: sid for g, sid, _ in result.tables["er_by_group.csv"]}[2] == "B"
         # interfering and blocked histograms exported per group
         assert any(k.endswith("interfering") for k in result.histograms)
         assert any(k.endswith("blocked") for k in result.histograms)

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import sdmqsim
 from sdmqsim import cli
-from sdmqsim.analysis import ELIMINATED, REPORT, report_row
+from sdmqsim.analysis import ARTIFACTS, ELIMINATED, REPORT, report_row
 from sdmqsim.cli import main
 from sdmqsim.config import ConfigError, SignalAssignment, SimConfig
 from sdmqsim.scenarios import (
@@ -180,7 +180,7 @@ class TestScenarioLoading:
         assert proc.returncode == 0, proc.stderr
 
     def test_missing_file(self):
-        with pytest.raises(ConfigError, match="not found"):
+        with pytest.raises(ConfigError, match="cannot read .*nope.ini: No such file"):
             load_scenario(SCENARIOS / "nope.ini")
 
     # the delay roles are kind rules, checked where a file is loaded
@@ -540,6 +540,22 @@ class TestCliRun:
         for fragment in says:
             assert fragment in err
 
+    # a scenario path that names no readable text file exits 2 naming it,
+    # before the run is logged or its directory made
+    @pytest.mark.parametrize("make,says", [
+        pytest.param(lambda path: path.mkdir(), "Is a directory", id="directory"),
+        pytest.param(lambda path: path.write_bytes(b"\xff\xfe[sim]\n"), "'utf-8' codec",
+                     id="not_utf8"),
+    ])
+    def test_unreadable_file_exit_2(self, make, says, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        make(bad)
+        out = tmp_path / "o"
+        assert main(["run", str(bad), "--frames", "1000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: cannot read {bad}: {says}" in err, err
+        assert "running scenario" not in err and not out.exists()
+
     # channel and signal values the loader passes on, and values that do
     # not convert to their key's type: each names its key
     @pytest.mark.parametrize(
@@ -549,6 +565,9 @@ class TestCliRun:
                          id="distance"),
             pytest.param("bb84", "mu_reference = fmf_input", "mu_reference = fiber",
                          "mu_reference must be", id="mu_reference"),
+            # only a phase key reads a pi expression
+            pytest.param("bb84", "mu_in = 1.0\n", "mu_in = pi\n", "bad value for mu_in: 'pi'",
+                         id="mu_in_pi"),
             pytest.param("bb84", "input_mode = 0,0", "input_mode = a,b",
                          "[signal.S] input_mode", id="input_mode"),
             # group 1 holds only the Hermite-Gaussian mode (0, 0)
@@ -1037,6 +1056,7 @@ class TestCliSweep:
         ("keyrate_n", "1e3,1.5", "keyrate_n must be an integer >= 1, got 1.5"),
         ("keyrate_n", "abc", "keyrate_n values must be numbers, got 'abc'"),
         ("eta", "0.1,abc", "bad value for eta: 'abc'"),
+        ("mu_in", "pi", "bad value for mu_in: 'pi'"),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, param, values, message):
         out = tmp_path / "x"
@@ -1172,6 +1192,76 @@ class TestGoldenReports:
         assert written == sorted(["manifest.json", "report.json", *csvs])
         for fname, digest in csvs.items():
             assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
+
+
+def _kinds_cell(kinds, when=("run",)) -> str:
+    """The kinds of a declaration row as SCHEMA.md lists them, with when a
+    file is written where that is not on every run."""
+    listed = "all" if set(kinds) == set(EXPERIMENT_KINDS) else ", ".join(kinds)
+    return listed if when == ("run",) else f"{listed} ({', '.join(when)})"
+
+
+def _name_pattern(name: str) -> re.Pattern:
+    """A declared file name as a pattern: ``<a|b>`` one of its words, any
+    other ``<...>`` any text."""
+    return re.compile("".join(
+        f"({part[1:-1]})" if "|" in part else ".+" if part.startswith("<") else re.escape(part)
+        for part in re.split(r"(<[^>]+>)", name)))
+
+
+def _column_names(columns) -> list:
+    return [column.partition(":")[0] for column in columns]
+
+
+class TestArtifacts:
+    """``analysis.ARTIFACTS`` declares each file that ``run`` and ``sweep``
+    write once: SCHEMA.md's artifact table is the declaration, and a run of
+    every canned kind, and a sweep, writes exactly the files declared for
+    it, each CSV under its declared header."""
+
+    def test_schema_table_is_the_declaration(self):
+        text = (SCENARIOS / "SCHEMA.md").read_text().split("## Output artifacts")[1]
+        text = text.split("\n## ")[0]
+        rows = [[cell.strip().replace("\\|", "|")
+                 for cell in re.split(r"(?<!\\)\|", line.strip().strip("|"))]
+                for line in text.splitlines() if line.startswith("| `")]
+        assert [(name, columns, kinds) for name, columns, kinds, _ in rows] == [
+            (f"`{name}`", f"`{','.join(_column_names(columns))}`" if columns else "—",
+             _kinds_cell(kinds, when))
+            for name, columns, kinds, when in ARTIFACTS]
+
+    @pytest.mark.parametrize("name,transcript", [(name, False) for name in CANNED]
+                             + [("bb84", True), ("bb84_eve", True)])
+    def test_run_writes_the_declared_files(self, name, transcript, tmp_path):
+        scenario = SCENARIOS / f"{name}.ini"
+        if transcript:
+            scenario = tmp_path / f"{name}_t.ini"
+            scenario.write_text((SCENARIOS / f"{name}.ini").read_text().replace(
+                "\n[experiment]\n", "\n[experiment]\ntranscript = true\n"))
+        kind = load_scenario(scenario).experiment.kind
+        out = tmp_path / "o"
+        assert main(["run", str(scenario), "--frames", "2000", "--out", str(out)]) == 0
+        written = ("run", "transcript = true") if transcript else ("run",)
+        declared = [(_name_pattern(file), columns) for file, columns, kinds, when in ARTIFACTS
+                    if kind in kinds and set(when) & set(written)]
+        matched = set()
+        for path in out.iterdir():
+            (i,) = [i for i, (pattern, _) in enumerate(declared) if pattern.fullmatch(path.name)]
+            matched.add(i)
+            columns = declared[i][1]
+            if columns:
+                with path.open() as fh:
+                    assert fh.readline() == ",".join(_column_names(columns)) + "\n", path.name
+        assert matched == set(range(len(declared)))
+
+    def test_sweep_writes_the_declared_files(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["sweep", str(SCENARIOS / "bb84.ini"), "--param", "eta",
+                     "--values", "0.1,0.2", "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            file for file, _, _, when in ARTIFACTS if "sweep" in when)
+        header = (out / "sweep.csv").read_text().splitlines()[0].split(",")
+        assert header[0] == "eta" and header[1:] == sorted(header[1:])
 
 
 class TestReportKeys:
