@@ -24,8 +24,7 @@ ETA = 0.15
 RF = 5e6
 MU_MUX = 2.5
 
-il, xt = load_link_tables()
-channel = ChannelModel(il=il, xt=xt, distance="8km", mu_reference="mux_input")
+channel = ChannelModel(*load_link_tables(), distance="8km", mu_reference="mux_input")
 
 # --- per-signal excess coupling ------------------------------------------
 # Target collection rates.  A and B sit close to the bare table prediction;

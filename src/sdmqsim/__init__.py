@@ -12,8 +12,7 @@ from .config import (
 from .channel import (
     AssignmentError,
     ChannelModel,
-    CrosstalkMatrix,
-    InsertionLossTable,
+    crosstalk_from_db,
     load_link_tables,
 )
 from .receiver import Histogram, InterferometerRates, delay_interferometer_rates

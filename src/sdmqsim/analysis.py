@@ -27,6 +27,7 @@ __all__ = [
     "extinction_ratio_db",
     "prob_from_db",
     "VisibilityFit",
+    "check_phases",
     "fit_visibility",
     "TomographyResult",
     "tomography",
@@ -112,6 +113,16 @@ class VisibilityFit:
     residual: float
 
 
+def check_phases(phis, where: str = "", error=ValueError) -> None:
+    """Raise ``error`` unless the total phases ``phis`` (radians) hold at
+    least 3 distinct values spanning more than pi, as a visibility fit needs."""
+    distinct = np.unique(np.round(np.asarray(phis, dtype=float), 12))
+    if len(distinct) < 3:
+        raise error(f"{where}need at least 3 distinct phases")
+    if distinct.max() - distinct.min() <= math.pi:
+        raise error(f"{where}phases must span more than pi")
+
+
 def fit_visibility(points) -> VisibilityFit | None:
     """Least-squares fit of ``I(phi) = I0 [1 + V cos(phi)]``.
 
@@ -123,17 +134,13 @@ def fit_visibility(points) -> VisibilityFit | None:
     Parameters
     ----------
     points : sequence of (phi, counts)
-        Total phase (phi_a + phi_b, radians) and measured counts.  At least
-        3 distinct phases spanning more than pi are required.
+        Total phase (phi_a + phi_b, radians) and measured counts.  The
+        phases must pass ``check_phases``.
     """
     pts = list(points)
     phi = np.array([p[0] for p in pts], dtype=float)
     y = np.array([p[1] for p in pts], dtype=float)
-    distinct = np.unique(np.round(phi, 12))
-    if len(distinct) < 3:
-        raise ValueError("need at least 3 distinct phases")
-    if distinct.max() - distinct.min() <= math.pi:
-        raise ValueError("phases must span more than pi")
+    check_phases(phi)
     basis = np.column_stack([np.ones_like(phi), np.cos(phi)])
     coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
     i0, iv = float(coef[0]), float(coef[1])

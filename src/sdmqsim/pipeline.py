@@ -1,7 +1,7 @@
 """End-to-end scenario runners.
 
 The runners describe each signal that reaches a detector as components:
-mean clicks per frame, from the channel and (for phase frames)
+mean clicks per frame, from the scenario's channel and (for phase frames)
 ``receiver.delay_interferometer_rates``, and where they land, as data: a
 jittered ``Pulse`` or a uniform ``Floor``, each with its draw (``times``)
 and its law written once, in closed form: its mass in each cell between
@@ -54,7 +54,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import analysis
-from .channel import ChannelModel, load_link_tables
+from .channel import ChannelModel
 from .config import (
     BATCH,
     DELTA_T1,
@@ -95,24 +95,20 @@ SPAN_CLICKS = 1 << 16
 
 
 def build_channel(scenario: Scenario) -> ChannelModel:
-    return ChannelModel(*load_link_tables(scenario.channel.tables_path), **vars(scenario.channel))
+    """The scenario's channel, which ``load_scenario`` built.  It stays
+    bound because ``perfbench/child.py`` times it as the channel layer and
+    ``perfbench/run.py`` reads the channel through it."""
+    return scenario.channel
 
 
 def _collected_flux(vcfg, channel: ChannelModel, sig: SignalAssignment, groups) -> float:
     """Mean photons per frame of one signal reaching a group collection."""
-    return (
-        vcfg.mu_in
-        * channel.transmission(sig)
-        * channel.collection_fraction(sig.input_group, groups)
-    )
+    return (vcfg.mu_in * channel.transmission(sig)
+            * channel.collection_fraction(sig.input_group, groups))
 
 
-def expected_collection_rate(
-    scenario: Scenario,
-    channel: ChannelModel,
-    sid: str,
-    groups,
-) -> float:
+def expected_collection_rate(scenario: Scenario, channel: ChannelModel, sid: str,
+                             groups) -> float:
     """Analytic detected count rate (cps) of one signal into a collection.
 
     Photon-level expectation ``Lambda * R_f``, with ``Lambda`` = mu *
@@ -472,8 +468,8 @@ def _phase_gates(vcfg, offset_ps) -> tuple:
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
-    """Dispatch to the experiment-specific runner, with the scenario alone
-    (each runner reads its ``cfg``) and its channel, built once a run."""
+    """Dispatch to the experiment-specific runner, with the scenario alone:
+    each runner reads its ``cfg`` and its ``channel``."""
     runner = {
         "timebin_B": _run_timebin,
         "timebin_xt": _run_timebin,
@@ -483,14 +479,14 @@ def run_scenario(scenario: Scenario) -> RunResult:
         "bb84": _run_bb84,
         "bb84_eve": _run_bb84,
     }[scenario.experiment.kind]
-    return runner(scenario, build_channel(scenario))
+    return runner(scenario)
 
 
-def _group_rates(scenario, channel) -> dict:
+def _group_rates(scenario) -> dict:
     """The ``group_rates.csv`` table: the model's expected rate of each
     signal into each output group."""
     return {"group_rates.csv": [
-        (sid, g, expected_collection_rate(scenario, channel, sid, (g,)))
+        (sid, g, expected_collection_rate(scenario, scenario.channel, sid, (g,)))
         for sid in sorted(s.signal_id for s in scenario.signals) for g in range(1, 6)]}
 
 
@@ -504,8 +500,8 @@ def _mean_db(values) -> float | None:
     return math.inf if est and all(v == math.inf for v in est) else None
 
 
-def _run_timebin(scenario: Scenario, channel) -> RunResult:
-    vcfg, exp = scenario.cfg, scenario.experiment
+def _run_timebin(scenario: Scenario) -> RunResult:
+    vcfg, exp, channel = scenario.cfg, scenario.experiment, scenario.channel
     n = exp.n_frames
     # one delayed signal, as Scenario checks: timebin_B reads crosstalk on
     # its collection, and timebin_xt compares its slot with the undelayed one's
@@ -592,11 +588,11 @@ def _run_timebin(scenario: Scenario, channel) -> RunResult:
         p_snr=analysis.prob_from_db(snr_mean),
         extra={**extra, "rho_kk": rho_kk},
     )
-    return RunResult(report, histograms, tables=_group_rates(scenario, channel))
+    return RunResult(report, histograms, tables=_group_rates(scenario))
 
 
-def _run_capacity(scenario: Scenario, channel) -> RunResult:
-    vcfg, exp = scenario.cfg, scenario.experiment
+def _run_capacity(scenario: Scenario) -> RunResult:
+    vcfg, exp, channel = scenario.cfg, scenario.experiment, scenario.channel
     n = exp.n_frames
 
     # Part 1: idealized single-signal budget at a flat insertion loss.
@@ -653,10 +649,10 @@ def _run_capacity(scenario: Scenario, channel) -> RunResult:
             "capacity_eta1_qubits_per_s": cap / vcfg.eta if vcfg.eta else None,
         },
     )
-    return RunResult(report, histograms, tables=_group_rates(scenario, channel))
+    return RunResult(report, histograms, tables=_group_rates(scenario))
 
 
-def _run_phase_er(scenario: Scenario, channel) -> RunResult:
+def _run_phase_er(scenario: Scenario) -> RunResult:
     """Extinction ratios per output group.
 
     A delayed signal is measured alone on its groups in the second
@@ -667,7 +663,7 @@ def _run_phase_er(scenario: Scenario, channel) -> RunResult:
     evaluated interfering and with either arm blocked; the non-interfering
     reference is the arm average.
     """
-    vcfg, exp = scenario.cfg, scenario.experiment
+    vcfg, exp, channel = scenario.cfg, scenario.experiment, scenario.channel
     n = exp.n_frames
     phi_total = exp.phi_a + exp.phi_b
 
@@ -714,14 +710,14 @@ def _run_phase_er(scenario: Scenario, channel) -> RunResult:
         "er_by_group.csv": [(g, sid, er_by_group[g]) for g, sid in sorted(plans)]})
 
 
-def _run_phase_sweep(scenario: Scenario, channel) -> RunResult:
+def _run_phase_sweep(scenario: Scenario) -> RunResult:
     """Counts vs total phase on the interfering port, with the sinusoid fit.
 
     Per phase point, counts are pulse-gated and background-subtracted over
     the interior positions, so the fitted visibility reflects the fringe
     contrast rather than the uniform floor.
     """
-    vcfg, exp = scenario.cfg, scenario.experiment
+    vcfg, exp, channel = scenario.cfg, scenario.experiment, scenario.channel
     n = exp.n_frames
     fits = {}
     points = []  # counts_vs_phase.csv's rows
@@ -794,11 +790,11 @@ def simulate_bb84(cfg: SimConfig, n_frames: int, flux: float,
     return Bb84Result.from_tallies(cfg.seed, tallies)
 
 
-def _run_bb84(scenario: Scenario, channel) -> RunResult:
+def _run_bb84(scenario: Scenario) -> RunResult:
     vcfg, exp = scenario.cfg, scenario.experiment
     sig = scenario.signals[0]
     groups = exp.collections.get(sig.signal_id, (sig.input_group,))
-    flux = _collected_flux(vcfg, channel, sig, groups)
+    flux = _collected_flux(vcfg, scenario.channel, sig, groups)
     res = simulate_bb84(
         vcfg, exp.n_frames, flux, exp.visibility_cap, exp.kind == "bb84_eve",
         exp.phase_floor,

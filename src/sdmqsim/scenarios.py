@@ -3,8 +3,9 @@
 A scenario bundles the simulation parameters, the signal assignments, the
 channel conventions and one experiment kind.  Each section fills one
 dataclass (``SECTIONS``): ``[sim]`` a ``SimConfig``, ``[channel]`` a
-``ChannelSpec``, ``[signal.<ID>]`` a ``SignalAssignment`` and
-``[experiment]`` an ``ExperimentSpec``.  Its keys are the fields declared
+``ChannelModel`` (its keys and the link tables, read once, at load),
+``[signal.<ID>]`` a ``SignalAssignment`` and ``[experiment]`` an
+``ExperimentSpec``.  Its keys are the fields declared
 with ``config.key`` (``KEYS``), each declared once: its type (the field's,
 or a parser of a file's text), default, single-key range and the kinds
 that read it.  ``scenarios/SCHEMA.md`` in the repository holds those
@@ -22,10 +23,11 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .channel import ChannelSpec
+from .analysis import check_phases
+from .channel import ChannelModel, load_link_tables
 from .config import N_GROUPS, ConfigError, SimConfig, SignalAssignment, check_keys, key
 
-__all__ = ["ChannelSpec", "ExperimentSpec", "Scenario", "load_scenario", "SECTIONS", "KEYS",
+__all__ = ["ChannelModel", "ExperimentSpec", "Scenario", "load_scenario", "SECTIONS", "KEYS",
            "EXPERIMENT_KINDS"]
 
 EXPERIMENT_KINDS = (
@@ -101,8 +103,8 @@ class ExperimentSpec:
                         f"collections must be disjoint"
                     )
                 collected.add(g)
-        if self.kind == "phase_sweep" and len(self.sweep_phi_b) == 0:
-            raise ConfigError("phase_sweep requires a sweep_phi_b list")
+        if self.kind == "phase_sweep":  # the visibility fit's rule, checked at load
+            check_phases([self.phi_a + b for b in self.sweep_phi_b], "sweep_phi_b: ", ConfigError)
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ class Scenario:
     name: str
     cfg: SimConfig
     signals: tuple
-    channel: ChannelSpec
+    channel: ChannelModel
     experiment: ExperimentSpec
 
     def __post_init__(self):
@@ -185,7 +187,7 @@ class Scenario:
 
 # each section's name and the dataclass it fills; each dataclass's keys are
 # its fields declared with ``config.key``, by name
-SECTIONS = {"sim": SimConfig, "channel": ChannelSpec, "signal.<ID>": SignalAssignment,
+SECTIONS = {"sim": SimConfig, "channel": ChannelModel, "signal.<ID>": SignalAssignment,
             "experiment": ExperimentSpec}
 KEYS = {cls: {f.name: f for f in fields(cls) if f.metadata} for cls in SECTIONS.values()}
 
@@ -256,7 +258,8 @@ def load_scenario(path: str | Path) -> Scenario:
         return _fields(items, cls, f"[{section}]", label)
 
     cfg = SimConfig(**read("sim", SimConfig))
-    channel = ChannelSpec(**read("channel", ChannelSpec))
+    keys = read("channel", ChannelModel)
+    channel = ChannelModel(*load_link_tables(keys.get("tables_path")), **keys)
     signals = tuple(SignalAssignment(signal_id=section.split(".", 1)[1],
                                      **read(section, SignalAssignment, f"[{section}] "))
                     for section in parser.sections() if section.startswith("signal."))

@@ -1,14 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sdmqsim
+
 from sdmqsim.channel import (
     AssignmentError,
     ChannelModel,
-    CrosstalkMatrix,
-    InsertionLossTable,
+    crosstalk_from_db,
     db_to_linear,
     load_link_tables,
 )
@@ -19,7 +21,7 @@ from sdmqsim.config import (
     SimConfig,
 )
 from sdmqsim.pipeline import _cell_edges, _collected_flux, _detector_cells, _timebin_law
-from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario
+from sdmqsim.scenarios import ExperimentSpec, Scenario
 
 # raw dB entries, re-stated here as the independent cross-check of the data file
 IL_8KM = [-12.66, -12.42, -12.46, -12.06, -12.67]
@@ -38,44 +40,91 @@ def tables():
     return load_link_tables()
 
 
+# the packaged file's text, and the line of its 8 km insertion-loss row
+PACKAGED = (Path(sdmqsim.__file__).parent / "data" / "fmf_link_tables.txt").read_text()
+ROW_8KM = "8km     -12.66  -12.42  -12.46  -12.06  -12.67"
+
+
+def _load_edited(tmp_path, old, new):
+    """``load_link_tables`` of the packaged file with ``old`` replaced by ``new``."""
+    assert PACKAGED.count(old) == 1
+    path = tmp_path / "tables.txt"
+    path.write_text(PACKAGED.replace(old, new))
+    return load_link_tables(path)
+
+
 class TestTables:
     def test_loaded_values_match(self, tables):
         il, xt = tables
-        assert list(il.loss_db["8km"]) == IL_8KM
-        assert list(il.loss_db["40m"]) == IL_40M
+        assert list(il["8km"]) == IL_8KM
+        assert list(il["40m"]) == IL_40M
         raw = 10 ** (np.asarray(XT_DB) / 10.0)
-        assert np.allclose(xt.linear * xt.raw_column_sums, raw)
+        assert np.allclose(np.multiply(xt, raw.sum(axis=0)), raw)
 
     def test_raw_column_sums_near_unity(self, tables):
+        # the loaded matrix is the file's, renormalized (above); its raw
+        # linear column sums are within 1% of unity
+        raw_column_sums = db_to_linear(XT_DB).sum(axis=0)
         _, xt = tables
-        assert np.all(xt.raw_column_sums > 0.99)
-        assert np.all(xt.raw_column_sums < 1.01)
+        assert np.allclose(xt, db_to_linear(XT_DB) / raw_column_sums, rtol=1e-14)
+        assert np.all(raw_column_sums > 0.99)
+        assert np.all(raw_column_sums < 1.01)
 
     def test_columns_exactly_stochastic(self, tables):
         _, xt = tables
-        assert np.allclose(xt.linear.sum(axis=0), 1.0, atol=1e-14)
+        assert np.allclose(np.sum(xt, axis=0), 1.0, atol=1e-14)
 
     def test_group1_confinement_fraction(self, tables):
         _, xt = tables
         # 10^(-0.067) / column sum, independently recomputed
         expect = 10 ** (-0.67 / 10) / sum(10 ** (r[0] / 10) for r in XT_DB)
-        assert xt.fraction(1, 1) == pytest.approx(expect, rel=1e-12)
-        assert round(xt.fraction(1, 1), 3) == 0.857
+        assert xt[0][0] == pytest.approx(expect, rel=1e-12)
+        assert round(xt[0][0], 3) == 0.857
 
     def test_group5_distribution(self, tables):
         _, xt = tables
         expect = np.array([0.0045, 0.0148, 0.0359, 0.1408, 0.8034])
-        assert np.allclose(xt.column(5), expect, atol=1e-3)
+        assert np.allclose([row[4] for row in xt], expect, atol=1e-3)
 
     def test_diagonal_dominance_required(self):
         bad = [row[:] for row in XT_DB]
         bad[0][0], bad[1][0] = bad[1][0], bad[0][0]  # break column 1
         with pytest.raises(AssignmentError, match="diagonal"):
-            CrosstalkMatrix.from_db(bad)
+            crosstalk_from_db(bad)
 
-    def test_insertion_loss_must_be_negative(self):
+    def test_insertion_loss_must_be_negative(self, tmp_path):
         with pytest.raises(AssignmentError, match="<= 0"):
-            InsertionLossTable(loss_db={"40m": [0.1] * 5, "8km": IL_8KM})
+            _load_edited(tmp_path, "40m     -7.14", "40m     0.1")
+
+    # every table check names tables_path and the file, and the line where
+    # one row is at fault
+    @pytest.mark.parametrize("old,new,says", [
+        pytest.param(ROW_8KM, ROW_8KM + "\n8km -1 -1 -1 -1 -1",
+                     "line 15: '8km -1 -1 -1 -1 -1': a second row for 8km", id="repeated_row"),
+        pytest.param(ROW_8KM, ROW_8KM + " -1",
+                     f"line 14: '{ROW_8KM} -1': a row must have 5 entries, got 6", id="long_row"),
+        pytest.param(ROW_8KM, "8km -12.66",
+                     "line 14: '8km -12.66': a row must have 5 entries, got 1", id="short_row"),
+        pytest.param(ROW_8KM, ROW_8KM.replace("8km", "4km"),
+                     "line 14: '4km     -12.66  -12.42  -12.46  -12.06  -12.67': distance must be "
+                     "one of 40m, 8km", id="unknown_distance"),
+        pytest.param(ROW_8KM, ROW_8KM.replace("-12.42", "nan"),
+                     "line 14: '8km     -12.66  nan  -12.46  -12.06  -12.67': insertion-loss "
+                     "entries must be <= 0 dB", id="nan_loss"),
+        pytest.param("-0.67   -14.23", "-0.67",
+                     "line 18: '-0.67  -19.49  -21.61  -23.47': a row must have 5 entries, got 4",
+                     id="short_crosstalk_row"),
+        pytest.param(ROW_8KM, "", ": insertion_loss has no row for 8km", id="missing_row"),
+        pytest.param("-18.90  -14.89  -11.87  -7.06   -0.95", "",
+                     ": crosstalk matrix must be 5x5, got (4, 5)", id="crosstalk_rows"),
+        pytest.param("-0.67   -14.23", "-24.67  -14.23",
+                     ": crosstalk column 1 is not diagonal-dominant", id="crosstalk_dominance"),
+    ])
+    def test_table_check_names_file_and_line(self, tmp_path, old, new, says):
+        with pytest.raises(AssignmentError) as info:
+            _load_edited(tmp_path, old, new)
+        assert str(info.value).startswith(f"tables_path {tmp_path / 'tables.txt'}")
+        assert says in str(info.value)
 
     @settings(max_examples=1000, deadline=None)
     @given(
@@ -92,9 +141,9 @@ class TestTables:
                 else:
                     m[i, j] = off[k]
                     k += 1
-        xt = CrosstalkMatrix.from_db(m)
-        assert np.allclose(xt.linear.sum(axis=0), 1.0, atol=1e-12)
-        assert np.all(xt.linear > 0) and np.all(xt.linear < 1)
+        xt = crosstalk_from_db(m)
+        assert np.allclose(np.sum(xt, axis=0), 1.0, atol=1e-12)
+        assert np.all(np.greater(xt, 0)) and np.all(np.less(xt, 1))
 
 
 class TestChannelModel:
@@ -103,8 +152,8 @@ class TestChannelModel:
         ch = ChannelModel(il=il, xt=xt, uniform_il_db=0.0)
         sig = SignalAssignment("A", input_group=1)
         assert ch.transmission(sig) == pytest.approx(1.0)
-        frac = ch.group_fractions(1)
-        assert frac[0] == 1.0 and frac[1:].sum() == 0.0
+        assert ch.collection_fraction(1, (1,)) == 1.0
+        assert ch.collection_fraction(1, range(2, 6)) == 0.0
 
     def test_mu_reference_planes(self, tables):
         il, xt = tables
@@ -181,7 +230,7 @@ class TestPropagate:
                 expect, rel=1e-12
             )
 
-    def test_same_input_group_rejected(self):
+    def test_same_input_group_rejected(self, tables):
         sigs = (
             SignalAssignment("A", input_group=2),
             SignalAssignment("B", input_group=2),
@@ -191,7 +240,7 @@ class TestPropagate:
                 name="dup",
                 cfg=SimConfig(),
                 signals=sigs,
-                channel=ChannelSpec(),
+                channel=ChannelModel(*tables),
                 experiment=ExperimentSpec(kind="timebin_xt"),
             )
 
@@ -268,7 +317,7 @@ class TestErgodicity:
                                     "always", n, _cell_edges(vcfg, []))
             counts.append(cells.count(0, vcfg.frame_period_ps))
         counts = np.array(counts, dtype=float)
-        expect_frac = xt.column(1)
+        expect_frac = [row[0] for row in xt]
         total_exp = n * 2.5 * ch.transmission(sig) * 0.15
         for g in range(5):
             expect = total_exp * expect_frac[g]

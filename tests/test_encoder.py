@@ -13,12 +13,17 @@ from sdmqsim.encoder import floor_fraction
 from sdmqsim.channel import ChannelModel, load_link_tables
 from sdmqsim.pipeline import _cell_edges, _detector_cells, _timebin_components, _timebin_law
 from sdmqsim.receiver import delay_interferometer_rates
-from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario
+from sdmqsim.scenarios import ExperimentSpec, Scenario
 
 
 @pytest.fixture(scope="module")
 def vcfg():
     return SimConfig()
+
+
+@pytest.fixture(scope="module")
+def channel():
+    return ChannelModel(*load_link_tables())
 
 
 def _timebin_rates(vcfg, m, mu, r):
@@ -39,11 +44,11 @@ class TestTimeBinFrame:
         assert floor == pytest.approx(0.5)
         assert pulse == pytest.approx(0.5)
 
-    def test_slot_out_of_range(self):
+    def test_slot_out_of_range(self, channel):
         with pytest.raises(ConfigError, match="fixed_slot in 0..63"):
             Scenario(name="slot", cfg=SimConfig(),
                      signals=(SignalAssignment("A", input_group=1, fixed_slot=64),),
-                     channel=ChannelSpec(),
+                     channel=channel,
                      experiment=ExperimentSpec(kind="capacity", collections={"A": (1,)}))
 
     @settings(max_examples=300, deadline=None)

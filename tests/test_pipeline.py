@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from law_reference import per_ps
 
-from sdmqsim import pipeline
+from sdmqsim import pipeline, scenarios
+from sdmqsim.channel import ChannelModel, load_link_tables
 from sdmqsim.cli import main
 from sdmqsim.config import (
     DELTA_T1,
@@ -36,7 +37,6 @@ from sdmqsim.pipeline import (
     _phase_law,
     _poisson_frames,
     _timebin_law,
-    build_channel,
     expected_collection_rate,
     run_scenario,
 )
@@ -49,10 +49,15 @@ from sdmqsim.protocol import (
     state_table,
 )
 from sdmqsim.receiver import delay_interferometer_rates, gate_mask
-from sdmqsim.scenarios import ChannelSpec, ExperimentSpec, Scenario, load_scenario
+from sdmqsim.scenarios import ExperimentSpec, Scenario, load_scenario
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
+
+
+@pytest.fixture(scope="module")
+def tables():
+    return load_link_tables()
 
 
 @pytest.fixture(scope="module")
@@ -63,13 +68,13 @@ def capacity_scenario():
 class TestExpectedRates:
     def test_matches_hand_product(self, capacity_scenario):
         sc = capacity_scenario
-        channel = build_channel(sc)
+        channel = sc.channel
         # mu * 10^(IL/10) * 10^(excess/10) * collection fraction * eta * R_f
         sig = sc.signal("A")
         hand = (
             2.5
             * 10 ** ((-12.66 + sig.excess_db) / 10)
-            * channel.xt.fraction(1, 1)
+            * channel.xt[0][0]
             * 0.15
             * 5e6
         )
@@ -78,7 +83,7 @@ class TestExpectedRates:
 
     def test_excess_toggle(self, capacity_scenario):
         sc = capacity_scenario
-        channel = build_channel(sc)
+        channel = sc.channel
         with_cal = expected_collection_rate(sc, channel, "C", (4, 5))
         bare_sc = replace(sc, signals=tuple(replace(s, excess_db=0.0) for s in sc.signals))
         bare = expected_collection_rate(bare_sc, channel, "C", (4, 5))
@@ -288,13 +293,16 @@ class TestCapacityTheoryPart:
         assert abs(got - expect) <= 4 * math.sqrt(expect)
 
     def test_link_tables_read_once(self, monkeypatch):
-        # the flat single-signal budget is the run's channel with a flat
-        # loss, not a second channel built from the table file
+        # the tables are read once, when the scenario loads; the run, and
+        # its flat single-signal budget (the scenario's channel with a flat
+        # loss), read none
         reads = []
-        load = pipeline.load_link_tables
-        monkeypatch.setattr(pipeline, "load_link_tables",
+        load = scenarios.load_link_tables
+        monkeypatch.setattr(scenarios, "load_link_tables",
                             lambda *args: reads.append(args) or load(*args))
-        run_scenario(load_scenario(SCENARIOS / "capacity.ini").with_overrides(n_frames=1000))
+        sc = load_scenario(SCENARIOS / "capacity.ini").with_overrides(n_frames=1000)
+        assert len(reads) == 1
+        run_scenario(sc)
         assert len(reads) == 1
 
     def test_eta_ceiling_reported(self):
@@ -336,19 +344,19 @@ class TestOnePathCrossCheck:
     N = 200_000
     MU, ETA, FLOOR, V = 2.0, 0.15, 0.3, 0.93
 
-    def _setup(self, **sim):
+    def _setup(self, tables, **sim):
         sig = SignalAssignment("A", input_group=1, fixed_slot=20)
         sc = Scenario(
             name="xcheck",
             cfg=SimConfig(mu_in=self.MU, eta=self.ETA, dead_time_ps=0, seed=7, **sim),
             signals=(sig,),
-            channel=ChannelSpec(uniform_il_db=0.0),
+            channel=ChannelModel(*tables, uniform_il_db=0.0),
             experiment=ExperimentSpec(
                 kind="phase_er", n_frames=self.N, collections={"A": (1,)},
                 visibility_cap=self.V, phase_floor=self.FLOOR,
             ),
         )
-        return sc, sc.cfg, build_channel(sc)
+        return sc, sc.cfg, sc.channel
 
     def _draw(self, key, components, vcfg, edges):
         """The one detector's cells over ``N`` frames, holding ``edges``."""
@@ -371,8 +379,8 @@ class TestOnePathCrossCheck:
             max(0, min(hi, s + window) - max(lo, s)) / window for s in shifts
         ) / len(shifts)
 
-    def test_timebin_pulse_slot_and_floor(self):
-        sc, vcfg, ch = self._setup(im_extinction=63.0)  # half the photons in the floor
+    def test_timebin_pulse_slot_and_floor(self, tables):
+        sc, vcfg, ch = self._setup(tables, im_extinction=63.0)  # half the photons in the floor
         tp, w = vcfg.pulse_period_ps, vcfg.frame_window_ps
         lam = self.MU * self.ETA
         pulse, floor = lam * 0.5, lam * 0.5
@@ -393,8 +401,8 @@ class TestOnePathCrossCheck:
             pytest.param("direct", "p", (1,), id="direct-p"),
         ],
     )
-    def test_phase_positions_and_floor(self, arm, port, shifts):
-        sc, vcfg, ch = self._setup()
+    def test_phase_positions_and_floor(self, arm, port, shifts, tables):
+        sc, vcfg, ch = self._setup(tables)
         phi = 1.0
         law = delay_interferometer_rates(
             self.MU * self.ETA, vcfg.d, self.V, phi, arm, self.FLOOR
@@ -466,7 +474,7 @@ def _saturated_detectors():
     collection's ``(components, gate)``."""
     sc = load_scenario(SCENARIOS / "timebin_b.ini")
     sc = replace(sc, cfg=replace(sc.cfg, mu_in=1000.0))
-    vcfg, ch, exp = sc.cfg, build_channel(sc), sc.experiment
+    vcfg, ch, exp = sc.cfg, sc.channel, sc.experiment
     return vcfg, [(_timebin_law(vcfg, ch, sc.signals, groups), exp.gates[sid])
                   for sid, groups in sorted(exp.collections.items())]
 
@@ -514,7 +522,7 @@ def _law_cases():
     ]
     sc = load_scenario(SCENARIOS / "timebin_b.ini")
     sc = replace(sc, cfg=replace(sc.cfg, mu_in=1e9))  # e^{-C} underflows
-    vcfg, ch = sc.cfg, build_channel(sc)
+    vcfg, ch = sc.cfg, sc.channel
     for sid, groups in sorted(sc.experiment.collections.items()):
         cases.append((f"mu_1e9_{sid}", _timebin_law(vcfg, ch, sc.signals, groups), vcfg))
     return cases
@@ -750,7 +758,7 @@ class TestCellsRobust:
         # -expm1(-C) == 1.0 in float, and every frame's click is counted
         sc = load_scenario(SCENARIOS / "timebin_b.ini")
         sc = replace(sc, cfg=replace(sc.cfg, mu_in=1e6))
-        ch = build_channel(sc)
+        ch = sc.channel
         for sid, groups in sc.experiment.collections.items():
             gated = [s for s in sc.signals if s.delayed == sc.signal(sid).delayed]
             lam = sum(expected_collection_rate(sc, ch, s.signal_id, groups) for s in gated)

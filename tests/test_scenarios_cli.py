@@ -25,7 +25,7 @@ from sdmqsim.scenarios import (
     EXPERIMENT_KINDS,
     KEYS,
     SECTIONS,
-    ChannelSpec,
+    ChannelModel,
     ExperimentSpec,
     load_scenario,
 )
@@ -163,15 +163,16 @@ class TestScenarioLoading:
     def test_canned_scenarios_load(self, name):
         sc = load_scenario(SCENARIOS / f"{name}.ini")
         assert sc.experiment.kind in EXPERIMENT_KINDS
+        # a scenario, its channel's tables included, is a plain value
+        assert load_scenario(SCENARIOS / f"{name}.ini") == sc
 
     def test_setup_leaves_numpy_random_unimported(self):
         # importing numpy.random costs ~11 ms: set-up (the CLI's import, the
         # scenario and its channel) leaves it to the first random draw
         code = ("import sys\n"
                 "from sdmqsim.cli import load_scenario\n"
-                "from sdmqsim.pipeline import build_channel\n"
                 "for path in sys.argv[1:]:\n"
-                "    build_channel(load_scenario(path))\n"
+                "    load_scenario(path)\n"
                 "assert 'numpy.random' not in sys.modules\n")
         paths = [str(p) for p in sorted(SCENARIOS.glob("*.ini"))]
         env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
@@ -275,7 +276,7 @@ class TestScenarioLoading:
     # row for row: key, type, default, range and the kinds that read it
     @pytest.mark.parametrize(
         "section,cls",
-        [("[sim]", SimConfig), ("[channel]", ChannelSpec),
+        [("[sim]", SimConfig), ("[channel]", ChannelModel),
          ("[signal.<ID>]", SignalAssignment), ("[experiment]", ExperimentSpec)],
     )
     def test_schema_doc_lists_every_key(self, section, cls):
@@ -441,7 +442,8 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert rc == 2 and str(missing) in err and "Traceback" not in err
         assert "tables_path" in err
-        assert not out.exists()
+        # the tables are read when the scenario loads, before the run
+        assert "running scenario" not in err and not out.exists()
 
     def test_malformed_tables_row_exits_2(self, tmp_path, capsys):
         # a row that does not parse is a configuration error naming the
@@ -457,7 +459,22 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert rc == 2 and "Traceback" not in err
         assert f"tables_path {tables}, line {line}:" in err
-        assert not out.exists()
+        assert "running scenario" not in err and not out.exists()
+
+    def test_repeated_tables_row_exits_2(self, tmp_path, capsys):
+        # a second 8 km row is rejected, not taken in place of the first
+        text = (Path(sdmqsim.__file__).parent / "data" / "fmf_link_tables.txt").read_text()
+        row = "8km     -12.66  -12.42  -12.46  -12.06  -12.67"
+        line = text.splitlines().index(row) + 2
+        tables = tmp_path / "tables.txt"
+        tables.write_text(text.replace(row, row + "\n8km -1 -1 -1 -1 -1"))
+        out = tmp_path / "o"
+        rc = main(["run", str(self._with_tables(tmp_path, tables)), "--frames", "100",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "Traceback" not in err
+        assert f"tables_path {tables}, line {line}: '8km -1 -1 -1 -1 -1': a second row" in err
+        assert "running scenario" not in err and not out.exists()
 
     def test_timebin_short_run_exits_0(self, tmp_path):
         rc = main(["run", str(SCENARIOS / "timebin_b.ini"), "--frames", "1000",
@@ -582,6 +599,9 @@ class TestCliRun:
                          "bad value for phi_b: 'pi/0'", id="phi_b_over_0"),
             pytest.param("phase_sweep", "sweep_phi_b = 0, pi/4,", "sweep_phi_b = zz, pi/4,",
                          "bad value for sweep_phi_b: 'zz, pi/4,", id="sweep_phi_b"),
+            # the visibility fit needs 3 distinct total phases spanning more than pi
+            pytest.param("phase_sweep", ", 3pi/4, pi, 5pi/4, 3pi/2, 7pi/4", "",
+                         "sweep_phi_b: phases must span more than pi", id="sweep_phi_b_span"),
             pytest.param("timebin_b", "collections = A:1 B:2+3 C:4+5",
                          "collections = A:1 B:x C:4+5",
                          "bad value for collections: 'A:1 B:x C:4+5'", id="collections"),
@@ -1057,13 +1077,18 @@ class TestCliSweep:
         ("keyrate_n", "abc", "keyrate_n values must be numbers, got 'abc'"),
         ("eta", "0.1,abc", "bad value for eta: 'abc'"),
         ("mu_in", "pi", "bad value for mu_in: 'pi'"),
+        # on phase_sweep: one total phase is no fringe to fit
+        ("sweep_phi_b", "0", "sweep_phi_b: need at least 3 distinct phases"),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, param, values, message):
         out = tmp_path / "x"
-        rc = main(["sweep", str(SCENARIOS / "bb84.ini"), "--param", param,
+        scenario = "phase_sweep" if param == "sweep_phi_b" else "bb84"
+        rc = main(["sweep", str(SCENARIOS / f"{scenario}.ini"), "--param", param,
                    "--values", values, "--out", str(out)])
         assert rc == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # every value is checked before the first point runs
+        assert message in err and f"sweep {param}=" not in err
         assert not out.exists()
 
 
