@@ -30,8 +30,8 @@ for name in ("timebin_b", "timebin_xt"):
         print("  crosstalk (dB):",
               {k: (round(v, 2) if isinstance(v, float) else v)
                for k, v in json.loads(report_json(rep))["xt_db"].items()})
-    for hist_name, hist in result.histograms.items():
+    for hist_name, bins in result.histograms.items():
         path = OUT / f"{name}_{hist_name}.csv"
-        export_histogram(hist, path)
-        occupied = (hist.bins > 0).sum()
-        print(f"  {path}  ({hist.bins.sum()} counts in {occupied} of {len(hist.bins)} bins)")
+        export_histogram(bins, scenario.cfg.hist_res_ps, path)
+        occupied = (bins > 0).sum()
+        print(f"  {path}  ({bins.sum()} counts in {occupied} of {len(bins)} bins)")

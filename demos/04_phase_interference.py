@@ -43,7 +43,7 @@ print(f"mean ER {rep['er_db_mean']:.2f} dB -> wrong-phase detection probability 
       f"p_phi = {rep['p_phi']:.3f}")
 write_table(OUT, "er_by_group.csv", result.tables["er_by_group.csv"])
 
-for name, hist in result.histograms.items():
+for name, bins in result.histograms.items():
     if name.startswith(("g2_", "g3_")):
-        export_histogram(hist, OUT / f"phase_{name}.csv")
+        export_histogram(bins, scenario.cfg.hist_res_ps, OUT / f"phase_{name}.csv")
 print("interfering/blocked histograms for groups 2-3 -> out/demos/phase_g*.csv")

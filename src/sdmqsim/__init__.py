@@ -15,7 +15,7 @@ from .channel import (
     crosstalk_from_db,
     load_link_tables,
 )
-from .receiver import Histogram, InterferometerRates, delay_interferometer_rates
+from .receiver import InterferometerRates, delay_interferometer_rates
 from .analysis import (
     capacity_from_counts,
     counts_per_second,

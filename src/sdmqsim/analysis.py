@@ -4,9 +4,12 @@ the report they fill, each of its keys declared once in ``REPORT``; and the
 files a run writes, each declared once in ``ARTIFACTS`` with its columns,
 and the one writer of their tables (``write_table``).
 
-All dB quantities have linear-probability companions via
-``p = 10**(-dB/10)``.  Infinite-dB results (an empty denominator window)
-are carried as ``math.inf`` in memory and serialized as the sentinel string
+Each figure of merit returns what report.json holds: a float (a dict for
+a visibility fit, a pair for tomography), or None where its count windows
+give no estimate, by the one rule ``_no_estimate`` writes.  All dB
+quantities have linear-probability companions via ``p = 10**(-dB/10)``.
+Infinite-dB results (an empty denominator window) are carried as
+``math.inf`` in memory and serialized as the sentinel string
 ``"eliminated"``, never as a float.
 """
 from __future__ import annotations
@@ -15,7 +18,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +28,8 @@ __all__ = [
     "snr_db",
     "extinction_ratio_db",
     "prob_from_db",
-    "VisibilityFit",
     "check_phases",
     "fit_visibility",
-    "TomographyResult",
     "tomography",
     "error_budget",
     "capacity_from_counts",
@@ -58,59 +58,58 @@ def counts_per_second(total_counts: int, n_frames: int, frame_rate_hz: float) ->
     return total_counts * frame_rate_hz / n_frames
 
 
-def crosstalk_db(counts_dt2: int, counts_dt1: int) -> float:
+def _no_estimate(windows, others=()) -> bool:
+    """The rule for a figure of merit read from count windows, as
+    scenarios/SCHEMA.md's report.json row states it: a negative count in
+    ``windows`` or ``others`` raises ValueError, and with every one of
+    ``windows`` empty there is no estimate (None)."""
+    if min((*windows, *others)) < 0:
+        raise ValueError("counts must be >= 0")
+    return not any(windows)
+
+
+def _db(num: float, den: float) -> float:
+    """10 log10(num / den): +inf over an empty ``den``, else -inf over an
+    empty ``num``."""
+    if den == 0:
+        return math.inf
+    return 10.0 * math.log10(num / den) if num else -math.inf
+
+
+def crosstalk_db(counts_dt2: int, counts_dt1: int) -> float | None:
     """Count ratio of the two half-windows in dB: 10 log10(c(dt2)/c(dt1)).
 
-    Positive infinity (crosstalk eliminated) when the dt1 window is empty.
+    Positive infinity (crosstalk eliminated) when the dt1 window is empty,
+    None when both are.
     """
-    if counts_dt2 == 0 and counts_dt1 == 0:
-        raise ValueError("both windows empty; crosstalk undefined")
-    if counts_dt1 == 0:
-        return math.inf
-    if counts_dt2 == 0:
-        return -math.inf
-    return 10.0 * math.log10(counts_dt2 / counts_dt1)
+    return None if _no_estimate((counts_dt2, counts_dt1)) else _db(counts_dt2, counts_dt1)
 
 
-def snr_db(pulse: int, floor: int, floor_width_ps: int, window_ps: int) -> float:
+def snr_db(pulse: int, floor: int, floor_width_ps: int, window_ps: int) -> float | None:
     """Pulse-slot counts against the floor rescaled to the full window, in dB.
 
     ``pulse`` counts the pulse slot and ``floor`` the pulse-absent rest of
     the occupied window, ``floor_width_ps`` wide: the window less the pulse
     slot and any other known pulse slots.  Both are exact half-open windows
     on the click timestamps.  The floor is rescaled to the ``window_ps``
-    duration.  Zero floor gives +inf dB, zero pulse over a floor -inf dB.
-    The companion error probability is ``p_snr = prob_from_db(snr)``.
+    duration.  Zero floor gives +inf dB, zero pulse over a floor -inf dB,
+    and both empty None.  The companion error probability is
+    ``p_snr = prob_from_db(snr)``.
     """
-    rescaled = floor * window_ps / floor_width_ps
-    if rescaled == 0:
-        return math.inf
-    if pulse == 0:
-        return -math.inf
-    return 10.0 * math.log10(pulse / rescaled)
+    if _no_estimate((pulse, floor)):
+        return None
+    return _db(pulse, floor * window_ps / floor_width_ps)
 
 
-def extinction_ratio_db(c0: float, ci: float) -> float:
+def extinction_ratio_db(c0: float, ci: float) -> float | None:
     """Non-interfering vs interfering count ratio: 10 log10(2 c0 / ci).
 
     ``c0`` comes from the blocked-arm reference (half the open-path flux),
-    hence the factor 2.  ``ci = 0`` gives +inf.  The companion error
+    hence the factor 2.  With no reference counts there is no estimate
+    (None); ``ci = 0`` over a reference gives +inf.  The companion error
     probability is ``p_phi = ci / (2 c0)``.
     """
-    if c0 <= 0:
-        raise ValueError("blocked-arm reference counts must be positive")
-    if ci == 0:
-        return math.inf
-    if ci < 0:
-        raise ValueError("interfering counts must be >= 0")
-    return 10.0 * math.log10(2.0 * c0 / ci)
-
-
-@dataclass(frozen=True)
-class VisibilityFit:
-    i0: float
-    visibility: float
-    residual: float
+    return None if _no_estimate((c0,), (ci,)) else _db(2.0 * c0, ci)
 
 
 def check_phases(phis, where: str = "", error=ValueError) -> None:
@@ -123,13 +122,14 @@ def check_phases(phis, where: str = "", error=ValueError) -> None:
         raise error(f"{where}phases must span more than pi")
 
 
-def fit_visibility(points) -> VisibilityFit | None:
-    """Least-squares fit of ``I(phi) = I0 [1 + V cos(phi)]``.
+def fit_visibility(points) -> dict | None:
+    """Least-squares fit of ``I(phi) = I0 [1 + V cos(phi)]``, as the report
+    nests it: ``{"i0", "visibility", "residual"}``.
 
     The model is linear in ``(I0, I0*V)``, so the fit is an exact linear
-    solve on the basis ``(1, cos(phi))``; V is clamped to [0, 1].  A fit
-    with no positive mean intensity (too few counts to show a fringe) gives
-    None.
+    solve on the basis ``(1, cos(phi))``; V is clamped to [0, 1] and the
+    residual is the rms one.  A fit with no positive mean intensity (too
+    few counts to show a fringe) gives None.
 
     Parameters
     ----------
@@ -146,34 +146,22 @@ def fit_visibility(points) -> VisibilityFit | None:
     i0, iv = float(coef[0]), float(coef[1])
     if i0 <= 0:
         return None
-    v = min(max(iv / i0, 0.0), 1.0)
-    residual = float(np.sqrt(np.mean((basis @ coef - y) ** 2)))
-    return VisibilityFit(i0=i0, visibility=v, residual=residual)
+    return {"i0": i0, "visibility": min(max(iv / i0, 0.0), 1.0),
+            "residual": float(np.sqrt(np.mean((basis @ coef - y) ** 2)))}
 
 
-@dataclass(frozen=True)
-class TomographyResult:
-    """Density-matrix elements recoverable from the measurements.
-
-    ``rho_jj`` is the occupied-slot population, ``rho_kk`` the per-slot
-    population of each of the remaining d-1 slots.
-    """
-
-    rho_jj: float
-    rho_kk: float
-
-
-def tomography(pulse_counts: int, floor_counts: int, d: int) -> TomographyResult:
-    """Diagonal elements from slot counts.
+def tomography(pulse_counts: int, floor_counts: int, d: int) -> tuple:
+    """Diagonal elements from slot counts: ``(rho_jj, rho_kk)``, the
+    occupied-slot population and that of each of the other d-1 slots.
 
     ``rho_jj = c_j / (c_j + cf_j)`` where ``cf_j`` is the background from
-    all other time slots, and ``rho_kk = (1 - rho_jj) / (d - 1)``.
+    all other time slots, and ``rho_kk = (1 - rho_jj) / (d - 1)``; both
+    None when the two windows are empty.
     """
-    if pulse_counts + floor_counts <= 0:
-        raise ValueError("zero total counts")
+    if _no_estimate((pulse_counts, floor_counts)):
+        return None, None
     rho_jj = pulse_counts / (pulse_counts + floor_counts)
-    rho_kk = (1.0 - rho_jj) / (d - 1)
-    return TomographyResult(rho_jj=rho_jj, rho_kk=rho_kk)
+    return rho_jj, (1.0 - rho_jj) / (d - 1)
 
 
 def error_budget(p_xt: float, p_snr: float, d: int) -> tuple[float, float]:

@@ -50,9 +50,13 @@ def _default_out(scenario_name: str, sub: str | None = None) -> Path:
 
 def _write_manifest(out_dir: Path, scenario_path: Path, scenario: Scenario,
                     overrides: dict) -> None:
+    """The run's inputs: the scenario's text and, where ``tables_path`` sets
+    them, the link tables' (the packaged ones are pinned by the version)."""
+    tables = scenario.channel.tables_path
     manifest = {
         "scenario_file": str(scenario_path),
         "scenario_echo": scenario_path.read_text(),
+        "tables_echo": None if tables is None else Path(tables).read_text(),
         "overrides": overrides,
         "resolved_seed": scenario.cfg.seed,
         "resolved_n_frames": scenario.experiment.n_frames,
@@ -67,11 +71,11 @@ def _write_manifest(out_dir: Path, scenario_path: Path, scenario: Scenario,
     )
 
 
-def _write_artifacts(out_dir: Path, result: RunResult) -> None:
+def _write_artifacts(out_dir: Path, result: RunResult, hist_res_ps: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report_json(result.report))
-    for name, hist in result.histograms.items():
-        export_histogram(hist, out_dir / f"hist_{name}.csv")
+    for name, bins in result.histograms.items():
+        export_histogram(bins, hist_res_ps, out_dir / f"hist_{name}.csv")
     for name, rows in result.tables.items():
         write_table(out_dir, name, rows)
     if result.bb84 is not None:
@@ -87,7 +91,7 @@ def cmd_run(args) -> int:
     _log(f"running scenario {scenario.name} ({scenario.experiment.kind}), "
          f"seed={scenario.cfg.seed}, frames={scenario.experiment.n_frames}")
     result = run_scenario(scenario)
-    _write_artifacts(out_dir, result)
+    _write_artifacts(out_dir, result, scenario.cfg.hist_res_ps)
     _write_manifest(out_dir, scenario_path, scenario, overrides)
     _log(f"artifacts written to {out_dir}")
     return 0

@@ -29,6 +29,8 @@ alone, so results are reproducible from its seed.
 The time-bin and phase runners declare the ps edges of every window they
 read (``_cell_edges``) and get each detector back as ``Cells``: counts
 between those edges, and histogram bins where read (``_detector_cells``).
+The runners call each figure of merit on its windows' counts whatever
+they hold: an empty window's no-estimate rule is ``analysis``'s.
 A dense detector's counts are one draw from stream ``(*key, 0)``, with no
 per-click array (``_first_click_counts``): a cell's first-click mass
 telescopes to ``e^{-C(<a)} (1 - e^{-dC})`` from its mean gated clicks
@@ -49,7 +51,7 @@ no per-frame or per-photon array.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,7 +70,6 @@ from .config import (
 from .encoder import floor_fraction
 from .protocol import PHASE_TABLE, Bb84Result, cell_law, key_rate
 from .receiver import (
-    Histogram,
     dead_time_mask,
     delay_interferometer_rates,
     gate_mask,
@@ -131,12 +132,12 @@ def expected_collection_rate(scenario: Scenario, channel: ChannelModel, sid: str
 class Cells:
     """Accepted clicks of one detector over its run: ``before[i]`` before
     ``edges[i]``, the sorted distinct ps edges of the windows its runner
-    reads, and all of them in ``histogram``'s bins where the runner reads
-    those."""
+    reads, and all of them in ``histogram``, the ``int64`` bins of
+    ``histogram_from_times``, where the runner reads those."""
 
     edges: np.ndarray
     before: np.ndarray
-    histogram: Histogram | None = None
+    histogram: np.ndarray | None = None
 
     def count(self, lo, hi) -> int:
         """Clicks in the windows ``[lo, hi)``, ps or arrays of ps, summed.
@@ -149,7 +150,8 @@ class Cells:
 
 @dataclass
 class RunResult:
-    """Report plus exportable artifacts of one scenario run; ``tables`` holds
+    """Report plus exportable artifacts of one scenario run: ``histograms``
+    holds each histogram's bins by the name its file takes, and ``tables``
     each table's rows by the file name ``analysis.ARTIFACTS`` declares."""
 
     report: dict
@@ -347,8 +349,8 @@ def _detector_cells(key, components, vcfg, gate, n, edges, histogram=False) -> C
             (_, t), blocked = _simulate_detector(key, components, vcfg, gate,
                                                  range(n)[b0:b0 + span], blocked)
             before += np.searchsorted(np.sort(t), edges)
-            bins += histogram_from_times(t, vcfg).bins if histogram else 0
-        return Cells(edges, before, Histogram(bins, vcfg.hist_res_ps) if histogram else None)
+            bins += histogram_from_times(t, vcfg) if histogram else 0
+        return Cells(edges, before, bins if histogram else None)
     fine = (_cell_edges(vcfg, [edges, np.arange(0, vcfg.frame_period_ps, vcfg.hist_res_ps)])
             if histogram else edges)
     counts = _first_click_counts(RandomSource(vcfg.seed), key, components, vcfg, gate, n, fine)
@@ -521,11 +523,9 @@ def _run_timebin(scenario: Scenario) -> RunResult:
     def slots(det, signals):
         return sum(det.count(*win["slot", o.signal_id]) for o in signals)
 
-    # the delayed signal's dt2 slot against the others' dt1 slots; with
-    # both empty there is no estimate
+    # the delayed signal's dt2 slot against the others' dt1 slots
     def crosstalk(det):
-        c2, c1 = slots(det, [late]), slots(det, early)
-        return analysis.crosstalk_db(c2, c1) if c2 + c1 else None
+        return analysis.crosstalk_db(slots(det, [late]), slots(det, early))
 
     cps = {}
     snr_by_signal = {}
@@ -552,14 +552,9 @@ def _run_timebin(scenario: Scenario) -> RunResult:
         train = det.count(*win["train", offset])
         cps[sid] = analysis.counts_per_second(half, n, vcfg.frame_rate_hz)
         histograms[f"{sid}_g" + "+".join(map(str, groups))] = det.histogram
-        # a collection with no counts in a ratio's windows gives no estimate
-        floor, background = half - known, train - known
-        snr_by_signal[sid] = analysis.snr_db(
-            pulse, floor, window - (1 + len(foreign)) * tp, window
-        ) if pulse + floor else None
-        tomo = (analysis.tomography(pulse, background, vcfg.d)
-                if pulse + background else None)
-        rho[sid], rho_kk[sid] = (None, None) if tomo is None else (tomo.rho_jj, tomo.rho_kk)
+        snr_by_signal[sid] = analysis.snr_db(pulse, half - known,
+                                             window - (1 + len(foreign)) * tp, window)
+        rho[sid], rho_kk[sid] = analysis.tomography(pulse, train - known, vcfg.d)
         if exp.kind == "timebin_xt":
             xt_db[f"at_{sid}_collection"] = crosstalk(det)
         elif sig is late:
@@ -672,6 +667,7 @@ def _run_phase_er(scenario: Scenario) -> RunResult:
     p_phi_by_group = {}
     histograms = {}
     run_tag = 0
+    labels = {"none": "interfering", "delay": "blocked"}  # the direct arm writes none
     rest = [replace(s, delayed=i == 0)
             for i, s in enumerate(s for s in scenario.signals if not s.delayed)]
     interior = {off: _interior_window(vcfg, off) for off in (0, vcfg.frame_window_ps)}
@@ -686,15 +682,13 @@ def _run_phase_er(scenario: Scenario) -> RunResult:
         for arm in ("none", "delay", "direct"):
             det = _detector_cells((ROLE_PHOTONS, run_tag, g),
                                   _phase_law(vcfg, channel, signals, (g,), exp, phi_total, arm),
-                                  vcfg, gate, n, edges, histogram=arm != "direct")
+                                  vcfg, gate, n, edges, histogram=arm in labels)
             counts[arm] = det.count(*interior[offset])
-            if det.histogram:
-                label = "interfering" if arm == "none" else "blocked"
-                histograms[f"g{g}_{sid}_{label}"] = det.histogram
+            if arm in labels:
+                histograms[f"g{g}_{sid}_{labels[arm]}"] = det.histogram
             run_tag += 1
         c0 = 0.5 * (counts["delay"] + counts["direct"])
-        # no blocked-arm counts: no reference, so no estimate
-        er_by_group[g] = analysis.extinction_ratio_db(c0, counts["none"]) if c0 else None
+        er_by_group[g] = analysis.extinction_ratio_db(c0, counts["none"])
         # an ER below 0 dB has no probability, as in prob_from_db
         p_phi_by_group[g] = (counts["none"] / (2.0 * c0)
                              if c0 and counts["none"] <= 2.0 * c0 else None)
@@ -737,8 +731,7 @@ def _run_phase_sweep(scenario: Scenario) -> RunResult:
             run_tag += 1
             c = float(det.count(*on) - det.count(*off))
             points.append((sid, exp.phi_a + phi_b, c))
-        fit = analysis.fit_visibility(p[1:] for p in points if p[0] == sid)
-        fits[sid] = None if fit is None else asdict(fit)
+        fits[sid] = analysis.fit_visibility(p[1:] for p in points if p[0] == sid)
     report = analysis.build_report(exp.kind, vcfg.seed, n, visibility=fits)
     return RunResult(report=report, tables={"counts_vs_phase.csv": points})
 

@@ -1,5 +1,7 @@
 """Detection chain: gated single-photon detectors, the time-delay
-interferometer, histogram accumulation and the histogram files.
+interferometer, histogram accumulation and the histogram files.  A
+histogram is its ``int64`` bins array, one bin a ``hist_res_ps`` of the
+frame period.
 
 Dead time is non-paralyzable (a photon arriving during the dead interval
 does not extend it), matching gated detector behaviour.  Under a ``dt1`` or
@@ -17,7 +19,6 @@ self-interference across its own pulse train survives.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
@@ -28,7 +29,6 @@ from .analysis import ascii_digits, csv_bytes, csv_header
 from .config import DELTA_T1, DELTA_T2, SimConfig
 
 __all__ = [
-    "Histogram",
     "InterferometerRates",
     "delay_interferometer_rates",
     "export_histogram",
@@ -37,16 +37,6 @@ __all__ = [
     "dead_time_mask",
     "histogram_from_times",
 ]
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Binned detection counts over one frame period, for export.  A run's
-    window counts are read from exact ps cells between the windows' own
-    edges, so no window is rounded to the bins."""
-
-    bins: np.ndarray
-    hist_res_ps: int
 
 
 def gate_span(gate: str, frame_window_ps: int) -> tuple[int, int]:
@@ -155,13 +145,14 @@ def delay_interferometer_rates(
 
 
 def histogram_from_times(t_within: np.ndarray, cfg: SimConfig,
-                         counts: np.ndarray | None = None) -> Histogram:
-    """Histogram of within-frame timestamps, each counted ``counts`` times
-    if given (the starts of cells that each lie in one bin, and their
-    counts)."""
+                         counts: np.ndarray | None = None) -> np.ndarray:
+    """The ``int64`` bins, ``cfg.n_bins`` of ``cfg.hist_res_ps``, of
+    within-frame timestamps, each counted ``counts`` times if given (the
+    starts of cells that each lie in one bin, and their counts).  A run's
+    window counts are read from exact ps cells between the windows' own
+    edges, so no window is rounded to the bins."""
     idx = np.asarray(t_within, dtype=np.int64) // cfg.hist_res_ps
-    bins = np.bincount(idx, counts, minlength=cfg.n_bins).astype(np.int64)
-    return Histogram(bins=bins, hist_res_ps=cfg.hist_res_ps)
+    return np.bincount(idx, counts, minlength=cfg.n_bins).astype(np.int64)
 
 
 @lru_cache(maxsize=1)
@@ -172,10 +163,11 @@ def _bin_starts(n_bins: int, hist_res_ps: int) -> np.ndarray:
     return m
 
 
-def export_histogram(hist: Histogram, path: str | Path) -> None:
-    """Write one row per bin, its start in ps and its count, under the header
-    ``analysis.ARTIFACTS`` declares for every histogram (LF line endings)."""
-    starts = _bin_starts(len(hist.bins), hist.hist_res_ps)
+def export_histogram(bins: np.ndarray, hist_res_ps: int, path: str | Path) -> None:
+    """Write one row per bin of ``bins``, each ``hist_res_ps`` wide: its
+    start in ps and its count, under the header ``analysis.ARTIFACTS``
+    declares for every histogram (LF line endings)."""
+    starts = _bin_starts(len(bins), hist_res_ps)
     with open(path, "wb") as out:
         out.write(csv_header("hist_<id>_g<groups>.csv"))
-        out.write(csv_bytes(starts, b",", ascii_digits(hist.bins), b"\n"))
+        out.write(csv_bytes(starts, b",", ascii_digits(bins), b"\n"))

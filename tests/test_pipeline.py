@@ -278,6 +278,35 @@ class TestRunnerGuards:
             ExperimentSpec(kind="banana")
 
 
+class TestNoClick:
+    """At eta = 0 no click is possible: every estimate a count window gives
+    is null, a top-level one is left out, and none reads as eliminated."""
+
+    TABLES = {
+        "timebin_b": ("xt_db", "snr_db_per_signal", "rho_diag", "extra.rho_kk"),
+        "timebin_xt": ("xt_db", "snr_db_per_signal", "rho_diag", "extra.rho_kk"),
+        "phase_er": ("er_db_per_group", "extra.p_phi_by_group"),
+        "phase_sweep": ("visibility",),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_every_estimate_null(self, name, tmp_path):
+        text = (SCENARIOS / f"{name}.ini").read_text()
+        assert text.count("\neta = 0.15\n") == 1
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text(text.replace("\neta = 0.15\n", "\neta = 0\n"))
+        assert main(["run", str(ini), "--frames", "1000", "--out", str(tmp_path / "out")]) == 0
+        written = (tmp_path / "out" / "report.json").read_text()
+        report = json.loads(written)
+        for path in self.TABLES[name]:
+            table = report
+            for key in path.split("."):
+                table = table[key]
+            assert table and set(table.values()) == {None}, path
+        assert not {"snr_db", "p_snr", "p_xt", "er_db_mean", "p_phi"} & report.keys()
+        assert "eliminated" not in written
+
+
 class TestCapacityTheoryPart:
     def test_analytic_budget_formula(self):
         sc = load_scenario(SCENARIOS / "capacity.ini").with_overrides(n_frames=50_000)

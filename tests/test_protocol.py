@@ -363,7 +363,7 @@ class TestStreamSplit:
         # run's first frame alone, where spans drawn without the dead time
         # carried over would keep one in their first
         assert cells.count(100_000, period) == n and cells.count(0, 100_000) <= 1
-        bins = cells.histogram.bins
+        bins = cells.histogram
         assert bins.sum() == cells.count(0, period)
         assert bins[:100_000 // cfg.hist_res_ps].sum() == cells.count(0, 100_000)
 

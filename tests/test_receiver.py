@@ -15,7 +15,6 @@ from sdmqsim.pipeline import (
     _finish_detector,
 )
 from sdmqsim.receiver import (
-    Histogram,
     dead_time_mask,
     delay_interferometer_rates,
     export_histogram,
@@ -343,25 +342,26 @@ class TestInterfere:
 
 class TestHistogram:
     def test_empty_records(self, cfg):
-        hist = histogram_from_times(np.zeros(0, dtype=np.int64), cfg)
-        assert hist.bins.sum() == 0
-        assert len(hist.bins) == 8000
+        bins = histogram_from_times(np.zeros(0, dtype=np.int64), cfg)
+        assert bins.dtype == np.int64
+        assert bins.sum() == 0
+        assert len(bins) == 8000
 
     def test_bin_index(self, cfg):
-        hist = histogram_from_times(np.array([38_500]), cfg)
-        assert hist.bins[1540] == 1
-        assert hist.bins.sum() == 1
+        bins = histogram_from_times(np.array([38_500]), cfg)
+        assert bins[1540] == 1
+        assert bins.sum() == 1
 
     def test_count_conservation(self, cfg):
         gen = RandomSource(3).generator()
-        hist = histogram_from_times(gen.integers(0, 200_000, size=5000), cfg)
-        assert hist.bins.sum() == 5000
-        assert len(hist.bins) == 8000
+        bins = histogram_from_times(gen.integers(0, 200_000, size=5000), cfg)
+        assert bins.sum() == 5000
+        assert len(bins) == 8000
 
     def test_export_format(self, cfg, tmp_path):
-        hist = histogram_from_times(np.array([50]), cfg)
+        bins = histogram_from_times(np.array([50]), cfg)
         path = tmp_path / "h.csv"
-        export_histogram(hist, path)
+        export_histogram(bins, cfg.hist_res_ps, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "bin_start_ps,count"
         assert lines[1] == "0,0"
@@ -376,7 +376,7 @@ class TestHistogram:
     def test_export_bytes_match_row_format(self, tmp_path_factory, counts, res):
         bins = np.array(counts, dtype=np.int64)
         path = tmp_path_factory.mktemp("h") / "h.csv"
-        export_histogram(Histogram(bins=bins, hist_res_ps=res), path)
+        export_histogram(bins, res, path)
         assert path.read_bytes() == _row_format(bins, res)
 
     @pytest.mark.parametrize("counts, res", [
@@ -386,7 +386,7 @@ class TestHistogram:
     ])
     def test_export_digit_widths(self, tmp_path, counts, res):
         bins = np.array(counts, dtype=np.int64)
-        export_histogram(Histogram(bins=bins, hist_res_ps=res), tmp_path / "h.csv")
+        export_histogram(bins, res, tmp_path / "h.csv")
         assert (tmp_path / "h.csv").read_bytes() == _row_format(bins, res)
 
     def test_export_rekeys_bin_starts(self, tmp_path):
@@ -395,7 +395,7 @@ class TestHistogram:
         gen = RandomSource(4).generator()
         for i, (n, res) in enumerate([(300, 25), (300, 100_000), (300, 25)]):
             bins = gen.integers(0, 1000, size=n)
-            export_histogram(Histogram(bins=bins, hist_res_ps=res), tmp_path / f"{i}.csv")
+            export_histogram(bins, res, tmp_path / f"{i}.csv")
             assert (tmp_path / f"{i}.csv").read_bytes() == _row_format(bins, res)
 
 

@@ -434,6 +434,19 @@ class TestCliRun:
             factor = 10 ** -0.1 if sig == "B" else 1.0
             assert rates["copy"][sig, g] == pytest.approx(cps * factor, rel=2e-5), (sig, g)
 
+    def test_manifest_echoes_tables(self, tmp_path):
+        # the manifest holds the tables a run read: the text of the file
+        # tables_path names, and null for the packaged ones, which the
+        # package version pins
+        text = (Path(sdmqsim.__file__).parent / "data" / "fmf_link_tables.txt").read_text()
+        tables = tmp_path / "tables.txt"
+        tables.write_text(text)
+        for ini, echo in ((self._with_tables(tmp_path, tables), text),
+                          (SCENARIOS / "timebin_b.ini", None)):
+            out = tmp_path / ini.stem
+            assert main(["run", str(ini), "--frames", "100", "--out", str(out)]) == 0
+            assert json.loads((out / "manifest.json").read_text())["tables_echo"] == echo
+
     def test_missing_tables_path_exits_nonzero(self, tmp_path, capsys):
         missing = tmp_path / "no_tables.txt"
         out = tmp_path / "o"
