@@ -10,7 +10,6 @@ from .config import (
     SimConfig,
 )
 from .channel import (
-    AssignmentError,
     ChannelModel,
     crosstalk_from_db,
     load_link_tables,

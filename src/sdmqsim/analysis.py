@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import BB84, KINDS, SLOTTED, TIMEBIN
+
 __all__ = [
     "counts_per_second",
     "crosstalk_db",
@@ -188,27 +190,24 @@ def capacity_from_counts(total_cps: float, d: int) -> float:
 # The report: every key declared once, with its unit and the kinds that set it
 # ---------------------------------------------------------------------------
 
-_TIMEBIN, _BB84 = ("timebin_B", "timebin_xt"), ("bb84", "bb84_eve")
-_ALL = _TIMEBIN + ("capacity", "phase_er", "phase_sweep") + _BB84
-
 # every report.json leaf: its dotted path, in which <id> stands for a signal
 # id, <ids> for several run together and <group> for an output group; its
 # unit; and the kinds that set it.  scenarios/SCHEMA.md's REPORT table is
 # this one row for row, with each key's meaning.
 REPORT = (
-    ("experiment", "label", _ALL),
-    ("seed", "integer", _ALL),
-    ("n_frames", "frames", _ALL),
-    ("cps_per_collection.<id>", "counts/s", _TIMEBIN + ("capacity",)),
+    ("experiment", "label", KINDS),
+    ("seed", "integer", KINDS),
+    ("n_frames", "frames", KINDS),
+    ("cps_per_collection.<id>", "counts/s", SLOTTED),
     ("xt_db.<ids>_to_<id>", "dB", ("timebin_B",)),
     ("xt_db.at_<id>_collection", "dB", ("timebin_xt",)),
-    ("snr_db", "dB", _TIMEBIN),
-    ("snr_db_per_signal.<id>", "dB", _TIMEBIN),
-    ("rho_diag.<id>", "probability", _TIMEBIN),
-    ("p_xt", "probability", _TIMEBIN),
-    ("p_snr", "probability", _TIMEBIN),
+    ("snr_db", "dB", TIMEBIN),
+    ("snr_db_per_signal.<id>", "dB", TIMEBIN),
+    ("rho_diag.<id>", "probability", TIMEBIN),
+    ("p_xt", "probability", TIMEBIN),
+    ("p_snr", "probability", TIMEBIN),
     ("extra.<ids>_counts_in_dt2_on_<id>", "counts", ("timebin_B",)),
-    ("extra.rho_kk.<id>", "probability", _TIMEBIN),
+    ("extra.rho_kk.<id>", "probability", TIMEBIN),
     ("capacity_qubits_per_s", "qubits/s", ("capacity",)),
     ("extra.total_cps", "counts/s", ("capacity",)),
     ("extra.analytic_collection_cps.<id>", "counts/s", ("capacity",)),
@@ -222,12 +221,12 @@ REPORT = (
     ("visibility.<id>.visibility", "fraction", ("phase_sweep",)),
     ("visibility.<id>.i0", "counts", ("phase_sweep",)),
     ("visibility.<id>.residual", "counts", ("phase_sweep",)),
-    ("qber_sifted", "probability", _BB84),
-    ("key_rate", "fraction", _BB84),
-    ("extra.n_detected", "frames", _BB84),
-    ("extra.n_sifted", "bits", _BB84),
-    ("extra.key_rate_params_n", "bits", _BB84),
-    ("extra.flux_per_frame", "photons/frame", _BB84),
+    ("qber_sifted", "probability", BB84),
+    ("key_rate", "fraction", BB84),
+    ("extra.n_detected", "frames", BB84),
+    ("extra.n_sifted", "bits", BB84),
+    ("extra.key_rate_params_n", "bits", BB84),
+    ("extra.flux_per_frame", "photons/frame", BB84),
 )
 
 # each unit's range: NaN lies in none, and only a dB may be infinite (a
@@ -252,7 +251,7 @@ def _tree(kind: str) -> dict:
     return tree
 
 
-_DECLARED = {kind: _tree(kind) for kind in _ALL}
+_DECLARED = {kind: _tree(kind) for kind in KINDS}
 
 
 def _leaves(node: dict, declared: dict, kind: str, prefix: str = ""):
@@ -322,16 +321,16 @@ _HIST = ("bin_start_ps", "count")
 # named key, or on a sweep.  scenarios/SCHEMA.md's artifact table is this
 # one row for row, with each file's meaning.
 ARTIFACTS = (
-    ("report.json", (), _ALL, ("run",)),
-    ("manifest.json", (), _ALL, ("run", "sweep")),
-    ("hist_<id>_g<groups>.csv", _HIST, _TIMEBIN + ("capacity",), ("run",)),
+    ("report.json", (), KINDS, ("run",)),
+    ("manifest.json", (), KINDS, ("run", "sweep")),
+    ("hist_<id>_g<groups>.csv", _HIST, SLOTTED, ("run",)),
     ("hist_g<group>_<id>_<interfering|blocked>.csv", _HIST, ("phase_er",), ("run",)),
-    ("group_rates.csv", ("signal", "out_group", "cps:.6g"), _TIMEBIN + ("capacity",), ("run",)),
+    ("group_rates.csv", ("signal", "out_group", "cps:.6g"), SLOTTED, ("run",)),
     ("er_by_group.csv", ("out_group", "signal", "er_db:.6g"), ("phase_er",), ("run",)),
     ("counts_vs_phase.csv", ("signal", "phase_rad:.10g", "counts"), ("phase_sweep",), ("run",)),
     ("transcript.csv", ("frame", "alice_basis", "alice_bit", "bob_basis", "bob_bit", "sifted"),
-     _BB84, ("transcript = true",)),
-    ("sweep.csv", ("<param>", "<report key>:.10g"), _ALL, ("sweep",)),
+     BB84, ("transcript = true",)),
+    ("sweep.csv", ("<param>", "<report key>:.10g"), KINDS, ("sweep",)),
 )
 
 # each file's column names and formats, by its declared name

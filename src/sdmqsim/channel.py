@@ -21,14 +21,9 @@ import numpy as np
 
 from .config import N_GROUPS, ConfigError, SignalAssignment, check_keys, key
 
-__all__ = ["AssignmentError", "ChannelModel", "crosstalk_from_db", "load_link_tables",
-           "db_to_linear"]
+__all__ = ["ChannelModel", "crosstalk_from_db", "load_link_tables", "db_to_linear"]
 
 DISTANCES = ("40m", "8km")
-
-
-class AssignmentError(ConfigError):
-    """Raised when the link tables or the channel settings are inconsistent."""
 
 
 def db_to_linear(db):
@@ -41,17 +36,17 @@ def crosstalk_from_db(db) -> tuple:
     group ``g+1`` exits in group ``h+1``.  The raw linear column sums land within ~1% of unity
     (measurement residual) and are renormalized to exactly 1.  A matrix
     that is not N_GROUPS square, has an entry outside (0, 1), or has a
-    column not diagonal-dominant raises ``AssignmentError``."""
+    column not diagonal-dominant raises ``ConfigError``."""
     db = np.asarray(db, dtype=float)
     if db.shape != (N_GROUPS, N_GROUPS):
-        raise AssignmentError(f"crosstalk matrix must be {N_GROUPS}x{N_GROUPS}, got {db.shape}")
+        raise ConfigError(f"crosstalk matrix must be {N_GROUPS}x{N_GROUPS}, got {db.shape}")
     raw = db_to_linear(db)
     xt = raw / raw.sum(axis=0)
     if not np.all((xt > 0) & (xt < 1)):  # NaN fails too
-        raise AssignmentError("crosstalk entries must lie strictly in (0, 1)")
+        raise ConfigError("crosstalk entries must lie strictly in (0, 1)")
     for g in range(N_GROUPS):
         if not np.all(xt[g, g] > np.delete(xt[:, g], g)):
-            raise AssignmentError(f"crosstalk column {g + 1} is not diagonal-dominant")
+            raise ConfigError(f"crosstalk column {g + 1} is not diagonal-dominant")
     return tuple(map(tuple, xt.tolist()))
 
 
@@ -70,7 +65,7 @@ def load_link_tables(path: str | Path | None = None) -> tuple:
     A file that cannot be read, a line that does not parse or breaks its
     row's rules (the entry count; losses <= 0 dB; one row a distance), a
     missing row, or a crosstalk matrix ``crosstalk_from_db`` rejects raises
-    ``AssignmentError`` naming ``tables_path``, the file and, where one row
+    ``ConfigError`` naming ``tables_path``, the file and, where one row
     is at fault, its line.
     """
     p = Path(resources.files("sdmqsim").joinpath("data/fmf_link_tables.txt")
@@ -79,7 +74,7 @@ def load_link_tables(path: str | Path | None = None) -> tuple:
         text = p.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
-        raise AssignmentError(f"tables_path: cannot read {p}: {reason}") from None
+        raise ConfigError(f"tables_path: cannot read {p}: {reason}") from None
     il: dict[str, tuple] = {}
     xt_db: list[tuple] = []
     section = None
@@ -106,14 +101,14 @@ def load_link_tables(path: str | Path | None = None) -> tuple:
             else:
                 raise ValueError(f"unknown section {section!r}")
         except ValueError as exc:
-            raise AssignmentError(f"tables_path {p}, line {lineno}: {line!r}: {exc}") from None
+            raise ConfigError(f"tables_path {p}, line {lineno}: {line!r}: {exc}") from None
     try:
         for d in DISTANCES:
             if d not in il:
-                raise AssignmentError(f"insertion_loss has no row for {d}")
+                raise ConfigError(f"insertion_loss has no row for {d}")
         return il, crosstalk_from_db(xt_db)
-    except AssignmentError as exc:
-        raise AssignmentError(f"tables_path {p}: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"tables_path {p}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -134,8 +129,9 @@ class ChannelModel:
     ``uniform_il_db`` (if set) replaces the tables with a flat loss and an
     identity crosstalk matrix -- used for idealized single-signal budgets.
     ``tables_path`` (if set) names the file the tables were read from in
-    place of the packaged one.  A key out of its range raises
-    ``AssignmentError``.
+    place of the packaged one; ``load_scenario`` reads a relative one
+    against the scenario file's directory and stores the path it read.  A
+    key out of its range raises ``ConfigError``.
     """
 
     il: dict
@@ -148,7 +144,7 @@ class ChannelModel:
     tables_path: str | None = key(None)
 
     def __post_init__(self):
-        check_keys(self, error=AssignmentError)
+        check_keys(self)
 
     def transmission(self, signal: SignalAssignment) -> float:
         """Linear end-to-end transmission for one signal (loss factors only)."""

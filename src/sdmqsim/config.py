@@ -3,6 +3,7 @@
 Each scenario key is declared once by ``key``, as a field of the dataclass
 its section fills, and the dataclass checks itself against the declared
 ranges when built (``check_keys``), then checks the rules joining its keys.
+The experiment kinds are declared once too (``KINDS``).
 
 All times are carried as integer picoseconds.  The 25 ps histogram bins and
 1540 ps pulse periods are exactly representable, so histogram binning never
@@ -23,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
+    "KINDS", "TIMEBIN", "SLOTTED", "BB84",
     "SimConfig",
     "RandomSource",
     "SignalAssignment",
@@ -45,6 +47,14 @@ BATCH = 1 << 16
 
 # quasi-degenerate mode groups of the few-mode fiber
 N_GROUPS = 5
+
+# the experiment kinds, each named once here, and the families of them that
+# the code reads: the two time-bin kinds; the kinds that send a pure
+# time-bin stream, one slot a signal (those and capacity); and BB84's two
+TIMEBIN = ("timebin_B", "timebin_xt")
+SLOTTED = TIMEBIN + ("capacity",)
+BB84 = ("bb84", "bb84_eve")
+KINDS = SLOTTED + ("phase_er", "phase_sweep") + BB84
 
 
 class ConfigError(ValueError):
@@ -91,8 +101,8 @@ def key(default=MISSING, allowed: str = "", kinds: tuple | None = None, parse=No
     return field(default=default, metadata=meta)
 
 
-def check_keys(obj, where: str = "", error=ConfigError) -> None:
-    """Raise ``error`` naming the first key of ``obj`` outside its declared
+def check_keys(obj, where: str = "") -> None:
+    """Raise ConfigError naming the first key of ``obj`` outside its declared
     range.  An unset (None) key passes; each item of a tuple, and each value
     of a map, is held to the range."""
     for name, allowed, test in _ranged(type(obj)):
@@ -102,7 +112,7 @@ def check_keys(obj, where: str = "", error=ConfigError) -> None:
         items = (value.values() if isinstance(value, dict)
                  else value if isinstance(value, tuple) else (value,))
         if not all(map(test, items)):
-            raise error(f"{where}{name} must be {allowed}, got {value!r}")
+            raise ConfigError(f"{where}{name} must be {allowed}, got {value!r}")
 
 
 @functools.cache

@@ -17,11 +17,11 @@ gated clicks.  From ``FIRST_CLICK_DENSITY`` expected clicks a frame a runner
 draws such a detector's counts from that law (``_drawn_as_counts``).  Every
 other runner detector draws every click, O(events) at the ~0.002 events
 per detector-frame of the phase experiments (``_poisson_frames``), then
-gates, sorts and walks them, one span a call (``_simulate_detector``): a
-span is the most whole batches that expect at most ``SPAN_CLICKS`` clicks
-(``_span``), with one random stream a (detector, signal, span), and
-``_detector_cells`` hands the time until which the detector stays dead to
-the next span's call.  Photon sampling is efficiency-thinned at the
+gates, sorts and walks them, a span at a time in ``_detector_cells``'s
+loop: a span is the most whole batches that expect at most
+``SPAN_CLICKS`` clicks (``_span``), with one random stream a (detector,
+signal, span), and the time until which the detector stays dead is
+carried into the next span.  Photon sampling is efficiency-thinned at the
 source (Poisson splitting), which is statistically identical to sampling
 raw photons and thinning at the detector.  Streams depend on the scenario
 alone, so results are reproducible from its seed.
@@ -59,6 +59,7 @@ from . import analysis
 from .channel import ChannelModel
 from .config import (
     BATCH,
+    BB84,
     DELTA_T1,
     DELTA_T2,
     ConfigError,
@@ -66,6 +67,7 @@ from .config import (
     ROLE_PHOTONS,
     SignalAssignment,
     SimConfig,
+    TIMEBIN,
 )
 from .encoder import floor_fraction
 from .protocol import PHASE_TABLE, Bb84Result, cell_law, key_rate
@@ -311,43 +313,32 @@ def _span(clicks: float) -> int:
     return BATCH * max(1, int(SPAN_CLICKS // max(clicks * BATCH, 1)))
 
 
-def _simulate_detector(key, components, vcfg, gate, frames: range, blocked: int) -> tuple:
-    """Draw, gate and dead-time veto every click of one detector in the span
-    ``frames``, a range that starts on a batch boundary.  ``components[s]``
-    lists signal ``s``'s ``(lam, placement)`` pairs: ``lam`` mean clicks per
-    frame and ``placement`` a ``Pulse`` or ``Floor`` (see the module
-    docstring).  Stream ``(*key, s, first batch)`` draws signal ``s``'s
-    components in list order: the frames (sorted), then their within-frame
-    times.  No click is kept before the absolute time ``blocked``.  Returns
-    the kept ``(frames, t)`` in time order and the absolute time until
-    which the detector stays dead after them."""
-    root = RandomSource(vcfg.seed)
-    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
-    for s, comps in enumerate(components):
-        gen = root.stream(*key, s, frames.start // BATCH).generator()
-        for lam, placement in comps:
-            fr = frames.start + _poisson_frames(gen, lam, len(frames))
-            if len(fr):
-                parts.append((fr, placement.times(gen, len(fr), vcfg)))
-    fr, t = _finish_detector(parts, vcfg, gate, blocked)
-    if len(fr):
-        blocked = int(fr[-1]) * vcfg.frame_period_ps + int(t[-1]) + vcfg.dead_time_ps
-    return (fr, t), blocked
-
-
 def _detector_cells(key, components, vcfg, gate, n, edges, histogram=False) -> Cells:
     """One detector's accepted clicks over ``n`` frames as ``Cells`` between
     ``edges`` (see ``_cell_edges``), with a histogram if asked.  Counts
     (``_drawn_as_counts``) are drawn between both kinds of edge.  Otherwise
-    ``_simulate_detector`` draws one span (``_span``) a call, the dead time
-    carried into the next, and each span's clicks are counted before each
-    edge."""
+    every click is drawn, a span (``_span``) at a time.  ``components[s]``
+    lists signal ``s``'s ``(lam, placement)`` pairs: ``lam`` mean clicks per
+    frame and ``placement`` a ``Pulse`` or ``Floor`` (see the module
+    docstring).  Stream ``(*key, s, the span's first batch)`` draws them in
+    list order: the frames (sorted), then their within-frame times.  The
+    span's clicks are gated and walked (``_finish_detector``), none kept
+    before ``blocked``, the absolute time until which the previous span's
+    last kept click leaves the detector dead, and counted before each edge."""
     if not _drawn_as_counts(components, vcfg, gate):
+        root, span = RandomSource(vcfg.seed), _span(_mean_clicks(components))
         before, bins, blocked = np.zeros(len(edges), np.int64), 0, 0
-        span = _span(_mean_clicks(components))
         for b0 in range(0, n, span):
-            (_, t), blocked = _simulate_detector(key, components, vcfg, gate,
-                                                 range(n)[b0:b0 + span], blocked)
+            parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
+            for s, comps in enumerate(components):
+                gen = root.stream(*key, s, b0 // BATCH).generator()
+                for lam, placement in comps:
+                    fr = b0 + _poisson_frames(gen, lam, min(span, n - b0))
+                    if len(fr):
+                        parts.append((fr, placement.times(gen, len(fr), vcfg)))
+            fr, t = _finish_detector(parts, vcfg, gate, blocked)
+            if len(fr):
+                blocked = int(fr[-1]) * vcfg.frame_period_ps + int(t[-1]) + vcfg.dead_time_ps
             before += np.searchsorted(np.sort(t), edges)
             bins += histogram_from_times(t, vcfg) if histogram else 0
         return Cells(edges, before, bins if histogram else None)
@@ -470,18 +461,9 @@ def _phase_gates(vcfg, offset_ps) -> tuple:
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
-    """Dispatch to the experiment-specific runner, with the scenario alone:
-    each runner reads its ``cfg`` and its ``channel``."""
-    runner = {
-        "timebin_B": _run_timebin,
-        "timebin_xt": _run_timebin,
-        "capacity": _run_capacity,
-        "phase_er": _run_phase_er,
-        "phase_sweep": _run_phase_sweep,
-        "bb84": _run_bb84,
-        "bb84_eve": _run_bb84,
-    }[scenario.experiment.kind]
-    return runner(scenario)
+    """Dispatch to the experiment-specific runner (``RUNNERS``), with the
+    scenario alone: each runner reads its ``cfg`` and its ``channel``."""
+    return RUNNERS[scenario.experiment.kind](scenario)
 
 
 def _group_rates(scenario) -> dict:
@@ -809,3 +791,9 @@ def _run_bb84(scenario: Scenario) -> RunResult:
         },
     )
     return RunResult(report=report, bb84=res if exp.transcript else None)
+
+
+# each experiment kind's runner
+RUNNERS = {**dict.fromkeys(TIMEBIN, _run_timebin), "capacity": _run_capacity,
+           "phase_er": _run_phase_er, "phase_sweep": _run_phase_sweep,
+           **dict.fromkeys(BB84, _run_bb84)}

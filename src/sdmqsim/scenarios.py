@@ -25,23 +25,10 @@ from pathlib import Path
 
 from .analysis import check_phases
 from .channel import ChannelModel, load_link_tables
-from .config import N_GROUPS, ConfigError, SimConfig, SignalAssignment, check_keys, key
+from .config import (BB84, KINDS, N_GROUPS, SLOTTED, ConfigError, SimConfig, SignalAssignment,
+                     check_keys, key)
 
-__all__ = ["ChannelModel", "ExperimentSpec", "Scenario", "load_scenario", "SECTIONS", "KEYS",
-           "EXPERIMENT_KINDS"]
-
-EXPERIMENT_KINDS = (
-    "timebin_xt",
-    "timebin_B",
-    "phase_er",
-    "phase_sweep",
-    "bb84",
-    "bb84_eve",
-    "capacity",
-)
-
-# kinds that simulate a pure time-bin stream with one slot per signal
-TIMEBIN_KINDS = ("timebin_xt", "timebin_B", "capacity")
+__all__ = ["ChannelModel", "ExperimentSpec", "Scenario", "load_scenario", "SECTIONS", "KEYS"]
 
 
 def phase(raw: str) -> float:
@@ -75,21 +62,21 @@ def group_map(raw: str) -> dict:
 class ExperimentSpec:
     """The ``[experiment]`` keys: the experiment kind plus its knobs."""
 
-    kind: str = key()  # one of EXPERIMENT_KINDS
+    kind: str = key()  # one of config.KINDS
     n_frames: int = key(100_000, ">= 1")
     phi_a: float = key(math.pi, "finite", ("phase_er", "phase_sweep"), phase)
     phi_b: float = key(0.0, "finite", ("phase_er",), phase)
-    visibility_cap: float = key(0.93, "in [0, 1]", ("phase_er", "phase_sweep", "bb84", "bb84_eve"))
-    phase_floor: float = key(0.0, "in [0, 1]", ("phase_er", "phase_sweep", "bb84", "bb84_eve"))
+    visibility_cap: float = key(0.93, "in [0, 1]", ("phase_er", "phase_sweep") + BB84)
+    phase_floor: float = key(0.0, "in [0, 1]", ("phase_er", "phase_sweep") + BB84)
     sweep_phi_b: tuple = key((), "finite", ("phase_sweep",), phases)
     collections: dict = key({}, parse=group_map)  # signal -> (groups...)
     gates: dict = key({}, "one of dt1, dt2, always", parse=gate_map)  # signal -> gate
     theory_mu: float = key(1.0, "positive and finite", ("capacity",))
     theory_il_db: float = key(-8.3, "<= 0 (a loss) and finite", ("capacity",))
-    transcript: bool = key(False, kinds=("bb84", "bb84_eve"))
+    transcript: bool = key(False, kinds=BB84)
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         check_keys(self)
         collected = set()
@@ -125,7 +112,7 @@ class Scenario:
             for sid in getattr(exp, key):
                 if sid not in ids:
                     raise ConfigError(f"{key} {sid}: no signal {sid!r}")
-        if kind in ("bb84", "bb84_eve"):  # both ports read dt1, the first half-window
+        if kind in BB84:  # both ports read dt1, the first half-window
             bad = [f"gates {sid}:{g}" for sid, g in exp.gates.items() if g != "dt1"]
             bad += [f"delayed = true on signal {s.signal_id}" for s in self.signals if s.delayed]
             bad += [f"a second signal [signal.{s.signal_id}]" for s in self.signals[1:]]
@@ -152,7 +139,7 @@ class Scenario:
         if kind == "timebin_xt" and (len(delayed), early) != (1, 1):
             raise ConfigError("timebin_xt needs one signal with delayed = true and one with "
                               f"delayed = false, got {len(delayed)} and {early}")
-        if kind not in TIMEBIN_KINDS:
+        if kind not in SLOTTED:
             return
         if self.cfg.p_tb != 1.0:
             raise ConfigError(
@@ -259,6 +246,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
     cfg = SimConfig(**read("sim", SimConfig))
     keys = read("channel", ChannelModel)
+    if "tables_path" in keys:  # read against the scenario file's directory
+        keys["tables_path"] = str(path.parent / keys["tables_path"])
     channel = ChannelModel(*load_link_tables(keys.get("tables_path")), **keys)
     signals = tuple(SignalAssignment(signal_id=section.split(".", 1)[1],
                                      **read(section, SignalAssignment, f"[{section}] "))

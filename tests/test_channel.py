@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import sdmqsim
 
 from sdmqsim.channel import (
-    AssignmentError,
     ChannelModel,
     crosstalk_from_db,
     db_to_linear,
@@ -89,11 +88,11 @@ class TestTables:
     def test_diagonal_dominance_required(self):
         bad = [row[:] for row in XT_DB]
         bad[0][0], bad[1][0] = bad[1][0], bad[0][0]  # break column 1
-        with pytest.raises(AssignmentError, match="diagonal"):
+        with pytest.raises(ConfigError, match="diagonal"):
             crosstalk_from_db(bad)
 
     def test_insertion_loss_must_be_negative(self, tmp_path):
-        with pytest.raises(AssignmentError, match="<= 0"):
+        with pytest.raises(ConfigError, match="<= 0"):
             _load_edited(tmp_path, "40m     -7.14", "40m     0.1")
 
     # every table check names tables_path and the file, and the line where
@@ -121,7 +120,7 @@ class TestTables:
                      ": crosstalk column 1 is not diagonal-dominant", id="crosstalk_dominance"),
     ])
     def test_table_check_names_file_and_line(self, tmp_path, old, new, says):
-        with pytest.raises(AssignmentError) as info:
+        with pytest.raises(ConfigError) as info:
             _load_edited(tmp_path, old, new)
         assert str(info.value).startswith(f"tables_path {tmp_path / 'tables.txt'}")
         assert says in str(info.value)
@@ -173,21 +172,23 @@ class TestChannelModel:
 
     def test_unknown_distance_rejected(self, tables):
         il, xt = tables
-        with pytest.raises(AssignmentError, match="distance"):
+        with pytest.raises(ConfigError, match="distance"):
             ChannelModel(il=il, xt=xt, distance="4km")
 
     @pytest.mark.parametrize("uniform", [3.0, 1e-9, math.nan])
     def test_uniform_gain_rejected(self, tables, uniform):
         # a flat loss above 0 dB would amplify the light, as excess_db > 0 would
         il, xt = tables
-        with pytest.raises(AssignmentError, match="uniform_il_db must be <= 0"):
+        with pytest.raises(ConfigError, match="uniform_il_db must be <= 0"):
             ChannelModel(il=il, xt=xt, uniform_il_db=uniform)
 
-    def test_assignment_error_is_a_config_error(self):
-        # the CLI exits 2 on a bad channel setting, and callers catching
-        # ValueError still catch it
-        assert issubclass(AssignmentError, ConfigError)
-        assert issubclass(AssignmentError, ValueError)
+    def test_channel_error_is_a_config_error(self, tables):
+        # a bad channel setting is a ConfigError, on which the CLI exits 2,
+        # and callers catching ValueError still catch it
+        il, xt = tables
+        with pytest.raises(ValueError, match="distance") as info:
+            ChannelModel(il=il, xt=xt, distance="4km")
+        assert info.type is ConfigError
 
     def test_mean_received_photons_near_015(self, tables):
         # mu = 2.5 at the multiplexer input -> about 0.15 photons/frame out

@@ -812,7 +812,7 @@ class TestCellsRobust:
         # every saturated detector, the late signal's collection with that
         # signal dark too, is drawn as counts (the Poisson path at these
         # rates costs ~10x the run)
-        monkeypatch.setattr(pipeline, "_simulate_detector",
+        monkeypatch.setattr(pipeline, "_finish_detector",
                             mock.Mock(side_effect=AssertionError("drawn on the Poisson path")))
         rc, report, cells = self._run(tmp_path, monkeypatch, 1000)
         assert rc == 0 and len(cells) == 4
@@ -996,12 +996,12 @@ class TestPoissonSpans:
                     parts.append((fr, placement.times(gen, len(fr), vcfg)))
         fr, t = map(np.concatenate, zip(*parts))
         order = np.argsort(fr * vcfg.frame_period_ps + t, kind="stable")
-        spans, sim = [], pipeline._simulate_detector
-        monkeypatch.setattr(pipeline, "_simulate_detector",
-                            lambda *args: spans.append(sim(*args)) or spans[-1])
+        spans, finish = [], pipeline._finish_detector
+        monkeypatch.setattr(pipeline, "_finish_detector",
+                            lambda *args: spans.append(finish(*args)) or spans[-1])
         _detector_cells(self.KEY, components, vcfg, "always", n, _cell_edges(vcfg, []))
         assert len(spans) == 3
-        got_fr, got_t = map(np.concatenate, zip(*(kept for kept, _ in spans)))
+        got_fr, got_t = map(np.concatenate, zip(*spans))
         np.testing.assert_array_equal(got_fr, fr[order])
         np.testing.assert_array_equal(got_t, t[order])
 

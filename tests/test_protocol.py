@@ -343,22 +343,33 @@ class TestStreamSplit:
         n, period = 2 * BATCH + 5, cfg.frame_period_ps
         cfg = replace(cfg, dead_time_ps=150_000)
         key, comps = (ROLE_PHOTONS, 0), [[(3.0, Pulse(10_000)), (16.0, Pulse(199_000))]]
-        calls, sim = [], pipeline._simulate_detector
+        sizes, calls = [], []
+        poisson, finish = pipeline._poisson_frames, pipeline._finish_detector
 
-        def traced(*args):
-            calls.append((args[4], args[5], sim(*args)))
+        def drawn(gen, lam, nb):
+            sizes.append(nb)
+            return poisson(gen, lam, nb)
+
+        def finished(parts, vcfg, gate, blocked):
+            calls.append((np.concatenate([fr for fr, _ in parts]), blocked,
+                          finish(parts, vcfg, gate, blocked)))
             return calls[-1][2]
 
-        monkeypatch.setattr(pipeline, "_simulate_detector", traced)
+        monkeypatch.setattr(pipeline, "_poisson_frames", drawn)
+        monkeypatch.setattr(pipeline, "_finish_detector", finished)
         cells = _detector_cells(key, comps, cfg, "always", n, np.array([0, 100_000, period]),
                                 histogram=True)
         monkeypatch.undo()
-        assert [frames for frames, _, _ in calls] == [range(0, BATCH), range(BATCH, 2 * BATCH),
-                                                      range(2 * BATCH, n)]
+        # each span draws both components over its frames, and every frame
+        # of it holds a click at these rates
+        spans = [range(0, BATCH), range(BATCH, 2 * BATCH), range(2 * BATCH, n)]
+        assert sizes == [len(span) for span in spans for _ in comps[0]]
+        assert [(fr.min(), fr.max() + 1) for fr, _, _ in calls] == [
+            (span.start, span.stop) for span in spans]
         # each later span starts blocked by the last one's last click
         assert calls[0][1] == 0
-        for (_, _, ((fr, t), blocked)), (_, carried, _) in zip(calls, calls[1:]):
-            assert carried == blocked == int(fr[-1]) * period + int(t[-1]) + cfg.dead_time_ps
+        for (_, _, (fr, t)), (_, carried, _) in zip(calls, calls[1:]):
+            assert carried == int(fr[-1]) * period + int(t[-1]) + cfg.dead_time_ps
         # every frame keeps its late click, and an early click is kept in the
         # run's first frame alone, where spans drawn without the dead time
         # carried over would keep one in their first

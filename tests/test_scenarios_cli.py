@@ -20,9 +20,9 @@ import sdmqsim
 from sdmqsim import cli
 from sdmqsim.analysis import ARTIFACTS, ELIMINATED, REPORT, report_row
 from sdmqsim.cli import main
-from sdmqsim.config import ConfigError, SignalAssignment, SimConfig
+from sdmqsim.config import KINDS, ConfigError, SignalAssignment, SimConfig
+from sdmqsim.pipeline import RUNNERS
 from sdmqsim.scenarios import (
-    EXPERIMENT_KINDS,
     KEYS,
     SECTIONS,
     ChannelModel,
@@ -153,7 +153,7 @@ OUT_OF_RANGE = [
                  id=f"{section}-{f.name}={value}")
     for section, cls in SECTIONS.items() for f in KEYS[cls].values()
     for name in [next(n for n in ["bb84", *CANNED]
-                      if CANNED_KIND[n][0] in (f.metadata["kinds"] or EXPERIMENT_KINDS))]
+                      if CANNED_KIND[n][0] in (f.metadata["kinds"] or KINDS))]
     for value in _just_outside(f)
 ]
 
@@ -162,9 +162,26 @@ class TestScenarioLoading:
     @pytest.mark.parametrize("name", CANNED)
     def test_canned_scenarios_load(self, name):
         sc = load_scenario(SCENARIOS / f"{name}.ini")
-        assert sc.experiment.kind in EXPERIMENT_KINDS
+        assert sc.experiment.kind in KINDS
         # a scenario, its channel's tables included, is a plain value
         assert load_scenario(SCENARIOS / f"{name}.ini") == sc
+
+    def test_kinds_declared_once(self, tmp_path):
+        # the runner table, the report's and the artifacts' rows, each key's
+        # reading kinds and the loader all read config.KINDS, and a canned
+        # file runs each kind: a kind added in one place alone fails here
+        assert len(set(KINDS)) == len(KINDS) == 7
+        assert set(RUNNERS) == set(KINDS)
+        assert set().union(*(kinds for _, _, kinds in REPORT)) == set(KINDS)
+        assert set().union(*(kinds for _, _, kinds, _ in ARTIFACTS)) == set(KINDS)
+        assert all(set(f.metadata["kinds"] or KINDS) <= set(KINDS)
+                   for cls in SECTIONS.values() for f in KEYS[cls].values())
+        assert {kind for kind, _ in CANNED_KIND.values()} == set(KINDS)
+        bad = tmp_path / "bad.ini"
+        bad.write_text((SCENARIOS / "timebin_b.ini").read_text().replace(
+            "kind = timebin_B", "kind = timebin_b"))
+        with pytest.raises(ConfigError, match="^unknown experiment kind 'timebin_b'$"):
+            load_scenario(bad)
 
     def test_setup_leaves_numpy_random_unimported(self):
         # importing numpy.random costs ~11 ms: set-up (the CLI's import, the
@@ -446,6 +463,22 @@ class TestCliRun:
             out = tmp_path / ini.stem
             assert main(["run", str(ini), "--frames", "100", "--out", str(out)]) == 0
             assert json.loads((out / "manifest.json").read_text())["tables_echo"] == echo
+
+    def test_relative_tables_path_read_beside_the_scenario(self, tmp_path, monkeypatch):
+        # a relative tables_path names a file in the scenario file's
+        # directory, whatever the working directory, and the manifest
+        # echoes that file
+        beside = tmp_path / "beside"
+        beside.mkdir()
+        tables = beside / "t.txt"
+        tables.write_bytes((Path(sdmqsim.__file__).parent / "data" / "fmf_link_tables.txt")
+                           .read_bytes())
+        (beside / "bb84.ini").write_text((SCENARIOS / "bb84.ini").read_text().replace(
+            "[channel]\n", "[channel]\ntables_path = t.txt\n"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "beside/bb84.ini", "--frames", "2000", "--out", "o"]) == 0
+        echo = json.loads((tmp_path / "o" / "manifest.json").read_text())["tables_echo"]
+        assert echo.encode() == tables.read_bytes()
 
     def test_missing_tables_path_exits_nonzero(self, tmp_path, capsys):
         missing = tmp_path / "no_tables.txt"
@@ -1235,7 +1268,7 @@ class TestGoldenReports:
 def _kinds_cell(kinds, when=("run",)) -> str:
     """The kinds of a declaration row as SCHEMA.md lists them, with when a
     file is written where that is not on every run."""
-    listed = "all" if set(kinds) == set(EXPERIMENT_KINDS) else ", ".join(kinds)
+    listed = "all" if set(kinds) == set(KINDS) else ", ".join(kinds)
     return listed if when == ("run",) else f"{listed} ({', '.join(when)})"
 
 
@@ -1322,7 +1355,7 @@ class TestReportKeys:
                 for line in text.splitlines() if line.startswith("| `")]
         assert [(key, unit, listed) for key, unit, listed, _ in rows] == [
             (f"`{path}`", unit,
-             "all" if set(declared) == set(EXPERIMENT_KINDS) else ", ".join(declared))
+             "all" if set(declared) == set(KINDS) else ", ".join(declared))
             for path, unit, declared in REPORT]
 
     @pytest.mark.parametrize("name", CANNED)
